@@ -13,6 +13,7 @@ belongs, in :mod:`repro.net.headers`.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,19 @@ from ..errors import AllocationError, MemoryFault
 __all__ = ["Region", "PhysicalMemory"]
 
 _ALIGN = 16  # allocate on cache-line boundaries
+
+
+def _zero_pages(size: int) -> mmap.mmap:
+    """``size`` bytes of zero-on-demand memory: anonymous pages the OS
+    zeroes when first touched.  A node maps 16 MiB and a short world
+    touches a few hundred KiB of it; ``bytearray(size)`` would write
+    (and so make resident) every page up front.  Indexes and slices
+    like the ``bytearray`` it replaces (a slice read copies to
+    ``bytes``)."""
+    if hasattr(mmap, "MAP_ANONYMOUS"):
+        return mmap.mmap(-1, size,
+                         flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    return mmap.mmap(-1, size)  # no flags off Unix; anonymous all the same
 
 
 @dataclass(frozen=True)
@@ -45,7 +59,7 @@ class PhysicalMemory:
 
     def __init__(self, size: int = 8 * 1024 * 1024):
         self.size = size
-        self.data = bytearray(size)
+        self.data = _zero_pages(size)
         self.view = np.frombuffer(self.data, dtype=np.uint8)
         self._mv = memoryview(self.data)
         self._brk = _ALIGN  # keep address 0 unmapped: it makes bugs loud

@@ -23,7 +23,8 @@ import enum
 from typing import Any, Callable, Generator, Optional, TYPE_CHECKING
 
 from ..hw.calibration import PRIO_KERNEL, PRIO_USER
-from ..sim.engine import Event, Timeout
+from ..hw.cpu import YIELD_TO_ANY
+from ..sim.engine import Event
 from ..sim.queues import Channel, Gate
 from ..sim.units import CYCLE_PS
 
@@ -31,9 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Kernel
 
 __all__ = ["Process", "ProcessState"]
-
-#: granularity at which gated user computation checks its schedule
-_COMPUTE_CHUNK_CYCLES = 200
 
 
 class ProcessState(enum.Enum):
@@ -89,44 +87,34 @@ class Process:
     def compute(self, cycles: int) -> Generator[Event, Any, None]:
         """Burn user-mode cycles; only advances while scheduled.
 
-        A chunk never exceeds one charge quantum, so the common case of
-        ``cpu.exec`` (acquire, one quantum timeout, release — no
-        mid-slice preemption check) is unrolled here rather than paying
-        a fresh ``exec`` generator and a deeper ``yield from`` chain per
-        chunk.  The yielded event sequence is identical.
+        Each pass is one CPU hold (:meth:`Cpu.begin_hold`) for all that
+        is left, open to every waiter on the CPU and to this process's
+        gate: it is cut at the next quantum boundary when anyone queues
+        for the CPU or the scheduler ends the slice, and the rest waits
+        its turn (and the gate) again.
         """
         cpu = self.cpu
-        remaining = int(cycles)
-        if _COMPUTE_CHUNK_CYCLES > cpu.cal.exec_quantum_cycles:
-            # oversized chunks need exec's intra-slice preemption logic
-            while remaining > 0:
-                yield self.gate.wait()
-                chunk = min(remaining, _COMPUTE_CHUNK_CYCLES)
-                start = self.engine.now
-                yield from cpu.exec(chunk, prio=PRIO_USER)
-                self.user_ticks += self.engine.now - start
-                remaining -= chunk
-            return
         engine = self.engine
         lock = cpu.lock
-        gate_wait = self.gate.wait
+        gate = self.gate
+        remaining = int(cycles)
         while remaining > 0:
-            yield gate_wait()
-            chunk = (
-                remaining if remaining < _COMPUTE_CHUNK_CYCLES
-                else _COMPUTE_CHUNK_CYCLES
-            )
+            yield gate.wait()
             ustart = engine._now
             yield lock.acquire(PRIO_USER)
             start = engine._now
+            timer = cpu.begin_hold(remaining, YIELD_TO_ANY, gate)
             try:
-                yield Timeout(engine, chunk * CYCLE_PS)
-                cpu.busy_ticks += engine._now - start
-                cpu.cycles_charged += chunk
+                yield timer
             finally:
+                charged = cpu.end_hold()
                 lock.release()
-            self.user_ticks += engine._now - ustart
-            remaining -= chunk
+                if charged:
+                    # waiting for the CPU counts once the wait bought
+                    # a completed quantum (an interrupted first one
+                    # leaves no trace)
+                    self.user_ticks += start - ustart + charged * CYCLE_PS
+                remaining -= charged
 
     def compute_us(self, usec: float) -> Generator[Event, Any, None]:
         yield from self.compute(self.cal.us_to_cycles(usec))

@@ -173,8 +173,8 @@ class Timeout(Event):
     def __init__(self, engine: "Engine", delay: int, value: Any = None):
         if delay < 0:
             raise SimError(f"negative timeout: {delay}")
-        # Event.__init__ flattened: this runs a few hundred thousand
-        # times per simulated second on the hot quantum-sleep path.
+        # Event.__init__ flattened: every CPU charge, wire delay and
+        # protocol timer in a run is one of these.
         self.engine = engine
         self.name = "timeout"
         self._value = None
@@ -209,6 +209,22 @@ class Timeout(Event):
             self._state = Event._TRIGGERED
             self._callbacks.clear()
             self.engine._cancel(self._entry)
+
+    def reschedule(self, at: int) -> None:
+        """Move a still-pending timeout to fire at absolute tick ``at``.
+
+        The event object — and whoever waits on it — stays; only its
+        queue entry is replaced (withdrawn like :meth:`cancel` does, then
+        re-pushed under a fresh sequence number, so at its new tick it
+        orders after everything already scheduled there).  Used by the
+        CPU to cut a coalesced hold back to a quantum boundary.
+        """
+        old = self._entry
+        if self._state != Event._PENDING or old[2] is None:
+            raise SimError("cannot reschedule a timeout that already fired")
+        self._entry = self.engine._schedule(at, self, *old[3])
+        self.delay += at - old[0]
+        self.engine._cancel(old)
 
 
 class _ConditionBase(Event):

@@ -6,9 +6,10 @@ Process-facing primitives:
   rings, socket receive queues, inter-process mailboxes),
 * :class:`PriorityLock` — a mutual-exclusion lock with priorities (the
   CPU: interrupt-level work preempts user-level work at charge-quantum
-  boundaries),
+  boundaries; the holder's timed *hold* is told when such a waiter
+  queues),
 * :class:`Gate` — a reusable level-triggered condition (scheduler
-  "you are now running" signals),
+  "you are now running" signals; closing it cuts the running hold),
 * :class:`TimerWheel` — a schedule/cancel facade over engine timeouts
   for high-churn users (the TCP retransmit/delack timers).
 
@@ -401,10 +402,14 @@ class PriorityLock:
     """A mutex whose wait queue is ordered by (priority, arrival).
 
     Lower numbers are *more* urgent, matching interrupt-level semantics:
-    priority 0 = device interrupt, larger = less urgent.  The holder is
-    never preempted — priorities only order the waiters — which models a
-    CPU where interrupt handlers run at instruction (here: charge
-    quantum) boundaries.
+    priority 0 = device interrupt, larger = less urgent.  The lock never
+    takes itself away from the holder — priorities only order the
+    waiters — but a holder sitting in one long timed hold registers it
+    as :attr:`hold`, and :meth:`acquire` cuts that hold back to its next
+    charge-quantum boundary the moment it queues a waiter the holder
+    yields to.  That models a CPU where interrupt handlers run at
+    instruction (here: charge quantum) boundaries without the holder
+    waking at every boundary to look.
     """
 
     def __init__(self, engine: Engine, name: str = "lock"):
@@ -414,6 +419,11 @@ class PriorityLock:
         self._locked = False
         self._seq = 0
         self._waiters: list[tuple[int, int, Event]] = []
+        #: the holder's open timed hold, or None: any object with a
+        #: ``yield_below`` priority bound and a ``cut()`` method (the
+        #: CPU, see :meth:`repro.hw.cpu.Cpu.cut`).  Set and cleared by
+        #: the holder.
+        self.hold = None
 
     @property
     def locked(self) -> bool:
@@ -435,6 +445,9 @@ class PriorityLock:
         ev = self.engine.event(self._acquire_name)
         self._seq += 1
         heapq.heappush(self._waiters, (priority, self._seq, ev))
+        hold = self.hold
+        if hold is not None and priority < hold.yield_below:
+            hold.cut()
         return ev
 
     def release(self) -> None:
@@ -453,7 +466,11 @@ class Gate:
     ``wait()`` returns an event that triggers once the gate is open;
     while the gate is open waits pass through immediately.  Used by the
     scheduler: each process waits on its own gate, which the scheduler
-    opens for the duration of the process's time slice.
+    opens for the duration of the process's time slice.  A process
+    computing through the gate registers its timed hold as :attr:`hold`
+    (same contract as :attr:`PriorityLock.hold`); :meth:`close` cuts it
+    back to the next charge-quantum boundary, where the process finds
+    the gate shut.
     """
 
     def __init__(self, engine: Engine, name: str = "gate"):
@@ -462,6 +479,7 @@ class Gate:
         self._wait_name = name + ".wait"
         self._open = False
         self._waiters: deque[Event] = deque()
+        self.hold = None
 
     @property
     def is_open(self) -> bool:
@@ -474,6 +492,9 @@ class Gate:
 
     def close(self) -> None:
         self._open = False
+        hold = self.hold
+        if hold is not None:
+            hold.cut()
 
     def wait(self) -> Event:
         if self._open:

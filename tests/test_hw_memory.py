@@ -108,3 +108,17 @@ def test_u32_window_requires_multiple_of_four(mem):
 def test_numpy_view_is_uint8(mem):
     assert mem.view.dtype == np.uint8
     assert len(mem.view) == mem.size
+
+
+def test_fresh_memory_reads_zero_and_data_slices_copy():
+    """``data`` is zero-on-demand pages, not a bytearray, but indexes and
+    slices the same way (the JIT binds it directly)."""
+    big = PhysicalMemory(16 * 1024 * 1024)
+    assert big.read(big.size - 64, 64) == bytes(64)
+    assert not big.view[4096:8192].any()
+    big.data[100] = 0x41
+    big.data[101:103] = b"BC"
+    snapshot = big.data[100:103]
+    big.data[100] = 0
+    assert snapshot == b"ABC" and big.data[100] == 0
+    assert bytes(big.read_view(101, 2)) == b"BC" and big.view[102] == 0x43

@@ -274,6 +274,45 @@ def test_timeout_cancel_prevents_firing():
     assert fired == []
 
 
+@pytest.mark.parametrize("substrate", ["fast", "legacy"])
+@pytest.mark.parametrize("delay", [1_000, 3_000_000_000])  # due heap, wheel
+def test_timeout_reschedule_moves_the_same_event(substrate, delay):
+    eng = Engine(substrate)
+    order = []
+
+    def waiter(eng, t):
+        yield t
+        order.append(("moved", eng.now))
+
+    def bystander(eng):
+        yield eng.sleep(400)
+        order.append(("bystander", eng.now))
+
+    t = eng.timeout(delay, value="v")
+    eng.spawn(waiter(eng, t))
+    eng.spawn(bystander(eng))
+    eng.run(until=100)
+    t.reschedule(400)        # earlier, onto a tick that is already taken
+    eng.run()
+    # one firing, at the new tick, behind what was scheduled there first
+    assert order == [("bystander", 400), ("moved", 400)]
+    assert t.value == "v" and t.delay == 400
+    stats = eng.stats()
+    assert stats["cancelled"] == 1
+    assert stats["queue"]["tombstones"] == 0
+
+
+def test_timeout_reschedule_rejects_fired_and_past():
+    eng = Engine()
+    t = eng.timeout(10)
+    late = eng.timeout(50)
+    eng.run(until=20)
+    with pytest.raises(SimError):
+        t.reschedule(30)
+    with pytest.raises(SimError):
+        late.reschedule(5)
+
+
 def test_deep_chain_of_immediate_events_does_not_recurse():
     eng = Engine()
 
