@@ -400,9 +400,13 @@ class AshSystem:
         msg_span = desc.dma_span or (
             striped_size(desc.length) if desc.striped else desc.length
         )
+        # the static regions and, apart from them, the one region that
+        # moves per message: the JIT specializes on the former only
         allowed = entry.allowed
+        msg_region = None
         if allowed is not None:
-            allowed = allowed + [(desc.addr, msg_span)]
+            msg_region = (desc.addr, msg_span)
+            allowed = allowed + [msg_region]
 
         pending: list = []
         env = build_handler_env(kernel, desc, pending, allowed, mode="ash", ep=ep)
@@ -435,7 +439,8 @@ class AshSystem:
                 regs=entry.regs,
                 env=env,
                 cycle_budget=budget,
-                allowed=allowed or [],
+                allowed=entry.allowed,
+                msg_region=msg_region,
             )
         except VmFault as exc:
             entry.involuntary_aborts += 1

@@ -20,13 +20,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from ..hw.cache import DirectMappedCache
 from ..hw.calibration import Calibration
 from ..hw.node import Node
 from ..pipes import PIPE_WRITE, compile_pl, mk_cksum_pipe, pipel
-from .checksum import le_fold_final
+from .checksum import le_fold_final, le_word_sum
 
 __all__ = ["DataPath"]
 
@@ -73,11 +71,8 @@ class DataPath:
         """Tuned word copy; returns cycles (including cache stalls)."""
         if nbytes == 0:
             return 0
+        self.mem.copy_range(src, dst, nbytes)
         whole = nbytes - nbytes % 4
-        if whole:
-            self.mem.copy_range(src, dst, whole)
-        for i in range(whole, nbytes):  # trailing bytes
-            self.mem.store_u8(dst + i, self.mem.load_u8(src + i))
         main, tail_words = divmod(whole // 4, 4)
         cycles = (
             _LOOP_FIXED
@@ -117,17 +112,7 @@ class DataPath:
         """Separate checksum pass; returns (le-domain acc32, cycles)."""
         if nbytes == 0:
             return init, _LOOP_FIXED
-        whole = nbytes - nbytes % 4
-        total = init
-        if whole:
-            words = self.mem.u32_window(addr, whole).astype(np.uint64)
-            total += int(words.sum())
-        if nbytes % 4:
-            rest = bytes(self.mem.read(addr + whole, nbytes % 4))
-            rest += b"\x00" * (4 - len(rest))
-            total += int.from_bytes(rest, "little")
-        while total > 0xFFFFFFFF:
-            total = (total & 0xFFFFFFFF) + (total >> 32)
+        total = le_word_sum(self.mem.read_view(addr, nbytes), init)
         words_touched = (nbytes + 3) // 4
         cycles = _LOOP_FIXED + words_touched * _CKSUM_WORD
         cycles += self.cache.touch_range(addr, nbytes, is_store=False)

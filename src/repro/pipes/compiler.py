@@ -112,18 +112,19 @@ class IntegratedPipeline:
         self.state_regs = state_regs
         #: set by the ASH system / data path so runs report metrics
         self.telemetry = None
-
-    # -- properties -----------------------------------------------------
-    @property
-    def has_fast_path(self) -> bool:
-        """Vectorized execution requires every pipe to provide one, and
-        stateful pipes to be commutative (vector order != loop order)."""
-        for pipe in self.pl:
-            if not pipe.has_fast_path:
-                return False
-            if pipe.state_vars and not pipe.commutative:
-                return False
-        return True
+        #: Vectorized execution requires every pipe to provide a body,
+        #: and stateful pipes to be commutative (vector order != loop
+        #: order).  The pipe list is frozen into ``program`` here, so
+        #: this is decided once, not per transfer.
+        self.has_fast_path = all(
+            pipe.has_fast_path and (pipe.commutative or not pipe.state_vars)
+            for pipe in pl
+        )
+        #: each pipe with the ``pl.state`` keys of its variables
+        self._stages = [
+            (pipe, [(var, (pipe.pipe_id, var)) for var in pipe.state_vars])
+            for pipe in pl
+        ]
 
     def _check_args(self, nbytes: int) -> None:
         if nbytes % WORD:
@@ -240,27 +241,28 @@ class IntegratedPipeline:
             raise VcodeError(
                 "pipeline has no vectorized fast path; use run_vm"
             )
-        # gather input
+        # gather input: a window on the source itself when contiguous —
+        # a transforming pipe returns a fresh array, a no_mod pipe its
+        # input, so the store below is the transfer's only move.  The
+        # window is read-only, so that a body writing its input fails
+        # instead of corrupting the source.
         if self.interface is Interface.CONTIGUOUS:
-            stream = mem.u8_window(src, nbytes).copy()
+            stream = mem.u8_window(src, nbytes)
+            stream.flags.writeable = False
         else:
             buf = mem.u8_window(src, striped_size(nbytes))
             stream = gather_striped(buf, nbytes)
         # one traversal through every pipe
-        for pipe in self.pl:
-            state = {
-                var: self.pl.state[(pipe.pipe_id, var)]
-                for var in pipe.state_vars
-            }
+        pl_state = self.pl.state
+        for pipe, keys in self._stages:
+            state = {var: pl_state[key] for var, key in keys}
             stream = apply_pipe_at_gauge(stream, pipe, state)
-            for var, value in state.items():
-                self.pl.state[(pipe.pipe_id, var)] = value & 0xFFFFFFFF
+            for var, key in keys:
+                pl_state[key] = state[var] & 0xFFFFFFFF
         # scatter output
         if self.mode is TransferMode.WRITE:
             mem.u8_window(dst, nbytes)[:] = stream
         elif self.mode is TransferMode.INPLACE:
-            if self.interface is not Interface.CONTIGUOUS:
-                raise VcodeError("in-place transforms require contiguous data")
             mem.u8_window(src, nbytes)[:] = stream
         # cost
         cycles = self.loop_cycles(nbytes)

@@ -31,10 +31,7 @@ def apply_pipe_at_gauge(stream: np.ndarray, pipe, state: dict[str, int]) -> np.n
     same order the VM's gauge-conversion VCODE (low half first) sees —
     transformed, and returned as bytes again.
     """
-    from .pipe import gauge_dtype  # local import: avoid a cycle
-
-    dtype = gauge_dtype(pipe.gauge)
-    words = stream.view(dtype)
+    words = stream.view(pipe.dtype)
     out = pipe.np_apply(words, state)
     if out is words:
         return stream
@@ -47,11 +44,17 @@ def gather_striped(buf: np.ndarray, nbytes: int) -> np.ndarray:
     Payload byte ``i`` lives at buffer offset
     ``(i // 16) * 32 + (i % 16)``.
     """
-    # Index-vector gather: works even though the final stripe carries no
-    # trailing padding (the buffer is exactly striped_size(nbytes) long).
-    i = np.arange(nbytes)
-    offsets = (i // STRIPE_CHUNK) * (2 * STRIPE_CHUNK) + (i % STRIPE_CHUNK)
-    return buf[offsets].copy()
+    # One strided move for the padded stripes, one for the final chunk
+    # (1..16 bytes, and it carries no trailing padding: the buffer is
+    # exactly striped_size(nbytes) long).
+    out = np.empty(nbytes, dtype=np.uint8)
+    if nbytes:
+        full = (nbytes - 1) // STRIPE_CHUNK
+        split = full * STRIPE_CHUNK
+        out[:split].reshape(full, STRIPE_CHUNK)[:] = \
+            buf[:2 * split].reshape(full, 2 * STRIPE_CHUNK)[:, :STRIPE_CHUNK]
+        out[split:] = buf[2 * split:2 * split + nbytes - split]
+    return out
 
 
 def scatter_striped(buf: np.ndarray, data: np.ndarray) -> None:

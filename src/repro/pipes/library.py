@@ -46,7 +46,7 @@ def mk_cksum_pipe(pl: PipeList) -> int:
             b.v_move(out_reg, in_reg)     # pass the input through unchanged
 
     def np_apply(words: np.ndarray, state: dict[str, int]) -> np.ndarray:
-        total = state["cksum"] + int(words.astype(np.uint64).sum())
+        total = state["cksum"] + int(np.add.reduce(words, dtype=np.uint64))
         while total > _MASK32:
             total = (total & _MASK32) + (total >> 32)
         state["cksum"] = total

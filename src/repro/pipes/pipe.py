@@ -59,7 +59,8 @@ P_NO_MOD = 0x2        #: does not alter its input (output == input)
 
 #: emit(builder, in_reg, out_reg, state_regs) writes the pipe body
 EmitFn = Callable[[VBuilder, int, int, dict[str, int]], None]
-#: np_apply(words, state) -> transformed words; mutates state in place
+#: np_apply(words, state) -> transformed words (``words`` itself if
+#: unchanged; it is a read-only view of the source); mutates state in place
 NpApplyFn = Callable[[np.ndarray, dict[str, int]], np.ndarray]
 
 
@@ -67,9 +68,12 @@ def gauge_bytes(gauge: int) -> int:
     return gauge // 8
 
 
+_GAUGE_DTYPES = {8: np.dtype("u1"), 16: np.dtype("<u2"), 32: np.dtype("<u4")}
+
+
 def gauge_dtype(gauge: int) -> np.dtype:
     """The little-endian numpy dtype for a gauge (MIPS LE convention)."""
-    return {8: np.dtype("u1"), 16: np.dtype("<u2"), 32: np.dtype("<u4")}[gauge]
+    return _GAUGE_DTYPES[gauge]
 
 
 @dataclass
@@ -83,12 +87,15 @@ class Pipe:
     state_vars: tuple[str, ...] = ()
     np_apply: Optional[NpApplyFn] = None
     pipe_id: int = -1   #: assigned when registered in a PipeList
+    #: the stream view ``np_apply`` receives, fixed by the gauge
+    dtype: np.dtype = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.gauge not in _VALID_GAUGES:
             raise VcodeError(
                 f"pipe {self.name!r}: gauge must be one of {_VALID_GAUGES}"
             )
+        self.dtype = gauge_dtype(self.gauge)
 
     @property
     def commutative(self) -> bool:

@@ -55,7 +55,9 @@ initiation time, exactly as the paper's trusted calls do (III-B2): when
 a run supplies a small ``allowed`` region list, the list is baked into
 the generated source as constant interval tests and becomes part of the
 code-cache key, so ``chkld``/``chkst`` cost a couple of compares
-instead of a Python loop over tuples.
+instead of a Python loop over tuples.  The one region that moves per
+invocation — the message buffer — arrives separately (``msg``) and is
+tested against two locals, so it never enters the key.
 
 The code cache is keyed by ``(content hash, calibration, has-cache,
 allowed-regions)``.
@@ -152,7 +154,7 @@ _cache_epoch = 0
 class CompiledProgram:
     """One translated program: the entry function plus metadata.
 
-    ``fn(vm, regs, env, cycle_budget, allowed, max_insns, call_log)``
+    ``fn(vm, regs, env, cycle_budget, allowed, max_insns, call_log, msg)``
     returns ``(0, value, cycles, executed)`` on completion or
     ``(1, pc, cycles, executed)`` to request interpreter resumption
     (deoptimization) from ``pc`` with the given accounting state.
@@ -216,10 +218,11 @@ def _allowed_key(program: Program, allowed) -> Optional[tuple]:
     the generic runtime loop" (no chk ops, or an oversized list).
 
     Specialization is *monomorphic*: the first region list a program
-    runs with is baked; if a later run supplies a different list (the
-    ASH receive path allows a fresh message buffer per packet), the
-    program permanently falls back to the generic loop — otherwise
-    every packet would force a fresh translation."""
+    runs with is baked; if a later run supplies a different list, the
+    program permanently falls back to the generic loop — otherwise a
+    caller that moves a region per run would force a fresh translation
+    each time.  (The ASH receive path's per-packet message buffer is
+    not in this list: see ``msg`` in :class:`CompiledProgram`.)"""
     uses_chk = program.__dict__.get("_jit_uses_chk")
     if uses_chk is None:
         uses_chk = any(i.op in ("chkld", "chkst") for i in program.insns)
@@ -429,7 +432,9 @@ def _translate(program: Program, cal: Calibration, has_cache: bool,
     e = _Emitter()
     w = e.w
     w(0, "def _jit_entry(vm, regs, env, cycle_budget, allowed, max_insns,"
-         " call_log):")
+         " call_log, msg):")
+    if allowed_key is not None:
+        w(1, "_mb, _mz = msg")
     if uses_mem:
         w(1, "mem = vm.memory")
         w(1, "_mdata = mem.data")
@@ -743,15 +748,14 @@ def _translate(program: Program, cal: Calibration, has_cache: bool,
                 # the aggregated initiation-time check: the region list
                 # is part of the code-cache key, so each interval test
                 # is a chained compare against two constants
-                tests = " or ".join(
+                tests = [
                     f"{base} <= _a <= {base + rsize - size}"
                     for base, rsize in allowed_key
                     if rsize >= size
-                )
-                if tests:
-                    w(ind, f"if not ({tests}):")
-                else:
-                    w(ind, "if True:")
+                ]
+                # the per-invocation message region, last: two compares
+                tests.append(f"_mb <= _a <= _mb + _mz - {size}")
+                w(ind, f"if not ({' or '.join(tests)}):")
                 pend_now(ind + 1)
                 w(ind + 1, f"raise _MemoryFault({pre!r} + format(_a, '#x')"
                            f" + {post!r})")

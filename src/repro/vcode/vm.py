@@ -155,14 +155,18 @@ class Vm:
         allowed: Optional[list[tuple[int, int]]] = None,
         max_insns: int = DEFAULT_MAX_INSNS,
         engine: Optional[str] = None,
+        msg_region: Optional[tuple[int, int]] = None,
     ) -> VmResult:
         """Execute ``program`` and return a :class:`VmResult`.
 
         ``args`` load into A0..A3.  ``regs`` (if given) is the incoming
         register file — this is how persistent registers survive across
         invocations; it is mutated in place.  ``allowed`` is the region
-        list the sandbox checks consult.  ``cycle_budget`` is the abort
-        threshold (None = unlimited, for trusted code).
+        list the sandbox checks consult, and ``msg_region`` one more
+        region checked the same way: the one that moves from run to run
+        (the message buffer), which the JIT therefore keeps out of the
+        list it specializes on.  ``cycle_budget`` is the abort threshold
+        (None = unlimited, for trusted code).
 
         ``engine`` picks the execution engine: ``"jit"`` (default)
         translates the program to native Python via
@@ -178,7 +182,8 @@ class Vm:
         for i, arg in enumerate(args):
             regs[REG_A0 + i] = arg & MASK32
         env = env or {}
-        allowed = allowed or []
+        static = allowed or []
+        allowed = static if msg_region is None else static + [msg_region]
         # Normalize the hardwired zero register before dispatch: the
         # interpreter resets it after every instruction, the JIT folds it
         # to the literal 0, and both assume it starts out as 0.
@@ -189,12 +194,13 @@ class Vm:
         elif program.jit_safe is not False:
             compiled = jit.get_compiled(
                 program, self.cal, self.cache is not None, self.telemetry,
-                allowed,
+                static,
             )
             if compiled is not None:
                 call_log: list[tuple[str, int, int]] = []
                 out = compiled.fn(
-                    self, regs, env, cycle_budget, allowed, max_insns, call_log
+                    self, regs, env, cycle_budget, allowed, max_insns,
+                    call_log, msg_region or (0, 0),
                 )
                 if out[0] == 0:
                     return VmResult(
