@@ -31,7 +31,6 @@ from typing import Generator, Optional, TYPE_CHECKING
 
 from ..errors import AllocationError, SandboxViolation, VcodeError, VmFault
 from ..hw.calibration import PRIO_INTERRUPT
-from ..hw.nic.ethernet import striped_size
 from ..pipes.compiler import IntegratedPipeline
 from ..sandbox.budget import (
     BudgetAccount,
@@ -397,15 +396,12 @@ class AshSystem:
         if tel.enabled:
             tel.counter("ash.invocations", handler=handler_name).inc()
 
-        msg_span = desc.dma_span or (
-            striped_size(desc.length) if desc.striped else desc.length
-        )
         # the static regions and, apart from them, the one region that
         # moves per message: the JIT specializes on the former only
         allowed = entry.allowed
         msg_region = None
         if allowed is not None:
-            msg_region = (desc.addr, msg_span)
+            msg_region = (desc.addr, desc.dma_span)
             allowed = allowed + [msg_region]
 
         pending: list = []
@@ -444,9 +440,6 @@ class AshSystem:
             )
         except VmFault as exc:
             entry.involuntary_aborts += 1
-            # tell the kernel the fall-through below is abort recovery,
-            # not a voluntary pass, so it can count the degradation
-            desc.meta["ash_aborted"] = True
             burnt = getattr(exc, "cycles", 0)
             entry.account.charge(burnt)
             if tenants is not None:
@@ -465,6 +458,11 @@ class AshSystem:
                                   cycles=burnt, fault=type(exc).__name__)
                 tel.flight.dump("ash_involuntary_abort", now,
                                 handler=handler_name)
+            # tell the kernel the fall-through is abort recovery, not a
+            # voluntary pass, so it can count the degradation — unless
+            # the kernel crashed under the charges above: that message
+            # dies with it, it does not degrade
+            desc.meta["ash_aborted"] = not kernel.crashed
             return False
 
         yield from kernel.charge_with_sends(result, pending, PRIO_INTERRUPT,

@@ -318,7 +318,7 @@ class TenantManager:
         if desc.buf is not None:
             desc.buf.release()
         desc.meta["tenant_revoked"] = True
-        ep.nic.replenish(ep.vci, desc.addr, self.cal.an2_max_packet)
+        ep.nic.recycle(desc)
         self._count(t, "reclaims")
 
     def on_ring_empty(self, nic: "Nic", vci: int) -> bool:

@@ -168,10 +168,3 @@ class PhysicalMemory:
     def u8_window(self, addr: int, size: int) -> np.ndarray:
         self._check(addr, size)
         return self.view[addr:addr + size]
-
-    def u32_window(self, addr: int, size: int) -> np.ndarray:
-        """A little-endian uint32 view; ``size`` must be a multiple of 4."""
-        self._check(addr, size)
-        if size % 4:
-            raise MemoryFault(f"u32 window size {size} not a multiple of 4")
-        return self.view[addr:addr + size].view("<u4")

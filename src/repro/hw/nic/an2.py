@@ -50,6 +50,8 @@ class An2Nic(Nic):
 
     def __init__(self, engine, cal, memory, name: str = "an2"):
         super().__init__(engine, cal, memory, name)
+        self.driver_recv_us = cal.an2_kernel_recv_us
+        self.kernel_send_us = cal.an2_kernel_send_us
         self._bindings: dict[int, VcBinding] = {}
 
     # -- virtual circuits ---------------------------------------------------
@@ -68,8 +70,13 @@ class An2Nic(Nic):
         self._bindings[vci] = binding
         return binding
 
-    def unbind_vci(self, vci: int) -> None:
-        self._bindings.pop(vci, None)
+    def unbind_vci(self, vci: int) -> list[tuple[int, int]]:
+        """Drop the binding; returns every buffer it still held (free
+        ones first, then refills parked under memory pressure)."""
+        binding = self._bindings.pop(vci, None)
+        if binding is None:
+            return []
+        return list(binding.buffers) + (binding.deferred or [])
 
     def binding(self, vci: int) -> Optional[VcBinding]:
         return self._bindings.get(vci)
@@ -99,28 +106,25 @@ class An2Nic(Nic):
                 binding.replenish(*pair)
             binding.deferred = None
 
+    def recycle(self, desc: RxDescriptor) -> None:
+        self.replenish(desc.vci, desc.addr, self.cal.an2_max_packet)
+
     # -- DMA ----------------------------------------------------------------
-    def _dma(self, frame: Frame) -> Optional[RxDescriptor]:
-        if frame.vci is None:
-            self._drop_reason = "unbound_vci"
-            return None
+    def _dma(self, frame: Frame) -> RxDescriptor | str:
         binding = self._bindings.get(frame.vci)
         if binding is None:
-            self._drop_reason = "unbound_vci"
-            return None
+            return "unbound_vci"
         if not binding.buffers:
             # defer before drop: a tenant at its held-buffer quota gets
             # its oldest outstanding buffer revoked back into the ring
             if self.admission is not None:
                 self.admission.on_ring_empty(self, frame.vci)
             if not binding.buffers:
-                self._drop_reason = "no_buffer"
                 if self.admission is not None:
                     self.admission.note_no_buffer(self, frame.vci)
-                return None
+                return "no_buffer"
         if len(frame.data) > self.cal.an2_max_packet:
-            self._drop_reason = "oversize"
-            return None
+            return "oversize"
         addr, _size = binding.buffers.popleft()
         self.memory.write(addr, frame.data)
         return RxDescriptor(

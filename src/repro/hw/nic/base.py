@@ -37,7 +37,9 @@ class RxDescriptor:
     vci: Optional[int]     #: AN2 virtual circuit, None for Ethernet
     striped: bool = False  #: True when the DMA engine striped the data
     dma_span: int = 0      #: bytes of memory the DMA engine occupied
-                           #: (striped layouts occupy more than ``length``)
+                           #: (striped layouts occupy more than ``length``):
+                           #: what the driver's cache flush must cover and
+                           #: a handler's message window spans
     buf: Optional["PacketBuf"] = None  #: pooled window over the DMA span
     core: int = 0          #: cpu the RSS dispatch stage steered this to
     meta: dict[str, Any] = field(default_factory=dict)
@@ -141,6 +143,15 @@ class Nic:
 
     #: subclasses set a human-readable medium name
     medium = "nic"
+    #: who lends the memory frames are DMA'd into: False = the
+    #: application (AN2; the normal path is zero-copy), True = a scarce
+    #: device-owned ring the kernel must copy out of (Ethernet)
+    owns_rx_buffers = False
+    #: the driver's CPU cost per received frame (incl. the post-DMA
+    #: cache flush) and per in-kernel transmit, in µs; subclasses set
+    #: both from their calibration
+    driver_recv_us = 0.0
+    kernel_send_us = 0.0
 
     def __init__(self, engine: Engine, cal: Calibration,
                  memory: "PhysicalMemory", name: str):
@@ -189,8 +200,6 @@ class Nic:
         #: tenant-admission seam: a TenantManager installs itself here
         #: (see repro.ash.tenancy); None = no per-tenant quotas
         self.admission = None
-        #: subclasses set this before returning None from _dma
-        self._drop_reason = "no_buffer"
 
     def bind(self, node: "Node") -> "Nic":
         """Adopt the owning node's telemetry, packet pool and topology.
@@ -282,6 +291,10 @@ class Nic:
             tel.counter("nic.rx_dropped", nic=self.name, reason=reason).inc()
 
     def _on_wire_frame(self, frame: Frame) -> None:
+        """The first two stages of the receive pipeline: *admit* (node
+        up, injected stress, tenant quota, a free buffer to DMA into)
+        and *steer* (RSS picks the core, the kernel is handed the
+        descriptor)."""
         if self.down:
             self._count_drop("node_down")
             return
@@ -300,11 +313,9 @@ class Nic:
             if reason is not None:
                 self._count_drop(reason)
                 return
-        self._drop_reason = "no_buffer"
         desc = self._dma(frame)
-        tel = self.telemetry
-        if desc is None:
-            self._count_drop(self._drop_reason)
+        if isinstance(desc, str):
+            self._count_drop(desc)
             return
         self.rx_frames += 1
         if self.pktpool is not None \
@@ -312,7 +323,8 @@ class Nic:
                 and not self.memory.pressure_gate("pktbuf"):
             # a refused wrapper allocation degrades to the legacy bytes
             # path (desc.buf stays None, which every consumer handles)
-            desc.buf = self.pktpool.acquire(desc.addr, desc.dma_span or desc.length)
+            desc.buf = self.pktpool.acquire(desc.addr, desc.dma_span)
+        tel = self.telemetry
         if tel is not None and tel.enabled:
             tel.counter("nic.rx_frames", nic=self.name).inc()
             tel.counter("nic.rx_bytes", nic=self.name).inc(desc.length)
@@ -352,6 +364,11 @@ class Nic:
         if self.rss is not None:
             self.rss.publish_telemetry(tel)
 
-    def _dma(self, frame: Frame) -> Optional[RxDescriptor]:
-        """Place the frame in memory; None means 'no buffer, drop'."""
+    def _dma(self, frame: Frame) -> RxDescriptor | str:
+        """Place the frame in memory, or name the reason it is dropped."""
+        raise NotImplementedError
+
+    def recycle(self, desc: RxDescriptor) -> None:
+        """Software is done with ``desc``'s receive buffer: make it
+        available to the DMA engine again."""
         raise NotImplementedError

@@ -16,7 +16,6 @@ Two properties from the paper shape this model:
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
 
 from ..link import Frame
 from .base import Nic, RxDescriptor
@@ -41,6 +40,7 @@ def striped_size(nbytes: int) -> int:
 
 class EthernetNic(Nic):
     medium = "ethernet"
+    owns_rx_buffers = True
 
     #: ring depth: LANCE-class controllers had a handful of buffers
     DEFAULT_RING = 8
@@ -48,6 +48,8 @@ class EthernetNic(Nic):
     def __init__(self, engine, cal, memory, name: str = "eth",
                  ring_slots: int = DEFAULT_RING):
         super().__init__(engine, cal, memory, name)
+        self.driver_recv_us = cal.eth_driver_us
+        self.kernel_send_us = cal.eth_tx_us
         self.ring_slots = ring_slots
         # Each slot must hold a striped MTU frame: 2x the payload bytes.
         slot_size = 2 * cal.eth_mtu + 2 * STRIPE_CHUNK
@@ -58,22 +60,20 @@ class EthernetNic(Nic):
         )
 
     # -- ring management -------------------------------------------------------
-    def return_slot(self, addr: int) -> None:
+    def recycle(self, desc: RxDescriptor) -> None:
         """Software gives a receive-ring buffer back to the device."""
-        self._free_slots.append(addr)
+        self._free_slots.append(desc.addr)
 
     @property
     def free_slot_count(self) -> int:
         return len(self._free_slots)
 
     # -- DMA ----------------------------------------------------------------
-    def _dma(self, frame: Frame) -> Optional[RxDescriptor]:
+    def _dma(self, frame: Frame) -> RxDescriptor | str:
         if len(frame.data) > self.cal.eth_mtu + 18:  # payload + 14B hdr + FCS
-            self._drop_reason = "oversize"
-            return None
+            return "oversize"
         if not self._free_slots:
-            self._drop_reason = "ring_exhausted"
-            return None
+            return "ring_exhausted"
         base = self._free_slots.popleft()
         data = frame.data
         # Stripe: 16 bytes of data, 16 bytes of padding, repeated.

@@ -1,14 +1,15 @@
 """The kernel: interrupt dispatch, demultiplexing and message delivery.
 
-The receive path implements Section V's delivery hierarchy.  After the
-NIC DMA lands a frame and raises an interrupt, the kernel:
+The receive path implements Section V's delivery hierarchy as stages
+run in order (DESIGN.md §6, "Receive pipeline").  After the NIC DMA
+lands a frame and raises an interrupt, the kernel:
 
 1. charges the driver cost (including the "software cache flush of the
-   message location, to ensure consistency after the DMA"),
-2. demultiplexes — by virtual circuit on the AN2, by DPF filter on the
+   message location, to ensure consistency after the DMA") and
+   demultiplexes — by virtual circuit on the AN2, by DPF filter on the
    Ethernet ("no more functionality is required in the kernel than is
    needed to demultiplex the messages to the correct process"),
-3. delivers, in order of preference:
+2. offers the message to each level of ``_DELIVERY_ORDER``, best first:
    a hard-wired **in-kernel handler** (the Table I baseline), a bound
    **ASH**, a registered **upcall**, or the **normal path** — append a
    notification to the endpoint ring and let the scheduler hook decide
@@ -23,22 +24,26 @@ leaves data in the application-provided buffer (zero copies).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Optional
+from typing import Callable, Generator, Optional, TYPE_CHECKING
 
-from ..errors import DemuxError
 from ..hw.calibration import Calibration, PRIO_INTERRUPT, PRIO_KERNEL
 from ..hw.link import Frame
-from ..hw.nic.an2 import An2Nic
 from ..hw.nic.base import Nic, RxDescriptor
-from ..hw.nic.ethernet import EthernetNic, striped_size
+from ..hw.nic.ethernet import stripe_offset
 from ..hw.node import Node
+from ..pipes import Interface, PIPE_WRITE, compile_pl, pipel
 from ..sim.queues import Channel
+from ..sim.units import us
 from ..vcode.vm import VmResult
 from .dpf import DpfEngine, Predicate
 from .process import Process
 from .scheduler import RoundRobinScheduler
 from .syscalls import SyscallInterface
 from .upcall import UpcallHandler, UpcallManager
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..hw.nic.an2 import An2Nic
+    from ..hw.nic.ethernet import EthernetNic
 
 __all__ = ["Endpoint", "Kernel"]
 
@@ -55,7 +60,7 @@ class Endpoint:
     vci: Optional[int] = None          #: AN2 virtual circuit
     filter_id: Optional[int] = None    #: Ethernet DPF filter
     owner: Optional[Process] = None
-    ring: Channel = None               #: notification ring (kernel/user shared)
+    ring: Optional[Channel] = None     #: notification ring (kernel/user shared)
     ash_id: Optional[int] = None
     upcall: Optional[UpcallHandler] = None
     kernel_handler: Optional[KernelHandler] = None
@@ -127,6 +132,9 @@ class Kernel(SyscallInterface):
         #: filters_reinstalled, ash_reinstalls, ash_reinstall_failures}
         self.crash_log: list[dict] = []
         self._boot_records: list[dict] = []
+        #: while crashed: (nic name, vci) -> the buffers its VC will be
+        #: rebound with at reboot (empty otherwise)
+        self._rebind: dict[tuple[str, int], list[tuple[int, int]]] = {}
         self._await_first_delivery = False
         # -- degradation-order invariant ----------------------------------
         #: messages whose delivery skipped a hierarchy level without a
@@ -141,6 +149,10 @@ class Kernel(SyscallInterface):
         self._m_demux_misses = tel.counter("kernel.demux_misses")
         self._m_demux_us = tel.histogram("kernel.demux_us")
         self._m_livelock = tel.counter("kernel.livelock_deferrals")
+        #: the livelock guard's window, one clock tick (fixed per kernel)
+        self._ash_window = us(self.cal.tick_us)
+        #: the Ethernet copy-out's de-striping loop, compiled at first use
+        self._eth_copy_engine = None
         # the ASH runtime (imported here to keep layering one-way)
         from ..ash.system import AshSystem
         self.ash_system = AshSystem(self)
@@ -149,18 +161,6 @@ class Kernel(SyscallInterface):
         self.tenants = None
         for nic in node.nics.values():
             self.attach_nic(nic)
-
-    # span of the message currently being delivered, so transmit paths
-    # reached from inside handlers can tag the reply.  Kept on the span
-    # tracker (not here) because the NIC and protocol libraries need the
-    # same notion of "current delivery" for trace-context attribution.
-    @property
-    def _active_span(self):
-        return self.telemetry.spans.active
-
-    @_active_span.setter
-    def _active_span(self, span) -> None:
-        self.telemetry.spans.active = span
 
     @property
     def scheduler(self) -> RoundRobinScheduler:
@@ -267,53 +267,32 @@ class Kernel(SyscallInterface):
             nic.down = True
         self._boot_records = []
         for ep in self.endpoints:
-            boot = {
+            self._boot_records.append({
                 "ep": ep,
                 "ash_id": ep.ash_id,
                 "upcall": ep.upcall,
                 "kernel_handler": ep.kernel_handler,
-            }
-            # pending, undelivered notifications die with the kernel;
-            # they are counted (never silent) and their buffers are
-            # reclaimed into the rebind set
-            reclaimed: list[tuple[int, int]] = []
+            })
+            if ep.vci is not None:
+                # buffers the application holds at crash time come back
+                # later through its ordinary sys_replenish calls
+                self._rebind[(ep.nic.name, ep.vci)] = \
+                    ep.nic.unbind_vci(ep.vci)
+            # pending, undelivered notifications die with the kernel
+            # through the same exit as a delivery the crash caught in
+            # flight: counted (never silent), buffer reclaimed — an AN2
+            # one joins the rebind set just built, behind the free ones
             while True:
                 ok, desc = ep.ring.try_get()
                 if not ok:
                     break
-                if not isinstance(desc, RxDescriptor):
-                    continue  # a pending wakeup notification: benign
-                rec["lost_messages"] += 1
-                self.lost_messages += 1
-                if desc.buf is not None:
-                    desc.buf.release()
-                if isinstance(desc.nic, An2Nic):
-                    reclaimed.append((desc.addr, self.cal.an2_max_packet))
-                elif isinstance(desc.nic, EthernetNic):
-                    if desc.meta.get("kbuf"):
-                        ep.kbufs.append(desc.addr)
-                    else:
-                        desc.nic.return_slot(desc.addr)
-                self._finish_span(desc, "crash_lost")
-            if ep.vci is not None:
-                binding = ep.nic.binding(ep.vci)
-                bufs: list[tuple[int, int]] = []
-                if binding is not None:
-                    bufs.extend(binding.buffers)
-                    if binding.deferred:
-                        bufs.extend(binding.deferred)
-                bufs.extend(reclaimed)
-                # buffers the application holds at crash time come back
-                # later through its ordinary sys_replenish calls
-                boot["an2_buffers"] = bufs
-                ep.nic.unbind_vci(ep.vci)
-            if ep.filter_id is not None:
-                boot["predicates"] = ep.predicates
-                ep.filter_id = None
+                if isinstance(desc, RxDescriptor):
+                    self._drop_in_crash(desc, ep)
+                # anything else is a pending wakeup notification: benign
+            ep.filter_id = None  # re-inserted from ep.predicates at reboot
             ep.clear_handlers()
             ep.ash_window_start = 0
             ep.ash_window_count = 0
-            self._boot_records.append(boot)
         self._by_filter.clear()
         # the packet-filter engine is rebuilt from scratch at reboot
         self.dpf = DpfEngine(self.cal, telemetry=self.node.telemetry)
@@ -325,8 +304,6 @@ class Kernel(SyscallInterface):
         tel = self.telemetry
         if tel.enabled:
             tel.counter("crash.crashes").inc()
-            if rec["lost_messages"]:
-                tel.counter("crash.lost_messages").inc(rec["lost_messages"])
             # the flight recorder lives in application memory (like the
             # SharedTcb regions), so everything recorded before this
             # instant survives the teardown above and lands in the dump
@@ -355,10 +332,12 @@ class Kernel(SyscallInterface):
         rec["ash_reinstall_failures"] = failures
         for boot in self._boot_records:
             ep = boot["ep"]
-            if "an2_buffers" in boot:
-                ep.nic.bind_vci(ep.vci, boot["an2_buffers"], owner=ep.owner)
-            if boot.get("predicates") is not None:
-                fid = self.dpf.insert(boot["predicates"])
+            if ep.vci is not None:
+                ep.nic.bind_vci(
+                    ep.vci, self._rebind.pop((ep.nic.name, ep.vci)),
+                    owner=ep.owner)
+            if ep.predicates is not None:
+                fid = self.dpf.insert(ep.predicates)
                 ep.filter_id = fid
                 self._by_filter[fid] = ep
                 rec["filters_reinstalled"] += 1
@@ -387,18 +366,16 @@ class Kernel(SyscallInterface):
             f"ashes={rec['ash_reinstalls']}",
         )
 
-    def _drop_in_crash(self, desc: RxDescriptor) -> None:
-        """An rx interrupt raced the crash: the message dies with the
-        kernel (counted), its buffer is reclaimed for the rebind set."""
+    def _drop_in_crash(self, desc: RxDescriptor,
+                       ep: Optional[Endpoint] = None) -> None:
+        """Exit 3 of the receive path, *died*: the crash caught this
+        message in flight or waiting on a ring.  It dies with the kernel
+        (counted) and its buffer is reclaimed; ``ep`` is its endpoint
+        once demultiplexing got that far."""
         rec = self.crash_log[-1]
         rec["lost_messages"] += 1
         self.lost_messages += 1
-        if desc.buf is not None:
-            desc.buf.release()
-        if isinstance(desc.nic, An2Nic):
-            self._park_buffer(desc)
-        elif isinstance(desc.nic, EthernetNic) and not desc.meta.get("kbuf"):
-            desc.nic.return_slot(desc.addr)
+        self._recycle(desc, ep)
         self._finish_span(desc, "crash_lost")
         if self.telemetry.enabled:
             self.telemetry.counter("crash.lost_messages").inc()
@@ -410,16 +387,11 @@ class Kernel(SyscallInterface):
         ``cpu`` is the core doing the work (a syscall charges the
         calling process's core); defaults to core 0.
         """
-        cost = (
-            self.cal.an2_kernel_send_us
-            if isinstance(nic, An2Nic)
-            else self.cal.eth_tx_us
-        )
         if cpu is None:
             cpu = self.node.cpu
-        yield from cpu.exec_us(cost, PRIO_KERNEL)
+        yield from cpu.exec_us(nic.kernel_send_us, PRIO_KERNEL)
         nic.transmit(frame)
-        span = self._active_span
+        span = self.telemetry.spans.active
         if span is not None:
             span.stage("nic_tx", self.engine.now)
 
@@ -462,148 +434,151 @@ class Kernel(SyscallInterface):
                 self._on_rx_kick(nic, core)
 
     def _rx_interrupt(self, desc: RxDescriptor) -> Generator:
+        """Demux stage: charge the driver, find the endpoint."""
         if self.crashed:
             self._drop_in_crash(desc)
             return
+        nic = desc.nic
         cpu = self.node.cpus[desc.core]
-        cal = self.cal
         self.rx_interrupts += 1
         self._m_rx_interrupts.inc()
-        span = desc.meta.get("span")
-
-        if isinstance(desc.nic, An2Nic):
-            # driver cost incl. the post-DMA software cache flush
-            yield from cpu.exec_us(cal.an2_kernel_recv_us, PRIO_INTERRUPT)
-            self.node.dcache.flush_range(desc.addr, desc.length)
-            ep = self._by_vci.get((desc.nic.name, desc.vci))
+        # driver cost incl. the post-DMA software cache flush
+        yield from cpu.exec_us(nic.driver_recv_us, PRIO_INTERRUPT)
+        self.node.dcache.flush_range(desc.addr, desc.dma_span)
+        if desc.vci is not None:
+            # the hardware demultiplexed: the frame names its circuit
+            ep = self._by_vci.get((nic.name, desc.vci))
         else:
-            yield from cpu.exec_us(cal.eth_driver_us, PRIO_INTERRUPT)
-            self.node.dcache.flush_range(
-                desc.addr, desc.dma_span or striped_size(desc.length)
-            )
             fid, demux_us = self.dpf.classify(desc.frame.data)
             yield from cpu.exec_us(demux_us, PRIO_INTERRUPT)
             self._m_demux_us.observe(demux_us)
-            ep = self._by_filter.get(fid) if fid is not None else None
+            ep = self._by_filter.get(fid)
+        span = desc.meta.get("span")
         if span is not None:
             span.stage("demux", self.engine.now)
-
         if ep is None:
-            self.demux_misses += 1
-            self._m_demux_misses.inc()
-            self._finish_span(desc, "demux_miss")
-            self._recycle(desc)
+            if self.crashed:
+                # the crash landed in a hold above and took the filter
+                # tables with it: a lost message, not a stray one
+                self._drop_in_crash(desc)
+            else:
+                self.demux_misses += 1
+                self._m_demux_misses.inc()
+                self._finish_span(desc, "demux_miss")
+                self._recycle(desc)
             return
         ep.rx_count += 1
         yield from self._deliver(ep, desc)
 
+    #: the Section-V delivery hierarchy, best first — under combined
+    #: faults service must degrade strictly down this list, never skip
+    _DELIVERY_ORDER = ("kernel_handler", "ash", "upcall", "ring", "drop")
+
+    def _offer_ash(self, ep: Endpoint, desc: RxDescriptor):
+        """The ASH level, behind the receive-livelock guard (Section
+        VI-4): ASHs are "fundamentally an eager, not a lazy technique";
+        under a message flood an endpoint exceeding its per-tick share
+        has its handler disabled for the rest of the tick, and the
+        excess messages take the normal (lazy, receiver-priority) path
+        instead."""
+        limit = self.cal.ash_livelock_limit
+        if limit > 0:
+            now = self.engine.now
+            if now - ep.ash_window_start >= self._ash_window:
+                ep.ash_window_start = now
+                ep.ash_window_count = 0
+            if ep.ash_window_count >= limit:
+                ep.livelock_deferrals += 1
+                self._m_livelock.inc()
+                return "livelock_throttle"
+            ep.ash_window_count += 1
+        if self.tenants is not None and not self.tenants.ash_allowed(ep):
+            return "tenant_cycle_throttle"
+        return self.ash_system.invoke(ep, desc)
+
+    def _offer_ring(self, ep: Endpoint, desc: RxDescriptor):
+        if not desc.nic.owns_rx_buffers:
+            return None  # the data stays where it was DMA'd: zero copies
+        if not ep.kbufs:
+            return "no_kbuf"
+        return self._eth_copy_out(ep, desc)
+
+    #: level -> (the Endpoint attribute that binds it, None = always
+    #: bound; its offer; why a message it attempted moved on).  An offer
+    #: does not yield: a string is why the level will not attempt this
+    #: message, None means it takes the message with nothing to run,
+    #: anything else is the attempt — a generator that returns whether
+    #: it took the message.
+    _LEVELS = {
+        "kernel_handler": (
+            "kernel_handler",
+            lambda self, ep, desc: ep.kernel_handler(self, ep, desc),
+            "declined"),
+        "ash": ("ash_id", _offer_ash, "voluntary_pass"),
+        "upcall": (
+            "upcall",
+            lambda self, ep, desc: self.upcalls.dispatch(ep, ep.upcall, desc),
+            "declined"),
+        "ring": (None, _offer_ring, "crashed"),
+        "drop": (None, lambda self, ep, desc: None, None),
+    }
+
     def _deliver(self, ep: Endpoint, desc: RxDescriptor) -> Generator:
-        cpu = self.node.cpus[desc.core]
-        cal = self.cal
-        span = desc.meta.get("span")
-        self._active_span = span
+        """Dispatch / degrade stage: offer the message to each level of
+        ``_DELIVERY_ORDER`` in turn until one takes it."""
+        # The span of the message being delivered lives on the span
+        # tracker (not here) so transmit paths reached from inside
+        # handlers, the NIC and the protocol libraries share one notion
+        # of "current delivery" for trace-context attribution.
+        spans = self.telemetry.spans
+        span = spans.active = desc.meta.get("span")
         # why each hierarchy level above the final outcome was skipped;
         # a level skipped with no entry here is an order violation
         skips: dict[str, str] = {}
         try:
-            # A crash can land while this delivery is suspended at any
-            # yield below.  Work a handler *committed* before the crash
-            # stands (its state updates are in application memory); an
-            # unconsumed message dies with the kernel — counted, never
-            # silently re-routed through torn-down state.
-            if self.crashed:
-                self._drop_in_crash(desc)
-                return
-            if ep.kernel_handler is not None:
-                consumed = yield from ep.kernel_handler(self, ep, desc)
-                if consumed:
-                    if span is not None:
-                        span.stage("kernel_handler", self.engine.now)
-                    self._finish_span(desc, "kernel_handler")
-                    self._recycle(desc)
-                    self._note_delivery("kernel_handler", skips)
-                    return
+            for level in self._DELIVERY_ORDER:
+                # A crash can land wherever this delivery was suspended
+                # (only a yield lets ``crashed`` flip: the demux holds,
+                # the previous level's attempt).  Work a handler
+                # *committed* before the crash stands (its state updates
+                # are in application memory); an unconsumed message dies
+                # with the kernel — counted, never silently re-routed
+                # through torn-down state.
                 if self.crashed:
-                    self._drop_in_crash(desc)
+                    self._drop_in_crash(desc, ep)
                     return
-                skips["kernel_handler"] = "declined"
-            else:
-                skips["kernel_handler"] = "unbound"
-
-            if ep.ash_id is None:
-                skips["ash"] = "unbound"
-            elif not self._ash_admission(ep):
-                skips["ash"] = "livelock_throttle"
-            elif self.tenants is not None \
-                    and not self.tenants.ash_allowed(ep):
-                skips["ash"] = "tenant_cycle_throttle"
-            else:
-                consumed = yield from self.ash_system.invoke(ep, desc)
-                if consumed:
-                    self._finish_span(desc, "ash")
-                    self._recycle(desc)
-                    self._note_delivery("ash", skips)
-                    return
-                if self.crashed:
-                    self._drop_in_crash(desc)
-                    return
+                binding, offer, moved_on = self._LEVELS[level]
+                if binding is not None and getattr(ep, binding) is None:
+                    skips[level] = "unbound"
+                    continue
+                attempt = offer(self, ep, desc)
+                if isinstance(attempt, str):
+                    skips[level] = attempt
+                    continue
+                if attempt is None or (yield from attempt):
+                    break
                 if desc.meta.pop("ash_aborted", False):
                     # involuntary abort: the message is NOT lost — it
-                    # falls through to the upcall/normal path below
+                    # degrades to the levels below
+                    moved_on = "involuntary_abort"
                     self.ash_abort_fallbacks += 1
-                    skips["ash"] = "involuntary_abort"
                     if self.telemetry.enabled:
                         self.telemetry.counter("ash.abort_fallbacks").inc()
-                else:
-                    skips["ash"] = "voluntary_pass"
+                skips[level] = moved_on
 
-            if ep.upcall is not None:
-                consumed = yield from self.upcalls.dispatch(ep, ep.upcall, desc)
-                if consumed:
-                    self._finish_span(desc, "upcall")
-                    self._recycle(desc)
-                    self._note_delivery("upcall", skips)
-                    return
-                if self.crashed:
-                    self._drop_in_crash(desc)
-                    return
-                skips["upcall"] = "declined"
-            else:
-                skips["upcall"] = "unbound"
-
-            # -- normal path ------------------------------------------------
-            if isinstance(desc.nic, EthernetNic):
-                # The device ring is scarce: copy out now, then return the slot.
-                if not ep.kbufs:
-                    skips["ring"] = "no_kbuf"
-                    self._finish_span(desc, "no_kbuf_drop")
-                    self._recycle(desc)  # no kernel buffer: drop
-                    self._note_delivery("drop", skips)
-                    return
-                kbuf = ep.kbufs.pop(0)
-                cycles = self._eth_copy_out(desc, kbuf)
-                yield from cpu.exec(cycles, PRIO_INTERRUPT)
-                if self.crashed:
-                    ep.kbufs.insert(0, kbuf)
-                    self._drop_in_crash(desc)
-                    return
-                if span is not None:
-                    span.stage("copy", self.engine.now)
-                tel = self.telemetry
-                if tel.enabled:
-                    tel.counter("copy.bytes", kind="eth_copyout").inc(desc.length)
-                    tel.counter("copy.cycles", kind="eth_copyout").inc(cycles)
-                desc.nic.return_slot(desc.addr)
-                desc.addr = kbuf
-                desc.striped = False
-                desc.meta["kbuf"] = True
-                desc.dma_span = desc.length
-                if desc.buf is not None:
-                    # the ring-slot view is now stale; re-point the
-                    # pooled buffer at the kernel copy
-                    desc.buf.release()
-                    desc.buf = desc.nic.pktpool.acquire(kbuf, desc.length)
-
+            if level != "ring":
+                # exit 1, *consumed*: a handler took the message (or, at
+                # "drop", nothing could): its buffer goes straight back
+                if span is not None and level == "kernel_handler":
+                    # ASHs and upcalls stage their own runs
+                    span.stage(level, self.engine.now)
+                self._finish_span(
+                    desc, "no_kbuf_drop" if level == "drop" else level)
+                self._recycle(desc)
+                self._note_delivery(level, skips)
+                return
+            # exit 2, *enqueued*: the application owns the buffer until
+            # it replenishes
             if span is not None:
                 span.stage("ring_enqueue", self.engine.now)
             ep.ring.put(desc)
@@ -615,17 +590,15 @@ class Kernel(SyscallInterface):
                 # boost matters, whatever core the frame was steered to
                 sched = self.schedulers[ep.owner.core]
                 if sched.boost_on_packet and sched.current is not ep.owner:
+                    cal = self.cal
                     wake = cal.interrupt_wake_us + sched.nprocs * cal.sched_scan_us
                     if sched.ultrix_costs:
                         wake += cal.ultrix_fixed_us
-                    yield from cpu.exec_us(wake, PRIO_INTERRUPT)
+                    yield from self.node.cpus[desc.core].exec_us(
+                        wake, PRIO_INTERRUPT)
                 sched.on_packet(ep.owner)
         finally:
-            self._active_span = None
-
-    #: the Section-V delivery hierarchy, best first — under combined
-    #: faults service must degrade strictly down this list, never skip
-    _DELIVERY_ORDER = ("kernel_handler", "ash", "upcall", "ring", "drop")
+            spans.active = None
 
     def _note_delivery(self, outcome: str, skips: dict[str, str]) -> None:
         """Record one message's final delivery path and check the
@@ -661,94 +634,81 @@ class Kernel(SyscallInterface):
         if span is not None:
             self.telemetry.spans.finish(span, self.engine.now, outcome)
 
-    def _ash_admission(self, ep: Endpoint) -> bool:
-        """Receive-livelock guard (Section VI-4).
-
-        ASHs are "fundamentally an eager, not a lazy technique"; under a
-        message flood an endpoint exceeding its per-tick share has its
-        handler disabled for the rest of the tick, and the excess
-        messages take the normal (lazy, receiver-priority) path instead.
-        """
-        limit = self.cal.ash_livelock_limit
-        if limit <= 0:
-            return True
-        from ..sim.units import us as us_ticks
-
-        window = us_ticks(self.cal.tick_us)
-        now = self.engine.now
-        if now - ep.ash_window_start >= window:
-            ep.ash_window_start = now
-            ep.ash_window_count = 0
-        if ep.ash_window_count >= limit:
-            ep.livelock_deferrals += 1
-            self._m_livelock.inc()
-            return False
-        ep.ash_window_count += 1
-        return True
-
-    def _eth_copy_out(self, desc: RxDescriptor, kbuf: int) -> int:
-        """De-stripe the frame into a kernel buffer; returns cycles."""
-        from ..pipes import Interface, PIPE_WRITE, compile_pl, pipel
-        if not hasattr(self, "_eth_copy_engine"):
+    def _eth_copy_out(self, ep: Endpoint, desc: RxDescriptor) -> Generator:
+        """The device ring is scarce: de-stripe the frame into one of
+        the endpoint's kernel buffers now and give the slot back.  Takes
+        the message unless the kernel crashed under the copy."""
+        if self._eth_copy_engine is None:
             self._eth_copy_engine = compile_pl(
                 pipel(name="ethcopy"), PIPE_WRITE,
                 interface=Interface.ETH_STRIPED, cal=self.cal,
             )
             self._eth_copy_engine.telemetry = self.telemetry
-        n = desc.length - (desc.length % 4)  # word-aligned body
+        memory = self.node.memory
+        kbuf = ep.kbufs.pop(0)
+        tail = desc.length % 4
+        n = desc.length - tail  # word-aligned body
         cycles = 0
         if n:
             cycles = self._eth_copy_engine.run_fast(
-                self.node.memory, desc.addr, kbuf, n, self.node.dcache
+                memory, desc.addr, kbuf, n, self.node.dcache
             )
-        if desc.length % 4:  # trailing bytes, copied by hand
-            from ..hw.nic.ethernet import stripe_offset
-            for i in range(n, desc.length):
-                byte = self.node.memory.load_u8(desc.addr + stripe_offset(i))
-                self.node.memory.store_u8(kbuf + i, byte)
-            cycles += 4 * (desc.length % 4)
-        return cycles
-
-    def _park_buffer(self, desc: RxDescriptor) -> bool:
-        """During an outage an application-returned AN2 buffer joins
-        the rebind set (its VCI is unbound until reboot)."""
-        if not self.crashed:
+        if tail:
+            # trailing bytes, copied by hand; ``n`` is a multiple of 4,
+            # so they sit together inside one 16-byte stripe
+            memory.copy_range(desc.addr + stripe_offset(n), kbuf + n, tail)
+            cycles += 4 * tail
+        yield from self.node.cpus[desc.core].exec(cycles, PRIO_INTERRUPT)
+        if self.crashed:
+            ep.kbufs.insert(0, kbuf)
             return False
-        for boot in self._boot_records:
-            ep = boot["ep"]
-            if ep.nic is desc.nic and ep.vci == desc.vci \
-                    and "an2_buffers" in boot:
-                boot["an2_buffers"].append(
-                    (desc.addr, self.cal.an2_max_packet))
-                return True
-        return False
-
-    def _recycle(self, desc: RxDescriptor) -> None:
-        """Return the receive buffer to the hardware."""
+        span = desc.meta.get("span")
+        if span is not None:
+            span.stage("copy", self.engine.now)
+        tel = self.telemetry
+        if tel.enabled:
+            tel.counter("copy.bytes", kind="eth_copyout").inc(desc.length)
+            tel.counter("copy.cycles", kind="eth_copyout").inc(cycles)
+        desc.nic.recycle(desc)
+        desc.addr = kbuf
+        desc.striped = False
+        desc.meta["kbuf"] = True
+        desc.dma_span = desc.length
         if desc.buf is not None:
-            desc.buf.release()  # views over the slot are invalid from here
-        if isinstance(desc.nic, An2Nic):
-            if self._park_buffer(desc):
-                return
-            desc.nic.replenish(desc.vci, desc.addr, self.cal.an2_max_packet)
-        elif isinstance(desc.nic, EthernetNic) and not desc.meta.get("kbuf"):
-            desc.nic.return_slot(desc.addr)
+            # the ring-slot view is now stale; re-point the pooled
+            # buffer at the kernel copy
+            desc.buf.release()
+            desc.buf = desc.nic.pktpool.acquire(kbuf, desc.length)
+        return True
+
+    def _recycle(self, desc: RxDescriptor,
+                 ep: Optional[Endpoint] = None) -> None:
+        """Return the receive buffer to whoever lends it: a kernel
+        copy-out buffer to its endpoint, anything else to the hardware
+        — or, while the kernel is down and the buffer's VC unbound, to
+        the set that VC will be rebound with."""
+        if desc.buf is not None:
+            desc.buf.release()  # views over the buffer are invalid from here
+        if desc.meta.get("kbuf"):
+            ep.kbufs.append(desc.addr)
+            return
+        parked = self._rebind.get((desc.nic.name, desc.vci))
+        if parked is None:
+            desc.nic.recycle(desc)
+        else:
+            parked.append((desc.addr, self.cal.an2_max_packet))
 
     def _replenish(self, ep: Endpoint, desc: RxDescriptor) -> Generator:
-        """Syscall back end: application returns a buffer it was using."""
+        """Replenish stage, the syscall back end: the application
+        returns a buffer it was using."""
         span = desc.meta.get("span")
         if span is not None:
             span.stage("app_consume", self.engine.now)
             self._finish_span(desc, "app")
-        if isinstance(desc.nic, EthernetNic) and desc.meta.get("kbuf"):
-            if desc.buf is not None:
-                desc.buf.release()
-            ep.kbufs.append(desc.addr)
-        else:
-            if self.tenants is not None \
-                    and self.tenants.note_replenish(ep, desc):
-                return  # swallowed (revoked buffer, or an injected leak)
-            self._recycle(desc)
+        if self.tenants is not None \
+                and self.tenants.note_replenish(ep, desc):
+            return  # swallowed (revoked buffer, or an injected leak)
+        self._recycle(desc, ep)
         return
         yield  # pragma: no cover - marks this as a generator
 
@@ -765,7 +725,7 @@ class Kernel(SyscallInterface):
         sends = [entry for entry in result.call_log
                  if entry[0] in ("ash_send", "net_send")]
         charged = 0
-        span = self._active_span
+        span = self.telemetry.spans.active
         for (name, at_cycles, _v), (nic, frame) in zip(sends, pending):
             yield from cpu.exec(at_cycles - charged, prio)
             charged = at_cycles

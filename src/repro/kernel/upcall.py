@@ -19,8 +19,8 @@ machinery's per-message cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Generator, Optional, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Generator, TYPE_CHECKING
 
 from ..errors import VmFault
 from ..hw.calibration import PRIO_INTERRUPT

@@ -131,3 +131,20 @@ class TestMicroSanity:
         slow = copy_throughput(Calibration(cpu_mhz=40.0))["single copy"]
         fast = copy_throughput(Calibration(cpu_mhz=80.0))["single copy"]
         assert fast == pytest.approx(2 * slow, rel=0.01)
+
+
+def test_experiments_complexity_table_is_fresh():
+    """EXPERIMENTS.md's Sec V-F table is line counts of ``src/``: it rots
+    with every source change unless something fails when it does.
+    Regenerate with ``python benchmarks/make_experiments_md.py``."""
+    import importlib.util
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "make_experiments_md",
+        os.path.join(root, "benchmarks", "make_experiments_md.py"))
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    with open(os.path.join(root, "EXPERIMENTS.md")) as fh:
+        committed = fh.read()
+    assert gen.complexity_section() in committed

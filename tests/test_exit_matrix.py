@@ -20,6 +20,7 @@ crash-before-demux row, is a bug fix and is noted where it is pinned).
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -780,10 +781,14 @@ GOLDEN = {
         '2core_b1': '6cb70638fadde124',
         '2core_b8': '6cb70638fadde124',
     },
+    # the one row that moved with the recast, on purpose: the frame
+    # whose driver hold straddles the crash used to be classified
+    # against the emptied filter table and booked as a demux_miss
+    # (58b3cbfd3e849dc9 / c73d3e9a4a889215); it is a lost message
     'crash_before_demux_eth': {
-        '1core': '58b3cbfd3e849dc9',
-        '2core_b1': 'c73d3e9a4a889215',
-        '2core_b8': 'c73d3e9a4a889215',
+        '1core': '6e7b978651dce8d8',
+        '2core_b1': 'dccc7bf45df27caf',
+        '2core_b8': 'dccc7bf45df27caf',
     },
     'crash_in_kernel_handler': {
         '1core': 'fd03d8168b077ddf',
@@ -929,8 +934,6 @@ def _deliver_one(w, frame, profile=None):
     """Hand ``frame`` to the server NIC from outside the event loop (no
     injector events) and run the node back to idle; returns the engine
     events that took."""
-    import sys
-
     engine = w.tb.engine
     before = engine.stats()["fired"]
     sys.setprofile(profile)

@@ -92,19 +92,6 @@ def test_u8_window_shares_storage(mem):
     assert mem.read(r.base, 4) == bytes([1, 2, 3, 4])
 
 
-def test_u32_window_little_endian(mem):
-    r = mem.alloc("np32", 16)
-    mem.store_u32(r.base, 0xAABBCCDD)
-    win = mem.u32_window(r.base, 4)
-    assert int(win[0]) == 0xAABBCCDD
-
-
-def test_u32_window_requires_multiple_of_four(mem):
-    r = mem.alloc("odd", 16)
-    with pytest.raises(MemoryFault):
-        mem.u32_window(r.base, 6)
-
-
 def test_numpy_view_is_uint8(mem):
     assert mem.view.dtype == np.uint8
     assert len(mem.view) == mem.size

@@ -160,7 +160,7 @@ class TestEthernet:
 
         def on_rx(desc):
             got.append(desc)
-            nic_b.return_slot(desc.addr)
+            nic_b.recycle(desc)
 
         nic_b.rx_callback = on_rx
         for _ in range(nic_b.ring_slots * 2):

@@ -290,3 +290,50 @@ class TestBoostScheduler:
             tb.run()
             results[mode] = got_at[0]
         assert results["boost"] < results["oblivious"]
+
+
+class TestCrashStraddlesInterrupt:
+    """A frame whose rx interrupt is in its driver hold when the kernel
+    crashes is a *lost message* on either NIC kind — not, as the
+    Ethernet path once booked it, a demux miss against the filter table
+    the crash had just emptied."""
+
+    @pytest.mark.parametrize("kind", ["an2", "eth"])
+    def test_lost_not_unmatched_and_buffer_recovered(self, kind):
+        if kind == "an2":
+            tb = make_an2_pair()
+            sk = tb.server_kernel
+            ep = sk.create_endpoint_an2(tb.server_nic, 1, nbufs=4)
+            frames = [Frame(b"straddler", vci=1), Frame(b"survivor", vci=1)]
+        else:
+            tb = make_eth_pair()
+            sk = tb.server_kernel
+            ep = sk.create_endpoint_eth(
+                tb.server_nic, [Predicate(offset=0, size=1, value=ord("s"))])
+            frames = [Frame(b"straddler" + bytes(55)),
+                      Frame(b"survivor" + bytes(56))]
+
+        def script():
+            while sk.rx_interrupts == 0:
+                yield tb.engine.sleep(us(1.0))
+            sk.crash()               # inside the first driver hold
+            yield tb.engine.sleep(us(300.0))
+            sk.reboot()
+            yield tb.engine.sleep(us(300.0))
+            tb.client_nic.transmit(frames[1])
+
+        tb.engine.spawn(script())
+        tb.client_nic.transmit(frames[0])
+        tb.run()
+        assert sk.lost_messages == 1
+        assert sk.crash_log[-1]["lost_messages"] == 1
+        assert sk.demux_misses == 0
+        # the straddler's buffer came back: with the survivor parked on
+        # the ring, exactly one receive buffer is out
+        assert len(ep.ring) == 1
+        if kind == "an2":
+            assert len(tb.server_nic.binding(1).buffers) == 3
+        else:
+            assert tb.server_nic.free_slot_count == tb.server_nic.ring_slots
+            assert len(ep.kbufs) == 7
+        assert tb.server.pktpool.in_flight == 1
