@@ -12,19 +12,10 @@ where segmentation hardware guards loads/stores (no check instructions
 emitted).
 """
 
-from repro.ash.examples import (
-    PARAM_COUNTER,
-    PARAM_REPLY_VCI,
-    PARAM_SCRATCH,
-    build_remote_increment,
-)
 from repro.bench.harness import reproduce
 from repro.bench.results import BenchTable
-from repro.bench.testbed import (
-    CLIENT_TO_SERVER_VCI,
-    SERVER_TO_CLIENT_VCI,
-    make_an2_pair,
-)
+from repro.bench.testbed import CLIENT_TO_SERVER_VCI, make_an2_pair
+from repro.bench.workloads import am_flow
 from repro.hw.link import Frame
 from repro.sandbox import SandboxPolicy
 from repro.sim.units import to_us
@@ -34,23 +25,11 @@ def run_variant(sandbox: bool, hardware_checks: bool) -> tuple[float, int]:
     """Returns (round trip µs, sandboxed program length)."""
     tb = make_an2_pair()
     sk, ck = tb.server_kernel, tb.client_kernel
-    srv_ep = sk.create_endpoint_an2(tb.server_nic, CLIENT_TO_SERVER_VCI)
-    cli_ep = ck.create_endpoint_an2(tb.client_nic, SERVER_TO_CLIENT_VCI)
-    mem = tb.server.memory
-    state = mem.alloc("state", 64)
-    mem.store_u32(state.base + PARAM_COUNTER, state.base + 48)
-    mem.store_u32(state.base + PARAM_REPLY_VCI, SERVER_TO_CLIENT_VCI)
-    mem.store_u32(state.base + PARAM_SCRATCH, state.base + 56)
     policy = SandboxPolicy(hardware_checks=True) if hardware_checks else None
-    ash_id = sk.ash_system.download(
-        build_remote_increment(),
-        allowed_regions=[(state.base, 64)],
-        user_word=state.base,
-        sandbox=sandbox,
-        policy=policy,
-    )
-    sk.ash_system.bind(srv_ep, ash_id)
-    entry = sk.ash_system.entry(ash_id)
+    flow = am_flow(tb, mode="ash" if sandbox else "ash-unsafe",
+                   policy=policy)
+    cli_ep = flow.cli_ep
+    entry = sk.ash_system.entry(flow.ash_id)
     rts = []
 
     def client(proc):

@@ -27,71 +27,26 @@ schedule and must be bit-identical.  Results land in
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
 import os
-import random
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
-from repro.bench.testbed import make_an2_pair                    # noqa: E402
-from repro.net.socket_api import make_stacks, tcp_pair           # noqa: E402
-from repro.sim.engine import Engine                              # noqa: E402
+from repro.bench.results import (on_both_substrates, plane_doc,  # noqa: E402
+                                 plane_main)
+from repro.bench.workloads import chaos_transfer                 # noqa: E402
 
 SEED = 42
 
 
-def crash_transfer(substrate: str, nbytes: int, mode: str = None,
-                   crash_at_us: float = None, outage_us: float = 500.0,
-                   pressure: dict = None, contention: dict = None,
-                   knobs: dict = None) -> dict:
-    """One bulk transfer with an optional scripted server crash plus
-    optional pressure/contention/link seams; returns every
+def crash_transfer(substrate: str, nbytes: int, **seams) -> dict:
+    """One bulk transfer under ``seams`` (``chaos_transfer``'s ``mode`` /
+    ``crash`` / ``pressure`` / ``contention`` / ``link``); returns every
     substrate-invariant observable of the run."""
-    tb = make_an2_pair(engine=Engine(substrate=substrate))
-    cstack, sstack = make_stacks(tb)
-    client, server = tcp_pair(cstack, sstack, rto_us=20_000.0)
-    plane = tb.attach_fault_plane(seed=SEED)
-    if knobs:
-        plane.impair_link(tb.link, skip_first=3, **knobs)
-    if crash_at_us is not None:
-        plane.crash_node(tb.server_kernel, at_us=crash_at_us,
-                         outage_us=outage_us)
-    if pressure:
-        plane.pressure_memory(tb.server, **pressure)
-    if contention:
-        plane.contend_cpu(tb.server, **contention)
-    data = bytes(random.Random(SEED).randrange(256) for _ in range(nbytes))
-    got = []
-    elapsed = []
-
-    def server_body(proc):
-        yield from server.accept(proc)
-        if mode is not None:
-            server.install_fastpath(mode)
-        t0 = proc.engine.now
-        got.append((yield from server.read(proc, nbytes)))
-        elapsed.append(proc.engine.now - t0)
-        yield from server.write(proc, b"done")
-
-    def client_body(proc):
-        yield from client.connect(proc)
-        yield from client.write(proc, data)
-        reply = yield from client.read(proc, 4)
-        assert reply == b"done"
-        yield from client.linger(proc, duration_us=2_000_000.0)
-
-    tb.server_kernel.spawn_process("server", server_body)
-    tb.client_kernel.spawn_process("client", client_body)
-    tb.run()
-    if not got or got[0] != data:
-        raise RuntimeError(
-            f"crash@{crash_at_us}/{outage_us}us ({substrate}): "
-            "transfer corrupted or incomplete"
-        )
+    tb, plane, xfer = chaos_transfer(nbytes, SEED, substrate=substrate,
+                                     **seams)
     sk, ck = tb.server_kernel, tb.client_kernel
     recovery_us = None
     if sk.crash_log:
@@ -99,16 +54,17 @@ def crash_transfer(substrate: str, nbytes: int, mode: str = None,
         if rec["first_delivery_after_reboot"] is not None:
             recovery_us = (rec["first_delivery_after_reboot"]
                            - rec["reboot_at"]) / 1_000_000
-    elapsed_ps = elapsed[0]
+    elapsed_ps = xfer.delivered - xfer.accepted
     return {
-        "digest": hashlib.sha256(got[0]).hexdigest(),
+        "digest": hashlib.sha256(xfer.got).hexdigest(),
         "elapsed_us": elapsed_ps / 1_000_000,
         "goodput_mbps": nbytes * 8 / (elapsed_ps / 1e12) / 1e6,
         "recoveries": sk.recoveries,
         "recovery_us": recovery_us,
         "lost_in_crash": sk.lost_messages,
         "ledger": plane.ledger(),
-        "retransmits": client.tcb.retransmits + server.tcb.retransmits,
+        "retransmits": (xfer.client.tcb.retransmits
+                        + xfer.server.tcb.retransmits),
         "alloc_failures": dict(tb.server.memory.alloc_failures),
         "contention_cycles": tb.server.cpu.contention_cycles,
         "delivery_outcomes": dict(sk.delivery_outcomes),
@@ -117,14 +73,9 @@ def crash_transfer(substrate: str, nbytes: int, mode: str = None,
     }
 
 
-def both(point_kwargs: dict, nbytes: int) -> tuple[dict, bool]:
-    fast = crash_transfer("fast", nbytes, **point_kwargs)
-    legacy = crash_transfer("legacy", nbytes, **point_kwargs)
-    return fast, fast == legacy
-
-
-def bench(quick: bool) -> dict:
-    nbytes = 48_000 if quick else 128_000
+def cells(quick: bool) -> list[tuple[str, dict, dict]]:
+    """The sweep as ``(section, labels, seams)``: the point's section in
+    the document, the keys that label it there, and what is injected."""
     # in ring mode a 48 KB transfer runs tens of ms; crash early enough
     # to land mid-flow in every delivery mode
     crash_at = 1_500.0
@@ -136,82 +87,58 @@ def bench(quick: bool) -> dict:
         outages = [200.0, 1_000.0, 5_000.0, 20_000.0, 60_000.0]
         crash_times = [500.0, 1_500.0, 4_000.0, 10_000.0]
         modes = [None, "upcall", "ash"]
-    out: dict = {
-        "bench": "crash",
-        "quick": quick,
-        "python": sys.version.split()[0],
-        "seed": SEED,
-        "transfer_bytes": nbytes,
-    }
-    all_identical = True
+    # all seams on at once: crash + memory pressure + CPU contention +
+    # link chaos, once per delivery mode
+    everything = dict(
+        crash=dict(at_us=crash_at, outage_us=5_000.0),
+        pressure=dict(rate=0.1, sites=("rx_refill", "ash_install")),
+        contention=dict(rate=0.1, burst_cycles=1_000, budget_rate=0.2),
+        link=dict(drop=0.02, corrupt=0.02),
+    )
+    return (
+        [("recovery_vs_outage", {"outage_us": outage},
+          {"crash": dict(at_us=crash_at, outage_us=outage)})
+         for outage in outages]
+        + [("goodput_vs_crash_time", {"crash_at_us": at},
+            {"crash": dict(at_us=at, outage_us=5_000.0)})
+           for at in crash_times]
+        + [("combined_degradation", {"mode": mode or "ring"},
+            dict(everything, mode=mode)) for mode in modes]
+    )
 
-    baseline, ident = both({}, nbytes)
-    all_identical &= ident
+
+def bench(quick: bool) -> dict:
+    nbytes = 48_000 if quick else 128_000
+    out = plane_doc("crash", quick, seed=SEED, transfer_bytes=nbytes)
+    baseline, all_identical = on_both_substrates(crash_transfer,
+                                                 nbytes=nbytes)
     out["baseline"] = baseline
     print(f"baseline ({nbytes} B, no crash): "
           f"{baseline['goodput_mbps']:8.2f} Mb/s")
-
-    print(f"recovery-time vs outage (crash at {crash_at} us):")
-    curve = []
-    for outage in outages:
-        point, ident = both(
-            dict(crash_at_us=crash_at, outage_us=outage), nbytes)
+    for section, labels, seams in cells(quick):
+        point, ident = on_both_substrates(crash_transfer, nbytes=nbytes,
+                                          **seams)
         all_identical &= ident
-        point.update(outage_us=outage, identical=ident,
-                     goodput_vs_baseline=round(
-                         point["goodput_mbps"]
-                         / baseline["goodput_mbps"], 4))
-        curve.append(point)
-        print(f"  outage={outage:<8g} recovery={point['recovery_us']!s:>10}us"
-              f"  goodput={point['goodput_mbps']:8.2f} Mb/s "
-              f"({point['goodput_vs_baseline']:.0%} of baseline) "
-              f"lost={point['lost_in_crash']}"
-              f"{'' if ident else '  SUBSTRATES DIVERGE!'}")
-    out["recovery_vs_outage"] = curve
-
-    print("goodput dip vs crash time (5 ms outage):")
-    curve = []
-    for at in crash_times:
-        point, ident = both(
-            dict(crash_at_us=at, outage_us=5_000.0), nbytes)
-        all_identical &= ident
-        point.update(crash_at_us=at, identical=ident,
-                     goodput_vs_baseline=round(
-                         point["goodput_mbps"]
-                         / baseline["goodput_mbps"], 4))
-        curve.append(point)
-        print(f"  crash_at={at:<8g} goodput={point['goodput_mbps']:8.2f} "
-              f"Mb/s ({point['goodput_vs_baseline']:.0%}) "
-              f"rexmit={point['retransmits']}"
-              f"{'' if ident else '  SUBSTRATES DIVERGE!'}")
-    out["goodput_vs_crash_time"] = curve
-
-    print("combined-fault degradation sweep (all seams on):")
-    combined = []
-    zero_violations = True
-    for mode in modes:
-        point, ident = both(dict(
-            mode=mode, crash_at_us=crash_at, outage_us=5_000.0,
-            pressure=dict(rate=0.1, sites=("rx_refill", "ash_install")),
-            contention=dict(rate=0.1, burst_cycles=1_000, budget_rate=0.2),
-            knobs=dict(drop=0.02, corrupt=0.02),
-        ), nbytes)
-        all_identical &= ident
-        zero_violations &= point["order_violations"] == 0
-        point.update(mode=mode or "ring", identical=ident)
-        combined.append(point)
-        print(f"  mode={mode or 'ring':7s} outcomes={point['delivery_outcomes']} "
+        point.update(labels, identical=ident)
+        if section != "combined_degradation":
+            point["goodput_vs_baseline"] = round(
+                point["goodput_mbps"] / baseline["goodput_mbps"], 4)
+        out.setdefault(section, []).append(point)
+        print(f"  {section:21s} {labels}  "
+              f"recovery={point['recovery_us']!s:>10}us  "
+              f"goodput={point['goodput_mbps']:8.2f} Mb/s  "
+              f"lost={point['lost_in_crash']} "
+              f"rexmit={point['retransmits']} "
               f"violations={point['order_violations']}"
               f"{'' if ident else '  SUBSTRATES DIVERGE!'}")
-    out["combined_degradation"] = combined
 
+    crashed = out["recovery_vs_outage"] + out["goodput_vs_crash_time"]
     out["summary"] = {
         "all_identical": all_identical,
-        "zero_order_violations": zero_violations,
-        "every_crash_recovered": all(
-            p["recoveries"] == 1
-            for p in out["recovery_vs_outage"] + out["goodput_vs_crash_time"]
-        ),
+        "zero_order_violations": all(
+            p["order_violations"] == 0
+            for p in out["combined_degradation"]),
+        "every_crash_recovered": all(p["recoveries"] == 1 for p in crashed),
         "max_recovery_us": max(
             p["recovery_us"] for p in out["recovery_vs_outage"]
             if p["recovery_us"] is not None
@@ -220,36 +147,13 @@ def bench(quick: bool) -> dict:
     return out
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller sweep (CI smoke run)")
-    parser.add_argument("--out", default=None,
-                        help="output JSON path "
-                             "(default: <repo>/BENCH_crash.json)")
-    args = parser.parse_args(argv)
-    out = bench(args.quick)
-    path = args.out or os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), os.pardir,
-        "BENCH_crash.json"
-    )
-    with open(path, "w") as fh:
-        json.dump(out, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"\nwrote {os.path.normpath(path)}")
-    if not out["summary"]["all_identical"]:
-        print("ERROR: substrates disagree under an identical fault schedule",
-              file=sys.stderr)
-        return 1
-    if not out["summary"]["zero_order_violations"]:
-        print("ERROR: a delivery skipped a hierarchy level out of order",
-              file=sys.stderr)
-        return 1
-    if not out["summary"]["every_crash_recovered"]:
-        print("ERROR: a crashed node never recovered", file=sys.stderr)
-        return 1
-    return 0
-
+GATES = [
+    (lambda s: s["all_identical"],
+     "substrates disagree under an identical fault schedule"),
+    (lambda s: s["zero_order_violations"],
+     "a delivery skipped a hierarchy level out of order"),
+    (lambda s: s["every_crash_recovered"], "a crashed node never recovered"),
+]
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(plane_main("crash", bench, GATES))

@@ -18,14 +18,10 @@ Custom sweeps (``--drop``, ``--bulk``, ``--seed``) echo their arguments
 into the results JSON under ``cli`` (the bench_scale convention).
 """
 
-import hashlib
-import random
-
 from repro.bench.harness import reproduce
 from repro.bench.results import BenchTable, ascii_chart
-from repro.bench.testbed import make_an2_pair
-from repro.bench.workloads import TcpConfig, tcp_stream_throughput
-from repro.net.socket_api import make_stacks, tcp_pair
+from repro.bench.workloads import (TcpConfig, chaos_transfer,
+                                   tcp_stream_throughput)
 
 WINDOWS = [4096, 8192, 16384, 32768]
 MSSES = [536, 1024, 2048, 3072]
@@ -42,33 +38,9 @@ SEED = 42
 def lossy_goodput(drop: float, nbytes: int, seed: int = SEED,
                   **conn_kwargs) -> float:
     """Library-path bulk goodput (MB/s) under a seeded drop schedule."""
-    tb = make_an2_pair()
-    cstack, sstack = make_stacks(tb)
-    client, server = tcp_pair(cstack, sstack, rto_us=20_000.0,
-                              **conn_kwargs)
-    plane = tb.attach_fault_plane(seed=seed)
-    plane.impair_link(tb.link, drop=drop, skip_first=3)
-    data = bytes(random.Random(seed).randrange(256) for _ in range(nbytes))
-    span = {}
-
-    def server_body(proc):
-        yield from server.accept(proc)
-        t0 = proc.engine.now
-        got = yield from server.read(proc, nbytes)
-        span["elapsed"] = proc.engine.now - t0
-        assert hashlib.sha256(got).digest() == hashlib.sha256(data).digest()
-        yield from server.write(proc, b"done")
-
-    def client_body(proc):
-        yield from client.connect(proc)
-        yield from client.write(proc, data)
-        yield from client.read(proc, 4)
-        yield from client.linger(proc, duration_us=2_000_000.0)
-
-    tb.server_kernel.spawn_process("server", server_body)
-    tb.client_kernel.spawn_process("client", client_body)
-    tb.run()
-    return nbytes / (span["elapsed"] / 1e12) / 1e6
+    _tb, _plane, xfer = chaos_transfer(nbytes, seed, link={"drop": drop},
+                                       **conn_kwargs)
+    return nbytes / ((xfer.delivered - xfer.accepted) / 1e12) / 1e6
 
 
 def run_tcp_params(drop_rates=None, lossy_bulk: int = LOSSY_BULK,
@@ -152,30 +124,14 @@ def test_tcp_parameter_sweep(benchmark):
 
 
 if __name__ == "__main__":
-    import argparse
-    import sys
-
     from repro.bench.telemetry_cli import bench_main
 
-    parser = argparse.ArgumentParser(add_help=False)
-    parser.add_argument("--drop", type=float, action="append", default=None,
+    bench_main(run_tcp_params, extra_args=[
+        ("--drop", dict(type=float, action="append", dest="drop_rates",
                         help="custom drop rate(s) for the SACK rows "
-                             "(repeatable)")
-    parser.add_argument("--bulk", type=int, default=None,
-                        help="custom transfer size for the SACK rows")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="custom fault-plane / payload seed")
-    args, rest = parser.parse_known_args(sys.argv[1:])
-    custom = {k: v for k, v in vars(args).items() if v is not None}
-
-    def run():
-        table = run_tcp_params(
-            drop_rates=args.drop,
-            lossy_bulk=args.bulk if args.bulk is not None else LOSSY_BULK,
-            seed=args.seed if args.seed is not None else SEED,
-        )
-        if custom:
-            table.cli = custom
-        return table
-
-    bench_main(run, rest)
+                             "(repeatable)")),
+        ("--bulk", dict(type=int, dest="lossy_bulk",
+                        help="custom transfer size for the SACK rows")),
+        ("--seed", dict(type=int,
+                        help="custom fault-plane / payload seed")),
+    ])

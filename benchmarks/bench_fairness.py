@@ -28,27 +28,24 @@ reproducible without editing this file; the committed
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
 import os
-import random
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
+from repro.bench.results import (on_both_substrates, plane_doc,  # noqa: E402
+                                 plane_main)
 from repro.bench.testbed import make_an2_pair                    # noqa: E402
-from repro.net.stack import NetStack                             # noqa: E402
-from repro.net.tcp import TcpConnection                          # noqa: E402
+from repro.bench.workloads import seeded_payload, tcp_bulk       # noqa: E402
 from repro.sim.engine import Engine                              # noqa: E402
 
 SEED = 42
-CLIENT_IP = "10.0.0.1"
-SERVER_IP = "10.0.0.2"
 #: connect-time stagger between consecutive flows, picoseconds (25 us)
 STAGGER_PS = 25_000_000
 PS_PER_US = 1_000_000
+JAIN_FLOOR = 0.9
 
 
 def jain_index(xs: list[float]) -> float:
@@ -60,73 +57,35 @@ def jain_index(xs: list[float]) -> float:
     return (total * total) / (len(xs) * sq) if sq else 1.0
 
 
-def run_fairness(substrate: str, nflows: int, nbytes: int,
-                 sack: bool = True) -> dict:
+def run_fairness(substrate: str, nflows: int, nbytes: int) -> dict:
     """One contended run: ``nflows`` bulk transfers over a shared link."""
     tb = make_an2_pair(engine=Engine(substrate=substrate))
-    flows: list[dict] = []
-
-    for j in range(nflows):
-        c2s, s2c = 2 * j + 1, 2 * j + 2
-        cstack = NetStack(tb.client_kernel, tb.client_nic, CLIENT_IP,
-                          an2_peers={SERVER_IP: (c2s, s2c)})
-        sstack = NetStack(tb.server_kernel, tb.server_nic, SERVER_IP,
-                          an2_peers={CLIENT_IP: (s2c, c2s)})
-        client = TcpConnection(cstack, 5000 + j, sstack.ip, 80 + j,
-                               rx_vci=s2c, iss=1000, name=f"f{j}c",
-                               rto_us=20_000.0, sack=sack)
-        server = TcpConnection(sstack, 80 + j, cstack.ip, 5000 + j,
-                               rx_vci=c2s, iss=7000, name=f"f{j}s",
-                               rto_us=20_000.0, sack=sack)
-        data = bytes(random.Random(SEED + j).randrange(256)
-                     for _ in range(nbytes))
-        rec = {"j": j, "data": data, "got": None,
-               "t0": None, "t1": None,
-               "client": client, "server": server}
-        flows.append(rec)
-
-        def server_body(proc, rec=rec):
-            yield from rec["server"].accept(proc)
-            rec["got"] = yield from rec["server"].read(proc, nbytes)
-            yield from rec["server"].write(proc, b"done")
-
-        def client_body(proc, rec=rec):
-            yield proc.engine.sleep(rec["j"] * STAGGER_PS)
-            rec["t0"] = proc.engine.now
-            yield from rec["client"].connect(proc)
-            yield from rec["client"].write(proc, rec["data"])
-            reply = yield from rec["client"].read(proc, 4)
-            assert reply == b"done"
-            rec["t1"] = proc.engine.now
-
-        tb.server_kernel.spawn_process(f"f{j}-server", server_body)
-        tb.client_kernel.spawn_process(f"f{j}-client", client_body)
-
+    flows = [
+        tcp_bulk(tb, seeded_payload(SEED + j, nbytes), flow=j,
+                 start_ps=j * STAGGER_PS, linger_us=0, rto_us=20_000.0)
+        for j in range(nflows)
+    ]
     tb.run()
 
     per_flow = []
-    for rec in flows:
-        if rec["got"] != rec["data"] or rec["t1"] is None:
-            raise RuntimeError(
-                f"flow {rec['j']} ({substrate}): corrupted or incomplete"
-            )
-        elapsed_ps = rec["t1"] - rec["t0"]
+    for j, xfer in enumerate(flows):
+        xfer.check(f"flow {j} ({substrate})")
+        elapsed_ps = xfer.t1 - xfer.t0
         per_flow.append({
-            "flow": rec["j"],
-            "digest": hashlib.sha256(rec["got"]).hexdigest()[:16],
+            "flow": j,
+            "digest": hashlib.sha256(xfer.got).hexdigest()[:16],
             "elapsed_us": elapsed_ps / PS_PER_US,
             "goodput_mbps": nbytes * 8 / (elapsed_ps / 1e12) / 1e6,
-            "retransmits": (rec["client"].tcb.retransmits
-                            + rec["client"].tcb.fast_retransmits),
-            "cc_digest": rec["client"].congestion_digest()[:16],
+            "retransmits": (xfer.client.tcb.retransmits
+                            + xfer.client.tcb.fast_retransmits),
+            "cc_digest": xfer.client.congestion_digest()[:16],
         })
     goodputs = [f["goodput_mbps"] for f in per_flow]
-    span_ps = (max(r["t1"] for r in flows)
-               - min(r["t0"] for r in flows))
+    span_ps = max(x.t1 for x in flows) - min(x.t0 for x in flows)
     return {
         "flows": nflows,
         "bytes_per_flow": nbytes,
-        "sack": sack,
+        "sack": True,    # layout field: fairness is measured with SACK on
         "jain_index": round(jain_index(goodputs), 4),
         "goodput_mbps": nflows * nbytes * 8 / (span_ps / 1e12) / 1e6,
         "min_flow_mbps": round(min(goodputs), 3),
@@ -135,39 +94,28 @@ def run_fairness(substrate: str, nflows: int, nbytes: int,
     }
 
 
-def run_config(nflows: int, nbytes: int) -> dict:
-    fast = run_fairness("fast", nflows, nbytes)
-    legacy = run_fairness("legacy", nflows, nbytes)
-    identical = fast == legacy
-    entry = dict(fast)
-    entry["identical"] = identical
-    print(f"  flows={nflows:<3d} bytes={nbytes}  "
-          f"jain={entry['jain_index']:.4f}  "
-          f"aggregate={entry['goodput_mbps']:8.2f} Mb/s  "
-          f"spread=[{entry['min_flow_mbps']:g}, "
-          f"{entry['max_flow_mbps']:g}] Mb/s"
-          f"{'' if identical else '  SUBSTRATES DIVERGE!'}")
-    return entry
-
-
-def bench(quick: bool, cli_cfg: dict | None = None) -> dict:
-    out: dict = {
-        "bench": "fairness",
-        "quick": quick,
-        "python": sys.version.split()[0],
-        "seed": SEED,
-        "configs": [],
-    }
-    if cli_cfg is not None:
-        grid = [(cli_cfg["flows"], cli_cfg["bytes"])]
-        out["cli"] = dict(cli_cfg)
+def bench(quick: bool, cli: dict | None = None) -> dict:
+    out = plane_doc("fairness", quick, seed=SEED, configs=[])
+    if cli is not None:
+        out["cli"] = {"flows": cli["flows"] or 16,
+                      "bytes": cli["bytes"] or 48_000}
+        grid = [(out["cli"]["flows"], out["cli"]["bytes"])]
     elif quick:
         grid = [(8, 24_000)]
     else:
         grid = [(16, 48_000), (24, 32_000)]
     print(f"many-flow fairness on one shared AN2 link (seed {SEED}):")
     for nflows, nbytes in grid:
-        out["configs"].append(run_config(nflows, nbytes))
+        entry, identical = on_both_substrates(
+            run_fairness, nflows=nflows, nbytes=nbytes)
+        entry["identical"] = identical
+        out["configs"].append(entry)
+        print(f"  flows={nflows:<3d} bytes={nbytes}  "
+              f"jain={entry['jain_index']:.4f}  "
+              f"aggregate={entry['goodput_mbps']:8.2f} Mb/s  "
+              f"spread=[{entry['min_flow_mbps']:g}, "
+              f"{entry['max_flow_mbps']:g}] Mb/s"
+              f"{'' if identical else '  SUBSTRATES DIVERGE!'}")
     out["summary"] = {
         "all_identical": all(c["identical"] for c in out["configs"]),
         "min_jain_index": min(c["jain_index"] for c in out["configs"]),
@@ -175,44 +123,17 @@ def bench(quick: bool, cli_cfg: dict | None = None) -> dict:
     return out
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="one small config (CI smoke run)")
-    parser.add_argument("--flows", type=int, default=None,
-                        help="custom config: concurrent flows on the link")
-    parser.add_argument("--bytes", type=int, default=None,
-                        help="custom config: bytes per flow")
-    parser.add_argument("--out", default=None,
-                        help="output JSON path "
-                             "(default: <repo>/BENCH_fairness.json)")
-    args = parser.parse_args(argv)
-
-    cli_cfg = None
-    if args.flows is not None or args.bytes is not None:
-        cli_cfg = {
-            "flows": args.flows if args.flows is not None else 16,
-            "bytes": args.bytes if args.bytes is not None else 48_000,
-        }
-    out = bench(args.quick, cli_cfg)
-    path = args.out or os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), os.pardir,
-        "BENCH_fairness.json"
-    )
-    with open(path, "w") as fh:
-        json.dump(out, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"\nwrote {os.path.normpath(path)}")
-    if not out["summary"]["all_identical"]:
-        print("ERROR: substrates disagree on a shared contended link",
-              file=sys.stderr)
-        return 1
-    if out["summary"]["min_jain_index"] < 0.9:
-        print(f"ERROR: fairness collapsed: Jain index "
-              f"{out['summary']['min_jain_index']} < 0.9", file=sys.stderr)
-        return 1
-    return 0
-
+GATES = [
+    (lambda s: s["all_identical"],
+     "substrates disagree on a shared contended link"),
+    (lambda s: s["min_jain_index"] >= JAIN_FLOOR,
+     f"fairness collapsed: Jain index {{min_jain_index}} < {JAIN_FLOOR}"),
+]
+EXTRA_ARGS = [
+    ("--flows", dict(type=int,
+                     help="custom config: concurrent flows on the link")),
+    ("--bytes", dict(type=int, help="custom config: bytes per flow")),
+]
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(plane_main("fairness", bench, GATES, EXTRA_ARGS))

@@ -21,30 +21,22 @@ shrinks the sweep for CI smoke runs.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
 import os
-import random
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
-from repro.ash.examples import (                                 # noqa: E402
-    PARAM_COUNTER,
-    PARAM_REPLY_VCI,
-    PARAM_SCRATCH,
-    build_remote_increment,
-)
+from repro.bench.results import (on_both_substrates, plane_doc,  # noqa: E402
+                                 plane_main)
 from repro.bench.testbed import (                                # noqa: E402
     CLIENT_TO_SERVER_VCI,
-    SERVER_TO_CLIENT_VCI,
     make_an2_pair,
 )
+from repro.bench.workloads import am_flow, chaos_transfer        # noqa: E402
 from repro.hw.link import Frame                                  # noqa: E402
 from repro.kernel.upcall import UpcallHandler                    # noqa: E402
-from repro.net.socket_api import make_stacks, tcp_pair           # noqa: E402
 from repro.sim.engine import Engine                              # noqa: E402
 
 IMPAIRMENTS = ("drop", "corrupt", "duplicate", "reorder")
@@ -55,57 +47,26 @@ def lossy_transfer(substrate: str, kind: str, rate: float,
                    nbytes: int, sack: bool = True) -> dict:
     """One bulk transfer under a single impairment knob; returns every
     substrate-invariant observable of the run."""
-    tb = make_an2_pair(engine=Engine(substrate=substrate))
-    cstack, sstack = make_stacks(tb)
-    client, server = tcp_pair(cstack, sstack, rto_us=20_000.0, sack=sack)
-    plane = tb.attach_fault_plane(seed=SEED)
-    if rate:
-        # keep the handshake reliable so every point measures steady
-        # state, not SYN retry luck
-        plane.impair_link(tb.link, skip_first=3, **{kind: rate})
-    data = bytes(random.Random(SEED).randrange(256)
-                 for _ in range(nbytes))
-    got = []
-    elapsed = []
-
-    def server_body(proc):
-        yield from server.accept(proc)
-        t0 = proc.engine.now
-        got.append((yield from server.read(proc, nbytes)))
-        elapsed.append(proc.engine.now - t0)
-        yield from server.write(proc, b"done")
-
-    def client_body(proc):
-        yield from client.connect(proc)
-        yield from client.write(proc, data)
-        reply = yield from client.read(proc, 4)
-        assert reply == b"done"
-        yield from client.linger(proc, duration_us=2_000_000.0)
-
-    tb.server_kernel.spawn_process("server", server_body)
-    tb.client_kernel.spawn_process("client", client_body)
-    tb.run()
-    if not got or got[0] != data:
-        raise RuntimeError(
-            f"{kind}@{rate} ({substrate}): transfer corrupted or incomplete"
-        )
-    elapsed_ps = elapsed[0]
+    tb, plane, xfer = chaos_transfer(
+        nbytes, SEED, substrate=substrate,
+        link={kind: rate} if rate else None, sack=sack)
+    client, server = xfer.client.tcb, xfer.server.tcb
+    elapsed_ps = xfer.delivered - xfer.accepted
     return {
-        "digest": hashlib.sha256(got[0]).hexdigest(),
+        "digest": hashlib.sha256(xfer.got).hexdigest(),
         "elapsed_us": elapsed_ps / 1_000_000,
         "goodput_mbps": nbytes * 8 / (elapsed_ps / 1e12) / 1e6,
         "injected": plane.total(),
         "ledger": plane.ledger(),
-        "retransmits": client.tcb.retransmits + server.tcb.retransmits,
-        "fast_retransmits": (client.tcb.fast_retransmits
-                             + server.tcb.fast_retransmits),
-        "fast_recoveries": (client.tcb.fast_recoveries
-                            + server.tcb.fast_recoveries),
-        "selective_rexmits": (client.tcb.selective_rexmits
-                              + server.tcb.selective_rexmits),
-        "sack_blocks": client.tcb.sack_blocks_rx + server.tcb.sack_blocks_rx,
-        "checksum_failures": (client.tcb.checksum_failures
-                              + server.tcb.checksum_failures),
+        "retransmits": client.retransmits + server.retransmits,
+        "fast_retransmits": (client.fast_retransmits
+                             + server.fast_retransmits),
+        "fast_recoveries": client.fast_recoveries + server.fast_recoveries,
+        "selective_rexmits": (client.selective_rexmits
+                              + server.selective_rexmits),
+        "sack_blocks": client.sack_blocks_rx + server.sack_blocks_rx,
+        "checksum_failures": (client.checksum_failures
+                              + server.checksum_failures),
     }
 
 
@@ -115,12 +76,10 @@ def sack_ablation(rates: list[float], nbytes: int) -> dict:
     go-back-N) versus enabled.  Congestion control runs in both arms, so
     the ratio is the recovery machinery alone."""
     out: dict = {}
-    print(f"sack ablation (same schedules, sack on/off):")
+    print("sack ablation (same schedules, sack on/off):")
     for kind in ("drop", "corrupt"):
         points = []
-        for rate in rates:
-            if not rate:
-                continue
+        for rate in filter(None, rates):
             on = lossy_transfer("fast", kind, rate, nbytes, sack=True)
             off = lossy_transfer("fast", kind, rate, nbytes, sack=False)
             ratio = round(on["goodput_mbps"] / off["goodput_mbps"], 3)
@@ -138,53 +97,17 @@ def sack_ablation(rates: list[float], nbytes: int) -> dict:
     return out
 
 
-def sweep_curves(rates: list[float], nbytes: int) -> tuple[dict, bool]:
-    curves: dict = {}
-    all_identical = True
-    for kind in IMPAIRMENTS:
-        points = []
-        for rate in rates:
-            fast = lossy_transfer("fast", kind, rate, nbytes)
-            legacy = lossy_transfer("legacy", kind, rate, nbytes)
-            identical = fast == legacy
-            all_identical &= identical
-            point = dict(fast)
-            point["rate"] = rate
-            point["identical"] = identical
-            points.append(point)
-            print(f"  {kind:10s} rate={rate:<5g} "
-                  f"goodput={point['goodput_mbps']:8.2f} Mb/s  "
-                  f"injected={point['injected']:<4d} "
-                  f"rexmit={point['retransmits']:<3d}"
-                  f"{'' if identical else '  SUBSTRATES DIVERGE!'}")
-        curves[kind] = points
-    return curves, all_identical
-
-
 def ash_abort_demo(substrate: str, messages: int) -> dict:
     """Forced mid-handler aborts on remote-increment: zero message loss
     through the upcall fallback."""
     tb = make_an2_pair(engine=Engine(substrate=substrate))
     sk, ck = tb.server_kernel, tb.client_kernel
-    srv_ep = sk.create_endpoint_an2(tb.server_nic, CLIENT_TO_SERVER_VCI)
-    cli_ep = ck.create_endpoint_an2(tb.client_nic, SERVER_TO_CLIENT_VCI)
-    mem = tb.server.memory
-    state = mem.alloc("incr_state", 64)
-    mem.store_u32(state.base + 32 + PARAM_COUNTER, state.base)
-    mem.store_u32(state.base + 32 + PARAM_REPLY_VCI, SERVER_TO_CLIENT_VCI)
-    mem.store_u32(state.base + 32 + PARAM_SCRATCH, state.base + 16)
-    program = build_remote_increment()
-    ash_id = sk.ash_system.download(
-        program, allowed_regions=[(state.base, 64)],
-        user_word=state.base + 32,
-    )
-    sk.ash_system.bind(srv_ep, ash_id)
-    srv_ep.upcall = UpcallHandler(program=program,
-                                  user_word=state.base + 32)
+    flow = am_flow(tb)
+    flow.srv_ep.upcall = UpcallHandler(program=flow.program,
+                                       user_word=flow.params)
     plane = tb.attach_fault_plane(seed=SEED)
     injector = plane.abort_ash(sk, every=2)
     values = list(range(1, messages + 1))
-
     replies = []
 
     def client(proc):
@@ -196,25 +119,26 @@ def ash_abort_demo(substrate: str, messages: int) -> dict:
                 proc, tb.client_nic,
                 Frame(v.to_bytes(4, "little"), vci=CLIENT_TO_SERVER_VCI),
             )
-            desc = yield from ck.sys_recv_poll(proc, cli_ep)
+            desc = yield from ck.sys_recv_poll(proc, flow.cli_ep)
             replies.append(desc)
-            yield from ck.sys_replenish(proc, cli_ep, desc)
+            yield from ck.sys_replenish(proc, flow.cli_ep, desc)
 
-    cli_ep.owner = ck.spawn_process("ash-client", client)
+    flow.cli_ep.owner = ck.spawn_process("ash-client", client)
     tb.run()
-    counter = mem.load_u32(state.base)
+    counter = tb.server.memory.load_u32(flow.counter)
     return {
         "messages": messages,
         "aborts_forced": injector.fired,
-        "involuntary_aborts": sk.ash_system.entry(ash_id).involuntary_aborts,
+        "involuntary_aborts":
+            sk.ash_system.entry(flow.ash_id).involuntary_aborts,
         "upcall_fallbacks": sk.ash_abort_fallbacks,
         "counter": counter,
         "expected": sum(values),
         "replies": len(replies),
         "zero_loss": counter == sum(values) and len(replies) == messages,
-        # informational only, excluded from the identity check: dead
-        # timer pops can advance the end-of-run clock differently per
-        # substrate (see bench_scale's digest note)
+        # the engine's end-of-run clock.  Part of the identity check:
+        # the 33 abort timers this world cancels lie past the last real
+        # event, and both substrates still stop at the same tick
         "virtual_ns": tb.engine.now / 1000,
     }
 
@@ -231,38 +155,41 @@ def bench(quick: bool) -> dict:
         rates = [0.0, 0.05, 0.1, 0.2]
         nbytes = 128_000
         messages = 32
-    out: dict = {
-        "bench": "faults",
-        "quick": quick,
-        "python": sys.version.split()[0],
-        "seed": SEED,
-        "transfer_bytes": nbytes,
-        "rates": rates,
-    }
+    out = plane_doc("faults", quick, seed=SEED, transfer_bytes=nbytes,
+                    rates=rates)
     print(f"goodput-vs-impairment curves ({nbytes} B transfers, "
           f"seed {SEED}):")
-    curves, curves_identical = sweep_curves(rates, nbytes)
+    all_identical = True
+    curves: dict = {kind: [] for kind in IMPAIRMENTS}
+    for kind, points in curves.items():
+        for rate in rates:
+            point, identical = on_both_substrates(
+                lossy_transfer, kind=kind, rate=rate, nbytes=nbytes)
+            all_identical &= identical
+            point.update(rate=rate, identical=identical)
+            points.append(point)
+            print(f"  {kind:10s} rate={rate:<5g} "
+                  f"goodput={point['goodput_mbps']:8.2f} Mb/s  "
+                  f"injected={point['injected']:<4d} "
+                  f"rexmit={point['retransmits']:<3d}"
+                  f"{'' if identical else '  SUBSTRATES DIVERGE!'}")
     out["curves"] = curves
 
     out["sack_ablation"] = sack_ablation(rates, nbytes)
 
-    fast_demo = ash_abort_demo("fast", messages)
-    legacy_demo = ash_abort_demo("legacy", messages)
-    demo_identical = (
-        {k: v for k, v in fast_demo.items() if k != "virtual_ns"}
-        == {k: v for k, v in legacy_demo.items() if k != "virtual_ns"}
-    )
-    out["ash_abort"] = dict(fast_demo, identical=demo_identical)
-    print(f"  ash abort: {fast_demo['aborts_forced']}/{messages} deliveries "
-          f"aborted mid-handler, counter {fast_demo['counter']}"
-          f"/{fast_demo['expected']}, "
-          f"{fast_demo['upcall_fallbacks']} upcall fallbacks, "
-          f"zero_loss={fast_demo['zero_loss']}"
-          f"{'' if demo_identical else '  SUBSTRATES DIVERGE!'}")
+    demo, identical = on_both_substrates(ash_abort_demo, messages=messages)
+    all_identical &= identical
+    out["ash_abort"] = dict(demo, identical=identical)
+    print(f"  ash abort: {demo['aborts_forced']}/{messages} deliveries "
+          f"aborted mid-handler, counter {demo['counter']}"
+          f"/{demo['expected']}, "
+          f"{demo['upcall_fallbacks']} upcall fallbacks, "
+          f"zero_loss={demo['zero_loss']}"
+          f"{'' if identical else '  SUBSTRATES DIVERGE!'}")
 
     out["summary"] = {
-        "all_identical": curves_identical and demo_identical,
-        "zero_loss_under_abort": fast_demo["zero_loss"],
+        "all_identical": all_identical,
+        "zero_loss_under_abort": demo["zero_loss"],
         "goodput_retained_at_max_rate": {
             kind: round(points[-1]["goodput_mbps"]
                         / points[0]["goodput_mbps"], 3)
@@ -272,33 +199,12 @@ def bench(quick: bool) -> dict:
     return out
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller sweep (CI smoke run)")
-    parser.add_argument("--out", default=None,
-                        help="output JSON path "
-                             "(default: <repo>/BENCH_faults.json)")
-    args = parser.parse_args(argv)
-    out = bench(args.quick)
-    path = args.out or os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), os.pardir,
-        "BENCH_faults.json"
-    )
-    with open(path, "w") as fh:
-        json.dump(out, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"\nwrote {os.path.normpath(path)}")
-    if not out["summary"]["all_identical"]:
-        print("ERROR: substrates disagree under an identical fault schedule",
-              file=sys.stderr)
-        return 1
-    if not out["summary"]["zero_loss_under_abort"]:
-        print("ERROR: messages lost across forced ASH aborts",
-              file=sys.stderr)
-        return 1
-    return 0
-
+GATES = [
+    (lambda s: s["all_identical"],
+     "substrates disagree under an identical fault schedule"),
+    (lambda s: s["zero_loss_under_abort"],
+     "messages lost across forced ASH aborts"),
+]
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(plane_main("faults", bench, GATES))

@@ -41,7 +41,6 @@ under ``cli`` so sweeps are reproducible without editing this file).
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
@@ -51,22 +50,16 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
-from repro.ash.examples import (                                 # noqa: E402
-    PARAM_COUNTER,
-    PARAM_REPLY_VCI,
-    PARAM_SCRATCH,
-    build_remote_increment,
-)
+from repro.bench.results import (on_both_substrates, plane_doc,  # noqa: E402
+                                 plane_main)
 from repro.bench.testbed import make_an2_pair                    # noqa: E402
+from repro.bench.workloads import am_flow                        # noqa: E402
 from repro.hw.link import Frame                                  # noqa: E402
-from repro.net.stack import NetStack                             # noqa: E402
-from repro.net.tcp import TcpConnection                          # noqa: E402
+from repro.net.socket_api import make_stacks, tcp_pair           # noqa: E402
 from repro.net.udp import UdpSocket                              # noqa: E402
 from repro.sim.engine import Engine                              # noqa: E402
 from repro.sim.units import CYCLE_PS                             # noqa: E402
 
-CLIENT_IP = "10.0.0.1"
-SERVER_IP = "10.0.0.2"
 FLOW_KINDS = ("udp", "tcp", "ash")
 
 #: per-flow start offset step in cycles.  173 is coprime to the
@@ -132,16 +125,9 @@ class ScaleWorld:
         return (j + 1 + i % 7) * STAGGER_CYCLES * CYCLE_PS
 
     def _vcis(self, j: int) -> tuple[int, int]:
-        """(client->server, server->client) circuit pair for flow j."""
+        """(client->server, server->client) circuit pair for flow j, as
+        ``make_stacks(tb, flow=j)`` assigns them."""
         return 2 * j + 1, 2 * j + 2
-
-    def _stacks(self, tb, j: int) -> tuple[NetStack, NetStack]:
-        c2s, s2c = self._vcis(j)
-        cstack = NetStack(tb.client_kernel, tb.client_nic, CLIENT_IP,
-                          an2_peers={SERVER_IP: (c2s, s2c)})
-        sstack = NetStack(tb.server_kernel, tb.server_nic, SERVER_IP,
-                          an2_peers={CLIENT_IP: (s2c, c2s)})
-        return cstack, sstack
 
     def _add_flow(self, tb, i: int, j: int, kind: str) -> None:
         if kind == "udp":
@@ -153,7 +139,7 @@ class ScaleWorld:
 
     def _add_udp(self, tb, i: int, j: int) -> None:
         idx, rts = self._track()
-        cstack, sstack = self._stacks(tb, j)
+        cstack, sstack = make_stacks(tb, flow=j)
         c2s, s2c = self._vcis(j)
         csock = UdpSocket(cstack, 7001 + j, rx_vci=s2c, name=f"f{j}udpc")
         ssock = UdpSocket(sstack, 7001 + j, rx_vci=c2s, name=f"f{j}udps")
@@ -182,12 +168,7 @@ class ScaleWorld:
 
     def _add_tcp(self, tb, i: int, j: int) -> None:
         idx, rts = self._track()
-        cstack, sstack = self._stacks(tb, j)
-        c2s, s2c = self._vcis(j)
-        conn_c = TcpConnection(cstack, 5000 + j, sstack.ip, 80 + j,
-                               rx_vci=s2c, iss=1000, name=f"f{j}tcpc")
-        conn_s = TcpConnection(sstack, 80 + j, cstack.ip, 5000 + j,
-                               rx_vci=c2s, iss=7000, name=f"f{j}tcps")
+        conn_c, conn_s = tcp_pair(*make_stacks(tb, flow=j), 80 + j, 5000 + j)
         rounds, size = self.rounds, self.size
         stagger = self._stagger_ps(i, j)
 
@@ -212,21 +193,9 @@ class ScaleWorld:
 
     def _add_ash(self, tb, i: int, j: int) -> None:
         idx, rts = self._track()
-        sk, ck = tb.server_kernel, tb.client_kernel
+        ck = tb.client_kernel
         c2s, s2c = self._vcis(j)
-        srv_ep = sk.create_endpoint_an2(tb.server_nic, c2s, name=f"f{j}ash-s")
-        cli_ep = ck.create_endpoint_an2(tb.client_nic, s2c, name=f"f{j}ash-c")
-        mem = tb.server.memory
-        state = mem.alloc(f"f{j}.incr_state", 64)
-        mem.store_u32(state.base + 32 + PARAM_COUNTER, state.base)
-        mem.store_u32(state.base + 32 + PARAM_REPLY_VCI, s2c)
-        mem.store_u32(state.base + 32 + PARAM_SCRATCH, state.base + 16)
-        ash_id = sk.ash_system.download(
-            build_remote_increment(),
-            allowed_regions=[(state.base, 64)],
-            user_word=state.base + 32,
-        )
-        sk.ash_system.bind(srv_ep, ash_id)
+        cli_ep = am_flow(tb, c2s, s2c).cli_ep
         rounds = self.rounds
         stagger = self._stagger_ps(i, j)
 
@@ -298,41 +267,44 @@ class ScaleWorld:
         )
 
 
-def run_config(cfg: dict) -> dict:
-    """One configuration on both substrates.
+def run_config(cfg: dict) -> tuple[dict, bool]:
+    """One configuration on both substrates: each substrate's fastest
+    rep, and whether every rep's observable digests agreed.
 
     Wall-clock numbers are best-of-``reps`` with reps interleaved
-    legacy/fast so background machine load hits both sides equally;
+    fast/legacy so background machine load hits both sides equally;
     simulated metrics are rep-invariant by construction.
     """
     best: dict[str, dict] = {}
-    for _ in range(cfg["reps"]):
-        for substrate in ("legacy", "fast"):
-            world = ScaleWorld(substrate, cfg["pairs"], cfg["flows"],
-                               cfg["rounds"], cfg["size"],
-                               cores=cfg["cores"], batch=cfg["batch"],
-                               mem_size=cfg["mem_size"])
-            wall = world.run()
-            cur = best.get(substrate)
-            if cur is None or wall < cur["wall_s"]:
-                stats = world.engine.stats()
-                best[substrate] = {
-                    "wall_s": wall,
-                    "events": stats["fired"],
-                    "events_per_sec": stats["fired"] / wall,
-                    "packets": world.packets(),
-                    "packets_per_sec": world.packets() / wall,
-                    "digest": world.digest(),
-                    "finish_ps": world.finish_ps,
-                    "queue": stats["queue"],
-                    "cancelled": stats["cancelled"],
-                }
-    return best
+
+    def rep(substrate: str) -> str:
+        world = ScaleWorld(substrate, cfg["pairs"], cfg["flows"],
+                           cfg["rounds"], cfg["size"],
+                           cores=cfg["cores"], batch=cfg["batch"],
+                           mem_size=cfg["mem_size"])
+        wall = world.run()
+        if substrate not in best or wall < best[substrate]["wall_s"]:
+            stats = world.engine.stats()
+            best[substrate] = {
+                "wall_s": wall,
+                "events": stats["fired"],
+                "events_per_sec": stats["fired"] / wall,
+                "packets": world.packets(),
+                "packets_per_sec": world.packets() / wall,
+                "finish_ps": world.finish_ps,
+                "queue": stats["queue"],
+                "cancelled": stats["cancelled"],
+            }
+        return world.digest()
+
+    # a list, not a generator: every rep runs even after a divergence
+    identical = all([on_both_substrates(rep)[1]
+                     for _ in range(cfg["reps"])])
+    return best, identical
 
 
-def _entry(cfg: dict, best: dict) -> dict:
+def _entry(cfg: dict, best: dict, identical: bool) -> dict:
     legacy, fast = best["legacy"], best["fast"]
-    identical = legacy["digest"] == fast["digest"]
     # the calendar queue must not accumulate dead events: every
     # tombstone created by a heap-resident cancel is popped by the
     # time the world drains (wheel-resident cancels are removed
@@ -359,10 +331,8 @@ def _entry(cfg: dict, best: dict) -> dict:
         "overflow_spills": fast["queue"].get("overflow_spills", 0),
         "cycles_identical": identical,
         # -- wall-clock metrics (host-dependent, trend-exempt)
-        "legacy": {k: v for k, v in legacy.items()
-                   if k not in ("digest", "finish_ps")},
-        "fast": {k: v for k, v in fast.items()
-                 if k not in ("digest", "finish_ps")},
+        "legacy": {k: v for k, v in legacy.items() if k != "finish_ps"},
+        "fast": {k: v for k, v in fast.items() if k != "finish_ps"},
         "speedup": round(legacy["wall_s"] / fast["wall_s"], 2),
     }
 
@@ -393,24 +363,36 @@ def _configs(quick: bool) -> list[dict]:
     ]
 
 
-def bench(quick: bool, cli_cfg: dict | None = None) -> dict:
-    out: dict = {
-        "bench": "scale_substrate",
-        "quick": quick,
-        "python": sys.version.split()[0],
-        "configs": [],
+def _custom_config(cli: dict) -> dict:
+    """The single configuration ``--nodes/--flows/--cores/--batch/
+    --rounds/--size`` describe."""
+    nodes = cli["nodes"] if cli["nodes"] is not None else 2
+    if nodes < 2 or nodes % 2:
+        raise SystemExit("--nodes must be an even number >= 2")
+    pairs = nodes // 2
+    total_flows = cli["flows"] if cli["flows"] is not None else 3 * pairs
+    return {
+        "pairs": pairs, "flows": max(1, round(total_flows / pairs)),
+        "rounds": cli["rounds"] or 2, "size": cli["size"] or 256,
+        "cores": cli["cores"] or 1, "batch": cli["batch"], "reps": 1,
+        "mem_size": 16 * 1024 * 1024,
     }
-    if cli_cfg is not None:
-        configs = [cli_cfg]
-        out["cli"] = {"nodes": cli_cfg["pairs"] * 2,
-                      "flows": cli_cfg["pairs"] * cli_cfg["flows"],
-                      "cores": cli_cfg["cores"],
-                      "batch": cli_cfg["batch"]}
+
+
+def bench(quick: bool, cli: dict | None = None) -> dict:
+    out = plane_doc("scale_substrate", quick, configs=[])
+    if cli is not None:
+        cfg = _custom_config(cli)
+        configs = [cfg]
+        out["cli"] = {"nodes": cfg["pairs"] * 2,
+                      "flows": cfg["pairs"] * cfg["flows"],
+                      "cores": cfg["cores"],
+                      "batch": cfg["batch"]}
     else:
         configs = _configs(quick)
     sweep: list[dict] = []
     for cfg in configs:
-        entry = _entry(cfg, run_config(cfg))
+        entry = _entry(cfg, *run_config(cfg))
         out["configs"].append(entry)
         if cfg.get("sweep"):
             sweep.append(entry)
@@ -460,57 +442,24 @@ def bench(quick: bool, cli_cfg: dict | None = None) -> dict:
     return out
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="one small config (CI smoke run)")
-    parser.add_argument("--nodes", type=int, default=None,
-                        help="custom config: total nodes (even; 2 per pair)")
-    parser.add_argument("--flows", type=int, default=None,
-                        help="custom config: total flows across all pairs")
-    parser.add_argument("--cores", type=int, default=None,
-                        help="custom config: simulated CPUs per node")
-    parser.add_argument("--batch", type=int, default=None,
-                        help="custom config: rx descriptors drained per kick")
-    parser.add_argument("--rounds", type=int, default=2,
-                        help="custom config: request/response rounds per flow")
-    parser.add_argument("--size", type=int, default=256,
-                        help="custom config: payload bytes (udp/tcp flows)")
-    parser.add_argument("--out", default=None,
-                        help="output JSON path (default: <repo>/BENCH_scale.json)")
-    args = parser.parse_args(argv)
-
-    cli_cfg = None
-    if any(v is not None for v in (args.nodes, args.flows,
-                                   args.cores, args.batch)):
-        nodes = args.nodes if args.nodes is not None else 2
-        if nodes < 2 or nodes % 2:
-            parser.error("--nodes must be an even number >= 2")
-        pairs = nodes // 2
-        total_flows = args.flows if args.flows is not None else 3 * pairs
-        per_pair = max(1, round(total_flows / pairs))
-        cli_cfg = {
-            "pairs": pairs, "flows": per_pair, "rounds": args.rounds,
-            "size": args.size,
-            "cores": args.cores if args.cores is not None else 1,
-            "batch": args.batch, "reps": 1,
-            "mem_size": 16 * 1024 * 1024,
-        }
-    out = bench(args.quick, cli_cfg)
-    path = args.out or os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), os.pardir,
-        "BENCH_scale.json"
-    )
-    with open(path, "w") as fh:
-        json.dump(out, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"\nwrote {os.path.normpath(path)}")
-    if not out["summary"]["all_cycles_identical"]:
-        print("ERROR: substrates disagree on simulated observables",
-              file=sys.stderr)
-        return 1
-    return 0
-
+GATES = [
+    (lambda s: s["all_cycles_identical"],
+     "substrates disagree on simulated observables"),
+]
+EXTRA_ARGS = [
+    ("--nodes", dict(type=int,
+                     help="custom config: total nodes (even; 2 per pair)")),
+    ("--flows", dict(type=int,
+                     help="custom config: total flows across all pairs")),
+    ("--cores", dict(type=int,
+                     help="custom config: simulated CPUs per node")),
+    ("--batch", dict(type=int,
+                     help="custom config: rx descriptors drained per kick")),
+    ("--rounds", dict(type=int, help="custom config: request/response "
+                                     "rounds per flow (default 2)")),
+    ("--size", dict(type=int, help="custom config: payload bytes of the "
+                                   "udp/tcp flows (default 256)")),
+]
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(plane_main("scale", bench, GATES, EXTRA_ARGS))

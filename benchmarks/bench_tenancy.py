@@ -28,14 +28,14 @@ the JSON under ``cli`` (the bench_scale convention); the committed
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
+from repro.bench.results import (on_both_substrates, plane_doc,  # noqa: E402
+                                 plane_main)
 from repro.bench.workloads import tenant_noisy_neighbor          # noqa: E402
 
 #: aggressor intensities, frames/s (0 = solo baseline run)
@@ -46,59 +46,39 @@ QUICK_KB = 48
 ISOLATION_FLOOR = 0.9
 
 
-def run_point(intensity_fps: int, total_kb: int, protected: bool,
-              substrate: str) -> dict:
-    return tenant_noisy_neighbor(
-        substrate=substrate, intensity_fps=intensity_fps,
-        protected=protected, total_kb=total_kb)
-
-
 def run_config(intensity_fps: int, total_kb: int,
                solo_mbps: float | None) -> dict:
-    """One intensity: protected on both substrates + unprotected ablation."""
-    prot_fast = run_point(intensity_fps, total_kb, True, "fast")
-    prot_legacy = run_point(intensity_fps, total_kb, True, "legacy")
-    unprot_fast = run_point(intensity_fps, total_kb, False, "fast")
-    unprot_legacy = run_point(intensity_fps, total_kb, False, "legacy")
-    identical = (prot_fast == prot_legacy and unprot_fast == unprot_legacy)
-
-    entry = {
-        "intensity_fps": intensity_fps,
-        "total_kb": total_kb,
-        "identical": identical,
-        "protected": prot_fast,
-        "unprotected": unprot_fast,
-    }
-    if solo_mbps is not None:
-        entry["protected_isolation_ratio"] = round(
-            prot_fast["goodput_mbps"] / solo_mbps, 4)
-        entry["unprotected_isolation_ratio"] = round(
-            unprot_fast["goodput_mbps"] / solo_mbps, 4)
-        print(f"  fps={intensity_fps:<6d} "
-              f"protected={prot_fast['goodput_mbps']:6.3f} MB/s "
-              f"(ratio {entry['protected_isolation_ratio']:.4f})  "
-              f"unprotected={unprot_fast['goodput_mbps']:6.3f} MB/s "
-              f"(ratio {entry['unprotected_isolation_ratio']:.4f})  "
-              f"clipped={prot_fast['aggressor_dropped']}"
-              f"{'' if identical else '  SUBSTRATES DIVERGE!'}")
+    """One intensity: protected and unprotected (the ablation), each on
+    both substrates."""
+    arms = {}
+    identical = True
+    for arm, protected in (("protected", True), ("unprotected", False)):
+        arms[arm], same = on_both_substrates(
+            tenant_noisy_neighbor, intensity_fps=intensity_fps,
+            protected=protected, total_kb=total_kb)
+        identical &= same
+    entry = {"intensity_fps": intensity_fps, "total_kb": total_kb,
+             "identical": identical, **arms}
+    line = f"  fps={intensity_fps:<6d} "
+    if solo_mbps is None:
+        line += f"solo={arms['protected']['goodput_mbps']:6.3f} MB/s"
     else:
-        print(f"  fps={intensity_fps:<6d} "
-              f"solo={prot_fast['goodput_mbps']:6.3f} MB/s"
-              f"{'' if identical else '  SUBSTRATES DIVERGE!'}")
+        for arm, result in arms.items():
+            ratio = round(result["goodput_mbps"] / solo_mbps, 4)
+            entry[f"{arm}_isolation_ratio"] = ratio
+            line += (f"{arm}={result['goodput_mbps']:6.3f} MB/s "
+                     f"(ratio {ratio:.4f})  ")
+        line += f"clipped={arms['protected']['aggressor_dropped']}"
+    print(line + ("" if identical else "  SUBSTRATES DIVERGE!"))
     return entry
 
 
-def bench(quick: bool, cli_cfg: dict | None = None) -> dict:
-    out: dict = {
-        "bench": "tenancy",
-        "quick": quick,
-        "python": sys.version.split()[0],
-        "configs": [],
-    }
-    if cli_cfg is not None:
-        grid = tuple(cli_cfg["intensity"])
-        total_kb = cli_cfg["kb"]
-        out["cli"] = dict(cli_cfg)
+def bench(quick: bool, cli: dict | None = None) -> dict:
+    out = plane_doc("tenancy", quick, configs=[])
+    if cli is not None:
+        out["cli"] = {"intensity": cli["intensity"] or list(FULL_GRID),
+                      "kb": cli["kb"] or FULL_KB}
+        grid, total_kb = tuple(out["cli"]["intensity"]), out["cli"]["kb"]
     elif quick:
         grid, total_kb = QUICK_GRID, QUICK_KB
     else:
@@ -130,49 +110,21 @@ def bench(quick: bool, cli_cfg: dict | None = None) -> dict:
     return out
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="small grid (CI smoke run)")
-    parser.add_argument("--intensity", type=int, nargs="+", default=None,
-                        help="custom config: aggressor frames/s grid")
-    parser.add_argument("--kb", type=int, default=None,
-                        help="custom config: victim transfer size, KiB")
-    parser.add_argument("--out", default=None,
-                        help="output JSON path "
-                             "(default: <repo>/BENCH_tenancy.json)")
-    args = parser.parse_args(argv)
-
-    cli_cfg = None
-    if args.intensity is not None or args.kb is not None:
-        cli_cfg = {
-            "intensity": args.intensity or list(FULL_GRID),
-            "kb": args.kb if args.kb is not None else FULL_KB,
-        }
-    out = bench(args.quick, cli_cfg)
-    path = args.out or os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), os.pardir,
-        "BENCH_tenancy.json"
-    )
-    with open(path, "w") as fh:
-        json.dump(out, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"\nwrote {os.path.normpath(path)}")
-    if not out["summary"]["all_identical"]:
-        print("ERROR: substrates disagree on a tenant-contended run",
-              file=sys.stderr)
-        return 1
-    if out["summary"]["order_violations"]:
-        print("ERROR: buffer-order violations under protection",
-              file=sys.stderr)
-        return 1
-    floor = out["summary"]["min_protected_isolation_ratio"]
-    if floor < ISOLATION_FLOOR:
-        print(f"ERROR: isolation broken: protected victim ratio "
-              f"{floor} < {ISOLATION_FLOOR}", file=sys.stderr)
-        return 1
-    return 0
-
+GATES = [
+    (lambda s: s["all_identical"],
+     "substrates disagree on a tenant-contended run"),
+    (lambda s: not s["order_violations"],
+     "buffer-order violations under protection"),
+    (lambda s: s["min_protected_isolation_ratio"] >= ISOLATION_FLOOR,
+     "isolation broken: protected victim ratio "
+     "{min_protected_isolation_ratio} < {isolation_floor}"),
+]
+EXTRA_ARGS = [
+    ("--intensity", dict(type=int, nargs="+",
+                         help="custom config: aggressor frames/s grid")),
+    ("--kb", dict(type=int,
+                  help="custom config: victim transfer size, KiB")),
+]
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(plane_main("tenancy", bench, GATES, EXTRA_ARGS))

@@ -14,16 +14,15 @@ performance envelope.  This checker walks both documents' numeric
 leaves, classifies each leaf by name, and flags any *deterministic*
 metric that moved past the threshold in the bad direction:
 
-* **lower is better** — ``elapsed_us``, ``recovery_us``, ``latency_us``
-  suffixes, ``virtual_ns``, ``simulated_cycles*``: simulated time/cost,
-  fully deterministic, a >N% rise is a real regression.
+* **lower is better** — ``elapsed_us``, ``recovery_us`` suffixes,
+  ``virtual_ns``: simulated time/cost, fully deterministic, a >N% rise
+  is a real regression.
 * **higher is better** — ``goodput_mbps``: simulated throughput;
   ``jain_index``: per-flow fairness on contended links;
   ``isolation_ratio``: tenant-contended vs solo victim goodput.
 * **skipped by default** — wall-clock-noisy leaves (``*_per_sec``,
-  ``wall_s``, ``speedup_*``): they measure the host machine, not the
-  model; compare them with ``--include-wallclock`` only on pinned
-  hardware.
+  ``wall_s``): they measure the host machine, not the model; compare
+  them with ``--include-wallclock`` only on pinned hardware.
 * everything else (seeds, counts, digests, flags) is ignored — identity
   of those is the digest tests' job, not a trend question.
 
@@ -49,11 +48,10 @@ REPO_ROOT = os.path.dirname(_HERE)
 DEFAULT_THRESHOLD = 0.10  # fractional change that counts as a regression
 
 #: name-suffix → direction; first match wins ("lower" / "higher")
-LOWER_IS_BETTER = ("elapsed_us", "recovery_us", "latency_us", "virtual_ns")
-LOWER_PREFIXES = ("simulated_cycles",)
+LOWER_IS_BETTER = ("elapsed_us", "recovery_us", "virtual_ns")
 HIGHER_IS_BETTER = ("goodput_mbps", "jain_index", "isolation_ratio")
 #: wall-clock-dependent leaves: excluded unless explicitly requested
-WALLCLOCK_MARKERS = ("_per_sec", "wall_s", "speedup_")
+WALLCLOCK_MARKERS = ("_per_sec", "wall_s")
 
 
 def classify(path: str) -> str | None:
@@ -64,9 +62,6 @@ def classify(path: str) -> str | None:
             return "wallclock"
     for suffix in LOWER_IS_BETTER:
         if leaf.endswith(suffix):
-            return "lower"
-    for prefix in LOWER_PREFIXES:
-        if leaf.startswith(prefix):
             return "lower"
     for suffix in HIGHER_IS_BETTER:
         if leaf.endswith(suffix):
@@ -162,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
                              "(default %(default)s)")
     parser.add_argument("--include-wallclock", action="store_true",
                         help="also compare host-dependent *_per_sec / "
-                             "wall_s / speedup_* leaves")
+                             "wall_s leaves")
     args = parser.parse_args(argv)
 
     if args.fresh is None:

@@ -34,30 +34,27 @@ must keep at least ``ISOLATION_BOUND_RATIO`` of its solo goodput and
 deliver a bit-identical payload, asserted per cell like the recovery
 bounds.
 
-``--smoke`` runs a small corner of the grid (one crash scenario per
-crashable workload, the two-tenant cell, both substrates) — wired into
-tier 1 via ``tests/test_sweep_driver.py``, writing outside the repo
-root so the committed full-grid baseline is untouched.
+``--smoke`` (``plane_main``'s ``--quick``) runs a small corner of the
+grid (one crash scenario per crashable workload, the two-tenant cell,
+both substrates) — wired into tier 1 via ``tests/test_sweep_driver.py``,
+writing outside the repo root so the committed full-grid baseline is
+untouched.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
 import os
-import random
 import sys
-import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
-from repro.bench.testbed import make_an2_pair                    # noqa: E402
+from repro.bench.results import (on_both_substrates, plane_doc,  # noqa: E402
+                                 plane_main)
 from repro.bench.workloads import (canary_rollout,               # noqa: E402
+                                   chaos_transfer,
                                    tenant_noisy_neighbor)
-from repro.net.socket_api import make_stacks, tcp_pair           # noqa: E402
-from repro.sim.engine import Engine                              # noqa: E402
 
 SCHEMA = "repro-liveops-sweep"
 SCHEMA_VERSION = 1
@@ -90,66 +87,29 @@ ISOLATION_BOUND_RATIO = {
 # workload runners (one cell = one substrate run)
 # ---------------------------------------------------------------------------
 
-def run_tcp_bulk(substrate: str, nbytes: int, crash: dict = None,
-                 knobs: dict = None) -> dict:
-    """One TCP bulk transfer with an optional scripted crash (on either
-    node, possibly a storm) and optional link chaos."""
-    tb = make_an2_pair(engine=Engine(substrate=substrate))
-    cstack, sstack = make_stacks(tb)
-    client, server = tcp_pair(cstack, sstack, rto_us=20_000.0)
-    plane = tb.attach_fault_plane(seed=SEED)
-    if knobs:
-        plane.impair_link(tb.link, skip_first=3, **knobs)
-    crashed_kernel = None
-    if crash:
-        crash = dict(crash)
-        target = crash.pop("target", "server")
-        crashed_kernel = (tb.client_kernel if target == "client"
-                          else tb.server_kernel)
-        plane.crash_node(crashed_kernel, **crash)
-    data = bytes(random.Random(SEED).randrange(256) for _ in range(nbytes))
-    got = []
-    elapsed = []
-
-    def server_body(proc):
-        yield from server.accept(proc)
-        t0 = proc.engine.now
-        got.append((yield from server.read(proc, nbytes)))
-        elapsed.append(proc.engine.now - t0)
-        yield from server.write(proc, b"done")
-
-    def client_body(proc):
-        yield from client.connect(proc)
-        yield from client.write(proc, data)
-        reply = yield from client.read(proc, 4)
-        assert reply == b"done"
-        yield from client.linger(proc, duration_us=2_000_000.0)
-
-    tb.server_kernel.spawn_process("server", server_body)
-    tb.client_kernel.spawn_process("client", client_body)
-    tb.run()
-    if not got or got[0] != data:
-        raise RuntimeError(
-            f"tcp_bulk({substrate}): transfer corrupted or incomplete")
+def run_tcp_bulk(substrate: str, nbytes: int, **seams) -> dict:
+    """One TCP bulk transfer under ``chaos_transfer``'s ``crash`` (on
+    either node, possibly a storm) and ``link`` seams."""
+    tb, plane, xfer = chaos_transfer(nbytes, SEED, substrate=substrate,
+                                     **seams)
     sk, ck = tb.server_kernel, tb.client_kernel
-    recoveries_us = []
-    if crashed_kernel is not None:
-        for rec in crashed_kernel.crash_log:
-            if rec["first_delivery_after_reboot"] is not None \
-                    and rec["reboot_at"] is not None:
-                recoveries_us.append(
-                    (rec["first_delivery_after_reboot"] - rec["reboot_at"])
-                    / 1_000_000)
-    elapsed_ps = elapsed[0]
+    recoveries_us = [                       # only the crashed node logs
+        (rec["first_delivery_after_reboot"] - rec["reboot_at"]) / 1_000_000
+        for rec in sk.crash_log + ck.crash_log
+        if rec["first_delivery_after_reboot"] is not None
+        and rec["reboot_at"] is not None
+    ]
+    elapsed_ps = xfer.delivered - xfer.accepted
     return {
-        "digest": hashlib.sha256(got[0]).hexdigest(),
+        "digest": hashlib.sha256(xfer.got).hexdigest(),
         "elapsed_us": elapsed_ps / 1_000_000,
         "goodput_mbps": nbytes * 8 / (elapsed_ps / 1e12) / 1e6,
         "crashes": sk.crash_count + ck.crash_count,
         "recoveries": sk.recoveries + ck.recoveries,
         "recovery_us": max(recoveries_us) if recoveries_us else None,
         "lost_in_crash": sk.lost_messages + ck.lost_messages,
-        "retransmits": client.tcb.retransmits + server.tcb.retransmits,
+        "retransmits": (xfer.client.tcb.retransmits
+                        + xfer.server.tcb.retransmits),
         "ledger": plane.ledger(),
         "delivery_outcomes": dict(sorted(sk.delivery_outcomes.items())),
         "order_violations": (sk.degradation_order_violations
@@ -210,7 +170,7 @@ def grid_cells(smoke: bool, nbytes: int) -> list[dict]:
                               "period_us": 8_000.0}},
          "expect_recovered": True},
         {"workload": "tcp_bulk", "scenario": "link_chaos",
-         "kwargs": {"knobs": {"drop": 0.05, "corrupt": 0.02}}},
+         "kwargs": {"link": {"drop": 0.05, "corrupt": 0.02}}},
     ]
     canary = [
         {"workload": "canary", "scenario": "none",
@@ -243,12 +203,11 @@ def run_cell(cell: dict) -> dict:
     """Run one grid cell on both substrates; returns the cell record."""
     runner = {"tcp_bulk": run_tcp_bulk, "canary": run_canary,
               "tenant": run_tenant}[cell["workload"]]
-    fast = runner("fast", **cell["kwargs"])
-    legacy = runner("legacy", **cell["kwargs"])
+    fast, identical = on_both_substrates(runner, **cell["kwargs"])
     record = {
         "workload": cell["workload"],
         "scenario": cell["scenario"],
-        "identical": fast == legacy,
+        "identical": identical,
         "observables": fast,
     }
     if "expect_state" in cell:
@@ -274,16 +233,8 @@ def run_cell(cell: dict) -> dict:
 
 def bench(smoke: bool) -> dict:
     nbytes = 16_000 if smoke else 48_000
-    out: dict = {
-        "schema": SCHEMA,
-        "version": SCHEMA_VERSION,
-        "bench": "liveops",
-        "quick": smoke,
-        "python": sys.version.split()[0],
-        "seed": SEED,
-        "transfer_bytes": nbytes,
-        "grid": [],
-    }
+    out = plane_doc("liveops", smoke, schema=SCHEMA, version=SCHEMA_VERSION,
+                    seed=SEED, transfer_bytes=nbytes, grid=[])
     for cell in grid_cells(smoke, nbytes):
         record = run_cell(cell)
         out["grid"].append(record)
@@ -333,6 +284,10 @@ def bench(smoke: bool) -> dict:
         "recovery_latencies": recovery_bounds,
         "isolation_ratios": isolation_ratios,
     }
+    errors = validate_doc(out)
+    if errors:
+        raise RuntimeError("sweep document fails its own schema: "
+                           + "; ".join(errors))
     return out
 
 
@@ -381,45 +336,18 @@ def validate_doc(doc: dict) -> list[str]:
     return errors
 
 
+#: every boolean of the summary is a gate
+GATES = [
+    (lambda s, key=key: s[key], f"summary.{key} is false")
+    for key in ("all_identical", "zero_order_violations",
+                "all_rollouts_correct", "all_crashes_recovered",
+                "all_recoveries_within_bounds", "zero_canary_losses",
+                "all_isolation_within_bounds")
+]
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="2×2×2 grid corner (tier-1 smoke run)")
-    parser.add_argument("--out", default=None,
-                        help="output JSON path (default: "
-                             "<repo>/BENCH_liveops.json; smoke runs "
-                             "default to the system temp dir)")
-    args = parser.parse_args(argv)
-    out = bench(args.smoke)
-    errors = validate_doc(out)
-    if errors:
-        for error in errors:
-            print(f"SCHEMA ERROR: {error}", file=sys.stderr)
-        return 1
-    path = args.out
-    if path is None:
-        if args.smoke:
-            path = os.path.join(tempfile.gettempdir(),
-                                "liveops_sweep_smoke.json")
-        else:
-            path = os.path.join(
-                os.path.dirname(os.path.abspath(__file__)), os.pardir,
-                "BENCH_liveops.json")
-    with open(path, "w") as fh:
-        json.dump(out, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"\nwrote {os.path.normpath(path)}")
-    summary = out["summary"]
-    failures = [key for key in ("all_identical", "zero_order_violations",
-                                "all_rollouts_correct",
-                                "all_crashes_recovered",
-                                "all_recoveries_within_bounds",
-                                "zero_canary_losses",
-                                "all_isolation_within_bounds")
-                if not summary[key]]
-    for key in failures:
-        print(f"ERROR: summary.{key} is false", file=sys.stderr)
-    return 1 if failures else 0
+    return plane_main("liveops", bench, GATES, argv=argv)
 
 
 if __name__ == "__main__":

@@ -5,16 +5,27 @@ or figure: labelled rows of named values, with optional paper-reported
 reference values alongside for the EXPERIMENTS.md comparison.  Tables
 render as aligned text (printed by the benches) and serialize to JSON
 under ``benchmarks/results/``.
+
+The plane benches (crash, faults, fairness, tenancy, scale, live-ops)
+write a nested ``BENCH_<name>.json`` at the repo root instead; what
+they share — running a cell on both substrates, the command line, the
+dump and the summary gates — is :func:`on_both_substrates`,
+:func:`plane_doc` and :func:`plane_main`.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional, Sequence
 
-__all__ = ["BenchTable", "ascii_chart", "results_dir"]
+__all__ = ["BenchTable", "ascii_chart", "results_dir",
+           "on_both_substrates", "plane_doc", "plane_main"]
+
+_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.dirname(os.path.abspath(__file__)))))
 
 
 def ascii_chart(
@@ -75,9 +86,7 @@ def ascii_chart(
 
 def results_dir() -> str:
     """Where benchmark JSON artifacts land (created on demand)."""
-    here = os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__)))))
-    path = os.path.join(here, "benchmarks", "results")
+    path = os.path.join(_REPO_ROOT, "benchmarks", "results")
     os.makedirs(path, exist_ok=True)
     return path
 
@@ -182,3 +191,74 @@ class BenchTable:
         table.paper = raw.get("paper", {})
         table.notes = raw.get("notes", [])
         return table
+
+
+# ---------------------------------------------------------------------------
+# plane benches: BENCH_<name>.json at the repo root
+# ---------------------------------------------------------------------------
+
+def on_both_substrates(fn: Callable[..., Any], **kw) -> tuple[Any, bool]:
+    """Run ``fn(substrate=..., **kw)`` on ``fast`` and on ``legacy``.
+
+    Returns ``(fast_result, identical)``: the fast substrate's result is
+    the one a bench records, and ``identical`` says the legacy run
+    returned an equal one — so ``fn`` must return only simulated
+    observables (no wall-clock readings)."""
+    fast = fn(substrate="fast", **kw)
+    legacy = fn(substrate="legacy", **kw)
+    return fast, fast == legacy
+
+
+def plane_doc(name: str, quick: bool, **fields) -> dict:
+    """The header every ``BENCH_<name>.json`` starts with."""
+    return {"bench": name, "quick": quick,
+            "python": sys.version.split()[0], **fields}
+
+
+def plane_main(name: str, bench: Callable[..., dict],
+               gates: Sequence[tuple[Callable[[dict], bool], str]],
+               extra_args: Sequence[tuple[str, dict]] = (),
+               argv: Optional[list[str]] = None) -> int:
+    """The command line of a plane bench; returns the exit code.
+
+    ``bench(quick)`` builds the document.  ``extra_args`` are
+    ``(flag, add_argument kwargs)`` pairs for a custom single
+    configuration: when any is given their values reach the bench as
+    ``bench(quick, {dest: value or None})``.  The document is written
+    with sorted keys to ``--out``, by default ``BENCH_<name>.json`` at
+    the repo root — except ``--quick`` runs, which default to the
+    system temp dir so a smoke run cannot clobber the committed
+    full-size baseline.  ``gates`` are ``(predicate, message)`` pairs
+    over ``doc["summary"]``; each failing one prints its message
+    (``str.format``-ed with the summary) and makes the exit code 1.
+    """
+    import argparse
+    import tempfile
+
+    parser = argparse.ArgumentParser(
+        description=bench.__globals__["__doc__"].strip().splitlines()[0])
+    parser.add_argument("--quick", "--smoke", action="store_true",
+                        help="small sweep (CI smoke run)")
+    parser.add_argument("--out", default=None,
+                        help=f"output JSON path (default: <repo>/BENCH_"
+                             f"{name}.json; <tmp>/BENCH_{name}.quick.json "
+                             f"with --quick)")
+    for flag, kwargs in extra_args:
+        parser.add_argument(flag, default=None, **kwargs)
+    args = vars(parser.parse_args(argv))
+    quick, path = args.pop("quick"), args.pop("out")
+    custom = any(value is not None for value in args.values())
+    doc = bench(quick, args) if custom else bench(quick)
+    if path is None:
+        path = (os.path.join(tempfile.gettempdir(),
+                             f"BENCH_{name}.quick.json") if quick
+                else os.path.join(_REPO_ROOT, f"BENCH_{name}.json"))
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"\nwrote {path}")
+    failed = [message.format(**doc["summary"])
+              for holds, message in gates if not holds(doc["summary"])]
+    for message in failed:
+        print(f"ERROR: {message}", file=sys.stderr)
+    return 1 if failed else 0

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import argparse
 import os
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .. import telemetry
 from .results import BenchTable, results_dir
@@ -83,9 +83,16 @@ def write_postmortems(
 
 
 def bench_main(
-    run_fn: Callable[[], BenchTable], argv: Optional[list[str]] = None
+    run_fn: Callable[..., BenchTable], argv: Optional[list[str]] = None,
+    extra_args: Sequence[tuple[str, dict]] = (),
 ) -> BenchTable:
-    """Run one table-producing experiment from the command line."""
+    """Run one table-producing experiment from the command line.
+
+    ``extra_args`` (``(flag, add_argument kwargs)`` pairs, as
+    :func:`~repro.bench.results.plane_main` takes them) describe a
+    custom sweep: the values given reach ``run_fn`` as keyword
+    arguments and are echoed into the results JSON under ``cli``.
+    """
     parser = argparse.ArgumentParser(
         description=run_fn.__doc__ or "run one reproduction benchmark"
     )
@@ -101,12 +108,19 @@ def bench_main(
         "--trace-out", metavar="PATH", default=None,
         help="where to write the Chrome-trace sidecar (implies --trace)",
     )
+    for flag, kwargs in extra_args:
+        parser.add_argument(flag, default=None, **kwargs)
     args = parser.parse_args(argv)
     want = (args.trace or args.metrics_out is not None
             or args.trace_out is not None)
+    custom = {key: value for key, value in vars(args).items()
+              if key not in ("trace", "metrics_out", "trace_out")
+              and value is not None}
 
     with telemetry.session(enabled=want) as sess:
-        table = run_fn()
+        table = run_fn(**custom)
+    if custom:
+        table.cli = custom
     print(table.format())
     table.save()
     if want:

@@ -8,7 +8,7 @@ two nodes, their kernels, and the wire between them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..hw.calibration import Calibration, DEFAULT
@@ -91,6 +91,27 @@ class Testbed:
             self.fault_plane.publish_telemetry()
 
 
+def _make_pair(nic_cls, nic_name: str, link_kwargs: dict, cal, client_kernel_opts,
+               server_kernel_opts, mem_size, engine, name_prefix, ncores,
+               rx_batch) -> Testbed:
+    """Both nodes, their NICs, the wire, then the kernels — in that
+    order, which fixes every region address the benches observe."""
+    if engine is None:
+        engine = Engine()
+    client = Node(engine, f"{name_prefix}client", cal, mem_size=mem_size,
+                  ncores=ncores, rx_batch=rx_batch)
+    server = Node(engine, f"{name_prefix}server", cal, mem_size=mem_size,
+                  ncores=ncores, rx_batch=rx_batch)
+    client_nic = client.add_nic(nic_cls(engine, cal, client.memory, nic_name))
+    server_nic = server.add_nic(nic_cls(engine, cal, server.memory, nic_name))
+    link = Link(engine, name=f"{name_prefix}{nic_name}-link", **link_kwargs)
+    client_nic.attach(link, 0)
+    server_nic.attach(link, 1)
+    Kernel(client, **(client_kernel_opts or {}))
+    Kernel(server, **(server_kernel_opts or {}))
+    return Testbed(engine, cal, client, server, link, client_nic, server_nic)
+
+
 def make_an2_pair(
     cal: Calibration = DEFAULT,
     client_kernel_opts: Optional[dict] = None,
@@ -107,25 +128,11 @@ def make_an2_pair(
     to place many independent pairs in one simulated world — the scale
     benchmark sweeps node count this way.
     """
-    if engine is None:
-        engine = Engine()
-    client = Node(engine, f"{name_prefix}client", cal, mem_size=mem_size,
-                  ncores=ncores, rx_batch=rx_batch)
-    server = Node(engine, f"{name_prefix}server", cal, mem_size=mem_size,
-                  ncores=ncores, rx_batch=rx_batch)
-    client_nic = client.add_nic(An2Nic(engine, cal, client.memory, "an2"))
-    server_nic = server.add_nic(An2Nic(engine, cal, server.memory, "an2"))
-    link = Link(
-        engine,
-        rate_bytes_per_s=cal.an2_rate_bytes_per_s,
-        latency_us=cal.an2_hw_oneway_us,
-        name=f"{name_prefix}an2-link",
-    )
-    client_nic.attach(link, 0)
-    server_nic.attach(link, 1)
-    Kernel(client, **(client_kernel_opts or {}))
-    Kernel(server, **(server_kernel_opts or {}))
-    return Testbed(engine, cal, client, server, link, client_nic, server_nic)
+    link = dict(rate_bytes_per_s=cal.an2_rate_bytes_per_s,
+                latency_us=cal.an2_hw_oneway_us)
+    return _make_pair(An2Nic, "an2", link, cal, client_kernel_opts,
+                      server_kernel_opts, mem_size, engine, name_prefix,
+                      ncores, rx_batch)
 
 
 def make_eth_pair(
@@ -139,23 +146,9 @@ def make_eth_pair(
     rx_batch: Optional[int] = None,
 ) -> Testbed:
     """Two DECstations on the 10 Mb/s Ethernet."""
-    if engine is None:
-        engine = Engine()
-    client = Node(engine, f"{name_prefix}client", cal, mem_size=mem_size,
-                  ncores=ncores, rx_batch=rx_batch)
-    server = Node(engine, f"{name_prefix}server", cal, mem_size=mem_size,
-                  ncores=ncores, rx_batch=rx_batch)
-    client_nic = client.add_nic(EthernetNic(engine, cal, client.memory, "eth"))
-    server_nic = server.add_nic(EthernetNic(engine, cal, server.memory, "eth"))
-    link = Link(
-        engine,
-        rate_bytes_per_s=cal.eth_rate_bytes_per_s,
-        latency_us=cal.eth_dma_latency_us,
-        min_frame=cal.eth_min_frame,
-        name=f"{name_prefix}eth-link",
-    )
-    client_nic.attach(link, 0)
-    server_nic.attach(link, 1)
-    Kernel(client, **(client_kernel_opts or {}))
-    Kernel(server, **(server_kernel_opts or {}))
-    return Testbed(engine, cal, client, server, link, client_nic, server_nic)
+    link = dict(rate_bytes_per_s=cal.eth_rate_bytes_per_s,
+                latency_us=cal.eth_dma_latency_us,
+                min_frame=cal.eth_min_frame)
+    return _make_pair(EthernetNic, "eth", link, cal, client_kernel_opts,
+                      server_kernel_opts, mem_size, engine, name_prefix,
+                      ncores, rx_batch)

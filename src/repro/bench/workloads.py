@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from ..ash.examples import (
     PARAM_COUNTER,
@@ -29,6 +29,7 @@ from ..kernel.upcall import UpcallHandler
 from ..net.headers import ip_aton
 from ..net.socket_api import make_stacks, tcp_pair
 from ..net.udp import UdpSocket
+from ..sim.engine import Engine
 from ..sim.units import to_us, us
 from .testbed import (
     CLIENT_TO_SERVER_VCI,
@@ -46,6 +47,10 @@ __all__ = [
     "udp_train_throughput",
     "tcp_pingpong",
     "tcp_stream_throughput",
+    "tcp_bulk",
+    "chaos_transfer",
+    "seeded_payload",
+    "am_flow",
     "remote_increment",
     "RemoteIncrementResult",
     "canary_rollout",
@@ -443,8 +448,205 @@ def tcp_stream_throughput(
 
 
 # ---------------------------------------------------------------------------
+# bulk transfer (the fault, crash, tenancy and fairness planes' fixture)
+# ---------------------------------------------------------------------------
+
+@dataclass
+class BulkTransfer:
+    """Handles of one :func:`tcp_bulk` flow.  Callers derive their own
+    observables from these; stamps are engine ticks (ps), ``None``
+    until the flow gets there."""
+
+    client: Any                        #: client :class:`TcpConnection`
+    server: Any                        #: server :class:`TcpConnection`
+    data: bytes                        #: what the client writes
+    got: Optional[bytes] = None        #: what the server read
+    reply: Optional[bytes] = None      #: the server's ``b"done"``
+    t0: Optional[int] = None           #: client about to connect
+    connected: Optional[int] = None    #: client: handshake done
+    t1: Optional[int] = None           #: client: reply read
+    accepted: Optional[int] = None     #: server: accepted, handler in
+    delivered: Optional[int] = None    #: server: last byte read
+
+    def check(self, what: str = "tcp_bulk") -> None:
+        if self.got != self.data or self.reply != b"done":
+            raise RuntimeError(f"{what}: transfer corrupted or incomplete")
+
+
+def seeded_payload(seed: int, nbytes: int) -> bytes:
+    """The planes' payload: ``nbytes`` copies of one byte drawn from
+    ``seed``.
+
+    Every copy of this fixture spelled it ``bytes(random.Random(seed)
+    .randrange(256) for _ in range(nbytes))`` — a fresh generator per
+    byte, so the first draw, repeated.  The committed digests and fault
+    schedules are of that payload, so it stays, stated plainly; it
+    cannot show reordered or duplicated segments (ROADMAP, invariant
+    auditor item, records what a varying payload finds).
+    """
+    import random  # plane-only: the paper-table worlds never load it
+
+    return bytes([random.Random(seed).randrange(256)]) * nbytes
+
+
+def tcp_bulk(tb: Testbed, data: bytes, *, flow: int = 0,
+             mode: Optional[str] = None, chunk: Optional[int] = None,
+             linger_us: float = 2_000_000.0, start_ps: int = 0,
+             **conn_kwargs) -> BulkTransfer:
+    """Spawn one client->server bulk transfer of ``data`` on ``tb``.
+
+    Flow ``flow`` gets its own circuit pair and ports (``make_stacks``,
+    ``5000+flow`` -> ``80+flow``), so any number share one link.  The
+    server accepts, installs the ``mode`` fast path (``"ash"`` /
+    ``"upcall"``; None = library), reads everything and answers
+    ``b"done"``; the client sleeps ``start_ps``, connects, writes, reads
+    the reply and lingers ``linger_us`` to answer late retransmissions
+    (a lost final ack).  ``chunk`` is the tenant worlds' application
+    pattern — ``chunk``-byte writes against ``2*chunk``-byte reads —
+    where None is one write and one read.  ``conn_kwargs`` go to both
+    :class:`TcpConnection` ends.  Nothing runs until ``tb.run()``.
+    """
+    cstack, sstack = make_stacks(tb, flow=flow)
+    client, server = tcp_pair(cstack, sstack, 80 + flow, 5000 + flow,
+                              **conn_kwargs)
+    xfer = BulkTransfer(client, server, data)
+    nbytes = len(data)
+    write_size, read_size = (chunk, 2 * chunk) if chunk else (nbytes, nbytes)
+
+    def server_body(proc):
+        yield from server.accept(proc)
+        if mode is not None:
+            server.install_fastpath(mode)
+        xfer.accepted = proc.engine.now
+        got = bytearray()
+        while len(got) < nbytes:
+            part = yield from server.read(
+                proc, min(nbytes - len(got), read_size))
+            if not part:
+                break
+            got += part
+        xfer.got = bytes(got)
+        xfer.delivered = proc.engine.now
+        yield from server.write(proc, b"done")
+
+    def client_body(proc):
+        if start_ps:
+            yield proc.engine.sleep(start_ps)
+        xfer.t0 = proc.engine.now
+        yield from client.connect(proc)
+        xfer.connected = proc.engine.now
+        for off in range(0, nbytes, write_size):
+            yield from client.write(proc, data[off:off + write_size])
+        xfer.reply = yield from client.read(proc, 4)
+        xfer.t1 = proc.engine.now
+        if linger_us:
+            yield from client.linger(proc, duration_us=linger_us)
+
+    tb.server_kernel.spawn_process(f"tcp{flow}-server", server_body)
+    tb.client_kernel.spawn_process(f"tcp{flow}-client", client_body)
+    return xfer
+
+
+def chaos_transfer(nbytes: int, seed: int, *, data: Optional[bytes] = None,
+                   link: Optional[dict] = None, crash: Optional[dict] = None,
+                   pressure: Optional[dict] = None,
+                   contention: Optional[dict] = None,
+                   mode: Optional[str] = None,
+                   substrate: Optional[str] = None, ncores: int = 1,
+                   rx_batch: Optional[int] = None, **conn_kwargs):
+    """One seeded bulk transfer under the fault plane, run to the end.
+
+    Builds an AN2 pair, attaches the fault plane with ``seed`` and
+    installs, in this order, whichever seams are given: ``link``
+    (``impair_link`` knobs; the handshake's first three frames are
+    spared so every run establishes), ``crash`` (``crash_node``
+    arguments plus ``target``: ``"server"`` or ``"client"``),
+    ``pressure`` (``pressure_memory`` on the server) and ``contention``
+    (``contend_cpu`` on the server).  Then one :func:`tcp_bulk` of
+    ``data`` (default: ``seeded_payload(seed, nbytes)``) with a 20 ms
+    RTO, run to completion and checked byte for byte.
+
+    Returns ``(tb, plane, transfer)`` — handles, not results: every
+    caller reads the counters it cares about off them.
+    """
+    tb = make_an2_pair(engine=Engine(substrate=substrate), ncores=ncores,
+                       rx_batch=rx_batch)
+    plane = tb.attach_fault_plane(seed=seed)
+    if link:
+        plane.impair_link(tb.link, skip_first=3, **link)
+    if crash:
+        crash = dict(crash)
+        target = crash.pop("target", "server")
+        plane.crash_node(tb.client_kernel if target == "client"
+                         else tb.server_kernel, **crash)
+    if pressure:
+        plane.pressure_memory(tb.server, **pressure)
+    if contention:
+        plane.contend_cpu(tb.server, **contention)
+    if data is None:
+        data = seeded_payload(seed, nbytes)
+    xfer = tcp_bulk(tb, data, mode=mode, rto_us=20_000.0, **conn_kwargs)
+    tb.run()
+    xfer.check(f"chaos_transfer(seed={seed}, {tb.engine.substrate})")
+    return tb, plane, xfer
+
+
+# ---------------------------------------------------------------------------
 # remote increment (Table V, Fig 4)
 # ---------------------------------------------------------------------------
+
+@dataclass
+class AmFlow:
+    """Handles of one :func:`am_flow` remote-increment flow."""
+
+    srv_ep: Any                    #: server endpoint the requests land on
+    cli_ep: Any                    #: client endpoint the replies land on
+    counter: int                   #: address of the shared counter
+    params: int                    #: parameter block (the handler's user word)
+    program: Any                   #: the handler (None in ``user`` mode)
+    ash_id: Optional[int] = None   #: set in the ``ash`` modes
+
+
+def am_flow(tb: Testbed, req_vci: int = CLIENT_TO_SERVER_VCI,
+            reply_vci: int = SERVER_TO_CLIENT_VCI, *, mode: str = "ash",
+            policy=None, tenant: Optional[str] = None) -> AmFlow:
+    """Install one remote-increment flow on ``tb``, the paper's
+    active-message example: a server endpoint on ``req_vci``, a client
+    reply endpoint on ``reply_vci``, a 64-byte server state block
+    (counter +0, scratch +16, parameter block +32) and the handler.
+
+    ``mode`` is :func:`remote_increment`'s vocabulary: ``ash`` downloads
+    and binds the handler sandboxed (under ``policy``, if given),
+    ``ash-unsafe`` unsandboxed, ``upcall`` attaches it as an upcall and
+    ``user`` installs nothing (an application serves the endpoint).
+    ``tenant`` charges the endpoint and the download to that tenant of
+    the server's :class:`~repro.ash.tenancy.TenantManager`.
+    """
+    sk, ck = tb.server_kernel, tb.client_kernel
+    mem = tb.server.memory
+    srv_ep = sk.create_endpoint_an2(tb.server_nic, req_vci, tenant=tenant)
+    cli_ep = ck.create_endpoint_an2(tb.client_nic, reply_vci)
+    state = mem.alloc(f"{srv_ep.name}.incr_state", 64)
+    params = state.base + 32
+    mem.store_u32(params + PARAM_COUNTER, state.base)
+    mem.store_u32(params + PARAM_REPLY_VCI, reply_vci)
+    mem.store_u32(params + PARAM_SCRATCH, state.base + 16)
+    flow = AmFlow(srv_ep, cli_ep, state.base, params,
+                  build_remote_increment() if mode != "user" else None)
+    if mode in ("ash", "ash-unsafe"):
+        install = dict(allowed_regions=[(state.base, 64)], user_word=params,
+                       sandbox=(mode == "ash"), policy=policy)
+        if tenant is not None:
+            flow.ash_id = sk.tenants.download(tenant, flow.program, **install)
+        else:
+            flow.ash_id = sk.ash_system.download(flow.program, **install)
+        sk.ash_system.bind(srv_ep, flow.ash_id)
+    elif mode == "upcall":
+        srv_ep.upcall = UpcallHandler(program=flow.program, user_word=params)
+    elif mode != "user":
+        raise ValueError(f"unknown mode {mode!r}")
+    return flow
+
 
 @dataclass
 class RemoteIncrementResult:
@@ -481,40 +683,20 @@ def remote_increment(
         opts = {"boost_on_packet": True, "ultrix_costs": True}
     tb = make_an2_pair(cal, server_kernel_opts=opts)
     sk, ck = tb.server_kernel, tb.client_kernel
-    srv_ep = sk.create_endpoint_an2(tb.server_nic, CLIENT_TO_SERVER_VCI)
-    cli_ep = ck.create_endpoint_an2(tb.client_nic, SERVER_TO_CLIENT_VCI)
+    flow = am_flow(tb, mode=mode)
+    srv_ep, cli_ep, counter_addr = flow.srv_ep, flow.cli_ep, flow.counter
     mem = tb.server.memory
     total = iters + warmup
     rts: list[float] = []
     result = RemoteIncrementResult(rt_us=0.0, mode=mode, nprocs=nprocs)
 
-    # shared state: counter + scratch + param block
-    state = mem.alloc("incr_state", 64)
-    counter_addr = state.base
-    scratch_addr = state.base + 16
-    params_addr = state.base + 32
-    mem.store_u32(params_addr + PARAM_COUNTER, counter_addr)
-    mem.store_u32(params_addr + PARAM_REPLY_VCI, SERVER_TO_CLIENT_VCI)
-    mem.store_u32(params_addr + PARAM_SCRATCH, scratch_addr)
-
-    if mode in ("ash", "ash-unsafe"):
-        program = build_remote_increment()
-        result.handler_insns = len(program)
-        ash_id = sk.ash_system.download(
-            program,
-            allowed_regions=[(state.base, 64)],
-            user_word=params_addr,
-            sandbox=(mode == "ash"),
-        )
-        entry = sk.ash_system.entry(ash_id)
-        if entry.report is not None:
-            result.sandbox_added_insns = entry.report.added_insns
-        sk.ash_system.bind(srv_ep, ash_id)
-    elif mode == "upcall":
-        program = build_remote_increment()
-        result.handler_insns = len(program)
-        srv_ep.upcall = UpcallHandler(program=program, user_word=params_addr)
-    elif mode == "user":
+    if flow.program is not None:
+        result.handler_insns = len(flow.program)
+        if flow.ash_id is not None:
+            entry = sk.ash_system.entry(flow.ash_id)
+            if entry.report is not None:
+                result.sandbox_added_insns = entry.report.added_insns
+    else:
         def server_app(proc):
             for _ in range(total):
                 if suspended:
@@ -533,8 +715,6 @@ def remote_increment(
                 )
 
         srv_ep.owner = sk.spawn_process("server-app", server_app)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
 
     # a handler-mode "suspended" server still needs something running
     dummies = nprocs - 1 if mode == "user" else nprocs
@@ -668,36 +848,21 @@ def canary_rollout(
     bit-identity bar for the rollout plane.
     """
     from ..ash.liveops import RolloutController
-    from ..sim.engine import Engine
 
-    engine = Engine(substrate=substrate) if substrate else Engine()
-    tb = make_an2_pair(cal, engine=engine, ncores=ncores)
+    tb = make_an2_pair(cal, engine=Engine(substrate=substrate), ncores=ncores)
     sk, ck = tb.server_kernel, tb.client_kernel
     if scenario is not None:
         tb.attach_fault_plane(seed=fault_seed)
         tb.fault_plane.apply_scenario(scenario(tb))
-    mem = tb.server.memory
 
     srv_eps, cli_eps, targets = [], [], []
     for i in range(flows):
-        srv_ep = sk.create_endpoint_an2(tb.server_nic, 10 + i)
-        cli_ep = ck.create_endpoint_an2(tb.client_nic, 100 + i)
-        state = mem.alloc(f"canary_state{i}", 64)
-        params_addr = state.base + 32
-        mem.store_u32(params_addr + PARAM_COUNTER, state.base)
-        mem.store_u32(params_addr + PARAM_REPLY_VCI, 100 + i)
-        mem.store_u32(params_addr + PARAM_SCRATCH, state.base + 16)
-        v1_id = sk.ash_system.download(
-            build_remote_increment(),
-            allowed_regions=[(state.base, 64)],
-            user_word=params_addr,
-        )
-        sk.ash_system.bind(srv_ep, v1_id)
+        flow = am_flow(tb, 10 + i, 100 + i)
         v2_id = sk.ash_system.install_version(
-            v1_id, _build_increment_v2(v2, slow_insns))
-        srv_eps.append(srv_ep)
-        cli_eps.append(cli_ep)
-        targets.append((srv_ep, v1_id, v2_id))
+            flow.ash_id, _build_increment_v2(v2, slow_insns))
+        srv_eps.append(flow.srv_ep)
+        cli_eps.append(flow.cli_ep)
+        targets.append((flow.srv_ep, flow.ash_id, v2_id))
 
     ctrl = RolloutController(sk, targets, canary_fraction=fraction,
                              latency_budget=latency_budget,
@@ -870,25 +1035,6 @@ def _build_spin(name: str = "spin"):
     return b.finish()
 
 
-def _am_flow(tb, manager, tenant: str, req_vci: int, reply_vci: int):
-    """One AM remote-increment victim flow owned by ``tenant``: server
-    endpoint + state block + v1 handler, client reply endpoint."""
-    sk, ck = tb.server_kernel, tb.client_kernel
-    mem = tb.server.memory
-    srv_ep = sk.create_endpoint_an2(tb.server_nic, req_vci, tenant=tenant)
-    cli_ep = ck.create_endpoint_an2(tb.client_nic, reply_vci)
-    state = mem.alloc(f"tenant_{tenant}_state", 64)
-    params_addr = state.base + 32
-    mem.store_u32(params_addr + PARAM_COUNTER, state.base)
-    mem.store_u32(params_addr + PARAM_REPLY_VCI, reply_vci)
-    mem.store_u32(params_addr + PARAM_SCRATCH, state.base + 16)
-    ash_id = manager.download(
-        tenant, build_remote_increment(),
-        allowed_regions=[(state.base, 64)], user_word=params_addr)
-    sk.ash_system.bind(srv_ep, ash_id)
-    return srv_ep, cli_ep, state.base
-
-
 def _install_abuse(tb, manager, scenario: str, perturbed: bool,
                    fault_seed: int, abuse_at_us: float):
     """Attach the scenario's tenant-scoped injectors (perturbed runs
@@ -924,6 +1070,13 @@ def _install_abuse(tb, manager, scenario: str, perturbed: bool,
         plane.abortloop_tenant(manager, "mallory", every=1)
     else:
         raise ValueError(f"unknown tenant scenario {scenario!r}")
+
+
+def _victim_bulk(tb, total_bytes: int) -> BulkTransfer:
+    """The tenant worlds' TCP victim: a byte ramp in 4 KiB writes, no
+    linger (nothing is lost on the victim's circuit)."""
+    return tcp_bulk(tb, bytes(range(256)) * (total_bytes // 256),
+                    chunk=4096, linger_us=0)
 
 
 def _victim_slice(manager, name: str) -> dict:
@@ -970,12 +1123,10 @@ def tenant_world(
     victim's next message arrives.
     """
     from ..ash.tenancy import TenantManager
-    from ..sim.engine import Engine
 
     if scenario not in TENANT_SCENARIOS:
         raise ValueError(f"unknown tenant scenario {scenario!r}")
-    engine = Engine(substrate=substrate) if substrate else Engine()
-    tb = make_an2_pair(cal, engine=engine, ncores=ncores)
+    tb = make_an2_pair(cal, engine=Engine(substrate=substrate), ncores=ncores)
     sk, ck = tb.server_kernel, tb.client_kernel
     manager = TenantManager(sk)
     concurrent = scenario in _CONCURRENT_SCENARIOS
@@ -1019,7 +1170,7 @@ def tenant_world(
     observables: dict = {
         "scenario": scenario,
         "perturbed": perturbed,
-        "substrate": engine.substrate,
+        "substrate": tb.engine.substrate,
         "ncores": ncores,
     }
     victims: dict = {}
@@ -1028,40 +1179,13 @@ def tenant_world(
     if concurrent:
         manager.create("alice", **_GENEROUS)
         manager.create("bob", **_GENEROUS)
-        cstack, sstack = make_stacks(tb, CLIENT_IP, SERVER_IP)
-        client_conn, server_conn = tcp_pair(cstack, sstack)
-        manager.adopt_endpoint("alice", server_conn.endpoint)
-        bob_ep, bob_cli, bob_counter = _am_flow(
-            tb, manager, "bob", AM_VICTIM_VCI, AM_REPLY_VCI)
-
         total_bytes = payload_kb * 1024
-        rx_hash = hashlib.sha256()
-        tcp_span = {}
+        tcp = _victim_bulk(tb, total_bytes)
+        manager.adopt_endpoint("alice", tcp.server.endpoint)
+        bob = am_flow(tb, AM_VICTIM_VCI, AM_REPLY_VCI, tenant="bob")
+        bob_cli = bob.cli_ep
         bob_lat: list[float] = []
         bob_hash = hashlib.sha256()
-
-        def tcp_server(proc):
-            yield from server_conn.accept(proc)
-            remaining = total_bytes
-            while remaining:
-                data = yield from server_conn.read(proc, min(remaining, 8192))
-                if not data:
-                    break
-                rx_hash.update(bytes(data))
-                remaining -= len(data)
-            yield from server_conn.write(proc, b"done")
-
-        def tcp_client(proc):
-            yield from client_conn.connect(proc)
-            payload = bytes(range(256)) * (total_bytes // 256)
-            tcp_span["start"] = proc.engine.now
-            sent = 0
-            while sent < total_bytes:
-                n = min(4096, total_bytes - sent)
-                yield from client_conn.write(proc, payload[sent:sent + n])
-                sent += n
-            yield from client_conn.read(proc, 4)
-            tcp_span["end"] = proc.engine.now
 
         def bob_client(proc):
             for _ in range(rounds):
@@ -1081,41 +1205,36 @@ def tenant_world(
                     proc, tb.client_nic, Frame(agg_frame, vci=AGGRESSOR_VCI))
                 yield from proc.compute_us(140.0)
 
-        sk.spawn_process("tcp-server", tcp_server)
-        tcp_proc = ck.spawn_process("tcp-client", tcp_client)
-        bob_proc = ck.spawn_process("bob-client", bob_client)
-        bob_cli.owner = bob_proc
+        bob_cli.owner = ck.spawn_process("bob-client", bob_client)
         ck.spawn_process("mallory-client", aggressor_client)
         tb.run()
-        if "end" not in tcp_span or len(bob_lat) != rounds:
+        if tcp.t1 is None or len(bob_lat) != rounds:
             raise RuntimeError(
                 f"tenant_world({scenario}): victims stalled "
-                f"(tcp={'end' in tcp_span}, am={len(bob_lat)}/{rounds})")
+                f"(tcp={tcp.t1 is not None}, am={len(bob_lat)}/{rounds})")
 
         victims["alice"] = {
-            "cc_client": client_conn.congestion_digest(),
-            "cc_server": server_conn.congestion_digest(),
-            "payload_sha": rx_hash.hexdigest(),
+            "cc_client": tcp.client.congestion_digest(),
+            "cc_server": tcp.server.congestion_digest(),
+            "payload_sha": hashlib.sha256(tcp.got).hexdigest(),
             "bytes": total_bytes,
-            "elapsed_us": round(to_us(tcp_span["end"] - tcp_span["start"]), 6),
-            "rx_count": server_conn.endpoint.rx_count,
+            "elapsed_us": round(to_us(tcp.t1 - tcp.connected), 6),
+            "rx_count": tcp.server.endpoint.rx_count,
             "tenant": _victim_slice(manager, "alice"),
         }
         victims["bob"] = {
-            "counter": tb.server.memory.load_u32(bob_counter),
+            "counter": tb.server.memory.load_u32(bob.counter),
             "latencies_us": [round(x, 6) for x in bob_lat],
             "reply_digest": bob_hash.hexdigest(),
-            "rx_count": bob_ep.rx_count,
+            "rx_count": bob.srv_ep.rx_count,
             "tenant": _victim_slice(manager, "bob"),
         }
     else:
         manager.create("bob", **_GENEROUS)
         manager.create("carol", **_GENEROUS)
         flows = {
-            "bob": _am_flow(tb, manager, "bob",
-                            AM_VICTIM_VCI, AM_REPLY_VCI),
-            "carol": _am_flow(tb, manager, "carol",
-                              AM_VICTIM_VCI + 1, AM_REPLY_VCI + 1),
+            name: am_flow(tb, AM_VICTIM_VCI + k, AM_REPLY_VCI + k, tenant=name)
+            for k, name in enumerate(("bob", "carol"))
         }
         lat: dict[str, list[float]] = {name: [] for name in flows}
         hashes = {name: hashlib.sha256() for name in flows}
@@ -1127,30 +1246,30 @@ def tenant_world(
                 yield from ck.sys_net_send(
                     proc, tb.client_nic, Frame(agg_frame, vci=AGGRESSOR_VCI))
                 yield from proc.compute_us(slot_us)
-                for name, (srv_ep, cli_ep, _base) in flows.items():
+                for name, flow in flows.items():
                     t0 = proc.engine.now
                     yield from ck.sys_net_send(
                         proc, tb.client_nic,
-                        Frame(agg_frame, vci=srv_ep.vci))
-                    desc = yield from ck.sys_recv_poll(proc, cli_ep)
+                        Frame(agg_frame, vci=flow.srv_ep.vci))
+                    desc = yield from ck.sys_recv_poll(proc, flow.cli_ep)
                     hashes[name].update(bytes(
                         tb.client.memory.read(desc.addr, desc.length)))
-                    yield from ck.sys_replenish(proc, cli_ep, desc)
+                    yield from ck.sys_replenish(proc, flow.cli_ep, desc)
                     lat[name].append(to_us(proc.engine.now - t0))
                     yield from proc.compute_us(slot_us)
 
         client_proc = ck.spawn_process("client", client)
-        for _name, (_srv, cli_ep, _base) in flows.items():
-            cli_ep.owner = client_proc
+        for flow in flows.values():
+            flow.cli_ep.owner = client_proc
         tb.run()
         if not client_proc.sim_proc.triggered:
             raise RuntimeError(f"tenant_world({scenario}): client stalled")
-        for name, (srv_ep, _cli, counter) in flows.items():
+        for name, flow in flows.items():
             victims[name] = {
-                "counter": tb.server.memory.load_u32(counter),
+                "counter": tb.server.memory.load_u32(flow.counter),
                 "latencies_us": [round(x, 6) for x in lat[name]],
                 "reply_digest": hashes[name].hexdigest(),
-                "rx_count": srv_ep.rx_count,
+                "rx_count": flow.srv_ep.rx_count,
                 "tenant": _victim_slice(manager, name),
             }
 
@@ -1188,10 +1307,8 @@ def tenant_noisy_neighbor(
     ablation — no quotas, every frame lands, and the victim bleeds.
     """
     from ..ash.tenancy import TenantManager
-    from ..sim.engine import Engine
 
-    engine = Engine(substrate=substrate) if substrate else Engine()
-    tb = make_an2_pair(cal, engine=engine, ncores=ncores)
+    tb = make_an2_pair(cal, engine=Engine(substrate=substrate), ncores=ncores)
     sk, ck = tb.server_kernel, tb.client_kernel
     manager = None
     if protected:
@@ -1200,10 +1317,6 @@ def tenant_noisy_neighbor(
         manager.create("mallory", rings=4, buffers=4,
                        handler_cycles=100_000,
                        bytes_per_round=4096, burst_bytes=4096)
-    cstack, sstack = make_stacks(tb, CLIENT_IP, SERVER_IP)
-    client_conn, server_conn = tcp_pair(cstack, sstack)
-    if protected:
-        manager.adopt_endpoint("alice", server_conn.endpoint)
     mal_ep = sk.create_endpoint_an2(
         tb.server_nic, AGGRESSOR_VCI,
         tenant="mallory" if protected else None)
@@ -1224,38 +1337,13 @@ def tenant_noisy_neighbor(
             start_us=50.0, gap_us=1e6 / intensity_fps)
 
     total_bytes = total_kb * 1024
-    span = {}
-    rx_hash = hashlib.sha256()
-
-    def tcp_server(proc):
-        yield from server_conn.accept(proc)
-        remaining = total_bytes
-        while remaining:
-            data = yield from server_conn.read(proc, min(remaining, 8192))
-            if not data:
-                break
-            rx_hash.update(bytes(data))
-            remaining -= len(data)
-        yield from server_conn.write(proc, b"done")
-
-    def tcp_client(proc):
-        yield from client_conn.connect(proc)
-        payload = bytes(range(256)) * (total_bytes // 256)
-        span["start"] = proc.engine.now
-        sent = 0
-        while sent < total_bytes:
-            n = min(4096, total_bytes - sent)
-            yield from client_conn.write(proc, payload[sent:sent + n])
-            sent += n
-        yield from client_conn.read(proc, 4)
-        span["end"] = proc.engine.now
-
-    sk.spawn_process("tcp-server", tcp_server)
-    ck.spawn_process("tcp-client", tcp_client)
+    tcp = _victim_bulk(tb, total_bytes)
+    if protected:
+        manager.adopt_endpoint("alice", tcp.server.endpoint)
     tb.run()
-    if "end" not in span:
+    if tcp.t1 is None:
         raise RuntimeError("tenant_noisy_neighbor: victim transfer stalled")
-    elapsed_us = to_us(span["end"] - span["start"])
+    elapsed_us = to_us(tcp.t1 - tcp.connected)
     admitted = dropped = 0
     if manager is not None:
         mal = manager.stats()["tenants"]["mallory"]
@@ -1266,8 +1354,8 @@ def tenant_noisy_neighbor(
         "intensity_fps": intensity_fps,
         "goodput_mbps": total_bytes / (elapsed_us / 1e6) / 1e6,
         "elapsed_us": round(elapsed_us, 6),
-        "payload_sha": rx_hash.hexdigest(),
-        "cc_digest": client_conn.congestion_digest(),
+        "payload_sha": hashlib.sha256(tcp.got).hexdigest(),
+        "cc_digest": tcp.client.congestion_digest(),
         "aggressor_admitted": admitted,
         "aggressor_dropped": dropped,
         "order_violations": (manager.order_violations

@@ -62,12 +62,15 @@ class TcpSocket:
 
 
 def make_stacks(tb: Testbed, client_ip: str = "10.0.0.1",
-                server_ip: str = "10.0.0.2") -> tuple[NetStack, NetStack]:
-    """Standard AN2 stacks for a testbed: circuits 1 (c->s) and 2 (s->c)."""
+                server_ip: str = "10.0.0.2",
+                flow: int = 0) -> tuple[NetStack, NetStack]:
+    """AN2 stacks for flow ``flow`` of a testbed: circuits ``2*flow+1``
+    (c->s) and ``2*flow+2`` (s->c), so many flows can share one pair."""
+    c2s, s2c = 2 * flow + 1, 2 * flow + 2
     cstack = NetStack(tb.client_kernel, tb.client_nic, client_ip,
-                      an2_peers={server_ip: (1, 2)})
+                      an2_peers={server_ip: (c2s, s2c)})
     sstack = NetStack(tb.server_kernel, tb.server_nic, server_ip,
-                      an2_peers={client_ip: (2, 1)})
+                      an2_peers={client_ip: (s2c, c2s)})
     return cstack, sstack
 
 
@@ -78,15 +81,18 @@ def tcp_pair(
     client_port: int = 5000,
     **conn_kwargs,
 ) -> tuple[TcpConnection, TcpConnection]:
-    """A matched (client, server) connection pair over the AN2 stacks."""
+    """A matched (client, server) connection pair over the AN2 stacks,
+    each end receiving on the circuit its stack was given."""
     server_ip = sstack.ip
     client_ip = cstack.ip
     client = TcpConnection(
-        cstack, client_port, server_ip, server_port, rx_vci=2, iss=1000,
+        cstack, client_port, server_ip, server_port,
+        rx_vci=cstack.rx_vci(server_ip), iss=1000,
         name=f"c{client_port}", **conn_kwargs,
     )
     server = TcpConnection(
-        sstack, server_port, client_ip, client_port, rx_vci=1, iss=7000,
+        sstack, server_port, client_ip, client_port,
+        rx_vci=sstack.rx_vci(client_ip), iss=7000,
         name=f"s{server_port}", **conn_kwargs,
     )
     return client, server

@@ -216,7 +216,7 @@ class IntegratedPipeline:
     ) -> VmResult:
         """Execute the emitted loop on the VM (JIT engine by default;
         ``compile_pl`` pre-translates the loop so this hits the code
-        cache).  Pass ``Vm(engine="interp")`` for reference runs."""
+        cache); ``REPRO_VCODE_ENGINE=interp`` gives the reference run."""
         self._check_args(nbytes)
         regs = [0] * 32
         for key, reg in self.state_regs.items():

@@ -125,20 +125,18 @@ class Vm:
         memory: PhysicalMemory,
         cache: Optional[DirectMappedCache] = None,
         cal: Calibration = DEFAULT,
-        engine: Optional[str] = None,
         telemetry=None,
     ):
         self.memory = memory
         self.cache = cache
         self.cal = cal
-        self.engine = engine
         self.telemetry = telemetry
         # the environment default is stable for the Vm's lifetime; read
         # it once instead of hitting os.environ on every run()
         self._env_default = os.environ.get(ENV_ENGINE) or "jit"
 
     def _resolve_engine(self, engine: Optional[str]) -> str:
-        eng = engine or self.engine or self._env_default
+        eng = engine or self._env_default
         if eng not in ENGINES:
             raise VcodeError(
                 f"unknown execution engine {eng!r} (expected one of {ENGINES})"
@@ -172,8 +170,8 @@ class Vm:
         translates the program to native Python via
         :mod:`repro.vcode.jit` and caches it; ``"interp"`` is the
         reference interpreter.  Both produce bit-identical results; the
-        call-site argument overrides the ``Vm(engine=...)`` setting,
-        which overrides the ``REPRO_VCODE_ENGINE`` environment variable.
+        call-site argument overrides the ``REPRO_VCODE_ENGINE``
+        environment variable.
         """
         if len(args) > 4:
             raise VcodeError("at most 4 register arguments")
@@ -188,7 +186,7 @@ class Vm:
         # interpreter resets it after every instruction, the JIT folds it
         # to the literal 0, and both assume it starts out as 0.
         regs[REG_ZERO] = 0
-        eng = engine or self.engine or self._env_default
+        eng = engine or self._env_default
         if eng != "jit":
             self._resolve_engine(eng)  # raises on unknown engines
         elif program.jit_safe is not False:

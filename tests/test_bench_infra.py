@@ -1,5 +1,6 @@
 """Tests for the benchmark infrastructure: tables, testbeds, datapath."""
 
+import json
 import math
 import os
 
@@ -11,6 +12,8 @@ from repro.bench.micro import copy_throughput, ilp_throughput
 from repro.hw.calibration import Calibration
 from repro.net.checksum import le_word_sum
 from repro.net.datapath import DataPath
+
+from tests.test_metrics_lint import _load as _load_script
 
 
 class TestBenchTable:
@@ -133,18 +136,108 @@ class TestMicroSanity:
         assert fast == pytest.approx(2 * slow, rel=0.01)
 
 
+# ---------------------------------------------------------------------------
+# freshness: committed artefacts equal what the code computes today
+# ---------------------------------------------------------------------------
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _committed(name):
+    with open(os.path.join(ROOT, f"BENCH_{name}.json")) as fh:
+        return json.load(fh)
+
+
 def test_experiments_complexity_table_is_fresh():
     """EXPERIMENTS.md's Sec V-F table is line counts of ``src/``: it rots
     with every source change unless something fails when it does.
     Regenerate with ``python benchmarks/make_experiments_md.py``."""
-    import importlib.util
-
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    spec = importlib.util.spec_from_file_location(
-        "make_experiments_md",
-        os.path.join(root, "benchmarks", "make_experiments_md.py"))
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    with open(os.path.join(root, "EXPERIMENTS.md")) as fh:
+    gen = _load_script("make_experiments_md")
+    with open(os.path.join(ROOT, "EXPERIMENTS.md")) as fh:
         committed = fh.read()
     assert gen.complexity_section() in committed
+
+
+@pytest.mark.parametrize(
+    "name", ["table1", "table3", "table4", "table5", "fig4", "sec5d"])
+def test_committed_paper_table_is_fresh(name):
+    """The six tables cheap enough to recompute on every run (0.5 s in
+    all) must equal ``benchmarks/results/<name>.json`` row for row:
+    ``fig4_scheduling.json`` sat stale for four PRs because nothing
+    compared it.  Regenerate with ``python -m repro.bench <name>`` and
+    ``make_experiments_md.py``."""
+    from repro.bench.__main__ import EXPERIMENTS, _load_runner
+
+    table = _load_runner(*EXPERIMENTS[name])()
+    assert table.rows == BenchTable.load(table.name).rows
+
+
+#: per plane bench: its script, and the cheapest committed cell
+#: recomputed on ``fast`` by the script's own cell function, at the
+#: committed size -> (fresh, committed).  Fairness takes the 16-flow
+#: config, the one that went stale.
+PLANE_CELLS = {
+    "crash": ("bench_crash", lambda m, doc: (
+        m.crash_transfer("fast", doc["transfer_bytes"]), doc["baseline"])),
+    "faults": ("bench_faults", lambda m, doc: (
+        m.lossy_transfer("fast", "drop", 0.0, doc["transfer_bytes"]),
+        doc["curves"]["drop"][0])),
+    "fairness": ("bench_fairness", lambda m, doc: (
+        m.run_fairness("fast", 16, 48_000), doc["configs"][0])),
+    "tenancy": ("bench_tenancy", lambda m, doc: (
+        m.tenant_noisy_neighbor(substrate="fast", intensity_fps=0,
+                                protected=True,
+                                total_kb=doc["configs"][0]["total_kb"]),
+        doc["configs"][0]["protected"])),
+    "liveops": ("sweep_driver", lambda m, doc: (
+        m.run_tcp_bulk("fast", nbytes=doc["transfer_bytes"]),
+        doc["grid"][0]["observables"])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANE_CELLS))
+def test_committed_plane_bench_cell_is_fresh(name):
+    """Every leaf the cell function returns equals the committed
+    ``BENCH_<name>.json`` (which adds labels of its own beside them).
+    Regenerate with ``python benchmarks/<script>.py``."""
+    script, cell = PLANE_CELLS[name]
+    fresh, committed = cell(_load_script(script), _committed(name))
+    fresh = json.loads(json.dumps(fresh))       # tuples -> lists, as stored
+    assert fresh == {key: committed[key] for key in fresh}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name,script", [
+    ("crash", "bench_crash"), ("faults", "bench_faults"),
+    ("fairness", "bench_fairness"), ("tenancy", "bench_tenancy"),
+    ("scale", "bench_scale"), ("liveops", "sweep_driver"),
+])
+def test_plane_bench_regenerates_its_committed_artefact(name, script,
+                                                        tmp_path):
+    """Through the real command line: a ``--quick`` round trip passes
+    its gates, and the full run reproduces every leaf of the committed
+    file that is not a host measurement."""
+    from repro.bench.results import plane_main
+
+    mod = _load_script(script)
+    trend = _load_script("check_bench_trend")
+    out = tmp_path / "fresh.json"
+
+    def run(*flags):
+        code = plane_main(name, mod.bench, mod.GATES,
+                          getattr(mod, "EXTRA_ARGS", ()),
+                          argv=[*flags, "--out", str(out)])
+        with open(out) as fh:
+            return code, json.load(fh)
+
+    code, doc = run("--quick")
+    assert code == 0 and doc["quick"] is True
+    code, doc = run()
+    assert code == 0
+
+    def model_leaves(doc):
+        return {path: value for path, value in trend.walk_leaves(doc)
+                if trend.classify(path) != "wallclock"
+                and path.rsplit(".", 1)[-1] not in ("speedup", "python")}
+
+    assert model_leaves(doc) == model_leaves(_committed(name))

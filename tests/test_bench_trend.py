@@ -39,12 +39,10 @@ def test_classification_directions():
     assert trend.classify("baseline.elapsed_us") == "lower"
     assert trend.classify("curves.recovery_us") == "lower"
     assert trend.classify("ash_abort.virtual_ns") == "lower"
-    assert trend.classify("w.simulated_cycles_jit") == "lower"
     assert trend.classify("baseline.goodput_mbps") == "higher"
     # host-clock noise is skipped unless explicitly included
     assert trend.classify("w.interp_per_sec") == "wallclock"
     assert trend.classify("cfg.wall_s") == "wallclock"
-    assert trend.classify("w.speedup_warm") == "wallclock"
     # non-perf leaves are nobody's trend business
     assert trend.classify("seed") is None
     assert trend.classify("retransmits") is None

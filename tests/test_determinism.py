@@ -53,34 +53,9 @@ def test_remote_increment_repeatable_across_modes():
 def test_congestion_control_repeatable_under_loss():
     """The cwnd/ssthresh event stream — the congestion controller's
     entire observable behaviour — is a pure function of the seed."""
-    import random
-
-    from repro.bench.testbed import make_an2_pair
-    from repro.net.socket_api import make_stacks, tcp_pair
-
     def run():
-        tb = make_an2_pair()
-        cstack, sstack = make_stacks(tb)
-        client, server = tcp_pair(cstack, sstack, rto_us=20_000.0)
-        plane = tb.attach_fault_plane(seed=11)
-        plane.impair_link(tb.link, drop=0.1, skip_first=3)
-        data = bytes(random.Random(11).randrange(256) for _ in range(24_000))
-
-        def server_body(proc):
-            yield from server.accept(proc)
-            yield from server.read(proc, len(data))
-            yield from server.write(proc, b"ok")
-
-        def client_body(proc):
-            yield from client.connect(proc)
-            yield from client.write(proc, data)
-            yield from client.read(proc, 2)
-            yield from client.linger(proc, duration_us=2_000_000.0)
-
-        tb.server_kernel.spawn_process("server", server_body)
-        tb.client_kernel.spawn_process("client", client_body)
-        tb.run()
-        return client.congestion_digest(), server.congestion_digest()
+        _tb, _plane, xfer = W.chaos_transfer(24_000, 11, link={"drop": 0.1})
+        return xfer.client.congestion_digest(), xfer.server.congestion_digest()
 
     assert run() == run()
 

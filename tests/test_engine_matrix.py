@@ -38,15 +38,10 @@ def _vm():
 
 def test_engine_argument_overrides_everything(monkeypatch):
     monkeypatch.setenv(ENV_ENGINE, "interp")
-    vm = Vm(PhysicalMemory(1 << 12), engine="interp")
+    vm = _vm()
+    assert vm._resolve_engine(None) == "interp"
     assert vm.run(_prog(), engine="jit").value == 9
     assert vm._resolve_engine("jit") == "jit"
-
-
-def test_vm_engine_overrides_env(monkeypatch):
-    monkeypatch.setenv(ENV_ENGINE, "jit")
-    vm = Vm(PhysicalMemory(1 << 12), engine="interp")
-    assert vm._resolve_engine(None) == "interp"
 
 
 def test_env_var_sets_default(monkeypatch):

@@ -9,19 +9,13 @@ path with zero message loss.  The same seeded schedule must produce
 bit-identical outcomes on the fast and legacy simulation substrates.
 """
 
-import random
-
 import pytest
 
-from repro.ash.examples import build_remote_increment
-from repro.bench.testbed import (
-    CLIENT_TO_SERVER_VCI,
-    SERVER_TO_CLIENT_VCI,
-    make_an2_pair,
-)
+from repro.bench.testbed import CLIENT_TO_SERVER_VCI, make_an2_pair
+from repro.bench.workloads import (am_flow, chaos_transfer, seeded_payload,
+                                   tcp_bulk)
 from repro.hw.link import Frame
 from repro.kernel.upcall import UpcallHandler
-from repro.net.socket_api import make_stacks, tcp_pair
 from repro.net.stack import NetStack
 from repro.net.udp import UdpSocket
 from repro.sim.engine import Engine
@@ -32,40 +26,18 @@ CHAOS_KNOBS = dict(drop=0.03, corrupt=0.03, duplicate=0.04, reorder=0.04)
 def chaos_tcp_transfer(substrate: str, seed: int, nbytes: int,
                        knobs: dict = CHAOS_KNOBS) -> dict:
     """Bulk transfer under combined impairments; returns observables."""
-    tb = make_an2_pair(engine=Engine(substrate=substrate))
-    cstack, sstack = make_stacks(tb)
-    client, server = tcp_pair(cstack, sstack, rto_us=20_000.0)
-    plane = tb.attach_fault_plane(seed=seed)
-    plane.impair_link(tb.link, skip_first=3, **knobs)
-    data = bytes(random.Random(seed).randrange(256) for _ in range(nbytes))
-    got = []
-
-    def server_body(proc):
-        yield from server.accept(proc)
-        got.append((yield from server.read(proc, nbytes)))
-        yield from server.write(proc, b"done")
-
-    def client_body(proc):
-        yield from client.connect(proc)
-        yield from client.write(proc, data)
-        reply = yield from client.read(proc, 4)
-        assert reply == b"done"
-        yield from client.linger(proc, duration_us=2_000_000.0)
-
-    tb.server_kernel.spawn_process("server", server_body)
-    tb.client_kernel.spawn_process("client", client_body)
-    tb.run()
-    assert got and got[0] == data, "transfer corrupted or incomplete"
+    tb, plane, xfer = chaos_transfer(nbytes, seed, substrate=substrate,
+                                     link=knobs)
+    client, server = xfer.client.tcb, xfer.server.tcb
     return {
-        "delivered": got[0],
+        "delivered": xfer.got,
         "ledger": plane.ledger(),
-        "retransmits": (client.tcb.retransmits, server.tcb.retransmits),
-        "fast_retransmits": (client.tcb.fast_retransmits,
-                             server.tcb.fast_retransmits),
-        "checksum_failures": (client.tcb.checksum_failures,
-                              server.tcb.checksum_failures),
-        "dup_acks_rcvd": (client.tcb.dup_acks_rcvd,
-                          server.tcb.dup_acks_rcvd),
+        "retransmits": (client.retransmits, server.retransmits),
+        "fast_retransmits": (client.fast_retransmits,
+                             server.fast_retransmits),
+        "checksum_failures": (client.checksum_failures,
+                              server.checksum_failures),
+        "dup_acks_rcvd": (client.dup_acks_rcvd, server.dup_acks_rcvd),
         "time_ps": tb.engine.now,
     }
 
@@ -212,33 +184,19 @@ class TestAshAbort:
         """Bind remote_increment both as the ASH and as the upcall, over
         one shared counter, so a degraded delivery is indistinguishable
         in outcome from a consumed one."""
-        mem = tb.server.memory
-        state = mem.alloc("ustate", 64)
-        mem.store_u32(state.base + 0, state.base + 48)   # counter addr
-        mem.store_u32(state.base + 4, SERVER_TO_CLIENT_VCI)
-        mem.store_u32(state.base + 8, state.base + 56)   # scratch
-        ep = tb.server_kernel.create_endpoint_an2(
-            tb.server_nic, CLIENT_TO_SERVER_VCI
-        )
-        ash_id = tb.server_kernel.ash_system.download(
-            build_remote_increment(), [(state.base, 64)],
-            user_word=state.base,
-        )
-        tb.server_kernel.ash_system.bind(ep, ash_id)
-        ep.upcall = UpcallHandler(
-            program=build_remote_increment(), user_word=state.base,
-        )
-        return ep, ash_id, state.base + 48
+        flow = am_flow(tb)
+        flow.srv_ep.upcall = UpcallHandler(program=flow.program,
+                                           user_word=flow.params)
+        return flow
 
     def test_mid_handler_abort_falls_back_to_upcall_zero_loss(self):
         """The acceptance bar: a forced mid-handler abort degrades to
         the upcall path and the message is not lost — the counter sees
         every value and every message is answered."""
         tb = make_an2_pair()
-        ep, ash_id, counter = self.setup_increment(tb)
-        cli_ep = tb.client_kernel.create_endpoint_an2(
-            tb.client_nic, SERVER_TO_CLIENT_VCI
-        )
+        flow = self.setup_increment(tb)
+        ep, ash_id, counter = flow.srv_ep, flow.ash_id, flow.counter
+        cli_ep = flow.cli_ep
         plane = tb.attach_fault_plane(seed=2)
         injector = plane.abort_ash(tb.server_kernel, every=2)
         values = [1, 2, 3, 4, 5, 6]
@@ -265,7 +223,8 @@ class TestAshAbort:
         outcomes = {}
         for substrate in ("fast", "legacy"):
             tb = make_an2_pair(engine=Engine(substrate=substrate))
-            ep, ash_id, counter = self.setup_increment(tb)
+            flow = self.setup_increment(tb)
+            ash_id, counter = flow.ash_id, flow.counter
             plane = tb.attach_fault_plane(seed=6)
             plane.abort_ash(tb.server_kernel, rate=0.5)
             for v in range(1, 5):
@@ -319,43 +278,13 @@ def crash_tcp_transfer(substrate: str, seed: int, nbytes: int = 48_000,
     """Bulk transfer with an optional scripted server crash mid-flow,
     plus optional memory-pressure / CPU-contention / link seams; returns
     observables including the recovery record."""
-    tb = make_an2_pair(engine=Engine(substrate=substrate))
-    cstack, sstack = make_stacks(tb)
-    client, server = tcp_pair(cstack, sstack, rto_us=20_000.0)
-    plane = tb.attach_fault_plane(seed=seed)
-    if knobs:
-        plane.impair_link(tb.link, skip_first=3, **knobs)
-    if crash:
-        plane.crash_node(tb.server_kernel, at_us=crash_at_us,
-                         outage_us=outage_us)
-    if pressure:
-        plane.pressure_memory(tb.server, **pressure)
-    if contention:
-        plane.contend_cpu(tb.server, **contention)
-    data = bytes(random.Random(seed).randrange(256) for _ in range(nbytes))
-    got = []
-
-    def server_body(proc):
-        yield from server.accept(proc)
-        if mode is not None:
-            server.install_fastpath(mode)
-        got.append((yield from server.read(proc, nbytes)))
-        yield from server.write(proc, b"done")
-
-    def client_body(proc):
-        yield from client.connect(proc)
-        yield from client.write(proc, data)
-        reply = yield from client.read(proc, 4)
-        assert reply == b"done"
-        yield from client.linger(proc, duration_us=2_000_000.0)
-
-    tb.server_kernel.spawn_process("server", server_body)
-    tb.client_kernel.spawn_process("client", client_body)
-    tb.run()
-    assert got and got[0] == data, "transfer corrupted or incomplete"
+    tb, plane, xfer = chaos_transfer(
+        nbytes, seed, substrate=substrate, mode=mode, link=knobs,
+        crash=dict(at_us=crash_at_us, outage_us=outage_us) if crash else None,
+        pressure=pressure, contention=contention)
     sk, ck = tb.server_kernel, tb.client_kernel
     return {
-        "delivered": got[0],
+        "delivered": xfer.got,
         "ledger": plane.ledger(),
         "recoveries": sk.recoveries,
         "crash_log": [dict(rec) for rec in sk.crash_log],
@@ -368,8 +297,9 @@ def crash_tcp_transfer(substrate: str, seed: int, nbytes: int = 48_000,
         "contention_cycles": tb.server.cpu.contention_cycles,
         "install_failures": sk.ash_system.install_failures,
         "abort_fallbacks": sk.ash_abort_fallbacks,
-        "handler_mode": server.handler_mode,
-        "retransmits": (client.tcb.retransmits, server.tcb.retransmits),
+        "handler_mode": xfer.server.handler_mode,
+        "retransmits": (xfer.client.tcb.retransmits,
+                        xfer.server.tcb.retransmits),
         "time_ps": tb.engine.now,
     }
 
@@ -543,15 +473,16 @@ def test_combined_fault_sweep_zero_order_violations():
 # multi-pair fault isolation
 # ---------------------------------------------------------------------------
 
-def _pair_observables(tb, client, server, got, data):
-    assert got and got[0] == data, "transfer corrupted or incomplete"
+def _pair_observables(tb, xfer):
+    xfer.check(tb.client.name)
+    client, server = xfer.client.tcb, xfer.server.tcb
     sk, ck = tb.server_kernel, tb.client_kernel
     return {
-        "delivered": got[0],
-        "retransmits": (client.tcb.retransmits, server.tcb.retransmits),
-        "checksum_failures": (client.tcb.checksum_failures,
-                              server.tcb.checksum_failures),
-        "acks_sent": (client.tcb.acks_sent, server.tcb.acks_sent),
+        "delivered": xfer.got,
+        "retransmits": (client.retransmits, server.retransmits),
+        "checksum_failures": (client.checksum_failures,
+                              server.checksum_failures),
+        "acks_sent": (client.acks_sent, server.acks_sent),
         "outcomes": (dict(sk.delivery_outcomes),
                      dict(ck.delivery_outcomes)),
         "lost_messages": (sk.lost_messages, ck.lost_messages),
@@ -569,27 +500,8 @@ def multi_pair_run(substrate: str, npairs: int = 3,
     world = []
     for i in range(npairs):
         tb = make_an2_pair(engine=engine, name_prefix=f"p{i}.")
-        cstack, sstack = make_stacks(tb)
-        client, server = tcp_pair(cstack, sstack, rto_us=20_000.0)
-        data = bytes(random.Random(100 + i).randrange(256)
-                     for _ in range(12_000))
-        got = []
-
-        def server_body(proc, server=server, got=got, n=len(data)):
-            yield from server.accept(proc)
-            got.append((yield from server.read(proc, n)))
-            yield from server.write(proc, b"done")
-
-        def client_body(proc, client=client, data=data):
-            yield from client.connect(proc)
-            yield from client.write(proc, data)
-            reply = yield from client.read(proc, 4)
-            assert reply == b"done"
-            yield from client.linger(proc, duration_us=2_000_000.0)
-
-        tb.server_kernel.spawn_process(f"p{i}.server", server_body)
-        tb.client_kernel.spawn_process(f"p{i}.client", client_body)
-        world.append((tb, client, server, got, data))
+        world.append((tb, tcp_bulk(tb, seeded_payload(100 + i, 12_000),
+                                   rto_us=20_000.0)))
     if impair:
         tb0 = world[0][0]
         plane = tb0.attach_fault_plane(seed=83)

@@ -11,13 +11,12 @@ off, on both substrates.
 
 import importlib.util
 import os
-import random
 
 import pytest
 
 from repro import telemetry
 from repro.bench.testbed import make_an2_pair
-from repro.net.socket_api import make_stacks, tcp_pair
+from repro.bench.workloads import seeded_payload, tcp_bulk
 from repro.sim.engine import Engine
 from repro.telemetry import SloRule, flow_label
 
@@ -38,31 +37,14 @@ def _load_checker(name):
 def tcp_transfer(substrate="fast", seed=11, nbytes=6_000):
     """Small clean two-node TCP transfer; returns (testbed, observables)."""
     tb = make_an2_pair(engine=Engine(substrate=substrate))
-    cstack, sstack = make_stacks(tb)
-    client, server = tcp_pair(cstack, sstack, rto_us=20_000.0)
-    data = bytes(random.Random(seed).randrange(256) for _ in range(nbytes))
-    got = []
-
-    def server_body(proc):
-        yield from server.accept(proc)
-        got.append((yield from server.read(proc, nbytes)))
-        yield from server.write(proc, b"done")
-
-    def client_body(proc):
-        yield from client.connect(proc)
-        yield from client.write(proc, data)
-        reply = yield from client.read(proc, 4)
-        assert reply == b"done"
-        yield from client.linger(proc, duration_us=2_000_000.0)
-
-    tb.server_kernel.spawn_process("server", server_body)
-    tb.client_kernel.spawn_process("client", client_body)
+    xfer = tcp_bulk(tb, seeded_payload(seed, nbytes), rto_us=20_000.0)
     tb.run()
-    assert got and got[0] == data
+    xfer.check()
     return tb, {
-        "delivered": got[0],
+        "delivered": xfer.got,
         "time_ps": tb.engine.now,
-        "retransmits": (client.tcb.retransmits, server.tcb.retransmits),
+        "retransmits": (xfer.client.tcb.retransmits,
+                        xfer.server.tcb.retransmits),
         "tx_frames": (tb.client_nic.tx_frames, tb.server_nic.tx_frames),
     }
 
@@ -167,20 +149,7 @@ class TestSloPlane:
             # an unmeetable latency SLO on the client: every write fires
             tb.client.telemetry.slo.add_rule(
                 SloRule("instant", max_latency_us=0.0))
-            cstack, sstack = make_stacks(tb)
-            client, server = tcp_pair(cstack, sstack, rto_us=20_000.0)
-
-            def server_body(proc):
-                yield from server.accept(proc)
-                yield from server.read(proc, 64)
-
-            def client_body(proc):
-                yield from client.connect(proc)
-                yield from client.write(proc, b"x" * 64)
-                yield from client.linger(proc, duration_us=500_000.0)
-
-            tb.server_kernel.spawn_process("server", server_body)
-            tb.client_kernel.spawn_process("client", client_body)
+            client = tcp_bulk(tb, b"x" * 64, rto_us=20_000.0).client
             tb.run()
 
             tel = tb.client.telemetry
@@ -204,30 +173,14 @@ class TestSloPlane:
             for node in (tb.client, tb.server):
                 node.telemetry.slo.add_rule(
                     SloRule("lossless", max_retransmits=0))
-            cstack, sstack = make_stacks(tb)
-            client, server = tcp_pair(cstack, sstack, rto_us=20_000.0)
             plane = tb.attach_fault_plane(seed=13)
             plane.impair_link(tb.link, skip_first=3, drop=0.08)
             # large enough that drops hit data segments, not just ACKs
             # (lost ACKs are cumulatively covered and cost no retransmit
             # now that the sender keeps a SACK scoreboard)
-            data = bytes(random.Random(13).randrange(256)
-                         for _ in range(48_000))
-            got = []
-
-            def server_body(proc):
-                yield from server.accept(proc)
-                got.append((yield from server.read(proc, len(data))))
-
-            def client_body(proc):
-                yield from client.connect(proc)
-                yield from client.write(proc, data)
-                yield from client.linger(proc, duration_us=2_000_000.0)
-
-            tb.server_kernel.spawn_process("server", server_body)
-            tb.client_kernel.spawn_process("client", client_body)
+            xfer = tcp_bulk(tb, seeded_payload(13, 48_000), rto_us=20_000.0)
             tb.run()
-            assert got and got[0] == data
+            xfer.check()
 
             violated = [
                 v for node in (tb.client, tb.server)

@@ -1,0 +1,169 @@
+"""Tier-1 gate: the bulk-transfer world, the remote-increment install
+and the plane-bench command line each exist once.
+
+A source scan in the style of ``tests/test_metrics_lint.py`` (no world
+is built, nothing is timed).  The census that motivated it found the
+seeded TCP transfer written out 15 times and the remote-increment
+install 12 times; each new copy drifts a little (a forgotten linger, a
+different state layout) and rots on its own.  So outside
+``benchmarks/perf/`` (the benchmark owns its worlds) and ``examples/``
+(which show the steps on purpose):
+
+* one function calls ``.linger(``            -> ``workloads.tcp_bulk``
+* one function stores ``PARAM_REPLY_VCI``    -> ``workloads.am_flow``
+* no ``benchmarks/bench_*.py`` / ``sweep_driver.py`` imports ``argparse``,
+  calls ``json.dump`` or runs the ``legacy`` substrate itself: that is
+  ``plane_main`` / ``bench_main`` / ``on_both_substrates``.
+"""
+
+import ast
+import glob
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: tests whose *subject* is the install — the parameter block, the
+#: download, the bind — so they spell the steps out.  Everything else
+#: calls ``am_flow``.
+EXPLICIT_INSTALLS = {
+    "tests/test_ash.py": "the ASH system's own download/bind tests",
+    "tests/test_upcall_interface.py": "the upcall binding's own tests",
+    "tests/test_exit_matrix.py": "golden digests over its own layout",
+    "tests/test_jit_equivalence.py": "bare PhysicalMemory, no node",
+    "tests/test_byte_ranges.py": "bare PhysicalMemory, no node",
+}
+
+
+def _sources(root=ROOT):
+    for sub in ("src", "tests", "benchmarks"):
+        pattern = os.path.join(root, sub, "**", "*.py")
+        for path in sorted(glob.glob(pattern, recursive=True)):
+            rel = os.path.relpath(path, root)
+            if not rel.startswith(os.path.join("benchmarks", "perf")):
+                yield rel, path
+
+
+class _Owners(ast.NodeVisitor):
+    """Collects the outermost function around every matching call."""
+
+    def __init__(self, matches):
+        self.matches, self.stack, self.found = matches, [], set()
+
+    def visit_FunctionDef(self, node):
+        self.stack.append(node.name)
+        self.generic_visit(node)
+        self.stack.pop()
+
+    def visit_Call(self, node):
+        if self.matches(node):
+            self.found.add(self.stack[0] if self.stack else "<module>")
+        self.generic_visit(node)
+
+
+def _is_linger(call):
+    return isinstance(call.func, ast.Attribute) and call.func.attr == "linger"
+
+
+def _stores_reply_vci(call):
+    return (isinstance(call.func, ast.Attribute)
+            and call.func.attr == "store_u32"
+            and any(isinstance(n, ast.Name) and n.id == "PARAM_REPLY_VCI"
+                    for arg in call.args for n in ast.walk(arg)))
+
+
+def census(root=ROOT):
+    """{"linger": [...], "install": [...]} as ``file::function``."""
+    out = {"linger": [], "install": []}
+    for rel, path in _sources(root):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), rel)
+        for kind, matches in (("linger", _is_linger),
+                              ("install", _stores_reply_vci)):
+            owners = _Owners(matches)
+            owners.visit(tree)
+            out[kind] += [f"{rel}::{name}" for name in sorted(owners.found)]
+    return out
+
+
+def plane_bench_violations(root=ROOT):
+    """What a bench script does that the shared runner owns."""
+    errors = []
+    for path in sorted(glob.glob(os.path.join(root, "benchmarks", "bench_*.py"))
+                       + glob.glob(os.path.join(root, "benchmarks",
+                                                "sweep_driver.py"))):
+        rel = os.path.relpath(path, root)
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), rel)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                names = []
+            if "argparse" in names:
+                errors.append(f"{rel}: imports argparse (use plane_main / "
+                              f"bench_main extra_args)")
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "dump"
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "json"):
+                errors.append(f"{rel}: calls json.dump (plane_main / "
+                              f"BenchTable.save write the artefacts)")
+            # "legacy" handed to a call, or looped over: a second run
+            if isinstance(node, ast.Call):
+                handed = node.args + [kw.value for kw in node.keywords]
+            elif isinstance(node, ast.For):
+                handed = list(ast.walk(node.iter))
+            else:
+                handed = []
+            if any(isinstance(n, ast.Constant) and n.value == "legacy"
+                   for n in handed):
+                errors.append(f"{rel}: runs the legacy substrate by hand "
+                              f"(use on_both_substrates)")
+    return errors
+
+
+def test_one_bulk_transfer_world():
+    assert census()["linger"] == ["src/repro/bench/workloads.py::tcp_bulk"]
+
+
+def test_one_remote_increment_install():
+    installs = census()["install"]
+    shared = [site for site in installs
+              if site.split("::")[0] not in EXPLICIT_INSTALLS]
+    assert shared == ["src/repro/bench/workloads.py::am_flow"]
+    # the allowlist names only files that still need it
+    assert {site.split("::")[0] for site in installs} - {
+        "src/repro/bench/workloads.py"} == set(EXPLICIT_INSTALLS)
+
+
+def test_plane_benches_only_declare():
+    assert plane_bench_violations() == []
+
+
+def test_a_second_copy_is_flagged(tmp_path):
+    """The scan sees what it is for: a pasted transfer, a pasted
+    install and a hand-rolled command line."""
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "tests" / "test_new.py").write_text(
+        "def helper(mem, base):\n"
+        "    def client_body(proc):\n"
+        "        yield from client.linger(proc, duration_us=2e6)\n"
+        "    mem.store_u32(base + 32 + PARAM_REPLY_VCI, 2)\n"
+    )
+    (tmp_path / "benchmarks" / "bench_new.py").write_text(
+        "import argparse, json\n"
+        "def main():\n"
+        "    for substrate in ('fast', 'legacy'):\n"
+        "        pass\n"
+        "    json.dump({}, open('x', 'w'))\n"
+    )
+    found = census(str(tmp_path))
+    assert found["linger"] == ["tests/test_new.py::helper"]
+    assert found["install"] == ["tests/test_new.py::helper"]
+    errors = plane_bench_violations(str(tmp_path))
+    assert len(errors) == 3
+    assert all("bench_new.py" in e for e in errors)

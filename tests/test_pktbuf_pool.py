@@ -8,11 +8,9 @@ list drains, and a kernel crash that reclaims descriptors wholesale.
 
 import pytest
 
-from repro.bench.testbed import make_an2_pair
+from repro.bench.workloads import chaos_transfer
 from repro.hw.memory import PhysicalMemory
 from repro.hw.nic.base import PacketBufPool
-from repro.net.socket_api import make_stacks, tcp_pair
-from repro.sim.engine import Engine
 
 
 def _pool(size: int = 1 << 16) -> PacketBufPool:
@@ -85,33 +83,12 @@ def test_in_flight_survives_kernel_crash_and_reboot(ncores, batch):
     contents, in-flight interrupts, batched per-core rx rings — and
     each reclaim must release its PacketBuf exactly once: the pool
     ledger balances after the flow recovers through the reboot."""
-    engine = Engine(substrate="fast")
-    tb = make_an2_pair(engine=engine, ncores=ncores, rx_batch=batch)
-    cstack, sstack = make_stacks(tb)
-    client, server = tcp_pair(cstack, sstack, rto_us=20_000.0)
-    plane = tb.attach_fault_plane(seed=23)
-    plane.crash_node(tb.server_kernel, at_us=900.0, outage_us=30_000.0)
     nbytes = 24_000
-    data = bytes(i & 0xFF for i in range(nbytes))
-    got = []
+    tb, _plane, _xfer = chaos_transfer(
+        nbytes, 23, data=bytes(i & 0xFF for i in range(nbytes)),
+        substrate="fast", ncores=ncores, rx_batch=batch,
+        crash=dict(at_us=900.0, outage_us=30_000.0))
 
-    def server_body(proc):
-        yield from server.accept(proc)
-        got.append((yield from server.read(proc, nbytes)))
-        yield from server.write(proc, b"done")
-
-    def client_body(proc):
-        yield from client.connect(proc)
-        yield from client.write(proc, data)
-        reply = yield from client.read(proc, 4)
-        assert reply == b"done"
-        yield from client.linger(proc, duration_us=2_000_000.0)
-
-    tb.server_kernel.spawn_process("server", server_body)
-    tb.client_kernel.spawn_process("client", client_body)
-    tb.run()
-
-    assert got and got[0] == data
     assert tb.server_kernel.crash_count == 1
     assert tb.server_kernel.recoveries == 1
     for node in (tb.client, tb.server):

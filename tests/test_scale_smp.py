@@ -155,35 +155,13 @@ def _smp_lossy_cc(substrate, cores, nbytes=32_000):
     """A lossy TCP transfer on an ``ncores`` node pair; returns the
     delivered digest plus both ends' congestion-event digests."""
     import hashlib
-    import random as _random
 
-    from repro.net.socket_api import make_stacks, tcp_pair
+    from repro.bench.workloads import chaos_transfer
 
-    tb = make_an2_pair(engine=Engine(substrate=substrate), ncores=cores)
-    cstack, sstack = make_stacks(tb)
-    client, server = tcp_pair(cstack, sstack, rto_us=20_000.0)
-    plane = tb.attach_fault_plane(seed=42)
-    plane.impair_link(tb.link, drop=0.1, skip_first=3)
-    data = bytes(_random.Random(42).randrange(256) for _ in range(nbytes))
-    got = []
-
-    def server_body(proc):
-        yield from server.accept(proc)
-        got.append((yield from server.read(proc, nbytes)))
-        yield from server.write(proc, b"done")
-
-    def client_body(proc):
-        yield from client.connect(proc)
-        yield from client.write(proc, data)
-        assert (yield from client.read(proc, 4)) == b"done"
-        yield from client.linger(proc, duration_us=2_000_000.0)
-
-    tb.server_kernel.spawn_process("server", server_body)
-    tb.client_kernel.spawn_process("client", client_body)
-    tb.run()
-    assert got and got[0] == data
-    return (hashlib.sha256(got[0]).hexdigest(),
-            client.congestion_digest(), server.congestion_digest())
+    _tb, _plane, xfer = chaos_transfer(nbytes, 42, substrate=substrate,
+                                       ncores=cores, link={"drop": 0.1})
+    return (hashlib.sha256(xfer.got).hexdigest(),
+            xfer.client.congestion_digest(), xfer.server.congestion_digest())
 
 
 @pytest.mark.parametrize("cores", [1, 2, 4])

@@ -12,10 +12,8 @@ import random
 
 import pytest
 
-from repro.bench.testbed import make_an2_pair
-from repro.net.socket_api import make_stacks, tcp_pair
+from repro.bench.workloads import chaos_transfer
 from repro.net.tcp.sack import ReassemblyQueue, SackScoreboard
-from repro.sim.engine import Engine
 
 MSS = 1000
 
@@ -181,30 +179,9 @@ def test_reassembly_refuses_beyond_limit_without_reneging():
 # -- end-to-end under FaultPlane schedules ----------------------------------
 
 def _lossy_run(substrate, seed, nbytes=40_000, **impair):
-    tb = make_an2_pair(engine=Engine(substrate=substrate))
-    cstack, sstack = make_stacks(tb)
-    client, server = tcp_pair(cstack, sstack, rto_us=20_000.0)
-    plane = tb.attach_fault_plane(seed=seed)
-    plane.impair_link(tb.link, skip_first=3, **impair)
-    data = bytes(random.Random(seed).randrange(256) for _ in range(nbytes))
-    got = []
-
-    def server_body(proc):
-        yield from server.accept(proc)
-        got.append((yield from server.read(proc, nbytes)))
-        yield from server.write(proc, b"done")
-
-    def client_body(proc):
-        yield from client.connect(proc)
-        yield from client.write(proc, data)
-        assert (yield from client.read(proc, 4)) == b"done"
-        yield from client.linger(proc, duration_us=2_000_000.0)
-
-    tb.server_kernel.spawn_process("server", server_body)
-    tb.client_kernel.spawn_process("client", client_body)
-    tb.run()
-    assert got and got[0] == data
-    return client, server
+    _tb, _plane, xfer = chaos_transfer(nbytes, seed, substrate=substrate,
+                                       link=impair)
+    return xfer.client, xfer.server
 
 
 @pytest.mark.parametrize("impair", [

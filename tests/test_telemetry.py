@@ -7,18 +7,11 @@ import os
 import pytest
 
 from repro import telemetry
-from repro.ash.examples import (
-    PARAM_COUNTER,
-    PARAM_REPLY_VCI,
-    PARAM_SCRATCH,
-    build_remote_increment,
-)
 from repro.bench.testbed import (
     CLIENT_TO_SERVER_VCI,
-    SERVER_TO_CLIENT_VCI,
     make_an2_pair,
 )
-from repro.bench.workloads import udp_pingpong
+from repro.bench.workloads import am_flow, udp_pingpong
 from repro.hw.link import Frame
 from repro.sandbox.budget import budget_cycles
 from repro.sim.engine import Engine
@@ -173,21 +166,8 @@ class TestAshCycleAccounting:
         for node in (tb.server, tb.client):
             node.telemetry.enable()
         sk = tb.server_kernel
-        ep = sk.create_endpoint_an2(tb.server_nic, CLIENT_TO_SERVER_VCI)
-        mem = tb.server.memory
-        state = mem.alloc("incr_state", 64)
-        mem.store_u32(state.base + 32 + PARAM_COUNTER, state.base)
-        mem.store_u32(state.base + 32 + PARAM_REPLY_VCI, SERVER_TO_CLIENT_VCI)
-        mem.store_u32(state.base + 32 + PARAM_SCRATCH, state.base + 16)
-        ash_id = sk.ash_system.download(
-            build_remote_increment(),
-            allowed_regions=[(state.base, 64)],
-            user_word=state.base + 32,
-        )
-        sk.ash_system.bind(ep, ash_id)
-        cli_ep = tb.client_kernel.create_endpoint_an2(
-            tb.client_nic, SERVER_TO_CLIENT_VCI
-        )
+        flow = am_flow(tb)
+        ash_id, cli_ep = flow.ash_id, flow.cli_ep
 
         def client(proc):
             for _ in range(3):
