@@ -166,8 +166,11 @@ def complexity_section() -> str:
     return "\n".join(lines)
 
 
-def capture_canonical_telemetry(metrics_out: str | None) -> None:
-    """Run the canonical telemetry capture and write its sidecars."""
+def capture_canonical_telemetry(metrics_out: str | None,
+                                trace_out: str | None = None) -> None:
+    """Run the canonical telemetry capture and write its sidecars (by
+    default over the committed pair; tier 1 redirects both and compares,
+    ``test_canonical_sidecars_are_fresh``)."""
     from repro import telemetry
     from repro.bench.telemetry_cli import write_sidecars
     from repro.bench.workloads import (
@@ -188,7 +191,8 @@ def capture_canonical_telemetry(metrics_out: str | None) -> None:
         # active-message victims) so the sidecar carries the tenant.*
         # plane: admission, reclaim and quota counters
         tenant_world(scenario="leak", rounds=3)
-    metrics_path, trace_path = write_sidecars(sess, "canonical", metrics_out)
+    metrics_path, trace_path = write_sidecars(
+        sess, "canonical", metrics_out, trace_out)
     print(f"wrote {metrics_path}")
     print(f"wrote {trace_path}")
 

@@ -158,6 +158,44 @@ def test_experiments_complexity_table_is_fresh():
     assert gen.complexity_section() in committed
 
 
+def test_canonical_sidecars_are_fresh(tmp_path):
+    """``benchmarks/results/canonical.{telemetry,trace}.json`` equal,
+    byte for byte, what ``make_experiments_md.py --trace`` writes today
+    (they sat stale from PR 12 to PR 15: nothing recomputed them)."""
+    from repro.vcode import jit
+
+    jit.clear_code_cache()      # translations count; see telemetry_export
+    fresh = {"telemetry": tmp_path / "m.json", "trace": tmp_path / "t.json"}
+    _load_script("make_experiments_md").capture_canonical_telemetry(
+        str(fresh["telemetry"]), str(fresh["trace"]))
+    for kind, path in fresh.items():
+        with open(os.path.join(results_dir(), f"canonical.{kind}.json"),
+                  "rb") as fh:
+            assert path.read_bytes() == fh.read(), kind
+
+
+#: SHA-256 of the merged metrics document of each telemetry-on world of
+#: ``tests/test_exit_matrix.py``: crash-lifetime counters and
+#: per-tenant labels, pinned on the code before totals were collected
+EXPORT_SHA256 = {
+    "chaos_ash":
+        "71066a585e6e17b8026ea412a09bd62ff11847cdc8c0e8b7e0e77b25e8329bd2",
+    "tenant_flood":
+        "31a2d76bf86ebe1bf003d7355105c0c11d13c528cb35618dc253ec0fe21a6be9",
+}
+
+
+@pytest.mark.parametrize("world_name", sorted(EXPORT_SHA256))
+def test_telemetry_export_of_pinned_world(world_name):
+    import hashlib
+
+    from tests.test_exit_matrix import telemetry_export
+
+    blob = json.dumps(telemetry_export(world_name), sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() \
+        == EXPORT_SHA256[world_name]
+
+
 @pytest.mark.parametrize(
     "name", ["table1", "table3", "table4", "table5", "fig4", "sec5d"])
 def test_committed_paper_table_is_fresh(name):

@@ -999,6 +999,81 @@ FRAME_BUDGET = {
 PLANE_FILES = ("ash/tenancy.py", "sim/faults.py", "telemetry/spans.py")
 
 
+def _chaos_ash_world():
+    """Lossy link, one server crash + reboot mid-transfer, the TCP fast
+    path as an ASH: crash-lifetime counters, one lost message, SACK."""
+    from repro.bench.workloads import chaos_transfer
+
+    chaos_transfer(96_000, 11, link={"drop": 0.08}, mode="ash",
+                   crash=dict(at_us=1960.0, outage_us=20_000.0))
+
+
+def _tenant_flood_world():
+    from repro.bench.workloads import tenant_world
+
+    tenant_world(scenario="flood", rounds=4)
+
+
+#: the two telemetry-on worlds whose whole export is pinned (SHA-256 in
+#: ``tests/test_bench_infra.py``) and whose instrument traffic is priced
+TELEMETRY_WORLDS = {
+    "chaos_ash": _chaos_ash_world,
+    "tenant_flood": _tenant_flood_world,
+}
+
+
+def telemetry_export(world_name, lookups=None):
+    """Run one of ``TELEMETRY_WORLDS`` inside a telemetry session and
+    return its merged metrics document.  ``lookups`` (a dict) is filled
+    with the calls of ``MetricsRegistry.counter/gauge/histogram`` by
+    metric name, world construction through export."""
+    from repro import telemetry
+    from repro.telemetry.metrics import MetricsRegistry
+    from repro.vcode import jit
+
+    # as a fresh process sees it: the code cache is process-wide, and a
+    # translation counts (vcode.jit.cache_misses, compile_cycles)
+    jit.clear_code_cache()
+    originals = {kind: getattr(MetricsRegistry, kind)
+                 for kind in ("counter", "gauge", "histogram")}
+
+    def counting(original):
+        def lookup(self, name, *args, **labels):
+            lookups[name] = lookups.get(name, 0) + 1
+            return original(self, name, *args, **labels)
+        return lookup
+
+    try:
+        if lookups is not None:
+            for kind, original in originals.items():
+                setattr(MetricsRegistry, kind, counting(original))
+        with telemetry.session() as sess:
+            TELEMETRY_WORLDS[world_name]()
+        return sess.export_metrics(include_span_events=False)
+    finally:
+        for kind, original in originals.items():
+            setattr(MetricsRegistry, kind, original)
+
+
+def lookups_per_frame(world_name):
+    """(registry lookups, frames received by every NIC of the world)."""
+    lookups = {}
+    doc = telemetry_export(world_name, lookups)
+    frames = sum(c["value"] for node in doc["nodes"]
+                 for c in node["metrics"]["counters"]
+                 if c["name"] == "nic.rx_frames")
+    return sum(lookups.values()), frames
+
+
+#: the price of the instruments: (registry lookups, received frames) on
+#: the telemetry-on worlds, i.e. 30.2 and 27.5 dictionary probes per
+#: frame.  The frame count is exact; the lookups are a ceiling.
+LOOKUP_BUDGET = {
+    'chaos_ash': (3017, 100),
+    'tenant_flood': (1236, 45),
+}
+
+
 @pytest.mark.parametrize("exit_name", sorted(BUDGET_WORLDS))
 def test_events_per_delivered_message(exit_name):
     got = (events_per_message(exit_name, CONFIGS["1core"]),
@@ -1016,6 +1091,14 @@ def test_python_frames_per_delivery(exit_name):
     assert not planes
 
 
+@pytest.mark.parametrize("world_name", sorted(TELEMETRY_WORLDS))
+def test_registry_lookups_per_received_frame(world_name):
+    lookups, frames = lookups_per_frame(world_name)
+    ceiling, pinned_frames = LOOKUP_BUDGET[world_name]
+    assert frames == pinned_frames
+    assert lookups <= ceiling
+
+
 if __name__ == "__main__":
     print("EVENT_BUDGET = {")
     for name in BUDGET_WORLDS:
@@ -1027,6 +1110,10 @@ if __name__ == "__main__":
     for name in ("ash", "ring_eth"):
         print(f"    {name!r}: "
               f"{sum(frames_per_message(name, CONFIGS['1core']).values())},")
+    print("}")
+    print("LOOKUP_BUDGET = {")
+    for name in TELEMETRY_WORLDS:
+        print(f"    {name!r}: {lookups_per_frame(name)!r},")
     print("}")
     print("GOLDEN = {")
     for scenario, row in run_matrix().items():
