@@ -15,8 +15,9 @@ than silently producing unreadable sidecars.
 ``KNOWN_METRICS`` is the exporter schema proper: the complete registry
 of metric names the source tree emits, each pinned to its kind.
 ``benchmarks/check_metrics_lint.py`` cross-checks it against the actual
-``counter(``/``gauge(``/``histogram(`` call sites in ``src/`` both
-ways, so the registry can neither rot nor silently grow.
+``counter(``/``gauge(``/``histogram(`` call sites and collectors'
+``total(`` writes in ``src/`` both ways, so the registry can neither
+rot nor silently grow.
 
 Stdlib only — this is structural validation, not jsonschema.
 """
@@ -41,7 +42,7 @@ _NUM = (int, float)
 #: fails CI; emitting a metric absent from this registry (or listing
 #: one no call site emits) fails the metrics lint.
 KNOWN_METRICS = {
-    # event-engine dispatch ledger (sim/engine.py publish_telemetry)
+    # event-engine dispatch ledger (sim/engine.py, collected)
     "sim.calendar.scheduled": "counters",
     "sim.calendar.fired": "counters",
     "sim.calendar.cancelled": "counters",
@@ -64,12 +65,13 @@ KNOWN_METRICS = {
     "datapath.pktbuf.reused": "counters",
     "datapath.pktbuf.in_flight": "gauges",
     "datapath.pktbuf.free": "gauges",
-    # receive-side scaling dispatch stage (hw/nic/rss.py)
+    # receive-side scaling dispatch stage (hw/nic/rss.py; the NIC
+    # collects it)
     "rss.steered": "counters",
     "rss.migrations": "counters",
     "rss.flows": "gauges",
     # per-core rx rings + batched NIC→kernel handoff
-    # (hw/nic/base.py publish_telemetry, kernel/kernel.py _rx_drain)
+    # (hw/nic/base.py collected, kernel/kernel.py _rx_drain)
     "core.ring_depth": "gauges",
     "core.ring_peak_depth": "gauges",
     "core.rx_batches": "counters",
@@ -129,8 +131,6 @@ KNOWN_METRICS = {
     "tenant.installs_refused": "counters",
     "tenant.kills": "counters",
     "tenant.order_violations": "counters",
-    "tenant.buffers_held": "gauges",
-    "tenant.cycle_usage": "gauges",
     # VCODE JIT (vcode/jit.py, vcode/vm.py)
     "vcode.jit.compile_cycles": "counters",
     "vcode.jit.cache_hits": "counters",

@@ -22,7 +22,7 @@ from typing import Optional, TYPE_CHECKING
 
 from ..errors import MemoryFault, VcodeError
 from ..hw.link import Frame
-from ..vcode.vm import TrustedCallContext, Vm
+from ..vcode.vm import TrustedCallContext
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..hw.nic.base import Nic, RxDescriptor
@@ -102,14 +102,7 @@ def build_handler_env(
         _check_regions(allowed, src, length, "dilp source")
         if pipeline.mode.value == "write":
             _check_regions(allowed, dst, length, "dilp destination")
-        if pipeline.has_fast_path:
-            cycles += pipeline.run_fast(
-                mem, src, dst, length, kernel.node.dcache
-            )
-        else:
-            vm = Vm(mem, cache=kernel.node.dcache, cal=cal,
-                    telemetry=kernel.node.telemetry)
-            cycles += pipeline.run_vm(vm, src, dst, length).cycles
+        cycles += pipeline.run(mem, src, dst, length, kernel.node.dcache)
         return 0, cycles
 
     def ash_ilp_get(ctx: TrustedCallContext) -> tuple[int, int]:

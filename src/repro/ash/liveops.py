@@ -219,15 +219,9 @@ class RolloutController:
                     trips.append(
                         ("digest", f"{key}: {digest[:12]} not in golden"))
             gold_lat.extend(lat for _d, lat in golden)
-        tel = self.telemetry
-        if tel.enabled:
-            for _reason, _detail in trips:
-                tel.counter("liveops.guard_trips", reason="digest").inc()
         slo_delta = self._slo_count() - self._slo_baseline
         if slo_delta > 0:
             trips.append(("slo", f"slo.violations grew by {slo_delta}"))
-            if tel.enabled:
-                tel.counter("liveops.guard_trips", reason="slo").inc()
         if gold_lat and seen_lat:
             golden_mean = sum(gold_lat) / len(gold_lat)
             canary_mean = sum(seen_lat) / len(seen_lat)
@@ -238,10 +232,11 @@ class RolloutController:
                     f"{golden_mean:.2f}us (budget "
                     f"{self.latency_budget:.0%})",
                 ))
-                if tel.enabled:
-                    tel.counter("liveops.guard_trips",
-                                reason="latency").inc()
         self.guard_trips = trips
+        tel = self.telemetry
+        if tel.enabled:
+            for reason, _detail in trips:
+                tel.counter("liveops.guard_trips", reason=reason).inc()
         if trips:
             self._rollback(trips)
         else:

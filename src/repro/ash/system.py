@@ -41,7 +41,6 @@ from ..sandbox.budget import (
 from ..sandbox.rewriter import SandboxPolicy, Sandboxer, SandboxReport
 from ..sandbox.verifier import has_loops
 from ..vcode.isa import NUM_REGS, Program
-from ..vcode.vm import Vm
 from .handler import ASH_CONSUMED
 from .interface import build_handler_env
 
@@ -406,8 +405,6 @@ class AshSystem:
 
         pending: list = []
         env = build_handler_env(kernel, desc, pending, allowed, mode="ash", ep=ep)
-        vm = Vm(kernel.node.memory, cache=kernel.node.dcache, cal=cal,
-                telemetry=tel)
         budget = budget_cycles(cal)
         injector = self.fault_injector
         if injector is not None:
@@ -429,7 +426,7 @@ class AshSystem:
             if penalty:
                 budget = max(1, budget - penalty)
         try:
-            result = vm.run(
+            result = kernel.vm.run(
                 entry.program,
                 args=(desc.addr, desc.length, entry.user_word),
                 regs=entry.regs,

@@ -66,23 +66,23 @@ CRASHLOOP_LIMIT = 3
 #: (messages then degrade, in order, to the normal path)
 ABORT_BREAKER_LIMIT = 3
 
-#: every tenant counter key, as the metric names the manager mirrors
-#: them to (``tel.counter(name, tenant=...)`` — kept literal here so the
-#: metrics lint can match the registry against an emitter)
-_TENANT_COUNTER_METRICS = (
-    "tenant.admitted",
-    "tenant.admitted_bytes",
-    "tenant.throttled",
-    "tenant.dropped",
-    "tenant.cycle_throttled",
-    "tenant.cycles_used",
-    "tenant.reclaims",
-    "tenant.pktbuf_denied",
-    "tenant.quota_violations",
-    "tenant.installs_refused",
-    "tenant.kills",
-    "tenant.order_violations",
-)
+#: tenant counter key -> (the metric it is exported as, the label its
+#: sub-counts are keyed by or None): the manager's collector reads it,
+#: and the metrics lint matches the literal names against the registry
+_TENANT_METRICS = {
+    "admitted": ("tenant.admitted", None),
+    "admitted_bytes": ("tenant.admitted_bytes", None),
+    "throttled": ("tenant.throttled", None),
+    "dropped": ("tenant.dropped", "reason"),
+    "cycle_throttled": ("tenant.cycle_throttled", None),
+    "cycles_used": ("tenant.cycles_used", None),
+    "reclaims": ("tenant.reclaims", None),
+    "pktbuf_denied": ("tenant.pktbuf_denied", None),
+    "quota_violations": ("tenant.quota_violations", None),
+    "installs_refused": ("tenant.installs_refused", "reason"),
+    "kills": ("tenant.kills", "action"),
+    "order_violations": ("tenant.order_violations", None),
+}
 
 
 class TenantQuotaError(SimError):
@@ -166,6 +166,7 @@ class TenantManager:
         self.engine = kernel.engine
         self.cal = kernel.cal
         self.telemetry = kernel.telemetry
+        self.telemetry.add_collector(self._collect)
         self.tenants: dict[str, Tenant] = {}
         self._by_vci: dict[tuple[str, int], Tenant] = {}
         #: drops that skipped the defer-refill stage while reclaimable
@@ -519,9 +520,18 @@ class TenantManager:
             bucket[label] = bucket.get(label, 0) + n
         else:
             t.counters[key] = t.counters.get(key, 0) + n
-        tel = self.telemetry
-        if tel is not None and tel.enabled:
-            tel.counter(f"tenant.{key}", tenant=t.name, **labels).inc(n)
+
+    def _collect(self, reg) -> None:
+        """``Tenant.counters`` — the kernel-side accounting a tenant may
+        never skip — is the one ledger; this exports it as ``tenant.*``."""
+        for name, t in self.tenants.items():
+            for key, value in t.counters.items():
+                metric, label = _TENANT_METRICS[key]
+                if label is None:
+                    reg.total(metric, value, tenant=name)
+                else:
+                    for which, n in value.items():
+                        reg.total(metric, n, tenant=name, **{label: which})
 
     def _flight(self, t: Tenant, action: str, **detail) -> None:
         tel = self.telemetry
@@ -530,16 +540,6 @@ class TenantManager:
                               tenant=t.name, action=action, **detail)
             tel.flight.dump(f"tenant_{action}", self.engine.now,
                             tenant=t.name)
-
-    def publish_telemetry(self, hub=None) -> None:
-        """End-of-run export of per-tenant usage gauges."""
-        tel = hub if hub is not None else self.telemetry
-        if tel is None or not tel.enabled:
-            return
-        for name in sorted(self.tenants):
-            t = self.tenants[name]
-            tel.gauge("tenant.buffers_held", tenant=name).set(len(t.held))
-            tel.gauge("tenant.cycle_usage", tenant=name).set(t.cycles_round)
 
     def stats(self) -> dict:
         """Deterministic per-tenant snapshot for ``kernel.stats()`` and

@@ -62,7 +62,6 @@ class Testbed:
 
             until = self.engine.now + seconds(max_virtual_s)
         self.engine.run(until=until)
-        self.publish_telemetry()
 
     def attach_fault_plane(self, seed: int = 0):
         """Create (once) and return the testbed's
@@ -77,19 +76,6 @@ class Testbed:
             )
         return self.fault_plane
 
-    def publish_telemetry(self) -> None:
-        """End-of-run export of engine and packet-pool state into the
-        node hubs, so sidecars carry ``sim.calendar.*`` and the
-        ``datapath.pktbuf.*`` gauges alongside the packet counters."""
-        self.engine.publish_telemetry(self.client.telemetry)
-        for node in (self.client, self.server):
-            if node.pktpool is not None:
-                node.pktpool.publish_telemetry(node.telemetry)
-            for nic in node.nics.values():
-                nic.publish_telemetry(node.telemetry)
-        if self.fault_plane is not None:
-            self.fault_plane.publish_telemetry()
-
 
 def _make_pair(nic_cls, nic_name: str, link_kwargs: dict, cal, client_kernel_opts,
                server_kernel_opts, mem_size, engine, name_prefix, ncores,
@@ -102,6 +88,7 @@ def _make_pair(nic_cls, nic_name: str, link_kwargs: dict, cal, client_kernel_opt
                   ncores=ncores, rx_batch=rx_batch)
     server = Node(engine, f"{name_prefix}server", cal, mem_size=mem_size,
                   ncores=ncores, rx_batch=rx_batch)
+    engine.export_to(client.telemetry)
     client_nic = client.add_nic(nic_cls(engine, cal, client.memory, nic_name))
     server_nic = server.add_nic(nic_cls(engine, cal, server.memory, nic_name))
     link = Link(engine, name=f"{name_prefix}{nic_name}-link", **link_kwargs)

@@ -78,36 +78,30 @@ class PacketBufPool:
     def __init__(self, memory: "PhysicalMemory", telemetry=None,
                  name: str = "pktbuf"):
         self.memory = memory
-        self.telemetry = telemetry
         self.name = name
         self._free: list[PacketBuf] = []
         self.created = 0
         self.reused = 0
         self.acquired = 0
         self.released = 0
+        if telemetry is not None:
+            telemetry.add_collector(self._collect)
 
     @property
     def in_flight(self) -> int:
         return self.acquired - self.released
 
     def acquire(self, addr: int, span: int) -> PacketBuf:
-        tel = self.telemetry
         if self._free:
             buf = self._free.pop()
             self.reused += 1
-            if tel is not None and tel.enabled:
-                tel.counter("datapath.pktbuf.reused", pool=self.name).inc()
         else:
             buf = PacketBuf(self)
             self.created += 1
-            if tel is not None and tel.enabled:
-                tel.counter("datapath.pktbuf.created", pool=self.name).inc()
         buf.addr = addr
         buf.span = span
         buf.view = self.memory.read_view(addr, span)
         self.acquired += 1
-        if tel is not None and tel.enabled:
-            tel.counter("datapath.pktbuf.acquired", pool=self.name).inc()
         return buf
 
     def release(self, buf: PacketBuf) -> None:
@@ -116,17 +110,15 @@ class PacketBufPool:
         buf.view = None
         self._free.append(buf)
         self.released += 1
-        tel = self.telemetry
-        if tel is not None and tel.enabled:
-            tel.counter("datapath.pktbuf.released", pool=self.name).inc()
 
-    def publish_telemetry(self, hub=None) -> None:
-        """Snapshot pool gauges into a hub (end-of-run export)."""
-        tel = hub if hub is not None else self.telemetry
-        if tel is None or not tel.enabled:
-            return
-        tel.gauge("datapath.pktbuf.in_flight", pool=self.name).set(self.in_flight)
-        tel.gauge("datapath.pktbuf.free", pool=self.name).set(len(self._free))
+    def _collect(self, reg) -> None:
+        pool = self.name
+        reg.total("datapath.pktbuf.created", self.created, pool=pool)
+        reg.total("datapath.pktbuf.reused", self.reused, pool=pool)
+        reg.total("datapath.pktbuf.acquired", self.acquired, pool=pool)
+        reg.total("datapath.pktbuf.released", self.released, pool=pool)
+        reg.gauge("datapath.pktbuf.in_flight", pool=pool).set(self.in_flight)
+        reg.gauge("datapath.pktbuf.free", pool=pool).set(len(self._free))
 
     def stats(self) -> dict:
         return {
@@ -183,10 +175,15 @@ class Nic:
         self.batched = False
         self.rx_rings: list[deque] = [deque()]
         self.ring_peaks: list[int] = [0]
+        #: drain bursts the kernel ran per core (it counts them here,
+        #: beside the rings they drain)
+        self.rx_batches: list[int] = [0]
         #: the dispatch stage; created at bind, replaceable via set_rss
         self.rss: Optional[RssDispatcher] = None
         self.rx_frames = 0
         self.tx_frames = 0
+        self.rx_bytes = 0
+        self.tx_bytes = 0
         self.rx_dropped = 0
         self.tx_dropped = 0
         #: True while the owning node is crashed: the device neither
@@ -230,6 +227,7 @@ class Nic:
             )
         self.node = node
         self.telemetry = node.telemetry
+        node.telemetry.add_collector(self._collect)
         self.pktpool = node.pktpool
         self.ncores = node.ncores
         self.rx_batch = node.rx_batch
@@ -239,20 +237,17 @@ class Nic:
         self.batched = node.ncores > 1 or node.rx_batch_opt is not None
         self.rx_rings = [deque() for _ in range(self.ncores)]
         self.ring_peaks = [0] * self.ncores
+        self.rx_batches = [0] * self.ncores
         if self.rss is None:
-            self.rss = RssDispatcher(
-                self.ncores, telemetry=self.telemetry, nic_name=self.name
-            )
+            self.rss = RssDispatcher(self.ncores)
         else:  # installed before bind: re-home it
-            self.rss.rebind(self.ncores, telemetry=self.telemetry,
-                            nic_name=self.name)
+            self.rss.rebind(self.ncores)
         return self
 
     def set_rss(self, dispatcher: RssDispatcher) -> RssDispatcher:
         """Install an application-defined dispatch stage (pluggable the
         way a DPF filter is: policy from above, mechanism stays here)."""
-        dispatcher.rebind(self.ncores, telemetry=self.telemetry,
-                          nic_name=self.name)
+        dispatcher.rebind(self.ncores)
         self.rss = dispatcher
         return dispatcher
 
@@ -272,10 +267,9 @@ class Nic:
                 self.drop_reasons.get("node_down_tx", 0) + 1
             return
         self.tx_frames += 1
+        self.tx_bytes += len(frame.data)
         tel = self.telemetry
         if tel is not None and tel.enabled:
-            tel.counter("nic.tx_frames", nic=self.name).inc()
-            tel.counter("nic.tx_bytes", nic=self.name).inc(len(frame.data))
             # trace context rides Frame.meta: sidecar only, never part
             # of len(frame) and therefore of any wire or CPU cost
             attach_tx_context(tel, self.engine, frame)
@@ -286,9 +280,6 @@ class Nic:
         """One dropped rx frame, attributed to ``reason``."""
         self.rx_dropped += 1
         self.drop_reasons[reason] = self.drop_reasons.get(reason, 0) + 1
-        tel = self.telemetry
-        if tel is not None and tel.enabled:
-            tel.counter("nic.rx_dropped", nic=self.name, reason=reason).inc()
 
     def _on_wire_frame(self, frame: Frame) -> None:
         """The first two stages of the receive pipeline: *admit* (node
@@ -318,6 +309,7 @@ class Nic:
             self._count_drop(desc)
             return
         self.rx_frames += 1
+        self.rx_bytes += desc.length
         if self.pktpool is not None \
                 and (admission is None or admission.pktbuf_ok(self, frame)) \
                 and not self.memory.pressure_gate("pktbuf"):
@@ -326,8 +318,6 @@ class Nic:
             desc.buf = self.pktpool.acquire(desc.addr, desc.dma_span)
         tel = self.telemetry
         if tel is not None and tel.enabled:
-            tel.counter("nic.rx_frames", nic=self.name).inc()
-            tel.counter("nic.rx_bytes", nic=self.name).inc(desc.length)
             # the packet-lifecycle span starts here, riding on the
             # descriptor through the whole delivery hierarchy
             now = self.engine.now
@@ -350,19 +340,29 @@ class Nic:
         elif self.rx_callback is not None:
             self.rx_callback(desc)
 
-    def publish_telemetry(self, hub=None) -> None:
-        """Snapshot per-core ring gauges + RSS flow table into a hub."""
-        tel = hub if hub is not None else self.telemetry
-        if tel is None or not tel.enabled:
-            return
+    def _collect(self, reg) -> None:
+        """The device's ledgers, the per-core rings and the dispatch
+        stage in front of them (read off whichever dispatcher is
+        installed now) as ``nic.*`` / ``core.*`` / ``rss.*``."""
+        nic = self.name
+        reg.total("nic.rx_frames", self.rx_frames, nic=nic)
+        reg.total("nic.rx_bytes", self.rx_bytes, nic=nic)
+        reg.total("nic.tx_frames", self.tx_frames, nic=nic)
+        reg.total("nic.tx_bytes", self.tx_bytes, nic=nic)
+        for reason, n in self.drop_reasons.items():
+            if reason != "node_down_tx":    # the one transmit-side reason
+                reg.total("nic.rx_dropped", n, nic=nic, reason=reason)
+        rss = self.rss
         for core, ring in enumerate(self.rx_rings):
             label = str(core)
-            tel.gauge("core.ring_depth", nic=self.name, core=label) \
-                .set(len(ring))
-            tel.gauge("core.ring_peak_depth", nic=self.name, core=label) \
+            reg.total("core.rx_batches", self.rx_batches[core],
+                      nic=nic, core=label)
+            reg.gauge("core.ring_depth", nic=nic, core=label).set(len(ring))
+            reg.gauge("core.ring_peak_depth", nic=nic, core=label) \
                 .set(self.ring_peaks[core])
-        if self.rss is not None:
-            self.rss.publish_telemetry(tel)
+            reg.total("rss.steered", rss.steered[core], nic=nic, core=label)
+        reg.total("rss.migrations", rss.migrations, nic=nic)
+        reg.gauge("rss.flows", nic=nic).set(len(rss.flow_table))
 
     def _dma(self, frame: Frame) -> RxDescriptor | str:
         """Place the frame in memory, or name the reason it is dropped."""

@@ -20,7 +20,7 @@ the fast/legacy substrates bit-identical under per-core interleaving.
 from __future__ import annotations
 
 import struct
-from typing import Optional, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...hw.link import Frame
@@ -75,14 +75,13 @@ class RssDispatcher:
 
     The NIC calls :meth:`steer` once per successfully DMA'd frame;
     applications may subclass and override :meth:`select_core` (the
-    policy) while keeping the flow table, accounting and telemetry, or
-    replace the whole object via ``nic.set_rss``.
+    policy) while keeping the flow table and accounting (which the NIC
+    exports as ``rss.*``), or replace the whole object via
+    ``nic.set_rss``.
     """
 
-    def __init__(self, ncores: int, telemetry=None, nic_name: str = "nic"):
+    def __init__(self, ncores: int):
         self.ncores = ncores
-        self.telemetry = telemetry
-        self.nic_name = nic_name
         #: sticky affinity: flow key -> pinned core
         self.flow_table: dict[tuple, int] = {}
         self.steered = [0] * ncores
@@ -105,9 +104,6 @@ class RssDispatcher:
             self.flow_table[key] = core
         desc.core = core
         self.steered[core] += 1
-        tel = self.telemetry
-        if tel is not None and tel.enabled:
-            tel.counter("rss.steered", nic=self.nic_name, core=str(core)).inc()
         return core
 
     def repin(self, key: tuple, core: int) -> None:
@@ -119,27 +115,14 @@ class RssDispatcher:
         self.flow_table[key] = core
         if old is not None and old != core:
             self.migrations += 1
-            tel = self.telemetry
-            if tel is not None and tel.enabled:
-                tel.counter("rss.migrations", nic=self.nic_name).inc()
 
     # -- introspection ------------------------------------------------------
-    def rebind(self, ncores: int, telemetry=None,
-               nic_name: Optional[str] = None) -> None:
+    def rebind(self, ncores: int) -> None:
         """Re-home the dispatcher when its NIC binds to a node."""
         if ncores != self.ncores:
             self.ncores = ncores
             self.flow_table.clear()
             self.steered = [0] * ncores
-        self.telemetry = telemetry
-        if nic_name is not None:
-            self.nic_name = nic_name
-
-    def publish_telemetry(self, hub=None) -> None:
-        tel = hub if hub is not None else self.telemetry
-        if tel is None or not tel.enabled:
-            return
-        tel.gauge("rss.flows", nic=self.nic_name).set(len(self.flow_table))
 
     def stats(self) -> dict:
         return {

@@ -34,7 +34,7 @@ from ..hw.node import Node
 from ..pipes import Interface, PIPE_WRITE, compile_pl, pipel
 from ..sim.queues import Channel
 from ..sim.units import us
-from ..vcode.vm import VmResult
+from ..vcode.vm import Vm, VmResult
 from .dpf import DpfEngine, Predicate
 from .process import Process
 from .scheduler import RoundRobinScheduler
@@ -109,6 +109,10 @@ class Kernel(SyscallInterface):
         #: per-(nic, core) guard: at most one drain process outstanding
         self._drain_pending: set[tuple[str, int]] = set()
         self.dpf = DpfEngine(self.cal, telemetry=node.telemetry)
+        #: the one VM every handler of this node runs on (ASHs, upcalls,
+        #: pipe lists without a vectorized form)
+        self.vm = Vm(node.memory, cache=node.dcache, cal=self.cal,
+                     telemetry=node.telemetry)
         self.upcalls = UpcallManager(self)
         self.endpoints: list[Endpoint] = []
         self._by_vci: dict[tuple[str, int], Endpoint] = {}
@@ -141,14 +145,14 @@ class Kernel(SyscallInterface):
         #: legitimate reason (must stay 0: ash → upcall → ring → drop)
         self.degradation_order_violations = 0
         self.delivery_outcomes: dict[str, int] = {}
-        # telemetry: instruments are created once here; each op on them
-        # is a no-op branch while the node's hub is disabled
+        # telemetry: the counters above are collected off this object
+        # when somebody looks; the one per-message event, a filter
+        # classification's cost, is pushed through an instrument bound
+        # here (a no-op branch while the node's hub is disabled)
         tel = node.telemetry
         self.telemetry = tel
-        self._m_rx_interrupts = tel.counter("kernel.rx_interrupts")
-        self._m_demux_misses = tel.counter("kernel.demux_misses")
+        tel.add_collector(self._collect)
         self._m_demux_us = tel.histogram("kernel.demux_us")
-        self._m_livelock = tel.counter("kernel.livelock_deferrals")
         #: the livelock guard's window, one clock tick (fixed per kernel)
         self._ash_window = us(self.cal.tick_us)
         #: the Ethernet copy-out's de-striping loop, compiled at first use
@@ -303,7 +307,6 @@ class Kernel(SyscallInterface):
             self.tenants.on_crash()
         tel = self.telemetry
         if tel.enabled:
-            tel.counter("crash.crashes").inc()
             # the flight recorder lives in application memory (like the
             # SharedTcb regions), so everything recorded before this
             # instant survives the teardown above and lands in the dump
@@ -352,14 +355,6 @@ class Kernel(SyscallInterface):
         rec["reboot_at"] = self.engine.now
         self._await_first_delivery = True
         self._boot_records = []
-        tel = self.telemetry
-        if tel.enabled:
-            tel.counter("crash.recoveries").inc()
-            if rec["filters_reinstalled"]:
-                tel.counter("crash.filters_reinstalled").inc(
-                    rec["filters_reinstalled"])
-            if rec["ash_reinstalls"]:
-                tel.counter("crash.ash_reinstalls").inc(rec["ash_reinstalls"])
         self.node.trace(
             "kernel.reboot",
             f"filters={rec['filters_reinstalled']} "
@@ -377,8 +372,6 @@ class Kernel(SyscallInterface):
         self.lost_messages += 1
         self._recycle(desc, ep)
         self._finish_span(desc, "crash_lost")
-        if self.telemetry.enabled:
-            self.telemetry.counter("crash.lost_messages").inc()
 
     # -- transmit ----------------------------------------------------------
     def kernel_send(self, nic: Nic, frame: Frame, cpu=None) -> Generator:
@@ -423,11 +416,11 @@ class Kernel(SyscallInterface):
                 desc = ring.popleft()
                 drained += 1
                 yield from self._rx_interrupt(desc)
-            tel = self.telemetry
-            if tel.enabled and drained:
-                tel.counter("core.rx_batches",
-                            nic=nic.name, core=str(core)).inc()
-                tel.histogram("core.batch_frames").observe(drained)
+            if drained:
+                nic.rx_batches[core] += 1
+                if self.telemetry.enabled:
+                    self.telemetry.histogram(
+                        "core.batch_frames").observe(drained)
         finally:
             self._drain_pending.discard((nic.name, core))
             if ring:
@@ -441,7 +434,6 @@ class Kernel(SyscallInterface):
         nic = desc.nic
         cpu = self.node.cpus[desc.core]
         self.rx_interrupts += 1
-        self._m_rx_interrupts.inc()
         # driver cost incl. the post-DMA software cache flush
         yield from cpu.exec_us(nic.driver_recv_us, PRIO_INTERRUPT)
         self.node.dcache.flush_range(desc.addr, desc.dma_span)
@@ -463,7 +455,6 @@ class Kernel(SyscallInterface):
                 self._drop_in_crash(desc)
             else:
                 self.demux_misses += 1
-                self._m_demux_misses.inc()
                 self._finish_span(desc, "demux_miss")
                 self._recycle(desc)
             return
@@ -489,7 +480,6 @@ class Kernel(SyscallInterface):
                 ep.ash_window_count = 0
             if ep.ash_window_count >= limit:
                 ep.livelock_deferrals += 1
-                self._m_livelock.inc()
                 return "livelock_throttle"
             ep.ash_window_count += 1
         if self.tenants is not None and not self.tenants.ash_allowed(ep):
@@ -562,8 +552,6 @@ class Kernel(SyscallInterface):
                     # degrades to the levels below
                     moved_on = "involuntary_abort"
                     self.ash_abort_fallbacks += 1
-                    if self.telemetry.enabled:
-                        self.telemetry.counter("ash.abort_fallbacks").inc()
                 skips[level] = moved_on
 
             if level != "ring":
@@ -735,6 +723,28 @@ class Kernel(SyscallInterface):
         yield from cpu.exec(result.cycles - charged, prio)
 
     # -- introspection ------------------------------------------------------
+    def _collect(self, reg) -> None:
+        """This kernel's ledgers — the ones :meth:`stats` reports — as
+        ``kernel.*`` / ``sched.*`` / ``crash.*`` totals."""
+        reg.total("kernel.rx_interrupts", self.rx_interrupts)
+        reg.total("kernel.demux_misses", self.demux_misses)
+        reg.total("kernel.livelock_deferrals",
+                  sum(ep.livelock_deferrals for ep in self.endpoints))
+        reg.total("ash.abort_fallbacks", self.ash_abort_fallbacks)
+        # shared (unlabeled) across cores: per-node totals stay
+        # comparable with the single-core era; per-core detail is core.*
+        reg.total("sched.context_switches",
+                  sum(s.context_switches for s in self.schedulers))
+        reg.total("sched.packet_boosts",
+                  sum(s.packet_boosts for s in self.schedulers))
+        reg.total("crash.crashes", self.crash_count)
+        reg.total("crash.recoveries", self.recoveries)
+        reg.total("crash.lost_messages", self.lost_messages)
+        reg.total("crash.filters_reinstalled", sum(
+            rec["filters_reinstalled"] for rec in self.crash_log))
+        reg.total("crash.ash_reinstalls", sum(
+            rec["ash_reinstalls"] for rec in self.crash_log))
+
     def stats(self) -> dict:
         """A deterministic snapshot of kernel-level accounting.
 

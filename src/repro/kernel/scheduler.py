@@ -53,11 +53,7 @@ class RoundRobinScheduler:
         self._wakeup: Optional[Event] = None
         self._last_scheduled: Optional["Process"] = None
         self.context_switches = 0
-        tel = kernel.node.telemetry
-        # shared (unlabeled) instruments: per-node totals stay comparable
-        # with the single-core era; per-core detail lives in core.*
-        self._m_switches = tel.counter("sched.context_switches")
-        self._m_boosts = tel.counter("sched.packet_boosts")
+        self.packet_boosts = 0
         self._proc = self.engine.spawn(
             self._loop(), name="scheduler" if core == 0 else f"scheduler{core}"
         )
@@ -96,7 +92,7 @@ class RoundRobinScheduler:
             return
         self._remove(proc)
         self.ready.appendleft(proc)
-        self._m_boosts.inc()
+        self.packet_boosts += 1
         if self.current is not None:
             self._end_slice()
         self._kick()
@@ -137,7 +133,6 @@ class RoundRobinScheduler:
             if proc is not self._last_scheduled and self._last_scheduled is not None:
                 # full context switch: address space + register state
                 self.context_switches += 1
-                self._m_switches.inc()
                 yield from cpu.exec_us(self.cal.context_switch_us, PRIO_KERNEL)
             self._last_scheduled = proc
             self.current = proc

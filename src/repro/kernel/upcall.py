@@ -25,7 +25,6 @@ from typing import Generator, TYPE_CHECKING
 from ..errors import VmFault
 from ..hw.calibration import PRIO_INTERRUPT
 from ..vcode.isa import Program
-from ..vcode.vm import Vm
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..hw.nic.base import RxDescriptor
@@ -87,10 +86,8 @@ class UpcallManager:
         env = build_handler_env(
             kernel, desc, pending, allowed=None, mode="upcall", ep=ep
         )
-        vm = Vm(kernel.node.memory, cache=kernel.node.dcache, cal=cal,
-                telemetry=tel)
         try:
-            result = vm.run(
+            result = kernel.vm.run(
                 handler.program,
                 args=(desc.addr, desc.length, handler.user_word),
                 env=env,

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from typing import Generator, Optional, TYPE_CHECKING
 
-from ..bench.testbed import Testbed
 from .headers import ip_aton
 from .stack import NetStack
 from .tcp import TcpConnection
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..bench.testbed import Testbed
     from ..kernel.process import Process
 
 __all__ = ["TcpSocket", "make_stacks", "tcp_pair"]
@@ -61,7 +61,7 @@ class TcpSocket:
         return self.conn.peer_fin and self.conn.tcb.shared.available == 0
 
 
-def make_stacks(tb: Testbed, client_ip: str = "10.0.0.1",
+def make_stacks(tb: "Testbed", client_ip: str = "10.0.0.1",
                 server_ip: str = "10.0.0.2",
                 flow: int = 0) -> tuple[NetStack, NetStack]:
     """AN2 stacks for flow ``flow`` of a testbed: circuits ``2*flow+1``

@@ -45,6 +45,8 @@ class NetStack:
         self.nic = nic
         self.node = kernel.node
         self.tel = kernel.node.telemetry
+        #: per node, shared by every stack on it: pushed, bound once
+        self._m_tx_frames = self.tel.counter("net.tx_frames")
         self.ip = ip_aton(ip)
         self.datapath = DataPath(kernel.node)
         self.reassembler = Reassembler()
@@ -101,7 +103,7 @@ class NetStack:
                   dst_mac: Optional[bytes] = None) -> Frame:
         """Wrap an IP packet for this stack's medium."""
         if self.tel.enabled:
-            self.tel.counter("net.tx_frames").inc()
+            self._m_tx_frames.inc()
             self.node.trace(
                 "net.tx_frame",
                 lambda: {"dst_ip": f"{dst_ip:#010x}", "len": len(ip_packet)},

@@ -26,10 +26,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ...hw.memory import PhysicalMemory, Region
-from ...sim.queues import TimerWheel
 
 __all__ = ["TcpState", "SharedTcb", "Tcb", "seq_lt", "seq_lte",
            "SHARED_TCB_SIZE", "SHARED_TCB_FIELDS"]
@@ -215,6 +213,8 @@ class Tcb:
     #: per cwnd bytes acknowledged (byte-counted AIMD)
     cwnd_acc: int = 0
     # statistics (Section V-B reports the abort rate of the fast path)
+    tx_segments: int = 0
+    rx_segments: int = 0
     hdrpred_hits: int = 0
     slow_segments: int = 0
     acks_sent: int = 0
@@ -240,9 +240,6 @@ class Tcb:
     #: out-of-order segments buffered by the receiver instead of thrown
     #: away (pre-SACK behaviour was drop + duplicate ack)
     ooo_buffered: int = 0
-    #: per-connection timer wheel (retransmit/delack churn); installed
-    #: by TcpConnection so cancelled timers never build up as tombstones
-    timers: Optional["TimerWheel"] = None
 
     @property
     def snd_inflight(self) -> int:

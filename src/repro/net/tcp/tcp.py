@@ -59,7 +59,6 @@ from ...errors import ProtocolError, SocketError
 from ...hw.nic.base import RxDescriptor
 from ...kernel.dpf import Predicate
 from ...kernel.upcall import UpcallHandler
-from ...sim.queues import TimerWheel
 from ...sim.units import us
 from ..checksum import le_word_sum
 from ..headers import (
@@ -179,7 +178,6 @@ class TcpConnection:
             snd_wnd=window,
             mss=mss,
         )
-        self.tcb.timers = TimerWheel(self.kernel.engine, name=name)
         # congestion state is seeded into the shared block so it is
         # application-durable from the first byte (RFC 3390 initial
         # window unless overridden; ssthresh starts at the send window)
@@ -193,6 +191,7 @@ class TcpConnection:
         self.flow = (self.tcb.local_ip, self.tcb.local_port,
                      self.tcb.remote_ip, self.tcb.remote_port)
         self._flow = self.tel.slo.flow(self.flow)
+        self.tel.add_collector(self._collect)
         #: sender scoreboard: every in-flight segment, SACK marks and all
         self._board = SackScoreboard()
         #: receiver reassembly queue for out-of-order segments
@@ -230,6 +229,22 @@ class TcpConnection:
                 ],
                 name=name,
             )
+
+    def _collect(self, reg) -> None:
+        """The TCB's statistics as ``tcp.*{conn}`` totals."""
+        tcb, conn = self.tcb, self.name
+        reg.total("tcp.tx_segments", tcb.tx_segments, conn=conn)
+        reg.total("tcp.rx_segments", tcb.rx_segments, conn=conn)
+        reg.total("tcp.retransmits", tcb.retransmits, conn=conn)
+        reg.total("tcp.fast_retransmits", tcb.fast_retransmits, conn=conn)
+        reg.total("tcp.fast_recovery.entries", tcb.fast_recoveries, conn=conn)
+        reg.total("tcp.checksum_failures", tcb.checksum_failures, conn=conn)
+        reg.total("tcp.sack.blocks_rx", tcb.sack_blocks_rx, conn=conn)
+        reg.total("tcp.sack.blocks_tx", tcb.sack_blocks_tx, conn=conn)
+        reg.total("tcp.sack.sacked_bytes", tcb.sacked_bytes, conn=conn)
+        reg.total("tcp.sack.ooo_queued", tcb.ooo_buffered, conn=conn)
+        reg.total("tcp.sack.selective_rexmits", tcb.selective_rexmits,
+                  conn=conn)
 
     # ------------------------------------------------------------------
     # congestion bookkeeping
@@ -325,8 +340,6 @@ class TcpConnection:
         tcb.recover = tcb.snd_nxt
         tcb.fast_recoveries += 1
         if self.tel.enabled:
-            self.tel.counter("tcp.fast_recovery.entries",
-                             conn=self.name).inc()
             self.tel.gauge("tcp.cwnd", conn=self.name).set(sh.cwnd)
             self.tel.gauge("tcp.ssthresh", conn=self.name).set(sh.ssthresh)
             self._flow.recovery(now)
@@ -355,9 +368,7 @@ class TcpConnection:
         """Resend one scoreboard hole without waiting out the timer."""
         seg.rexmits += 1
         self.tcb.fast_retransmits += 1
-        if self.tel.enabled:
-            self.tel.counter("tcp.fast_retransmits", conn=self.name).inc()
-            self._flow.retransmit(proc.engine.now)
+        self._flow.retransmit(proc.engine.now)
         yield from self._send_data(
             proc, seg.payload, push=True, seq=seg.seq, rexmit=True
         )
@@ -644,43 +655,25 @@ class TcpConnection:
         if timeout_us is None:
             timeout_us = self.rto_us
         ring = self.endpoint.ring
-        kernel = self.kernel
         engine = proc.engine
-        timers = self.tcb.timers
-        if self.interrupt_driven:
-            ok, item = ring.try_get()
-            if not ok:
-                get_ev = ring.get()
-                # arm through the wheel: if data wins the race the
-                # timer is cancelled outright instead of left to fire
-                # as a dead event (tombstone churn at scale)
-                timeout = timers.after(us(timeout_us))
-                result = yield from proc.block_on(
-                    engine.any_of([get_ev, timeout])
-                )
-                if get_ev in result:
-                    timers.cancel(timeout)
-                    item = result[get_ev]
-                else:
-                    ring.cancel_get(get_ev)
-                    return False
-        else:
+        ok, item = ring.try_get()
+        if not ok:
+            get_ev = ring.get()
+            timeout = engine.timeout(us(timeout_us))
+            result = yield from proc.block_on(
+                engine.any_of([get_ev, timeout])
+            )
+            if get_ev not in result:
+                ring.cancel_get(get_ev)
+                return False
+            # data won the race: the timer is cancelled outright instead
+            # of left to fire as a dead event (tombstone churn at scale)
+            timeout.cancel()
+            item = result[get_ev]
+        if not self.interrupt_driven:
             # Polling receiver, modelled event-driven (see Process.poll):
             # discovery happens one poll-check after arrival, while
             # scheduled.
-            ok, item = ring.try_get()
-            if not ok:
-                get_ev = ring.get()
-                timeout = timers.after(us(timeout_us))
-                result = yield from proc.block_on(
-                    engine.any_of([get_ev, timeout])
-                )
-                if get_ev in result:
-                    timers.cancel(timeout)
-                    item = result[get_ev]
-                else:
-                    ring.cancel_get(get_ev)
-                    return False
             yield from proc.compute_us(self.cal.poll_check_us)
         if isinstance(item, AshNotification):
             # data/acks were handled in the kernel; we were only woken.
@@ -712,8 +705,8 @@ class TcpConnection:
                 # active delivery: ACKs and replies sent from here carry
                 # its causal lineage in their trace context
                 tracker.active = span
+            tcb.rx_segments += 1
             if self.tel.enabled:
-                self.tel.counter("tcp.rx_segments", conn=self.name).inc()
                 self._flow.rx_segment(ip_len)
                 self.kernel.node.trace(
                     "tcp.rx_segment", lambda: {"conn": self.name, "len": ip_len}
@@ -750,10 +743,7 @@ class TcpConnection:
                 if not TcpHeader.verify(seg.ip.src, seg.ip.dst, tcp_and_payload):
                     # corrupt: drop-and-count; the sender's timer recovers
                     tcb.checksum_failures += 1
-                    if self.tel.enabled:
-                        self.tel.counter("tcp.checksum_failures",
-                                         conn=self.name).inc()
-                        self._flow.loss(proc.engine.now)
+                    self._flow.loss(proc.engine.now)
                     return
 
             yield from self._segment_arrived(proc, seg)
@@ -862,15 +852,7 @@ class TcpConnection:
             if opts and opts["sack_blocks"]:
                 blocks = opts["sack_blocks"]
                 tcb.sack_blocks_rx += len(blocks)
-                newly_sacked = board.apply_sack(blocks)
-                if self.tel.enabled:
-                    self.tel.counter("tcp.sack.blocks_rx",
-                                     conn=self.name).inc(len(blocks))
-                if newly_sacked:
-                    tcb.sacked_bytes += newly_sacked
-                    if self.tel.enabled:
-                        self.tel.counter("tcp.sack.sacked_bytes",
-                                         conn=self.name).inc(newly_sacked)
+                tcb.sacked_bytes += board.apply_sack(blocks)
 
         if seq_lt(sh.snd_una, ack) and seq_lte(ack, tcb.snd_nxt):
             sh.snd_una = ack
@@ -918,7 +900,6 @@ class TcpConnection:
         into the reassembly queue (SACK) or dropped (legacy)."""
         tcb = self.tcb
         sh = tcb.shared
-        mem = self.kernel.node.memory
         seq = seg.tcp.seq
         payload = seg.payload
         src_addr = seg.payload_addr
@@ -937,9 +918,6 @@ class TcpConnection:
                     # threw it away) and advertise the range back
                     if self._ooo.add(seq, bytes(payload), sh.rcv_nxt):
                         tcb.ooo_buffered += 1
-                        if self.tel.enabled:
-                            self.tel.counter("tcp.sack.ooo_queued",
-                                             conn=self.name).inc()
                         # the buffering copy out of the network buffer
                         yield from proc.compute(
                             self.stack.datapath.copy(
@@ -957,24 +935,13 @@ class TcpConnection:
             yield from self._send_ack(proc)
             return
 
-        pos = sh.write_count & sh.buf_mask
-        first = min(len(payload), sh.buf_size - pos)
-        mem.write(sh.buf_base + pos, payload[:first])
-        if len(payload) > first:
-            mem.write(sh.buf_base, payload[first:])
         # The buffering copy out of the network buffer is unavoidable in
         # the library path ("the data that is piggybacked on the
         # acknowledgment has to be buffered until the client calls read,
         # which leads to an additional copy in our current
         # implementation").  The ASH fast path fuses it with the
         # checksum; here it is a separate traversal.
-        cycles = self.stack.datapath.copy(src_addr, sh.buf_base + pos, first)
-        if len(payload) > first:
-            cycles += self.stack.datapath.copy(
-                src_addr + first, sh.buf_base, len(payload) - first
-            )
-        yield from proc.compute(cycles)
-        sh.write_count = (sh.write_count + len(payload)) & MASK32
+        yield from self._ring_write(proc, payload, src_addr)
         sh.rcv_nxt = (seq + len(payload)) & MASK32
 
         # drain any reassembled data that just became contiguous
@@ -985,31 +952,44 @@ class TcpConnection:
             if sh.free_space < len(ready):
                 self._ooo.add(sh.rcv_nxt, ready, sh.rcv_nxt)  # retry later
                 break
-            pos = sh.write_count & sh.buf_mask
-            first = min(len(ready), sh.buf_size - pos)
-            mem.write(sh.buf_base + pos, ready[:first])
-            if len(ready) > first:
-                mem.write(sh.buf_base, ready[first:])
-            cycles = self.stack.datapath.copy(
-                sh.buf_base, sh.buf_base + pos, first
-            )
-            if len(ready) > first:
-                cycles += self.stack.datapath.copy(
-                    sh.buf_base, sh.buf_base, len(ready) - first
-                )
-            yield from proc.compute(cycles)
-            sh.write_count = (sh.write_count + len(ready)) & MASK32
+            yield from self._ring_write(proc, ready)
             sh.rcv_nxt = (sh.rcv_nxt + len(ready)) & MASK32
         sh.ooo_pending = self._ooo.buffered
         yield from self._send_ack(proc)
+
+    def _ring_write(self, proc: "Process", data,
+                    src_addr: Optional[int] = None) -> Generator:
+        """Append ``data`` to the receive ring at WRITE_COUNT (wrapping
+        at the end of the buffer), charging the copy from ``src_addr``
+        — or, for host bytes out of the reassembly queue, which have no
+        address, from the ring base standing in for one."""
+        sh = self.tcb.shared
+        mem = self.kernel.node.memory
+        pos = sh.write_count & sh.buf_mask
+        first = min(len(data), sh.buf_size - pos)
+        rest = len(data) - first
+        if src_addr is None:
+            src_addr = rest_addr = sh.buf_base
+        else:
+            rest_addr = src_addr + first
+        cycles = self.stack.datapath.copy(src_addr, sh.buf_base + pos, first)
+        if rest:
+            cycles += self.stack.datapath.copy(rest_addr, sh.buf_base, rest)
+        # the bytes themselves land last: whatever address the charged
+        # copy read from, the ring ends up holding ``data``
+        mem.write(sh.buf_base + pos, data[:first])
+        if rest:
+            mem.write(sh.buf_base, data[first:])
+        yield from proc.compute(cycles)
+        sh.write_count = (sh.write_count + len(data)) & MASK32
 
     # ------------------------------------------------------------------
     # transmit helpers
     # ------------------------------------------------------------------
     def _frame_and_send(self, proc: "Process", packet: bytes) -> Generator:
         frame = self.stack.frame_for(self.tcb.remote_ip, packet, self._dst_mac)
+        self.tcb.tx_segments += 1
         if self.tel.enabled:
-            self.tel.counter("tcp.tx_segments", conn=self.name).inc()
             self._flow.tx_segment(len(packet))
             self.kernel.node.trace(
                 "tcp.tx_segment", lambda: {"conn": self.name, "len": len(packet)}
@@ -1081,9 +1061,6 @@ class TcpConnection:
             if blocks:
                 options = sack_option(blocks)
                 tcb.sack_blocks_tx += len(blocks)
-                if self.tel.enabled:
-                    self.tel.counter("tcp.sack.blocks_tx",
-                                     conn=self.name).inc(len(blocks))
         header = TcpHeader(
             src_port=tcb.local_port, dst_port=tcb.remote_port,
             seq=tcb.snd_nxt, ack=tcb.shared.rcv_nxt,
@@ -1113,9 +1090,7 @@ class TcpConnection:
         sh = tcb.shared
         now = proc.engine.now
         tcb.retransmits += 1
-        if self.tel.enabled:
-            self.tel.counter("tcp.retransmits", conn=self.name).inc()
-            self._flow.retransmit(now)
+        self._flow.retransmit(now)
         sh.ssthresh = max(tcb.snd_inflight // 2, 2 * tcb.mss)
         sh.cwnd = tcb.mss
         tcb.cwnd_acc = 0
@@ -1134,11 +1109,7 @@ class TcpConnection:
             yield from self._send_data(
                 proc, seg.payload, push=True, seq=seg.seq, rexmit=True
             )
-        if skipped:
-            tcb.selective_rexmits += skipped
-            if self.tel.enabled:
-                self.tel.counter("tcp.sack.selective_rexmits",
-                                 conn=self.name).inc(skipped)
+        tcb.selective_rexmits += skipped
 
     # ------------------------------------------------------------------
     # the kernel fast path (Table VI)

@@ -95,12 +95,20 @@ class UdpSocket:
         self._staging = mem.alloc(f"{name}.staging", 65536)
         self._app_buf = mem.alloc(f"{name}.appbuf", app_buf_size)
         self.tel = self.kernel.node.telemetry
+        self.tel.add_collector(self._collect)
         self.rx_datagrams = 0
         self.tx_datagrams = 0
         self.checksum_failures = 0
         #: frames dropped because they would not parse (truncated DMA,
         #: mangled length fields)
         self.malformed = 0
+
+    def _collect(self, reg) -> None:
+        port = self.local_port
+        reg.total("udp.rx_datagrams", self.rx_datagrams, port=port)
+        reg.total("udp.tx_datagrams", self.tx_datagrams, port=port)
+        reg.total("udp.checksum_failures", self.checksum_failures, port=port)
+        reg.total("udp.malformed", self.malformed, port=port)
 
     # -- send ---------------------------------------------------------------
     def sendto(
@@ -140,7 +148,6 @@ class UdpSocket:
             yield from kernel.sys_net_send(proc, stack.nic, frame)
         self.tx_datagrams += 1
         if self.tel.enabled:
-            self.tel.counter("udp.tx_datagrams", port=self.local_port).inc()
             kernel.node.trace(
                 "udp.sendto",
                 lambda: {"port": self.local_port, "dst_port": dst_port,
@@ -178,9 +185,6 @@ class UdpSocket:
                 # truncated DMA or mangled length fields: drop-and-count,
                 # keep waiting
                 self.malformed += 1
-                if self.tel.enabled:
-                    self.tel.counter("udp.malformed",
-                                     port=self.local_port).inc()
                 yield from kernel.sys_replenish(proc, self.endpoint, desc)
                 continue
             payload_len = udp.length - UdpHeader.SIZE
@@ -206,9 +210,6 @@ class UdpSocket:
                 yield from proc.compute_us(cal.cksum_fixed_us)
                 if not UdpHeader.verify(ip_header.src, ip_header.dst, datagram):
                     self.checksum_failures += 1
-                    if self.tel.enabled:
-                        self.tel.counter("udp.checksum_failures",
-                                         port=self.local_port).inc()
                     yield from kernel.sys_replenish(proc, self.endpoint, desc)
                     continue
 
@@ -239,7 +240,6 @@ class UdpSocket:
             yield from kernel.sys_replenish(proc, self.endpoint, desc)
             self.rx_datagrams += 1
             if self.tel.enabled:
-                self.tel.counter("udp.rx_datagrams", port=self.local_port).inc()
                 kernel.node.trace(
                     "udp.recvfrom",
                     lambda: {"port": self.local_port, "len": payload_len},

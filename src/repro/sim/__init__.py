@@ -11,7 +11,7 @@ from .engine import (
     SUBSTRATE_ENV,
     active_substrate,
 )
-from .queues import CalendarQueue, Channel, Gate, HeapEventQueue, PriorityLock, TimerWheel
+from .queues import CalendarQueue, Channel, Gate, HeapEventQueue, PriorityLock
 from .trace import TraceRecord, Tracer
 from . import units
 
@@ -30,7 +30,6 @@ __all__ = [
     "Gate",
     "HeapEventQueue",
     "PriorityLock",
-    "TimerWheel",
     "TraceRecord",
     "Tracer",
     "units",

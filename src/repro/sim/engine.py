@@ -406,7 +406,9 @@ class Engine:
         self._fired = 0
         self._cancelled = 0
         self._inlined = 0  # queue hops elided by the fast loop
-        self._published: dict[str, int] = {}  # last-exported counter values
+        #: the hub the counters above are exported through (see
+        #: :meth:`export_to`); the engine has none of its own
+        self.telemetry = None
         # Shared pre-triggered event: what an open gate or an
         # uncontended lock hands back.  Stateless (value None, no
         # callbacks survive on it), so every pass-through wait can
@@ -724,29 +726,23 @@ class Engine:
             "queue": self._queue.stats(),
         }
 
-    def publish_telemetry(self, hub) -> None:
-        """Export the scheduling counters into a telemetry hub as
-        ``sim.calendar.*`` (the engine has no hub of its own; benchmarks
-        attach it to a node's).  Counter exports are delta-based, so
-        calling again after further simulation publishes only the growth
-        — phased runs never double-count."""
-        if hub is None or not hub.enabled:
-            return
+    def export_to(self, hub) -> None:
+        """Have ``hub`` collect the scheduling counters as
+        ``sim.calendar.*`` (testbeds lend their client node's).  The
+        first hub keeps the job, so an engine that many pairs share is
+        exported once, not once per pair."""
+        if self.telemetry is None:
+            self.telemetry = hub
+            hub.add_collector(self._collect)
+
+    def _collect(self, reg) -> None:
         queue_stats = self._queue.stats()
-        totals = {
-            "sim.calendar.scheduled": self._scheduled,
-            "sim.calendar.fired": self._fired,
-            "sim.calendar.cancelled": self._cancelled,
-            "sim.calendar.inlined": self._inlined,
-            "sim.calendar.tombstones_popped":
-                queue_stats.get("tombstones_popped", 0),
-        }
-        for name, total in totals.items():
-            prev = self._published.get(name, 0)
-            if total > prev:
-                hub.counter(name).inc(total - prev)
-                self._published[name] = total
-        hub.gauge("sim.calendar.pending").set(len(self._queue))
-        hub.gauge("sim.calendar.tombstones").set(
-            queue_stats.get("tombstones", 0)
-        )
+        reg.total("sim.calendar.scheduled", self._scheduled)
+        reg.total("sim.calendar.fired", self._fired)
+        reg.total("sim.calendar.cancelled", self._cancelled)
+        reg.total("sim.calendar.inlined", self._inlined)
+        reg.total("sim.calendar.tombstones_popped",
+                  queue_stats.get("tombstones_popped", 0))
+        reg.gauge("sim.calendar.pending").set(len(self._queue))
+        reg.gauge("sim.calendar.tombstones").set(
+            queue_stats.get("tombstones", 0))

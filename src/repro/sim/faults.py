@@ -49,7 +49,7 @@ engine's deterministic clock, so scenarios are scriptable as plain data
     ])
 
 The plane keeps a deterministic **ledger** of everything it injected
-(:meth:`FaultPlane.ledger`) and mirrors it into ``faults.*`` telemetry.
+(:meth:`FaultPlane.ledger`), exported as ``faults.*`` telemetry.
 """
 
 from __future__ import annotations
@@ -117,6 +117,10 @@ class _Injector:
         if self.stop is not None and now >= self.stop:
             return False
         return True
+
+    def collect(self, reg) -> None:
+        """Export what this injector counts beyond the plane's ledger
+        (run by the plane's collector)."""
 
 
 class LinkImpairment(_Injector):
@@ -419,11 +423,11 @@ class MemPressure(_Injector):
             return False
         self.fired += 1
         self.plane.record("mem_pressure", f"{self.site}:{site}")
-        tel = self.plane.telemetry
-        if tel is not None and tel.enabled:
-            tel.counter("mem.alloc_failures", site=site,
-                        node=self.node.name).inc()
         return True
+
+    def collect(self, reg) -> None:
+        for site, n in self.node.memory.alloc_failures.items():
+            reg.total("mem.alloc_failures", n, site=site, node=self.node.name)
 
 
 class CpuContention(_Injector):
@@ -473,11 +477,11 @@ class CpuContention(_Injector):
             return 0
         self.fired += 1
         self.plane.record("cpu_contention", self.site)
-        tel = self.plane.telemetry
-        if tel is not None and tel.enabled:
-            tel.counter("cpu.contention_cycles",
-                        cpu=self.cpu.name).inc(self.burst_cycles)
         return self.burst_cycles
+
+    def collect(self, reg) -> None:
+        reg.total("cpu.contention_cycles", self.fired * self.burst_cycles,
+                  cpu=self.cpu.name)
 
     def steal(self) -> int:
         """Cycles of foreign work stealing the CPU from this ``exec``
@@ -731,8 +735,11 @@ class FaultPlane:
         self.engine = engine
         self.seed = seed
         self.telemetry = telemetry
-        self._ledger: dict[str, int] = {}
+        #: injected faults by (kind, site)
+        self._ledger: dict[tuple[str, str], int] = {}
         self.injectors: list[_Injector] = []
+        if telemetry is not None:
+            telemetry.add_collector(self._collect)
 
     # -- deterministic randomness ----------------------------------------
     def _rng_for(self, site: str) -> random.Random:
@@ -863,27 +870,28 @@ class FaultPlane:
 
     # -- accounting --------------------------------------------------------
     def record(self, kind: str, site: str) -> None:
-        self._ledger[kind] = self._ledger.get(kind, 0) + 1
+        key = (kind, site)
+        self._ledger[key] = self._ledger.get(key, 0) + 1
         tel = self.telemetry
         if tel is not None and tel.enabled:
-            tel.counter("faults.injected", kind=kind, site=site).inc()
             tel.flight.record("fault", self.engine.now, fault=kind, site=site)
 
     def ledger(self) -> dict[str, int]:
         """Deterministic count of injected faults by kind — part of the
         substrate bit-identity bar."""
-        return dict(sorted(self._ledger.items()))
+        by_kind: dict[str, int] = {}
+        for (kind, _site), n in self._ledger.items():
+            by_kind[kind] = by_kind.get(kind, 0) + n
+        return dict(sorted(by_kind.items()))
 
     def total(self, kind: Optional[str] = None) -> int:
-        if kind is not None:
-            return self._ledger.get(kind, 0)
-        return sum(self._ledger.values())
+        return sum(n for (k, _site), n in self._ledger.items()
+                   if kind is None or k == kind)
 
-    def publish_telemetry(self, hub=None) -> None:
-        """End-of-run export: the ledger as ``faults.ledger`` gauges
-        (idempotent sets, safe to call per phase)."""
-        tel = hub if hub is not None else self.telemetry
-        if tel is None or not tel.enabled:
-            return
-        for kind, count in self._ledger.items():
-            tel.gauge("faults.ledger", kind=kind).set(count)
+    def _collect(self, reg) -> None:
+        for (kind, site), n in self._ledger.items():
+            reg.total("faults.injected", n, kind=kind, site=site)
+        for kind, n in self.ledger().items():
+            reg.gauge("faults.ledger", kind=kind).set(n)
+        for injector in self.injectors:
+            injector.collect(reg)

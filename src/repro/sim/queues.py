@@ -9,9 +9,7 @@ Process-facing primitives:
   boundaries; the holder's timed *hold* is told when such a waiter
   queues),
 * :class:`Gate` — a reusable level-triggered condition (scheduler
-  "you are now running" signals; closing it cuts the running hold),
-* :class:`TimerWheel` — a schedule/cancel facade over engine timeouts
-  for high-churn users (the TCP retransmit/delack timers).
+  "you are now running" signals; closing it cuts the running hold).
 
 Engine-facing event queues (see :mod:`repro.sim.engine`):
 
@@ -31,13 +29,12 @@ from collections import deque
 from typing import Any, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle: engine imports us
-    from .engine import Engine, Event, Timeout
+    from .engine import Engine, Event
 
 __all__ = [
     "Channel",
     "PriorityLock",
     "Gate",
-    "TimerWheel",
     "HeapEventQueue",
     "CalendarQueue",
 ]
@@ -285,67 +282,6 @@ class CalendarQueue:
             "tombstones_popped": self.tombstones_popped,
             "overflow_spills": self.overflow_spills,
             "wheel_refills": self.wheel_refills,
-        }
-
-
-class TimerWheel:
-    """Armed-timer bookkeeping for schedule-then-usually-cancel users.
-
-    TCP arms a retransmission/delayed-ack timeout for every pump of the
-    receive path and cancels it the moment data wins the race; left to
-    the raw engine this is the classic tombstone factory.  The wheel
-    tracks the live timeouts, funnels cancellation through the engine's
-    true-cancel path (bucket removal on the calendar substrate), and
-    keeps arm/cancel/fire counters for the benchmarks' drain asserts.
-    """
-
-    def __init__(self, engine: "Engine", name: str = "timers"):
-        self.engine = engine
-        self.name = name
-        self.armed = 0
-        self.cancelled = 0
-        self.fired = 0
-        self._live: dict[int, "Timeout"] = {}
-
-    def _prune(self) -> None:
-        fired = [key for key, t in self._live.items() if t.triggered]
-        for key in fired:
-            del self._live[key]
-        self.fired += len(fired)
-
-    def after(self, delay: int, value: Any = None) -> "Timeout":
-        """Arm a timeout ``delay`` ticks from now."""
-        self._prune()
-        timeout = self.engine.timeout(delay, value)
-        self._live[id(timeout)] = timeout
-        self.armed += 1
-        return timeout
-
-    def cancel(self, timeout: Optional["Timeout"]) -> None:
-        """Disarm; a no-op for None or an already-fired timeout."""
-        if timeout is None:
-            return
-        tracked = self._live.pop(id(timeout), None) is not None
-        if timeout.triggered:
-            if tracked:
-                self.fired += 1
-            return
-        timeout.cancel()
-        if tracked:
-            self.cancelled += 1
-
-    @property
-    def live(self) -> int:
-        self._prune()
-        return len(self._live)
-
-    def stats(self) -> dict:
-        self._prune()
-        return {
-            "armed": self.armed,
-            "cancelled": self.cancelled,
-            "fired": self.fired,
-            "live": len(self._live),
         }
 
 

@@ -2,9 +2,11 @@
 
 One :class:`Telemetry` is attached to every :class:`~repro.hw.node.Node`
 at construction.  It is **disabled by default** — the simulation's
-modelled costs never depend on it, and a disabled hub costs one branch
-per instrumented call site — and is switched on either explicitly
-(``node.telemetry.enable()``) or for a whole run via
+modelled costs never depend on it; a disabled hub costs one branch per
+*pushed* event (spans, histograms, flight records) and nothing for the
+totals components count in their own ledgers, which are collected at
+snapshot time (:meth:`Telemetry.add_collector`) — and is switched on
+either explicitly (``node.telemetry.enable()``) or for a whole run via
 :func:`repro.telemetry.session` / :func:`repro.telemetry.configure`.
 
 The old :class:`~repro.sim.trace.Tracer` plugs in underneath: every
@@ -104,6 +106,12 @@ class Telemetry:
     def histogram(self, name: str, buckets: Optional[Sequence[float]] = None,
                   **labels) -> Histogram:
         return self.registry.histogram(name, buckets=buckets, **labels)
+
+    def add_collector(self, collector) -> None:
+        """Have ``collector(registry)`` write a component's ledger
+        totals whenever an enabled hub is snapshotted (see
+        :meth:`MetricsRegistry.add_collector`)."""
+        self.registry.add_collector(collector)
 
     # -- trace routing -------------------------------------------------
     def trace(self, source: str, tag: str, payload: Any = None) -> None:

@@ -1,11 +1,17 @@
 """The metrics registry: counters, gauges and fixed-bucket histograms.
 
-Stdlib-only, deterministic, and near-zero cost when disabled: every
-instrument shares its registry's ``enabled`` flag, so a disabled
-``inc()`` is one attribute load and one branch.  Instruments are
-identified by ``(name, labels)`` — repeated lookups return the same
-object, so hot paths can (and should) cache the instrument once at
-setup time and skip the dictionary lookup entirely.
+Stdlib-only and deterministic.  **Totals are collected, events are
+pushed** (DESIGN.md §6): a component that already counts something in
+a ledger of its own (``nic.rx_frames``, ``pool.acquired``) registers a
+*collector* once (:meth:`MetricsRegistry.add_collector`) and the
+registry reads the ledger when somebody looks — nothing runs per
+message, enabled or not.  What no ledger can reproduce (histogram
+observations, spans, per-flow SLO counters) is pushed through an
+instrument; every instrument shares its registry's ``enabled`` flag, so
+a disabled ``inc()`` is one attribute load and one branch.  Instruments
+are identified by ``(name, labels)`` — repeated lookups return the same
+object, so a hot pushing path should bind the instrument once at setup
+time and skip the dictionary lookup.
 
 Snapshots are plain JSON-serializable dicts with deterministic ordering
 (sorted by name, then label tuple): two identical simulation runs
@@ -15,7 +21,7 @@ produce byte-identical snapshots.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 __all__ = [
     "Counter",
@@ -200,6 +206,7 @@ class MetricsRegistry:
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self._instruments: dict[tuple, _Instrument] = {}
+        self._collectors: list[Callable[["MetricsRegistry"], None]] = []
 
     def _get(self, cls, name: str, labels: dict, **kwargs):
         key = (cls.kind, name, _label_key(labels))
@@ -221,8 +228,30 @@ class MetricsRegistry:
             return self._get(Histogram, name, labels)
         return self._get(Histogram, name, labels, buckets=buckets)
 
+    # -- collected totals ---------------------------------------------------
+    def add_collector(self, collector: Callable) -> None:
+        """Register ``collector(registry)``: called by :meth:`snapshot`
+        and :meth:`value`, iff the registry is enabled then, to write
+        its component's ledger totals with :meth:`total` / ``gauge(...)
+        .set``.  It must not call ``kernel.stats()``, which embeds the
+        snapshot."""
+        self._collectors.append(collector)
+
+    def total(self, name: str, value: int, **labels) -> None:
+        """A collector's counter write: the ledger's total, whole.  A
+        total still at zero has no sample, as a counter nobody has
+        incremented yet has none."""
+        if value:
+            self.counter(name, **labels).value = value
+
+    def _collect(self) -> None:
+        if self.enabled:
+            for collector in self._collectors:
+                collector(self)
+
     def snapshot(self) -> dict:
         """Deterministic dump: kind -> sorted list of instrument dicts."""
+        self._collect()
         out: dict[str, list] = {"counters": [], "gauges": [], "histograms": []}
         plural = {"counter": "counters", "gauge": "gauges",
                   "histogram": "histograms"}
@@ -233,6 +262,7 @@ class MetricsRegistry:
 
     def value(self, name: str, **labels):
         """Convenience lookup for tests: the instrument's current value."""
+        self._collect()
         for kind in ("counter", "gauge"):
             inst = self._instruments.get((kind, name, _label_key(labels)))
             if inst is not None:

@@ -17,7 +17,11 @@ remote_port)``.  Each flow gets
   record, and lands in the node's flight recorder.
 
 Everything is observation-driven and deterministic — no timers, no
-sampling — and a disabled hub reduces every entry point to one branch.
+sampling.  The ``flow.*`` counters are *pushed* (unlike the totals the
+registry collects from component ledgers, DESIGN.md §6) because the
+rules read them live, at the event that may breach a budget; each is
+bound once per flow, and while the hub is disabled an entry point costs
+its caller one call and one branch.
 """
 
 from __future__ import annotations

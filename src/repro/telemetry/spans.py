@@ -122,6 +122,8 @@ class SpanTracker:
         #: flow starts with no active span (a fresh app-initiated send):
         #: (trace_id, tx_time) pairs, rendered on the node's tid 0
         self.tx_flows: list[tuple[int, int]] = []
+        #: stage -> its ``stage.latency_us`` histogram, bound at first use
+        self._stage_hists: dict = {}
 
     def begin(self, name: str, t: int) -> Span:
         span = Span(self._next_id, name, t)
@@ -159,9 +161,13 @@ class SpanTracker:
         reg.counter("span.finished", outcome=outcome).inc()
         reg.histogram("span.duration_us").observe(span.duration() / 1e6)
         prev = span.start
+        hists = self._stage_hists
         for stage, at in span.events:
-            reg.histogram("stage.latency_us", buckets=US_BUCKETS,
-                          stage=stage).observe((at - prev) / 1e6)
+            hist = hists.get(stage)
+            if hist is None:
+                hist = hists[stage] = reg.histogram(
+                    "stage.latency_us", buckets=US_BUCKETS, stage=stage)
+            hist.observe((at - prev) / 1e6)
             prev = at
         tel.flight.record("span", t, name=span.name, outcome=outcome,
                           trace=span.trace_id)

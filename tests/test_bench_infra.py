@@ -176,12 +176,17 @@ def test_canonical_sidecars_are_fresh(tmp_path):
 
 #: SHA-256 of the merged metrics document of each telemetry-on world of
 #: ``tests/test_exit_matrix.py``: crash-lifetime counters and
-#: per-tenant labels, pinned on the code before totals were collected
+#: per-tenant labels.  First pinned on the code that pushed every total
+#: (71066a58... / 31a2d76b...); collecting them moved no sample — the
+#: two hashes changed only because four counters that were pre-created
+#: and still zero (``kernel.demux_misses``, ``kernel.livelock_deferrals``,
+#: ``sched.packet_boosts``, ``sched.context_switches``) no longer export
+#: a zero-valued sample (7 and 8 samples per document; CHANGES, PR 19)
 EXPORT_SHA256 = {
     "chaos_ash":
-        "71066a585e6e17b8026ea412a09bd62ff11847cdc8c0e8b7e0e77b25e8329bd2",
+        "deb83b683c058cc58622407220c701e89db402886feb62a6b3d6726992793fc9",
     "tenant_flood":
-        "31a2d76bf86ebe1bf003d7355105c0c11d13c528cb35618dc253ec0fe21a6be9",
+        "ccefb38457a6aea6c2e7c8b24616b8f9b2c9138bf3f270edb1150a68a635244e",
 }
 
 
@@ -191,7 +196,12 @@ def test_telemetry_export_of_pinned_world(world_name):
 
     from tests.test_exit_matrix import telemetry_export
 
-    blob = json.dumps(telemetry_export(world_name), sort_keys=True)
+    doc, _lookups = telemetry_export(world_name)
+    # what a run exports, collected totals included, is in KNOWN_METRICS
+    lint = _load_script("check_metrics_lint")
+    for node in doc["nodes"]:
+        assert lint.lint_snapshot(node["metrics"], where=node["source"]) == []
+    blob = json.dumps(doc, sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() \
         == EXPORT_SHA256[world_name]
 

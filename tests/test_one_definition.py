@@ -14,6 +14,10 @@ different state layout) and rots on its own.  So outside
 * no ``benchmarks/bench_*.py`` / ``sweep_driver.py`` imports ``argparse``,
   calls ``json.dump`` or runs the ``legacy`` substrate itself: that is
   ``plane_main`` / ``bench_main`` / ``on_both_substrates``.
+* no module under ``src/repro/`` outside ``repro/bench/`` imports
+  ``repro.bench`` at run time: the library does not depend on its
+  harness (the package root, which re-exports the whole public API,
+  is the one exception).
 """
 
 import ast
@@ -123,6 +127,61 @@ def plane_bench_violations(root=ROOT):
                 errors.append(f"{rel}: runs the legacy substrate by hand "
                               f"(use on_both_substrates)")
     return errors
+
+
+def harness_imports(root=ROOT):
+    """``file:line`` of every run-time import of ``repro.bench`` from
+    library code (an import under ``if TYPE_CHECKING:`` never runs)."""
+    found = []
+    src = os.path.join(root, "src")
+    for path in sorted(glob.glob(os.path.join(src, "repro", "**", "*.py"),
+                                 recursive=True)):
+        module = os.path.relpath(path, src)[:-3].split(os.sep)
+        if module[1] == "bench" or module == ["repro", "__init__"]:
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        typing_only = {
+            id(node) for block in ast.walk(tree)
+            if isinstance(block, ast.If)
+            and "TYPE_CHECKING" in ast.dump(block.test)
+            for stmt in block.body for node in ast.walk(stmt)}
+        for node in ast.walk(tree):
+            if id(node) in typing_only:
+                continue
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # ``from ..bench.x import y`` in repro/net/z.py: two
+                # levels up from the module is the package ``repro``
+                base = module[:len(module) - node.level] if node.level else []
+                names = [".".join(base + [node.module or ""]).strip(".")]
+                names += [f"{names[0]}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(name == "repro.bench" or name.startswith("repro.bench.")
+                   for name in names):
+                found.append(f"{os.path.relpath(path, root)}:{node.lineno}")
+    return found
+
+
+def test_library_does_not_import_its_harness(tmp_path):
+    assert harness_imports() == []
+    # ...and the scan sees each spelling
+    pkg = tmp_path / "src" / "repro" / "net"
+    pkg.mkdir(parents=True)
+    (pkg / "lib.py").write_text(
+        "from typing import TYPE_CHECKING\n"
+        "from ..bench.testbed import Testbed\n"
+        "from .. import bench\n"
+        "if TYPE_CHECKING:\n"
+        "    from ..bench.testbed import make_an2_pair\n"
+        "def late():\n"
+        "    import repro.bench.workloads\n"
+    )
+    assert harness_imports(str(tmp_path)) == [
+        "src/repro/net/lib.py:2", "src/repro/net/lib.py:3",
+        "src/repro/net/lib.py:7"]
 
 
 def test_one_bulk_transfer_world():

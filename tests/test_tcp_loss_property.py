@@ -45,14 +45,16 @@ def test_heavy_loss_eventually_completes():
     run_lossy_transfer(seed=5, loss_rate=0.2, nbytes=16_000)
 
 
-@pytest.mark.parametrize("mode", [None, pytest.param(
-    "ash", marks=pytest.mark.xfail(strict=True, raises=RuntimeError, reason=(
-        "open bug, found at PR 18: after a loss the ASH fast path delivers "
-        "bytes out of place (seed 1: offset 9216 holds the data of offset "
-        "16384).  The tests above pass only because seeded_payload is one "
-        "repeated byte; see ROADMAP, invariant-auditor item")))])
+@pytest.mark.parametrize("mode", [None, "ash", "upcall"])
 def test_varying_payload_survives_loss(mode):
+    """``seeded_payload`` is one repeated byte and cannot show a
+    misplaced segment; this payload can.  Seed 7 reassembles four
+    out-of-order segments on the library path, seed 1 loses two behind
+    the fast path: both delivered the right number of wrong bytes while
+    the reassembly drain's *charged* copy (from a stand-in address) ran
+    after the bytes were written instead of before."""
     import random
 
-    chaos_transfer(40_000, 1, data=random.Random(1).randbytes(40_000),
-                   mode=mode, link={"drop": 0.06})
+    for seed in (1, 7):
+        chaos_transfer(40_000, seed, mode=mode, link={"drop": 0.06},
+                       data=random.Random(seed).randbytes(40_000))

@@ -83,6 +83,58 @@ class TestMetricsRegistry:
         assert names == sorted(names)
         json.dumps(snap)  # must not raise
 
+    def test_collectors_run_at_snapshot_iff_enabled_then(self):
+        """A collected total is its owner's ledger, read when somebody
+        looks: whole (looking twice never double-counts), absent while
+        still zero, and not consulted by a disabled registry."""
+        ledger = {"rx": 0, "depth": 4}
+        consulted = []
+
+        def collect(reg):
+            consulted.append(ledger["rx"])
+            reg.total("rx", ledger["rx"], nic="a")
+            reg.gauge("depth").set(ledger["depth"])
+
+        reg = MetricsRegistry(enabled=False)
+        reg.add_collector(collect)
+        ledger["rx"] = 3
+        assert reg.snapshot() == {"counters": [], "gauges": [],
+                                  "histograms": []}
+        assert consulted == []
+        reg.enabled = True                    # mid-run: the whole ledger
+        assert reg.value("rx", nic="a") == 3
+        ledger["rx"] = 5
+        for _ in range(2):
+            assert reg.snapshot()["counters"] == [
+                {"name": "rx", "labels": {"nic": "a"}, "value": 5}]
+        assert consulted == [3, 5, 5]
+
+        fresh = MetricsRegistry(enabled=True)
+        fresh.add_collector(lambda r: r.total("rx", 0, nic="a"))
+        assert fresh.snapshot()["counters"] == []     # zero: no sample
+        assert fresh.snapshot()["gauges"] == []
+
+    def test_hub_enabled_after_the_run_reports_the_run(self):
+        """Totals live in the components: a standalone NIC counts with
+        no hub at all, and a node's hub collects whatever its NIC, pool
+        and kernel counted before it was switched on."""
+        tb = make_an2_pair()
+        ep = tb.server_kernel.create_endpoint_an2(
+            tb.server_nic, CLIENT_TO_SERVER_VCI)
+        for i in range(3):
+            tb.client_nic.transmit(
+                Frame(bytes([i]) * 8, vci=CLIENT_TO_SERVER_VCI))
+        tb.run()
+        tel = tb.server.telemetry
+        assert not tel.enabled and len(ep.ring) == 3
+        tel.enable()
+        assert tel.registry.value("nic.rx_frames", nic="an2") == 3
+        assert tel.registry.value("nic.rx_bytes", nic="an2") == 24
+        assert tel.registry.value("kernel.rx_interrupts") == 3
+        assert tel.registry.value("datapath.pktbuf.in_flight",
+                                  pool="server") == 3
+        assert tb.client.telemetry.registry.snapshot()["counters"] == []
+
 
 # ---------------------------------------------------------------------------
 # lazy tracer payloads (satellite)
