@@ -181,12 +181,15 @@ def test_canonical_sidecars_are_fresh(tmp_path):
 #: two hashes changed only because four counters that were pre-created
 #: and still zero (``kernel.demux_misses``, ``kernel.livelock_deferrals``,
 #: ``sched.packet_boosts``, ``sched.context_switches``) no longer export
-#: a zero-valued sample (7 and 8 samples per document; CHANGES, PR 19)
+#: a zero-valued sample (7 and 8 samples per document; CHANGES, PR 19).
+#: Re-pinned (from deb83b68... / ccefb384...) on untouched ``src/`` with
+#: the packet-buffer pool's samples left out of the hashed document, so
+#: deleting the pool could be shown to move nothing else (CHANGES, PR 20)
 EXPORT_SHA256 = {
     "chaos_ash":
-        "deb83b683c058cc58622407220c701e89db402886feb62a6b3d6726992793fc9",
+        "533672ad83f0a634092d78ee3bc6b1c7722085c86a81eebb3379c0fd016c91af",
     "tenant_flood":
-        "ccefb38457a6aea6c2e7c8b24616b8f9b2c9138bf3f270edb1150a68a635244e",
+        "b00ec3e039d5b37f6b518fb85ff6f7e74987d3dca73b49ba1833fe4979fc92d5",
 }
 
 

@@ -8,13 +8,16 @@ misses, and a crash landing at each resumption point of the path — and
 pins a SHA-256 of everything observable afterwards: ``kernel.stats()``
 of both nodes (telemetry off), each message's outcome with the reason
 every level above it was skipped, ``engine.now``, events fired, NIC
-counters, free-buffer address order and the pktbuf ledger.
+counters and free-buffer address order.
 
 Each scenario runs on 1 core with the direct ``rx_callback`` hand-off
 and on 2 cores with ``rx_batch`` 1 and 8.  The digests were captured on
 the code *before* the receive path was recast as a loop over
 ``_DELIVERY_ORDER`` and must not move (the one exception, the Ethernet
 crash-before-demux row, is a bug fix and is noted where it is pinned).
+They were re-pinned once since, on untouched ``src/``, when the
+packet-buffer pool's ledger left the hashed state ahead of the pool's
+deletion.
 ``python tests/test_exit_matrix.py`` prints a fresh table.
 """
 
@@ -147,6 +150,9 @@ class World:
             "extra": self.extra,
             "nodes": {},
         }
+        for stats in (out["server"], out["client"]):
+            for tenant in ((stats["tenants"] or {}).get("tenants", {})).values():
+                tenant["counters"].pop("pktbuf_denied", None)
         for node in (tb.client, tb.server):
             eps = {}
             for ep in node.kernel.endpoints:
@@ -159,7 +165,6 @@ class World:
                              else [addr for addr, _size in binding.buffers]),
                 }
             out["nodes"][node.name] = {
-                "pktbuf": node.pktpool.stats() if node.pktpool else None,
                 "endpoints": eps,
                 "slots": {
                     nic.name: list(nic._free_slots)
@@ -678,178 +683,178 @@ def run_matrix():
 
 GOLDEN = {
     'kh_consumed': {
-        '1core': '0654a401c02abad0',
-        '2core_b1': 'c1b3768feb2bcd17',
-        '2core_b8': 'c1b3768feb2bcd17',
+        '1core': '50578a06d45d168f',
+        '2core_b1': 'd80b958cf5da7421',
+        '2core_b8': 'd80b958cf5da7421',
     },
     'kh_declined': {
-        '1core': '20163b461f746224',
-        '2core_b1': '19226a3e4f77acfe',
-        '2core_b8': '19226a3e4f77acfe',
+        '1core': '40bf83eff9838ea0',
+        '2core_b1': '332d7858930de1ec',
+        '2core_b8': '332d7858930de1ec',
     },
     'ash_consumed': {
-        '1core': 'c1abd7dd3ea40b62',
-        '2core_b1': 'b066f7f00a14cff6',
-        '2core_b8': 'b066f7f00a14cff6',
+        '1core': 'f3c73a6f565aed64',
+        '2core_b1': '329d15a22ce411c9',
+        '2core_b8': '329d15a22ce411c9',
     },
     'ash_voluntary_pass': {
-        '1core': '3772f53d0c02259d',
-        '2core_b1': '31c4bad531652316',
-        '2core_b8': '31c4bad531652316',
+        '1core': 'ac4d5427deb98de5',
+        '2core_b1': '8884a714d7a4460c',
+        '2core_b8': '8884a714d7a4460c',
     },
     'ash_pass_upcall_consumed': {
-        '1core': 'b011d56e976bc236',
-        '2core_b1': '0ac13b6fff0f5da7',
-        '2core_b8': '0ac13b6fff0f5da7',
+        '1core': 'b7bbed176290ece8',
+        '2core_b1': 'abb05e2c6b408746',
+        '2core_b8': 'abb05e2c6b408746',
     },
     'ash_abort_upcall_ring': {
-        '1core': 'bde0718192027c4b',
-        '2core_b1': '40e2db35f3217829',
-        '2core_b8': '40e2db35f3217829',
+        '1core': '665f9cd8845e0086',
+        '2core_b1': 'a3e67d50fceea723',
+        '2core_b8': 'a3e67d50fceea723',
     },
     'ash_abort_upcall_consumed': {
-        '1core': '4ee8442e7bb6dff3',
-        '2core_b1': '2004c168af6f492c',
-        '2core_b8': '2004c168af6f492c',
+        '1core': '49489b85e53a135f',
+        '2core_b1': 'a75692b40ca2f31a',
+        '2core_b8': 'a75692b40ca2f31a',
     },
     'livelock_throttle': {
-        '1core': '67efa2d582b26c10',
-        '2core_b1': '5d338ad428121814',
-        '2core_b8': '866bb82a66074127',
+        '1core': '2b2ffd251f8e9f86',
+        '2core_b1': 'f1dbf487cca731d2',
+        '2core_b8': 'abd25b22433308b4',
     },
     'tenant_cycle_throttle': {
-        '1core': 'd03fcaea623db8c6',
-        '2core_b1': 'cca1731cd7ed4a4e',
-        '2core_b8': 'cca1731cd7ed4a4e',
+        '1core': '49ebbff74e186181',
+        '2core_b1': '58305602131cc373',
+        '2core_b8': '58305602131cc373',
     },
     'upcall_consumed': {
-        '1core': '94c16df955393e3d',
-        '2core_b1': '55999693a8b61ff4',
-        '2core_b8': '55999693a8b61ff4',
+        '1core': 'de7d3d159c8ff442',
+        '2core_b1': '20c4cbe68bd1bc34',
+        '2core_b8': '20c4cbe68bd1bc34',
     },
     'upcall_declined': {
-        '1core': 'ecda28466903cb4f',
-        '2core_b1': 'cd0c9894bccf4a3a',
-        '2core_b8': 'cd0c9894bccf4a3a',
+        '1core': '38957e6cbbc0d718',
+        '2core_b1': 'bb1d26b9ef6606cd',
+        '2core_b8': 'bb1d26b9ef6606cd',
     },
     'upcall_faulted': {
-        '1core': 'b5f0052ad3e402d7',
-        '2core_b1': '96bb69d9235bceb5',
-        '2core_b8': '96bb69d9235bceb5',
+        '1core': 'f34a0fe69014a718',
+        '2core_b1': '4fb928aa2d95940f',
+        '2core_b8': '4fb928aa2d95940f',
     },
     'ring_boost_wake': {
-        '1core': '992895bb6d462f49',
-        '2core_b1': '82cdb71272f0d13a',
-        '2core_b8': '82cdb71272f0d13a',
+        '1core': 'cf7c71790bf0a674',
+        '2core_b1': '634d7b85f5161421',
+        '2core_b8': '634d7b85f5161421',
     },
     'an2_demux_miss': {
-        '1core': 'a07c445806684346',
-        '2core_b1': '4e70f631ce7f5d9b',
-        '2core_b8': '4e70f631ce7f5d9b',
+        '1core': 'f4e32334b3ff1bcc',
+        '2core_b1': 'fcf218bb6c40b0a3',
+        '2core_b8': 'fcf218bb6c40b0a3',
     },
     'eth_ring_copyout': {
-        '1core': 'c5c269c689e46b84',
-        '2core_b1': '02b08cafe27bf24b',
-        '2core_b8': '02b08cafe27bf24b',
+        '1core': '4829c2f5a1f99c45',
+        '2core_b1': '063720234a423e21',
+        '2core_b8': '063720234a423e21',
     },
     'eth_no_kbuf': {
-        '1core': '175ccbb5823a34aa',
-        '2core_b1': 'b1bc7ae42cbf25fb',
-        '2core_b8': 'b1bc7ae42cbf25fb',
+        '1core': 'f932a58b1d4c4e2b',
+        '2core_b1': '95bcf074a83bcab1',
+        '2core_b8': '95bcf074a83bcab1',
     },
     'eth_demux_miss': {
-        '1core': '8e165cc0d1698f9c',
-        '2core_b1': 'e7b655a63b2319bb',
-        '2core_b8': 'e7b655a63b2319bb',
+        '1core': '06460c457884e896',
+        '2core_b1': 'ae9bc9969ce54d00',
+        '2core_b8': 'ae9bc9969ce54d00',
     },
     'eth_ash_consumed_and_passed': {
-        '1core': 'b9ac27458d9f36c0',
-        '2core_b1': 'b62b1632522059ce',
-        '2core_b8': 'b62b1632522059ce',
+        '1core': '81d9169fff056600',
+        '2core_b1': 'a8806c967825af16',
+        '2core_b8': 'a8806c967825af16',
     },
     'eth_upcall_consumed': {
-        '1core': 'd6928c7091f88c34',
-        '2core_b1': 'ff6356ee2d9f31a5',
-        '2core_b8': 'ff6356ee2d9f31a5',
+        '1core': 'defc123fc176ac9c',
+        '2core_b1': '6609ef5ede1f125d',
+        '2core_b8': '6609ef5ede1f125d',
     },
     'tenant_revoke_late_replenish': {
-        '1core': 'c66d38494d3231c5',
-        '2core_b1': 'cdc8312b813d397d',
-        '2core_b8': 'cdc8312b813d397d',
+        '1core': '40afaeaabb8d40d7',
+        '2core_b1': 'b37b89597f800ea8',
+        '2core_b8': 'b37b89597f800ea8',
     },
     'crash_before_demux_an2': {
-        '1core': 'e8645bb3b6417310',
-        '2core_b1': '6cb70638fadde124',
-        '2core_b8': '6cb70638fadde124',
+        '1core': '386df02187a19904',
+        '2core_b1': '3d1821c2f71a7c15',
+        '2core_b8': '3d1821c2f71a7c15',
     },
     # the one row that moved with the recast, on purpose: the frame
     # whose driver hold straddles the crash used to be classified
     # against the emptied filter table and booked as a demux_miss
     # (58b3cbfd3e849dc9 / c73d3e9a4a889215); it is a lost message
     'crash_before_demux_eth': {
-        '1core': '6e7b978651dce8d8',
-        '2core_b1': 'dccc7bf45df27caf',
-        '2core_b8': 'dccc7bf45df27caf',
+        '1core': 'ffe7f18992bb004f',
+        '2core_b1': 'fed0fb567c82d380',
+        '2core_b8': 'fed0fb567c82d380',
     },
     'crash_in_kernel_handler': {
-        '1core': 'fd03d8168b077ddf',
-        '2core_b1': '023f0f3857b3ab5a',
-        '2core_b8': '023f0f3857b3ab5a',
+        '1core': '7786c15fdf022cc5',
+        '2core_b1': '883140e7ba684f71',
+        '2core_b8': '883140e7ba684f71',
     },
     'crash_commit_in_kernel_handler': {
-        '1core': '6230d093b3728204',
-        '2core_b1': '98b132ad090c3d23',
-        '2core_b8': '98b132ad090c3d23',
+        '1core': '3db458ae4f80d10a',
+        '2core_b1': 'f7bd0cb6cad09b9b',
+        '2core_b8': 'f7bd0cb6cad09b9b',
     },
     'crash_in_invoke': {
-        '1core': '18989cae44493095',
-        '2core_b1': '0f47d5c270fff258',
-        '2core_b8': '0f47d5c270fff258',
+        '1core': '0c415545a87e8e00',
+        '2core_b1': '23049c6098d2225a',
+        '2core_b8': '23049c6098d2225a',
     },
     'crash_mid_burst': {
-        '1core': 'ae9ba6dad72adf0e',
-        '2core_b1': '442e879e1bf4d7b9',
-        '2core_b8': 'e5cebab10b4d5e75',
+        '1core': '5b34db2aa5ca0499',
+        '2core_b1': '5e64c17b4b2306f4',
+        '2core_b8': 'e61fc1b61288ba89',
     },
     'crash_in_abort_charge': {
-        '1core': '727a315622d5950a',
-        '2core_b1': 'dd44dcf8eb696ea5',
-        '2core_b8': 'dd44dcf8eb696ea5',
+        '1core': '9b9329a8737289ce',
+        '2core_b1': 'c3baefa6754c8fcc',
+        '2core_b8': 'c3baefa6754c8fcc',
     },
     'crash_in_dispatch': {
-        '1core': 'fd9134880d16be52',
-        '2core_b1': 'd8830b3b7a9ee3b5',
-        '2core_b8': 'd8830b3b7a9ee3b5',
+        '1core': 'a3236ee3532ca054',
+        '2core_b1': '3a4dd4cbfcf8e04f',
+        '2core_b8': '3a4dd4cbfcf8e04f',
     },
     'crash_in_dispatch_after_abort': {
-        '1core': '30293770bceff0c3',
-        '2core_b1': 'f16272a19e8879c3',
-        '2core_b8': 'f16272a19e8879c3',
+        '1core': '6f4c93ae6097fd25',
+        '2core_b1': '9309445e7f5fcb20',
+        '2core_b8': '9309445e7f5fcb20',
     },
     'crash_in_copyout': {
-        '1core': 'ed22ea26860b3fd4',
-        '2core_b1': 'cbab6a765d4e2aea',
-        '2core_b8': 'cbab6a765d4e2aea',
+        '1core': 'c2642b906e836a74',
+        '2core_b1': '2f9e59fccc5734aa',
+        '2core_b8': '2f9e59fccc5734aa',
     },
     'crash_pending_ring_an2': {
-        '1core': '33147b4e2880cbb6',
-        '2core_b1': '0a279ceb47a74bc4',
-        '2core_b8': '0a279ceb47a74bc4',
+        '1core': '8a59f279f82886c2',
+        '2core_b1': '01bf516af3278163',
+        '2core_b8': '01bf516af3278163',
     },
     'crash_pending_ring_eth_kbuf': {
-        '1core': 'c1e415c68ff538ed',
-        '2core_b1': '394dbae115295dd9',
-        '2core_b8': '394dbae115295dd9',
+        '1core': '0eb203b2cbe9240c',
+        '2core_b1': '5029f53547b85f63',
+        '2core_b8': '5029f53547b85f63',
     },
     'crash_pending_ring_eth_slot': {
-        '1core': '8398e4886d041ba1',
-        '2core_b1': '8921249acf40500c',
-        '2core_b8': '8921249acf40500c',
+        '1core': '778bb2d65b0635ec',
+        '2core_b1': '9363d2abeb541bf4',
+        '2core_b8': '9363d2abeb541bf4',
     },
     'replenish_during_outage': {
-        '1core': 'ba2f9cc84566585d',
-        '2core_b1': 'c6e0f49d8389dce5',
-        '2core_b8': 'c6e0f49d8389dce5',
+        '1core': '6cecd7f8669f43db',
+        '2core_b1': 'e2f52a7c75eeebfc',
+        '2core_b8': 'e2f52a7c75eeebfc',
     },
 }
 
@@ -993,8 +998,8 @@ EVENT_BUDGET = {
 #: A ceiling, not an equality: fewer is fine, a per-level generator hop
 #: or a plane hook on the clean path is not.
 FRAME_BUDGET = {
-    'ash': 173,
-    'ring_eth': 170,
+    'ash': 159,
+    'ring_eth': 162,
 }
 
 PLANE_FILES = ("ash/tenancy.py", "sim/faults.py", "telemetry/spans.py")
@@ -1052,6 +1057,12 @@ def telemetry_export(world_name):
         with telemetry.session() as sess:
             TELEMETRY_WORLDS[world_name]()
         doc = sess.export_metrics(include_span_events=False)
+        for node in doc["nodes"]:
+            for kind in ("counters", "gauges"):
+                node["metrics"][kind] = [
+                    sample for sample in node["metrics"][kind]
+                    if not sample["name"].startswith("datapath.pktbuf.")
+                    and sample["name"] != "tenant.pktbuf_denied"]
     finally:
         for kind, original in originals.items():
             setattr(MetricsRegistry, kind, original)
