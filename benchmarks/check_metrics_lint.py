@@ -60,8 +60,6 @@ _KIND_BLOCK = {"counter": "counters", "gauge": "gauges",
 MIRRORS_KEPT = {
     ("repro/vcode/jit.py", "get_compiled"):
         "JitStats is process-wide, vcode.jit.* is per node",
-    ("repro/vcode/vm.py", "run"):
-        "JitStats is process-wide, vcode.jit.deopts is per node",
     ("repro/ash/system.py", "invoke"):
         "AshEntry counters die in Kernel.crash(), ash.*{handler} must not",
     ("repro/kernel/upcall.py", "dispatch"):

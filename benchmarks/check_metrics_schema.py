@@ -53,18 +53,12 @@ KNOWN_METRICS = {
     # fault-injection plane (sim/faults.py)
     "faults.injected": "counters",
     "faults.ledger": "gauges",
-    # NIC device counters and the zero-copy buffer pool (hw/nic/base.py)
+    # NIC device counters (hw/nic/base.py)
     "nic.tx_frames": "counters",
     "nic.tx_bytes": "counters",
     "nic.rx_frames": "counters",
     "nic.rx_bytes": "counters",
     "nic.rx_dropped": "counters",
-    "datapath.pktbuf.acquired": "counters",
-    "datapath.pktbuf.released": "counters",
-    "datapath.pktbuf.created": "counters",
-    "datapath.pktbuf.reused": "counters",
-    "datapath.pktbuf.in_flight": "gauges",
-    "datapath.pktbuf.free": "gauges",
     # receive-side scaling dispatch stage (hw/nic/rss.py; the NIC
     # collects it)
     "rss.steered": "counters",
@@ -126,7 +120,6 @@ KNOWN_METRICS = {
     "tenant.cycle_throttled": "counters",
     "tenant.cycles_used": "counters",
     "tenant.reclaims": "counters",
-    "tenant.pktbuf_denied": "counters",
     "tenant.quota_violations": "counters",
     "tenant.installs_refused": "counters",
     "tenant.kills": "counters",

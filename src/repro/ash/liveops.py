@@ -106,7 +106,6 @@ class RolloutController:
         self.kernel = kernel
         self.telemetry = kernel.node.telemetry
         self.name = name
-        self.canary_fraction = canary_fraction
         self.latency_budget = latency_budget
         self.state = STAGED
         self.targets: list[RolloutTarget] = []

@@ -374,7 +374,7 @@ class AshSystem:
         cpu = kernel.node.cpus[desc.core]
         cal = self.cal
         tel = kernel.node.telemetry
-        span = desc.meta.get("span")
+        span = desc.span
         handler_name = entry.program.name
 
         # install addressing context + user stack; arm the abort timer
@@ -459,7 +459,7 @@ class AshSystem:
             # voluntary pass, so it can count the degradation — unless
             # the kernel crashed under the charges above: that message
             # dies with it, it does not degrade
-            desc.meta["ash_aborted"] = not kernel.crashed
+            desc.ash_aborted = not kernel.crashed
             return False
 
         yield from kernel.charge_with_sends(result, pending, PRIO_INTERRUPT,

@@ -3,19 +3,20 @@
 ASHs put untrusted application code inside the kernel's message path.
 The paper's safety story (sandbox + DPF dispatch) protects the *kernel*
 from a handler; nothing in it protects *tenants from each other* when
-many applications share one NIC, DMA engine, pktbuf pool and CPU.  This
-module adds that second story: a first-class :class:`Tenant` identity
-that owns its ASH installs, VCI bindings, rx-ring slots, pktbuf
-allocations and handler cycle budget, with quotas enforced at three
+many applications share one NIC, DMA engine, receive-buffer supply and
+CPU.  This module adds that second story: a first-class :class:`Tenant`
+identity that owns its ASH installs, VCI bindings, rx-ring slots, held
+receive buffers and handler cycle budget, with quotas enforced at three
 choke points:
 
 * **NIC admission** — a per-tenant token bucket (``bytes_per_round`` /
   ``burst_bytes``) evaluated *before* DMA, so an over-quota frame is
   clipped at zero cost: no buffer is consumed, no interrupt raised, no
   cycle charged.  Dead tenants' frames are dropped the same way.
-* **pktbuf pool** — a tenant at its ``buffers`` quota is denied further
-  zero-copy wrappers (``tenant.pktbuf_denied``); the frame degrades to
-  the legacy bytes path, which every consumer handles.
+* **held receive buffers** — past its ``buffers`` quota a tenant's
+  *oldest* delivered-but-unreturned buffer is revoked and handed back to
+  the rx ring (``tenant.reclaims``): the shared resource itself is
+  metered, FIFO, so a leaking tenant starves only itself.
 * **ASH scheduler** — per-round handler cycle accounting
   (``handler_cycles`` per ``round_us``); an exhausted tenant has its
   handler skipped for the rest of the round (the message takes the
@@ -77,7 +78,6 @@ _TENANT_METRICS = {
     "cycle_throttled": ("tenant.cycle_throttled", None),
     "cycles_used": ("tenant.cycles_used", None),
     "reclaims": ("tenant.reclaims", None),
-    "pktbuf_denied": ("tenant.pktbuf_denied", None),
     "quota_violations": ("tenant.quota_violations", None),
     "installs_refused": ("tenant.installs_refused", "reason"),
     "kills": ("tenant.kills", "action"),
@@ -265,18 +265,6 @@ class TenantManager:
         self._count(t, "admitted_bytes", len(frame.data))
         return None
 
-    def pktbuf_ok(self, nic: "Nic", frame: "Frame") -> bool:
-        """May this frame get a zero-copy pktbuf wrapper?  Denial is
-        behavior-invariant (the legacy bytes path), so the pool quota
-        can never perturb another tenant's event schedule."""
-        t = self._tenant_for(nic, frame.vci)
-        if t is None:
-            return True
-        if len(t.held) >= t.quota.buffers:
-            self._count(t, "pktbuf_denied")
-            return False
-        return True
-
     # -- buffer accounting (stage 2: defer-refill) ---------------------------
     def note_ring_delivery(self, ep: "Endpoint", desc: "RxDescriptor") -> None:
         """A descriptor landed on a tenant's notification ring.  Track
@@ -297,11 +285,10 @@ class TenantManager:
         t = self._tenant_for_ep(ep)
         if t is None:
             return False
-        if desc.meta.pop("tenant_revoked", False):
+        if desc.tenant_revoked:
             # stage 2 already returned this buffer to the ring; the late
             # replenish must not double-insert the address
-            if desc.buf is not None:
-                desc.buf.release()
+            desc.tenant_revoked = False
             return True
         injector = t.leak_injector
         if injector is not None and injector.on_replenish():
@@ -316,9 +303,7 @@ class TenantManager:
 
     def _reclaim_oldest(self, t: Tenant) -> None:
         ep, desc = t.held.popleft()
-        if desc.buf is not None:
-            desc.buf.release()
-        desc.meta["tenant_revoked"] = True
+        desc.tenant_revoked = True
         ep.nic.recycle(desc)
         self._count(t, "reclaims")
 

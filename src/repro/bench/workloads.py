@@ -1098,7 +1098,7 @@ def tenant_world(
 ) -> dict:
     """A multi-tenant world with one abusive tenant, and the receipts.
 
-    Three tenants share the server's NIC, pktbuf pool and CPU under a
+    Three tenants share the server's NIC, rx buffers and CPU under a
     :class:`~repro.ash.tenancy.TenantManager`: two victims and
     ``mallory``, the aggressor the ``scenario`` perturbs.  Running the
     same world with ``perturbed=False`` gives the unperturbed baseline;

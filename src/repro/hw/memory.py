@@ -75,8 +75,8 @@ class PhysicalMemory:
     def pressure_gate(self, site: str) -> bool:
         """One allocation attempt at ``site``; True when injected memory
         pressure refuses it.  Call sites that allocate without going
-        through :meth:`alloc` (packet-buffer wrappers, rx-ring refills)
-        consult this gate directly and degrade on refusal."""
+        through :meth:`alloc` (rx-ring refills) consult this gate
+        directly and degrade on refusal."""
         injector = self.pressure
         if injector is None or not injector.should_fail(site):
             return False

@@ -10,8 +10,8 @@ software costs.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Callable, Optional, TYPE_CHECKING
 
 from ...sim.engine import Engine
 from ...telemetry.tracecontext import adopt_rx_context, attach_tx_context
@@ -20,15 +20,18 @@ from ..link import Frame, Link
 from .rss import RssDispatcher
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ...telemetry.spans import Span
     from ..memory import PhysicalMemory
     from ..node import Node
 
-__all__ = ["RxDescriptor", "PacketBuf", "PacketBufPool", "Nic"]
+__all__ = ["RxDescriptor", "Nic"]
 
 
 @dataclass
 class RxDescriptor:
-    """Where a received frame landed."""
+    """Where a received frame landed, and what the receive path has
+    done with it since: the one object that knows a message from DMA to
+    replenish."""
 
     nic: "Nic"
     frame: Frame
@@ -40,94 +43,16 @@ class RxDescriptor:
                            #: (striped layouts occupy more than ``length``):
                            #: what the driver's cache flush must cover and
                            #: a handler's message window spans
-    buf: Optional["PacketBuf"] = None  #: pooled window over the DMA span
     core: int = 0          #: cpu the RSS dispatch stage steered this to
-    meta: dict[str, Any] = field(default_factory=dict)
-
-
-class PacketBuf:
-    """A pooled zero-copy window over a DMA'd packet in node memory.
-
-    The ``view`` aliases the live receive buffer: it stays valid only
-    until the buffer is recycled to the NIC, which is why the kernel
-    releases the :class:`PacketBuf` exactly when it recycles or
-    replenishes the underlying slot.  Consumers that keep payload past
-    that point (applications, reassembly) must materialize ``bytes``.
-    """
-
-    __slots__ = ("addr", "span", "view", "_pool")
-
-    def __init__(self, pool: "PacketBufPool"):
-        self._pool = pool
-        self.addr = 0
-        self.span = 0
-        self.view: Optional[memoryview] = None
-
-    def release(self) -> None:
-        self._pool.release(self)
-
-
-class PacketBufPool:
-    """Free-list of :class:`PacketBuf` wrappers for one node.
-
-    Pooling the wrappers (and counting reuse) makes the zero-copy path
-    observable: ``datapath.pktbuf.*`` telemetry shows every packet hop
-    handing off a view instead of materializing bytes.
-    """
-
-    def __init__(self, memory: "PhysicalMemory", telemetry=None,
-                 name: str = "pktbuf"):
-        self.memory = memory
-        self.name = name
-        self._free: list[PacketBuf] = []
-        self.created = 0
-        self.reused = 0
-        self.acquired = 0
-        self.released = 0
-        if telemetry is not None:
-            telemetry.add_collector(self._collect)
-
-    @property
-    def in_flight(self) -> int:
-        return self.acquired - self.released
-
-    def acquire(self, addr: int, span: int) -> PacketBuf:
-        if self._free:
-            buf = self._free.pop()
-            self.reused += 1
-        else:
-            buf = PacketBuf(self)
-            self.created += 1
-        buf.addr = addr
-        buf.span = span
-        buf.view = self.memory.read_view(addr, span)
-        self.acquired += 1
-        return buf
-
-    def release(self, buf: PacketBuf) -> None:
-        if buf.view is None:
-            return  # already released (idempotent: recycle + replenish paths)
-        buf.view = None
-        self._free.append(buf)
-        self.released += 1
-
-    def _collect(self, reg) -> None:
-        pool = self.name
-        reg.total("datapath.pktbuf.created", self.created, pool=pool)
-        reg.total("datapath.pktbuf.reused", self.reused, pool=pool)
-        reg.total("datapath.pktbuf.acquired", self.acquired, pool=pool)
-        reg.total("datapath.pktbuf.released", self.released, pool=pool)
-        reg.gauge("datapath.pktbuf.in_flight", pool=pool).set(self.in_flight)
-        reg.gauge("datapath.pktbuf.free", pool=pool).set(len(self._free))
-
-    def stats(self) -> dict:
-        return {
-            "created": self.created,
-            "reused": self.reused,
-            "acquired": self.acquired,
-            "released": self.released,
-            "in_flight": self.in_flight,
-        }
+    span: Optional["Span"] = None  #: packet-lifecycle span (telemetry on)
+    #: ``addr`` is one of the endpoint's kernel copy-out buffers now, not
+    #: the device's ring slot
+    kbuf: bool = False
+    #: the tenant's quota reclaim already returned the buffer: the
+    #: application's late replenish must not insert it again
+    tenant_revoked: bool = False
+    #: the ASH that just passed on this message was aborted involuntarily
+    ash_aborted: bool = False
 
 
 class Nic:
@@ -163,9 +88,6 @@ class Nic:
         self.node: Optional["Node"] = None
         #: the owning node's telemetry hub, installed by :meth:`bind`
         self.telemetry = None
-        #: the owning node's PacketBufPool, installed by :meth:`bind`
-        #: (fast substrate only; None keeps the legacy bytes path)
-        self.pktpool: Optional[PacketBufPool] = None
         # -- receive-side scaling (re-homed by bind on SMP nodes) -------
         self.ncores = 1
         #: frames drained per kernel handoff (bind copies the node's)
@@ -185,7 +107,6 @@ class Nic:
         self.rx_bytes = 0
         self.tx_bytes = 0
         self.rx_dropped = 0
-        self.tx_dropped = 0
         #: True while the owning node is crashed: the device neither
         #: receives (frames drop as ``node_down``) nor transmits
         self.down = False
@@ -199,12 +120,12 @@ class Nic:
         self.admission = None
 
     def bind(self, node: "Node") -> "Nic":
-        """Adopt the owning node's telemetry, packet pool and topology.
+        """Adopt the owning node's telemetry and topology.
 
         One atomic step (called by ``Node.add_nic``) instead of the old
         post-hoc attribute pokes, so a NIC can never run half-configured:
-        either it is bound — telemetry, pool, rings and RSS all wired —
-        or it is a deliberately standalone unit-test device.
+        either it is bound — telemetry, rings and RSS all wired — or it
+        is a deliberately standalone unit-test device.
         """
         if self.node is node:
             return self
@@ -228,7 +149,6 @@ class Nic:
         self.node = node
         self.telemetry = node.telemetry
         node.telemetry.add_collector(self._collect)
-        self.pktpool = node.pktpool
         self.ncores = node.ncores
         self.rx_batch = node.rx_batch
         # single-core nodes keep the direct one-event-per-frame handoff
@@ -262,7 +182,6 @@ class Nic:
         if self.link is None:
             raise RuntimeError(f"{self.name}: not attached to a link")
         if self.down:
-            self.tx_dropped += 1
             self.drop_reasons["node_down_tx"] = \
                 self.drop_reasons.get("node_down_tx", 0) + 1
             return
@@ -310,12 +229,6 @@ class Nic:
             return
         self.rx_frames += 1
         self.rx_bytes += desc.length
-        if self.pktpool is not None \
-                and (admission is None or admission.pktbuf_ok(self, frame)) \
-                and not self.memory.pressure_gate("pktbuf"):
-            # a refused wrapper allocation degrades to the legacy bytes
-            # path (desc.buf stays None, which every consumer handles)
-            desc.buf = self.pktpool.acquire(desc.addr, desc.dma_span)
         tel = self.telemetry
         if tel is not None and tel.enabled:
             # the packet-lifecycle span starts here, riding on the
@@ -324,7 +237,7 @@ class Nic:
             span = tel.spans.begin(f"{self.name}.rx", now)
             span.stage("nic_rx", now)
             adopt_rx_context(tel, frame, span)
-            desc.meta["span"] = span
+            desc.span = span
         # the RSS dispatch stage runs on every successfully DMA'd frame
         # (dropped frames are never steered, so per-core steered counts
         # always sum to rx_frames), *before* any kernel demultiplexing

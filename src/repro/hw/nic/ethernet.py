@@ -53,7 +53,6 @@ class EthernetNic(Nic):
         self.ring_slots = ring_slots
         # Each slot must hold a striped MTU frame: 2x the payload bytes.
         slot_size = 2 * cal.eth_mtu + 2 * STRIPE_CHUNK
-        self._slot_size = slot_size
         ring = memory.alloc(f"{name}.rxring", slot_size * ring_slots)
         self._free_slots: deque[int] = deque(
             ring.base + i * slot_size for i in range(ring_slots)

@@ -11,7 +11,7 @@ from .cache import DirectMappedCache
 from .calibration import Calibration, DEFAULT
 from .cpu import Cpu
 from .memory import PhysicalMemory
-from .nic.base import Nic, PacketBufPool
+from .nic.base import Nic
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..kernel.kernel import Kernel
@@ -25,6 +25,9 @@ DEFAULT_RX_BATCH = 8
 
 class Node:
     """Hardware for one modelled DECstation 5000/240 (optionally SMP)."""
+
+    #: read by benchmarks/perf/worlds.py:269,328 and child.py:182 only
+    pktpool = None
 
     def __init__(
         self,
@@ -42,8 +45,7 @@ class Node:
         self.name = name
         self.cal = cal
         self.memory = PhysicalMemory(mem_size)
-        # the engine is the single source of truth for the substrate:
-        # cache vectorization and the packet pool key off it together
+        # the engine is the single source of truth for the substrate
         self.dcache = DirectMappedCache(cal, substrate=engine.substrate)
         self.ncores = ncores
         # core 0 keeps the historical ``<name>.cpu`` name so single-core
@@ -61,11 +63,6 @@ class Node:
         )
         self.tracer = tracer if tracer is not None else Tracer(engine)
         self.telemetry = Telemetry(engine, source=name, tracer=self.tracer)
-        self.pktpool: Optional[PacketBufPool] = (
-            PacketBufPool(self.memory, self.telemetry, name=name)
-            if engine.substrate == "fast"
-            else None
-        )
         self.nics: dict[str, Nic] = {}
         #: installed by the kernel package at boot
         self.kernel: Optional["Kernel"] = None

@@ -445,7 +445,7 @@ class Kernel(SyscallInterface):
             yield from cpu.exec_us(demux_us, PRIO_INTERRUPT)
             self._m_demux_us.observe(demux_us)
             ep = self._by_filter.get(fid)
-        span = desc.meta.get("span")
+        span = desc.span
         if span is not None:
             span.stage("demux", self.engine.now)
         if ep is None:
@@ -521,7 +521,7 @@ class Kernel(SyscallInterface):
         # handlers, the NIC and the protocol libraries share one notion
         # of "current delivery" for trace-context attribution.
         spans = self.telemetry.spans
-        span = spans.active = desc.meta.get("span")
+        span = spans.active = desc.span
         # why each hierarchy level above the final outcome was skipped;
         # a level skipped with no entry here is an order violation
         skips: dict[str, str] = {}
@@ -547,7 +547,8 @@ class Kernel(SyscallInterface):
                     continue
                 if attempt is None or (yield from attempt):
                     break
-                if desc.meta.pop("ash_aborted", False):
+                if desc.ash_aborted:
+                    desc.ash_aborted = False
                     # involuntary abort: the message is NOT lost — it
                     # degrades to the levels below
                     moved_on = "involuntary_abort"
@@ -618,7 +619,7 @@ class Kernel(SyscallInterface):
             self.crash_log[-1]["first_delivery_after_reboot"] = self.engine.now
 
     def _finish_span(self, desc: RxDescriptor, outcome: str) -> None:
-        span = desc.meta.get("span")
+        span = desc.span
         if span is not None:
             self.telemetry.spans.finish(span, self.engine.now, outcome)
 
@@ -650,7 +651,7 @@ class Kernel(SyscallInterface):
         if self.crashed:
             ep.kbufs.insert(0, kbuf)
             return False
-        span = desc.meta.get("span")
+        span = desc.span
         if span is not None:
             span.stage("copy", self.engine.now)
         tel = self.telemetry
@@ -660,13 +661,8 @@ class Kernel(SyscallInterface):
         desc.nic.recycle(desc)
         desc.addr = kbuf
         desc.striped = False
-        desc.meta["kbuf"] = True
+        desc.kbuf = True
         desc.dma_span = desc.length
-        if desc.buf is not None:
-            # the ring-slot view is now stale; re-point the pooled
-            # buffer at the kernel copy
-            desc.buf.release()
-            desc.buf = desc.nic.pktpool.acquire(kbuf, desc.length)
         return True
 
     def _recycle(self, desc: RxDescriptor,
@@ -675,9 +671,7 @@ class Kernel(SyscallInterface):
         copy-out buffer to its endpoint, anything else to the hardware
         — or, while the kernel is down and the buffer's VC unbound, to
         the set that VC will be rebound with."""
-        if desc.buf is not None:
-            desc.buf.release()  # views over the buffer are invalid from here
-        if desc.meta.get("kbuf"):
+        if desc.kbuf:
             ep.kbufs.append(desc.addr)
             return
         parked = self._rebind.get((desc.nic.name, desc.vci))
@@ -689,7 +683,7 @@ class Kernel(SyscallInterface):
     def _replenish(self, ep: Endpoint, desc: RxDescriptor) -> Generator:
         """Replenish stage, the syscall back end: the application
         returns a buffer it was using."""
-        span = desc.meta.get("span")
+        span = desc.span
         if span is not None:
             span.stage("app_consume", self.engine.now)
             self._finish_span(desc, "app")

@@ -54,7 +54,7 @@ class RoundRobinScheduler:
         self._last_scheduled: Optional["Process"] = None
         self.context_switches = 0
         self.packet_boosts = 0
-        self._proc = self.engine.spawn(
+        self.engine.spawn(
             self._loop(), name="scheduler" if core == 0 else f"scheduler{core}"
         )
 

@@ -60,7 +60,7 @@ class UpcallManager:
         cpu = kernel.node.cpus[desc.core]
         cal = self.cal
         tel = kernel.node.telemetry
-        span = desc.meta.get("span")
+        span = desc.span
         # batching machinery + switch into the application's address space
         yield from cpu.exec_us(
             cal.upcall_batch_check_us + cal.upcall_dispatch_us, PRIO_INTERRUPT

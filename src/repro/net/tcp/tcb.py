@@ -194,7 +194,6 @@ class Tcb:
     shared: SharedTcb
     state: TcpState = TcpState.CLOSED
     iss: int = 1000           #: initial send sequence
-    irs: int = 0              #: initial receive sequence
     snd_nxt: int = 0
     snd_wnd: int = 8192       #: peer's advertised window
     rcv_wnd: int = 8192       #: our advertised window
@@ -219,7 +218,6 @@ class Tcb:
     slow_segments: int = 0
     acks_sent: int = 0
     retransmits: int = 0
-    dup_acks: int = 0
     #: inbound segments dropped because the TCP checksum failed verify
     checksum_failures: int = 0
     #: duplicate ACKs received (the fast-retransmit trigger)

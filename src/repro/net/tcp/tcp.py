@@ -200,8 +200,6 @@ class TcpConnection:
         self._rto_backoff = 1     #: current RTO multiplier (exponential)
         self._srtt_us: Optional[float] = None
         self._rttvar_us = 0.0
-        self._last_send_ticks = 0
-        self._inplace_spans: deque[tuple[int, int]] = deque()
         self.peer_fin = False
         #: bounded congestion-event trail: (t, kind, cwnd, ssthresh)
         #: tuples for every cwnd transition — the substrate/SMP identity
@@ -698,7 +696,7 @@ class TcpConnection:
             # buffer; everything parsed from it is consumed (written
             # into the ring) before the replenish below recycles it
             ip_addr, ip_len, raw = self.stack.read_ip_packet(desc)
-            span = desc.meta.get("span")
+            span = desc.span
             if span is not None:
                 span.stage("tcp_segment", proc.engine.now)
                 # while this segment is being processed it is the node's
@@ -774,7 +772,6 @@ class TcpConnection:
         if state is TcpState.LISTEN and flags & TCP_SYN:
             opts = self._parse_options(seg)
             tcb.sack_ok = self.sack and bool(opts and opts["sack_permitted"])
-            tcb.irs = seg.tcp.seq
             sh.rcv_nxt = (seg.tcp.seq + 1) & MASK32
             tcb.snd_nxt = tcb.iss
             sh.snd_una = tcb.iss
@@ -791,7 +788,6 @@ class TcpConnection:
                 return
             opts = self._parse_options(seg)
             tcb.sack_ok = self.sack and bool(opts and opts["sack_permitted"])
-            tcb.irs = seg.tcp.seq
             sh.rcv_nxt = (seg.tcp.seq + 1) & MASK32
             tcb.snd_nxt = (tcb.iss + 1) & MASK32
             sh.snd_una = tcb.snd_nxt
@@ -927,7 +923,6 @@ class TcpConnection:
                     # while this is nonzero the kernel fast path must
                     # abort to the library (see tcb.OOO_PENDING)
                     sh.ooo_pending = self._ooo.buffered
-                tcb.dup_acks += 1
                 yield from self._send_ack(proc)
                 return
         if sh.free_space < len(payload):
@@ -995,7 +990,6 @@ class TcpConnection:
                 "tcp.tx_segment", lambda: {"conn": self.name, "len": len(packet)}
             )
         yield from self.kernel.sys_net_send(proc, self.stack.nic, frame)
-        self._last_send_ticks = proc.engine.now
 
     def _send_data(self, proc: "Process", payload: bytes, push: bool,
                    seq: Optional[int] = None, rexmit: bool = False) -> Generator:

@@ -227,7 +227,7 @@ class UdpSocket:
                 addr = self._app_buf.base
                 cycles = stack.datapath.copy(src, addr, payload_len)
                 yield from proc.compute(cycles)
-                span = desc.meta.get("span")
+                span = desc.span
                 if span is not None:
                     span.stage("copy", kernel.engine.now)
                 if self.tel.enabled:

@@ -33,7 +33,6 @@ class VerifyReport:
     program_len: int
     load_count: int = 0
     store_count: int = 0
-    indirect_jump_count: int = 0
     call_names: list[str] = field(default_factory=list)
     backward_branch_pcs: list[int] = field(default_factory=list)
 
@@ -83,8 +82,6 @@ def verify(program: Program, allow_convertible_signed: bool = True) -> VerifyRep
             report.load_count += 1
         elif op.startswith("st"):
             report.store_count += 1
-        elif op == "jr":
-            report.indirect_jump_count += 1
         elif op == "call":
             report.call_names.append(insn.label)
         if (op in BRANCH_OPS or op in JUMP_OPS) and insn.target is not None:

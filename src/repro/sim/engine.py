@@ -63,9 +63,9 @@ DEFAULT_TIMER_HORIZON_US = 500_000
 
 def active_substrate(override: Optional[str] = None) -> str:
     """Resolve the simulation substrate: ``fast`` (calendar-queue event
-    engine, vectorized cache model, zero-copy packet buffers) or
-    ``legacy`` (single heapq, scalar cache walks, ``bytes`` copies at
-    every packet hop).
+    engine, vectorized cache model, protocol stacks parsing views of
+    the receive buffer) or ``legacy`` (single heapq, scalar cache walks,
+    a ``bytes`` copy per received IP packet).
 
     ``REPRO_SIM_SUBSTRATE=legacy`` is the escape hatch; both substrates
     produce bit-identical simulated cycles (pinned by
@@ -383,16 +383,12 @@ class Engine:
     invisible to simulated results.
     """
 
-    def __init__(self, substrate: Optional[str] = None,
-                 timer_horizon_us: Optional[float] = None) -> None:
+    def __init__(self, substrate: Optional[str] = None) -> None:
         self._now = 0
         self._seq = 0
         self.substrate = active_substrate(substrate)
-        if timer_horizon_us is None:
-            timer_horizon_us = DEFAULT_TIMER_HORIZON_US
-        self.timer_horizon_us = timer_horizon_us
         self._queue = (
-            CalendarQueue.for_horizon(int(timer_horizon_us * 1_000_000))
+            CalendarQueue.for_horizon(DEFAULT_TIMER_HORIZON_US * 1_000_000)
             if self.substrate == "fast"
             else HeapEventQueue()
         )

@@ -22,8 +22,8 @@ makes all of those conditions injectable at well-defined seams:
   the surviving application state (the exokernel bet);
 * **memory pressure** (:meth:`FaultPlane.pressure_memory`) — injected
   allocation failure on ``mem.alloc`` and the allocation-like fast-path
-  sites (rx-ring refill, ASH install, pktbuf wrappers), each of which
-  must degrade gracefully, counted under ``mem.alloc_failures{site}``;
+  sites (rx-ring refill, ASH install), each of which must degrade
+  gracefully, counted under ``mem.alloc_failures{site}``;
 * **CPU contention** (:meth:`FaultPlane.contend_cpu`) — seeded
   cycle-stealing bursts that stretch wall-clock time without advancing
   the victim's work, interacting with the sandbox abort budget and the
@@ -363,17 +363,16 @@ class NodeCrash(_Injector):
 class MemPressure(_Injector):
     """Injected allocation failure, per allocating call site.
 
-    Installed as ``node.memory.pressure``; every gated site draws from
-    its **own** seeded stream (``mem:<node>:<site>``) so sites that only
-    exist on one substrate (the ``pktbuf`` wrapper pool is fast-only)
-    cannot perturb the failure pattern of substrate-invariant sites.
-    For the same reason ``pktbuf`` is *not* in the default site set —
-    gate it explicitly when substrate identity is not required.
+    Installed as ``node.memory.pressure``; every gated site
+    (``rx_refill``, ``ash_install``, ``alloc`` — each exists on both
+    substrates) draws from its **own** seeded stream
+    (``mem:<node>:<site>``).  The streams stay per site because the
+    committed fault schedules are drawn from them: one shared stream
+    would move every pinned failure pattern.
 
-    Refusals degrade, never crash: the pktbuf pool falls back to the
-    legacy bytes path, a refused rx-ring refill is deferred and flushed
-    by the next successful one, a refused ASH install falls back to the
-    upcall path.  Every refusal is counted under
+    Refusals degrade, never crash: a refused rx-ring refill is deferred
+    and flushed by the next successful one, a refused ASH install falls
+    back to the upcall path.  Every refusal is counted under
     ``mem.alloc_failures{site}``.
     """
 
@@ -699,7 +698,6 @@ class TenantScript(_Injector):
         self.allowed_regions = allowed_regions
         self.policy = policy
         self.attempts = attempts
-        self.refusals = 0
         plane.engine.spawn(self._script(), name=self.site)
 
     def _script(self):
@@ -724,7 +722,7 @@ class TenantScript(_Injector):
                     self.tenant, self.program, self.allowed_regions,
                     policy=self.policy)
             except (TenantQuotaError, SandboxViolation):
-                self.refusals += 1
+                pass  # the tenant's own counters record the refusal
             self.plane.record(kind, self.site)
 
 

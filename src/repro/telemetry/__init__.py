@@ -49,7 +49,7 @@ from .metrics import (
     hist_quantile,
 )
 from .slo import FlowStats, SloRule, SloTracker, flow_label
-from .spans import MAX_RETAINED, STAGES, Span, SpanTracker, span_of
+from .spans import MAX_RETAINED, STAGES, Span, SpanTracker
 from .tracecontext import TRACE_KEY, adopt_rx_context, attach_tx_context
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "Histogram",
     "Span",
     "SpanTracker",
-    "span_of",
     "STAGES",
     "SCHEMA",
     "SCHEMA_VERSION",

@@ -26,7 +26,7 @@ from .metrics import US_BUCKETS
 if TYPE_CHECKING:  # pragma: no cover
     from .hub import Telemetry
 
-__all__ = ["STAGES", "Span", "SpanTracker", "span_of"]
+__all__ = ["STAGES", "Span", "SpanTracker"]
 
 #: canonical receive-path stages, in pipeline order
 STAGES = (
@@ -98,11 +98,6 @@ class Span:
         if self.emits:
             out["emits"] = [[tid, t] for tid, t in self.emits]
         return out
-
-
-def span_of(desc) -> Optional[Span]:
-    """The span riding on a receive descriptor, if telemetry started one."""
-    return desc.meta.get("span")
 
 
 class SpanTracker:

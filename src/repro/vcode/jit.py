@@ -127,17 +127,13 @@ class JitError(VcodeError):
 @dataclass
 class JitStats:
     """Process-wide code-cache accounting (see also the telemetry
-    counters ``vcode.jit.cache_hits`` / ``cache_misses`` / ``deopts``)."""
+    counters ``vcode.jit.cache_hits`` / ``cache_misses``)."""
 
     hits: int = 0
     misses: int = 0
-    failures: int = 0
-    deopts: int = 0
-    insns_compiled: int = 0
 
     def reset(self) -> None:
-        self.hits = self.misses = self.failures = 0
-        self.deopts = self.insns_compiled = 0
+        self.hits = self.misses = 0
 
 
 #: module-wide stats; reset via ``stats.reset()`` (benchmarks do)
@@ -160,14 +156,11 @@ class CompiledProgram:
     (deoptimization) from ``pc`` with the given accounting state.
     """
 
-    __slots__ = ("fn", "fingerprint", "n_insns", "n_blocks", "source")
+    __slots__ = ("fn", "n_insns", "source")
 
-    def __init__(self, fn: Callable, fingerprint: str, n_insns: int,
-                 n_blocks: int, source: str):
+    def __init__(self, fn: Callable, n_insns: int, source: str):
         self.fn = fn
-        self.fingerprint = fingerprint
         self.n_insns = n_insns
-        self.n_blocks = n_blocks
         self.source = source
 
 
@@ -279,12 +272,10 @@ def get_compiled(
     if tel_on:
         telemetry.counter("vcode.jit.cache_misses").inc()
     try:
-        compiled = _translate(program, cal, has_cache, fp, ak)
+        compiled = _translate(program, cal, has_cache, ak)
     except Exception:
-        stats.failures += 1
         program.jit_safe = False  # don't retry a failing translation
         return None
-    stats.insns_compiled += compiled.n_insns
     if tel_on:
         telemetry.counter("vcode.jit.compile_cycles").inc(
             COMPILE_CYCLES_PER_INSN * compiled.n_insns
@@ -381,7 +372,6 @@ class _Emitter:
 
 
 def _translate(program: Program, cal: Calibration, has_cache: bool,
-               fingerprint: str,
                allowed_key: Optional[tuple] = None) -> CompiledProgram:
     insns = program.insns
     nprog = len(insns)
@@ -856,8 +846,6 @@ def _translate(program: Program, cal: Calibration, has_cache: bool,
     exec(compile(source, f"<vcode-jit:{name}>", "exec"), namespace)  # noqa: S102
     return CompiledProgram(
         fn=namespace["_jit_entry"],
-        fingerprint=fingerprint,
         n_insns=nprog,
-        n_blocks=len(starts),
         source=source,
     )

@@ -213,7 +213,6 @@ class Vm:
                 # an indirect jump to an unknown target); resume in the
                 # reference interpreter from the exact machine state so
                 # faults and accounting stay bit-identical.
-                jit.stats.deopts += 1
                 tel = self.telemetry
                 if tel is not None and tel.enabled:
                     tel.counter("vcode.jit.deopts").inc()

@@ -1,5 +1,6 @@
 """Tier-1 gate: the bulk-transfer world, the remote-increment install
-and the plane-bench command line each exist once.
+and the plane-bench command line each exist once — and no attribute is
+kept that nothing reads.
 
 A source scan in the style of ``tests/test_metrics_lint.py`` (no world
 is built, nothing is timed).  The census that motivated it found the
@@ -18,6 +19,10 @@ different state layout) and rots on its own.  So outside
   ``repro.bench`` at run time: the library does not depend on its
   harness (the package root, which re-exports the whole public API,
   is the one exception).
+
+And everywhere, ``benchmarks/perf/`` and ``examples/`` included as
+readers: an attribute assigned under ``src/`` is loaded somewhere
+(``write_only_attributes``).
 """
 
 import ast
@@ -163,6 +168,92 @@ def harness_imports(root=ROOT):
                    for name in names):
                 found.append(f"{os.path.relpath(path, root)}:{node.lineno}")
     return found
+
+
+#: owner.attribute -> who reads it, where the scan cannot see the reader
+READ_ELSEWHERE = {
+    "ndarray.flags.writeable": "numpy itself: clearing it freezes the "
+                               "cache model's shared line ramp",
+}
+
+
+def write_only_attributes(root=ROOT):
+    """{attribute: first ``file:line`` storing it} for every attribute
+    assigned (``x.a = ...``, ``x.a += ...``) under ``src/`` that is
+    loaded nowhere in ``src/``, ``tests/``, ``benchmarks/`` or
+    ``examples/`` — neither as ``y.a`` nor spelled as a whole string,
+    the way ``getattr`` and field tables such as ``SHARED_TCB_FIELDS``
+    name what they read; ``__slots__`` declares, it does not read.
+
+    The scan goes by attribute name, not by class: it finds a counter
+    nobody reports and a field kept "for later", and it is blind to an
+    attribute whose only loads are its own class's bookkeeping or that
+    shares its name with a live one (``PacketBuf.view``, read by nothing
+    but its own ``release``, was found by hand), and to dataclass fields
+    that are only ever set through ``__init__``.
+    """
+    stored, read = {}, set()
+    for sub in ("src", "tests", "benchmarks", "examples"):
+        pattern = os.path.join(root, sub, "**", "*.py")
+        for path in sorted(glob.glob(pattern, recursive=True)):
+            rel = os.path.relpath(path, root)
+            with open(path) as fh:
+                tree = ast.parse(fh.read(), rel)
+            declared = {
+                id(node) for stmt in ast.walk(tree)
+                if isinstance(stmt, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                        for t in stmt.targets)
+                for node in ast.walk(stmt.value)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute):
+                    if isinstance(node.ctx, ast.Load):
+                        read.add(node.attr)
+                    elif isinstance(node.ctx, ast.Store) and sub == "src":
+                        stored.setdefault(node.attr, f"{rel}:{node.lineno}")
+                elif (isinstance(node, ast.Constant)
+                      and isinstance(node.value, str)
+                      and id(node) not in declared):
+                    read.add(node.value)
+    return {attr: where for attr, where in sorted(stored.items())
+            if attr not in read}
+
+
+def test_no_attribute_is_stored_and_never_read():
+    found = write_only_attributes()
+    excused = {key.rpartition(".")[2] for key in READ_ELSEWHERE}
+    unread = {a: w for a, w in found.items() if a not in excused}
+    assert not unread, (
+        f"stored under src/ and read nowhere: {unread} - delete the "
+        f"store, or name the reader in READ_ELSEWHERE")
+    # the allow-list names only attributes that still need it
+    assert excused <= set(found)
+
+
+def test_a_write_only_attribute_is_flagged(tmp_path):
+    lib = tmp_path / "src" / "repro"
+    lib.mkdir(parents=True)
+    (tmp_path / "tests").mkdir()
+    (lib / "pool.py").write_text(
+        "class Pool:\n"
+        "    __slots__ = ('made', 'lent', 'peak', 'tag')\n"
+        "    def __init__(self):\n"
+        "        self.made = self.lent = self.peak = 0\n"
+        "        self.tag = None\n"
+        "    def acquire(self):\n"
+        "        self.made += 1\n"
+        "        self.lent += 1\n"
+        "        self.peak = max(self.peak, self.lent)\n"
+        "FIELDS = ('tag',)\n"
+    )
+    assert write_only_attributes(str(tmp_path)) == {
+        "made": "src/repro/pool.py:4"}
+    # a reader anywhere in the four trees clears it
+    (tmp_path / "tests" / "test_pool.py").write_text(
+        "def test_pool(pool):\n"
+        "    assert pool.made == 1\n"
+    )
+    assert write_only_attributes(str(tmp_path)) == {}
 
 
 def test_library_does_not_import_its_harness(tmp_path):

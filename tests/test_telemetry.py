@@ -116,8 +116,9 @@ class TestMetricsRegistry:
 
     def test_hub_enabled_after_the_run_reports_the_run(self):
         """Totals live in the components: a standalone NIC counts with
-        no hub at all, and a node's hub collects whatever its NIC, pool
-        and kernel counted before it was switched on."""
+        no hub at all, and a node's hub collects whatever its NIC, the
+        dispatch stage and its kernel counted before it was switched
+        on."""
         tb = make_an2_pair()
         ep = tb.server_kernel.create_endpoint_an2(
             tb.server_nic, CLIENT_TO_SERVER_VCI)
@@ -131,8 +132,7 @@ class TestMetricsRegistry:
         assert tel.registry.value("nic.rx_frames", nic="an2") == 3
         assert tel.registry.value("nic.rx_bytes", nic="an2") == 24
         assert tel.registry.value("kernel.rx_interrupts") == 3
-        assert tel.registry.value("datapath.pktbuf.in_flight",
-                                  pool="server") == 3
+        assert tel.registry.value("rss.steered", nic="an2", core="0") == 3
         assert tb.client.telemetry.registry.snapshot()["counters"] == []
 
 
