@@ -25,6 +25,7 @@ from typing import Generator, Optional, TYPE_CHECKING
 from ..hw.calibration import PRIO_KERNEL
 from ..sim.engine import Engine, Event
 from ..sim.units import us
+from .process import ProcessState
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Kernel
@@ -88,7 +89,7 @@ class RoundRobinScheduler:
         """
         if not self.boost_on_packet:
             return
-        if proc is self.current or proc.state.value != "ready":
+        if proc is self.current or proc.state is not ProcessState.READY:
             return
         self._remove(proc)
         self.ready.appendleft(proc)
@@ -128,7 +129,7 @@ class RoundRobinScheduler:
                 self._wakeup = None
                 continue
             proc = self.ready.popleft()
-            if proc.state.value != "ready":
+            if proc.state is not ProcessState.READY:
                 continue
             if proc is not self._last_scheduled and self._last_scheduled is not None:
                 # full context switch: address space + register state
@@ -144,5 +145,5 @@ class RoundRobinScheduler:
             quantum.cancel()
             self._slice_over = None
             self.current = None
-            if proc.state.value == "ready":
+            if proc.state is ProcessState.READY:
                 self.ready.append(proc)
