@@ -16,7 +16,10 @@ hold when someone the holder yields to shows up, and the hold is cut
 back to its next boundary — see :meth:`Cpu.cut`.
 
 ``exec`` is a generator: call it as ``yield from cpu.exec(cycles)``
-from inside a simulation process.
+from inside a simulation process.  It asks the lock every time but
+yields the grant only when it has to wait for it — or for a sibling due
+at the same tick (:meth:`repro.sim.engine.Engine.passes`): an
+uncontended charge is one timer and one wake-up, nothing else.
 """
 
 from __future__ import annotations
@@ -150,7 +153,10 @@ class Cpu:
             return
         lock = self.lock
         waiters = lock._waiters
-        yield lock.acquire(prio)
+        passes = self.engine.passes
+        granted = lock.acquire(prio)
+        if not passes(granted):
+            yield granted
         try:
             injector = self.contention
             if injector is not None:
@@ -170,7 +176,9 @@ class Cpu:
                     break
                 if waiters and waiters[0][0] < prio:
                     lock.release()
-                    yield lock.acquire(prio)
+                    granted = lock.acquire(prio)
+                    if not passes(granted):
+                        yield granted
         finally:
             lock.release()
 
@@ -178,8 +186,10 @@ class Cpu:
     def exec_us(
         self, usec: float, prio: int = PRIO_USER
     ) -> Generator[Event, None, None]:
-        """Hold the CPU for a duration expressed in microseconds."""
-        yield from self.exec(self.cal.us_to_cycles(usec), prio)
+        """Hold the CPU for a duration expressed in microseconds (a
+        plain function handing back :meth:`exec`'s generator: a resume
+        crosses no frame of its own)."""
+        return self.exec(self.cal.us_to_cycles(usec), prio)
 
     # -- the ledger -------------------------------------------------------------
     def _open_quanta_ticks(self) -> int:

@@ -97,11 +97,16 @@ class Process:
         engine = self.engine
         lock = cpu.lock
         gate = self.gate
+        passes = engine.passes
         remaining = int(cycles)
         while remaining > 0:
-            yield gate.wait()
+            scheduled = gate.wait()
+            if not passes(scheduled):
+                yield scheduled
             ustart = engine._now
-            yield lock.acquire(PRIO_USER)
+            granted = lock.acquire(PRIO_USER)
+            if not passes(granted):
+                yield granted
             start = engine._now
             timer = cpu.begin_hold(remaining, YIELD_TO_ANY, gate)
             try:
@@ -117,16 +122,18 @@ class Process:
                 remaining -= charged
 
     def compute_us(self, usec: float) -> Generator[Event, Any, None]:
-        yield from self.compute(self.cal.us_to_cycles(usec))
+        return self.compute(self.cal.us_to_cycles(usec))
 
     # -- kernel interaction ---------------------------------------------------
     def syscall_enter(self) -> Generator[Event, Any, None]:
         """Cross into the kernel (charged at kernel priority)."""
-        yield self.gate.wait()
+        scheduled = self.gate.wait()
+        if not self.engine.passes(scheduled):
+            yield scheduled
         yield from self.cpu.exec_us(self.cal.syscall_us, PRIO_KERNEL)
 
     def syscall_exit(self) -> Generator[Event, Any, None]:
-        yield from self.cpu.exec_us(self.cal.syscall_us, PRIO_KERNEL)
+        return self.cpu.exec_us(self.cal.syscall_us, PRIO_KERNEL)
 
     # -- waiting ----------------------------------------------------------
     def block_on(self, event: Event) -> Generator[Event, Any, Any]:
@@ -136,7 +143,9 @@ class Process:
         value = yield event
         self.state = ProcessState.READY
         self.scheduler.on_unblock(self)
-        yield self.gate.wait()
+        scheduled = self.gate.wait()
+        if not self.engine.passes(scheduled):
+            yield scheduled
         return value
 
     def poll(self, channel: Channel) -> Generator[Event, Any, Any]:

@@ -443,6 +443,28 @@ class Engine:
     def spawn(self, gen: SimGenerator, name: str = "") -> SimProcess:
         return SimProcess(self, gen, name)
 
+    def passes(self, event: Event) -> bool:
+        """True when a process may walk through ``event`` without
+        yielding it: it is the shared pre-triggered event (an open gate,
+        an uncontended lock) *and* no other entry is due at this tick.
+
+        That is the tie test :meth:`_send_step` applies before it elides
+        the hop of such a wait, asked by the waiter itself: the hop
+        would be the only entry at this tick and pop next with nothing
+        in between, so not making it — no yield, no resume back down the
+        ``yield from`` chain, no event booked — is order-identical.  With
+        a same-tick sibling (or a tombstone) due, the caller yields and
+        takes the generic hop behind it, as ever.  Use as::
+
+            ev = lock.acquire(prio)     # always ask: the grant is a fact
+            if not engine.passes(ev):
+                yield ev
+        """
+        # peek_at, not a look at the due heap alone: with nothing due the
+        # calendar queue advances its wheel here, exactly where the
+        # elision it replaces did
+        return event is self._done and self._queue.peek_at() != self._now
+
     # -- internal scheduling -------------------------------------------
     def _schedule(self, at: int, fn: Callable, *args: Any) -> list:
         """Enqueue ``fn(*args)`` at tick ``at``; returns the queue entry

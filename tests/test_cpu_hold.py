@@ -18,6 +18,16 @@ quantum and the arrival waited one more — an artefact of event order
 within a tick, pinned (not reproduced) by ``TestSameTickRule``.  Every
 other arrival in a generated schedule carries its own sub-cycle offset,
 so it cannot land on a tick where the holder wakes by accident.
+
+**The pass-through rule.**  A lock or gate that lets its caller through
+is asked but no longer yielded, unless something else is due at that
+tick (``Engine.passes``).  The always-yield form survives here as
+``wait_always``; ``TestPassThroughRule`` runs generated actor scripts —
+pass-throughs alone at a tick, beside a sibling, beside a cancelled
+timer's tombstone, under ``SimProcess.interrupt`` — through both forms
+on both substrates and requires one resume order.  (``SlicedCpu`` /
+``SlicedProcess`` keep yielding too, so every differential above also
+compares the two forms.)
 """
 
 from types import SimpleNamespace
@@ -34,7 +44,7 @@ from repro.kernel.process import Process, ProcessState
 from repro.kernel.scheduler import RoundRobinScheduler
 from repro.sim import Engine, Interrupt
 from repro.sim.engine import Timeout
-from repro.sim.queues import PriorityLock
+from repro.sim.queues import Gate, PriorityLock
 from repro.sim.units import CYCLE_PS
 from repro.telemetry.hub import Telemetry
 
@@ -534,6 +544,175 @@ class TestSameTickRule:
 
 
 # ---------------------------------------------------------------------------
+# the pass-through rule: ``Engine.passes`` against the yield it replaced
+# ---------------------------------------------------------------------------
+
+def wait_always(engine, event):
+    """The form every site in ``src/`` had: yield whatever the lock or
+    the gate hands back."""
+    yield event
+
+
+def wait_if_needed(engine, event):
+    """The form they have now."""
+    if not engine.passes(event):
+        yield event
+
+
+class CountingLock(PriorityLock):
+    """Sees every ``acquire``, passed through or not (as ``RecordingLock``
+    and any other subclass must)."""
+
+    asked = 0
+
+    def acquire(self, priority=10):
+        self.asked += 1
+        return super().acquire(priority)
+
+
+class CountingGate(Gate):
+    asked = 0
+
+    def wait(self):
+        self.asked += 1
+        return super().wait()
+
+
+def run_actors(scripts, substrate, wait, grid):
+    """Every actor walks its script; the log is the ``(tick, actor,
+    step)`` order in which they got through each step."""
+    eng = Engine(substrate)
+    lock = CountingLock(eng, "lock")
+    gates = [CountingGate(eng, f"gate{i}") for i in range(len(scripts))]
+    for gate, script in zip(gates, scripts):
+        if script["open"]:
+            gate.open()
+    procs, log = [], []
+
+    def actor(me, steps):
+        for i, (op, arg, hold) in enumerate(steps):
+            held = False
+            try:
+                if op == "sleep":
+                    yield Timeout(eng, arg * grid)
+                elif op == "acquire":
+                    yield from wait(eng, lock.acquire(arg))
+                    held = True
+                    log.append((eng.now, me, i, "granted"))
+                    if hold:
+                        yield Timeout(eng, hold * grid)
+                elif op == "gate":
+                    yield from wait(eng, gates[me].wait())
+                elif op == "tombstone":
+                    # a cancelled timer: on a heap it stays, due at its
+                    # tick, until the loop pops it
+                    Timeout(eng, arg * grid).cancel()
+                elif op == "toggle":
+                    gate = gates[arg % len(gates)]
+                    gate.close() if gate.is_open else gate.open()
+                elif op == "interrupt":
+                    victim = procs[arg % len(procs)]
+                    # on a timer or in the hop of a pass-through; not in
+                    # the lock's queue, which a dead waiter would jam
+                    waiting_on = victim._waiting_on
+                    if isinstance(waiting_on, Timeout) or (
+                            waiting_on is eng._done):
+                        victim.interrupt(me)
+            except Interrupt:
+                log.append((eng.now, me, i, "interrupted"))
+            finally:
+                if held:
+                    lock.release()
+            log.append((eng.now, me, i, op))
+
+    for me, script in enumerate(scripts):
+        procs.append(eng.spawn(actor(me, script["steps"]), name=f"a{me}"))
+    eng.run()
+    return {
+        # (not ``eng.now``: a trailing tombstone moves the legacy clock)
+        "log": log, "locked": lock.locked,
+        "asked": (lock.asked, [gate.asked for gate in gates]),
+        "open": [gate.is_open for gate in gates],
+        "alive": [proc.alive for proc in procs],
+    }, eng.stats()["fired"]
+
+
+#: delays on a coarse grid, so that actors meet on a tick all the time
+STEPS = st.one_of(
+    st.tuples(st.just("sleep"), st.integers(0, 4), st.just(0)),
+    st.tuples(st.just("acquire"),
+              st.sampled_from((PRIO_INTERRUPT, PRIO_KERNEL, PRIO_USER)),
+              st.integers(0, 3)),
+    st.tuples(st.just("gate"), st.just(0), st.just(0)),
+    st.tuples(st.just("tombstone"), st.integers(0, 4), st.just(0)),
+    st.tuples(st.just("toggle"), st.integers(0, 5), st.just(0)),
+    st.tuples(st.just("interrupt"), st.integers(0, 5), st.just(0)),
+)
+ACTORS = st.lists(
+    st.fixed_dictionaries({"open": st.booleans(),
+                           "steps": st.lists(STEPS, min_size=1, max_size=8)}),
+    min_size=1, max_size=5)
+
+
+class TestPassThroughRule:
+    #: ticks per grid step: everything inside the calendar queue's due
+    #: heap (a cancelled timer leaves a tombstone on both substrates),
+    #: and spread over its wheel (on ``fast`` the cancel removes it)
+    GRIDS = (7, 300_000_007)
+
+    @given(ACTORS, st.sampled_from(GRIDS))
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_generated_schedules(self, scripts, grid):
+        want, _fired = run_actors(scripts, "fast", wait_always, grid)
+        for substrate in SUBSTRATES:
+            ref, ref_fired = run_actors(scripts, substrate, wait_always, grid)
+            got, fired = run_actors(scripts, substrate, wait_if_needed, grid)
+            assert ref == want, substrate
+            assert got == want, substrate
+            assert fired <= ref_fired
+
+    @pytest.mark.parametrize("substrate", SUBSTRATES)
+    def test_alone_at_a_tick_it_passes(self, substrate):
+        eng = Engine(substrate)
+        lock = PriorityLock(eng)
+        seen = []
+
+        def proc():
+            yield Timeout(eng, 5)
+            seen.append(eng.passes(lock.acquire()))
+            seen.append(eng.passes(lock.acquire()))     # held: must wait
+            seen.append(eng.passes(Timeout(eng, 0)))    # not the shared event
+
+        eng.spawn(proc())
+        eng.run()
+        assert seen == [True, False, False]
+
+    @pytest.mark.parametrize("substrate", SUBSTRATES)
+    @pytest.mark.parametrize("sibling", ["timer", "tombstone"])
+    def test_anything_else_due_at_the_tick_and_it_does_not(self, substrate,
+                                                           sibling):
+        """A live sibling must run first; a tombstone in the heap would
+        pop first (silently) — the same test ``_send_step`` applies, so
+        the same answer."""
+        eng = Engine(substrate)
+        gate = Gate(eng)
+        gate.open()
+        seen = []
+
+        def proc():
+            yield Timeout(eng, 5)
+            other = Timeout(eng, 0)
+            if sibling == "tombstone":
+                other.cancel()
+            seen.append(eng.passes(gate.wait()))
+
+        eng.spawn(proc())
+        eng.run()
+        assert seen == [False]
+
+
+# ---------------------------------------------------------------------------
 # event budget and the ledger between wake-ups
 # ---------------------------------------------------------------------------
 
@@ -548,9 +727,31 @@ class TestEventBudget:
         eng.run()
         assert eng.now == self.CHARGE * CYCLE_PS
         assert cpu.cycles_charged == self.CHARGE
-        # start, the lock's pass-through, the timer, the wake-up
-        # (sliced: 102, two per quantum)
-        assert eng.stats()["fired"] == 4
+        # start, the timer, the wake-up: the lock is asked and lets the
+        # charge through without a yield (4 while the grant was yielded;
+        # sliced: 102, two per quantum)
+        assert eng.stats()["fired"] == 3
+
+    def test_a_same_tick_sibling_still_gets_the_hop(self, substrate):
+        """With something else due at the tick of the acquire the grant
+        is yielded as it always was: the charge takes the lock at once
+        but opens its hold one queue hop later, behind the sibling."""
+        eng = Engine(substrate)
+        cpu = Cpu(eng, Calibration())
+        seen = []
+
+        def sibling():
+            seen.append((cpu.lock.locked, cpu._timer is not None))
+            return
+            yield
+
+        eng.spawn(cpu.exec(self.CHARGE))
+        eng.spawn(sibling())
+        eng.run()
+        assert seen == [(True, False)]
+        assert eng.now == self.CHARGE * CYCLE_PS
+        # the sibling's start, and the hop it costs the charge
+        assert eng.stats()["fired"] == 3 + 2
 
     def test_uncontended_compute_is_one_timer(self, substrate):
         world = World(substrate, sliced=False)
@@ -560,10 +761,12 @@ class TestEventBudget:
         assert world.finish == [("app", self.CHARGE * CYCLE_PS)]
         assert world.procs["app"].user_ticks == self.CHARGE * CYCLE_PS
         # the scheduler's and the process's starts, the dispatch through
-        # gate and lock, one timer, one wake-up, the exit (sliced: 204,
-        # four per quantum); the slice timer is cancelled, not fired
+        # the gate (the lock then lets it through unyielded), one timer,
+        # one wake-up, the exit (8 while the lock's grant was yielded;
+        # sliced: 204, four per quantum); the slice timer is cancelled,
+        # not fired
         stats = world.engine.stats()
-        assert (stats["fired"], stats["cancelled"]) == (8, 1)
+        assert (stats["fired"], stats["cancelled"]) == (6, 1)
 
     def test_one_urgent_arrival_splits_once(self, substrate):
         eng = Engine(substrate)
@@ -580,7 +783,9 @@ class TestEventBudget:
         stats = eng.stats()
         # one reschedule (one queue entry withdrawn), after which the
         # two parts of the charge and the interrupt are a timer and a
-        # wake-up each, plus the hand-overs (sliced: 109)
+        # wake-up each, plus the hand-overs (sliced: 109).  Nothing here
+        # passes through: the first acquire ties with the interrupt's
+        # start at tick 0, the other two really wait for the CPU
         assert cpu.cycles_charged == self.CHARGE + Q
         assert (stats["fired"], stats["cancelled"]) == (13, 1)
 
