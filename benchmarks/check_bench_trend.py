@@ -20,10 +20,13 @@ metric that moved past the threshold in the bad direction:
 * **higher is better** — ``goodput_mbps``: simulated throughput;
   ``jain_index``: per-flow fairness on contended links;
   ``isolation_ratio``: tenant-contended vs solo victim goodput.
+* **exact, lower is better** — a leaf named ``events``: engine events
+  fired, an exact count of the model's own work with no noise to allow
+  for, so *any* rise fails (a fall never does).
 * **skipped by default** — wall-clock-noisy leaves (``*_per_sec``,
   ``wall_s``): they measure the host machine, not the model; compare
   them with ``--include-wallclock`` only on pinned hardware.
-* everything else (seeds, counts, digests, flags) is ignored — identity
+* everything else (seeds, other counts, digests, flags) is ignored — identity
   of those is the digest tests' job, not a trend question.
 
 Missing-leaf drift is also fatal both ways: a perf leaf present in the
@@ -50,13 +53,20 @@ DEFAULT_THRESHOLD = 0.10  # fractional change that counts as a regression
 #: name-suffix → direction; first match wins ("lower" / "higher")
 LOWER_IS_BETTER = ("elapsed_us", "recovery_us", "virtual_ns")
 HIGHER_IS_BETTER = ("goodput_mbps", "jain_index", "isolation_ratio")
+#: whole leaf names that are exact model counts: lower is better and
+#: the threshold does not apply (``events_per_sim_s`` and friends derive
+#: from ``events`` and are left to it)
+EXACT_COUNTS = ("events",)
 #: wall-clock-dependent leaves: excluded unless explicitly requested
 WALLCLOCK_MARKERS = ("_per_sec", "wall_s")
 
 
 def classify(path: str) -> str | None:
-    """Direction for one leaf path: 'lower', 'higher', 'wallclock', None."""
+    """Direction for one leaf path: 'lower', 'higher', 'exact' (lower,
+    no tolerance), 'wallclock', None."""
     leaf = path.rsplit(".", 1)[-1]
+    if leaf in EXACT_COUNTS:
+        return "exact"
     for marker in WALLCLOCK_MARKERS:
         if marker in leaf:
             return "wallclock"
@@ -121,6 +131,13 @@ def compare(baseline: dict, fresh: dict,
                 errors.append(f"{path}: baseline 0, now {cur:g}")
             continue
         delta = (cur - old) / abs(old)
+        if direction == "exact":
+            if cur > old:
+                errors.append(
+                    f"{path}: rose {delta * 100:.1f}% ({old:g} -> {cur:g}, "
+                    f"exact count, lower-is-better, no threshold)"
+                )
+            continue
         worse = delta > threshold if direction == "lower" \
             else -delta > threshold
         if worse:

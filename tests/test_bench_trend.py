@@ -43,6 +43,11 @@ def test_classification_directions():
     # host-clock noise is skipped unless explicitly included
     assert trend.classify("w.interp_per_sec") == "wallclock"
     assert trend.classify("cfg.wall_s") == "wallclock"
+    # engine events are an exact count; what is derived from them or
+    # merely contains the word is not
+    assert trend.classify("cells[3].fast.events") == "exact"
+    assert trend.classify("cells[3].fast.events_per_sim_s") is None
+    assert trend.classify("cells[3].fast.events_per_sec") == "wallclock"
     # non-perf leaves are nobody's trend business
     assert trend.classify("seed") is None
     assert trend.classify("retransmits") is None
@@ -67,6 +72,22 @@ def test_goodput_regression_detected_improvement_ignored():
     assert trend.compare(base, {"run": {"goodput_mbps": 80.0}}) == []
     assert trend.compare({"run": {"elapsed_us": 100.0}},
                          {"run": {"elapsed_us": 50.0}}) == []
+
+
+def test_event_count_regression_detected_at_any_size():
+    trend = _load_trend()
+    base = {"cell": {"fast": {"events": 1000, "events_per_sim_s": 5.0}}}
+    # one event more is a regression: the count is exact, no threshold
+    errors = trend.compare(base, {"cell": {"fast": {
+        "events": 1001, "events_per_sim_s": 5.0}}}, threshold=0.10)
+    assert len(errors) == 1
+    assert "cell.fast.events" in errors[0] and "exact count" in errors[0]
+    # fewer is never a failure, however many fewer
+    assert trend.compare(base, {"cell": {"fast": {
+        "events": 600, "events_per_sim_s": 9.0}}}) == []
+    # and a leaf that appears or vanishes is schema drift like any other
+    assert trend.compare(base, {"cell": {"fast": {
+        "events_per_sim_s": 5.0}}})
 
 
 def test_wallclock_leaves_skipped_by_default():
