@@ -131,21 +131,16 @@ def compare(baseline: dict, fresh: dict,
                 errors.append(f"{path}: baseline 0, now {cur:g}")
             continue
         delta = (cur - old) / abs(old)
-        if direction == "exact":
-            if cur > old:
-                errors.append(
-                    f"{path}: rose {delta * 100:.1f}% ({old:g} -> {cur:g}, "
-                    f"exact count, lower-is-better, no threshold)"
-                )
-            continue
-        worse = delta > threshold if direction == "lower" \
-            else -delta > threshold
+        exact = direction == "exact"
+        limit = 0.0 if exact else threshold
+        worse = -delta > limit if direction == "higher" else delta > limit
         if worse:
             arrow = "rose" if delta > 0 else "fell"
+            kind = "exact count, lower" if exact else direction
             errors.append(
                 f"{path}: {arrow} {abs(delta) * 100:.1f}% "
-                f"({old:g} -> {cur:g}, {direction}-is-better, "
-                f"threshold {threshold * 100:.0f}%)"
+                f"({old:g} -> {cur:g}, {kind}-is-better, "
+                f"threshold {limit * 100:.0f}%)"
             )
     return errors
 

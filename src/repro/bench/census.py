@@ -66,6 +66,15 @@ def _target_kind(target: Event) -> str:
     return kind
 
 
+#: the classes ``YieldCensus.remainder`` sorts every wait into
+_REMAINDER = {
+    "timer": "timer waits (two events each: the timer, the wake-up)",
+    "blocked": "lock / gate waits that really block",
+    "tie": "pass-throughs that tie with a same-tick sibling",
+    "other": "every other wait (channels, joins, any_of)",
+}
+
+
 class YieldCensus:
     """Context manager: while open, every engine's ``_send_step`` books
     where the process it advanced came to rest."""
@@ -118,38 +127,27 @@ class YieldCensus:
 
     def remainder(self, frames: int) -> str:
         """What a further cut has to go after, per received frame."""
-        def total(pick) -> Counter:
-            out: Counter = Counter()
-            for (_f, _l, function, kind, how), n in self.waits.items():
-                if pick(kind, how):
-                    out[function] += n
-            return out
-
-        def spell(counter: Counter) -> str:
-            return ", ".join(f"{fn} {n / frames:.2f}"
-                             for fn, n in counter.most_common()
-                             if n / frames >= 0.005) or "none"
-
-        timers = total(lambda kind, how: kind == "Timeout")
-        blocked = total(lambda kind, how: kind in ("Event:acquire",
-                                                   "Event:wait")
-                        and how == "pending")
-        ties = total(lambda kind, how: kind == "Event:done")
-        other = sum(self.waits.values()) - sum(
-            sum(c.values()) for c in (timers, blocked, ties))
-        return "\n".join([
-            f"  timer waits (two events each: the timer, the wake-up)  "
-            f"{sum(timers.values()) / frames:.2f}",
-            f"    {spell(timers)}",
-            f"  lock / gate waits that really block  "
-            f"{sum(blocked.values()) / frames:.2f}",
-            f"    {spell(blocked)}",
-            f"  pass-throughs that tie with a same-tick sibling  "
-            f"{sum(ties.values()) / frames:.2f}",
-            f"    {spell(ties)}",
-            f"  every other wait (channels, joins, any_of)  "
-            f"{other / frames:.2f}",
-        ])
+        groups = {label: Counter() for label in _REMAINDER}
+        for (_f, _l, function, kind, how), n in self.waits.items():
+            if kind == "Timeout":
+                label = "timer"
+            elif kind == "Event:done":
+                label = "tie"
+            elif how == "pending" and kind in ("Event:acquire", "Event:wait"):
+                label = "blocked"
+            else:
+                label = "other"
+            groups[label][function] += n
+        lines = []
+        for label, title in _REMAINDER.items():
+            by_function = groups[label]
+            lines.append(f"  {title}  "
+                         f"{sum(by_function.values()) / frames:.2f}")
+            lines.append("    " + (", ".join(
+                f"{function} {n / frames:.2f}"
+                for function, n in by_function.most_common()
+                if n / frames >= 0.005) or "none"))
+        return "\n".join(lines)
 
 
 def run_perf_world(name: str, seed: int):

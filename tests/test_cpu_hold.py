@@ -36,6 +36,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from repro.bench.census import YieldCensus
 from repro.hw.calibration import (
     Calibration, PRIO_INTERRUPT, PRIO_KERNEL, PRIO_USER,
 )
@@ -747,11 +748,17 @@ class TestEventBudget:
 
         eng.spawn(cpu.exec(self.CHARGE))
         eng.spawn(sibling())
-        eng.run()
+        with YieldCensus() as census:
+            eng.run()
         assert seen == [(True, False)]
         assert eng.now == self.CHARGE * CYCLE_PS
         # the sibling's start, and the hop it costs the charge
         assert eng.stats()["fired"] == 3 + 2
+        if substrate == "fast":     # the census watches the fused loop
+            assert census.by_function() == {
+                ("Cpu.exec", "Event:done", "hop"): 1,
+                ("Cpu.exec", "Timeout", "pending"): 1,
+            }
 
     def test_uncontended_compute_is_one_timer(self, substrate):
         world = World(substrate, sliced=False)

@@ -1018,14 +1018,21 @@ def events_per_message(exit_name, cfg):
     return counts[2]
 
 
-def frames_per_message(exit_name, cfg):
-    """Python frames entered (function calls and generator resumes)
-    while one warm message is delivered, by defining file."""
+def _warm_world(exit_name, cfg):
+    """A world that has delivered two messages (JIT and pools warm) and
+    the third frame, for the caller to deliver under its instrument."""
     make_world, make_frame = BUDGET_WORLDS[exit_name]
     w = make_world(dict(cfg))
     w.tb.engine.run(until=us(10.0))
-    for i in range(2):                          # JIT and pools warm
+    for i in range(2):
         _deliver_one(w, make_frame(i))
+    return w, make_frame(2)
+
+
+def frames_per_message(exit_name, cfg):
+    """Python frames entered (function calls and generator resumes)
+    while one warm message is delivered, by defining file."""
+    w, frame = _warm_world(exit_name, cfg)
     by_file = {}
 
     def profile(frame, event, arg):
@@ -1033,7 +1040,7 @@ def frames_per_message(exit_name, cfg):
             name = frame.f_code.co_filename
             by_file[name] = by_file.get(name, 0) + 1
 
-    _deliver_one(w, make_frame(2), profile)
+    _deliver_one(w, frame, profile)
     return by_file
 
 
@@ -1043,13 +1050,9 @@ def sites_per_message(exit_name, cfg):
     ``repro.bench.census``)."""
     from repro.bench.census import YieldCensus
 
-    make_world, make_frame = BUDGET_WORLDS[exit_name]
-    w = make_world(dict(cfg))
-    w.tb.engine.run(until=us(10.0))
-    for i in range(2):
-        _deliver_one(w, make_frame(i))
+    w, frame = _warm_world(exit_name, cfg)
     with YieldCensus() as census:
-        _deliver_one(w, make_frame(2))
+        _deliver_one(w, frame)
     return census.by_function()
 
 
