@@ -108,21 +108,17 @@ class YieldCensus:
             out[(function, kind, how)] += n
         return dict(out)
 
-    def format(self, frames: int, top: int = 0) -> str:
+    def format(self, frames: int) -> str:
         """The table, busiest site first, in waits per received frame."""
         rows = sorted(self.waits.items(), key=lambda kv: (-kv[1], kv[0]))
         lines = [f"{'waits':>8s} {'/frame':>7s}  {'how':7s}  "
                  f"{'target':14s}  site"]
-        for (path, line, function, kind, how), n in rows[:top or None]:
+        for (path, line, function, kind, how), n in rows:
             where = os.path.relpath(path, os.path.join(_SRC, "repro"))
             if where.startswith(".."):
                 where = os.path.relpath(path)
             lines.append(f"{n:8d} {n / frames:7.2f}  {how:7s}  {kind:14s}  "
                          f"{where}:{line} {function}")
-        if top and len(rows) > top:
-            rest = sum(n for _key, n in rows[top:])
-            lines.append(f"{rest:8d} {rest / frames:7.2f}  {'':7s}  "
-                         f"{'':14s}  ({len(rows) - top} more sites)")
         return "\n".join(lines)
 
     def remainder(self, frames: int) -> str:
@@ -168,7 +164,7 @@ def run_perf_world(name: str, seed: int):
     return census, world
 
 
-def report(name: str, seed: int, top: int = 0) -> str:
+def report(name: str, seed: int) -> str:
     census, world = run_perf_world(name, seed)
     frames = world.packets()
     stats = world.engine.stats()
@@ -181,7 +177,7 @@ def report(name: str, seed: int, top: int = 0) -> str:
         f"{len(census.waits)} sites; {stats['inlined'] / frames:.2f} "
         f"resumes per frame ran inline (counted, never queued)",
         "",
-        census.format(frames, top),
+        census.format(frames),
         "",
         "what is left, per received frame:",
         census.remainder(frames),
@@ -196,10 +192,8 @@ def main(argv=None) -> int:
     parser.add_argument("world", nargs="?", default="pingpong_small",
                         choices=WORLDS)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--top", type=int, default=0,
-                        help="list only the busiest N sites")
     args = parser.parse_args(argv)
-    print(report(args.world, args.seed, args.top))
+    print(report(args.world, args.seed))
     return 0
 
 

@@ -323,3 +323,28 @@ def test_plane_bench_regenerates_its_committed_artefact(name, script,
                 and path.rsplit(".", 1)[-1] not in ("speedup", "python")}
 
     assert model_leaves(doc) == model_leaves(_committed(name))
+
+
+def test_census_report_of_pingpong_small():
+    """``python -m repro.bench.census`` end to end on the benchmark's
+    own world (loaded by path from ``benchmarks/perf``): the figures
+    ROADMAP's event-budget item quotes are what it prints."""
+    from repro.bench.census import report
+
+    lines = report("pingpong_small", 1).splitlines()
+    assert lines[0] == ("pingpong_small (seed 1): 3911 frames received, "
+                        "151266 events fired = 38.68 per frame")
+    assert lines[1].startswith("22.93 waits per frame came to rest at "
+                               "17 sites; 12.85 resumes per frame ran inline")
+    rows = [line.split(None, 4) for line in lines[4:21]]
+    assert [(row[1], row[2], row[3], row[4].split()[1]) for row in rows[:5]] \
+        == [("6.86", "pending", "Timeout", "Process.compute"),
+            ("5.99", "pending", "Timeout", "Cpu.exec"),
+            ("2.76", "pending", "Event:acquire", "Cpu.exec"),
+            ("2.51", "pending", "Event:acquire", "Process.compute"),
+            ("2.29", "hop", "Event:done", "Process.compute")]
+    assert sum(int(row[0]) for row in rows) == 89667
+    left = lines[lines.index("what is left, per received frame:") + 1:]
+    assert [line.rsplit(None, 1)[1] for line in left[0::2]] \
+        == ["12.85", "6.16", "2.29", "1.63"]
+    assert left[1].strip() == "Process.compute 6.86, Cpu.exec 5.99"
