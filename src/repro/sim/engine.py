@@ -643,18 +643,18 @@ class Engine:
         """Advance a process generator with ``value`` (the fast loop's
         inlined ``SimProcess._step`` + ``add_callback``).
 
-        When the yielded target has *already* triggered (an uncontended
-        lock, an open gate) the generic path bounces through the queue:
-        a same-tick hop entry that immediately resumes the process.  If
+        When the yielded target has *already* triggered (an item already
+        queued on a channel; a lock or gate whose caller did not ask
+        :meth:`passes`) the generic path bounces through the queue: a
+        same-tick hop entry that immediately resumes the process.  If
         no other entry is pending at this tick that hop is the sole
         entry and pops next with nothing in between, so resuming inline
         is order-identical — the loop below does exactly that, paying
-        one queue round-trip less per pass-through wait.
+        one queue round-trip less per such wait.
         """
         gen_send = proc.gen.send
         queue = self._queue
         peek_at = queue.peek_at
-        done = self._done
         on_event_cb = proc._on_event_cb
         now = self._now  # constant for the whole call: no time passes here
         elided = 0
@@ -672,24 +672,6 @@ class Engine:
                     proc.fail(exc)
                     self._crashed(proc, exc)
                     return
-                if target is done:
-                    # pass-through wait (open gate, uncontended lock):
-                    # the shared pre-triggered event carries no value
-                    # and no failure, so only the tie test remains
-                    due = queue._due  # re-read: _advance rebinds it
-                    if due:
-                        if due[0][0] == now:
-                            proc._waiting_on = target
-                            self._schedule(now, on_event_cb, target)
-                            return
-                    else:
-                        # nothing beyond _due can tie at `now` (all
-                        # wheel/overflow entries sit at >= _dlim > now);
-                        # peek anyway for its eager bucket advance
-                        peek_at()
-                    elided += 1
-                    value = None
-                    continue
                 if not isinstance(target, Event):
                     exc = SimError(
                         f"process {proc.name!r} yielded {target!r}; processes "
