@@ -17,7 +17,12 @@ function``, with what was waited on and how:
 ``hop``
     the target had triggered already (a lock or gate that lets the
     caller through, an item already queued) but something else was due
-    at the same tick, so the process queued behind it: one event.
+    at the same tick, so the process queued behind it: one queue entry.
+    Behind an item already queued that entry is an event fired; behind
+    a lock or gate (``Event:done``) the process waited for nothing, and
+    the entry is booked as ``stats()["requeued"]`` instead -- how many
+    ticks two nodes happen to share differs from seed to seed, what
+    ``fired`` counts does not.
 
 A wait that never comes to rest is not listed: a pass-through the
 caller did not yield (:meth:`Engine.passes`) costs nothing at all, a
@@ -175,7 +180,9 @@ def report(name: str, seed: int) -> str:
         f"per frame",
         f"{waits / frames:.2f} waits per frame came to rest at "
         f"{len(census.waits)} sites; {stats['inlined'] / frames:.2f} "
-        f"resumes per frame ran inline (counted, never queued)",
+        f"resumes per frame ran inline (counted, never queued), "
+        f"{stats['requeued'] / frames:.2f} were re-queued behind a "
+        f"same-tick sibling (queued, not counted)",
         "",
         census.format(frames),
         "",

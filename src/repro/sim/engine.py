@@ -331,6 +331,9 @@ class SimProcess(Event):
         self._step(lambda: self.gen.throw(exc))
 
     def _on_event(self, ev: Event) -> None:
+        engine = self.engine
+        if ev is engine._done:
+            engine._book_requeue()
         if not self.alive:
             return
         self._waiting_on = None
@@ -402,6 +405,7 @@ class Engine:
         self._fired = 0
         self._cancelled = 0
         self._inlined = 0  # queue hops elided by the fast loop
+        self._requeued = 0  # same-tick hops of processes that wait for nothing
         #: the hub the counters above are exported through (see
         #: :meth:`export_to`); the engine has none of its own
         self.telemetry = None
@@ -454,7 +458,9 @@ class Engine:
         in between, so not making it — no yield, no resume back down the
         ``yield from`` chain, no event booked — is order-identical.  With
         a same-tick sibling (or a tombstone) due, the caller yields and
-        takes the generic hop behind it, as ever.  Use as::
+        takes the generic hop behind it, as ever; that hop is a queue
+        entry but no dispatch the model asked for, and is booked as
+        ``requeued`` (see :meth:`_book_requeue`).  Use as::
 
             ev = lock.acquire(prio)     # always ask: the grant is a fact
             if not engine.passes(ev):
@@ -464,6 +470,24 @@ class Engine:
         # calendar queue advances its wheel here, exactly where the
         # elision it replaces did
         return event is self._done and self._queue.peek_at() != self._now
+
+    def _book_requeue(self) -> None:
+        """Move the hop that just popped from ``scheduled`` / ``fired``
+        to ``requeued``: it resumed a process that had yielded the
+        shared pre-triggered event, i.e. one that waited for nothing and
+        only stepped aside for what else was due at its tick.
+
+        Whether a tick is shared is an accident of the schedule (two
+        node pairs whose start staggers coincide run in lockstep and tie
+        at every lock and gate), so with these hops in it ``fired``
+        would differ from seed to seed by what coincided, not by what
+        the model did.  The fast loop keeps ``fired`` free of that by
+        counting the hops it elides (``inlined``); this keeps it so by
+        not counting a hop that has to be made.  Queue entries popped
+        are ``fired - inlined + requeued``."""
+        self._scheduled -= 1
+        self._fired -= 1
+        self._requeued += 1
 
     # -- internal scheduling -------------------------------------------
     def _schedule(self, at: int, fn: Callable, *args: Any) -> list:
@@ -552,12 +576,13 @@ class Engine:
         proc_on_event = SimProcess._on_event
         proc_resume = SimProcess._resume
         send_step = self._send_step
+        done = self._done
         # Dispatch ledger deltas are accumulated locally and flushed on
         # exit: reentrant increments (``_schedule`` from callbacks,
         # ``_send_step``) still hit the attributes directly, and deltas
         # compose.  ``_seq`` must NOT be localized — ``_schedule`` reads
         # and bumps it reentrantly mid-loop.
-        fired_d = sched_d = inl_d = 0
+        fired_d = sched_d = inl_d = req_d = 0
         try:
             while True:
                 entry = pop_due(until)
@@ -621,8 +646,12 @@ class Engine:
                     if func is proc_on_event:
                         # SimProcess._on_event → _resume → _step, inlined.
                         proc = fn.__self__
+                        ev = entry[3][0]
+                        if ev is done:  # _book_requeue, on the deltas
+                            sched_d -= 1
+                            fired_d -= 1
+                            req_d += 1
                         if proc._state == 0:  # alive
-                            ev = entry[3][0]
                             proc._waiting_on = None
                             if ev._exc is not None:
                                 fn(ev)  # failure path: take the generic route
@@ -638,6 +667,7 @@ class Engine:
             self._fired += fired_d
             self._scheduled += sched_d
             self._inlined += inl_d
+            self._requeued += req_d
 
     def _send_step(self, proc: "SimProcess", value: Any) -> None:
         """Advance a process generator with ``value`` (the fast loop's
@@ -691,7 +721,8 @@ class Engine:
                     # failure delivery or same-tick siblings: generic hop
                     self._schedule(now, on_event_cb, target)
                     return
-                elided += 1
+                if target is not self._done:  # its hop would not count either
+                    elided += 1
                 proc._waiting_on = None
                 value = target._value
         finally:
@@ -712,7 +743,9 @@ class Engine:
 
     # -- introspection ----------------------------------------------------
     def stats(self) -> dict:
-        """Scheduling accounting: events scheduled/fired/cancelled, plus
+        """Scheduling accounting: events scheduled/fired/cancelled (of
+        the fired, ``inlined`` never touched the queue; ``requeued``
+        same-tick hops did and are not among them), plus
         the queue's own structure-specific counters (tombstones pending
         and popped, wheel occupancy, overflow spills...)."""
         return {
@@ -722,6 +755,7 @@ class Engine:
             "fired": self._fired,
             "cancelled": self._cancelled,
             "inlined": self._inlined,
+            "requeued": self._requeued,
             "pending": len(self._queue),
             "queue": self._queue.stats(),
         }

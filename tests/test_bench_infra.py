@@ -198,12 +198,14 @@ EXPORT_SHA256 = {
 #: the simulator got there, not what was simulated, and fall whenever a
 #: queue hop is saved — (6712, 6553, 3956) and (2493, 2424, 1461) until
 #: a lock or gate that lets its caller through stopped being yielded
-#: (CHANGES, PR 21: all three fall together, by 2330 and by 856)
+#: (CHANGES, PR 21: all three fall together, by 2330 and by 856), then
+#: (4382, 4223, 1626) and (1637, 1568, 605) while the hop of one that
+#: ties with a same-tick sibling was counted as fired, not ``requeued``
 EVENT_COUNTS = ("sim.calendar.scheduled", "sim.calendar.fired",
                 "sim.calendar.inlined")
 EXPORT_EVENTS = {
-    "chaos_ash": (4382, 4223, 1626),
-    "tenant_flood": (1637, 1568, 605),
+    "chaos_ash": (4251, 4092, 1626),
+    "tenant_flood": (1605, 1536, 605),
 }
 
 
@@ -333,9 +335,10 @@ def test_census_report_of_pingpong_small():
 
     lines = report("pingpong_small", 1).splitlines()
     assert lines[0] == ("pingpong_small (seed 1): 3911 frames received, "
-                        "151266 events fired = 38.68 per frame")
+                        "142305 events fired = 36.39 per frame")
     assert lines[1].startswith("22.93 waits per frame came to rest at "
                                "17 sites; 12.85 resumes per frame ran inline")
+    assert "2.29 were re-queued behind a same-tick sibling" in lines[1]
     rows = [line.split(None, 4) for line in lines[4:21]]
     assert [(row[1], row[2], row[3], row[4].split()[1]) for row in rows[:5]] \
         == [("6.86", "pending", "Timeout", "Process.compute"),

@@ -665,13 +665,15 @@ class TestPassThroughRule:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_generated_schedules(self, scripts, grid):
-        want, _fired = run_actors(scripts, "fast", wait_always, grid)
+        want, want_fired = run_actors(scripts, "fast", wait_always, grid)
         for substrate in SUBSTRATES:
             ref, ref_fired = run_actors(scripts, substrate, wait_always, grid)
             got, fired = run_actors(scripts, substrate, wait_if_needed, grid)
             assert ref == want, substrate
             assert got == want, substrate
-            assert fired <= ref_fired
+            # a process that waits for nothing is not a dispatch, asked
+            # or yielded, alone at its tick or re-queued behind a sibling
+            assert ref_fired == fired == want_fired, substrate
 
     @pytest.mark.parametrize("substrate", SUBSTRATES)
     def test_alone_at_a_tick_it_passes(self, substrate):
@@ -752,13 +754,41 @@ class TestEventBudget:
             eng.run()
         assert seen == [(True, False)]
         assert eng.now == self.CHARGE * CYCLE_PS
-        # the sibling's start, and the hop it costs the charge
-        assert eng.stats()["fired"] == 3 + 2
+        # the sibling's start; the hop it costs the charge is a queue
+        # entry, booked as a re-queue: ``fired`` does not say which
+        # ticks happened to be shared
+        stats = eng.stats()
+        assert (stats["fired"], stats["requeued"]) == (3 + 1, 1)
         if substrate == "fast":     # the census watches the fused loop
             assert census.by_function() == {
                 ("Cpu.exec", "Event:done", "hop"): 1,
                 ("Cpu.exec", "Timeout", "pending"): 1,
             }
+
+    def test_fired_does_not_say_which_ticks_coincide(self, substrate):
+        """Two nodes on one engine doing the same work: started on one
+        tick they run in lockstep and every pass-through of one ties
+        with the other's; a tick apart none does.  The re-queues differ,
+        the events fired do not (``events_per_packet`` of the 20-node
+        benchmark world spread 0.7 between seeds while they did)."""
+        def run(offset):
+            eng = Engine(substrate)
+
+            def node(start):
+                cpu = Cpu(eng, Calibration())
+                yield Timeout(eng, start)
+                for _ in range(5):
+                    yield from cpu.exec(3 * Q)
+
+            eng.spawn(node(1000))
+            eng.spawn(node(1000 + offset))
+            eng.run()
+            return eng.stats()
+
+        lockstep, apart = run(0), run(1)
+        assert (lockstep["requeued"], apart["requeued"]) == (10, 0)
+        assert lockstep["fired"] == apart["fired"]
+        assert lockstep["scheduled"] == apart["scheduled"]
 
     def test_uncontended_compute_is_one_timer(self, substrate):
         world = World(substrate, sliced=False)
@@ -792,9 +822,11 @@ class TestEventBudget:
         # two parts of the charge and the interrupt are a timer and a
         # wake-up each, plus the hand-overs (sliced: 109).  Nothing here
         # passes through: the first acquire ties with the interrupt's
-        # start at tick 0, the other two really wait for the CPU
+        # start at tick 0 (one re-queue), the other two really wait for
+        # the CPU
         assert cpu.cycles_charged == self.CHARGE + Q
-        assert (stats["fired"], stats["cancelled"]) == (13, 1)
+        assert (stats["fired"], stats["cancelled"], stats["requeued"]) \
+            == (12, 1, 1)
 
     def test_ledger_mid_hold_reads_whole_quanta(self, substrate):
         """Between wake-ups the ledger reads what a holder waking every

@@ -25,6 +25,7 @@ nobody can observe is exactly what a digest must not see.
 """
 
 import functools
+import gc
 import hashlib
 import json
 import sys
@@ -866,7 +867,9 @@ GOLDEN = {
 
 #: engine events fired by each scenario, in ``CONFIGS`` order.  Not an
 #: observable: a hop elided or a wait that stops yielding lowers a count
-#: here and must move no digest above.
+#: here and must move no digest above.  (Sum 5702 while every lock and
+#: gate grant was yielded, 4666 with the hop of a pass-through that ties
+#: counted as fired, 4630 with it booked as ``requeued``.)
 FIRED = {
     'kh_consumed': (28, 30, 30),
     'kh_declined': (30, 32, 32),
@@ -880,7 +883,7 @@ FIRED = {
     'upcall_consumed': (40, 42, 42),
     'upcall_declined': (25, 27, 27),
     'upcall_faulted': (15, 17, 17),
-    'ring_boost_wake': (97, 81, 81),
+    'ring_boost_wake': (93, 79, 79),
     'an2_demux_miss': (9, 11, 11),
     'eth_ring_copyout': (113, 115, 115),
     'eth_no_kbuf': (42, 44, 44),
@@ -888,17 +891,17 @@ FIRED = {
     'eth_ash_consumed_and_passed': (44, 46, 46),
     'eth_upcall_consumed': (17, 19, 19),
     'tenant_revoke_late_replenish': (47, 49, 49),
-    'crash_before_demux_an2': (31, 34, 34),
-    'crash_before_demux_eth': (37, 40, 40),
-    'crash_in_kernel_handler': (45, 47, 47),
-    'crash_commit_in_kernel_handler': (26, 28, 28),
-    'crash_in_invoke': (36, 38, 38),
-    'crash_mid_burst': (54, 47, 44),
-    'crash_in_abort_charge': (46, 48, 48),
-    'crash_in_dispatch': (36, 38, 38),
-    'crash_in_dispatch_after_abort': (48, 50, 50),
-    'crash_in_copyout': (40, 42, 42),
-    'crash_pending_ring_an2': (66, 63, 63),
+    'crash_before_demux_an2': (31, 33, 33),
+    'crash_before_demux_eth': (37, 39, 39),
+    'crash_in_kernel_handler': (44, 46, 46),
+    'crash_commit_in_kernel_handler': (25, 27, 27),
+    'crash_in_invoke': (35, 37, 37),
+    'crash_mid_burst': (54, 46, 43),
+    'crash_in_abort_charge': (45, 47, 47),
+    'crash_in_dispatch': (35, 37, 37),
+    'crash_in_dispatch_after_abort': (47, 49, 49),
+    'crash_in_copyout': (39, 41, 41),
+    'crash_pending_ring_an2': (65, 63, 63),
     'crash_pending_ring_eth_kbuf': (93, 95, 95),
     'crash_pending_ring_eth_slot': (39, 41, 41),
     'replenish_during_outage': (59, 61, 61),
@@ -1000,12 +1003,16 @@ def _deliver_one(w, frame, profile=None):
     events that took."""
     engine = w.tb.engine
     before = engine.stats()["fired"]
+    # a collection inside the window would count its finalizers' frames,
+    # and FRAME_BUDGET is a ceiling with no slack
+    gc.disable()
     sys.setprofile(profile)
     try:
         w.tb.server_nic._on_wire_frame(frame)
         engine.run(until=engine.now + us(1000.0))
     finally:
         sys.setprofile(None)
+        gc.enable()
     return engine.stats()["fired"] - before
 
 
