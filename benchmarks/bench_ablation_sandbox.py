@@ -14,9 +14,8 @@ emitted).
 
 from repro.bench.harness import reproduce
 from repro.bench.results import BenchTable
-from repro.bench.testbed import CLIENT_TO_SERVER_VCI, make_an2_pair
+from repro.bench.testbed import make_an2_pair
 from repro.bench.workloads import am_flow
-from repro.hw.link import Frame
 from repro.sandbox import SandboxPolicy
 from repro.sim.units import to_us
 
@@ -28,22 +27,15 @@ def run_variant(sandbox: bool, hardware_checks: bool) -> tuple[float, int]:
     policy = SandboxPolicy(hardware_checks=True) if hardware_checks else None
     flow = am_flow(tb, mode="ash" if sandbox else "ash-unsafe",
                    policy=policy)
-    cli_ep = flow.cli_ep
     entry = sk.ash_system.entry(flow.ash_id)
     rts = []
 
     def client(proc):
         for _ in range(12):
-            t0 = proc.engine.now
-            yield from ck.sys_net_send(
-                proc, tb.client_nic,
-                Frame((1).to_bytes(4, "little"), vci=CLIENT_TO_SERVER_VCI),
-            )
-            desc = yield from ck.sys_recv_poll(proc, cli_ep)
-            yield from ck.sys_replenish(proc, cli_ep, desc)
-            rts.append(to_us(proc.engine.now - t0))
+            _reply, ticks = yield from flow.request(proc)
+            rts.append(to_us(ticks))
 
-    cli_ep.owner = ck.spawn_process("client", client)
+    flow.cli_ep.owner = ck.spawn_process("client", client)
     tb.run()
     mean = sum(rts[2:]) / len(rts[2:])
     return mean, len(entry.program)

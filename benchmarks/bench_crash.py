@@ -42,9 +42,9 @@ SEED = 42
 
 
 def crash_transfer(substrate: str, nbytes: int, **seams) -> dict:
-    """One bulk transfer under ``seams`` (``chaos_transfer``'s ``mode`` /
-    ``crash`` / ``pressure`` / ``contention`` / ``link``); returns every
-    substrate-invariant observable of the run."""
+    """One bulk transfer under ``seams`` (``chaos_transfer``'s ``faults``
+    schedule and ``mode``); returns every substrate-invariant observable
+    of the run."""
     tb, plane, xfer = chaos_transfer(nbytes, SEED, substrate=substrate,
                                      **seams)
     sk, ck = tb.server_kernel, tb.client_kernel
@@ -87,23 +87,28 @@ def cells(quick: bool) -> list[tuple[str, dict, dict]]:
         outages = [200.0, 1_000.0, 5_000.0, 20_000.0, 60_000.0]
         crash_times = [500.0, 1_500.0, 4_000.0, 10_000.0]
         modes = [None, "upcall", "ash"]
-    # all seams on at once: crash + memory pressure + CPU contention +
-    # link chaos, once per delivery mode
-    everything = dict(
-        crash=dict(at_us=crash_at, outage_us=5_000.0),
-        pressure=dict(rate=0.1, sites=("rx_refill", "ash_install")),
-        contention=dict(rate=0.1, burst_cycles=1_000, budget_rate=0.2),
-        link=dict(drop=0.02, corrupt=0.02),
-    )
+
+    def crash(at_us: float, outage_us: float) -> dict:
+        return {"site": "crash", "target": "server_kernel",
+                "at_us": at_us, "outage_us": outage_us}
+
+    # all seams on at once: link chaos + crash + memory pressure + CPU
+    # contention, once per delivery mode
+    everything = [
+        {"site": "link", "target": "link", "drop": 0.02, "corrupt": 0.02},
+        crash(crash_at, 5_000.0),
+        {"site": "mem", "target": "server", "rate": 0.1,
+         "sites": ("rx_refill", "ash_install")},
+        {"site": "cpu", "target": "server", "rate": 0.1,
+         "burst_cycles": 1_000, "budget_rate": 0.2},
+    ]
     return (
         [("recovery_vs_outage", {"outage_us": outage},
-          {"crash": dict(at_us=crash_at, outage_us=outage)})
-         for outage in outages]
+          {"faults": [crash(crash_at, outage)]}) for outage in outages]
         + [("goodput_vs_crash_time", {"crash_at_us": at},
-            {"crash": dict(at_us=at, outage_us=5_000.0)})
-           for at in crash_times]
+            {"faults": [crash(at, 5_000.0)]}) for at in crash_times]
         + [("combined_degradation", {"mode": mode or "ring"},
-            dict(everything, mode=mode)) for mode in modes]
+            {"faults": everything, "mode": mode}) for mode in modes]
     )
 
 

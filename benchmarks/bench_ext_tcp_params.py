@@ -38,8 +38,9 @@ SEED = 42
 def lossy_goodput(drop: float, nbytes: int, seed: int = SEED,
                   **conn_kwargs) -> float:
     """Library-path bulk goodput (MB/s) under a seeded drop schedule."""
-    _tb, _plane, xfer = chaos_transfer(nbytes, seed, link={"drop": drop},
-                                       **conn_kwargs)
+    _tb, _plane, xfer = chaos_transfer(
+        nbytes, seed, faults=[{"site": "link", "target": "link",
+                               "drop": drop}], **conn_kwargs)
     return nbytes / ((xfer.delivered - xfer.accepted) / 1e12) / 1e6
 
 

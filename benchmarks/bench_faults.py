@@ -30,12 +30,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 from repro.bench.results import (on_both_substrates, plane_doc,  # noqa: E402
                                  plane_main)
-from repro.bench.testbed import (                                # noqa: E402
-    CLIENT_TO_SERVER_VCI,
-    make_an2_pair,
-)
+from repro.bench.testbed import make_an2_pair                    # noqa: E402
 from repro.bench.workloads import am_flow, chaos_transfer        # noqa: E402
-from repro.hw.link import Frame                                  # noqa: E402
 from repro.kernel.upcall import UpcallHandler                    # noqa: E402
 from repro.sim.engine import Engine                              # noqa: E402
 
@@ -47,9 +43,9 @@ def lossy_transfer(substrate: str, kind: str, rate: float,
                    nbytes: int, sack: bool = True) -> dict:
     """One bulk transfer under a single impairment knob; returns every
     substrate-invariant observable of the run."""
-    tb, plane, xfer = chaos_transfer(
-        nbytes, SEED, substrate=substrate,
-        link={kind: rate} if rate else None, sack=sack)
+    faults = [{"site": "link", "target": "link", kind: rate}] if rate else []
+    tb, plane, xfer = chaos_transfer(nbytes, SEED, substrate=substrate,
+                                     faults=faults, sack=sack)
     client, server = xfer.client.tcb, xfer.server.tcb
     elapsed_ps = xfer.delivered - xfer.accepted
     return {
@@ -106,22 +102,17 @@ def ash_abort_demo(substrate: str, messages: int) -> dict:
     flow.srv_ep.upcall = UpcallHandler(program=flow.program,
                                        user_word=flow.params)
     plane = tb.attach_fault_plane(seed=SEED)
-    injector = plane.abort_ash(sk, every=2)
+    injector = plane.install("ash", "server_kernel", every=2)
     values = list(range(1, messages + 1))
     replies = []
 
     def client(proc):
         # round-trip paced (send, await the reply) so this measures
         # abort recovery, not rx-ring exhaustion — inject that
-        # separately via stress_nic
+        # separately at the "nic" site
         for v in values:
-            yield from ck.sys_net_send(
-                proc, tb.client_nic,
-                Frame(v.to_bytes(4, "little"), vci=CLIENT_TO_SERVER_VCI),
-            )
-            desc = yield from ck.sys_recv_poll(proc, flow.cli_ep)
-            replies.append(desc)
-            yield from ck.sys_replenish(proc, flow.cli_ep, desc)
+            reply, _ticks = yield from flow.request(proc, v)
+            replies.append(reply)
 
     flow.cli_ep.owner = ck.spawn_process("ash-client", client)
     tb.run()

@@ -54,7 +54,6 @@ from repro.bench.results import (on_both_substrates, plane_doc,  # noqa: E402
                                  plane_main)
 from repro.bench.testbed import make_an2_pair                    # noqa: E402
 from repro.bench.workloads import am_flow                        # noqa: E402
-from repro.hw.link import Frame                                  # noqa: E402
 from repro.net.socket_api import make_stacks, tcp_pair           # noqa: E402
 from repro.net.udp import UdpSocket                              # noqa: E402
 from repro.sim.engine import Engine                              # noqa: E402
@@ -195,24 +194,18 @@ class ScaleWorld:
         idx, rts = self._track()
         ck = tb.client_kernel
         c2s, s2c = self._vcis(j)
-        cli_ep = am_flow(tb, c2s, s2c).cli_ep
+        flow = am_flow(tb, c2s, s2c)
         rounds = self.rounds
         stagger = self._stagger_ps(i, j)
 
         def client(proc):
             yield proc.engine.sleep(stagger)
             for _ in range(rounds):
-                t0 = proc.engine.now
-                yield from ck.sys_net_send(
-                    proc, tb.client_nic,
-                    Frame((1).to_bytes(4, "little"), vci=c2s),
-                )
-                desc = yield from ck.sys_recv_poll(proc, cli_ep)
-                yield from ck.sys_replenish(proc, cli_ep, desc)
-                rts.append(proc.engine.now - t0)
+                _reply, ticks = yield from flow.request(proc)
+                rts.append(ticks)
             self._finish(idx)
 
-        cli_ep.owner = ck.spawn_process(f"f{j}ash-client", client)
+        flow.cli_ep.owner = ck.spawn_process(f"f{j}ash-client", client)
 
     # -- run + observables ---------------------------------------------------
     def run(self) -> float:

@@ -88,8 +88,8 @@ ISOLATION_BOUND_RATIO = {
 # ---------------------------------------------------------------------------
 
 def run_tcp_bulk(substrate: str, nbytes: int, **seams) -> dict:
-    """One TCP bulk transfer under ``chaos_transfer``'s ``crash`` (on
-    either node, possibly a storm) and ``link`` seams."""
+    """One TCP bulk transfer under ``chaos_transfer``'s ``faults``
+    schedule: a crash (of either node, possibly a storm) or link chaos."""
     tb, plane, xfer = chaos_transfer(nbytes, SEED, substrate=substrate,
                                      **seams)
     sk, ck = tb.server_kernel, tb.client_kernel
@@ -118,15 +118,10 @@ def run_tcp_bulk(substrate: str, nbytes: int, **seams) -> dict:
 
 
 def run_canary(substrate: str, v2: str, crash: bool = False,
-               jitter_us: float = None) -> dict:
-    scenario = None
-    if jitter_us is not None:
-        def scenario(tb):
-            return [{"site": "link", "target": tb.link,
-                     "delay_jitter_us": jitter_us}]
+               faults: list = None) -> dict:
     return canary_rollout(
         substrate=substrate, v2=v2, crash_during_canary=crash,
-        scenario=scenario, fault_seed=SEED,
+        scenario=faults, fault_seed=SEED,
     )
 
 
@@ -157,20 +152,21 @@ def grid_cells(smoke: bool, nbytes: int) -> list[dict]:
     tcp = [
         {"workload": "tcp_bulk", "scenario": "none", "kwargs": {}},
         {"workload": "tcp_bulk", "scenario": "client_crash",
-         "kwargs": {"crash": {"target": "client", "at_us": 1_500.0,
-                              "outage_us": 2_000.0}},
+         "kwargs": {"faults": [{"site": "crash", "target": "client_kernel",
+                                "at_us": 1_500.0, "outage_us": 2_000.0}]},
          "expect_recovered": True},
         {"workload": "tcp_bulk", "scenario": "handshake_crash",
-         "kwargs": {"crash": {"target": "server", "at_us": 5.0,
-                              "outage_us": 2_000.0}},
+         "kwargs": {"faults": [{"site": "crash", "target": "server_kernel",
+                                "at_us": 5.0, "outage_us": 2_000.0}]},
          "expect_recovered": True},
         {"workload": "tcp_bulk", "scenario": "reboot_storm",
-         "kwargs": {"crash": {"target": "server", "at_us": 1_500.0,
-                              "outage_us": 1_000.0, "repeat": 3,
-                              "period_us": 8_000.0}},
+         "kwargs": {"faults": [{"site": "crash", "target": "server_kernel",
+                                "at_us": 1_500.0, "outage_us": 1_000.0,
+                                "repeat": 3, "period_us": 8_000.0}]},
          "expect_recovered": True},
         {"workload": "tcp_bulk", "scenario": "link_chaos",
-         "kwargs": {"link": {"drop": 0.05, "corrupt": 0.02}}},
+         "kwargs": {"faults": [{"site": "link", "target": "link",
+                                "drop": 0.05, "corrupt": 0.02}]}},
     ]
     canary = [
         {"workload": "canary", "scenario": "none",
@@ -179,7 +175,9 @@ def grid_cells(smoke: bool, nbytes: int) -> list[dict]:
          "kwargs": {"v2": "divergent", "crash": True},
          "expect_state": "rolled_back", "expect_recovered": True},
         {"workload": "canary", "scenario": "link_jitter",
-         "kwargs": {"v2": "identical", "jitter_us": 20.0},
+         "kwargs": {"v2": "identical",
+                    "faults": [{"site": "link", "target": "link",
+                                "delay_jitter_us": 20.0}]},
          "expect_state": "promoted"},
     ]
     tenant = [

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from ..errors import SimError
 from ..hw.calibration import Calibration, DEFAULT
 from ..hw.link import Link
 from ..hw.nic.an2 import An2Nic
@@ -66,14 +67,20 @@ class Testbed:
     def attach_fault_plane(self, seed: int = 0):
         """Create (once) and return the testbed's
         :class:`~repro.sim.faults.FaultPlane`, wired to the client
-        node's telemetry hub.  Call ``impair_link`` / ``stress_nic`` /
-        ``abort_ash`` / ``apply_scenario`` on the result."""
+        node's telemetry hub and resolving target names against this
+        testbed.  Build injectors with ``install`` / ``apply_scenario``
+        on the result.  One testbed has one plane and one seed: asking
+        again with another seed is an error, not a silent no-op."""
         if self.fault_plane is None:
             from ..sim.faults import FaultPlane
 
             self.fault_plane = FaultPlane(
-                self.engine, seed=seed, telemetry=self.client.telemetry
-            )
+                self.engine, seed=seed, telemetry=self.client.telemetry,
+                testbed=self)
+        elif self.fault_plane.seed != seed:
+            raise SimError(
+                f"testbed already has a fault plane seeded "
+                f"{self.fault_plane.seed}; asked for seed {seed}")
         return self.fault_plane
 
 

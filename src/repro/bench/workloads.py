@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Optional, Sequence
 
 from ..ash.examples import (
     PARAM_COUNTER,
@@ -547,24 +547,25 @@ def tcp_bulk(tb: Testbed, data: bytes, *, flow: int = 0,
     return xfer
 
 
+#: frames a ``link`` spec of :func:`chaos_transfer` spares by default:
+#: the handshake, so every run establishes
+HANDSHAKE_FRAMES = 3
+
+
 def chaos_transfer(nbytes: int, seed: int, *, data: Optional[bytes] = None,
-                   link: Optional[dict] = None, crash: Optional[dict] = None,
-                   pressure: Optional[dict] = None,
-                   contention: Optional[dict] = None,
-                   mode: Optional[str] = None,
+                   faults: Sequence[dict] = (), mode: Optional[str] = None,
                    substrate: Optional[str] = None, ncores: int = 1,
                    rx_batch: Optional[int] = None, **conn_kwargs):
     """One seeded bulk transfer under the fault plane, run to the end.
 
     Builds an AN2 pair, attaches the fault plane with ``seed`` and
-    installs, in this order, whichever seams are given: ``link``
-    (``impair_link`` knobs; the handshake's first three frames are
-    spared so every run establishes), ``crash`` (``crash_node``
-    arguments plus ``target``: ``"server"`` or ``"client"``),
-    ``pressure`` (``pressure_memory`` on the server) and ``contention``
-    (``contend_cpu`` on the server).  Then one :func:`tcp_bulk` of
-    ``data`` (default: ``seeded_payload(seed, nbytes)``) with a 20 ms
-    RTO, run to completion and checked byte for byte.
+    installs the schedule ``faults`` on it in list order
+    (:meth:`~repro.sim.faults.FaultPlane.apply_scenario`; targets by
+    name, ``"link"`` / ``"server_kernel"`` / ``"server"``).  A ``link``
+    spec skips the first :data:`HANDSHAKE_FRAMES` frames unless it says
+    otherwise.  Then one :func:`tcp_bulk` of ``data`` (default:
+    ``seeded_payload(seed, nbytes)``) with a 20 ms RTO, run to
+    completion and checked byte for byte.
 
     Returns ``(tb, plane, transfer)`` — handles, not results: every
     caller reads the counters it cares about off them.
@@ -572,17 +573,9 @@ def chaos_transfer(nbytes: int, seed: int, *, data: Optional[bytes] = None,
     tb = make_an2_pair(engine=Engine(substrate=substrate), ncores=ncores,
                        rx_batch=rx_batch)
     plane = tb.attach_fault_plane(seed=seed)
-    if link:
-        plane.impair_link(tb.link, skip_first=3, **link)
-    if crash:
-        crash = dict(crash)
-        target = crash.pop("target", "server")
-        plane.crash_node(tb.client_kernel if target == "client"
-                         else tb.server_kernel, **crash)
-    if pressure:
-        plane.pressure_memory(tb.server, **pressure)
-    if contention:
-        plane.contend_cpu(tb.server, **contention)
+    plane.apply_scenario(
+        [{"skip_first": HANDSHAKE_FRAMES, **spec}
+         if spec["site"] == "link" else spec for spec in faults])
     if data is None:
         data = seeded_payload(seed, nbytes)
     xfer = tcp_bulk(tb, data, mode=mode, rto_us=20_000.0, **conn_kwargs)
@@ -605,6 +598,23 @@ class AmFlow:
     params: int                    #: parameter block (the handler's user word)
     program: Any                   #: the handler (None in ``user`` mode)
     ash_id: Optional[int] = None   #: set in the ``ash`` modes
+
+    def request(self, proc, amount: int = 1):
+        """One round trip, as the client process ``proc``: send the
+        4-byte ``amount`` on the request circuit, poll the reply
+        endpoint, read the reply, replenish.  Returns ``(reply bytes,
+        round-trip ticks)``, the clock read after the replenish."""
+        cli_ep = self.cli_ep
+        nic = cli_ep.nic
+        ck = nic.node.kernel
+        t0 = proc.engine.now
+        yield from ck.sys_net_send(
+            proc, nic,
+            Frame(amount.to_bytes(4, "little"), vci=self.srv_ep.vci))
+        desc = yield from ck.sys_recv_poll(proc, cli_ep)
+        reply = nic.node.memory.read(desc.addr, desc.length)
+        yield from ck.sys_replenish(proc, cli_ep, desc)
+        return reply, proc.engine.now - t0
 
 
 def am_flow(tb: Testbed, req_vci: int = CLIENT_TO_SERVER_VCI,
@@ -727,15 +737,8 @@ def remote_increment(
 
     def client(proc):
         for _ in range(total):
-            t0 = proc.engine.now
-            yield from ck.sys_net_send(
-                proc, tb.client_nic,
-                Frame(increment.to_bytes(4, "little"),
-                      vci=CLIENT_TO_SERVER_VCI),
-            )
-            desc = yield from ck.sys_recv_poll(proc, cli_ep)
-            yield from ck.sys_replenish(proc, cli_ep, desc)
-            rts.append(to_us(proc.engine.now - t0))
+            _reply, ticks = yield from flow.request(proc, increment)
+            rts.append(to_us(ticks))
 
     client_proc = ck.spawn_process("client", client)
     cli_ep.owner = client_proc
@@ -826,7 +829,7 @@ def canary_rollout(
     slow_insns: int = 2000,
     crash_during_canary: bool = False,
     crash_outage_us: float = 500.0,
-    scenario: Optional[Callable[[Testbed], list]] = None,
+    scenario: Optional[list] = None,
     fault_seed: int = 11,
 ) -> dict:
     """The live-operations workload: upgrade a fleet of remote-increment
@@ -852,17 +855,16 @@ def canary_rollout(
     tb = make_an2_pair(cal, engine=Engine(substrate=substrate), ncores=ncores)
     sk, ck = tb.server_kernel, tb.client_kernel
     if scenario is not None:
-        tb.attach_fault_plane(seed=fault_seed)
-        tb.fault_plane.apply_scenario(scenario(tb))
+        tb.attach_fault_plane(seed=fault_seed).apply_scenario(scenario)
 
-    srv_eps, cli_eps, targets = [], [], []
+    am_flows, targets = [], []
     for i in range(flows):
         flow = am_flow(tb, 10 + i, 100 + i)
         v2_id = sk.ash_system.install_version(
             flow.ash_id, _build_increment_v2(v2, slow_insns))
-        srv_eps.append(flow.srv_ep)
-        cli_eps.append(flow.cli_ep)
+        am_flows.append(flow)
         targets.append((flow.srv_ep, flow.ash_id, v2_id))
+    srv_eps = [flow.srv_ep for flow in am_flows]
 
     ctrl = RolloutController(sk, targets, canary_fraction=fraction,
                              latency_budget=latency_budget,
@@ -874,23 +876,16 @@ def canary_rollout(
     slo_tel = tb.server.telemetry  # the hub hosting the rollout's SLO plane
     slo_flows = [slo_tel.slo.flow((0x0A000001, 9000 + i, 0x0A000002, 10 + i))
                  for i in range(flows)] if slo_tel.enabled else None
-    cmem = tb.client.memory
 
     def one_round(proc, collect=None):
         for i in range(flows):
-            t0 = proc.engine.now
             counts["sent"] += 1
-            yield from ck.sys_net_send(
-                proc, tb.client_nic,
-                Frame((1).to_bytes(4, "little"), vci=10 + i),
-            )
-            desc = yield from ck.sys_recv_poll(proc, cli_eps[i])
-            value = cmem.load_u32(desc.addr)
-            yield from ck.sys_replenish(proc, cli_eps[i], desc)
+            reply, ticks = yield from am_flows[i].request(proc)
+            value = int.from_bytes(reply, "little")
             counts["received"] += 1
             delta = (value - last_value[i]) & 0xFFFFFFFF
             last_value[i] = value
-            latency = to_us(proc.engine.now - t0)
+            latency = to_us(ticks)
             digest = hashlib.sha256(
                 delta.to_bytes(4, "little")).hexdigest()[:16]
             round_digests[srv_eps[i].name].append(digest)
@@ -927,8 +922,8 @@ def canary_rollout(
             yield from one_round(proc)
 
     client_proc = ck.spawn_process("client", client)
-    for ep in cli_eps:
-        ep.owner = client_proc
+    for flow in am_flows:
+        flow.cli_ep.owner = client_proc
     tb.run()
     if not client_proc.sim_proc.triggered:
         raise RuntimeError(
@@ -969,16 +964,11 @@ def canary_rollout(
 # multi-tenant isolation: noisy-neighbor containment worlds
 # ---------------------------------------------------------------------------
 
-#: every abuse scenario tenant_world() can stage.  The first four run a
-#: fully concurrent world (TCP victim + AM victim + aggressor) because
-#: the abuse is clipped at zero-simulated-cost points; the last three
+#: of the abuse scenarios (``TENANT_ABUSE``), these four run a fully
+#: concurrent world (TCP victim + AM victim + aggressor) because the
+#: abuse is clipped at zero-simulated-cost points; the other three
 #: perturb the aggressor's *runtime* (which costs CPU), so the world is
 #: slot-paced to keep the divergence inside the aggressor's slots.
-TENANT_SCENARIOS = (
-    "flood", "leak", "hog_install", "crash_loop",
-    "tenant_crash", "hog_runtime", "abort_runtime",
-)
-
 _CONCURRENT_SCENARIOS = ("flood", "leak", "hog_install", "crash_loop")
 
 #: a quota so large it never binds — the victims' knobs must not be the
@@ -1035,41 +1025,47 @@ def _build_spin(name: str = "spin"):
     return b.finish()
 
 
-def _install_abuse(tb, manager, scenario: str, perturbed: bool,
-                   fault_seed: int, abuse_at_us: float):
-    """Attach the scenario's tenant-scoped injectors (perturbed runs
-    only — the baseline is the identical world minus the abuse)."""
-    if not perturbed:
-        return
+#: when the scripted abuses strike (µs): mid-transfer for the victims
+ABUSE_AT_US = 700.0
+
+_MALLORY = {"target": "server_kernel.tenants", "tenant": "mallory"}
+
+#: what each scenario does to ``mallory``, as a fault schedule.  Plain
+#: data but for the two install abuses, whose ``program`` is the builder
+#: of the handler they try to download (see :func:`tenant_abuse`).
+TENANT_ABUSE = {
+    "flood": [{"site": "tenant_flood", "target": "server_nic",
+               "vci": AGGRESSOR_VCI, "frame_bytes": 4000, "count": 40,
+               "start_us": ABUSE_AT_US, "gap_us": 37.0}],
+    "leak": [{"site": "tenant_leak", **_MALLORY}],
+    "hog_install": [{"site": "tenant_script", **_MALLORY,
+                     "at_us": ABUSE_AT_US, "action": "install_hog",
+                     "program": lambda: _build_sink(4000, "hog"),
+                     "allowed_regions": [], "attempts": 4}],
+    "crash_loop": [{"site": "tenant_script", **_MALLORY,
+                    "at_us": ABUSE_AT_US, "action": "install_crashloop",
+                    "program": _build_spin,
+                    "allowed_regions": [], "attempts": 4}],
+    "tenant_crash": [{"site": "tenant_script", **_MALLORY,
+                      "at_us": ABUSE_AT_US, "action": "crash"}],
+    "hog_runtime": [{"site": "tenant_hog", **_MALLORY, "factor": 64}],
+    "abort_runtime": [{"site": "tenant_abort", **_MALLORY}],
+}
+
+#: every abuse scenario tenant_world() can stage
+TENANT_SCENARIOS = tuple(TENANT_ABUSE)
+
+
+def tenant_abuse(scenario: str) -> list[dict]:
+    """``TENANT_ABUSE[scenario]``, ready to install: an install abuse's
+    handler is built, and paired with the static-estimate ``policy``
+    under which the tenant admission layer refuses it."""
     from ..sandbox.rewriter import BudgetPolicy, SandboxPolicy
 
-    plane = tb.attach_fault_plane(seed=fault_seed)
     static = SandboxPolicy(budget=BudgetPolicy.STATIC_ESTIMATE)
-    if scenario == "flood":
-        plane.flood_tenant(tb.server_nic, AGGRESSOR_VCI,
-                           frame_bytes=4000, count=40,
-                           start_us=abuse_at_us, gap_us=37.0)
-    elif scenario == "leak":
-        plane.leak_tenant(manager, "mallory")
-    elif scenario == "hog_install":
-        plane.script_tenant(manager, "mallory", at_us=abuse_at_us,
-                            action="install_hog",
-                            program=_build_sink(4000, "hog"),
-                            allowed_regions=[], policy=static, attempts=4)
-    elif scenario == "crash_loop":
-        plane.script_tenant(manager, "mallory", at_us=abuse_at_us,
-                            action="install_crashloop",
-                            program=_build_spin(),
-                            allowed_regions=[], policy=static, attempts=4)
-    elif scenario == "tenant_crash":
-        plane.script_tenant(manager, "mallory", at_us=abuse_at_us,
-                            action="crash")
-    elif scenario == "hog_runtime":
-        plane.hog_tenant(manager, "mallory", factor=64)
-    elif scenario == "abort_runtime":
-        plane.abortloop_tenant(manager, "mallory", every=1)
-    else:
-        raise ValueError(f"unknown tenant scenario {scenario!r}")
+    return [dict(spec, program=spec["program"](), policy=static)
+            if "program" in spec else spec
+            for spec in TENANT_ABUSE[scenario]]
 
 
 def _victim_bulk(tb, total_bytes: int) -> BulkTransfer:
@@ -1093,7 +1089,6 @@ def tenant_world(
     rounds: int = 10,
     slot_us: float = 60.0,
     payload_kb: int = 24,
-    abuse_at_us: float = 700.0,
     fault_seed: int = 7,
 ) -> dict:
     """A multi-tenant world with one abusive tenant, and the receipts.
@@ -1165,7 +1160,9 @@ def tenant_world(
                                    allowed_regions=[])
         sk.ash_system.bind(mal_ep, sink_id)
 
-    _install_abuse(tb, manager, scenario, perturbed, fault_seed, abuse_at_us)
+    if perturbed:   # the baseline is the identical world minus the abuse
+        tb.attach_fault_plane(seed=fault_seed).apply_scenario(
+            tenant_abuse(scenario))
 
     observables: dict = {
         "scenario": scenario,
@@ -1183,20 +1180,14 @@ def tenant_world(
         tcp = _victim_bulk(tb, total_bytes)
         manager.adopt_endpoint("alice", tcp.server.endpoint)
         bob = am_flow(tb, AM_VICTIM_VCI, AM_REPLY_VCI, tenant="bob")
-        bob_cli = bob.cli_ep
         bob_lat: list[float] = []
         bob_hash = hashlib.sha256()
 
         def bob_client(proc):
             for _ in range(rounds):
-                t0 = proc.engine.now
-                yield from ck.sys_net_send(
-                    proc, tb.client_nic, Frame(agg_frame, vci=AM_VICTIM_VCI))
-                desc = yield from ck.sys_recv_poll(proc, bob_cli)
-                bob_hash.update(bytes(
-                    tb.client.memory.read(desc.addr, desc.length)))
-                yield from ck.sys_replenish(proc, bob_cli, desc)
-                bob_lat.append(to_us(proc.engine.now - t0))
+                reply, ticks = yield from bob.request(proc)
+                bob_hash.update(reply)
+                bob_lat.append(to_us(ticks))
                 yield from proc.compute_us(150.0)
 
         def aggressor_client(proc):
@@ -1205,7 +1196,7 @@ def tenant_world(
                     proc, tb.client_nic, Frame(agg_frame, vci=AGGRESSOR_VCI))
                 yield from proc.compute_us(140.0)
 
-        bob_cli.owner = ck.spawn_process("bob-client", bob_client)
+        bob.cli_ep.owner = ck.spawn_process("bob-client", bob_client)
         ck.spawn_process("mallory-client", aggressor_client)
         tb.run()
         if tcp.t1 is None or len(bob_lat) != rounds:
@@ -1247,15 +1238,9 @@ def tenant_world(
                     proc, tb.client_nic, Frame(agg_frame, vci=AGGRESSOR_VCI))
                 yield from proc.compute_us(slot_us)
                 for name, flow in flows.items():
-                    t0 = proc.engine.now
-                    yield from ck.sys_net_send(
-                        proc, tb.client_nic,
-                        Frame(agg_frame, vci=flow.srv_ep.vci))
-                    desc = yield from ck.sys_recv_poll(proc, flow.cli_ep)
-                    hashes[name].update(bytes(
-                        tb.client.memory.read(desc.addr, desc.length)))
-                    yield from ck.sys_replenish(proc, flow.cli_ep, desc)
-                    lat[name].append(to_us(proc.engine.now - t0))
+                    reply, ticks = yield from flow.request(proc)
+                    hashes[name].update(reply)
+                    lat[name].append(to_us(ticks))
                     yield from proc.compute_us(slot_us)
 
         client_proc = ck.spawn_process("client", client)
@@ -1330,9 +1315,9 @@ def tenant_noisy_neighbor(
     mal_ep.owner = sk.spawn_process("mallory-app", mallory_app)
 
     if intensity_fps > 0:
-        plane = tb.attach_fault_plane(seed=3)
-        plane.flood_tenant(
-            tb.server_nic, AGGRESSOR_VCI, frame_bytes=frame_bytes,
+        tb.attach_fault_plane(seed=3).install(
+            "tenant_flood", "server_nic", vci=AGGRESSOR_VCI,
+            frame_bytes=frame_bytes,
             count=max(1, int(intensity_fps * duration_s)),
             start_us=50.0, gap_us=1e6 / intensity_fps)
 

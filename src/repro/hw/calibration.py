@@ -59,7 +59,6 @@ class Calibration:
     cksum32_cycles: int = 2
     bswap32_cycles: int = 9
     bswap16_cycles: int = 4
-    xor32_cycles: int = 1
 
     # ------------------------------------------------------------------
     # AN2 ATM network (Section IV-C)
@@ -137,8 +136,6 @@ class Calibration:
     ash_timer_clear_us: float = 1.0
     #: Abort any ASH that attempts to use two clock ticks or more.
     ash_budget_ticks: int = 2
-    #: Default instruction budget ("tens of thousands of instructions").
-    ash_insn_budget: int = 65536
     #: Per-load/store sandbox check (software, MIPS).  The paper's
     #: sandboxed remote increment added 76 instructions and ~5 µs
     #: (200 cycles), i.e. ~2.6 cycles per added instruction.

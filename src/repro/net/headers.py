@@ -214,7 +214,6 @@ class Ipv4Header:
 
     SIZE = 20
     MF = 0x1
-    DF = 0x2
 
     def pack(self) -> bytes:
         header = struct.pack(

@@ -51,10 +51,8 @@ class TcpState(enum.Enum):
     SYN_RCVD = "syn-rcvd"
     ESTABLISHED = "established"
     FIN_WAIT_1 = "fin-wait-1"
-    FIN_WAIT_2 = "fin-wait-2"
     CLOSE_WAIT = "close-wait"
     LAST_ACK = "last-ack"
-    TIME_WAIT = "time-wait"
 
 
 # shared-block field offsets (u32, little-endian: the handler is MIPS LE)

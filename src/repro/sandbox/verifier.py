@@ -30,7 +30,6 @@ MAX_PROGRAM_LEN = 16384
 class VerifyReport:
     """What the verifier found (on success)."""
 
-    program_len: int
     load_count: int = 0
     store_count: int = 0
     call_names: list[str] = field(default_factory=list)
@@ -64,7 +63,7 @@ def verify(program: Program, allow_convertible_signed: bool = True) -> VerifyRep
             f"{program.name}: {len(program)} instructions exceeds the "
             f"{MAX_PROGRAM_LEN}-instruction download limit"
         )
-    report = VerifyReport(program_len=len(program))
+    report = VerifyReport()
     for pc, insn in enumerate(program.insns):
         op = insn.op
         if op in FLOAT_OPS:

@@ -31,7 +31,6 @@ from .isa import (
     REG_A1,
     REG_A2,
     REG_A3,
-    REG_SP,
     REG_V0,
     REG_ZERO,
     assemble,
@@ -70,7 +69,6 @@ class VBuilder:
     A0, A1, A2, A3 = REG_A0, REG_A1, REG_A2, REG_A3
     V0 = REG_V0
     ZERO = REG_ZERO
-    SP = REG_SP
 
     def __init__(self, name: str = "fragment"):
         self.name = name

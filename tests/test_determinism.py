@@ -54,7 +54,9 @@ def test_congestion_control_repeatable_under_loss():
     """The cwnd/ssthresh event stream — the congestion controller's
     entire observable behaviour — is a pure function of the seed."""
     def run():
-        _tb, _plane, xfer = W.chaos_transfer(24_000, 11, link={"drop": 0.1})
+        _tb, _plane, xfer = W.chaos_transfer(
+            24_000, 11, faults=[{"site": "link", "target": "link",
+                                 "drop": 0.1}])
         return xfer.client.congestion_digest(), xfer.server.congestion_digest()
 
     assert run() == run()

@@ -307,7 +307,7 @@ def ash_abort_upcall_ring(cfg):
     w = an2_world(cfg)
     bind_increment_ash(w)
     w.ep.upcall = UpcallHandler(program=small_program("shy", "v_pass"))
-    w.tb.attach_fault_plane(seed=3).abort_ash(w.sk, every=1)
+    w.tb.attach_fault_plane(seed=3).install("ash", w.sk, every=1)
     w.consumer(w.ep, 2)
     w.send(word(1))
     w.send(word(2), 90.0)
@@ -318,7 +318,7 @@ def ash_abort_upcall_consumed(cfg):
     w = an2_world(cfg)
     bind_increment_ash(w)
     bind_increment_upcall(w, w.extra["counter_at"] - 48)
-    w.tb.attach_fault_plane(seed=3).abort_ash(w.sk, every=2)
+    w.tb.attach_fault_plane(seed=3).install("ash", w.sk, every=2)
     for i in range(4):
         w.send(word(i + 1), 70.0 * i)
     return w.observe()
@@ -556,7 +556,7 @@ def crash_in_abort_charge(cfg):
     w = an2_world(cfg)
     bind_increment_ash(w)
     bind_increment_upcall(w, w.extra["counter_at"] - 48)
-    injector = w.tb.attach_fault_plane(seed=3).abort_ash(w.sk, every=1)
+    injector = w.tb.attach_fault_plane(seed=3).install("ash", w.sk, every=1)
     w.crash_on_entry(injector, "consider")
     w.send(word(5))
     w.send(word(6), 1500.0)
@@ -577,7 +577,7 @@ def crash_in_dispatch_after_abort(cfg):
     w = an2_world(cfg)
     bind_increment_ash(w)
     bind_increment_upcall(w, w.extra["counter_at"] - 48)
-    w.tb.attach_fault_plane(seed=3).abort_ash(w.sk, every=1)
+    w.tb.attach_fault_plane(seed=3).install("ash", w.sk, every=1)
     w.crash_on_entry(w.sk.upcalls, "dispatch")
     w.send(word(5))
     w.send(word(6), 1500.0)
@@ -1109,8 +1109,10 @@ def _chaos_ash_world():
     path as an ASH: crash-lifetime counters, one lost message, SACK."""
     from repro.bench.workloads import chaos_transfer
 
-    chaos_transfer(96_000, 11, link={"drop": 0.08}, mode="ash",
-                   crash=dict(at_us=1960.0, outage_us=20_000.0))
+    chaos_transfer(96_000, 11, mode="ash", faults=[
+        {"site": "link", "target": "link", "drop": 0.08},
+        {"site": "crash", "target": "server_kernel", "at_us": 1960.0,
+         "outage_us": 20_000.0}])
 
 
 def _tenant_flood_world():

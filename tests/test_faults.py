@@ -1,8 +1,7 @@
 """Chaos/property tests for the deterministic fault-injection plane.
 
-Covers the FaultPlane's three seam families (link impairments, NIC
-stress, forced mid-handler ASH aborts) and the recovery guarantees they
-exercise: TCP completing byte-identical under drop+corrupt+duplicate+
+Covers the FaultPlane's link, NIC, ASH-abort, crash, memory and CPU
+sites and the recovery guarantees they exercise: TCP completing byte-identical under drop+corrupt+duplicate+
 reorder, NICs dropping-and-counting under injected exhaustion, UDP
 surviving truncated DMA, and an aborted ASH degrading to the upcall
 path with zero message loss.  The same seeded schedule must produce
@@ -14,6 +13,7 @@ import pytest
 from repro.bench.testbed import CLIENT_TO_SERVER_VCI, make_an2_pair
 from repro.bench.workloads import (am_flow, chaos_transfer, seeded_payload,
                                    tcp_bulk)
+from repro.errors import SimError
 from repro.hw.link import Frame
 from repro.hw.nic.base import RxDescriptor
 from repro.kernel.upcall import UpcallHandler
@@ -24,11 +24,29 @@ from repro.sim.engine import Engine
 CHAOS_KNOBS = dict(drop=0.03, corrupt=0.03, duplicate=0.04, reorder=0.04)
 
 
+# one fault-schedule entry each, targets by name
+def link(**knobs) -> dict:
+    return {"site": "link", "target": "link", **knobs}
+
+
+def crash(at_us: float = 1_500.0, outage_us: float = 40_000.0) -> dict:
+    return {"site": "crash", "target": "server_kernel",
+            "at_us": at_us, "outage_us": outage_us}
+
+
+def mem(**knobs) -> dict:
+    return {"site": "mem", "target": "server", **knobs}
+
+
+def cpu(**knobs) -> dict:
+    return {"site": "cpu", "target": "server", **knobs}
+
+
 def chaos_tcp_transfer(substrate: str, seed: int, nbytes: int,
                        knobs: dict = CHAOS_KNOBS) -> dict:
     """Bulk transfer under combined impairments; returns observables."""
     tb, plane, xfer = chaos_transfer(nbytes, seed, substrate=substrate,
-                                     link=knobs)
+                                     faults=[link(**knobs)])
     client, server = xfer.client.tcb, xfer.server.tcb
     return {
         "delivered": xfer.got,
@@ -104,7 +122,7 @@ class TestLinkImpairments:
         """start_us/stop_us windows key off the deterministic clock."""
         tb = make_an2_pair()
         plane = tb.attach_fault_plane(seed=1)
-        imp = plane.impair_link(tb.link, drop=1.0, stop_us=0.0)
+        imp = plane.install("link", "link", drop=1.0, stop_us=0.0)
         ep = tb.server_kernel.create_endpoint_an2(
             tb.server_nic, CLIENT_TO_SERVER_VCI
         )
@@ -124,7 +142,7 @@ class TestNicStress:
         telemetry) while the rest of the stream stays live."""
         tb = make_an2_pair()
         plane = tb.attach_fault_plane(seed=4)
-        stress = plane.stress_nic(tb.server_nic, exhaust=0.5)
+        stress = plane.install("nic", "server_nic", exhaust=0.5)
         ep = tb.server_kernel.create_endpoint_an2(
             tb.server_nic, CLIENT_TO_SERVER_VCI
         )
@@ -151,7 +169,7 @@ class TestNicStress:
         csock = UdpSocket(cstack, 7001, rx_vci=2)
         ssock = UdpSocket(sstack, 7000, rx_vci=1)
         plane = tb.attach_fault_plane(seed=9)
-        plane.stress_nic(tb.server_nic, truncate=0.5, truncate_to=12)
+        plane.install("nic", "server_nic", truncate=0.5, truncate_to=12)
         nsent = 10
         received = []
 
@@ -199,7 +217,7 @@ class TestAshAbort:
         ep, ash_id, counter = flow.srv_ep, flow.ash_id, flow.counter
         cli_ep = flow.cli_ep
         plane = tb.attach_fault_plane(seed=2)
-        injector = plane.abort_ash(tb.server_kernel, every=2)
+        injector = plane.install("ash", "server_kernel", every=2)
         values = [1, 2, 3, 4, 5, 6]
         for v in values:
             tb.client_nic.transmit(
@@ -227,7 +245,7 @@ class TestAshAbort:
             flow = self.setup_increment(tb)
             ash_id, counter = flow.ash_id, flow.counter
             plane = tb.attach_fault_plane(seed=6)
-            plane.abort_ash(tb.server_kernel, rate=0.5)
+            plane.install("ash", "server_kernel", rate=0.5)
             for v in range(1, 5):
                 tb.client_nic.transmit(
                     Frame(v.to_bytes(4, "little"),
@@ -250,20 +268,66 @@ def test_scenario_script_installs_all_sites():
     tb = make_an2_pair()
     plane = tb.attach_fault_plane(seed=5)
     installed = plane.apply_scenario([
-        {"site": "link", "target": tb.link, "drop": 0.1, "skip_first": 3},
-        {"site": "nic", "target": tb.server_nic, "exhaust": 0.2},
-        {"site": "ash", "target": tb.server_kernel, "every": 3},
-        {"site": "mem", "target": tb.server, "rate": 0.1},
+        {"site": "link", "target": "link", "drop": 0.1, "skip_first": 3},
+        {"site": "nic", "target": "server_nic", "exhaust": 0.2},
+        {"site": "ash", "target": "server_kernel", "every": 3},
+        {"site": "mem", "target": "server", "rate": 0.1},
+        # an object is as good a target as its name
         {"site": "cpu", "target": tb.server, "rate": 0.1},
     ])
-    assert len(installed) == 5
+    assert len(installed) == 5 and plane.injectors == installed
     assert tb.link.impairment is installed[0]
     assert tb.server_nic.stress is installed[1]
     assert tb.server_kernel.ash_system.fault_injector is installed[2]
     assert tb.server.memory.pressure is installed[3]
     assert tb.server.cpu.contention is installed[4]
-    with pytest.raises(Exception):
-        plane.apply_scenario([{"site": "nope", "target": tb.link}])
+    with pytest.raises(SimError, match="unknown fault site 'nope'"):
+        plane.apply_scenario([{"site": "nope", "target": "link"}])
+
+
+def _tenant_pair():
+    from repro.ash.tenancy import TenantManager
+
+    tb = make_an2_pair()
+    TenantManager(tb.server_kernel).create("mallory")
+    return tb
+
+
+@pytest.mark.parametrize("site,target,knobs,seam", [
+    ("link", "link", {"drop": 0.1}, "link:an2-link"),
+    ("cpu", "server", {"rate": 0.1}, "cpu:server"),
+    ("tenant_leak", "server_kernel.tenants", {"tenant": "mallory"},
+     "tenantleak:server:mallory"),
+])
+def test_second_injector_on_an_occupied_seam_is_refused(site, target, knobs,
+                                                        seam):
+    """Twice on one seam used to overwrite the hook and leave both
+    objects in ``plane.injectors``, sharing a stream name and exporting
+    the seam's totals twice.  Now the second is refused by name and the
+    first stays exactly as installed."""
+    tb = _tenant_pair()
+    plane = tb.attach_fault_plane(seed=5)
+    first = plane.install(site, target, **knobs)
+    assert first.site == seam
+    with pytest.raises(SimError, match=f"{seam}.*already has an injector"):
+        plane.install(site, target, **knobs)
+    assert plane.injectors == [first]
+    hook = {"link": lambda: tb.link.impairment,
+            "cpu": lambda: tb.server.cpu.contention,
+            "tenant_leak": lambda: tb.server_kernel.tenants.get(
+                "mallory").leak_injector}[site]
+    assert hook() is first
+
+
+def test_one_testbed_has_one_plane_and_one_seed():
+    """Asking again with the same seed returns the plane; another seed
+    used to be dropped silently."""
+    tb = make_an2_pair()
+    plane = tb.attach_fault_plane(seed=5)
+    assert tb.attach_fault_plane(seed=5) is plane
+    with pytest.raises(SimError, match="seeded 5.*seed 6"):
+        tb.attach_fault_plane(seed=6)
+    assert tb.fault_plane is plane and plane.seed == 5
 
 
 # ---------------------------------------------------------------------------
@@ -271,18 +335,12 @@ def test_scenario_script_installs_all_sites():
 # ---------------------------------------------------------------------------
 
 def crash_tcp_transfer(substrate: str, seed: int, nbytes: int = 48_000,
-                       crash_at_us: float = 1_500.0,
-                       outage_us: float = 40_000.0,
-                       mode: str = None, crash: bool = True,
-                       pressure: dict = None, contention: dict = None,
-                       knobs: dict = None) -> dict:
-    """Bulk transfer with an optional scripted server crash mid-flow,
-    plus optional memory-pressure / CPU-contention / link seams; returns
-    observables including the recovery record."""
-    tb, plane, xfer = chaos_transfer(
-        nbytes, seed, substrate=substrate, mode=mode, link=knobs,
-        crash=dict(at_us=crash_at_us, outage_us=outage_us) if crash else None,
-        pressure=pressure, contention=contention)
+                       mode: str = None, faults: tuple = (crash(),)) -> dict:
+    """Bulk transfer under the schedule ``faults`` — by default one
+    scripted server crash mid-flow; returns observables including the
+    recovery record."""
+    tb, plane, xfer = chaos_transfer(nbytes, seed, substrate=substrate,
+                                     mode=mode, faults=faults)
     sk, ck = tb.server_kernel, tb.client_kernel
     return {
         "delivered": xfer.got,
@@ -312,7 +370,7 @@ class TestCrashRecovery:
         to the uncrashed run — the SharedTcb survives in application
         memory and the sender's retransmissions bridge the outage."""
         crashed = crash_tcp_transfer("fast", seed=31)
-        clean = crash_tcp_transfer("fast", seed=31, crash=False)
+        clean = crash_tcp_transfer("fast", seed=31, faults=[])
         assert crashed["delivered"] == clean["delivered"]
         assert crashed["recoveries"] == 1
         assert clean["recoveries"] == 0
@@ -354,8 +412,7 @@ class TestCrashRecovery:
         outs = {}
         for substrate in ("fast", "legacy"):
             outs[substrate] = crash_tcp_transfer(
-                substrate, seed=43, mode="upcall", crash_at_us=900.0
-            )
+                substrate, seed=43, mode="upcall", faults=[crash(900.0)])
         assert outs["fast"] == outs["legacy"]
         out = outs["fast"]
         assert out["crash_log"][0]["lost_messages"] == out["lost_messages"]
@@ -378,7 +435,7 @@ class TestCrashRecovery:
         tb, _plane, _xfer = chaos_transfer(
             nbytes, 23, data=bytes(i & 0xFF for i in range(nbytes)),
             substrate="fast", ncores=ncores, rx_batch=batch, mode="ash",
-            crash=dict(at_us=900.0, outage_us=30_000.0))
+            faults=[crash(900.0, 30_000.0)])
 
         assert tb.server_kernel.lost_messages == 1
         assert tb.server_kernel.crash_count == 1
@@ -406,9 +463,8 @@ class TestMemPressure:
         outs = {}
         for substrate in ("fast", "legacy"):
             outs[substrate] = crash_tcp_transfer(
-                substrate, seed=47, crash=False, nbytes=24_000,
-                pressure=dict(rate=0.2, sites=("rx_refill",)),
-            )
+                substrate, seed=47, nbytes=24_000,
+                faults=[mem(rate=0.2, sites=("rx_refill",))])
         assert outs["fast"] == outs["legacy"]
         out = outs["fast"]
         assert out["alloc_failures"].get("rx_refill", 0) > 0
@@ -419,10 +475,8 @@ class TestMemPressure:
         """An ASH download refused under memory pressure degrades the
         fast path one level: the upcall handler serves the flow."""
         out = crash_tcp_transfer(
-            "fast", seed=53, crash=False, nbytes=24_000, mode="ash",
-            pressure=dict(rate=1.0, sites=("ash_install",),
-                          max_failures=1),
-        )
+            "fast", seed=53, nbytes=24_000, mode="ash",
+            faults=[mem(rate=1.0, sites=("ash_install",), max_failures=1)])
         assert out["handler_mode"] == "upcall"
         assert out["install_failures"] == 1
         assert out["alloc_failures"].get("ash_install") == 1
@@ -434,8 +488,8 @@ class TestMemPressure:
 
         tb = make_an2_pair()
         plane = tb.attach_fault_plane(seed=59)
-        plane.pressure_memory(tb.server, rate=1.0, sites=("alloc",),
-                              max_failures=1)
+        plane.install("mem", "server", rate=1.0, sites=("alloc",),
+                      max_failures=1)
         with pytest.raises(AllocationError) as exc:
             tb.server.memory.alloc("victim", 128, site="alloc")
         assert exc.value.site == "alloc"
@@ -452,13 +506,11 @@ class TestCpuContention:
         outs = {}
         for substrate in ("fast", "legacy"):
             outs[substrate] = crash_tcp_transfer(
-                substrate, seed=61, crash=False, nbytes=24_000,
-                contention=dict(rate=0.3, burst_cycles=2_000),
-            )
+                substrate, seed=61, nbytes=24_000,
+                faults=[cpu(rate=0.3, burst_cycles=2_000)])
         assert outs["fast"] == outs["legacy"]
         out = outs["fast"]
-        calm = crash_tcp_transfer("fast", seed=61, crash=False,
-                                  nbytes=24_000)
+        calm = crash_tcp_transfer("fast", seed=61, nbytes=24_000, faults=[])
         assert out["contention_cycles"] > 0
         assert out["ledger"].get("cpu_contention", 0) > 0
         assert out["time_ps"] > calm["time_ps"]
@@ -469,11 +521,10 @@ class TestCpuContention:
         timer budget forces an involuntary abort mid-handler — which
         degrades in order through the hierarchy with zero loss."""
         out = crash_tcp_transfer(
-            "fast", seed=67, crash=False, nbytes=24_000, mode="ash",
+            "fast", seed=67, nbytes=24_000, mode="ash",
             # the two-tick budget is 80k cycles: a near-budget burst
             # leaves the handler almost nothing, tripping the timer
-            contention=dict(budget_rate=0.5, burst_cycles=79_990),
-        )
+            faults=[cpu(budget_rate=0.5, burst_cycles=79_990)])
         assert out["abort_fallbacks"] > 0, \
             "no budget-starved ASH was ever involuntarily aborted"
         sk_outcomes = out["outcomes"][0]
@@ -492,12 +543,9 @@ def test_combined_fault_sweep_zero_order_violations():
     for substrate in ("fast", "legacy"):
         outs[substrate] = crash_tcp_transfer(
             substrate, seed=71, mode="ash",
-            pressure=dict(rate=0.1,
-                          sites=("rx_refill", "ash_install")),
-            contention=dict(rate=0.1, burst_cycles=1_000,
-                            budget_rate=0.2),
-            knobs=dict(drop=0.02, corrupt=0.02),
-        )
+            faults=[link(drop=0.02, corrupt=0.02), crash(),
+                    mem(rate=0.1, sites=("rx_refill", "ash_install")),
+                    cpu(rate=0.1, burst_cycles=1_000, budget_rate=0.2)])
     assert outs["fast"] == outs["legacy"]
     out = outs["fast"]
     assert out["recoveries"] == 1
@@ -541,11 +589,9 @@ def multi_pair_run(substrate: str, npairs: int = 3,
                                    rto_us=20_000.0)))
     if impair:
         tb0 = world[0][0]
-        plane = tb0.attach_fault_plane(seed=83)
-        plane.crash_node(tb0.server_kernel, at_us=2_000.0,
-                         outage_us=30_000.0)
-        plane.impair_link(tb0.link, drop=0.05, corrupt=0.05,
-                          skip_first=3)
+        tb0.attach_fault_plane(seed=83).apply_scenario([
+            crash(2_000.0, 30_000.0),
+            link(drop=0.05, corrupt=0.05, skip_first=3)])
     from repro.sim.units import seconds
     engine.run(until=engine.now + seconds(120.0))
     return [_pair_observables(*entry) for entry in world]
@@ -581,9 +627,9 @@ class TestSeamIndependence:
         if extra_seams:
             # install two unrelated seams *before* the one under test —
             # the installation order/index must not leak into its stream
-            plane.impair_link(tb.link, drop=0.5)
-            plane.stress_nic(tb.client_nic, exhaust=0.5)
-        return plane.stress_nic(tb.server_nic, exhaust=0.5)
+            plane.install("link", "link", drop=0.5)
+            plane.install("nic", "client_nic", exhaust=0.5)
+        return plane.install("nic", "server_nic", exhaust=0.5)
 
     def test_site_name_ignores_other_injectors(self):
         lone = self._nic_stress(extra_seams=False)
@@ -627,26 +673,25 @@ class TestSeamIndependence:
 
 class TestRebootStormKnobs:
     def test_storm_validation(self):
-        from repro.errors import SimError
-
         tb = make_an2_pair()
         plane = tb.attach_fault_plane(seed=3)
         with pytest.raises(SimError):
-            plane.crash_node(tb.server_kernel, at_us=10.0, repeat=0)
+            plane.install("crash", "server_kernel", at_us=10.0, repeat=0)
         with pytest.raises(SimError):
             # a storm whose period does not outlast the outage would
             # crash a kernel that never came back up
-            plane.crash_node(tb.server_kernel, at_us=10.0,
-                             outage_us=100.0, repeat=2, period_us=50.0)
+            plane.install("crash", "server_kernel", at_us=10.0,
+                          outage_us=100.0, repeat=2, period_us=50.0)
+        # a refused spec leaves nothing behind on the seam
+        assert plane.injectors == []
 
     def test_storm_cycles_recorded(self):
         from repro.sim.units import seconds
 
         tb = make_an2_pair()
         plane = tb.attach_fault_plane(seed=3)
-        storm = plane.crash_node(tb.server_kernel, at_us=100.0,
-                                 outage_us=200.0, repeat=3,
-                                 period_us=1_000.0)
+        storm = plane.install("crash", "server_kernel", at_us=100.0,
+                              outage_us=200.0, repeat=3, period_us=1_000.0)
         tb.engine.run(until=tb.engine.now + seconds(0.01))
         assert len(storm.storms) == 3
         assert tb.server_kernel.crash_count == 3

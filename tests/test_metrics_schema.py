@@ -37,15 +37,14 @@ def test_recovery_plane_metrics_are_pinned_counters():
 def test_fault_run_export_validates_and_carries_recovery_counters():
     """A crash + pressure + contention run exports a schema-valid
     document whose counters include the whole recovery plane."""
-    from tests.test_faults import crash_tcp_transfer
+    from tests.test_faults import cpu, crash, crash_tcp_transfer, mem
 
     checker = _load_schema_checker()
     with telemetry.session() as sess:
         crash_tcp_transfer(
             "fast", seed=79, nbytes=24_000,
-            pressure=dict(rate=0.1, sites=("rx_refill",)),
-            contention=dict(rate=0.1, burst_cycles=1_000),
-        )
+            faults=[crash(), mem(rate=0.1, sites=("rx_refill",)),
+                    cpu(rate=0.1, burst_cycles=1_000)])
     doc = sess.export_metrics()
     assert checker.validate_metrics(doc) == []
     counters = {

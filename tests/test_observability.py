@@ -174,7 +174,7 @@ class TestSloPlane:
                 node.telemetry.slo.add_rule(
                     SloRule("lossless", max_retransmits=0))
             plane = tb.attach_fault_plane(seed=13)
-            plane.impair_link(tb.link, skip_first=3, drop=0.08)
+            plane.install("link", "link", skip_first=3, drop=0.08)
             # large enough that drops hit data segments, not just ACKs
             # (lost ACKs are cumulatively covered and cost no retransmit
             # now that the sender keeps a SACK scoreboard)

@@ -1,6 +1,7 @@
-"""Tier-1 gate: the bulk-transfer world, the remote-increment install
-and the plane-bench command line each exist once — and no attribute is
-kept that nothing reads.
+"""Tier-1 gate: the bulk-transfer world, the remote-increment install,
+its request round trip, the fault-injector constructor and the
+plane-bench command line each exist once — and no attribute, constant
+or class field is kept that nothing reads.
 
 A source scan in the style of ``tests/test_metrics_lint.py`` (no world
 is built, nothing is timed).  The census that motivated it found the
@@ -12,6 +13,11 @@ different state layout) and rots on its own.  So outside
 
 * one function calls ``.linger(``            -> ``workloads.tcp_bulk``
 * one function stores ``PARAM_REPLY_VCI``    -> ``workloads.am_flow``
+* one function sends a request and then polls for the reply on a flow
+  ``am_flow`` built                          -> ``workloads.AmFlow.request``
+* one method builds a fault injector         -> ``FaultPlane.install``
+  (``faults.py`` has no ``if site ==`` ladder; the three forwards that
+  ``benchmarks/perf/`` pins are called from nowhere else)
 * no ``benchmarks/bench_*.py`` / ``sweep_driver.py`` imports ``argparse``,
   calls ``json.dump`` or runs the ``legacy`` substrate itself: that is
   ``plane_main`` / ``bench_main`` / ``on_both_substrates``.
@@ -22,10 +28,12 @@ different state layout) and rots on its own.  So outside
 
 And everywhere, ``benchmarks/perf/`` and ``examples/`` included as
 readers: an attribute assigned under ``src/`` is loaded somewhere
-(``write_only_attributes``).
+(``write_only_attributes``), and so is every module-level constant and
+class-body field declared there (``declared_never_read``).
 """
 
 import ast
+import functools
 import glob
 import os
 
@@ -80,17 +88,62 @@ def _stores_reply_vci(call):
                     for arg in call.args for n in ast.walk(arg)))
 
 
+def _method_calls(fn, attr):
+    return [node.lineno for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == attr]
+
+
+def _am_round_trips(tree):
+    """Outermost functions that hold an AM flow (call ``am_flow`` or
+    touch ``.cli_ep``) and in which a ``sys_net_send`` is followed by a
+    ``sys_recv_poll`` — the client's half of a round trip; a server
+    polls first and sends after."""
+    found = set()
+    for fn in tree.body + [m for c in tree.body if isinstance(c, ast.ClassDef)
+                           for m in c.body]:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        holds_flow = any(
+            (isinstance(n, ast.Name) and n.id == "am_flow")
+            or (isinstance(n, ast.Attribute) and n.attr == "cli_ep")
+            for n in ast.walk(fn))
+        sends = _method_calls(fn, "sys_net_send")
+        polls = _method_calls(fn, "sys_recv_poll")
+        if holds_flow and sends and polls and min(sends) < max(polls):
+            found.add(fn.name)
+    return found
+
+
+#: the FaultPlane methods ``benchmarks/perf/{worlds,probes}.py`` call.
+#: Only a `benchmark` PR may edit that directory; the day ROADMAP's
+#: "Benchmark v2" re-spells its worlds these delete with no other edit.
+FENCED_FORWARDS = {"impair_link", "crash_node", "flood_tenant"}
+
+
+def _calls_fenced_forward(call):
+    return (isinstance(call.func, ast.Attribute)
+            and call.func.attr in FENCED_FORWARDS)
+
+
+@functools.lru_cache(maxsize=None)
 def census(root=ROOT):
-    """{"linger": [...], "install": [...]} as ``file::function``."""
-    out = {"linger": [], "install": []}
+    """{"linger": [...], "install": [...], "forward": [...],
+    "round_trip": [...]} as ``file::function`` (one parse of the tree
+    per root, shared by the tests below)."""
+    out = {"linger": [], "install": [], "forward": [], "round_trip": []}
     for rel, path in _sources(root):
         with open(path) as fh:
             tree = ast.parse(fh.read(), rel)
         for kind, matches in (("linger", _is_linger),
-                              ("install", _stores_reply_vci)):
+                              ("install", _stores_reply_vci),
+                              ("forward", _calls_fenced_forward)):
             owners = _Owners(matches)
             owners.visit(tree)
             out[kind] += [f"{rel}::{name}" for name in sorted(owners.found)]
+        out["round_trip"] += [f"{rel}::{name}"
+                              for name in sorted(_am_round_trips(tree))]
     return out
 
 
@@ -177,29 +230,23 @@ READ_ELSEWHERE = {
 }
 
 
-def write_only_attributes(root=ROOT):
-    """{attribute: first ``file:line`` storing it} for every attribute
-    assigned (``x.a = ...``, ``x.a += ...``) under ``src/`` that is
-    loaded nowhere in ``src/``, ``tests/``, ``benchmarks/`` or
-    ``examples/`` — neither as ``y.a`` nor spelled as a whole string,
+def _loads_and_stores(root):
+    """One walk over ``src/``, ``tests/``, ``benchmarks/`` and
+    ``examples/``: what ``src/`` stores (attributes assigned) and
+    declares (module-level UPPER_CASE constants, class-body fields),
+    each with its first ``file:line``, against what any of the four
+    loads — as ``y.a``, as a bare name, or spelled as a whole string,
     the way ``getattr`` and field tables such as ``SHARED_TCB_FIELDS``
-    name what they read; ``__slots__`` declares, it does not read.
-
-    The scan goes by attribute name, not by class: it finds a counter
-    nobody reports and a field kept "for later", and it is blind to an
-    attribute whose only loads are its own class's bookkeeping or that
-    shares its name with a live one (``PacketBuf.view``, read by nothing
-    but its own ``release``, was found by hand), and to dataclass fields
-    that are only ever set through ``__init__``.
-    """
-    stored, read = {}, set()
+    name what they read; ``__slots__`` declares, it does not read."""
+    stored, declared = {}, {}
+    attrs, names, strings = set(), set(), set()
     for sub in ("src", "tests", "benchmarks", "examples"):
         pattern = os.path.join(root, sub, "**", "*.py")
         for path in sorted(glob.glob(pattern, recursive=True)):
             rel = os.path.relpath(path, root)
             with open(path) as fh:
                 tree = ast.parse(fh.read(), rel)
-            declared = {
+            slots = {
                 id(node) for stmt in ast.walk(tree)
                 if isinstance(stmt, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__slots__"
@@ -208,15 +255,84 @@ def write_only_attributes(root=ROOT):
             for node in ast.walk(tree):
                 if isinstance(node, ast.Attribute):
                     if isinstance(node.ctx, ast.Load):
-                        read.add(node.attr)
+                        attrs.add(node.attr)
                     elif isinstance(node.ctx, ast.Store) and sub == "src":
                         stored.setdefault(node.attr, f"{rel}:{node.lineno}")
+                elif isinstance(node, ast.Name):
+                    if isinstance(node.ctx, ast.Load):
+                        names.add(node.id)
                 elif (isinstance(node, ast.Constant)
                       and isinstance(node.value, str)
-                      and id(node) not in declared):
-                    read.add(node.value)
+                      and id(node) not in slots):
+                    strings.add(node.value)
+            if sub != "src":
+                continue
+            scopes = [("", tree.body)] + [
+                (f"{node.name}.", node.body) for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef)]
+            for owner, body in scopes:
+                for stmt in body:
+                    if isinstance(stmt, ast.Assign):
+                        targets = stmt.targets
+                    elif isinstance(stmt, ast.AnnAssign):
+                        targets = [stmt.target]
+                    else:
+                        continue
+                    for target in targets:
+                        for node in ast.walk(target):
+                            if (isinstance(node, ast.Name)
+                                    and not node.id.startswith("__")
+                                    and (owner or node.id.isupper())):
+                                declared.setdefault(
+                                    node.id,
+                                    (f"{owner}{node.id}",
+                                     f"{rel}:{stmt.lineno}"))
+    return stored, declared, attrs, names, strings
+
+
+@functools.lru_cache(maxsize=1)
+def _repo_scan():
+    return _loads_and_stores(ROOT)
+
+
+def _scan(root):
+    """The repo is walked once for both censuses; a planted tree is
+    walked each time (its tests add files between calls)."""
+    return _repo_scan() if root == ROOT else _loads_and_stores(root)
+
+
+def write_only_attributes(root=ROOT):
+    """{attribute: first ``file:line`` storing it} for every attribute
+    assigned (``x.a = ...``, ``x.a += ...``) under ``src/`` that is
+    loaded nowhere in ``src/``, ``tests/``, ``benchmarks/`` or
+    ``examples/`` — neither as ``y.a`` nor spelled as a whole string.
+
+    The scan goes by attribute name, not by class: it finds a counter
+    nobody reports and a field kept "for later", and it is blind to an
+    attribute whose only loads are its own class's bookkeeping or that
+    shares its name with a live one (``PacketBuf.view``, read by nothing
+    but its own ``release``, was found by hand).  Fields that are only
+    ever set through ``__init__`` or declared in a class body are
+    ``declared_never_read``'s.
+    """
+    stored, _declared, attrs, _names, strings = _scan(root)
+    read = attrs | strings
     return {attr: where for attr, where in sorted(stored.items())
             if attr not in read}
+
+
+def declared_never_read(root=ROOT):
+    """{``NAME`` or ``Class.field``: ``file:line``} for every
+    module-level UPPER_CASE constant and class-body field (a dataclass
+    field, an enum member, a class constant) declared under ``src/``
+    that nothing loads — not by name, not as an attribute, not as a
+    whole string.  By name, like the scan above, so ``Calibration.x``
+    is excused by any ``.x``; a keyword argument that *sets* a field
+    does not read it."""
+    _stored, declared, attrs, names, strings = _scan(root)
+    read = attrs | names | strings
+    return {label: where for name, (label, where) in sorted(declared.items())
+            if name not in read}
 
 
 def test_no_attribute_is_stored_and_never_read():
@@ -228,6 +344,47 @@ def test_no_attribute_is_stored_and_never_read():
         f"store, or name the reader in READ_ELSEWHERE")
     # the allow-list names only attributes that still need it
     assert excused <= set(found)
+
+
+def test_nothing_is_declared_and_never_read():
+    unread = declared_never_read()
+    assert not unread, (
+        f"declared under src/ and read nowhere: {unread} - delete it")
+
+
+def test_a_declaration_nothing_reads_is_flagged(tmp_path):
+    lib = tmp_path / "src" / "repro"
+    lib.mkdir(parents=True)
+    (tmp_path / "benchmarks").mkdir()
+    (lib / "cal.py").write_text(
+        "from dataclasses import dataclass\n"
+        "KINDS = ('drop', 'dup')\n"
+        "LIMIT = 4\n"
+        "lower_case = 1\n"
+        "@dataclass\n"
+        "class Cal:\n"
+        "    used: int = 1\n"
+        "    spare: int = 2\n"
+        "    named: int = 3\n"
+        "    MASK = 0xFF\n"
+        "    def cost(self):\n"
+        "        return self.used * LIMIT\n"
+        "FIELDS = ('named',)\n"
+        "def fields():\n"
+        "    return FIELDS\n"
+    )
+    assert declared_never_read(str(tmp_path)) == {
+        "KINDS": "src/repro/cal.py:2",
+        "Cal.spare": "src/repro/cal.py:8",
+        "Cal.MASK": "src/repro/cal.py:10"}
+    # setting a field by keyword is not reading it; loading it is
+    (tmp_path / "benchmarks" / "bench.py").write_text(
+        "from repro.cal import Cal, KINDS\n"
+        "cal = Cal(spare=3)\n"
+        "print(cal.MASK, KINDS)\n"
+    )
+    assert declared_never_read(str(tmp_path)) == {
+        "Cal.spare": "src/repro/cal.py:8"}
 
 
 def test_a_write_only_attribute_is_flagged(tmp_path):
@@ -289,6 +446,39 @@ def test_one_remote_increment_install():
         "src/repro/bench/workloads.py"} == set(EXPLICIT_INSTALLS)
 
 
+def test_one_am_request_round_trip():
+    assert census()["round_trip"] == [
+        "src/repro/bench/workloads.py::request"]
+
+
+def fault_plane_shape(root=ROOT):
+    """``(FaultPlane's public methods, lines of an `if site ==` ladder
+    in faults.py)``."""
+    with open(os.path.join(root, "src", "repro", "sim", "faults.py")) as fh:
+        tree = ast.parse(fh.read())
+    plane = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "FaultPlane")
+    public = {fn.name for fn in plane.body
+              if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")}
+    ladder = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+        and isinstance(node.test.left, ast.Name) and node.test.left.id == "site"
+        and isinstance(node.test.ops[0], ast.Eq)]
+    return public, ladder
+
+
+def test_fault_plane_has_one_constructor():
+    public, ladder = fault_plane_shape()
+    assert public == {"install", "apply_scenario", "record", "ledger",
+                      "total"} | FENCED_FORWARDS
+    assert ladder == [] and census()["forward"] == []
+    # ...and the fence still stands for a reason
+    with open(os.path.join(ROOT, "benchmarks", "perf", "worlds.py")) as fh:
+        pinned = fh.read()
+    assert all(f".{name}(" in pinned for name in FENCED_FORWARDS)
+
+
 def test_plane_benches_only_declare():
     assert plane_bench_violations() == []
 
@@ -303,6 +493,30 @@ def test_a_second_copy_is_flagged(tmp_path):
         "    def client_body(proc):\n"
         "        yield from client.linger(proc, duration_us=2e6)\n"
         "    mem.store_u32(base + 32 + PARAM_REPLY_VCI, 2)\n"
+        "def world(tb, plane):\n"
+        "    flow = am_flow(tb)\n"
+        "    plane.impair_link(tb.link, drop=0.1)\n"
+        "    def client(proc):\n"
+        "        yield from ck.sys_net_send(proc, nic, frame)\n"
+        "        desc = yield from ck.sys_recv_poll(proc, flow.cli_ep)\n"
+        "    def server(proc):\n"
+        "        desc = yield from sk.sys_recv_poll(proc, flow.srv_ep)\n"
+        "        yield from sk.sys_net_send(proc, nic, frame)\n"
+        "def echo_server(proc, flow):\n"
+        "    desc = yield from sk.sys_recv_poll(proc, flow.cli_ep)\n"
+        "    yield from sk.sys_net_send(proc, nic, frame)\n"
+    )
+    lib = tmp_path / "src" / "repro" / "sim"
+    lib.mkdir(parents=True)
+    (lib / "faults.py").write_text(
+        "class FaultPlane:\n"
+        "    def install(self, site, target):\n"
+        "        if site == 'link':\n"
+        "            return self.impair_link(target)\n"
+        "        elif site == 'nic':\n"
+        "            return self.stress_nic(target)\n"
+        "    def stress_nic(self, nic): pass\n"
+        "    def _private(self): pass\n"
     )
     (tmp_path / "benchmarks" / "bench_new.py").write_text(
         "import argparse, json\n"
@@ -314,6 +528,11 @@ def test_a_second_copy_is_flagged(tmp_path):
     found = census(str(tmp_path))
     assert found["linger"] == ["tests/test_new.py::helper"]
     assert found["install"] == ["tests/test_new.py::helper"]
+    assert found["round_trip"] == ["tests/test_new.py::world"]
+    assert found["forward"] == ["src/repro/sim/faults.py::install",
+                                "tests/test_new.py::world"]
+    assert fault_plane_shape(str(tmp_path)) == (
+        {"install", "stress_nic"}, [3, 5])
     errors = plane_bench_violations(str(tmp_path))
     assert len(errors) == 3
     assert all("bench_new.py" in e for e in errors)

@@ -158,8 +158,9 @@ def _smp_lossy_cc(substrate, cores, nbytes=32_000):
 
     from repro.bench.workloads import chaos_transfer
 
-    _tb, _plane, xfer = chaos_transfer(nbytes, 42, substrate=substrate,
-                                       ncores=cores, link={"drop": 0.1})
+    _tb, _plane, xfer = chaos_transfer(
+        nbytes, 42, substrate=substrate, ncores=cores,
+        faults=[{"site": "link", "target": "link", "drop": 0.1}])
     return (hashlib.sha256(xfer.got).hexdigest(),
             xfer.client.congestion_digest(), xfer.server.congestion_digest())
 

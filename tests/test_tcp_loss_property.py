@@ -1,7 +1,7 @@
 """Randomized loss/reorder testing of TCP (seeded, deterministic).
 
 Loss is injected through the FaultPlane link seam
-(:meth:`repro.sim.faults.FaultPlane.impair_link`) rather than by
+(:class:`repro.sim.faults.LinkImpairment`) rather than by
 monkeypatching ``link.send`` — the drop schedule is a pure function of
 the plane seed and the frame sequence, so every seed reproduces its
 loss pattern exactly.
@@ -21,8 +21,9 @@ def run_lossy_transfer(seed: int, loss_rate: float, nbytes: int,
     retransmissions arriving at the fully backed-off cadence
     (MAX_RTO_BACKOFF * rto_us) several times over: the reply's ack may
     have been lost."""
-    _tb, plane, xfer = chaos_transfer(nbytes, seed, link={"drop": loss_rate},
-                                      mode="ash" if use_ash else None)
+    _tb, plane, xfer = chaos_transfer(
+        nbytes, seed, mode="ash" if use_ash else None,
+        faults=[{"site": "link", "target": "link", "drop": loss_rate}])
     assert plane.total("drop") > 0, "loss pattern never fired"
     return xfer.got
 
@@ -56,5 +57,7 @@ def test_varying_payload_survives_loss(mode):
     import random
 
     for seed in (1, 7):
-        chaos_transfer(40_000, seed, mode=mode, link={"drop": 0.06},
+        chaos_transfer(40_000, seed, mode=mode,
+                       faults=[{"site": "link", "target": "link",
+                                "drop": 0.06}],
                        data=random.Random(seed).randbytes(40_000))

@@ -179,8 +179,9 @@ def test_reassembly_refuses_beyond_limit_without_reneging():
 # -- end-to-end under FaultPlane schedules ----------------------------------
 
 def _lossy_run(substrate, seed, nbytes=40_000, **impair):
-    _tb, _plane, xfer = chaos_transfer(nbytes, seed, substrate=substrate,
-                                       link=impair)
+    _tb, _plane, xfer = chaos_transfer(
+        nbytes, seed, substrate=substrate,
+        faults=[{"site": "link", "target": "link", **impair}])
     return xfer.client, xfer.server
 
 

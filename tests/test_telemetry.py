@@ -219,20 +219,14 @@ class TestAshCycleAccounting:
             node.telemetry.enable()
         sk = tb.server_kernel
         flow = am_flow(tb)
-        ash_id, cli_ep = flow.ash_id, flow.cli_ep
 
         def client(proc):
             for _ in range(3):
-                yield from tb.client_kernel.sys_net_send(
-                    proc, tb.client_nic,
-                    Frame((1).to_bytes(4, "little"), vci=CLIENT_TO_SERVER_VCI),
-                )
-                desc = yield from tb.client_kernel.sys_recv_poll(proc, cli_ep)
-                yield from tb.client_kernel.sys_replenish(proc, cli_ep, desc)
+                yield from flow.request(proc)
 
         tb.client_kernel.spawn_process("client", client)
         tb.run()
-        return tb, sk, ash_id
+        return tb, sk, flow.ash_id
 
     def test_budget_account_and_stats(self):
         tb, sk, ash_id = self._run_increment()

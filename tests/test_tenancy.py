@@ -108,8 +108,8 @@ def test_token_bucket_clips_oversized_frames_pre_dma():
     manager.create("mallory", burst_bytes=2048, bytes_per_round=8192)
     ep = sk.create_endpoint_an2(tb.server_nic, 30, tenant="mallory")
     plane = tb.attach_fault_plane(seed=7)
-    plane.flood_tenant(tb.server_nic, 30, frame_bytes=4000, count=10,
-                       start_us=10.0, gap_us=20.0)
+    plane.install("tenant_flood", "server_nic", vci=30, frame_bytes=4000,
+                  count=10, start_us=10.0, gap_us=20.0)
     tb.run()
     mal = manager.stats()["tenants"]["mallory"]
     # a frame larger than the burst is mathematically never admissible
