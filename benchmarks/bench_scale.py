@@ -68,6 +68,14 @@ FLOW_KINDS = ("udp", "tcp", "ash")
 #: bury the multicore scaling signal under serial start-up time).
 STAGGER_CYCLES = 173
 
+#: and pair i starts ``i`` picoseconds behind that: every pair has its
+#: own offset.  Pairs i and i + 7 would otherwise run in lockstep and
+#: meet on every tick, so that each same-tick tie the engine resolves
+#: by order (a pass-through, an inline wake-up, a charge that runs on
+#: into the next) would be decided by which pairs coincide, not by
+#: what one pair does
+PAIR_SKEW_PS = 1
+
 #: overflow-spill budget for the largest configuration (satellite of
 #: the SMP issue): with the calendar queue's bucket width auto-sized
 #: from the timer horizon, TCP retransmit timers land in the wheel
@@ -119,7 +127,7 @@ class ScaleWorld:
         self.finish_ps = max(self.finish_ps, self.engine.now)
 
     def _stagger_ps(self, i: int, j: int) -> int:
-        return (j + 1 + i % 7) * STAGGER_CYCLES * CYCLE_PS
+        return (j + 1 + i % 7) * STAGGER_CYCLES * CYCLE_PS + i * PAIR_SKEW_PS
 
     def _vcis(self, j: int) -> tuple[int, int]:
         """(client->server, server->client) circuit pair for flow j, as
