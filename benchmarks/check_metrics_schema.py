@@ -168,10 +168,7 @@ KNOWN_METRICS = {
     "flow.goodput_bytes": "counters",
     "flow.tx_segments": "counters",
     "flow.rx_segments": "counters",
-    "flow.losses": "counters",
     "flow.retransmits": "counters",
-    "flow.aborts": "counters",
-    "flow.recoveries": "counters",
     "slo.violations": "counters",
     # live-operations plane: versioned installs + canary rollouts
     # (ash/system.py install_version, ash/liveops.py RolloutController)

@@ -378,8 +378,10 @@ class AshSystem:
         # remove all software checks" — and vice versa)
         invoke_us = cal.ash_invoke_us
         uses_timer = entry.budget is BudgetPolicy.TIMER
+        clear = ()      # disarming the abort timer: the run's last charge
         if uses_timer:
             invoke_us += cal.ash_timer_setup_us
+            clear = (cal.us_to_cycles(cal.ash_timer_clear_us),)
         yield from cpu.exec_us(invoke_us, PRIO_INTERRUPT)
         if kernel.crashed:
             # crash landed during sandbox entry: the entry table (and
@@ -436,9 +438,9 @@ class AshSystem:
             entry.account.charge(burnt)
             if tenants is not None:
                 tenants.note_abort(ep, burnt)
-            yield from cpu.exec(burnt, PRIO_INTERRUPT)
-            if uses_timer:
-                yield from cpu.exec_us(cal.ash_timer_clear_us, PRIO_INTERRUPT)
+            yield from cpu.run([(burnt, PRIO_INTERRUPT, False)]
+                               + [(cycles, PRIO_INTERRUPT, False)
+                                  for cycles in clear])
             if tel.enabled:
                 tel.counter("ash.involuntary_aborts",
                             handler=handler_name).inc()
@@ -455,10 +457,8 @@ class AshSystem:
             desc.ash_aborted = not kernel.crashed
             return False
 
-        yield from kernel.charge_with_sends(result, pending, PRIO_INTERRUPT,
-                                            cpu=cpu)
-        if uses_timer:
-            yield from cpu.exec_us(cal.ash_timer_clear_us, PRIO_INTERRUPT)
+        yield from kernel.charge_with_sends(cpu, result, pending,
+                                            PRIO_INTERRUPT, *clear)
         remaining = entry.account.charge(result.cycles)
         if tenants is not None:
             tenants.note_success(ep, result.cycles)

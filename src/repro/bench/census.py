@@ -2,13 +2,14 @@
 
     PYTHONPATH=src python -m repro.bench.census                 # pingpong_small
     PYTHONPATH=src python -m repro.bench.census planes_chaos --seed 2
+    PYTHONPATH=src python -m repro.bench.census paper_tables
 
 Every engine event is a timer firing, a callback, or a process being
 resumed — and a process is resumed because it suspended.  The census
-watches :meth:`Engine._send_step` from outside (no hook in the engine):
-each time a process comes to rest it walks the ``yield from`` chain to
-the innermost generator and books the wait there, as ``file:line
-function``, with what was waited on and how:
+watches :meth:`Engine._send_step` and :meth:`Cpu.continue_hold` from
+outside (no hook in either): each time a process comes to rest it walks
+the ``yield from`` chain to the innermost generator and books the wait
+there, as ``file:line function``, with what was waited on and how:
 
 ``pending``
     the target had not triggered: a real wait.  On a ``Timeout`` that is
@@ -23,6 +24,10 @@ function``, with what was waited on and how:
     the entry is booked as ``stats()["requeued"]`` instead -- how many
     ticks two nodes happen to share differs from seed to seed, what
     ``fired`` counts does not.
+``continued``
+    the process's CPU hold came to the end of one charge segment and was
+    carried on into the next, on the same timer: one event (the timer
+    firing), no wake-up.  Booked where the process rests, on the timer.
 
 A wait that never comes to rest is not listed: a pass-through the
 caller did not yield (:meth:`Engine.passes`) costs nothing at all, a
@@ -32,8 +37,11 @@ Resumes by ``throw`` (interrupts, failed events) bypass ``_send_step``
 and are not counted either.
 
 The worlds are the benchmark's (``benchmarks/perf/worlds.py``, loaded by
-path, untimed); ``tests/test_exit_matrix.py`` pins the same census for
-one warm delivery on an idle node (``SITE_BUDGET``).
+path, untimed), and ``paper_tables`` runs its table drivers as the
+benchmark does (``benchmarks/perf/child.py``): frames and events are
+summed over the worlds the drivers build.  ``tests/test_exit_matrix.py``
+pins the same census for one warm delivery on an idle node
+(``SITE_BUDGET``).
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ import os
 import sys
 from collections import Counter
 
+from ..hw.cpu import Cpu
 from ..sim.engine import Engine, Event
 
 __all__ = ["YieldCensus", "yield_site", "main"]
@@ -51,14 +60,23 @@ __all__ = ["YieldCensus", "yield_site", "main"]
 _SRC = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
 PERF_DIR = os.path.join(os.path.dirname(_SRC), "benchmarks", "perf")
-WORLDS = ("pingpong_small", "bulk_stream", "scale_smp", "planes_chaos")
+_CHARGE = Cpu.run.__code__
+
+WORLDS = ("pingpong_small", "bulk_stream", "scale_smp", "planes_chaos",
+          "paper_tables")
 
 
 def yield_site(gen) -> tuple[str, int, str]:
     """``(file, line, function)`` of the innermost generator a suspended
-    process generator is stopped in."""
-    while getattr(gen.gi_yieldfrom, "gi_frame", None) is not None:
-        gen = gen.gi_yieldfrom
+    process generator is stopped in — or, when that is a CPU charge
+    (:meth:`Cpu.run`, which every charge is), of the one that handed the
+    charge over: the charge site, not the charging machinery."""
+    while True:
+        inner = gen.gi_yieldfrom
+        if getattr(inner, "gi_frame", None) is None \
+                or inner.gi_code is _CHARGE:
+            break
+        gen = inner
     code = gen.gi_code
     return (code.co_filename, gen.gi_frame.f_lineno,
             getattr(code, "co_qualname", code.co_name))
@@ -74,6 +92,7 @@ def _target_kind(target: Event) -> str:
 #: the classes ``YieldCensus.remainder`` sorts every wait into
 _REMAINDER = {
     "timer": "timer waits (two events each: the timer, the wake-up)",
+    "continued": "charges carried on at a segment end (one event each)",
     "blocked": "lock / gate waits that really block",
     "tie": "pass-throughs that tie with a same-tick sibling",
     "other": "every other wait (channels, joins, any_of)",
@@ -82,28 +101,41 @@ _REMAINDER = {
 
 class YieldCensus:
     """Context manager: while open, every engine's ``_send_step`` books
-    where the process it advanced came to rest."""
+    where the process it advanced came to rest, and every CPU's
+    ``continue_hold`` the holds it carried on."""
 
     def __init__(self) -> None:
-        #: (file, line, function, target kind, "pending" | "hop") -> waits
+        #: (file, line, function, target kind, "pending" | "hop" |
+        #: "continued") -> waits
         self.waits: Counter = Counter()
 
     def __enter__(self) -> "YieldCensus":
-        original = self._original = Engine._send_step
+        send_step = self._send_step = Engine._send_step
+        continue_hold = self._continue_hold = Cpu.continue_hold
         waits = self.waits
 
-        def send_step(engine, proc, value):
-            original(engine, proc, value)
+        def booking_send_step(engine, proc, value):
+            send_step(engine, proc, value)
             target = proc._waiting_on
             if proc._state == Event._PENDING and target is not None:
                 how = "pending" if target._state == Event._PENDING else "hop"
                 waits[(*yield_site(proc.gen), _target_kind(target), how)] += 1
 
-        Engine._send_step = send_step
+        def booking_continue_hold(cpu):
+            if not continue_hold(cpu):
+                return False
+            # the one waiting on the hold's timer: a process's resume
+            proc = cpu._timer._callbacks[0].__self__
+            waits[(*yield_site(proc.gen), "Timeout", "continued")] += 1
+            return True
+
+        Engine._send_step = booking_send_step
+        Cpu.continue_hold = booking_continue_hold
         return self
 
     def __exit__(self, *exc) -> None:
-        Engine._send_step = self._original
+        Engine._send_step = self._send_step
+        Cpu.continue_hold = self._continue_hold
 
     def by_function(self) -> dict[tuple[str, str, str], int]:
         """Waits keyed ``(function, target kind, how)``: stable under
@@ -116,13 +148,13 @@ class YieldCensus:
     def format(self, frames: int) -> str:
         """The table, busiest site first, in waits per received frame."""
         rows = sorted(self.waits.items(), key=lambda kv: (-kv[1], kv[0]))
-        lines = [f"{'waits':>8s} {'/frame':>7s}  {'how':7s}  "
+        lines = [f"{'waits':>8s} {'/frame':>7s}  {'how':9s}  "
                  f"{'target':14s}  site"]
         for (path, line, function, kind, how), n in rows:
             where = os.path.relpath(path, os.path.join(_SRC, "repro"))
             if where.startswith(".."):
                 where = os.path.relpath(path)
-            lines.append(f"{n:8d} {n / frames:7.2f}  {how:7s}  {kind:14s}  "
+            lines.append(f"{n:8d} {n / frames:7.2f}  {how:9s}  {kind:14s}  "
                          f"{where}:{line} {function}")
         return "\n".join(lines)
 
@@ -130,7 +162,9 @@ class YieldCensus:
         """What a further cut has to go after, per received frame."""
         groups = {label: Counter() for label in _REMAINDER}
         for (_f, _l, function, kind, how), n in self.waits.items():
-            if kind == "Timeout":
+            if how == "continued":
+                label = "continued"
+            elif kind == "Timeout":
                 label = "timer"
             elif kind == "Event:done":
                 label = "tie"
@@ -151,12 +185,16 @@ class YieldCensus:
         return "\n".join(lines)
 
 
-def run_perf_world(name: str, seed: int):
-    """Build and run one of the benchmark's worlds under the census;
-    returns ``(census, world)``."""
+def _perf_worlds():
     if PERF_DIR not in sys.path:
         sys.path.insert(0, PERF_DIR)
-    worlds = importlib.import_module("worlds")
+    return importlib.import_module("worlds")
+
+
+def run_perf_world(name: str, seed: int):
+    """Build and run one of the benchmark's worlds under the census;
+    returns ``(census, frames received, engine stats)``."""
+    worlds = _perf_worlds()
     inputs = worlds.generate_inputs(name, seed)
     with YieldCensus() as census:
         world = worlds.BUILDERS[name](inputs)
@@ -166,14 +204,59 @@ def run_perf_world(name: str, seed: int):
     if failed:
         raise SystemExit(f"{name}: {failed}/{attempted} operations failed "
                          f"under the census: {notes}")
-    return census, world
+    return census, world.packets(), world.engine.stats()
+
+
+def run_paper_tables():
+    """Run the table drivers ``paper_tables`` times under the census
+    (the seed does not enter them); returns ``(census, frames received,
+    engine stats)`` summed over every world they build.  Engines and
+    kernels are seen through ``Engine.run`` and ``Kernel.__init__`` and
+    held weakly, as ``benchmarks/perf/child.py`` does: the drivers build
+    and discard some sixty worlds."""
+    import weakref
+
+    from ..kernel.kernel import Kernel
+
+    runners, _cells = _perf_worlds().load_paper_drivers(
+        os.path.dirname(PERF_DIR))
+    kernels = weakref.WeakSet()
+    engines = weakref.WeakKeyDictionary()   #: engine -> key into ``last``
+    last: dict[int, tuple[dict, int]] = {}  #: key -> (stats, frames)
+    boot, engine_run = Kernel.__init__, Engine.run
+
+    def recording_boot(self, *args, **kwargs):
+        boot(self, *args, **kwargs)
+        kernels.add(self)
+
+    def recording_run(self, *args, **kwargs):
+        try:
+            return engine_run(self, *args, **kwargs)
+        finally:
+            frames = sum(nic.rx_frames for kernel in list(kernels)
+                         if kernel.engine is self
+                         for nic in kernel.node.nics.values())
+            last[engines.setdefault(self, len(last))] = (self.stats(),
+                                                         frames)
+
+    Kernel.__init__, Engine.run = recording_boot, recording_run
+    try:
+        with YieldCensus() as census:
+            for runner in runners:
+                runner()
+    finally:
+        Kernel.__init__, Engine.run = boot, engine_run
+    stats = {key: sum(s[key] for s, _ in last.values())
+             for key in ("fired", "inlined", "requeued")}
+    return census, sum(frames for _, frames in last.values()), stats
 
 
 def report(name: str, seed: int) -> str:
-    census, world = run_perf_world(name, seed)
-    frames = world.packets()
-    stats = world.engine.stats()
-    waits = sum(census.waits.values())
+    census, frames, stats = (run_paper_tables() if name == "paper_tables"
+                             else run_perf_world(name, seed))
+    continued = sum(n for key, n in census.waits.items()
+                    if key[-1] == "continued")
+    waits = sum(census.waits.values()) - continued
     return "\n".join([
         f"{name} (seed {seed}): {frames} frames received, "
         f"{stats['fired']} events fired = {stats['fired'] / frames:.2f} "
@@ -182,7 +265,9 @@ def report(name: str, seed: int) -> str:
         f"{len(census.waits)} sites; {stats['inlined'] / frames:.2f} "
         f"resumes per frame ran inline (counted, never queued), "
         f"{stats['requeued'] / frames:.2f} were re-queued behind a "
-        f"same-tick sibling (queued, not counted)",
+        f"same-tick sibling (queued, not counted), "
+        f"{continued / frames:.2f} charges were carried on at a segment "
+        f"end (one event, no wake-up)",
         "",
         census.format(frames),
         "",

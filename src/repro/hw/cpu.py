@@ -2,40 +2,64 @@
 
 Everything that consumes processor time — kernel interrupt handlers,
 ASH execution, protocol library code, application computation — runs by
-holding the CPU and advancing virtual time with
-:meth:`Cpu.exec`.  The CPU is a priority lock: device interrupts
-(priority 0) get the processor ahead of kernel work (5) ahead of user
-code (10).  The holder is preempted only at *charge-quantum* boundaries
-(default 200 cycles = 5 µs), modelling interrupt delivery at instruction
-granularity without per-instruction event overhead.
+holding the CPU and advancing virtual time with :meth:`Cpu.run` (one
+segment: :meth:`Cpu.exec`, ``Process.compute``).  The CPU is a priority
+lock: device interrupts (priority 0) get the processor ahead of kernel
+work (5) ahead of user code (10).  The holder is preempted only at
+*charge-quantum* boundaries (default 200 cycles = 5 µs), modelling
+interrupt delivery at instruction granularity without per-instruction
+event overhead.
 
-A charge is one *hold*: one timer for all of it, however many quanta
-long.  Nobody wakes at the boundaries to look for waiters; instead the
-lock (and, for gated user computation, the process gate) tells the open
-hold when someone the holder yields to shows up, and the hold is cut
-back to its next boundary — see :meth:`Cpu.cut`.
+A run of charges is one *hold*: one timer for all of it, however many
+quanta long and however many back-to-back segments.  Nobody wakes at the
+quantum boundaries to look for waiters; instead the lock (and, for gated
+user computation, the process gate) tells the open hold when someone the
+holder yields to shows up, and the hold is cut back to its next boundary
+— see :meth:`Cpu.cut`.  Nobody wakes at a segment's end either when no
+one could tell: the engine hands the due timer to
+:meth:`Cpu.continue_hold`, which re-arms it for the next segment on the
+same tick, and the holder wakes only where today's path would have
+found something to do there.
 
-``exec`` is a generator: call it as ``yield from cpu.exec(cycles)``
-from inside a simulation process.  It asks the lock every time but
-yields the grant only when it has to wait for it — or for a sibling due
-at the same tick (:meth:`repro.sim.engine.Engine.passes`): an
-uncontended charge is one timer and one wake-up, nothing else.
+``exec`` and ``run`` are generators: call them as ``yield from
+cpu.exec(cycles)`` from inside a simulation process.  They ask the lock
+every time but yield the grant only when they have to wait for it — or
+for a sibling due at the same tick
+(:meth:`repro.sim.engine.Engine.passes`): an uncontended charge is one
+timer and one wake-up, nothing else.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+import operator
+from typing import Generator, Iterable, Iterator, Optional, TYPE_CHECKING
 
 from ..sim.engine import Engine, Event, Timeout
-from ..sim.queues import Gate, PriorityLock
+from ..sim.queues import PriorityLock
 from ..sim.units import CYCLE_PS
 from .calibration import Calibration, PRIO_USER
 
-__all__ = ["Cpu", "YIELD_TO_ANY"]
+if TYPE_CHECKING:  # pragma: no cover
+    from ..kernel.process import Process
+
+__all__ = ["Cpu", "YIELD_TO_ANY", "Segment"]
 
 #: ``yield_below`` bound of a hold that gives way to every waiter,
 #: whatever its priority (gated user computation)
 YIELD_TO_ANY = float("inf")
+
+#: one charge of a run: ``(cycles, prio, gated)``.  A gated segment runs
+#: only while its process is scheduled: at user priority it is
+#: ``Process.compute`` (it waits for the gate before every pass, gives
+#: way to every waiter and to the gate shutting, and is booked as the
+#: process's user time); at any other it is a kernel crossing, which
+#: waits for the gate once, on entry, and then runs as ``exec`` does
+Segment = tuple[int, int, bool]
+
+
+#: what a run keeps of its segments: those that charge anything (a
+#: zero-cycle segment is no charge at all: no gate, no lock)
+_CHARGES = operator.itemgetter(0)
 
 
 class Cpu:
@@ -60,40 +84,79 @@ class Cpu:
         # -- the open hold (at most one: the lock serialises holders) --
         self._timer: Optional[Timeout] = None
         self._start = 0          # tick the hold began
-        self._end_at = 0         # tick its timer is set for
-        self._gate: Optional[Gate] = None
+        self._end_at = 0         # tick its timer is set for (if registered)
+        self._gate = None        # the gate it is registered on
+        self._user = None        # user work: the process whose time it is
+        self._ustart = 0         # and the tick it asked for the CPU
+        # -- while a segment is lined up behind it: the rest of the run --
+        self._next: Optional[Segment] = None  # that segment
+        self._rest: Optional[Iterator[Segment]] = None  # the ones after it
+        self._proc: Optional["Process"] = None  # whose gate gated ones wait on
         #: waiters more urgent than this cut the open hold (read by the
         #: lock; only meaningful while the hold is registered there)
         self.yield_below = 0
 
     # -- the hold primitive -------------------------------------------------
-    def begin_hold(self, cycles: int, yield_below: float,
-                   gate: Optional[Gate] = None) -> Timeout:
-        """Open a hold of up to ``cycles`` on the CPU the caller has just
-        acquired; returns the timer to wait on.  Follow with :meth:`end_hold`.
+    def begin_hold(self, seg: Segment, cycles: int,
+                   nxt: Optional[Segment], rest: Iterator[Segment],
+                   proc: Optional["Process"], ustart: int) -> Timeout:
+        """Open a hold of up to ``cycles`` of segment ``seg`` on the CPU
+        the caller has just acquired (having asked for it at ``ustart``);
+        returns the timer to wait on.  Follow with :meth:`end_hold`.
 
         The timer covers the whole charge and the hold is registered on
-        the lock (and ``gate``) so :meth:`cut` can shorten it — unless it
-        fits in one quantum anyway, or someone the holder yields to is
-        queued already (or ``gate`` is shut), in which case the holder
-        takes its one quantum and then gives way.
+        the lock (and, for user work, ``proc``'s gate) so :meth:`cut` can
+        shorten it — unless it fits in one quantum anyway, or someone the
+        holder yields to is queued already (or the gate is shut), in
+        which case the holder takes its one quantum and then gives way.
+        ``nxt`` is the segment lined up behind this one and ``rest`` the
+        iterator over the ones after it.  While there is one and the
+        timer runs to the end of ``seg`` (and is not cut), it names this
+        CPU as its hold, so that :meth:`continue_hold` can carry the hold
+        on into ``nxt``.  That re-arms the same timer, with ``(segment,
+        next segment)`` as the value the holder wakes to.
         """
         engine = self.engine
-        self._start = engine._now
+        self._start = now = engine._now
         if cycles > self._quantum:
+            prio = seg[1]
+            gate = None
+            if seg[2] and prio == PRIO_USER:
+                gate = proc.gate
+                prio = YIELD_TO_ANY
             waiters = self.lock._waiters
-            if (waiters and waiters[0][0] < yield_below) or (
+            if (waiters and waiters[0][0] < prio) or (
                 gate is not None and not gate._open
             ):
                 cycles = self._quantum
+                nxt = None      # it gives way at the end of that quantum
             else:
-                self.yield_below = yield_below
-                self._end_at = engine._now + cycles * CYCLE_PS
+                self._end_at = now + cycles * CYCLE_PS
+                self.yield_below = prio
                 self.lock.hold = self
                 if gate is not None:
                     self._gate = gate
                     gate.hold = self
-        self._timer = timer = Timeout(engine, cycles * CYCLE_PS)
+        if seg[2] and seg[1] == PRIO_USER:
+            self._user = proc
+            self._ustart = ustart
+        timer = self._timer
+        if timer is None:
+            self._timer = timer = Timeout(engine, cycles * CYCLE_PS)
+            if nxt is None:
+                return timer
+        else:
+            # carried on from the segment before: the holder, when it
+            # wakes, finds out where it is from the timer's value
+            timer.delay = ticks = cycles * CYCLE_PS
+            timer._entry = engine._schedule(now + ticks, timer, (seg, nxt))
+            if nxt is None:
+                timer.hold = None
+                return timer
+        self._next = nxt
+        self._rest = rest
+        self._proc = proc
+        timer.hold = self
         return timer
 
     def cut(self) -> None:
@@ -108,13 +171,55 @@ class Cpu:
         # (once the timer has fired, now == _end_at: nothing left to cut)
         if at < self._end_at:
             self._end_at = at
-            self._timer.reschedule(at)
+            timer = self._timer
+            timer.hold = None   # it ends short of its segment: the holder wakes
+            timer.reschedule(at)
+
+    def continue_hold(self) -> bool:
+        """The open hold's timer is due and a segment is lined up behind
+        it: carry the hold on into that segment, re-arming the same timer
+        on this tick without waking the holder, if nobody could tell.
+
+        That is the case only when all of these hold — otherwise the
+        holder wakes and takes the next segment from the top, as it
+        would: the timer ran to the end of its segment (it was neither
+        cut nor clipped to a quantum, or it would not name this CPU);
+        nothing else is due at this tick
+        (:meth:`Engine.alone`); nobody waits for the lock; the next
+        segment's gate is open, if it waits on one; and no contention
+        injector is installed (it draws a burst at each segment's
+        start).  The holder would then settle the segment, release the
+        lock, pass through the gate and the lock again and open the next
+        hold, all on this tick with nothing in between: this does the
+        same, bar the wake-up.  True when it did.
+
+        Where the tie alone stands in the way, the holder's wake-up is a
+        queue hop behind a same-tick sibling and is booked as one
+        (``Engine._book_requeue``): which ticks coincide is the
+        schedule's accident, so ``fired`` does not say it.
+        """
+        nxt = self._next
+        engine = self.engine
+        if (self.lock._waiters or self.contention is not None
+                or nxt[0] < 0 or (nxt[2] and not self._proc.gate._open)):
+            return False
+        if not engine.alone():
+            engine._book_requeue()
+            return False
+        timer = self._timer
+        self.end_hold()
+        self._timer = timer
+        rest = self._rest
+        self.begin_hold(nxt, nxt[0], next(rest, None), rest, self._proc,
+                        engine._now)
+        return True
 
     def end_hold(self) -> int:
         """Close the hold: settle the ledger from elapsed time and return
-        the cycles charged.  A holder thrown out before its timer fired
-        (an ``Interrupt``) is charged the whole quanta it completed, and
-        the timer is withdrawn.
+        the cycles charged (to the segment it was opened for, or the one
+        it was carried on into: see :meth:`begin_hold`).  A holder thrown
+        out before its timer came due (an ``Interrupt``) is charged the
+        whole quanta it completed, and the timer is withdrawn.
         """
         timer = self._timer
         self._timer = None
@@ -125,71 +230,123 @@ class Cpu:
             if gate is not None:
                 gate.hold = self._gate = None
         elapsed = self.engine._now - self._start
-        if not timer._state:
+        if timer._entry[2] is not None:     # still queued
             timer.cancel()
             elapsed -= elapsed % self._quantum_ticks
         self._busy_ticks += elapsed
         cycles = elapsed // CYCLE_PS
         self._cycles_charged += cycles
+        user = self._user
+        if user is not None:
+            self._user = None
+            if cycles:
+                # waiting for the CPU counts once the wait bought a
+                # completed quantum (an interrupted first one leaves no
+                # trace)
+                user.user_ticks += self._start - self._ustart + elapsed
         return cycles
 
     # -- core execution primitive -----------------------------------------
+    def run(self, segments: Iterable[Segment],
+            proc: Optional["Process"] = None) -> Generator[Event, None, None]:
+        """Charge ``segments`` back to back, each as :data:`Segment`
+        says; ``proc`` is the process gated ones belong to.
+
+        Each segment is one hold; when a waiter the holder yields to
+        queues, the hold is cut to its next quantum boundary and the CPU
+        yielded there (then re-acquired), so an interrupt arriving
+        mid-computation is served within one quantum.  Where nothing can
+        tell, one hold runs on into the next segment without a wake-up
+        (:meth:`continue_hold`): the segments must follow each other with
+        no code in between, which is what handing them over together
+        says.  ``segments`` may be endless (``Process.spin``).
+        """
+        engine = self.engine
+        lock = self.lock
+        # ``not engine.passes(ev)``, spelled out below as ``ev is not
+        # engine._done or engine._queue.peek_at() == engine._now``: one
+        # frame less per charge
+        rest = filter(_CHARGES, segments)
+        seg = next(rest, None)
+        if seg is None:
+            return
+        nxt = next(rest, None)
+        cycles = seg[0]
+        fresh = True        # nothing of ``seg`` charged yet
+        while True:
+            if fresh:
+                if cycles < 0:
+                    raise ValueError(f"negative cycle charge: {cycles}")
+                if seg[2]:
+                    scheduled = proc.gate.wait()
+                    if (scheduled is not engine._done
+                            or engine._queue.peek_at() == engine._now):
+                        yield scheduled
+            elif seg[2] and seg[1] == PRIO_USER:
+                scheduled = proc.gate.wait()
+                if (scheduled is not engine._done
+                        or engine._queue.peek_at() == engine._now):
+                    yield scheduled
+            ustart = engine._now
+            granted = lock.acquire(seg[1])
+            if (granted is not engine._done
+                    or engine._queue.peek_at() == engine._now):
+                yield granted
+            try:
+                if fresh and self.contention is not None and not (
+                        seg[2] and seg[1] == PRIO_USER):
+                    stolen = self.contention.steal()
+                    if stolen:
+                        # foreign work holds the CPU first: wall-clock
+                        # stretches, but none of it counts toward
+                        # ``cycles``
+                        yield Timeout(engine, stolen * CYCLE_PS)
+                        self.contention_cycles += stolen
+                while True:
+                    timer = self.begin_hold(seg, cycles, nxt, rest, proc,
+                                            ustart)
+                    try:
+                        moved = yield timer
+                    finally:
+                        charged = self.end_hold()
+                    if moved is not None:   # carried on into later segments
+                        seg, nxt = moved
+                        cycles = seg[0]
+                    cycles -= charged
+                    # done, or cut: user work always gives way (and waits
+                    # for its gate again), other work only to a more
+                    # urgent waiter
+                    if not cycles or (seg[2] and seg[1] == PRIO_USER) or (
+                            lock._waiters and lock._waiters[0][0] < seg[1]):
+                        break
+            finally:
+                lock.release()
+            if cycles:
+                fresh = False
+            elif nxt is None:
+                return
+            else:
+                seg, cycles, fresh = nxt, nxt[0], True
+                nxt = next(rest, None)
+
     def exec(
         self,
         cycles: int,
         prio: int = PRIO_USER,
     ) -> Generator[Event, None, None]:
-        """Hold the CPU for ``cycles`` cycles at priority ``prio``.
-
-        The charge is one hold; when a *more urgent* waiter queues, the
-        hold is cut to its next quantum boundary and the CPU yielded
-        there (then re-acquired), so an interrupt arriving
-        mid-computation is served within one quantum.
-        """
-        cycles = int(cycles)
-        if cycles < 0:
-            raise ValueError(f"negative cycle charge: {cycles}")
-        if cycles == 0:
-            return
-        lock = self.lock
-        waiters = lock._waiters
-        passes = self.engine.passes
-        granted = lock.acquire(prio)
-        if not passes(granted):
-            yield granted
-        try:
-            injector = self.contention
-            if injector is not None:
-                stolen = injector.steal()
-                if stolen:
-                    # foreign work holds the CPU first: wall-clock
-                    # stretches, but none of it counts toward ``cycles``
-                    yield Timeout(self.engine, stolen * CYCLE_PS)
-                    self.contention_cycles += stolen
-            while True:
-                timer = self.begin_hold(cycles, prio)
-                try:
-                    yield timer
-                finally:
-                    cycles -= self.end_hold()
-                if cycles <= 0:
-                    break
-                if waiters and waiters[0][0] < prio:
-                    lock.release()
-                    granted = lock.acquire(prio)
-                    if not passes(granted):
-                        yield granted
-        finally:
-            lock.release()
+        """Hold the CPU for ``cycles`` cycles at priority ``prio``: a run
+        of one ungated segment (a plain function handing back
+        :meth:`run`'s generator: a resume crosses no frame of its own)."""
+        return self.run(((int(cycles), prio, False),))
 
     # -- convenience wrappers -------------------------------------------------
     def exec_us(
         self, usec: float, prio: int = PRIO_USER
     ) -> Generator[Event, None, None]:
         """Hold the CPU for a duration expressed in microseconds (a
-        plain function handing back :meth:`exec`'s generator: a resume
+        plain function handing back :meth:`run`'s generator: a resume
         crosses no frame of its own)."""
-        return self.exec(self.cal.us_to_cycles(usec), prio)
+        return self.run(((self.cal.us_to_cycles(usec), prio, False),))
 
     # -- the ledger -------------------------------------------------------------
     def _open_quanta_ticks(self) -> int:

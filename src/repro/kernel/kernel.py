@@ -368,12 +368,19 @@ class Kernel(SyscallInterface):
     def kernel_send(self, nic: Nic, frame: Frame, cpu=None) -> Generator:
         """The in-kernel transmit path (descriptor writes + doorbell).
 
-        ``cpu`` is the core doing the work (a syscall charges the
-        calling process's core); defaults to core 0.
+        ``cpu`` is the core doing the work; defaults to core 0.  (A
+        syscall charges the writes to the calling process's core in the
+        run that enters the kernel, ``sys_net_send``, then rings the
+        doorbell with :meth:`transmit`.)
         """
         if cpu is None:
             cpu = self.node.cpu
         yield from cpu.exec_us(nic.kernel_send_us, PRIO_KERNEL)
+        self.transmit(nic, frame)
+
+    def transmit(self, nic: Nic, frame: Frame) -> None:
+        """Ring the doorbell: the end of the transmit path, once its
+        descriptor writes are charged."""
         nic.transmit(frame)
         span = self.telemetry.spans.active
         if span is not None:
@@ -687,14 +694,14 @@ class Kernel(SyscallInterface):
 
     # -- shared handler accounting -----------------------------------------
     def charge_with_sends(
-        self, result: VmResult, pending: list[tuple[Nic, Frame]], prio: int,
-        cpu=None,
+        self, cpu, result: VmResult, pending: list[tuple[Nic, Frame]],
+        prio: int, *then: int,
     ) -> Generator:
-        """Charge a handler's cycles, transmitting its sends at the cycle
-        offsets they occurred (so replies leave the node at the right
-        simulated time).  ``cpu`` is the core the handler ran on."""
-        if cpu is None:
-            cpu = self.node.cpu
+        """Charge a handler's cycles on ``cpu`` (the core it ran on),
+        transmitting its sends at the cycle offsets they occurred (so
+        replies leave the node at the right simulated time); the charges
+        ``then`` (cycles at ``prio``: the exit path) follow its last
+        stretch in the same run."""
         sends = [entry for entry in result.call_log
                  if entry[0] in ("ash_send", "net_send")]
         charged = 0
@@ -705,7 +712,8 @@ class Kernel(SyscallInterface):
             nic.transmit(frame)
             if span is not None:
                 span.stage("nic_tx", self.engine.now)
-        yield from cpu.exec(result.cycles - charged, prio)
+        yield from cpu.run([(result.cycles - charged, prio, False)]
+                           + [(cycles, prio, False) for cycles in then])
 
     # -- introspection ------------------------------------------------------
     def _collect(self, reg) -> None:

@@ -5,7 +5,10 @@ while the scheduler has it scheduled.  The body advances time through
 the process API:
 
 * ``yield from proc.compute_us(x)`` — user-mode computation,
-* ``yield from proc.syscall_enter()/syscall_exit()`` — kernel crossings,
+* ``yield from proc.spin(cycles)`` — user-mode computation that never ends,
+* ``yield from proc.syscall_exit()`` — the crossing back out of the
+  kernel (the way in is a gated kernel segment of the run that enters
+  it: ``SyscallInterface.sys_net_send``),
 * ``yield from proc.block_on(event)`` — leave the run queue until the
   event fires, then wait to be scheduled again,
 * ``yield from proc.poll(channel)`` — spin (scheduled) until an item
@@ -20,13 +23,12 @@ scheduled waits for the scheduler unless an ASH or upcall handles it.
 from __future__ import annotations
 
 import enum
+import itertools
 from typing import Any, Callable, Generator, Optional, TYPE_CHECKING
 
 from ..hw.calibration import PRIO_KERNEL, PRIO_USER
-from ..hw.cpu import YIELD_TO_ANY
 from ..sim.engine import Event
 from ..sim.queues import Channel, Gate
-from ..sim.units import CYCLE_PS
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Kernel
@@ -84,54 +86,37 @@ class Process:
             self.scheduler.on_exit(self)
 
     # -- computation -------------------------------------------------------
-    def compute(self, cycles: int) -> Generator[Event, Any, None]:
-        """Burn user-mode cycles; only advances while scheduled.
+    def compute(self, cycles: int, *then: int) -> Generator[Event, Any, None]:
+        """Burn user-mode cycles; only advances while scheduled.  Several
+        counts are a run of back-to-back charges (no code between them).
 
-        Each pass is one CPU hold (:meth:`Cpu.begin_hold`) for all that
+        A run of charges is one CPU hold (:meth:`Cpu.run`) for all that
         is left, open to every waiter on the CPU and to this process's
         gate: it is cut at the next quantum boundary when anyone queues
         for the CPU or the scheduler ends the slice, and the rest waits
         its turn (and the gate) again.
         """
-        cpu = self.cpu
-        engine = self.engine
-        lock = cpu.lock
-        gate = self.gate
-        passes = engine.passes
-        remaining = int(cycles)
-        while remaining > 0:
-            scheduled = gate.wait()
-            if not passes(scheduled):
-                yield scheduled
-            ustart = engine._now
-            granted = lock.acquire(PRIO_USER)
-            if not passes(granted):
-                yield granted
-            start = engine._now
-            timer = cpu.begin_hold(remaining, YIELD_TO_ANY, gate)
-            try:
-                yield timer
-            finally:
-                charged = cpu.end_hold()
-                lock.release()
-                if charged:
-                    # waiting for the CPU counts once the wait bought
-                    # a completed quantum (an interrupted first one
-                    # leaves no trace)
-                    self.user_ticks += start - ustart + charged * CYCLE_PS
-                remaining -= charged
+        run = [(int(cycles), PRIO_USER, True)]
+        for n in then:
+            run.append((int(n), PRIO_USER, True))
+        return self.cpu.run(run, self)
 
-    def compute_us(self, usec: float) -> Generator[Event, Any, None]:
-        return self.compute(self.cal.us_to_cycles(usec))
+    def compute_us(self, usec: float,
+                   *then: float) -> Generator[Event, Any, None]:
+        to_cycles = self.cal.us_to_cycles
+        run = [(to_cycles(usec), PRIO_USER, True)]
+        for n in then:
+            run.append((to_cycles(n), PRIO_USER, True))
+        return self.cpu.run(run, self)
+
+    def spin(self, cycles: int) -> Generator[Event, Any, None]:
+        """Compute forever, in charges of ``cycles`` (a process that never
+        blocks): an endless run, one hold for as long as nobody else
+        wants the CPU or the slice lasts."""
+        return self.cpu.run(itertools.repeat((int(cycles), PRIO_USER, True)),
+                            self)
 
     # -- kernel interaction ---------------------------------------------------
-    def syscall_enter(self) -> Generator[Event, Any, None]:
-        """Cross into the kernel (charged at kernel priority)."""
-        scheduled = self.gate.wait()
-        if not self.engine.passes(scheduled):
-            yield scheduled
-        yield from self.cpu.exec_us(self.cal.syscall_us, PRIO_KERNEL)
-
     def syscall_exit(self) -> Generator[Event, Any, None]:
         return self.cpu.exec_us(self.cal.syscall_us, PRIO_KERNEL)
 
@@ -148,9 +133,11 @@ class Process:
             yield scheduled
         return value
 
-    def poll(self, channel: Channel) -> Generator[Event, Any, Any]:
+    def poll(self, channel: Channel,
+             *then_us: float) -> Generator[Event, Any, Any]:
         """Poll a channel the way a polling receiver spins on the
-        notification ring.
+        notification ring, then compute ``then_us`` (the receive path
+        that follows the poll check, in the same run).
 
         Modelled event-driven for simulation efficiency: the process
         "discovers" the item one poll-check after it arrives (and only
@@ -163,7 +150,7 @@ class Process:
         ok, item = channel.try_get()
         if not ok:
             item = yield from self.block_on(channel.get())
-        yield from self.compute_us(self.cal.poll_check_us)
+        yield from self.compute_us(self.cal.poll_check_us, *then_us)
         return item
 
     def __repr__(self) -> str:  # pragma: no cover

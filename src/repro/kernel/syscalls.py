@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Generator, TYPE_CHECKING
 
+from ..hw.calibration import PRIO_KERNEL, PRIO_USER
 from ..hw.link import Frame
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -34,19 +35,23 @@ class SyscallInterface:
     def sys_net_send(self, proc: "Process", nic: "Nic", frame: Frame,
                      user_path: bool = True) -> Generator:
         """Full user-level send: buffer allocation, descriptor writes,
-        the send system call, and the kernel transmit path."""
+        the send system call, and the kernel transmit path.  Up to the
+        doorbell that is one run of charges: the user path, the crossing
+        (which waits to be scheduled) and the kernel's descriptor writes."""
+        cal = self.cal
+        run = [(cal.us_to_cycles(cal.syscall_us), PRIO_KERNEL, True),
+               (cal.us_to_cycles(nic.kernel_send_us), PRIO_KERNEL, False)]
         if user_path:
-            yield from proc.compute_us(self.cal.user_send_path_us)
-        yield from proc.syscall_enter()
-        yield from self.kernel_send(nic, frame, cpu=proc.cpu)
+            run.insert(0, (cal.us_to_cycles(cal.user_send_path_us),
+                           PRIO_USER, True))
+        yield from proc.cpu.run(run, proc)
+        self.transmit(nic, frame)
         yield from proc.syscall_exit()
 
     def sys_recv_poll(self, proc: "Process", ep: "Endpoint") -> Generator:
         """Poll the (user-mapped) notification ring until a message is
         available, then pay the user receive path."""
-        desc = yield from proc.poll(ep.ring)
-        yield from proc.compute_us(self.cal.user_recv_path_us)
-        return desc
+        return (yield from proc.poll(ep.ring, self.cal.user_recv_path_us))
 
     def sys_recv_block(self, proc: "Process", ep: "Endpoint") -> Generator:
         """Sleep until a message arrives (the interrupt-driven path)."""

@@ -93,12 +93,14 @@ class UpcallManager:
             handler.faults += 1
             if tel.enabled:
                 tel.counter("upcall.faults", handler=handler.name).inc()
-            yield from cpu.exec(getattr(exc, "cycles", 0), PRIO_INTERRUPT)
-            yield from cpu.exec_us(cal.upcall_return_us, PRIO_INTERRUPT)
+            yield from cpu.run([
+                (getattr(exc, "cycles", 0), PRIO_INTERRUPT, False),
+                (cal.us_to_cycles(cal.upcall_return_us), PRIO_INTERRUPT,
+                 False)])
             return False
-        yield from kernel.charge_with_sends(result, pending, PRIO_INTERRUPT,
-                                            cpu=cpu)
-        yield from cpu.exec_us(cal.upcall_return_us, PRIO_INTERRUPT)
+        yield from kernel.charge_with_sends(
+            cpu, result, pending, PRIO_INTERRUPT,
+            cal.us_to_cycles(cal.upcall_return_us))
         if tel.enabled:
             tel.counter("upcall.cycles_total",
                         handler=handler.name).inc(result.cycles)

@@ -340,7 +340,6 @@ class TcpConnection:
         if self.tel.enabled:
             self.tel.gauge("tcp.cwnd", conn=self.name).set(sh.cwnd)
             self.tel.gauge("tcp.ssthresh", conn=self.name).set(sh.ssthresh)
-            self._flow.recovery()
             self.tel.flight.record(
                 "fast_recovery", now, conn=self.name, cwnd=sh.cwnd,
                 ssthresh=sh.ssthresh, snd_una=sh.snd_una,
@@ -513,6 +512,7 @@ class TcpConnection:
                 if self.tel.enabled:
                     # receiver-side goodput: bytes delivered to the app
                     self._flow.goodput(take)
+                cycles = 0
                 if not self.in_place and self.handler_mode is None:
                     # the read-interface copy into application data
                     # structures (skipped "in place", and when a handler
@@ -526,8 +526,8 @@ class TcpConnection:
                             sh.buf_base, dst,
                             min(take - first, self._app_out.size),
                         )
-                    yield from proc.compute(cycles)
-                yield from proc.compute_us(self.cal.tcp_read_wakeup_us)
+                yield from proc.compute(
+                    cycles, self.cal.us_to_cycles(self.cal.tcp_read_wakeup_us))
                 continue
             if self.peer_fin:
                 break
@@ -593,7 +593,6 @@ class TcpConnection:
         err.tcb_blob = tcb.shared.snapshot()
         if self.tel.enabled:
             now = self.kernel.engine.now
-            self._flow.abort()
             self.tel.flight.record(
                 "protocol_error", now, conn=self.name, where=where,
                 flow=self._flow.label,
@@ -668,18 +667,19 @@ class TcpConnection:
             # of left to fire as a dead event (tombstone churn at scale)
             timeout.cancel()
             item = result[get_ev]
-        if not self.interrupt_driven:
-            # Polling receiver, modelled event-driven (see Process.poll):
-            # discovery happens one poll-check after arrival, while
-            # scheduled.
-            yield from proc.compute_us(self.cal.poll_check_us)
-        if isinstance(item, AshNotification):
-            # data/acks were handled in the kernel; we were only woken.
-            # The handler may have advanced SND_UNA: reconcile.
-            yield from proc.compute_us(2.0)
+        # a polling receiver, modelled event-driven (see Process.poll),
+        # discovers the item one poll-check after arrival, while
+        # scheduled; the receive path follows in the same run.  For an
+        # ASH notification that path is short: data/acks were handled
+        # in the kernel, we were only woken
+        notified = isinstance(item, AshNotification)
+        run = [] if self.interrupt_driven else [self.cal.poll_check_us]
+        run.append(2.0 if notified else self.cal.user_recv_path_us)
+        yield from proc.compute_us(*run)
+        if notified:
+            # the handler may have advanced SND_UNA: reconcile
             self._sync_una(proc.engine.now)
             return True
-        yield from proc.compute_us(self.cal.user_recv_path_us)
         yield from self._process_desc(proc, item)
         return True
 
@@ -732,13 +732,12 @@ class TcpConnection:
                 _, cycles = self.stack.datapath.checksum(
                     ip_addr + Ipv4Header.SIZE, ip_len - Ipv4Header.SIZE
                 )
-                yield from proc.compute(cycles)
-                yield from proc.compute_us(cal.cksum_fixed_us)
+                yield from proc.compute(
+                    cycles, cal.us_to_cycles(cal.cksum_fixed_us))
                 tcp_and_payload = raw[Ipv4Header.SIZE:seg.ip.total_length]
                 if not TcpHeader.verify(seg.ip.src, seg.ip.dst, tcp_and_payload):
                     # corrupt: drop-and-count; the sender's timer recovers
                     tcb.checksum_failures += 1
-                    self._flow.loss()
                     return
 
             yield from self._segment_arrived(proc, seg)
@@ -1003,8 +1002,8 @@ class TcpConnection:
         )
         if self.checksum:
             _, cycles = self.stack.datapath.checksum(stage, len(payload))
-            yield from proc.compute(cycles)
-            yield from proc.compute_us(cal.cksum_fixed_us)
+            yield from proc.compute(
+                cycles, cal.us_to_cycles(cal.cksum_fixed_us))
         header = TcpHeader(
             src_port=tcb.local_port, dst_port=tcb.remote_port,
             seq=seq, ack=sh.rcv_nxt,

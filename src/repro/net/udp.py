@@ -128,8 +128,8 @@ class UdpSocket:
         mem.write(self._staging.base, payload)
         if self.checksum:
             _, cycles = stack.datapath.checksum(self._staging.base, len(payload))
-            yield from proc.compute(cycles)
-            yield from proc.compute_us(cal.cksum_fixed_us)
+            yield from proc.compute(
+                cycles, cal.us_to_cycles(cal.cksum_fixed_us))
         header = UdpHeader.build(
             stack.ip, dst_ip, self.local_port, dst_port, payload,
             with_checksum=self.checksum,
@@ -190,14 +190,13 @@ class UdpSocket:
                     # verification over the reassembled bytes: model the
                     # pass as touching payload-length bytes uncached
                     cycles = 6 * (len(datagram) + 3) // 4
-                    yield from proc.compute(cycles)
                 else:
                     # separate verification pass over the datagram
                     _, cycles = stack.datapath.checksum(
                         ip_addr + Ipv4Header.SIZE, udp.length
                     )
-                    yield from proc.compute(cycles)
-                yield from proc.compute_us(cal.cksum_fixed_us)
+                yield from proc.compute(
+                    cycles, cal.us_to_cycles(cal.cksum_fixed_us))
                 if not UdpHeader.verify(ip_header.src, ip_header.dst, datagram):
                     self.checksum_failures += 1
                     yield from kernel.sys_replenish(proc, self.endpoint, desc)

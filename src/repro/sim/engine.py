@@ -166,9 +166,15 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires after a fixed delay."""
+    """An event that fires after a fixed delay.
 
-    __slots__ = ("delay", "_entry")
+    A CPU hold's timer names the CPU as its :attr:`hold` while a next
+    charge segment is lined up behind the open one: when it comes due,
+    the run loops ask :meth:`repro.hw.cpu.Cpu.continue_hold` first,
+    which may re-arm it for that segment instead of letting it fire.
+    """
+
+    __slots__ = ("delay", "_entry", "hold")
 
     def __init__(self, engine: "Engine", delay: int, value: Any = None):
         if delay < 0:
@@ -181,6 +187,7 @@ class Timeout(Event):
         self._exc = None
         self._state = Event._PENDING
         self._callbacks = []
+        self.hold = None
         self.delay = delay = int(delay)
         # ``_schedule`` flattened (its into-the-past guard cannot fire:
         # ``delay >= 0``).  The queue entry's callable slot holds the
@@ -194,6 +201,9 @@ class Timeout(Event):
 
     def _fire(self, value: Any) -> None:
         if not self.triggered:  # may have been cancelled
+            hold = self.hold
+            if hold is not None and hold.continue_hold():
+                return
             self.succeed(value)
 
     __call__ = _fire
@@ -471,6 +481,19 @@ class Engine:
         # elision it replaces did
         return event is self._done and self._queue.peek_at() != self._now
 
+    def alone(self) -> bool:
+        """True when no live entry is due at this tick: what is popping
+        now may run on into the next thing it does without anyone being
+        able to tell (the continuation of a CPU hold asks this).
+
+        Tombstones due now are popped here, as the run loop would pop
+        them next, so the answer is the same on both substrates: a
+        cancel removes a wheel-resident entry on ``fast`` but leaves a
+        tombstone on ``legacy``.
+        """
+        now = self._now
+        return self._queue.peek_live_at(now) != now
+
     def _book_requeue(self) -> None:
         """Move the hop that just popped from ``scheduled`` / ``fired``
         to ``requeued``: it resumed a process that had yielded the
@@ -600,6 +623,9 @@ class Engine:
                 if fn.__class__ is Timeout:
                     # Timeout._fire → succeed → _ready, inlined.
                     if fn._state == 0:  # may have been cancelled
+                        hold = fn.hold
+                        if hold is not None and hold.continue_hold():
+                            continue  # re-armed: one event, no wake-up
                         fn._value = entry[3][0]
                         fn._state = 1
                         cbs = fn._callbacks

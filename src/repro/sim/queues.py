@@ -73,6 +73,14 @@ class HeapEventQueue:
     def peek_at(self) -> Optional[int]:
         return self._heap[0][0] if self._heap else None
 
+    def peek_live_at(self, now: int) -> Optional[int]:
+        """:meth:`peek_at`, once the tombstones due at ``now`` are popped
+        off the head (the run loop would pop them next, silently)."""
+        heap = self._heap
+        while heap and heap[0][0] == now and heap[0][2] is None:
+            self.pop()
+        return heap[0][0] if heap else None
+
     def pop(self) -> list:
         entry = heapq.heappop(self._heap)
         if entry[2] is None:
@@ -225,6 +233,15 @@ class CalendarQueue:
         if not self._due and not self._advance():
             return None
         return self._due[0][0]
+
+    def peek_live_at(self, now: int) -> Optional[int]:
+        """:meth:`peek_at`, once the tombstones due at ``now`` are popped
+        off the head (the run loop would pop them next, silently)."""
+        while True:
+            at = self.peek_at()
+            if at != now or self._due[0][2] is not None:
+                return at
+            self.pop()
 
     def pop(self) -> list:
         if not self._due:

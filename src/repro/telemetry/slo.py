@@ -8,9 +8,8 @@ remote_port)``.  Each flow gets
   from which p50/p99/p999 are derivable from any snapshot via
   :func:`~repro.telemetry.metrics.hist_quantile`,
 * **health counters** — ``flow.goodput_bytes``, ``flow.tx_segments`` /
-  ``flow.rx_segments``, ``flow.losses`` (checksum-failed / corrupt
-  segments), ``flow.retransmits``, ``flow.aborts`` — all riding the
-  ordinary metrics registry so they appear in every sidecar,
+  ``flow.rx_segments``, ``flow.retransmits`` — all riding the ordinary
+  metrics registry so they appear in every sidecar,
 * declarative **SLO rules** (:class:`SloRule`), evaluated at
   observation time: each breach increments the counted, labelled
   ``slo.violations{rule,flow}`` metric, appends a timestamped violation
@@ -75,8 +74,7 @@ class FlowStats:
     """Cached per-flow instruments + rule evaluation for one 4-tuple."""
 
     __slots__ = ("tracker", "flow", "label", "latency", "_goodput",
-                 "_tx", "_rx", "_losses", "_retransmits", "_aborts",
-                 "_recoveries")
+                 "_tx", "_rx", "_retransmits")
 
     def __init__(self, tracker: "SloTracker", flow: tuple):
         self.tracker = tracker
@@ -89,10 +87,7 @@ class FlowStats:
         self._goodput = reg.counter("flow.goodput_bytes", flow=self.label)
         self._tx = reg.counter("flow.tx_segments", flow=self.label)
         self._rx = reg.counter("flow.rx_segments", flow=self.label)
-        self._losses = reg.counter("flow.losses", flow=self.label)
         self._retransmits = reg.counter("flow.retransmits", flow=self.label)
-        self._aborts = reg.counter("flow.aborts", flow=self.label)
-        self._recoveries = reg.counter("flow.recoveries", flow=self.label)
 
     # -- observations --------------------------------------------------
     def observe_latency_us(self, v: float, t: int) -> None:
@@ -113,9 +108,6 @@ class FlowStats:
     def rx_segment(self, nbytes: int = 0) -> None:
         self._rx.inc()
 
-    def loss(self) -> None:
-        self._losses.inc()
-
     def retransmit(self, t: int) -> None:
         tracker = self.tracker
         if not tracker.telemetry.enabled:
@@ -126,13 +118,6 @@ class FlowStats:
             bound = rule.max_retransmits
             if bound is not None and counter.value > bound:
                 tracker.violate(rule, self, t, "retransmits", counter.value)
-
-    def abort(self) -> None:
-        self._aborts.inc()
-
-    def recovery(self) -> None:
-        """One fast-recovery episode entered (a congestion event)."""
-        self._recoveries.inc()
 
     # -- derived -------------------------------------------------------
     def quantiles(self) -> dict:

@@ -28,8 +28,19 @@ timer's tombstone, under ``SimProcess.interrupt`` — through both forms
 on both substrates and requires one resume order.  (``SlicedCpu`` /
 ``SlicedProcess`` keep yielding too, so every differential above also
 compares the two forms.)
+
+**The run rule.**  A run of back-to-back charges (``Cpu.run``) is one
+hold, carried on at a segment end without waking the holder wherever
+nobody could tell (``Cpu.continue_hold``).  The split sequence it
+replaced — every charge its own hold, ``yield from a; yield from b`` —
+survives here as ``SplitCpu``; ``TestRunRule`` runs generated runs of
+mixed-priority segments against waiters, gate closes, interrupts,
+contention and ledger reads, some landing exactly on a segment end
+before and after its timer, through both on both substrates, and
+requires one log.
 """
 
+import itertools
 from types import SimpleNamespace
 
 import hypothesis.strategies as st
@@ -84,6 +95,12 @@ class SlicedCpu(Cpu):
                     yield lock.acquire(prio)
         finally:
             lock.release()
+
+    def run(self, segments, proc=None):
+        # ungated runs only (the scheduler's context switch): user work
+        # is SlicedProcess.compute
+        for cycles, prio, _gated in segments:
+            yield from self.exec(cycles, prio)
 
 
 class SlicedProcess(Process):
@@ -761,8 +778,8 @@ class TestEventBudget:
         assert (stats["fired"], stats["requeued"]) == (3 + 1, 1)
         if substrate == "fast":     # the census watches the fused loop
             assert census.by_function() == {
-                ("Cpu.exec", "Event:done", "hop"): 1,
-                ("Cpu.exec", "Timeout", "pending"): 1,
+                ("Cpu.run", "Event:done", "hop"): 1,
+                ("Cpu.run", "Timeout", "pending"): 1,
             }
 
     def test_fired_does_not_say_which_ticks_coincide(self, substrate):
@@ -860,3 +877,398 @@ class TestEventBudget:
         assert cpu.busy_ticks == 3 * Q_TICKS
         assert not cpu.lock.locked and cpu.lock.hold is None
         assert eng.stats()["cancelled"] == 1
+
+
+# ---------------------------------------------------------------------------
+# the run rule: one hold carried on at a segment end, against the split
+# sequence it replaced
+# ---------------------------------------------------------------------------
+
+class SplitCpu(Cpu):
+    """Every segment its own hold, the holder waking at each segment
+    end: ``Cpu.exec`` and ``Process.compute`` as they were before a run
+    of charges could be carried on as one hold (verbatim but for names),
+    and ``run`` as the ``yield from a; yield from b`` sequence that stood
+    where each run stands now.  A gated kernel segment is the old
+    ``Process.syscall_enter``; a zero-cycle segment is no charge at all;
+    user work takes the CPU at its segment's priority object (which
+    ``RunWorld`` uses to name the actor) rather than the bare constant."""
+
+    def _begin(self, cycles, yield_below, gate=None):
+        engine = self.engine
+        self._start = engine._now
+        if cycles > self._quantum:
+            waiters = self.lock._waiters
+            if (waiters and waiters[0][0] < yield_below) or (
+                gate is not None and not gate._open
+            ):
+                cycles = self._quantum
+            else:
+                self.yield_below = yield_below
+                self._end_at = engine._now + cycles * CYCLE_PS
+                self.lock.hold = self
+                if gate is not None:
+                    self._gate = gate
+                    gate.hold = self
+        self._timer = timer = Timeout(engine, cycles * CYCLE_PS)
+        return timer
+
+    def _end(self):
+        timer = self._timer
+        self._timer = None
+        lock = self.lock
+        if lock.hold is not None:
+            lock.hold = None
+            gate = self._gate
+            if gate is not None:
+                gate.hold = self._gate = None
+        elapsed = self.engine._now - self._start
+        if not timer._state:
+            timer.cancel()
+            elapsed -= elapsed % self._quantum_ticks
+        self._busy_ticks += elapsed
+        cycles = elapsed // CYCLE_PS
+        self._cycles_charged += cycles
+        return cycles
+
+    def _exec(self, cycles, prio):
+        lock = self.lock
+        waiters = lock._waiters
+        passes = self.engine.passes
+        granted = lock.acquire(prio)
+        if not passes(granted):
+            yield granted
+        try:
+            injector = self.contention
+            if injector is not None:
+                stolen = injector.steal()
+                if stolen:
+                    yield Timeout(self.engine, stolen * CYCLE_PS)
+                    self.contention_cycles += stolen
+            while True:
+                timer = self._begin(cycles, prio)
+                try:
+                    yield timer
+                finally:
+                    cycles -= self._end()
+                if cycles <= 0:
+                    break
+                if waiters and waiters[0][0] < prio:
+                    lock.release()
+                    granted = lock.acquire(prio)
+                    if not passes(granted):
+                        yield granted
+        finally:
+            lock.release()
+
+    def _compute(self, proc, cycles, prio=PRIO_USER):
+        engine = self.engine
+        lock = self.lock
+        gate = proc.gate
+        passes = engine.passes
+        remaining = cycles
+        while remaining > 0:
+            scheduled = gate.wait()
+            if not passes(scheduled):
+                yield scheduled
+            ustart = engine._now
+            granted = lock.acquire(prio)
+            if not passes(granted):
+                yield granted
+            start = engine._now
+            timer = self._begin(remaining, float("inf"), gate)
+            try:
+                yield timer
+            finally:
+                charged = self._end()
+                lock.release()
+                if charged:
+                    proc.user_ticks += start - ustart + charged * CYCLE_PS
+                remaining -= charged
+
+    def run(self, segments, proc=None):
+        for cycles, prio, gated in segments:
+            if not cycles:
+                continue
+            if gated and prio == PRIO_USER:
+                yield from self._compute(proc, cycles, prio)
+                continue
+            if gated:
+                scheduled = proc.gate.wait()
+                if not self.engine.passes(scheduled):
+                    yield scheduled
+            yield from self._exec(cycles, prio)
+
+
+#: segment lengths: under a quantum, whole quanta, a quantum +- 1, none
+SEGMENT_CYCLES = st.one_of(
+    st.integers(1, 700),
+    st.integers(1, 12).map(lambda k: k * Q),
+    st.sampled_from((Q - 1, Q + 1, 0)),
+)
+#: (prio, gated) of a process's segments: user work, a kernel crossing
+#: (waits for the gate once), kernel and interrupt work on its behalf
+PROCESS_KINDS = ((PRIO_USER, True), (PRIO_USER, True), (PRIO_KERNEL, True),
+                 (PRIO_KERNEL, False), (PRIO_INTERRUPT, False),
+                 (PRIO_USER, False))
+HORIZON = 200 * Q_TICKS
+
+
+class RunWorld:
+    """One CPU, a round-robin scheduler with short slices, and actors
+    that log (tick, who, what) as they go: the log is the hand-over and
+    same-tick order both forms must agree on."""
+
+    def __init__(self, substrate, split, schedule):
+        self.engine = eng = Engine(substrate)
+        cal = Calibration().with_changes(quantum_us=schedule["quantum_us"])
+        self.cpu = cpu = (SplitCpu if split else Cpu)(eng, cal)
+        cpu.lock = RecordingLock(eng)
+        if schedule["steals"]:
+            cpu.contention = Stealer(schedule["steals"])
+        node = SimpleNamespace(cpus=[cpu],
+                               telemetry=Telemetry(eng, enabled=False))
+        self.kernel = SimpleNamespace(engine=eng, cal=cal, node=node,
+                                      schedulers=[])
+        self.kernel.schedulers.append(RoundRobinScheduler(self.kernel))
+        self.procs, self.log = {}, []
+        # probes first: a probe armed at tick 0 runs ahead of a segment
+        # end on its tick; one that takes two timers, behind it
+        for probe in schedule["probes"]:
+            self.spawn_probe(*probe)
+        for name, kind, rounds in schedule["actors"]:
+            # every segment's priority names its actor: a run changing
+            # priority is not a hand-over
+            rounds = [(gap, slot, [(c, Prio(prio, name), gated)
+                                   for c, prio, gated in segments])
+                      for gap, slot, segments in rounds]
+            (self.start_process if kind != "exec" else self.spawn_exec)(
+                name, kind, rounds)
+
+    def ledger(self):
+        return (self.cpu.busy_ticks, self.cpu.cycles_charged,
+                tuple(p.user_ticks for p in self.procs.values()
+                      if isinstance(p, Process)))
+
+    def note(self, who, what):
+        self.log.append((self.engine.now, who, what))
+
+    def arrive(self, at_cycles, slot, hops):
+        """From tick 0, timers to tick ``at_cycles`` (+ sub-cycle
+        ``slot``): one armed now, or two, the second armed when the first
+        fires."""
+        eng = self.engine
+        at = at_cycles * CYCLE_PS + (slot or 0)
+        if hops:
+            yield Timeout(eng, at // 2)
+        yield Timeout(eng, at - eng.now)
+
+    def sleep(self, gap_cycles, slot):
+        """A sleep of ``gap_cycles`` from now, ending on sub-cycle offset
+        ``slot`` if one is given."""
+        gap = gap_cycles * CYCLE_PS
+        if slot is not None:
+            gap += (slot - (self.engine.now + gap)) % CYCLE_PS
+        return Timeout(self.engine, gap)
+
+    def spawn_exec(self, name, _kind, rounds):
+        def body():
+            for gap, slot, segments in rounds:
+                try:
+                    yield self.sleep(gap, slot)
+                    yield from self.cpu.run(segments)
+                except Interrupt:
+                    self.note(name, "interrupted")
+                self.note(name, "done")
+        self.procs[name] = self.engine.spawn(body(), name=name)
+
+    def start_process(self, name, kind, rounds):
+        def body(proc):
+            if kind == "spin":
+                cycles = rounds[0][2][0][0] or 1
+                try:
+                    yield from proc.spin(cycles)
+                except Interrupt:
+                    self.note(name, "interrupted")
+                return
+            for gap, slot, segments in rounds:
+                try:
+                    if gap or slot is not None:
+                        yield from proc.block_on(self.sleep(gap, slot))
+                    yield from self.cpu.run(segments, proc)
+                except Interrupt:
+                    self.note(name, "interrupted")
+                self.note(name, "done")
+        proc = Process(self.kernel, name, body)
+        self.procs[name] = proc
+        proc.start()
+
+    def spawn_probe(self, what, at, slot, hops, victim):
+        def body():
+            yield from self.arrive(at, slot, hops)
+            if what == "read":
+                self.note("probe", self.ledger())
+            elif what == "urgent":
+                yield from self.cpu.exec(Q // 4, Prio(PRIO_INTERRUPT, "urgent"))
+                self.note("urgent", "done")
+            else:   # kill, if it sits on a timer (as spawn_killer)
+                target = self.procs.get(victim)
+                if isinstance(target, Process):
+                    if target.state is not ProcessState.READY:
+                        return
+                    target = target.sim_proc
+                if target is not None and target.alive and isinstance(
+                        target._waiting_on, Timeout):
+                    target.interrupt("kill")
+                    self.note("kill", victim)
+        self.engine.spawn(body(), name="probe")
+
+    def observe(self):
+        self.engine.run(until=HORIZON)
+        # copies: a spin never ends, and when the world is collected its
+        # generators are closed, releasing the lock once more
+        return {"log": list(self.log), "grants": list(self.cpu.lock.grants),
+                "ledger": self.ledger(),
+                "contention_cycles": self.cpu.contention_cycles}
+
+
+@st.composite
+def run_schedules(draw):
+    actors, ends = [], []
+    for i in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("process", "process", "exec", "spin")))
+        rounds = []
+        for r in range(draw(st.integers(1, 3))):
+            segments = []
+            for _ in range(draw(st.integers(1, 4))):
+                prio, gated = (draw(st.sampled_from(PROCESS_KINDS))
+                               if kind != "exec" else
+                               (draw(st.sampled_from(
+                                   (PRIO_INTERRUPT, PRIO_KERNEL, PRIO_USER))),
+                                False))
+                segments.append((draw(SEGMENT_CYCLES), prio, gated))
+            at = 0 if r == 0 and draw(st.booleans()) else draw(
+                st.integers(0, 3000))
+            slot = None if draw(st.booleans()) else draw(
+                st.sampled_from((7, 11_007, 23_333)))
+            rounds.append((at, slot, segments))
+            if r == 0 and at == 0:
+                # the segment ends of a run that starts at tick 0 on its
+                # own: where a probe lands exactly on a boundary
+                ends += itertools.accumulate(c for c, _p, _g in segments)
+        actors.append((f"a{i}", kind, rounds))
+    probes = []
+    for _ in range(draw(st.integers(0, 6))):
+        on_end = ends and draw(st.booleans())
+        at = draw(st.sampled_from(ends)) if on_end else draw(
+            st.integers(1, 20_000))
+        probes.append((
+            draw(st.sampled_from(("read", "read", "urgent", "kill"))),
+            at, None if on_end or draw(st.booleans()) else 12_345,
+            draw(st.integers(0, 1)), f"a{draw(st.integers(0, len(actors) - 1))}"))
+    return {
+        "actors": actors, "probes": probes,
+        "steals": draw(st.one_of(st.just([]), st.lists(
+            st.sampled_from((0, 1, Q - 1, 3 * Q + 7)), max_size=6))),
+        "quantum_us": draw(st.sampled_from((20.000007, 64.0, 1024.0))),
+    }
+
+
+def run_both(schedule):
+    want = RunWorld("fast", True, schedule).observe()
+    for substrate, split in (("fast", False), ("legacy", True),
+                             ("legacy", False)):
+        got = RunWorld(substrate, split, schedule).observe()
+        assert got == want, (substrate, "split" if split else "run")
+    return want
+
+
+class TestRunRule:
+    @given(run_schedules())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_generated_runs(self, schedule):
+        run_both(schedule)
+
+    @pytest.mark.parametrize("hops", [0, 1])
+    @pytest.mark.parametrize("what", ["read", "urgent"])
+    def test_arrival_on_a_segment_end(self, what, hops):
+        """A reader or an urgent waiter on the tick one segment ends and
+        the next begins, ahead of the segment's timer (``hops`` 0) or
+        behind it (1): either way nobody can tell a continued hold."""
+        schedule = {
+            "actors": [("a0", "process", [(0, None, [
+                (3 * Q + 50, PRIO_USER, True), (60, PRIO_KERNEL, True),
+                (100, PRIO_KERNEL, False), (2 * Q, PRIO_USER, True)])])],
+            "probes": [(what, 3 * Q + 50 + 60, None, hops, "a0"),
+                       ("read", 3 * Q + 50 + 60 + 100 + Q // 2, None, 0,
+                        "a0")],
+            "steals": [], "quantum_us": 1024.0,
+        }
+        seen = run_both(schedule)
+        assert ("a0", "done") in [entry[1:] for entry in seen["log"]]
+
+    def test_interrupt_in_a_continued_hold(self):
+        """Thrown out of the third segment: the first two are charged in
+        full, the third by its whole quanta, the fourth not at all."""
+        segments = [(Q + 30, PRIO_USER, True), (45, PRIO_KERNEL, False),
+                    (10 * Q, PRIO_USER, True), (Q, PRIO_USER, True)]
+        schedule = {
+            "actors": [("a0", "process", [(0, None, segments)])],
+            "probes": [("kill", Q + 75 + 3 * Q + Q // 2, 11_007, 0, "a0")],
+            "steals": [], "quantum_us": 1024.0,
+        }
+        seen = run_both(schedule)
+        busy, cycles, (user,) = seen["ledger"]
+        assert cycles == Q + 30 + 45 + 3 * Q
+        assert user == (Q + 30 + 3 * Q) * CYCLE_PS
+
+    def test_a_spin_is_one_timer_per_charge(self):
+        """Alone on its CPU a spin carries every segment end on: one
+        event per charge, and no wake-up at all (the scheduler's only
+        process keeps its slice)."""
+        eng = Engine()
+        cal = Calibration()
+        cpu = Cpu(eng, cal)
+        kernel = SimpleNamespace(
+            engine=eng, cal=cal, schedulers=[], node=SimpleNamespace(
+                cpus=[cpu], telemetry=Telemetry(eng, enabled=False)))
+        kernel.schedulers.append(RoundRobinScheduler(kernel))
+        Process(kernel, "spin", lambda proc: proc.spin(Q)).start()
+        with YieldCensus() as census:
+            eng.run(until=100 * Q_TICKS)
+        assert cpu.cycles_charged == 100 * Q
+        # the hundredth timer fires on the horizon and carries on too
+        assert census.by_function()[
+            ("Process._wrapper", "Timeout", "continued")] == 100
+        # the scheduler's and the process's starts, one timer per charge
+        assert eng.stats()["fired"] == 2 + 100
+
+
+class TestFig4Tie:
+    """Fig. 4's ``2 procs / oblivious RR`` cell, DESIGN.md §6's tie case:
+    the server runs the suspended application beside one compute-bound
+    dummy, whose 200 us charge ends on the very tick a 1024 us slice
+    does.  The dummy wakes there, takes the CPU again through the
+    still-open gate and queues behind the context switch; that is the
+    cell as committed.  A spin keeps each charge's end (it carries a
+    hold on into the next charge only where nobody could tell: here the
+    slice timer is due on the same tick), so the cell holds."""
+
+    @staticmethod
+    def cell():
+        from repro.bench.workloads import remote_increment
+
+        return remote_increment(mode="user", suspended=True, nprocs=2,
+                                scheduler="oblivious", iters=8,
+                                warmup=2).rt_us
+
+    def test_the_spinning_dummy_keeps_the_cell(self):
+        assert self.cell() == 1114.625
+
+    def test_one_endless_charge_would_move_it(self, monkeypatch):
+        """Without charge ends there is no tie: the slice end cuts the
+        dummy's hold, and the round trips come out 0.625 us shorter."""
+        monkeypatch.setattr(Process, "spin",
+                            lambda proc, cycles: proc.compute(10**12))
+        assert self.cell() == 1114.0
