@@ -1111,6 +1111,16 @@ class RunWorld:
             elif what == "urgent":
                 yield from self.cpu.exec(Q // 4, Prio(PRIO_INTERRUPT, "urgent"))
                 self.note("urgent", "done")
+            elif what == "shut":
+                # a gate shut behind the scheduler's back, for a while:
+                # with nobody queued for the CPU, only the gate can stop
+                # a hold from running on into user work
+                target = self.procs.get(victim)
+                if isinstance(target, Process):
+                    target.gate.close()
+                    self.note("shut", victim)
+                    yield Timeout(self.engine, 3 * Q_TICKS + 7)
+                    target.gate.open()
             else:   # kill, if it sits on a timer (as spawn_killer)
                 target = self.procs.get(victim)
                 if isinstance(target, Process):
@@ -1163,7 +1173,7 @@ def run_schedules(draw):
         at = draw(st.sampled_from(ends)) if on_end else draw(
             st.integers(1, 20_000))
         probes.append((
-            draw(st.sampled_from(("read", "read", "urgent", "kill"))),
+            draw(st.sampled_from(("read", "read", "urgent", "kill", "shut"))),
             at, None if on_end or draw(st.booleans()) else 12_345,
             draw(st.integers(0, 1)), f"a{draw(st.integers(0, len(actors) - 1))}"))
     return {
@@ -1208,6 +1218,27 @@ class TestRunRule:
         seen = run_both(schedule)
         assert ("a0", "done") in [entry[1:] for entry in seen["log"]]
 
+    @pytest.mark.parametrize("hops", [0, 1])
+    def test_gate_shut_during_a_kernel_crossing(self, hops):
+        """The crossing is not cut by its gate, so the hold runs to the
+        crossing's end with the gate shut and nobody waiting for the
+        CPU: the user work after it must wait for the gate, not run on."""
+        schedule = {
+            "actors": [("a0", "process", [(0, None, [
+                (20, PRIO_USER, True), (3 * Q, PRIO_KERNEL, True),
+                (2 * Q, PRIO_USER, True)])])],
+            "probes": [("shut", 20 + Q, 12_345, hops, "a0"),
+                       # just after the crossing's end: a probe on that
+                       # tick would be a sibling, and nothing carries on
+                       ("read", 20 + 3 * Q, 12_345, 0, "a0")],
+            "steals": [], "quantum_us": 1024.0,
+        }
+        seen = run_both(schedule)
+        done = [tick for tick, who, what in seen["log"]
+                if (who, what) == ("a0", "done")]
+        # shut from Q + 20 cycles (+ 12 345 ps) for 3 quanta (+ 7 ps)
+        assert done == [(4 * Q + 20 + 2 * Q) * CYCLE_PS + 12_345 + 7]
+
     def test_interrupt_in_a_continued_hold(self):
         """Thrown out of the third segment: the first two are charged in
         full, the third by its whole quanta, the fourth not at all."""
@@ -1222,6 +1253,31 @@ class TestRunRule:
         busy, cycles, (user,) = seen["ledger"]
         assert cycles == Q + 30 + 45 + 3 * Q
         assert user == (Q + 30 + 3 * Q) * CYCLE_PS
+
+    @pytest.mark.parametrize("substrate", SUBSTRATES)
+    def test_fired_does_not_say_which_ticks_coincide(self, substrate):
+        """Two nodes running the same runs: in lockstep every segment end
+        ties with the other node's and none is carried on (each wake-up
+        a re-queue), a tick apart every one is; the events fired agree."""
+        def run(offset):
+            eng = Engine(substrate)
+
+            def node(start):
+                cpu = Cpu(eng, Calibration())
+                yield Timeout(eng, start)
+                for _ in range(5):
+                    yield from cpu.run([(3 * Q, PRIO_KERNEL, False),
+                                        (Q + 7, PRIO_INTERRUPT, False)])
+
+            eng.spawn(node(1000))
+            eng.spawn(node(1000 + offset))
+            eng.run()
+            return eng.stats()
+
+        lockstep, apart = run(0), run(1)
+        assert lockstep["requeued"] > apart["requeued"] == 0
+        assert lockstep["fired"] == apart["fired"]
+        assert lockstep["scheduled"] == apart["scheduled"]
 
     def test_a_spin_is_one_timer_per_charge(self):
         """Alone on its CPU a spin carries every segment end on: one
