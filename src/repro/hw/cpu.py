@@ -274,15 +274,11 @@ class Cpu:
         cycles = seg[0]
         fresh = True        # nothing of ``seg`` charged yet
         while True:
-            if fresh:
-                if cycles < 0:
-                    raise ValueError(f"negative cycle charge: {cycles}")
-                if seg[2]:
-                    scheduled = proc.gate.wait()
-                    if (scheduled is not engine._done
-                            or engine._queue.peek_at() == engine._now):
-                        yield scheduled
-            elif seg[2] and seg[1] == PRIO_USER:
+            if fresh and cycles < 0:
+                raise ValueError(f"negative cycle charge: {cycles}")
+            # a gated segment waits to be scheduled: user work before
+            # every pass, a kernel crossing on entry
+            if seg[2] and (fresh or seg[1] == PRIO_USER):
                 scheduled = proc.gate.wait()
                 if (scheduled is not engine._done
                         or engine._queue.peek_at() == engine._now):

