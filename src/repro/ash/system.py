@@ -378,10 +378,10 @@ class AshSystem:
         # remove all software checks" — and vice versa)
         invoke_us = cal.ash_invoke_us
         uses_timer = entry.budget is BudgetPolicy.TIMER
-        clear = ()      # disarming the abort timer: the run's last charge
+        clear = 0       # disarming the abort timer: the run's last charge
         if uses_timer:
             invoke_us += cal.ash_timer_setup_us
-            clear = (cal.us_to_cycles(cal.ash_timer_clear_us),)
+            clear = cal.us_to_cycles(cal.ash_timer_clear_us)
         yield from cpu.exec_us(invoke_us, PRIO_INTERRUPT)
         if kernel.crashed:
             # crash landed during sandbox entry: the entry table (and
@@ -438,9 +438,8 @@ class AshSystem:
             entry.account.charge(burnt)
             if tenants is not None:
                 tenants.note_abort(ep, burnt)
-            yield from cpu.run([(burnt, PRIO_INTERRUPT, False)]
-                               + [(cycles, PRIO_INTERRUPT, False)
-                                  for cycles in clear])
+            yield from cpu.run(((burnt, PRIO_INTERRUPT, False),
+                                (clear, PRIO_INTERRUPT, False)))
             if tel.enabled:
                 tel.counter("ash.involuntary_aborts",
                             handler=handler_name).inc()
@@ -458,7 +457,7 @@ class AshSystem:
             return False
 
         yield from kernel.charge_with_sends(cpu, result, pending,
-                                            PRIO_INTERRUPT, *clear)
+                                            PRIO_INTERRUPT, clear)
         remaining = entry.account.charge(result.cycles)
         if tenants is not None:
             tenants.note_success(ep, result.cycles)

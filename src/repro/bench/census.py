@@ -8,8 +8,9 @@ Every engine event is a timer firing, a callback, or a process being
 resumed — and a process is resumed because it suspended.  The census
 watches :meth:`Engine._send_step` and :meth:`Cpu.continue_hold` from
 outside (no hook in either): each time a process comes to rest it walks
-the ``yield from`` chain to the innermost generator and books the wait
-there, as ``file:line function``, with what was waited on and how:
+the ``yield from`` chain to the innermost generator — for a CPU charge,
+the one that handed it to :meth:`Cpu.run` — and books the wait there,
+as ``file:line function``, with what was waited on and how:
 
 ``pending``
     the target had not triggered: a real wait.  On a ``Timeout`` that is

@@ -695,13 +695,13 @@ class Kernel(SyscallInterface):
     # -- shared handler accounting -----------------------------------------
     def charge_with_sends(
         self, cpu, result: VmResult, pending: list[tuple[Nic, Frame]],
-        prio: int, *then: int,
+        prio: int, then: int,
     ) -> Generator:
         """Charge a handler's cycles on ``cpu`` (the core it ran on),
         transmitting its sends at the cycle offsets they occurred (so
-        replies leave the node at the right simulated time); the charges
-        ``then`` (cycles at ``prio``: the exit path) follow its last
-        stretch in the same run."""
+        replies leave the node at the right simulated time); ``then``
+        more cycles at ``prio`` (the exit path, possibly none) follow its
+        last stretch in the same run."""
         sends = [entry for entry in result.call_log
                  if entry[0] in ("ash_send", "net_send")]
         charged = 0
@@ -712,8 +712,8 @@ class Kernel(SyscallInterface):
             nic.transmit(frame)
             if span is not None:
                 span.stage("nic_tx", self.engine.now)
-        yield from cpu.run([(result.cycles - charged, prio, False)]
-                           + [(cycles, prio, False) for cycles in then])
+        yield from cpu.run(((result.cycles - charged, prio, False),
+                            (then, prio, False)))
 
     # -- introspection ------------------------------------------------------
     def _collect(self, reg) -> None:

@@ -93,10 +93,10 @@ class UpcallManager:
             handler.faults += 1
             if tel.enabled:
                 tel.counter("upcall.faults", handler=handler.name).inc()
-            yield from cpu.run([
+            yield from cpu.run((
                 (getattr(exc, "cycles", 0), PRIO_INTERRUPT, False),
                 (cal.us_to_cycles(cal.upcall_return_us), PRIO_INTERRUPT,
-                 False)])
+                 False)))
             return False
         yield from kernel.charge_with_sends(
             cpu, result, pending, PRIO_INTERRUPT,

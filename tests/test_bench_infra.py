@@ -215,10 +215,11 @@ def test_canonical_sidecars_are_fresh(tmp_path):
 #: counts moved out to ``EXPORT_EVENTS`` (CHANGES, PR 21), and again
 #: (from 939ff641... / e395b667...) on untouched ``src/`` with the trace
 #: channel's event-counter samples left out, so deleting the channel
-#: could be shown to move nothing else (CHANGES, PR 25).  Re-pinned (from
-#: 8fa65ddb... / c43027db...) without ``flow.losses`` / ``flow.aborts`` /
-#: ``flow.recoveries``, which nothing read: their six samples per
-#: document are the only leaves that moved besides ``EXPORT_EVENTS``
+#: could be shown to move nothing else (CHANGES, PR 25)
+#: Re-pinned (from 8fa65ddb... / c43027db...) without ``flow.losses`` /
+#: ``flow.aborts`` / ``flow.recoveries``, which nothing read: their six
+#: samples per document are the only leaves that moved besides
+#: ``EXPORT_EVENTS``
 EXPORT_SHA256 = {
     "chaos_ash":
         "e0e17d8069238b58436c5e1370d7538422a54e68a2c7da3b2a4a61cef175f027",
