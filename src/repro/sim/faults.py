@@ -397,9 +397,10 @@ class CpuContention(_Injector):
     Installed as ``cpu.contention``.  Two seams consume the stream in
     seam-call order:
 
-    * :meth:`steal` — once per :meth:`repro.hw.cpu.Cpu.exec` call; a
-      firing burst holds the CPU for ``burst_cycles`` of *foreign* work
-      before the victim's charge starts, stretching wall-clock without
+    * :meth:`steal` — once per charge segment that is not user work, as
+      :meth:`repro.hw.cpu.Cpu.run` starts it; a firing burst holds the
+      CPU for ``burst_cycles`` of *foreign* work before the victim's
+      charge starts, stretching wall-clock without
       advancing the victim (so the livelock admission window fills with
       fewer messages served);
     * :meth:`budget_penalty` — once per timer-budgeted ASH invocation;
