@@ -118,6 +118,7 @@ class Cpu:
         """
         engine = self.engine
         self._start = now = engine._now
+        carry = nxt is not None
         if cycles > self._quantum:
             prio = seg[1]
             gate = None
@@ -129,7 +130,7 @@ class Cpu:
                 gate is not None and not gate._open
             ):
                 cycles = self._quantum
-                nxt = None      # it gives way at the end of that quantum
+                carry = False   # it gives way at the end of that quantum
             else:
                 self._end_at = now + cycles * CYCLE_PS
                 self.yield_below = prio
@@ -143,14 +144,14 @@ class Cpu:
         timer = self._timer
         if timer is None:
             self._timer = timer = Timeout(engine, cycles * CYCLE_PS)
-            if nxt is None:
+            if not carry:
                 return timer
         else:
             # carried on from the segment before: the holder, when it
             # wakes, finds out where it is from the timer's value
             timer.delay = ticks = cycles * CYCLE_PS
             timer._entry = engine._schedule(now + ticks, timer, (seg, nxt))
-            if nxt is None:
+            if not carry:
                 timer.hold = None
                 return timer
         self._next = nxt
