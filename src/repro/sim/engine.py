@@ -337,6 +337,17 @@ class SimProcess(Event):
     def _deliver_interrupt(self) -> None:
         if not self.alive or not self._interrupts:
             return
+        # Interrupted in a same-tick hop, the process has run on since and
+        # waits on something new.  Pending, that is detached like the
+        # first; already triggered, its hop is queued and would resume
+        # the process after the throw, so the interrupt lands behind it.
+        waiting_on = self._waiting_on
+        if waiting_on is not None:
+            if waiting_on.triggered:
+                self.engine._schedule(self.engine.now, self._deliver_interrupt)
+                return
+            waiting_on.remove_callback(self._on_event_cb)
+            self._waiting_on = None
         exc = self._interrupts.pop(0)
         self._step(lambda: self.gen.throw(exc))
 

@@ -204,6 +204,40 @@ def test_interrupt_resumes_with_exception():
     assert p.value == ("interrupted", "timer", 50)
 
 
+@pytest.mark.parametrize("substrate", ["fast", "legacy"])
+@pytest.mark.parametrize("hops", [1, 2])
+def test_interrupt_in_a_hop_lands_at_the_next_wait(substrate, hops):
+    """Interrupted while it bounces through a same-tick hop, the process
+    first runs on to its next wait.  The interrupt must cut that wait,
+    not leave its timer to wake the process a second time; and if that
+    is a hop again, land behind it, not leave it to resume the process
+    after the throw."""
+    eng = Engine(substrate)
+    seen = []
+
+    def victim(eng):
+        for _ in range(hops):
+            # something is due at the tick: each is a queue hop
+            yield eng._done
+        try:
+            yield eng.sleep(10)
+        except Interrupt:
+            seen.append(("interrupted", eng.now))
+        yield eng.sleep(100)
+        seen.append(("woke", eng.now))
+
+    def sibling(eng, target):
+        target.interrupt()
+        return
+        yield  # pragma: no cover - makes this a generator
+
+    p = eng.spawn(victim(eng))
+    eng.spawn(sibling(eng, p))
+    eng.run()
+    assert seen == [("interrupted", 0), ("woke", 100)]
+    assert not eng.crashes
+
+
 def test_interrupt_of_finished_process_is_noop():
     eng = Engine()
     def empty():
