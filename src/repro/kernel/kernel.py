@@ -365,22 +365,19 @@ class Kernel(SyscallInterface):
         self._finish_span(desc, "crash_lost")
 
     # -- transmit ----------------------------------------------------------
-    def kernel_send(self, nic: Nic, frame: Frame, cpu=None) -> Generator:
+    def kernel_send(self, nic: Nic, frame: Frame, cpu=None, before=(),
+                    proc=None) -> Generator:
         """The in-kernel transmit path (descriptor writes + doorbell).
 
-        ``cpu`` is the core doing the work; defaults to core 0.  (A
-        syscall charges the writes to the calling process's core in the
-        run that enters the kernel, ``sys_net_send``, then rings the
-        doorbell with :meth:`transmit`.)
+        ``cpu`` is the core doing the work; defaults to core 0.  The
+        writes end the run of charges ``before`` (segments of ``proc``,
+        the caller: ``sys_net_send``'s user path and kernel crossing).
         """
         if cpu is None:
             cpu = self.node.cpu
-        yield from cpu.exec_us(nic.kernel_send_us, PRIO_KERNEL)
-        self.transmit(nic, frame)
-
-    def transmit(self, nic: Nic, frame: Frame) -> None:
-        """Ring the doorbell: the end of the transmit path, once its
-        descriptor writes are charged."""
+        writes = (self.cal.us_to_cycles(nic.kernel_send_us), PRIO_KERNEL,
+                  False)
+        yield from cpu.run((*before, writes), proc)
         nic.transmit(frame)
         span = self.telemetry.spans.active
         if span is not None:

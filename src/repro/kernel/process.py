@@ -96,18 +96,12 @@ class Process:
         for the CPU or the scheduler ends the slice, and the rest waits
         its turn (and the gate) again.
         """
-        run = [(int(cycles), PRIO_USER, True)]
-        for n in then:
-            run.append((int(n), PRIO_USER, True))
-        return self.cpu.run(run, self)
+        return self.cpu.run([(int(n), PRIO_USER, True)
+                             for n in (cycles, *then)], self)
 
     def compute_us(self, usec: float,
                    *then: float) -> Generator[Event, Any, None]:
-        to_cycles = self.cal.us_to_cycles
-        run = [(to_cycles(usec), PRIO_USER, True)]
-        for n in then:
-            run.append((to_cycles(n), PRIO_USER, True))
-        return self.cpu.run(run, self)
+        return self.compute(*map(self.cal.us_to_cycles, (usec, *then)))
 
     def spin(self, cycles: int) -> Generator[Event, Any, None]:
         """Compute forever, in charges of ``cycles`` (a process that never

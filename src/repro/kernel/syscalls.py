@@ -39,13 +39,11 @@ class SyscallInterface:
         doorbell that is one run of charges: the user path, the crossing
         (which waits to be scheduled) and the kernel's descriptor writes."""
         cal = self.cal
-        run = [(cal.us_to_cycles(cal.syscall_us), PRIO_KERNEL, True),
-               (cal.us_to_cycles(nic.kernel_send_us), PRIO_KERNEL, False)]
+        before = [(cal.us_to_cycles(cal.syscall_us), PRIO_KERNEL, True)]
         if user_path:
-            run.insert(0, (cal.us_to_cycles(cal.user_send_path_us),
-                           PRIO_USER, True))
-        yield from proc.cpu.run(run, proc)
-        self.transmit(nic, frame)
+            before.insert(0, (cal.us_to_cycles(cal.user_send_path_us),
+                              PRIO_USER, True))
+        yield from self.kernel_send(nic, frame, proc.cpu, before, proc)
         yield from proc.syscall_exit()
 
     def sys_recv_poll(self, proc: "Process", ep: "Endpoint") -> Generator:

@@ -372,14 +372,14 @@ def test_census_report_of_pingpong_small():
     assert lines[0] == ("pingpong_small (seed 1): 3911 frames received, "
                         "132352 events fired = 33.84 per frame")
     assert lines[1].startswith("20.38 waits per frame came to rest at "
-                               "97 sites; 10.30 resumes per frame ran inline")
+                               "96 sites; 10.30 resumes per frame ran inline")
     assert "2.29 were re-queued behind a same-tick sibling" in lines[1]
     assert lines[1].endswith("2.54 charges were carried on at a segment "
                              "end (one event, no wake-up)")
     # a charge is booked at its charge site, not inside the CPU model
-    rows = [line.split(None, 4) for line in lines[4:101]]
+    rows = [line.split(None, 4) for line in lines[4:100]]
     assert [(row[1], row[2], row[3], row[4].split()[1]) for row in rows[:3]] \
-        == [("1.31", "continued", "Timeout", "SyscallInterface.sys_net_send"),
+        == [("1.31", "continued", "Timeout", "Kernel.kernel_send"),
             ("1.15", "pending", "Timeout", "Kernel.charge_with_sends"),
             ("1.15", "pending", "Event:acquire", "Kernel.charge_with_sends")]
     assert not any("Cpu.run" in row[4] for row in rows)
@@ -389,4 +389,4 @@ def test_census_report_of_pingpong_small():
     assert [line.rsplit(None, 1)[1] for line in left[0::2]] \
         == ["10.31", "2.54", "6.16", "2.29", "1.63"]
     assert left[3].strip().startswith(
-        "SyscallInterface.sys_net_send 1.31, Process.poll 0.42")
+        "Kernel.kernel_send 1.31, Process.poll 0.42")
