@@ -181,9 +181,6 @@ KNOWN_METRICS = {
     "liveops.canary_flows": "gauges",
 }
 
-#: historical alias — tests and tools pinned kinds through this name
-WELL_KNOWN_KINDS = KNOWN_METRICS
-
 
 def _check(errors: list[str], cond: bool, msg: str) -> bool:
     if not cond:

@@ -7,8 +7,8 @@ Run the benchmarks first (``pytest benchmarks/ --benchmark-only``), then
 ``--trace`` additionally runs a small canonical workload (a UDP echo
 round trip plus an ASH remote increment) with telemetry enabled and
 writes ``results/canonical.telemetry.json`` / ``canonical.trace.json``
-sidecars.  The capture is deterministic: the same sources produce the
-same bytes.
+sidecars.  They are local output, not committed: the capture is
+deterministic, and ``tests/goldens.json`` pins a SHA-256 of each.
 """
 
 from __future__ import annotations
@@ -169,8 +169,8 @@ def complexity_section() -> str:
 def capture_canonical_telemetry(metrics_out: str | None,
                                 trace_out: str | None = None) -> None:
     """Run the canonical telemetry capture and write its sidecars (by
-    default over the committed pair; tier 1 redirects both and compares,
-    ``test_canonical_sidecars_are_fresh``)."""
+    default into ``results/``; the goldens ledger redirects both and
+    hashes them)."""
     from repro import telemetry
     from repro.bench.telemetry_cli import write_sidecars
     from repro.bench.workloads import (

@@ -40,9 +40,8 @@ and are not counted either.
 The worlds are the benchmark's (``benchmarks/perf/worlds.py``, loaded by
 path, untimed), and ``paper_tables`` runs its table drivers as the
 benchmark does (``benchmarks/perf/child.py``): frames and events are
-summed over the worlds the drivers build.  ``tests/test_exit_matrix.py``
-pins the same census for one warm delivery on an idle node
-(``SITE_BUDGET``).
+summed over the worlds the drivers build.  ``tests/goldens.json`` pins
+the same census for one warm delivery on an idle node (``site_budget``).
 """
 
 from __future__ import annotations

@@ -1,0 +1,242 @@
+"""The goldens ledger: every value a tier-1 test pins, in one file.
+
+    PYTHONPATH=src python -m tests.goldens [name ...]         # check
+    PYTHONPATH=src python -m tests.goldens write [name ...]   # re-pin
+
+``tests/goldens.json`` maps each leaf, ``<producer>/<path>``, to its
+value: flat, sorted, one leaf per line, so ``git diff`` of the file is
+the table of the leaves that moved.  A producer is one world run that
+returns every leaf that run pins.  It is *exact*, or a *ceiling*: a
+fresh value may fall below its leaf (lower one by hand), never rise.
+
+``check`` (the default) prints every leaf that moved as old -> new with
+its producer and exits 1; ``write`` rewrites those leaves and prints the
+same table, ready for a commit message.  ``tests/test_goldens.py`` is
+``check`` in tier 1.  Runs an invariant test also reads are cached.
+"""
+
+import contextlib
+import functools
+import hashlib
+import io
+import json
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+from tests import test_exit_matrix as matrix
+
+LEDGER = Path(__file__).with_name("goldens.json")
+
+#: the engine's own dispatch counts: how the simulator got there, not
+#: what was simulated.  A hop saved moves only these, so they are leaves
+#: of their own and never inside a hash.
+EVENT_COUNTS = ("sim.calendar.scheduled", "sim.calendar.fired",
+                "sim.calendar.inlined")
+
+
+def split_event_counts(doc):
+    """(``doc`` without its ``EVENT_COUNTS`` samples, ``[{name: value}]``
+    of them per node)."""
+    nodes, events = [], []
+    for node in doc["nodes"]:
+        counters = node["metrics"]["counters"]
+        events.append({c["name"]: c["value"] for c in counters
+                       if c["name"] in EVENT_COUNTS})
+        nodes.append({**node, "metrics": {**node["metrics"], "counters": [
+            c for c in counters if c["name"] not in EVENT_COUNTS]}})
+    return {**doc, "nodes": nodes}, events
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def canonical_capture():
+    """``canonical.{telemetry,trace}.json``, as the text
+    ``make_experiments_md.py --trace`` writes them, run once."""
+    from repro.vcode import jit
+    from tests.test_metrics_lint import _load
+
+    jit.clear_code_cache()      # translations count; see telemetry_export
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp, f"canonical.{kind}.json")
+                 for kind in ("telemetry", "trace")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            _load("make_experiments_md").capture_canonical_telemetry(*paths)
+        return tuple(path.read_text() for path in paths)
+
+
+@functools.lru_cache(maxsize=None)
+def census_report():
+    """``python -m repro.bench.census`` on ``pingpong_small``, seed 1."""
+    from repro.bench.census import report
+
+    return report("pingpong_small", 1)
+
+
+# ---------------------------------------------------------------------------
+# producers: name -> leaves
+# ---------------------------------------------------------------------------
+
+def exit_matrix():
+    """Each scenario's digest, and the engine events it fired."""
+    digests, fired = matrix.run_matrix()
+    leaves = {}
+    for scenario, row in digests.items():
+        for config, value in row.items():
+            leaves[f"{scenario}/{config}"] = value
+            leaves[f"{scenario}/{config}/fired"] = fired[scenario][config]
+    return leaves
+
+
+def event_budget():
+    """Engine events per warm delivered message, on an idle node."""
+    return {f"{exit_name}/{config}":
+            matrix.events_per_message(exit_name, config)[-1]
+            for exit_name in matrix.BUDGET_WORLDS
+            for config in matrix.BUDGET_CONFIGS}
+
+
+def site_budget():
+    """The event budget by charge site, 1 core (``repro.bench.census``)."""
+    return {f"{exit_name}/{'/'.join(site)}": n
+            for exit_name in matrix.PROFILED_EXITS
+            for site, n in matrix.sites_per_message(exit_name).items()}
+
+
+def frame_budget():
+    """Python frames entered per warm delivery on 1 core (one per call
+    and one per generator resume): a per-level generator hop or a plane
+    hook on the clean path shows here."""
+    return {exit_name: sum(matrix.frames_per_message(exit_name).values())
+            for exit_name in matrix.PROFILED_EXITS}
+
+
+def telemetry(world_name):
+    """The whole export of a telemetry-on world, hashed without its event
+    counts; those counts, summed over nodes; the frames it received."""
+    doc, events = split_event_counts(matrix.telemetry_export(world_name)[0])
+    return {"export_sha256": sha256(json.dumps(doc, sort_keys=True)),
+            **{name: sum(node.get(name, 0) for node in events)
+               for name in EVENT_COUNTS},
+            "nic.rx_frames": sum(c["value"] for node in doc["nodes"]
+                                 for c in node["metrics"]["counters"]
+                                 if c["name"] == "nic.rx_frames")}
+
+
+def lookups(world_name):
+    """``MetricsRegistry`` lookups over the same run: the price of the
+    instruments."""
+    return {"registry_calls": matrix.telemetry_export(world_name)[1]}
+
+
+#: the census report's per-frame summary, in the order it prints it
+CENSUS_HEAD = ("frames", "events_fired", "events_per_frame",
+               "waits_per_frame", "sites", "inline_per_frame",
+               "requeued_per_frame", "continued_per_frame")
+CENSUS_LEFT = ("timer", "continued", "blocked", "tie", "other")
+
+
+def census():
+    """The figures ROADMAP's event-budget item quotes, as printed."""
+    lines = census_report().splitlines()
+    summary = lines[0].partition(": ")[2] + " " + lines[1]
+    numbers = re.findall(r"\d+(?:\.\d+)?", summary)
+    leaves = dict(zip(CENSUS_HEAD, map(json.loads, numbers)))
+    rows = [line.split() for line in lines[4:lines.index("", 4)]]
+    leaves["waits"] = sum(int(row[0]) for row in rows)
+    for rank, row in enumerate(rows[:3], 1):
+        leaves[f"rows/{rank}"] = " ".join(row[1:4] + row[5:])
+    left = lines[lines.index("what is left, per received frame:") + 1:]
+    for label, title in zip(CENSUS_LEFT, left[0::2]):
+        leaves[f"left/{label}"] = json.loads(title.rsplit(None, 1)[1])
+    leaves["left/continued/top"] = ", ".join(left[3].split(", ")[:2]).strip()
+    return leaves
+
+
+def canonical():
+    """SHA-256 of each canonical sidecar, the telemetry one as written
+    but without its event counts, which are leaves per node."""
+    text, trace = canonical_capture()
+    doc, events = split_event_counts(json.loads(text))
+    leaves = {"telemetry_sha256": sha256(
+                  json.dumps(doc, indent=2, sort_keys=True) + "\n"),
+              "trace_sha256": sha256(trace)}
+    for i, node in enumerate(events):
+        leaves.update({f"node{i}/{name}": n for name, n in node.items()})
+    return leaves
+
+
+#: name -> (producer, ceiling)
+PRODUCERS = {
+    "exit_matrix": (exit_matrix, False),
+    "event_budget": (event_budget, False),
+    "site_budget": (site_budget, False),
+    "frame_budget": (frame_budget, True),
+    **{f"{kind.__name__}/{world}": (functools.partial(kind, world), ceiling)
+       for kind, ceiling in ((telemetry, False), (lookups, True))
+       for world in matrix.TELEMETRY_WORLDS},
+    "census.pingpong_small": (census, False),
+    "canonical": (canonical, False),
+}
+
+
+# ---------------------------------------------------------------------------
+# the ledger
+# ---------------------------------------------------------------------------
+
+def load():
+    return json.loads(LEDGER.read_text())
+
+
+def moved(name, ledger):
+    """``[(producer, leaf, pinned, fresh)]`` for every leaf of ``name``
+    whose fresh value differs from the ledger (``None`` where a side has
+    no such leaf), but for a ceiling's falls."""
+    produce, ceiling = PRODUCERS[name]
+    fresh = {f"{name}/{key}": value for key, value in produce().items()}
+    pinned = {leaf: value for leaf, value in ledger.items()
+              if leaf.startswith(name + "/")}
+    return [(name, leaf, pinned.get(leaf), fresh.get(leaf))
+            for leaf in sorted(pinned.keys() | fresh.keys())
+            if pinned.get(leaf) != fresh.get(leaf)
+            and not (ceiling and leaf in pinned and leaf in fresh
+                     and fresh[leaf] < pinned[leaf])]
+
+
+def table(rows):
+    """``leaf  old -> new  [producer]``, one line per moved leaf."""
+    width = max(len(leaf) for _name, leaf, _old, _new in rows)
+    return "\n".join(
+        f"{leaf:{width}s}  {old} -> {new}  "
+        f"[{name}{', ceiling' if PRODUCERS[name][1] else ''}]"
+        for name, leaf, old, new in rows)
+
+
+def main(argv):
+    write = argv[:1] == ["write"]
+    names = argv[1:] if write else argv
+    unknown = sorted(set(names) - set(PRODUCERS))
+    if unknown:
+        print(f"unknown producer(s) {unknown}; known: {sorted(PRODUCERS)}")
+        return 2
+    ledger = load()
+    rows = [row for name in names or PRODUCERS for row in moved(name, ledger)]
+    print(table(rows) if rows else "no leaf moved")
+    if not write:
+        return 1 if rows else 0
+    for _name, leaf, _old, new in rows:
+        if new is None:
+            del ledger[leaf]
+        else:
+            ledger[leaf] = new
+    LEDGER.write_text(json.dumps(ledger, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(rows)} moved leaves to {LEDGER}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -6,32 +6,20 @@ fails the suite even when no sidecar has been regenerated, and pin the
 crash/recovery-plane metrics into the export contract.
 """
 
-import glob
-import importlib.util
-import os
-
 from repro import telemetry
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def _load_schema_checker():
-    path = os.path.join(REPO_ROOT, "benchmarks", "check_metrics_schema.py")
-    spec = importlib.util.spec_from_file_location("check_metrics_schema", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+from tests.test_metrics_lint import _load
 
 
 def test_recovery_plane_metrics_are_pinned_counters():
-    checker = _load_schema_checker()
+    checker = _load("check_metrics_schema")
     for name in (
         "crash.crashes", "crash.recoveries", "crash.lost_messages",
         "crash.filters_reinstalled", "crash.ash_reinstalls",
         "mem.alloc_failures", "cpu.contention_cycles",
         "degradation.order_violations",
     ):
-        assert checker.WELL_KNOWN_KINDS.get(name) == "counters", name
+        assert checker.KNOWN_METRICS.get(name) == "counters", name
 
 
 def test_fault_run_export_validates_and_carries_recovery_counters():
@@ -39,7 +27,7 @@ def test_fault_run_export_validates_and_carries_recovery_counters():
     document whose counters include the whole recovery plane."""
     from tests.test_faults import cpu, crash, crash_tcp_transfer, mem
 
-    checker = _load_schema_checker()
+    checker = _load("check_metrics_schema")
     with telemetry.session() as sess:
         crash_tcp_transfer(
             "fast", seed=79, nbytes=24_000,
@@ -60,15 +48,16 @@ def test_fault_run_export_validates_and_carries_recovery_counters():
     assert "degradation.order_violations" not in counters
 
 
-def test_committed_sidecars_validate():
-    """Every sidecar checked into benchmarks/results/ still parses
-    against the current schema (the CLI's no-argument mode)."""
-    checker = _load_schema_checker()
-    results = os.path.join(REPO_ROOT, "benchmarks", "results")
-    paths = sorted(
-        glob.glob(os.path.join(results, "*.telemetry.json"))
-        + glob.glob(os.path.join(results, "*.trace.json"))
-    )
-    for path in paths:
-        assert checker.validate_file(path) == [], path
-    assert checker.main(paths) == 0
+def test_committed_sidecars_validate(tmp_path):
+    """The canonical sidecars, committed as digests in
+    ``tests/goldens.json``, parse against the current schema, file by
+    file and through the CLI."""
+    from tests.goldens import canonical_capture
+
+    checker = _load("check_metrics_schema")
+    paths = []
+    for kind, text in zip(("telemetry", "trace"), canonical_capture()):
+        paths.append(tmp_path / f"canonical.{kind}.json")
+        paths[-1].write_text(text)
+        assert checker.validate_file(str(paths[-1])) == [], kind
+    assert checker.main([str(path) for path in paths]) == 0

@@ -9,9 +9,6 @@ cycles and every observable stay bit-identical with telemetry on or
 off, on both substrates.
 """
 
-import importlib.util
-import os
-
 import pytest
 
 from repro import telemetry
@@ -21,17 +18,7 @@ from repro.sim.engine import Engine
 from repro.telemetry import SloRule, flow_label
 
 from tests.test_faults import crash_tcp_transfer
-
-
-def _load_checker(name):
-    path = os.path.join(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        "benchmarks", f"{name}.py",
-    )
-    spec = importlib.util.spec_from_file_location(name, path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+from tests.test_metrics_lint import _load
 
 
 def tcp_transfer(substrate="fast", seed=11, nbytes=6_000):
@@ -64,7 +51,7 @@ class TestCrossNodeTracing:
             tb, obs = tcp_transfer()
             doc = sess.export_chrome()
 
-        checker = _load_checker("check_metrics_schema")
+        checker = _load("check_metrics_schema")
         assert checker.validate_chrome(doc) == []
 
         events = doc["traceEvents"]
@@ -218,7 +205,7 @@ class TestFlightRecorder:
             postmortems = sess.export_postmortems()
 
         assert postmortems, "the crash produced no post-mortem"
-        checker = _load_checker("check_metrics_schema")
+        checker = _load("check_metrics_schema")
         crash_dumps = [pm for pm in postmortems
                        if pm["reason"] == "kernel_crash"]
         assert crash_dumps
@@ -281,7 +268,7 @@ class TestFlightRecorder:
 class TestSidecars:
     def test_write_postmortems_only_on_dumps(self, tmp_path):
         from repro.bench.telemetry_cli import write_postmortems
-        checker = _load_checker("check_metrics_schema")
+        checker = _load("check_metrics_schema")
 
         with telemetry.session() as sess:
             tcp_transfer()
@@ -297,7 +284,7 @@ class TestSidecars:
         assert checker.validate_file(path) == []
 
     def test_full_export_validates_with_slo_and_flight_blocks(self):
-        checker = _load_checker("check_metrics_schema")
+        checker = _load("check_metrics_schema")
         with telemetry.session() as sess:
             crash_tcp_transfer("fast", seed=31, nbytes=24_000)
             snap = sess.export_metrics(include_span_events=True)

@@ -174,16 +174,14 @@ def test_congestion_evolution_substrate_identical_under_smp(cores):
 
 
 def test_canonical_sidecar_steered_sums_to_rx_frames():
-    """The committed telemetry sidecar carries the dispatch-stage
+    """The canonical telemetry sidecar carries the dispatch-stage
     conservation law: per-core ``rss.steered`` counters sum to
     ``nic.rx_frames`` on every node that received traffic."""
     import json
-    path = os.path.join(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        "benchmarks", "results", "canonical.telemetry.json",
-    )
-    with open(path) as fh:
-        doc = json.load(fh)
+
+    from tests.goldens import canonical_capture
+
+    doc = json.loads(canonical_capture()[0])
     checked = 0
     for node in doc["nodes"]:
         counters = node["metrics"]["counters"]

@@ -10,24 +10,14 @@ recovery-latency bound, zero canary losses, and the protected victim
 inside its pinned isolation bound.
 """
 
-import importlib.util
 import json
 import os
 
-
-def _load_driver():
-    path = os.path.join(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        "benchmarks", "sweep_driver.py",
-    )
-    spec = importlib.util.spec_from_file_location("sweep_driver", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+from tests.test_metrics_lint import _load
 
 
 def test_smoke_grid_green(tmp_path):
-    driver = _load_driver()
+    driver = _load("sweep_driver")
     out = tmp_path / "liveops_sweep_smoke.json"
     assert driver.main(["--smoke", "--out", str(out)]) == 0
     with open(out) as fh:
@@ -63,7 +53,7 @@ def test_smoke_grid_green(tmp_path):
 def test_committed_full_grid_baseline_schema_clean():
     """The checked-in BENCH_liveops.json (full grid) stays loadable,
     schema-clean, and covers every pinned recovery bound."""
-    driver = _load_driver()
+    driver = _load("sweep_driver")
     path = os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         "BENCH_liveops.json",

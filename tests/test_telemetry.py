@@ -1,8 +1,6 @@
 """Tests for the telemetry subsystem: registry, spans, accounting, export."""
 
-import importlib.util
 import json
-import os
 
 import pytest
 
@@ -23,16 +21,7 @@ from repro.telemetry import (
     Telemetry,
 )
 
-
-def _load_schema_checker():
-    path = os.path.join(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        "benchmarks", "check_metrics_schema.py",
-    )
-    spec = importlib.util.spec_from_file_location("check_metrics_schema", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+from tests.test_metrics_lint import _load
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +274,7 @@ class TestDilpAccounting:
 
 class TestExport:
     def test_metrics_and_chrome_exports_validate(self):
-        checker = _load_schema_checker()
+        checker = _load("check_metrics_schema")
         with telemetry.session() as sess:
             udp_pingpong(iters=1, warmup=0)
         metrics_doc = sess.export_metrics()
@@ -307,7 +296,7 @@ class TestExport:
         assert {"server", "client"} <= proc_names
 
     def test_schema_checker_rejects_garbage(self):
-        checker = _load_schema_checker()
+        checker = _load("check_metrics_schema")
         assert checker.validate_metrics({"schema": "nope"})
         assert checker.validate_chrome({"schema": "nope"})
         bad = {
