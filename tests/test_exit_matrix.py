@@ -884,6 +884,28 @@ def telemetry_export(world_name):
     return doc, lookups[0]
 
 
+def _matrix_moved(fired):
+    """The ``exit_matrix`` ledger leaves that moved: the ``fired`` counts,
+    or the digests."""
+    from tests import goldens       # goldens imports this module
+
+    rows = [row for row in goldens.moved("exit_matrix", goldens.load())
+            if row[1].endswith("/fired") == fired]
+    return rows and "leaves moved:\n" + goldens.table(rows)
+
+
+def test_exit_matrix_matches_golden():
+    """Every scenario's digest, on every configuration, is its leaf."""
+    moved = _matrix_moved(fired=False)
+    assert not moved, moved
+
+
+def test_exit_matrix_events_fired():
+    """So is every scenario's count of engine events fired."""
+    moved = _matrix_moved(fired=True)
+    assert not moved, moved
+
+
 @pytest.mark.parametrize("exit_name", sorted(BUDGET_WORLDS))
 def test_events_per_delivered_message(exit_name):
     """Warm, every message costs the same: the budget is a property of

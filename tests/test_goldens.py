@@ -1,9 +1,10 @@
 """Every pinned value equals what the code computes today.
 
 One test per producer of ``tests/goldens.py``; a failure names each
-leaf that moved, old -> new.  Re-pin a deliberate move with
-``PYTHONPATH=src python -m tests.goldens write`` and commit the table it
-prints.
+leaf that moved, old -> new.  The exit matrix's digests and ``fired``
+counts are checked apart, in ``tests/test_exit_matrix.py``.  Re-pin a
+deliberate move with ``PYTHONPATH=src python -m tests.goldens write``
+and commit the table it prints.
 """
 
 import os
@@ -17,7 +18,8 @@ from tests import goldens
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("name", list(goldens.PRODUCERS))
+@pytest.mark.parametrize(
+    "name", [name for name in goldens.PRODUCERS if name != "exit_matrix"])
 def test_golden(name):
     rows = goldens.moved(name, goldens.load())
     assert not rows, "leaves moved:\n" + goldens.table(rows)
