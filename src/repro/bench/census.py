@@ -6,8 +6,9 @@
 
 Every engine event is a timer firing, a callback, or a process being
 resumed — and a process is resumed because it suspended.  The census
-watches :meth:`Engine._send_step` and :meth:`Cpu.continue_hold` from
-outside (no hook in either): each time a process comes to rest it walks
+watches :meth:`Engine._send_step`, :meth:`Cpu.continue_hold` and
+:meth:`Cpu.grant` from outside (no hook in any): each time a process
+comes to rest it walks
 the ``yield from`` chain to the innermost generator — for a CPU charge,
 the one that handed it to :meth:`Cpu.run` — and books the wait there,
 as ``file:line function``, with what was waited on and how:
@@ -29,6 +30,12 @@ as ``file:line function``, with what was waited on and how:
     the process's CPU hold came to the end of one charge segment and was
     carried on into the next, on the same timer: one event (the timer
     firing), no wake-up.  Booked where the process rests, on the timer.
+``granted``
+    a ``pending`` acquire whose grant opened the process's hold where
+    its wake-up would have run: the process sleeps on through to the end
+    of its charge.  The acquire and the charge cost two events together
+    (the hold's timer, one wake-up) where the wake-up hop made it three.
+    Re-booked from ``pending`` where the process rests, on the acquire.
 
 A wait that never comes to rest is not listed: a pass-through the
 caller did not yield (:meth:`Engine.passes`) costs nothing at all, a
@@ -93,6 +100,9 @@ def _target_kind(target: Event) -> str:
 _REMAINDER = {
     "timer": "timer waits (two events each: the timer, the wake-up)",
     "continued": "charges carried on at a segment end (one event each)",
+    "granted": "acquires granted with the hold opened where the wake-up "
+               "would have run (two events each with their charge: the "
+               "timer, one wake-up)",
     "blocked": "lock / gate waits that really block",
     "tie": "pass-throughs that tie with a same-tick sibling",
     "other": "every other wait (channels, joins, any_of)",
@@ -101,17 +111,19 @@ _REMAINDER = {
 
 class YieldCensus:
     """Context manager: while open, every engine's ``_send_step`` books
-    where the process it advanced came to rest, and every CPU's
-    ``continue_hold`` the holds it carried on."""
+    where the process it advanced came to rest, every CPU's
+    ``continue_hold`` the holds it carried on and its ``grant`` the
+    acquires it opened a hold for."""
 
     def __init__(self) -> None:
         #: (file, line, function, target kind, "pending" | "hop" |
-        #: "continued") -> waits
+        #: "continued" | "granted") -> waits
         self.waits: Counter = Counter()
 
     def __enter__(self) -> "YieldCensus":
         send_step = self._send_step = Engine._send_step
         continue_hold = self._continue_hold = Cpu.continue_hold
+        grant = self._grant = Cpu.grant
         waits = self.waits
 
         def booking_send_step(engine, proc, value):
@@ -129,13 +141,28 @@ class YieldCensus:
             waits[(*yield_site(proc.gen), "Timeout", "continued")] += 1
             return True
 
+        def booking_grant(cpu, ev, plan):
+            proc = ev.sole_waiter()
+            if not grant(cpu, ev, plan):
+                return False
+            site = yield_site(proc.gen)
+            rested = (*site, "Event:acquire", "pending")
+            if waits[rested] > 1:
+                waits[rested] -= 1
+            else:   # (unbooked when it came to rest by a throw)
+                waits.pop(rested, None)
+            waits[(*site, "Event:acquire", "granted")] += 1
+            return True
+
         Engine._send_step = booking_send_step
         Cpu.continue_hold = booking_continue_hold
+        Cpu.grant = booking_grant
         return self
 
     def __exit__(self, *exc) -> None:
         Engine._send_step = self._send_step
         Cpu.continue_hold = self._continue_hold
+        Cpu.grant = self._grant
 
     def by_function(self) -> dict[tuple[str, str, str], int]:
         """Waits keyed ``(function, target kind, how)``: stable under
@@ -162,8 +189,8 @@ class YieldCensus:
         """What a further cut has to go after, per received frame."""
         groups = {label: Counter() for label in _REMAINDER}
         for (_f, _l, function, kind, how), n in self.waits.items():
-            if how == "continued":
-                label = "continued"
+            if how in ("continued", "granted"):
+                label = how
             elif kind == "Timeout":
                 label = "timer"
             elif kind == "Event:done":
@@ -256,6 +283,8 @@ def report(name: str, seed: int) -> str:
                              else run_perf_world(name, seed))
     continued = sum(n for key, n in census.waits.items()
                     if key[-1] == "continued")
+    granted = sum(n for key, n in census.waits.items()
+                  if key[-1] == "granted")
     waits = sum(census.waits.values()) - continued
     return "\n".join([
         f"{name} (seed {seed}): {frames} frames received, "
@@ -267,7 +296,9 @@ def report(name: str, seed: int) -> str:
         f"{stats['requeued'] / frames:.2f} were re-queued behind a "
         f"same-tick sibling (queued, not counted), "
         f"{continued / frames:.2f} charges were carried on at a segment "
-        f"end (one event, no wake-up)",
+        f"end (one event, no wake-up), {granted / frames:.2f} acquires "
+        f"were granted with the hold opened where the wake-up would have "
+        f"run (no wake-up hop)",
         "",
         census.format(frames),
         "",

@@ -19,7 +19,11 @@ holder yields to shows up, and the hold is cut back to its next boundary
 one could tell: the engine hands the due timer to
 :meth:`Cpu.continue_hold`, which re-arms it for the next segment on the
 same tick, and the holder wakes only where today's path would have
-found something to do there.
+found something to do there.  Nor does a waiter wake only to open its
+hold when the CPU is handed to it: it queues with the charge it is
+waiting to make, and the holder's release has the engine open that hold
+where the waiter's wake-up would have run (:meth:`Cpu.grant`), so the
+waiter sleeps on to the end of its charge.
 
 ``exec`` and ``run`` are generators: call them as ``yield from
 cpu.exec(cycles)`` from inside a simulation process.  They ask the lock
@@ -215,6 +219,35 @@ class Cpu:
                         engine._now)
         return True
 
+    def grant(self, ev: Event, plan: tuple) -> bool:
+        """The lock is being handed to the waiter that queued ``ev`` with
+        ``plan`` (this CPU, then :meth:`begin_hold`'s arguments: the
+        charge it is waiting to make): let the engine open that hold
+        where the waiter's wake-up would have run, with the waiter asleep
+        until the hold's timer (:meth:`SimProcess.skip_hop`), if nobody
+        could tell.  The waiter then wakes once, at the end of its
+        charge, instead of first waking only to open it.
+
+        That is the case only when all of these hold — otherwise
+        :meth:`PriorityLock.release` succeeds ``ev`` and the waiter opens
+        its hold one queue hop later, as ever: nothing else is due at
+        this tick (:meth:`Engine.alone`, asked without advancing the
+        calendar wheel: the hop would not have looked), so that hop
+        would pop next; no contention injector is installed (it draws a
+        burst before a segment's first hold); and the waiter's own
+        resume is all that waits on ``ev`` (:meth:`Event.sole_waiter`).
+        The hold opens at the very point the hop would have opened it,
+        so it sees the lock and the gate as they are then: a releaser
+        that queues again at once clips it to a quantum, as before, and
+        a shut gate clips a user hold.  True when it did.
+        """
+        waiter = ev.sole_waiter()
+        if (waiter is None or self.contention is not None
+                or not self.engine.alone(advance=False)):
+            return False
+        waiter.skip_hop(ev, self.begin_hold, plan[1:])
+        return True
+
     def end_hold(self) -> int:
         """Close the hold: settle the ledger from elapsed time and return
         the cycles charged (to the segment it was opened for, or the one
@@ -260,13 +293,16 @@ class Cpu:
         tell, one hold runs on into the next segment without a wake-up
         (:meth:`continue_hold`): the segments must follow each other with
         no code in between, which is what handing them over together
-        says.  ``segments`` may be endless (``Process.spin``).
+        says.  A charge that has to queue for the CPU leaves its hold
+        with the request, for the grant to open (:meth:`grant`); thrown
+        out of that wait, it withdraws the request or gives back what it
+        was granted.  ``segments`` may be endless (``Process.spin``).
         """
         engine = self.engine
         lock = self.lock
         # ``not engine.passes(ev)``, spelled out below as ``ev is not
-        # engine._done or engine._queue.peek_at() == engine._now``: one
-        # frame less per charge
+        # engine._done or engine._skipped or engine._queue.peek_at() ==
+        # engine._now``: one frame less per charge
         rest = filter(_CHARGES, segments)
         seg = next(rest, None)
         if seg is None:
@@ -281,14 +317,29 @@ class Cpu:
             # every pass, a kernel crossing on entry
             if seg[2] and (fresh or seg[1] == PRIO_USER):
                 scheduled = proc.gate.wait()
-                if (scheduled is not engine._done
+                if (scheduled is not engine._done or engine._skipped
                         or engine._queue.peek_at() == engine._now):
                     yield scheduled
             ustart = engine._now
-            granted = lock.acquire(seg[1])
-            if (granted is not engine._done
+            granted = lock.acquire(
+                seg[1], (self, seg, cycles, nxt, rest, proc, ustart))
+            timer = None
+            if (granted is not engine._done or engine._skipped
                     or engine._queue.peek_at() == engine._now):
-                yield granted
+                try:
+                    moved = yield granted
+                except BaseException:
+                    # thrown out of the wait: withdraw the request, or
+                    # give back the CPU it was granted (ending the hold
+                    # opened at the grant, if it was)
+                    if not lock.cancel_acquire(granted):
+                        if self._timer is not None:
+                            self.end_hold()
+                        lock.release()
+                    raise
+                # woken by the grant, or at the end of the hold opened
+                # for it (:meth:`grant`): then that timer is still open
+                timer = self._timer
             try:
                 if fresh and self.contention is not None and not (
                         seg[2] and seg[1] == PRIO_USER):
@@ -300,12 +351,16 @@ class Cpu:
                         yield Timeout(engine, stolen * CYCLE_PS)
                         self.contention_cycles += stolen
                 while True:
-                    timer = self.begin_hold(seg, cycles, nxt, rest, proc,
-                                            ustart)
-                    try:
-                        moved = yield timer
-                    finally:
+                    if timer is None:
+                        timer = self.begin_hold(seg, cycles, nxt, rest,
+                                                proc, ustart)
+                        try:
+                            moved = yield timer
+                        finally:
+                            charged = self.end_hold()
+                    else:
                         charged = self.end_hold()
+                    timer = None
                     if moved is not None:   # carried on into later segments
                         seg, nxt = moved
                         cycles = seg[0]

@@ -41,7 +41,6 @@ from ..hw.nic.ethernet import STRIPE_CHUNK, striped_size
 from ..vcode.builder import VBuilder
 from ..vcode.isa import Insn, Program, insn_cost
 from ..vcode.registers import P_VAR
-from ..vcode import jit
 from ..vcode.vm import Vm, VmResult
 from .kernels import apply_pipe_at_gauge, gather_striped
 from .pipe import P_GAUGE32, Pipe, gauge_bytes
@@ -214,9 +213,9 @@ class IntegratedPipeline:
         dst: int,
         nbytes: int,
     ) -> VmResult:
-        """Execute the emitted loop on the VM (JIT engine by default;
-        ``compile_pl`` pre-translates the loop so this hits the code
-        cache); ``REPRO_VCODE_ENGINE=interp`` gives the reference run."""
+        """Execute the emitted loop on the VM (JIT engine by default,
+        translated on first use); ``REPRO_VCODE_ENGINE=interp`` gives the
+        reference run."""
         self._check_args(nbytes)
         regs = [0] * 32
         for key, reg in self.state_regs.items():
@@ -463,13 +462,6 @@ def compile_pl(
     sections.epilogue = section_cost(mark)
 
     program = b.finish()
-    # compile_pl *is* the dynamic code generation step ("integrates
-    # several pipes ... encoded in a specialized data copying loop"), so
-    # translate the fused loop to native code now, for both the
-    # cache-modelled and cache-less VM variants; run_vm then always hits
-    # the code cache.
-    jit.get_compiled(program, cal, has_cache=True)
-    jit.get_compiled(program, cal, has_cache=False)
     return IntegratedPipeline(
         pl=pl,
         mode=mode,

@@ -160,6 +160,16 @@ class Event:
         except ValueError:
             pass
 
+    def sole_waiter(self) -> Optional["SimProcess"]:
+        """The process waiting on this event when its resume is the one
+        callback the event has (no ``any_of``, no listener beside it),
+        else None."""
+        cbs = self._callbacks
+        if len(cbs) == 1 and getattr(cbs[0], "__func__", None) is \
+                SimProcess._on_event:
+            return cbs[0].__self__
+        return None
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "triggered" if self.triggered else "pending"
         return f"<{type(self).__name__} {self.name!r} {state}>"
@@ -334,6 +344,22 @@ class SimProcess(Event):
             self._waiting_on = None
         self.engine._schedule(self.engine.now, self._deliver_interrupt)
 
+    def skip_hop(self, ev: Event, step: Callable[..., Event],
+                 args: tuple) -> None:
+        """Trigger ``ev``, which this process alone waits on
+        (:meth:`Event.sole_waiter`), without the hop that would resume
+        the process only for it to call ``step(*args)`` and wait on the
+        event that returns: the engine makes that call itself, where the
+        hop would have run, and the process waits on its result.  Call
+        it only when :meth:`Engine.alone`: the hop would then be the next
+        entry to pop, so it runs once the dispatch under way returns to
+        the run loop, and until then every same-tick test sees it as due
+        (see :attr:`Engine._skipped`).  A lock's grant that opens its
+        grantee's CPU hold does this (:meth:`repro.hw.cpu.Cpu.grant`)."""
+        ev._callbacks = []
+        ev._state = Event._TRIGGERED
+        self.engine._skipped.append((self, step, args))
+
     def _deliver_interrupt(self) -> None:
         if not self.alive or not self._interrupts:
             return
@@ -436,6 +462,12 @@ class Engine:
         # yield the same object instead of allocating one.
         self._done = Event(self, "done")
         self._done._state = Event._TRIGGERED
+        #: hops :meth:`SimProcess.skip_hop` saved, ``(process, step,
+        #: args)``: each stands for an entry due now, at the head of the
+        #: due heap (``passes`` and ``alone`` say False while one waits),
+        #: and is taken where it would pop: before the run loop pops
+        #: anything else, or where ``_send_step`` would step aside for it
+        self._skipped: list = []
 
     # -- clock ---------------------------------------------------------
     @property
@@ -471,7 +503,8 @@ class Engine:
     def passes(self, event: Event) -> bool:
         """True when a process may walk through ``event`` without
         yielding it: it is the shared pre-triggered event (an open gate,
-        an uncontended lock) *and* no other entry is due at this tick.
+        an uncontended lock) *and* no other entry is due at this tick
+        (a hop :meth:`SimProcess.skip_hop` saved counts as one).
 
         That is the tie test :meth:`_send_step` applies before it elides
         the hop of such a wait, asked by the waiter itself: the hop
@@ -489,21 +522,29 @@ class Engine:
         """
         # peek_at, not a look at the due heap alone: with nothing due the
         # calendar queue advances its wheel here, exactly where the
-        # elision it replaces did
-        return event is self._done and self._queue.peek_at() != self._now
+        # elision it replaces did (but not behind a hop a grant saved,
+        # which would sit at the head of the due heap)
+        return (event is self._done and not self._skipped
+                and self._queue.peek_at() != self._now)
 
-    def alone(self) -> bool:
-        """True when no live entry is due at this tick: what is popping
-        now may run on into the next thing it does without anyone being
-        able to tell (the continuation of a CPU hold asks this).
+    def alone(self, advance: bool = True) -> bool:
+        """True when no live entry is due at this tick, nor a hop
+        :meth:`SimProcess.skip_hop` saved: what is popping now may run on
+        into the next thing it does without anyone being able to tell
+        (the continuation of a CPU hold and a grant that opens one ask
+        this).
 
         Tombstones due now are popped here, as the run loop would pop
         them next, so the answer is the same on both substrates: a
         cancel removes a wheel-resident entry on ``fast`` but leaves a
-        tombstone on ``legacy``.
+        tombstone on ``legacy``.  With nothing due, the calendar queue
+        advances its wheel here, as the tie test of the wake-up this
+        stands for would; ``advance=False`` asks without moving it, for
+        a caller that stands for a hop, which would not have looked.
         """
         now = self._now
-        return self._queue.peek_live_at(now) != now
+        return not self._skipped and self._queue.peek_live_at(
+            now, advance) != now
 
     def _book_requeue(self) -> None:
         """Move the hop that just popped from ``scheduled`` / ``fired``
@@ -548,6 +589,16 @@ class Engine:
         for fn in callbacks:
             self._schedule(self._now, fn, event)
 
+    def _take_skipped(self) -> None:
+        """Take the hops :meth:`SimProcess.skip_hop` saved, in order:
+        make each one's call and have its process wait on the result."""
+        skipped = self._skipped
+        while skipped:
+            proc, step, args = skipped.pop(0)
+            target = step(*args)
+            proc._waiting_on = target
+            target._callbacks.append(proc._on_event_cb)
+
     def _crashed(self, proc: SimProcess, exc: BaseException) -> None:
         self._crashes.append((proc, exc))
 
@@ -574,7 +625,10 @@ class Engine:
 
     def _run_legacy(self, until: Optional[int]) -> None:
         queue = self._queue
+        skipped = self._skipped
         while True:
+            if skipped:
+                self._take_skipped()
             at = queue.peek_at()
             if at is None:
                 break
@@ -611,6 +665,7 @@ class Engine:
         proc_resume = SimProcess._resume
         send_step = self._send_step
         done = self._done
+        skipped = self._skipped
         # Dispatch ledger deltas are accumulated locally and flushed on
         # exit: reentrant increments (``_schedule`` from callbacks,
         # ``_send_step``) still hit the attributes directly, and deltas
@@ -619,6 +674,8 @@ class Engine:
         fired_d = sched_d = inl_d = req_d = 0
         try:
             while True:
+                if skipped:
+                    self._take_skipped()
                 entry = pop_due(until)
                 if entry is None:
                     if until is not None and len(queue):
@@ -651,28 +708,33 @@ class Engine:
                             # near-future push lands straight in the due
                             # heap instead of paying bucket residency.
                             due = queue._due
-                            if (due[0][0] != now) if due else (peek_at() != now):
+                            if ((due[0][0] != now) if due
+                                    else (peek_at() != now)) \
+                                    and len(cbs) == 1:
                                 # No other entry at this tick: running the
-                                # callbacks right now, in list order, is
-                                # provably order-identical to scheduling
-                                # them — anything they schedule at this
-                                # tick still lands after all of them, just
-                                # as it would behind the hop entries.
-                                for cb in cbs:
-                                    # keep the ledger comparable with the
-                                    # hop path: each callback counts as one
-                                    # scheduled-and-fired dispatch
-                                    sched_d += 1
-                                    fired_d += 1
-                                    inl_d += 1
-                                    cbf = getattr(cb, "__func__", None)
-                                    if cbf is proc_on_event:
-                                        proc = cb.__self__
-                                        if proc._state == 0:
-                                            proc._waiting_on = None
-                                            send_step(proc, fn._value)
-                                    else:
-                                        cb(fn)
+                                # callback right now is provably
+                                # order-identical to scheduling it —
+                                # anything it schedules at this tick still
+                                # lands after it, just as it would behind
+                                # its hop entry.  (One callback only: with
+                                # none left to run in this dispatch, a
+                                # process stepped here may take a hop a
+                                # grant saved, see ``_send_step``.)
+                                # Keep the ledger comparable with the hop
+                                # path: it counts as one scheduled-and-
+                                # fired dispatch.
+                                sched_d += 1
+                                fired_d += 1
+                                inl_d += 1
+                                cb = cbs[0]
+                                if getattr(cb, "__func__", None) is \
+                                        proc_on_event:
+                                    proc = cb.__self__
+                                    if proc._state == 0:
+                                        proc._waiting_on = None
+                                        send_step(proc, fn._value)
+                                else:
+                                    cb(fn)
                             else:
                                 for cb in cbs:
                                     self._seq += 1
@@ -717,7 +779,9 @@ class Engine:
         no other entry is pending at this tick that hop is the sole
         entry and pops next with nothing in between, so resuming inline
         is order-identical — the loop below does exactly that, paying
-        one queue round-trip less per such wait.
+        one queue round-trip less per such wait.  A hop a grant saved
+        (:meth:`SimProcess.skip_hop`) is due ahead of it: that one is
+        taken first, where the process would have stepped aside for it.
         """
         gen_send = proc.gen.send
         queue = self._queue
@@ -752,7 +816,19 @@ class Engine:
                     target._callbacks.append(on_event_cb)
                     return
                 due = queue._due  # re-read each pass: _advance rebinds it
-                if target._exc is not None or (
+                if self._skipped:
+                    # a hop a grant saved is due first, and it would sit
+                    # at the head of the due heap: look no further (no
+                    # eager advance), as behind it
+                    if target._exc is not None or (due and due[0][0] == now):
+                        self._schedule(now, on_event_cb, target)
+                        return
+                    # nothing else is due, and nothing else of this
+                    # dispatch is left to run (the run loop steps one
+                    # process at a time): take it here, where this
+                    # process would step aside for it, and go on
+                    self._take_skipped()
+                elif target._exc is not None or (
                     (due[0][0] == now) if due else (peek_at() == now)
                 ):
                     # failure delivery or same-tick siblings: generic hop

@@ -7,7 +7,7 @@ Process-facing primitives:
 * :class:`PriorityLock` — a mutual-exclusion lock with priorities (the
   CPU: interrupt-level work preempts user-level work at charge-quantum
   boundaries; the holder's timed *hold* is told when such a waiter
-  queues),
+  queues, and a grant can open the next holder's),
 * :class:`Gate` — a reusable level-triggered condition (scheduler
   "you are now running" signals; closing it cuts the running hold).
 
@@ -73,9 +73,10 @@ class HeapEventQueue:
     def peek_at(self) -> Optional[int]:
         return self._heap[0][0] if self._heap else None
 
-    def peek_live_at(self, now: int) -> Optional[int]:
+    def peek_live_at(self, now: int, advance: bool = True) -> Optional[int]:
         """:meth:`peek_at`, once the tombstones due at ``now`` are popped
-        off the head (the run loop would pop them next, silently)."""
+        off the head (the run loop would pop them next, silently).  A
+        heap has no wheel: ``advance`` is the calendar queue's."""
         heap = self._heap
         while heap and heap[0][0] == now and heap[0][2] is None:
             self.pop()
@@ -234,11 +235,17 @@ class CalendarQueue:
             return None
         return self._due[0][0]
 
-    def peek_live_at(self, now: int) -> Optional[int]:
+    def peek_live_at(self, now: int, advance: bool = True) -> Optional[int]:
         """:meth:`peek_at`, once the tombstones due at ``now`` are popped
-        off the head (the run loop would pop them next, silently)."""
+        off the head (the run loop would pop them next, silently).  With
+        ``advance`` False, an empty due heap is not refilled from the
+        wheel: the answer for ``now`` is the same (every entry due at the
+        tick being dispatched is in the due heap), and nothing moves."""
         while True:
-            at = self.peek_at()
+            if advance:
+                at = self.peek_at()
+            else:
+                at = self._due[0][0] if self._due else None
             if at != now or self._due[0][2] is not None:
                 return at
             self.pop()
@@ -362,6 +369,15 @@ class PriorityLock:
     yields to.  That models a CPU where interrupt handlers run at
     instruction (here: charge quantum) boundaries without the holder
     waking at every boundary to look.
+
+    :meth:`release` keeps the lock held and transfers ownership to the
+    most urgent waiter.  A waiter may leave a *plan* with its request:
+    what it will do with the lock, as a tuple whose first item is the
+    object that can start it.  The grant is offered to that object first
+    (``plan[0].grant(ev, plan)``), which may start the plan without
+    waking the waiter (:meth:`repro.hw.cpu.Cpu.grant`).  Otherwise, or
+    with no plan, the waiter's event succeeds, and the waiter wakes one
+    queue hop later to start it itself.
     """
 
     def __init__(self, engine: Engine, name: str = "lock"):
@@ -370,7 +386,8 @@ class PriorityLock:
         self._acquire_name = name + ".acquire"
         self._locked = False
         self._seq = 0
-        self._waiters: list[tuple[int, int, Event]] = []
+        #: heap of ``(priority, arrival, event, plan)``
+        self._waiters: list[tuple[int, int, Event, Optional[tuple]]] = []
         #: the holder's open timed hold, or None: any object with a
         #: ``yield_below`` priority bound and a ``cut()`` method (the
         #: CPU, see :meth:`repro.hw.cpu.Cpu.cut`).  Set and cleared by
@@ -390,24 +407,41 @@ class PriorityLock:
         """Priority of the most urgent waiter, or None."""
         return self._waiters[0][0] if self._waiters else None
 
-    def acquire(self, priority: int = 10) -> Event:
+    def acquire(self, priority: int = 10,
+                plan: Optional[tuple] = None) -> Event:
+        """Take the lock, or queue for it with ``plan`` (see the class
+        docstring); the event triggers once the lock is the caller's."""
         if not self._locked:
             self._locked = True
             return self.engine._done
         ev = self.engine.event(self._acquire_name)
         self._seq += 1
-        heapq.heappush(self._waiters, (priority, self._seq, ev))
+        heapq.heappush(self._waiters, (priority, self._seq, ev, plan))
         hold = self.hold
         if hold is not None and priority < hold.yield_below:
             hold.cut()
         return ev
 
+    def cancel_acquire(self, ev: Event) -> bool:
+        """Withdraw a pending ``acquire`` (its waiter was thrown out of
+        the wait).  False when ``ev`` is not queued: the lock was granted
+        to it already, and its waiter must release it."""
+        waiters = self._waiters
+        for entry in waiters:
+            if entry[2] is ev:
+                waiters.remove(entry)
+                heapq.heapify(waiters)
+                return True
+        return False
+
     def release(self) -> None:
         if not self._locked:
             raise RuntimeError(f"{self.name}: release of unheld lock")
         if self._waiters:
-            _prio, _seq, ev = heapq.heappop(self._waiters)
-            ev.succeed(None)  # lock stays held, ownership transfers
+            # the lock stays held: ownership transfers
+            _prio, _seq, ev, plan = heapq.heappop(self._waiters)
+            if plan is None or not plan[0].grant(ev, plan):
+                ev.succeed(None)
         else:
             self._locked = False
 

@@ -136,8 +136,9 @@ def lookups(world_name):
 #: the census report's per-frame summary, in the order it prints it
 CENSUS_HEAD = ("frames", "events_fired", "events_per_frame",
                "waits_per_frame", "sites", "inline_per_frame",
-               "requeued_per_frame", "continued_per_frame")
-CENSUS_LEFT = ("timer", "continued", "blocked", "tie", "other")
+               "requeued_per_frame", "continued_per_frame",
+               "granted_per_frame")
+CENSUS_LEFT = ("timer", "continued", "granted", "blocked", "tie", "other")
 
 
 def census():

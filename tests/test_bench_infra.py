@@ -292,7 +292,8 @@ def test_census_report_of_pingpong_small():
     lines = census_report().splitlines()
     assert lines[0].startswith("pingpong_small (seed 1): ")
     rows = [line.split() for line in lines[4:lines.index("", 4)]]
-    assert all(len(row) == 6 and row[2] in ("pending", "hop", "continued")
+    assert all(len(row) == 6
+               and row[2] in ("pending", "hop", "continued", "granted")
                for row in rows)
     # a charge is booked at its charge site, not inside the CPU model
     assert not any("Cpu.run" in row[5] for row in rows)

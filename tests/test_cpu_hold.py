@@ -38,6 +38,17 @@ mixed-priority segments against waiters, gate closes, interrupts,
 contention and ledger reads, some landing exactly on a segment end
 before and after its timer, through both on both substrates, and
 requires one log.
+
+**The grant rule.**  A charge that queues for the CPU leaves its hold
+with the request, and a release whose hop nobody could see has the
+engine open that hold where the waiter's wake-up would have run
+(``Cpu.grant``).  The hop it replaced survives here as ``HopLock``,
+which drops the charge so that every grant wakes its waiter;
+``TestGrantRule`` runs generated contention — releasers that queue
+again at once, long user holds, gate shuts, kills — through both on both
+substrates and requires one log and the same engine counters but for
+the hops saved.  ``TestInterruptedWaiter`` covers a waiter thrown out
+of that queue.
 """
 
 import itertools
@@ -150,10 +161,10 @@ class RecordingLock(PriorityLock):
         if not self.grants or self.grants[-1][1] != owner:
             self.grants.append((self.engine.now, owner))
 
-    def acquire(self, priority=10):
+    def acquire(self, priority=10, plan=None):
         if not self._locked:
             self._granted(priority)
-        return super().acquire(priority)
+        return super().acquire(priority, plan)
 
     def release(self):
         if self._waiters:
@@ -235,8 +246,9 @@ class World:
     def spawn_killer(self, victim, gap, slot):
         """Throw an Interrupt at ``victim`` if it is sitting on a timer
         then (mid-hold, mid-steal or between rounds) — not while it is
-        queued for the CPU, where the old and the new code alike leave
-        the lock's wait queue pointing at a dead waiter."""
+        queued for the CPU, where the sliced reference leaves the lock's
+        wait queue pointing at a dead waiter (``Cpu.run`` withdraws its
+        request: ``TestInterruptedWaiter``)."""
         def body():
             yield self.sleep_until_slot(gap, slot)
             target = self.procs[victim]
@@ -587,9 +599,9 @@ class CountingLock(PriorityLock):
 
     asked = 0
 
-    def acquire(self, priority=10):
+    def acquire(self, priority=10, plan=None):
         self.asked += 1
-        return super().acquire(priority)
+        return super().acquire(priority, plan)
 
 
 class CountingGate(Gate):
@@ -858,13 +870,14 @@ class TestEventBudget:
         stats = eng.stats()
         # one reschedule (one queue entry withdrawn), after which the
         # two parts of the charge and the interrupt are a timer and a
-        # wake-up each, plus the hand-overs (sliced: 109).  Nothing here
-        # passes through: the first acquire ties with the interrupt's
-        # start at tick 0 (one re-queue), the other two really wait for
-        # the CPU
+        # wake-up each (sliced: 109).  Nothing here passes through: the
+        # first acquire ties with the interrupt's start at tick 0 (one
+        # re-queue), the other two really wait for the CPU, and each is
+        # granted with its hold opened at the release (12 while every
+        # hand-over woke its waiter first)
         assert cpu.cycles_charged == self.CHARGE + Q
         assert (stats["fired"], stats["cancelled"], stats["requeued"]) \
-            == (12, 1, 1)
+            == (10, 1, 1)
 
     def test_ledger_mid_hold_reads_whole_quanta(self, substrate):
         """Between wake-ups the ledger reads what a holder waking every
@@ -1040,11 +1053,11 @@ class RunWorld:
     that log (tick, who, what) as they go: the log is the hand-over and
     same-tick order both forms must agree on."""
 
-    def __init__(self, substrate, split, schedule):
+    def __init__(self, substrate, split, schedule, lock=RecordingLock):
         self.engine = eng = Engine(substrate)
         cal = Calibration().with_changes(quantum_us=schedule["quantum_us"])
         self.cpu = cpu = (SplitCpu if split else Cpu)(eng, cal)
-        cpu.lock = RecordingLock(eng)
+        cpu.lock = lock(eng)
         if schedule["steals"]:
             cpu.contention = Stealer(schedule["steals"])
         node = SimpleNamespace(cpus=[cpu],
@@ -1096,7 +1109,8 @@ class RunWorld:
         def body():
             for gap, slot, segments in rounds:
                 try:
-                    yield self.sleep(gap, slot)
+                    if gap is not None:     # (None: on at once)
+                        yield self.sleep(gap, slot)
                     yield from self.cpu.run(segments)
                 except Interrupt:
                     self.note(name, "interrupted")
@@ -1385,6 +1399,211 @@ class TestRunRule:
             ("Process._wrapper", "Timeout", "continued")] == 100
         # the scheduler's and the process's starts, one timer per charge
         assert eng.stats()["fired"] == 2 + 100
+
+
+# ---------------------------------------------------------------------------
+# the grant rule: a contended hand-over opens the next holder's hold where
+# its wake-up would have, against the wake-up hop it replaced
+# ---------------------------------------------------------------------------
+
+class HopLock(RecordingLock):
+    """Every hand-over as it was before a grant could open the waiter's
+    hold: the lock drops the charge a waiter leaves with its request, so
+    ``release`` succeeds the waiter's event, and the waiter wakes one
+    queue hop later to open its hold itself."""
+
+    def acquire(self, priority=10, plan=None):
+        return super().acquire(priority)
+
+
+def run_hand_overs(schedule, substrate, lock):
+    """``RunWorld``'s observables, the lock's state at the horizon and
+    the engine's counters but for those a saved hop moves; and
+    ``(fired, scheduled, requeued)``."""
+    world = RunWorld(substrate, False, schedule, lock=lock)
+    seen = world.observe()
+    stats = world.engine.stats()
+    seen["locked"] = world.cpu.lock.locked
+    seen["engine"] = {key: stats[key] for key in (
+        "now_ps", "cancelled", "inlined", "pending", "queue")}
+    return seen, (stats["fired"], stats["scheduled"], stats["requeued"])
+
+
+def hand_overs_agree(schedule):
+    """Grant-and-hold against the hop on both substrates: the same log
+    (same-tick order included), hand-overs, ledger, lock and counters.
+    Every hop saved is one entry neither scheduled nor fired, and on
+    ``fast`` a pass-through that stepped aside for one no longer queues
+    (a re-queue, counted in neither).  Returns the hops saved."""
+    want = None
+    saved = set()
+    for substrate in SUBSTRATES:
+        ref, (ref_fired, ref_scheduled, ref_requeued) = run_hand_overs(
+            schedule, substrate, HopLock)
+        got, (fired, scheduled, requeued) = run_hand_overs(
+            schedule, substrate, RecordingLock)
+        assert got == ref, substrate
+        saved.add(ref_fired - fired)
+        assert ref_fired - fired == ref_scheduled - scheduled >= 0
+        assert requeued <= ref_requeued if substrate == "fast" else (
+            requeued == ref_requeued)
+        # (the legacy loop inlines nothing, and its queue is another)
+        del ref["engine"]
+        assert ref == (want := want or ref), substrate
+    (hops,) = saved
+    return hops
+
+
+@st.composite
+def grant_schedules(draw):
+    """Actors that contend for one CPU: runs of one to three segments of
+    any priority and length (up to twelve quanta), gated or not, and
+    rounds that begin at once when the last ends (``None``: the releaser
+    queues again before anyone else runs), plus urgent arrivals, gate
+    shuts, kills and ledger reads."""
+    actors = []
+    for i in range(draw(st.integers(2, 4))):
+        kind = draw(st.sampled_from(("process", "exec", "exec")))
+        rounds = []
+        for r in range(draw(st.integers(1, 3))):
+            segments = [
+                (draw(SEGMENT_CYCLES), *(
+                    draw(st.sampled_from(PROCESS_KINDS)) if kind == "process"
+                    else (draw(st.sampled_from(
+                        (PRIO_INTERRUPT, PRIO_KERNEL, PRIO_USER))), False)))
+                for _ in range(draw(st.integers(1, 3)))]
+            gap = None if r and draw(st.booleans()) else draw(
+                st.integers(0, 1500))
+            slot = None if gap is None or draw(st.booleans()) else draw(
+                st.sampled_from((7, 11_007)))
+            rounds.append((gap, slot, segments))
+        actors.append((f"a{i}", kind, rounds))
+    probes = [(draw(st.sampled_from(("read", "urgent", "urgent", "kill",
+                                      "shut"))),
+               draw(st.integers(1, 6000)),
+               draw(st.sampled_from((None, 12_345))), draw(st.integers(0, 1)),
+               f"a{draw(st.integers(0, len(actors) - 1))}")
+              for _ in range(draw(st.integers(0, 3)))]
+    return {
+        "actors": actors, "probes": probes,
+        "steals": draw(st.one_of(st.just([]), st.just([]), st.lists(
+            st.sampled_from((0, 1, Q - 1)), max_size=4))),
+        "quantum_us": draw(st.sampled_from((20.000007, 64.0, 1024.0))),
+    }
+
+
+class TestGrantRule:
+    @given(grant_schedules())
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_generated_hand_overs(self, schedule):
+        hand_overs_agree(schedule)
+
+    def test_a_contended_hand_over_is_one_wake_up(self):
+        """``b`` queues behind ``a``; when ``a`` is done the hold ``b``
+        asked for opens at once, and ``b`` wakes only at its end."""
+        schedule = {
+            "actors": [
+                ("a", "exec", [(0, None, [(3 * Q, PRIO_KERNEL, False)])]),
+                ("b", "exec", [(Q, 7, [(2 * Q + 5, PRIO_KERNEL, False)])]),
+            ],
+            "probes": [], "steals": [], "quantum_us": 1024.0,
+        }
+        assert hand_overs_agree(schedule) == 1
+
+    @pytest.mark.parametrize("user", [True, False])
+    def test_a_releaser_that_queues_again_at_once(self, user):
+        """The cut-versus-clip case.  ``r`` hands the CPU to ``w`` and
+        asks for it again before anyone else runs, more urgently.  The
+        hop path's ``w`` woke to find ``r`` queued and clipped its hold
+        to one quantum; the hold opened for it at the grant does the
+        same, because it opens where that wake-up would have run: no
+        hold is cut, so no timer is withdrawn that the hop path kept
+        (``hand_overs_agree`` compares the cancels too)."""
+        w = ("w", "process", [(Q // 2, 7, [(5 * Q, PRIO_USER, True)])]) \
+            if user else ("w", "exec", [(Q // 2, 7, [(5 * Q, PRIO_KERNEL,
+                                                       False)])])
+        schedule = {
+            "actors": [
+                ("r", "exec", [(0, None, [(Q, PRIO_INTERRUPT, False)]),
+                               (None, None, [(Q, PRIO_INTERRUPT, False)])]),
+                w,
+            ],
+            "probes": [], "steals": [], "quantum_us": 1024.0,
+        }
+        assert hand_overs_agree(schedule) >= 1
+        seen, _ = run_hand_overs(schedule, "fast", RecordingLock)
+        assert [(tick // Q_TICKS, who) for tick, who in seen["grants"]] == [
+            (0, "r"), (1, "w"), (2, "r"), (3, "w")]
+
+    def test_contention_keeps_the_hop(self):
+        """An injector draws its burst when the waiter wakes: no grant
+        opens a hold for it."""
+        schedule = {
+            "actors": [
+                ("a", "exec", [(0, None, [(3 * Q, PRIO_KERNEL, False)])]),
+                ("b", "exec", [(Q, 7, [(2 * Q, PRIO_KERNEL, False)])]),
+            ],
+            "probes": [], "steals": [0, Q], "quantum_us": 1024.0,
+        }
+        assert hand_overs_agree(schedule) == 0
+
+
+@pytest.mark.parametrize("substrate", SUBSTRATES)
+class TestInterruptedWaiter:
+    """A waiter thrown out of its wait for the CPU gives up its place in
+    the queue, or the CPU it was granted."""
+
+    @staticmethod
+    def world(substrate, kill_at):
+        eng = Engine(substrate)
+        cpu = Cpu(eng, Calibration())
+        log = []
+
+        def charge(name, start, cycles):
+            yield Timeout(eng, start)
+            try:
+                yield from cpu.exec(cycles, PRIO_KERNEL)
+            except Interrupt:
+                log.append((name, "interrupted", eng.now))
+            else:
+                log.append((name, "done", eng.now))
+
+        eng.spawn(charge("a", 0, 10 * Q))
+        b = eng.spawn(charge("b", Q_TICKS, 4 * Q))
+        eng.spawn(charge("c", 3 * Q_TICKS, Q))
+
+        def killer():
+            yield Timeout(eng, kill_at)
+            b.interrupt("kill")
+
+        eng.spawn(killer())
+        eng.run()
+        return cpu, log
+
+    def test_a_queued_waiter_withdraws_its_request(self, substrate):
+        """``b`` queues behind ``a`` and is interrupted there; ``c``
+        queues after it.  The grant goes to ``c``, not to ``b``'s dead
+        request (which left the lock held by nobody, and ``c`` waiting
+        for ever)."""
+        cpu, log = self.world(substrate, 2 * Q_TICKS)
+        assert log == [("b", "interrupted", 2 * Q_TICKS),
+                       ("a", "done", 10 * Q_TICKS),
+                       ("c", "done", 11 * Q_TICKS)]
+        assert not cpu.lock.locked and not cpu.lock._waiters
+        assert cpu.cycles_charged == 11 * Q
+
+    def test_a_hold_opened_at_the_grant_is_ended(self, substrate):
+        """``b`` is interrupted two and a half quanta into the hold the
+        grant opened for it: it is charged the two whole quanta, and
+        hands the CPU on to ``c``."""
+        kill_at = 10 * Q_TICKS + 5 * Q_TICKS // 2
+        cpu, log = self.world(substrate, kill_at)
+        assert log == [("a", "done", 10 * Q_TICKS),
+                       ("b", "interrupted", kill_at),
+                       ("c", "done", kill_at + Q_TICKS)]
+        assert not cpu.lock.locked
+        assert cpu.cycles_charged == 10 * Q + 2 * Q + Q
 
 
 class TestFig4Tie:
