@@ -141,9 +141,9 @@ class YieldCensus:
             waits[(*yield_site(proc.gen), "Timeout", "continued")] += 1
             return True
 
-        def booking_grant(cpu, ev, plan):
+        def booking_grant(cpu, ev, run):
             proc = ev.sole_waiter()
-            if not grant(cpu, ev, plan):
+            if not grant(cpu, ev, run):
                 return False
             site = yield_site(proc.gen)
             rested = (*site, "Event:acquire", "pending")

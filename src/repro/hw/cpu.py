@@ -20,10 +20,14 @@ one could tell: the engine hands the due timer to
 :meth:`Cpu.continue_hold`, which re-arms it for the next segment on the
 same tick, and the holder wakes only where today's path would have
 found something to do there.  Nor does a waiter wake only to open its
-hold when the CPU is handed to it: it queues with the charge it is
-waiting to make, and the holder's release has the engine open that hold
-where the waiter's wake-up would have run (:meth:`Cpu.grant`), so the
-waiter sleeps on to the end of its charge.
+hold when the CPU is handed to it: it queues with its run, and the
+holder's release has the engine open that run's hold where the waiter's
+wake-up would have run (:meth:`Cpu.grant`), so the waiter sleeps on to
+the end of its charge.
+
+A run keeps its state in one :class:`Run` object: the lock's plan for a
+queued charge, the one argument of :meth:`Cpu.begin_hold`, and what
+:meth:`Cpu.continue_hold` moves on to the next segment.
 
 ``exec`` and ``run`` are generators: call them as ``yield from
 cpu.exec(cycles)`` from inside a simulation process.  They ask the lock
@@ -36,7 +40,7 @@ timer and one wake-up, nothing else.
 from __future__ import annotations
 
 import operator
-from typing import Generator, Iterable, Iterator, Optional, TYPE_CHECKING
+from typing import Generator, Iterable, Optional, TYPE_CHECKING
 
 from ..sim.engine import Engine, Event, Timeout
 from ..sim.queues import PriorityLock
@@ -54,16 +58,35 @@ YIELD_TO_ANY = float("inf")
 
 #: one charge of a run: ``(cycles, prio, gated)``.  A gated segment runs
 #: only while its process is scheduled: at user priority it is
-#: ``Process.compute`` (it waits for the gate before every pass, gives
-#: way to every waiter and to the gate shutting, and is booked as the
-#: process's user time); at any other it is a kernel crossing, which
-#: waits for the gate once, on entry, and then runs as ``exec`` does
+#: ``Process.compute`` (it waits for the gate before every pass and gives
+#: way to every waiter and to the gate shutting); at any other it is a
+#: kernel crossing, which waits for the gate once, on entry, and then
+#: runs as ``exec`` does
 Segment = tuple[int, int, bool]
 
 
 #: what a run keeps of its segments: those that charge anything (a
 #: zero-cycle segment is no charge at all: no gate, no lock)
 _CHARGES = operator.itemgetter(0)
+
+
+class Run:
+    """One :meth:`Cpu.run` call: the segment being charged (``seg``, of
+    which ``cycles`` are left), the one lined up behind it (``nxt``,
+    None at the last), the iterator over the ones after that (``rest``)
+    and the process whose gate gated ones wait on (``proc``).
+
+    It is the plan a charge that queues for the CPU leaves with its
+    request (:class:`PriorityLock` offers the grant as ``grant(ev)``),
+    what :meth:`Cpu.begin_hold` opens a hold for, and what
+    :meth:`Cpu.continue_hold` moves on.  (No ``__init__``: ``Cpu.run``
+    fills it in, without a Python frame per charge.)
+    """
+
+    __slots__ = ("cpu", "seg", "cycles", "nxt", "rest", "proc")
+
+    def grant(self, ev: Event) -> bool:
+        return self.cpu.grant(ev, self)
 
 
 class Cpu:
@@ -90,44 +113,40 @@ class Cpu:
         self._start = 0          # tick the hold began
         self._end_at = 0         # tick its timer is set for (if registered)
         self._gate = None        # the gate it is registered on
-        self._user = None        # user work: the process whose time it is
-        self._ustart = 0         # and the tick it asked for the CPU
-        # -- while a segment is lined up behind it: the rest of the run --
-        self._next: Optional[Segment] = None  # that segment
-        self._rest: Optional[Iterator[Segment]] = None  # the ones after it
-        self._proc: Optional["Process"] = None  # whose gate gated ones wait on
+        #: the run it charges, while its timer may carry it on (names
+        #: this CPU as its hold)
+        self._run: Optional[Run] = None
         #: waiters more urgent than this cut the open hold (read by the
         #: lock; only meaningful while the hold is registered there)
         self.yield_below = 0
 
     # -- the hold primitive -------------------------------------------------
-    def begin_hold(self, seg: Segment, cycles: int,
-                   nxt: Optional[Segment], rest: Iterator[Segment],
-                   proc: Optional["Process"], ustart: int) -> Timeout:
-        """Open a hold of up to ``cycles`` of segment ``seg`` on the CPU
-        the caller has just acquired (having asked for it at ``ustart``);
-        returns the timer to wait on.  Follow with :meth:`end_hold`.
+    def begin_hold(self, run: "Run") -> Timeout:
+        """Open a hold of up to ``run.cycles`` of ``run.seg`` on the CPU
+        the caller has just acquired; returns the timer to wait on.
+        Follow with :meth:`end_hold`.
 
         The timer covers the whole charge and the hold is registered on
-        the lock (and, for user work, ``proc``'s gate) so :meth:`cut` can
-        shorten it — unless it fits in one quantum anyway, or someone the
-        holder yields to is queued already (or the gate is shut), in
+        the lock (and, for user work, the process gate) so :meth:`cut`
+        can shorten it — unless it fits in one quantum anyway, or someone
+        the holder yields to is queued already (or the gate is shut), in
         which case the holder takes its one quantum and then gives way.
-        ``nxt`` is the segment lined up behind this one and ``rest`` the
-        iterator over the ones after it.  While there is one and the
-        timer runs to the end of ``seg`` (and is not cut), it names this
-        CPU as its hold, so that :meth:`continue_hold` can carry the hold
-        on into ``nxt``.  That re-arms the same timer, with ``(segment,
-        next segment)`` as the value the holder wakes to.
+        While a segment is lined up behind (``run.nxt``) and the timer
+        runs to the end of this one (and is not cut), it names this CPU
+        as its hold, so that :meth:`continue_hold` can carry the hold on
+        into the next segment: that moves ``run`` on and re-arms the same
+        timer.
         """
         engine = self.engine
         self._start = now = engine._now
-        carry = nxt is not None
+        seg = run.seg
+        cycles = run.cycles
+        carry = run.nxt is not None
         if cycles > self._quantum:
             prio = seg[1]
             gate = None
             if seg[2] and prio == PRIO_USER:
-                gate = proc.gate
+                gate = run.proc.gate
                 prio = YIELD_TO_ANY
             waiters = self.lock._waiters
             if (waiters and waiters[0][0] < prio) or (
@@ -142,9 +161,6 @@ class Cpu:
                 if gate is not None:
                     self._gate = gate
                     gate.hold = self
-        if seg[2] and seg[1] == PRIO_USER:
-            self._user = proc
-            self._ustart = ustart
         timer = self._timer
         if timer is None:
             self._timer = timer = Timeout(engine, cycles * CYCLE_PS)
@@ -152,15 +168,13 @@ class Cpu:
                 return timer
         else:
             # carried on from the segment before: the holder, when it
-            # wakes, finds out where it is from the timer's value
+            # wakes, finds out where it is from ``run``
             timer.delay = ticks = cycles * CYCLE_PS
-            timer._entry = engine._schedule(now + ticks, timer, (seg, nxt))
+            timer._entry = engine._schedule(now + ticks, timer, None)
             if not carry:
                 timer.hold = None
                 return timer
-        self._next = nxt
-        self._rest = rest
-        self._proc = proc
+        self._run = run
         timer.hold = self
         return timer
 
@@ -203,10 +217,11 @@ class Cpu:
         (``Engine._book_requeue``): which ticks coincide is the
         schedule's accident, so ``fired`` does not say it.
         """
-        nxt = self._next
+        run = self._run
+        nxt = run.nxt
         engine = self.engine
         if (self.lock._waiters or self.contention is not None
-                or nxt[0] < 0 or (nxt[2] and not self._proc.gate._open)):
+                or nxt[0] < 0 or (nxt[2] and not run.proc.gate._open)):
             return False
         if not engine.alone():
             engine._book_requeue()
@@ -214,19 +229,19 @@ class Cpu:
         timer = self._timer
         self.end_hold()
         self._timer = timer
-        rest = self._rest
-        self.begin_hold(nxt, nxt[0], next(rest, None), rest, self._proc,
-                        engine._now)
+        run.seg = nxt
+        run.cycles = nxt[0]
+        run.nxt = next(run.rest, None)
+        self.begin_hold(run)
         return True
 
-    def grant(self, ev: Event, plan: tuple) -> bool:
-        """The lock is being handed to the waiter that queued ``ev`` with
-        ``plan`` (this CPU, then :meth:`begin_hold`'s arguments: the
-        charge it is waiting to make): let the engine open that hold
-        where the waiter's wake-up would have run, with the waiter asleep
-        until the hold's timer (:meth:`SimProcess.skip_hop`), if nobody
-        could tell.  The waiter then wakes once, at the end of its
-        charge, instead of first waking only to open it.
+    def grant(self, ev: Event, run: "Run") -> bool:
+        """The lock is being handed to the waiter that queued ``ev`` for
+        ``run``: let the engine open the run's hold where the waiter's
+        wake-up would have run, with the waiter asleep until the hold's
+        timer (:meth:`SimProcess.skip_hop`), if nobody could tell.  The
+        waiter then wakes once, at the end of its charge, instead of
+        first waking only to open it.
 
         That is the case only when all of these hold — otherwise
         :meth:`PriorityLock.release` succeeds ``ev`` and the waiter opens
@@ -245,15 +260,15 @@ class Cpu:
         if (waiter is None or self.contention is not None
                 or not self.engine.alone(advance=False)):
             return False
-        waiter.skip_hop(ev, self.begin_hold, plan[1:])
+        waiter.skip_hop(ev, self.begin_hold, run)
         return True
 
     def end_hold(self) -> int:
         """Close the hold: settle the ledger from elapsed time and return
         the cycles charged (to the segment it was opened for, or the one
-        it was carried on into: see :meth:`begin_hold`).  A holder thrown
-        out before its timer came due (an ``Interrupt``) is charged the
-        whole quanta it completed, and the timer is withdrawn.
+        it was carried on into: ``run.seg``).  A holder thrown out before
+        its timer came due (an ``Interrupt``) is charged the whole quanta
+        it completed, and the timer is withdrawn.
         """
         timer = self._timer
         self._timer = None
@@ -270,14 +285,6 @@ class Cpu:
         self._busy_ticks += elapsed
         cycles = elapsed // CYCLE_PS
         self._cycles_charged += cycles
-        user = self._user
-        if user is not None:
-            self._user = None
-            if cycles:
-                # waiting for the CPU counts once the wait bought a
-                # completed quantum (an interrupted first one leaves no
-                # trace)
-                user.user_ticks += self._start - self._ustart + elapsed
         return cycles
 
     # -- core execution primitive -----------------------------------------
@@ -293,10 +300,11 @@ class Cpu:
         tell, one hold runs on into the next segment without a wake-up
         (:meth:`continue_hold`): the segments must follow each other with
         no code in between, which is what handing them over together
-        says.  A charge that has to queue for the CPU leaves its hold
-        with the request, for the grant to open (:meth:`grant`); thrown
-        out of that wait, it withdraws the request or gives back what it
-        was granted.  ``segments`` may be endless (``Process.spin``).
+        says.  The run's state is one :class:`Run`, which a charge that
+        has to queue for the CPU leaves with the request, for the grant
+        to open its hold (:meth:`grant`); thrown out of that wait, it
+        withdraws the request or gives back what it was granted.
+        ``segments`` may be endless (``Process.spin``).
         """
         engine = self.engine
         lock = self.lock
@@ -307,8 +315,10 @@ class Cpu:
         seg = next(rest, None)
         if seg is None:
             return
-        nxt = next(rest, None)
-        cycles = seg[0]
+        run = Run()
+        run.cpu, run.seg, run.rest, run.proc = self, seg, rest, proc
+        run.cycles = cycles = seg[0]
+        run.nxt = next(rest, None)
         fresh = True        # nothing of ``seg`` charged yet
         while True:
             if fresh and cycles < 0:
@@ -320,14 +330,12 @@ class Cpu:
                 if (scheduled is not engine._done or engine._skipped
                         or engine._queue.peek_at() == engine._now):
                     yield scheduled
-            ustart = engine._now
-            granted = lock.acquire(
-                seg[1], (self, seg, cycles, nxt, rest, proc, ustart))
+            granted = lock.acquire(seg[1], run)
             timer = None
             if (granted is not engine._done or engine._skipped
                     or engine._queue.peek_at() == engine._now):
                 try:
-                    moved = yield granted
+                    yield granted
                 except BaseException:
                     # thrown out of the wait: withdraw the request, or
                     # give back the CPU it was granted (ending the hold
@@ -352,19 +360,16 @@ class Cpu:
                         self.contention_cycles += stolen
                 while True:
                     if timer is None:
-                        timer = self.begin_hold(seg, cycles, nxt, rest,
-                                                proc, ustart)
+                        timer = self.begin_hold(run)
                         try:
-                            moved = yield timer
+                            yield timer
                         finally:
                             charged = self.end_hold()
                     else:
                         charged = self.end_hold()
                     timer = None
-                    if moved is not None:   # carried on into later segments
-                        seg, nxt = moved
-                        cycles = seg[0]
-                    cycles -= charged
+                    seg = run.seg   # (moved on if the hold was carried on)
+                    run.cycles = cycles = run.cycles - charged
                     # done, or cut: user work always gives way (and waits
                     # for its gate again), other work only to a more
                     # urgent waiter
@@ -375,11 +380,12 @@ class Cpu:
                 lock.release()
             if cycles:
                 fresh = False
-            elif nxt is None:
-                return
             else:
-                seg, cycles, fresh = nxt, nxt[0], True
-                nxt = next(rest, None)
+                seg = run.nxt
+                if seg is None:
+                    return
+                run.seg, run.cycles, run.nxt = seg, seg[0], next(rest, None)
+                cycles, fresh = seg[0], True
 
     def exec(
         self,

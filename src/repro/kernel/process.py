@@ -65,8 +65,6 @@ class Process:
         self.gate = Gate(self.engine, f"{name}.gate")
         self.body = body
         self.sim_proc = None
-        #: cumulative scheduled CPU time the process consumed (ticks)
-        self.user_ticks = 0
 
     # -- lifecycle --------------------------------------------------------
     def start(self):

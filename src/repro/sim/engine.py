@@ -344,11 +344,11 @@ class SimProcess(Event):
             self._waiting_on = None
         self.engine._schedule(self.engine.now, self._deliver_interrupt)
 
-    def skip_hop(self, ev: Event, step: Callable[..., Event],
-                 args: tuple) -> None:
+    def skip_hop(self, ev: Event, step: Callable[[Any], Event],
+                 arg: Any) -> None:
         """Trigger ``ev``, which this process alone waits on
         (:meth:`Event.sole_waiter`), without the hop that would resume
-        the process only for it to call ``step(*args)`` and wait on the
+        the process only for it to call ``step(arg)`` and wait on the
         event that returns: the engine makes that call itself, where the
         hop would have run, and the process waits on its result.  Call
         it only when :meth:`Engine.alone`: the hop would then be the next
@@ -358,7 +358,7 @@ class SimProcess(Event):
         grantee's CPU hold does this (:meth:`repro.hw.cpu.Cpu.grant`)."""
         ev._callbacks = []
         ev._state = Event._TRIGGERED
-        self.engine._skipped.append((self, step, args))
+        self.engine._skipped.append((self, step, arg))
 
     def _deliver_interrupt(self) -> None:
         if not self.alive or not self._interrupts:
@@ -463,7 +463,7 @@ class Engine:
         self._done = Event(self, "done")
         self._done._state = Event._TRIGGERED
         #: hops :meth:`SimProcess.skip_hop` saved, ``(process, step,
-        #: args)``: each stands for an entry due now, at the head of the
+        #: arg)``: each stands for an entry due now, at the head of the
         #: due heap (``passes`` and ``alone`` say False while one waits),
         #: and is taken where it would pop: before the run loop pops
         #: anything else, or where ``_send_step`` would step aside for it
@@ -594,8 +594,8 @@ class Engine:
         make each one's call and have its process wait on the result."""
         skipped = self._skipped
         while skipped:
-            proc, step, args = skipped.pop(0)
-            target = step(*args)
+            proc, step, arg = skipped.pop(0)
+            target = step(arg)
             proc._waiting_on = target
             target._callbacks.append(proc._on_event_cb)
 

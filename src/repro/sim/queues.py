@@ -353,9 +353,6 @@ class Channel:
             return True, self._items.popleft()
         return False, None
 
-    def peek(self) -> Any:
-        return self._items[0] if self._items else None
-
 
 class PriorityLock:
     """A mutex whose wait queue is ordered by (priority, arrival).
@@ -372,12 +369,11 @@ class PriorityLock:
 
     :meth:`release` keeps the lock held and transfers ownership to the
     most urgent waiter.  A waiter may leave a *plan* with its request:
-    what it will do with the lock, as a tuple whose first item is the
-    object that can start it.  The grant is offered to that object first
-    (``plan[0].grant(ev, plan)``), which may start the plan without
-    waking the waiter (:meth:`repro.hw.cpu.Cpu.grant`).  Otherwise, or
-    with no plan, the waiter's event succeeds, and the waiter wakes one
-    queue hop later to start it itself.
+    what it will do with the lock, as an object that can start it.  The
+    grant is offered to the plan first (``plan.grant(ev)``), which may
+    start it without waking the waiter (:class:`repro.hw.cpu.Run`).
+    Otherwise, or with no plan, the waiter's event succeeds, and the
+    waiter wakes one queue hop later to start it itself.
     """
 
     def __init__(self, engine: Engine, name: str = "lock"):
@@ -387,7 +383,7 @@ class PriorityLock:
         self._locked = False
         self._seq = 0
         #: heap of ``(priority, arrival, event, plan)``
-        self._waiters: list[tuple[int, int, Event, Optional[tuple]]] = []
+        self._waiters: list[tuple[int, int, Event, Any]] = []
         #: the holder's open timed hold, or None: any object with a
         #: ``yield_below`` priority bound and a ``cut()`` method (the
         #: CPU, see :meth:`repro.hw.cpu.Cpu.cut`).  Set and cleared by
@@ -398,17 +394,7 @@ class PriorityLock:
     def locked(self) -> bool:
         return self._locked
 
-    @property
-    def contended(self) -> bool:
-        """True when someone is waiting for the lock."""
-        return bool(self._waiters)
-
-    def waiting_priority(self) -> Optional[int]:
-        """Priority of the most urgent waiter, or None."""
-        return self._waiters[0][0] if self._waiters else None
-
-    def acquire(self, priority: int = 10,
-                plan: Optional[tuple] = None) -> Event:
+    def acquire(self, priority: int = 10, plan: Any = None) -> Event:
         """Take the lock, or queue for it with ``plan`` (see the class
         docstring); the event triggers once the lock is the caller's."""
         if not self._locked:
@@ -440,7 +426,7 @@ class PriorityLock:
         if self._waiters:
             # the lock stays held: ownership transfers
             _prio, _seq, ev, plan = heapq.heappop(self._waiters)
-            if plan is None or not plan[0].grant(ev, plan):
+            if plan is None or not plan.grant(ev):
                 ev.succeed(None)
         else:
             self._locked = False

@@ -1,54 +1,48 @@
-"""The coalesced CPU hold against the sliced model it replaced.
+"""The CPU's three hop elisions against the CPU that takes every hop.
 
-``Cpu.exec`` and ``Process.compute`` used to cut every charge into
-200-cycle quanta and wake at each boundary to look for waiters; now a
-charge is one timer, cut back to a boundary only when a waiter the
-holder yields to queues or the scheduler shuts the process gate.  The
-sliced loops survive here, in ``SlicedCpu`` / ``SlicedProcess``, as the
-reference: on both substrates the two models must hand the CPU over in
-the same order at the same ticks and write the same ledgers.
+A charge is one timed hold on the CPU, cut back to a quantum boundary
+only when a waiter the holder yields to queues or the process gate
+shuts (``Cpu.cut``); and a process skips a wake-up, or a same-tick queue
+entry, wherever nobody could tell (a *hop elision*):
 
-**The same-tick rule.**  A waiter that queues (or a gate that shuts) on
-the very tick of a quantum boundary is served at that boundary.  The
-sliced model agreed whenever the arrival ran before the holder's own
-wake-up at that tick, which is how every tie in the generated schedules
-is built (arrival timers are armed at tick 0, ahead of any slice
-timer); when the holder woke first it had already started its next
-quantum and the arrival waited one more — an artefact of event order
-within a tick, pinned (not reproduced) by ``TestSameTickRule``.  Every
-other arrival in a generated schedule carries its own sub-cycle offset,
-so it cannot land on a tick where the holder wakes by accident.
+* **pass-through**: a lock or gate that lets its caller through is asked
+  but not yielded (``Engine.passes``);
+* **carry-on**: one hold runs on into the next segment of its run
+  (``Cpu.continue_hold``);
+* **grant-and-hold**: a contended hand-over opens the next holder's hold
+  at the release (``Cpu.grant``, ``SimProcess.skip_hop``).
 
-**The pass-through rule.**  A lock or gate that lets its caller through
-is asked but no longer yielded, unless something else is due at that
-tick (``Engine.passes``).  The always-yield form survives here as
-``wait_always``; ``TestPassThroughRule`` runs generated actor scripts —
-pass-throughs alone at a tick, beside a sibling, beside a cancelled
-timer's tombstone, under ``SimProcess.interrupt`` — through both forms
-on both substrates and requires one resume order.  (``SlicedCpu`` /
-``SlicedProcess`` keep yielding too, so every differential above also
-compares the two forms.)
+**The references.**  ``HopCpu`` is the CPU with every elision off: every
+segment its own hold, the holder waking at every segment end, every lock
+and gate wait yielded (on a ``HopEngine``, in ``Process.block_on`` too),
+every request queued with no plan.  ``SlicedCpu`` is ``HopCpu`` with
+every hold one quantum long: the per-quantum loops the coalesced hold
+replaced.  ``wait_always`` is the always-yield form of the engine-level
+pass-through (``TestPassThroughRule``).  One world (``World``), one
+generator (``schedules``) and one check (``agree``) hold production to
+``HopCpu`` on every draw and to ``SlicedCpu`` on the draws without
+same-tick ties, on both substrates: the same log, hand-overs, ledger and
+lock, and against ``HopCpu`` the same engine counters but for the hops
+saved.
 
-**The run rule.**  A run of back-to-back charges (``Cpu.run``) is one
-hold, carried on at a segment end without waking the holder wherever
-nobody could tell (``Cpu.continue_hold``).  The split sequence it
-replaced — every charge its own hold, ``yield from a; yield from b`` —
-survives here as ``SplitCpu``; ``TestRunRule`` runs generated runs of
-mixed-priority segments against waiters, gate closes, interrupts,
-contention and ledger reads, some landing exactly on a segment end
-before and after its timer, through both on both substrates, and
-requires one log.
+**The same-tick rule, for arrivals.**  A waiter that queues (or a gate
+that shuts) on the very tick of a quantum boundary is served at that
+boundary.  The sliced model agreed whenever the arrival ran before the
+holder's own wake-up at that tick (an arrival armed at tick 0, ahead of
+any quantum timer); when the holder woke first it had already started
+its next quantum and the arrival waited one more — an artefact of event
+order within a tick, pinned (not reproduced) by ``TestSameTickRule``.
+The sliced model also arms its last quantum's timer later than a
+coalesced hold does, so at a segment end same-tick events fire in
+another order: the draws held to it give every arrival its own
+sub-cycle offset (``ties=False``).  ``HopCpu`` holds whole segments and
+agrees on every tie.
 
-**The grant rule.**  A charge that queues for the CPU leaves its hold
-with the request, and a release whose hop nobody could see has the
-engine open that hold where the waiter's wake-up would have run
-(``Cpu.grant``).  The hop it replaced survives here as ``HopLock``,
-which drops the charge so that every grant wakes its waiter;
-``TestGrantRule`` runs generated contention — releasers that queue
-again at once, long user holds, gate shuts, kills — through both on both
-substrates and requires one log and the same engine counters but for
-the hops saved.  ``TestInterruptedWaiter`` covers a waiter thrown out
-of that queue.
+**The same-tick rule, for reads.**  A ledger read (``busy_ticks``,
+``cycles_charged``) counts every whole quantum completed by its tick,
+the open hold's included: what a holder waking every quantum would have
+written by then, and on a boundary's tick also before the holder has
+woken there.
 """
 
 import itertools
@@ -62,7 +56,7 @@ from repro.bench.census import YieldCensus
 from repro.hw.calibration import (
     Calibration, PRIO_INTERRUPT, PRIO_KERNEL, PRIO_USER,
 )
-from repro.hw.cpu import Cpu
+from repro.hw.cpu import Cpu, YIELD_TO_ANY
 from repro.kernel.process import Process, ProcessState
 from repro.kernel.scheduler import RoundRobinScheduler
 from repro.sim import Engine, Interrupt
@@ -74,16 +68,72 @@ from repro.telemetry.hub import Telemetry
 SUBSTRATES = ("fast", "legacy")
 Q = Calibration().exec_quantum_cycles
 Q_TICKS = Q * CYCLE_PS
+#: derandomized, with a fixed budget: the same draws on every run
+PROPERTY = settings(deadline=None, derandomize=True,
+                    suppress_health_check=[HealthCheck.too_slow])
 
 
 # ---------------------------------------------------------------------------
-# the sliced reference: the loops this PR deleted from src/, verbatim but
-# for the ledger's new private names
+# the references
 # ---------------------------------------------------------------------------
 
-class SlicedCpu(Cpu):
-    def exec(self, cycles, prio=PRIO_USER):
-        engine, lock = self.engine, self.lock
+class HopEngine(Engine):
+    """An engine on which nothing is passed through: every lock and gate
+    wait is yielded, ``Process.block_on``'s too."""
+
+    def passes(self, event):
+        return False
+
+
+class HopCpu(Cpu):
+    """Every segment its own hold, the holder waking at each segment
+    end: ``Cpu.exec`` and ``Process.compute`` as they were before a run
+    of charges could be carried on as one hold, and ``run`` as the
+    ``yield from a; yield from b`` sequence that stood where each run
+    stands now.  Every lock and gate wait is yielded and every request
+    queued with no plan, so every grant wakes its waiter.  A gated
+    kernel segment is the old ``Process.syscall_enter``; a zero-cycle
+    segment is no charge at all."""
+
+    def _begin(self, cycles, yield_below, gate=None):
+        engine = self.engine
+        self._start = engine._now
+        if cycles > self._quantum:
+            waiters = self.lock._waiters
+            if (waiters and waiters[0][0] < yield_below) or (
+                gate is not None and not gate._open
+            ):
+                cycles = self._quantum
+            else:
+                self.yield_below = yield_below
+                self._end_at = engine._now + cycles * CYCLE_PS
+                self.lock.hold = self
+                if gate is not None:
+                    self._gate = gate
+                    gate.hold = self
+        self._timer = timer = Timeout(engine, cycles * CYCLE_PS)
+        return timer
+
+    def _end(self):
+        timer = self._timer
+        self._timer = None
+        lock = self.lock
+        if lock.hold is not None:
+            lock.hold = None
+            gate = self._gate
+            if gate is not None:
+                gate.hold = self._gate = None
+        elapsed = self.engine._now - self._start
+        if not timer._state:
+            timer.cancel()
+            elapsed -= elapsed % self._quantum_ticks
+        self._busy_ticks += elapsed
+        cycles = elapsed // CYCLE_PS
+        self._cycles_charged += cycles
+        return cycles
+
+    def _exec(self, cycles, prio):
+        lock = self.lock
         waiters = lock._waiters
         yield lock.acquire(prio)
         try:
@@ -91,51 +141,57 @@ class SlicedCpu(Cpu):
             if injector is not None:
                 stolen = injector.steal()
                 if stolen:
-                    yield Timeout(engine, stolen * CYCLE_PS)
+                    yield Timeout(self.engine, stolen * CYCLE_PS)
                     self.contention_cycles += stolen
-            remaining = cycles
-            while remaining > 0:
-                slice_cycles = min(remaining, Q)
-                start = engine._now
-                yield Timeout(engine, slice_cycles * CYCLE_PS)
-                self._busy_ticks += engine._now - start
-                self._cycles_charged += slice_cycles
-                remaining -= slice_cycles
-                if remaining > 0 and waiters and waiters[0][0] < prio:
+            while True:
+                timer = self._begin(cycles, prio)
+                try:
+                    yield timer
+                finally:
+                    cycles -= self._end()
+                if cycles <= 0:
+                    break
+                if waiters and waiters[0][0] < prio:
                     lock.release()
                     yield lock.acquire(prio)
         finally:
             lock.release()
 
-    def run(self, segments, proc=None):
-        # ungated runs only (the scheduler's context switch): user work
-        # is SlicedProcess.compute
-        for cycles, prio, _gated in segments:
-            yield from self.exec(cycles, prio)
-
-
-class SlicedProcess(Process):
-    def compute(self, cycles):
-        cpu, engine, lock = self.cpu, self.engine, self.cpu.lock
-        remaining = int(cycles)
-        while remaining > 0:
-            yield self.gate.wait()
-            chunk = min(remaining, Q)
-            ustart = engine._now
-            yield lock.acquire(PRIO_USER)
-            start = engine._now
+    def _compute(self, proc, cycles, prio):
+        lock = self.lock
+        while cycles > 0:
+            yield proc.gate.wait()
+            yield lock.acquire(prio)
+            timer = self._begin(cycles, YIELD_TO_ANY, proc.gate)
             try:
-                yield Timeout(engine, chunk * CYCLE_PS)
-                cpu._busy_ticks += engine._now - start
-                cpu._cycles_charged += chunk
+                yield timer
             finally:
+                cycles -= self._end()
                 lock.release()
-            self.user_ticks += engine._now - ustart
-            remaining -= chunk
+
+    def run(self, segments, proc=None):
+        for cycles, prio, gated in segments:
+            if not cycles:
+                continue
+            if gated and prio == PRIO_USER:
+                yield from self._compute(proc, cycles, prio)
+                continue
+            if gated:
+                yield proc.gate.wait()
+            yield from self._exec(cycles, prio)
+
+
+class SlicedCpu(HopCpu):
+    """``HopCpu`` waking at every quantum boundary as well: every hold
+    is one quantum, so the holder looks for waiters (and its gate) at
+    each boundary, as the loops the coalesced hold replaced did."""
+
+    def _begin(self, cycles, yield_below, gate=None):
+        return super()._begin(min(cycles, self._quantum), yield_below, gate)
 
 
 # ---------------------------------------------------------------------------
-# a one-CPU world both models run in
+# one world all three CPUs run in
 # ---------------------------------------------------------------------------
 
 class Prio(int):
@@ -149,8 +205,8 @@ class Prio(int):
 
 class RecordingLock(PriorityLock):
     """Logs ``(tick, owner)`` each time the CPU changes hands.  The
-    sliced ``compute`` re-takes the free lock at every chunk; taking it
-    again from oneself is not a hand-over, so repeats are dropped."""
+    references re-take the free lock at every hold; taking it again
+    from oneself is not a hand-over, so repeats are dropped."""
 
     def __init__(self, engine):
         super().__init__(engine, "cpu.lock")
@@ -174,7 +230,7 @@ class RecordingLock(PriorityLock):
 
 class Stealer:
     """The ``cpu.contention`` seam: foreign bursts from a fixed list,
-    one draw per ``exec`` call (as ``faults.CpuContention.steal``)."""
+    one draw per segment (as ``faults.CpuContention.steal``)."""
 
     def __init__(self, bursts):
         self.bursts = list(bursts)
@@ -183,127 +239,179 @@ class Stealer:
         return self.bursts.pop(0) if self.bursts else 0
 
 
+#: where a generated world stops (a spin never ends)
+HORIZON = 200 * Q_TICKS
+
+
 class World:
-    def __init__(self, substrate, sliced, cal=Calibration(), steals=()):
-        self.engine = eng = Engine(substrate)
-        self.cpu = cpu = (SlicedCpu if sliced else Cpu)(eng, cal)
+    """One CPU (production's or a reference) and actors and probes that
+    log ``(tick, who, what)`` as they go: the log is the hand-over and
+    same-tick order the CPUs must agree on.  An actor is ``(name, kind,
+    rounds)``; each round ``(gap, slot, segments)`` sleeps ``gap``
+    cycles (ending on sub-cycle offset ``slot``, if one is given; gap
+    None: on at once) and then runs its segments."""
+
+    def __init__(self, substrate, cpu=Cpu, quantum_us=1024.0, steals=()):
+        self.engine = eng = (Engine if cpu is Cpu else HopEngine)(substrate)
+        cal = Calibration().with_changes(quantum_us=quantum_us)
+        self.cpu = cpu = cpu(eng, cal)
         cpu.lock = RecordingLock(eng)
         if steals:
             cpu.contention = Stealer(steals)
-        self.process_cls = SlicedProcess if sliced else Process
         node = SimpleNamespace(cpus=[cpu],
                                telemetry=Telemetry(eng, enabled=False))
         self.kernel = SimpleNamespace(engine=eng, cal=cal, node=node,
                                       schedulers=[])
-        self.procs = {}
-        self.finish = []        #: (name, tick) in completion order
-        self.interrupted = []   #: (name, tick)
+        self.procs, self.log = {}, []
 
     def scheduler(self):
         self.kernel.schedulers.append(RoundRobinScheduler(self.kernel))
 
-    def sleep_until_slot(self, gap_cycles, slot):
-        """A sleep of at least ``gap_cycles`` ending on sub-cycle offset
-        ``slot`` — a tick no quantum boundary of an earlier hold falls
-        on (``slot`` None: exactly ``gap_cycles`` from now)."""
-        eng = self.engine
+    def note(self, who, what):
+        self.log.append((self.engine.now, who, what))
+
+    def sleep(self, gap_cycles, slot):
         gap = gap_cycles * CYCLE_PS
         if slot is not None:
-            gap += (slot - (eng.now + gap)) % CYCLE_PS
-        return Timeout(eng, gap)
+            gap += (slot - (self.engine.now + gap)) % CYCLE_PS
+        return Timeout(self.engine, gap)
 
-    def spawn_exec(self, name, prio, rounds):
-        def body():
-            for gap, slot, charge in rounds:
+    def spawn(self, name, kind, rounds):
+        """``exec``: a bare charge; ``process``: a scheduled process that
+        sleeps off the run queue between rounds; ``idle``: one that
+        sleeps on it, idling through its own slices; ``spin``: one that
+        computes for ever in charges of its first segment's cycles."""
+        # every segment's priority names its actor: a run changing
+        # priority is not a hand-over
+        rounds = [(gap, slot, [(c, Prio(prio, name), gated)
+                               for c, prio, gated in segments])
+                  for gap, slot, segments in rounds]
+
+        def body(proc=None):
+            if kind == "spin":
                 try:
-                    yield self.sleep_until_slot(gap, slot)
-                    yield from self.cpu.exec(charge, Prio(prio, name))
+                    yield from proc.spin(rounds[0][2][0][0])
                 except Interrupt:
-                    self.interrupted.append((name, self.engine.now))
-                self.finish.append((name, self.engine.now))
-        self.procs[name] = self.engine.spawn(body(), name=name)
-
-    def start_compute(self, name, rounds, blocks=True):
-        """A scheduled process; between rounds it sleeps off the run
-        queue (``blocks``) or on it, idling through its own slices."""
-        def body(proc):
-            for gap, slot, charge in rounds:
+                    self.note(name, "interrupted")
+                return
+            for gap, slot, segments in rounds:
                 try:
-                    if gap or slot is not None:
-                        sleep = self.sleep_until_slot(gap, slot)
-                        if blocks:
-                            yield from proc.block_on(sleep)
-                        else:
+                    if proc is None and gap is not None:
+                        yield self.sleep(gap, slot)
+                    elif proc is not None and (gap or slot is not None):
+                        sleep = self.sleep(gap, slot)
+                        if kind == "idle":
                             yield sleep
-                    yield from proc.compute(charge)
+                        else:
+                            yield from proc.block_on(sleep)
+                    yield from self.cpu.run(segments, proc)
                 except Interrupt:
-                    self.interrupted.append((name, self.engine.now))
-                self.finish.append((name, self.engine.now))
-        proc = self.process_cls(self.kernel, name, body)
-        self.procs[name] = proc
-        proc.start()
+                    self.note(name, "interrupted")
+                self.note(name, "done")
 
-    def spawn_killer(self, victim, gap, slot):
-        """Throw an Interrupt at ``victim`` if it is sitting on a timer
-        then (mid-hold, mid-steal or between rounds) — not while it is
-        queued for the CPU, where the sliced reference leaves the lock's
-        wait queue pointing at a dead waiter (``Cpu.run`` withdraws its
-        request: ``TestInterruptedWaiter``)."""
-        def body():
-            yield self.sleep_until_slot(gap, slot)
-            target = self.procs[victim]
-            if isinstance(target, Process):
-                if target.state is not ProcessState.READY:
-                    return
-                target = target.sim_proc
-            waiting_on = target._waiting_on
-            # (a timer that fired at this tick is no longer sat on: the
-            # hop that resumes the victim is queued)
-            if target.alive and isinstance(waiting_on, Timeout) and (
-                    not waiting_on.triggered):
-                target.interrupt("kill")
-        self.engine.spawn(body(), name="killer")
-
-    def observe(self):
-        self.engine.run()
-        cpu = self.cpu
-        return {
-            "finish": self.finish,
-            "grants": cpu.lock.grants,
-            "interrupted": self.interrupted,
-            "cycles_charged": cpu.cycles_charged,
-            "busy_ticks": cpu.busy_ticks,
-            "contention_cycles": cpu.contention_cycles,
-            "user_ticks": {name: p.user_ticks
-                           for name, p in self.procs.items()
-                           if isinstance(p, Process)},
-        }
-
-
-def run_schedule(schedule, substrate, sliced):
-    cal = Calibration().with_changes(quantum_us=schedule["quantum_us"])
-    world = World(substrate, sliced, cal, schedule["steals"])
-    world.scheduler()
-    # sleepers first: their timers are armed at tick 0 ahead of any hold,
-    # which is what makes an arrival on a boundary run before the
-    # sliced holder's wake-up there (see the module docstring)
-    for name, kind, prio, rounds in schedule["contenders"]:
         if kind == "exec":
-            world.spawn_exec(name, prio, rounds)
-    if schedule["kill"] is not None:
-        world.spawn_killer(*schedule["kill"])
-    for name, kind, prio, rounds in schedule["contenders"]:
-        if kind != "exec":
-            world.start_compute(name, rounds, blocks=kind == "compute")
-    return world.observe()
+            self.procs[name] = self.engine.spawn(body(), name=name)
+        else:
+            self.procs[name] = proc = Process(self.kernel, name, body)
+            proc.start()
+
+    def spawn_probe(self, what, at, slot, hops, victim):
+        """At tick ``at`` cycles (+ sub-cycle ``slot``), reached through
+        one timer armed at tick 0 or two (``hops``), the second armed
+        when the first fires: read the ledger, queue an urgent charge,
+        shut ``victim``'s gate for a while, or kill ``victim``."""
+        def body():
+            eng = self.engine
+            tick = at * CYCLE_PS + (slot or 0)
+            if hops:
+                yield Timeout(eng, tick // 2)
+            yield Timeout(eng, tick - eng.now)
+            target = self.procs.get(victim)
+            if what == "read":
+                self.note("probe", self.ledger())
+            elif what == "urgent":
+                yield from self.cpu.exec(Q // 4, Prio(PRIO_INTERRUPT, "urgent"))
+                self.note("urgent", "done")
+            elif what == "shut":
+                # behind the scheduler's back, for a while: with nobody
+                # queued for the CPU only the gate can stop a hold from
+                # running on into user work
+                if isinstance(target, Process):
+                    target.gate.close()
+                    self.note("shut", victim)
+                    yield Timeout(eng, 3 * Q_TICKS + 7)
+                    target.gate.open()
+            else:
+                # kill, if it sits on a timer (mid-hold, mid-steal or
+                # between rounds): not while it is queued for the CPU,
+                # where the references leave the lock's wait queue
+                # pointing at a dead waiter (``Cpu.run`` withdraws its
+                # request: ``TestInterruptedWaiter``)
+                if isinstance(target, Process):
+                    if target.state is not ProcessState.READY:
+                        return
+                    target = target.sim_proc
+                waiting_on = getattr(target, "_waiting_on", None)
+                # (a timer that fired at this tick is no longer sat on:
+                # the hop that resumes the victim is queued)
+                if target is not None and target.alive and isinstance(
+                        waiting_on, Timeout) and not waiting_on.triggered:
+                    target.interrupt("kill")
+                    self.note("kill", victim)
+        self.engine.spawn(body(), name="probe")
+
+    def ledger(self):
+        return self.cpu.busy_ticks, self.cpu.cycles_charged
+
+    def observe(self, until=None):
+        eng = self.engine
+        eng.run(until=until)
+        stats = eng.stats()
+        # copies: a spin never ends, and when the world is collected its
+        # generators are closed, releasing the lock once more
+        return {"log": list(self.log), "grants": list(self.cpu.lock.grants),
+                "ledger": self.ledger(), "locked": self.cpu.lock.locked,
+                "contention_cycles": self.cpu.contention_cycles,
+                "engine": (stats["now_ps"], stats["cancelled"],
+                           stats["pending"], eng.substrate == "legacy"
+                           and stats["queue"]["tombstones_popped"]),
+                "hops": (stats["fired"], stats["scheduled"])}
 
 
-def assert_all_agree(schedule):
-    want = run_schedule(schedule, "fast", sliced=True)
+def play(schedule, substrate, cpu=Cpu):
+    """``schedule`` in a world of ``cpu``'s with a round-robin scheduler:
+    what it observed."""
+    world = World(substrate, cpu, schedule["quantum_us"], schedule["steals"])
+    world.scheduler()
+    # probes first: a probe armed at tick 0 runs ahead of a boundary on
+    # its tick; one that takes two timers, behind it
+    for probe in schedule["probes"]:
+        world.spawn_probe(*probe)
+    for actor in schedule["actors"]:
+        world.spawn(*actor)
+    return world.observe(until=HORIZON)
+
+
+def agree(schedule, reference=HopCpu):
+    """Production against ``reference`` on both substrates: the same log
+    (same-tick order included), hand-overs, ledger and lock.  Against
+    ``HopCpu`` the engine counters too: every hop saved is one entry
+    neither scheduled nor fired, and nothing else moves.  Returns what
+    was observed, with ``saved``, the hops saved (``HopCpu`` only)."""
+    want = None
     for substrate in SUBSTRATES:
-        for sliced in (True, False):
-            got = run_schedule(schedule, substrate, sliced)
-            assert got == want, (substrate, "sliced" if sliced else "hold")
+        ref, got = play(schedule, substrate, reference), play(
+            schedule, substrate)
+        (ref_fired, ref_scheduled), (fired, scheduled) = (
+            ref.pop("hops"), got.pop("hops"))
+        if reference is HopCpu:
+            got["saved"] = ref["saved"] = ref_fired - fired
+            assert ref_fired - fired == ref_scheduled - scheduled >= 0
+        else:   # (it takes a timer per quantum, and cuts no hold)
+            del ref["engine"], got["engine"]
+        assert got == ref, substrate
+        ref.pop("engine", None)     # (a legacy tombstone moves the clock)
+        assert ref == (want := want or ref), substrate
     return want
 
 
@@ -312,74 +420,125 @@ def assert_all_agree(schedule):
 # ---------------------------------------------------------------------------
 
 #: charges: anything from one cycle to a hundred quanta, with whole
-#: quanta and quantum +- 1 over-represented
-CHARGES = st.one_of(
+#: quanta, a quantum +- 1 and none over-represented
+CYCLES = st.one_of(
+    st.integers(1, 700),
     st.integers(1, 20_000),
+    st.integers(1, 12).map(lambda k: k * Q),
     st.integers(1, 100).map(lambda k: k * Q),
     st.integers(1, 20).flatmap(
         lambda k: st.sampled_from((k * Q - 1, k * Q + 1))),
+    st.just(0),
 )
+#: (prio, gated) of a process's segments: user work, a kernel crossing
+#: (waits for the gate once), kernel and interrupt work on its behalf
+PROCESS_KINDS = ((PRIO_USER, True), (PRIO_USER, True), (PRIO_KERNEL, True),
+                 (PRIO_KERNEL, False), (PRIO_INTERRUPT, False),
+                 (PRIO_USER, False))
+PRIOS = (PRIO_INTERRUPT, PRIO_KERNEL, PRIO_USER)
 
 
 @st.composite
-def schedules(draw):
-    n = draw(st.integers(2, 6))
-    slots = iter(range(500, CYCLE_PS, 1000))  # one sub-cycle offset each
-    contenders = []
+def schedules(draw, ties=True, least=1):
+    """``least`` to five actors that contend for one CPU, with runs of one to four segments
+    of any priority and length, gated or not; rounds that begin at tick
+    0, on a quantum boundary of whatever began there, after a gap, or at
+    once when the last ends (the releaser queues again before anyone
+    else runs); urgent arrivals, gate shuts, kills and ledger reads,
+    some on the tick a run that began at 0 ends a segment, ahead of its
+    timer or behind it (and so on the tick of a contended release);
+    contention bursts and short slices.
+
+    With ``ties`` False every arrival after tick 0 gets a sub-cycle
+    offset of its own and every slice is a few ps over a whole number of
+    microseconds: nothing lands on a tick where a holder wakes by
+    accident (the same-tick rule).
+    """
+    slots = iter(range(500, CYCLE_PS, 1000))    # one offset each
+
+    def slot(*shared):
+        return draw(st.sampled_from(shared)) if ties else next(slots)
+
+    actors, ends = [], []
+    n = draw(st.integers(least, 5))
     for i in range(n):
-        # "compute" sleeps off the run queue between rounds, "spin" on it
-        kind = draw(st.sampled_from(("exec", "exec", "compute", "spin")))
-        prio = draw(st.sampled_from(
-            (PRIO_INTERRUPT, PRIO_KERNEL, PRIO_USER)))
+        kind = draw(st.sampled_from(
+            ("exec", "exec", "process", "process", "idle", "spin")))
         rounds = []
-        for r in range(draw(st.integers(1, 3))):
-            charge = draw(CHARGES)
-            if r == 0 and kind != "exec" and draw(st.booleans()):
-                # computes from tick 0, long enough to be walked in on
-                rounds.append((0, None, charge + 40 * Q))
-            elif r == 0 and kind == "exec" and draw(st.booleans()):
-                # exactly on a quantum boundary of whatever began at 0
-                rounds.append((draw(st.integers(2, 60)) * Q, None, charge))
+        for r in range(1 if kind == "spin" else draw(st.integers(1, 3))):
+            if kind == "spin":
+                # (not a charge per cycle: that world is all wake-ups)
+                segments = [(draw(st.sampled_from(
+                    (Q // 2, Q - 1, Q, Q + 1, 3 * Q + 7))), PRIO_USER, True)]
             else:
-                rounds.append((draw(st.integers(0, 3000)), next(slots),
-                               charge))
-        contenders.append((f"c{i}", kind, prio, rounds))
-    kill = None
-    if draw(st.booleans()):
-        kill = (f"c{draw(st.integers(0, n - 1))}",
-                draw(st.integers(1, 30_000)), next(slots))
+                segments = [
+                    (draw(CYCLES), *(
+                        (draw(st.sampled_from(PRIOS)), False)
+                        if kind == "exec"
+                        else draw(st.sampled_from(PROCESS_KINDS))))
+                    for _ in range(draw(st.integers(1, 4)))]
+            start = draw(st.sampled_from(
+                ("zero", "boundary", "gap") if r == 0 else
+                ("gap", "gap", "at once")))
+            if start == "zero":
+                gap, slot_ = 0, None
+                if kind != "exec" and draw(st.booleans()):
+                    # long enough to be walked in on
+                    segments[0] = (segments[0][0] + 40 * Q,
+                                   *segments[0][1:])
+                # where a probe lands exactly on a segment end
+                ends += itertools.accumulate(c for c, _p, _g in segments)
+            elif start == "boundary" and kind == "exec":
+                gap, slot_ = draw(st.integers(2, 60)) * Q, None
+            elif start == "at once":
+                gap, slot_ = None, None
+            else:
+                gap, slot_ = draw(st.integers(0, 3000)), slot(
+                    None, 7, 11_007, 23_333)
+            rounds.append((gap, slot_, segments))
+        actors.append((f"a{i}", kind, rounds))
+    probes = []
+    for _ in range(draw(st.integers(0, 6))):
+        what = draw(st.sampled_from(
+            ("read", "read", "urgent", "urgent", "kill", "shut")))
+        if ties and ends and draw(st.booleans()):
+            at, slot_ = draw(st.sampled_from(ends)), None
+        else:
+            at, slot_ = draw(st.integers(1, 20_000)), slot(None, 12_345)
+        probes.append((what, at, slot_, draw(st.integers(0, 1)),
+                       f"a{draw(st.integers(0, n - 1))}"))
     return {
-        "contenders": contenders,
-        "steals": draw(st.lists(
-            st.sampled_from((0, 0, 1, Q - 1, Q, 3 * Q + 7)), max_size=8)),
-        "kill": kill,
-        # 1024 us and a few ps: a slice never ends on a tick where the
+        "actors": actors, "probes": probes,
+        "steals": draw(st.one_of(st.just([]), st.lists(
+            st.sampled_from((0, 1, Q - 1, Q, 3 * Q + 7)), max_size=8))),
+        # a few ps on a whole slice: it never ends on a tick where the
         # running process wakes (TestSameTickRule covers the slice that
         # does); short slices so that several end inside one schedule
-        "quantum_us": draw(st.sampled_from((1024.000007, 64.000007,
-                                            20.000007))),
+        "quantum_us": draw(st.sampled_from(
+            (20.000007, 64.000007, 1024.000007)
+            + ((64.0, 1024.0) if ties else ()))),
     }
 
 
 class TestDifferential:
-    @given(schedules())
-    @settings(max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
+    @given(schedules(ties=False))
+    @settings(PROPERTY, max_examples=60)
     def test_generated_schedules(self, schedule):
-        assert_all_agree(schedule)
+        agree(schedule, SlicedCpu)
 
     def test_interrupt_arrives_mid_charge(self):
         """The textbook case, spelled out: an interrupt 3.5 quanta into
         a 10-quantum user charge is served at quantum 4."""
         schedule = {
-            "contenders": [
-                ("user", "exec", PRIO_USER, [(2 * Q, None, 10 * Q)]),
-                ("intr", "exec", PRIO_INTERRUPT,
-                 [(5 * Q + Q // 2, None, Q // 4)]),
+            "actors": [
+                ("user", "exec", [(2 * Q, None, [(10 * Q, PRIO_USER, False)])]),
+                ("intr", "exec", [(5 * Q + Q // 2, None,
+                                   [(Q // 4, PRIO_INTERRUPT, False)])]),
             ],
-            "steals": [], "kill": None, "quantum_us": 1024.0,
+            "probes": [], "steals": [], "quantum_us": 1024.0,
         }
-        seen = assert_all_agree(schedule)
+        for reference in (SlicedCpu, HopCpu):
+            seen = agree(schedule, reference)
         assert seen["grants"] == [
             (2 * Q_TICKS, "user"), (6 * Q_TICKS, "intr"),
             (6 * Q_TICKS + Q // 4 * CYCLE_PS, "user"),
@@ -389,43 +548,54 @@ class TestDifferential:
         """``compute`` releases between quanta, so even a PRIO_USER
         ``exec`` gets in at the next boundary; ``exec`` would not yield."""
         schedule = {
-            "contenders": [
-                ("lib", "exec", PRIO_USER, [(3 * Q + 50, None, 2 * Q)]),
-                ("app", "compute", PRIO_USER, [(0, None, 10 * Q)]),
+            "actors": [
+                ("lib", "exec", [(3 * Q + 50, None, [(2 * Q, PRIO_USER,
+                                                      False)])]),
+                ("app", "process", [(0, None, [(10 * Q, PRIO_USER, True)])]),
             ],
-            "steals": [], "kill": None, "quantum_us": 1024.0,
+            "probes": [], "steals": [], "quantum_us": 1024.0,
         }
-        seen = assert_all_agree(schedule)
+        for reference in (SlicedCpu, HopCpu):
+            seen = agree(schedule, reference)
         assert seen["grants"][:3] == [
-            (0, PRIO_USER), (4 * Q_TICKS, "lib"), (6 * Q_TICKS, PRIO_USER)]
+            (0, "app"), (4 * Q_TICKS, "lib"), (6 * Q_TICKS, "app")]
 
     def test_interrupt_thrown_mid_hold_charges_whole_quanta(self):
         schedule = {
-            "contenders": [
-                ("lib", "exec", PRIO_USER, [(0, 500, 10 * Q)]),
-                ("app", "compute", PRIO_USER,
-                 [(0, None, 3 * Q), (10, 1500, 10 * Q)]),
+            "actors": [
+                ("lib", "exec", [(0, 500, [(10 * Q, PRIO_USER, False)])]),
+                ("app", "process", [(0, None, [(3 * Q, PRIO_USER, True)]),
+                                    (10, 1500, [(10 * Q, PRIO_USER, True)])]),
             ],
-            "steals": [], "kill": ("app", 20 * Q, 2500),
-            "quantum_us": 1024.0,
+            "probes": [("kill", 20 * Q, 2500, 0, "app")],
+            "steals": [], "quantum_us": 1024.0,
         }
-        seen = assert_all_agree(schedule)
-        assert [name for name, _ in seen["interrupted"]] == ["app"]
+        for reference in (SlicedCpu, HopCpu):
+            seen = agree(schedule, reference)
+        assert [who for _t, who, what in seen["log"]
+                if what == "interrupted"] == ["app"]
         # all of ``lib``, ``app``'s first round, and the six whole quanta
         # of its second that were over when the interrupt came
-        assert seen["cycles_charged"] == (10 + 3 + 6) * Q
+        assert seen["ledger"][1] == (10 + 3 + 6) * Q
 
 
 # ---------------------------------------------------------------------------
 # the same-tick rule
 # ---------------------------------------------------------------------------
 
+def user_work(name, *rounds, kind="process"):
+    """A process that computes ``cycles`` in each of ``rounds``, ``(gap,
+    slot, cycles)``."""
+    return name, kind, [(gap, slot, [(cycles, PRIO_USER, True)])
+                        for gap, slot, cycles in rounds]
+
+
 class Slicer:
     """The simplest round-robin there is: open a gate, sleep one slice,
     shut it, next.  Its slice timer is armed before the running
-    process's chunk timers and it shuts the gate the moment it wakes, so
-    a slice that ends on a chunk boundary shuts the gate *before* the
-    sliced process wakes there: the tie both models agree on."""
+    process's quantum timers and it shuts the gate the moment it wakes,
+    so a slice that ends on a quantum boundary shuts the gate *before*
+    the sliced process wakes there: the tie both models agree on."""
 
     def __init__(self, world, slice_ticks):
         self.world, self.slice_ticks = world, slice_ticks
@@ -454,43 +624,42 @@ class TestSameTickRule:
     @pytest.mark.parametrize("lead", [0, 160, 37])
     def test_slice_end_on_a_chunk_boundary(self, lead):
         """A 1024 us slice is 204.8 quanta; after ``lead`` = 160 cycles
-        of other work the slice ends exactly on chunk boundary 204."""
-        def run(substrate, sliced):
-            world = World(substrate, sliced)
+        of other work the slice ends exactly on quantum boundary 204."""
+        def run(substrate, cpu):
+            world = World(substrate, cpu)
             Slicer(world, 1024 * 1_000_000)
             for name in ("a", "b"):
-                rounds = [(0, None, 60_000)]
-                if lead:
-                    rounds.insert(0, (0, None, lead))
-                world.start_compute(name, rounds)
-            return world.observe()
+                world.spawn(*user_work(name, *[(0, None, lead)] * bool(lead),
+                                       (0, None, 60_000)))
+            return world.observe()["log"]
 
-        want = run("fast", True)
+        want = run("fast", SlicedCpu)
         for substrate in SUBSTRATES:
-            for sliced in (True, False):
-                assert run(substrate, sliced) == want
+            for cpu in (SlicedCpu, HopCpu, Cpu):
+                assert run(substrate, cpu) == want
 
     @pytest.mark.parametrize("substrate", SUBSTRATES)
     def test_waiter_on_the_boundary_tick_is_served_there(self, substrate):
         """The rule itself.  ``late`` reaches tick 3Q through two timers,
-        the second armed *after* the sliced holder's slice timer for 3Q:
-        the sliced holder woke first, saw nobody, and ran on to 4Q.  The
-        hold is cut on arrival, so the waiter is served at 3Q."""
-        def run(sliced):
-            world = World(substrate, sliced)
-            eng, cpu = world.engine, world.cpu
+        the second armed *after* the sliced holder's quantum timer for
+        3Q: the sliced holder woke first, saw nobody, and ran on to 4Q.
+        The hold is cut on arrival, so the waiter is served at 3Q."""
+        def run(cpu):
+            world = World(substrate, cpu)
+            eng = world.engine
 
             def late():
                 yield Timeout(eng, 5 * Q_TICKS // 2)
                 yield Timeout(eng, Q_TICKS // 2)
-                yield from cpu.exec(Q, Prio(PRIO_INTERRUPT, "late"))
+                yield from world.cpu.exec(Q, Prio(PRIO_INTERRUPT, "late"))
 
-            world.spawn_exec("user", PRIO_USER, [(0, None, 10 * Q)])
+            world.spawn("user", "exec", [(0, None, [(10 * Q, PRIO_USER,
+                                                     False)])])
             eng.spawn(late())
             return world.observe()["grants"]
 
-        assert run(sliced=False)[1] == (3 * Q_TICKS, "late")
-        assert run(sliced=True)[1] == (4 * Q_TICKS, "late")
+        assert run(Cpu)[1] == run(HopCpu)[1] == (3 * Q_TICKS, "late")
+        assert run(SlicedCpu)[1] == (4 * Q_TICKS, "late")
 
     @pytest.mark.parametrize("substrate", SUBSTRATES)
     def test_real_scheduler_slice_end_on_a_boundary(self, substrate):
@@ -499,60 +668,65 @@ class TestSameTickRule:
         sliced process had slipped through the still-open gate and ran
         one more quantum *after* the context switch.  Now the gate shuts
         on the boundary and the process stops there."""
-        def run(sliced):
-            world = World(substrate, sliced)
+        def run(cpu):
+            world = World(substrate, cpu)
             world.scheduler()
             for name in ("a", "b"):
-                world.start_compute(name, [(0, None, 160),
-                                           (0, None, 60_000)])
+                world.spawn(*user_work(name, (0, None, 160),
+                                       (0, None, 60_000)))
             return world.observe()["grants"]
 
         slice_end = 1024 * 40 * CYCLE_PS          # boundary 204 of ``a``
         switch = 25 * 40 * CYCLE_PS
-        assert run(sliced=False)[:3] == [
-            (0, PRIO_USER), (slice_end, PRIO_KERNEL),
-            (slice_end + switch, PRIO_USER)]
-        assert run(sliced=True)[1:3] == [
-            (slice_end, PRIO_KERNEL), (slice_end + switch, PRIO_USER)]
+        assert run(Cpu)[:3] == run(HopCpu)[:3] == [
+            (0, "a"), (slice_end, PRIO_KERNEL), (slice_end + switch, "b")]
+        assert run(SlicedCpu)[1:3] == [
+            (slice_end, PRIO_KERNEL), (slice_end + switch, "a")]
 
     @pytest.mark.parametrize("substrate", SUBSTRATES)
     def test_waiter_on_the_start_tick_waits_one_quantum(self, substrate):
         """A hold is never cut to nothing: a waiter that queues on the
         tick the hold began — two queue hops behind it, so the hold is
         already open — is served one quantum later, as ever."""
-        def run(sliced):
-            world = World(substrate, sliced)
-            eng, cpu = world.engine, world.cpu
+        def run(cpu):
+            world = World(substrate, cpu)
+            eng = world.engine
 
             def intr():
                 yield Timeout(eng, 2 * Q_TICKS)
                 yield Timeout(eng, 0)
                 yield Timeout(eng, 0)
-                assert cpu.lock.locked
-                yield from cpu.exec(Q, Prio(PRIO_INTERRUPT, "intr"))
+                assert world.cpu.lock.locked
+                yield from world.cpu.exec(Q, Prio(PRIO_INTERRUPT, "intr"))
 
-            world.spawn_exec("user", PRIO_USER, [(2 * Q, None, 10 * Q)])
+            world.spawn("user", "exec", [(2 * Q, None, [(10 * Q, PRIO_USER,
+                                                         False)])])
             eng.spawn(intr())
             return world.observe()["grants"][:2]
 
-        assert run(sliced=False) == run(sliced=True) == [
+        assert run(Cpu) == run(SlicedCpu) == run(HopCpu) == [
             (2 * Q_TICKS, "user"), (3 * Q_TICKS, "intr")]
 
     @pytest.mark.parametrize("substrate", SUBSTRATES)
     def test_waiter_on_the_end_tick(self, substrate):
         """A waiter that queues on the tick the hold ends, after its
         timer fired but before the holder woke, finds nothing to cut."""
-        def run(sliced):
-            world = World(substrate, sliced)
-            # armed first, so it fires first at 5Q
-            world.spawn_exec("intr", PRIO_INTERRUPT, [(5 * Q, None, Q)])
-            world.spawn_exec("user", PRIO_USER,
-                             [(0, None, 5 * Q), (0, 500, Q)])
-            return world.observe()
+        schedule = {
+            "actors": [
+                # spawned first, so its timer fires first at 5Q
+                ("intr", "exec", [(5 * Q, None, [(Q, PRIO_INTERRUPT,
+                                                  False)])]),
+                ("user", "exec", [(0, None, [(5 * Q, PRIO_USER, False)]),
+                                  (0, 500, [(Q, PRIO_USER, False)])]),
+            ],
+            "probes": [], "steals": [], "quantum_us": 1024.0,
+        }
+        def run(cpu):
+            seen = play(schedule, substrate, cpu)
+            return seen["log"], seen["grants"], seen["ledger"]
 
-        assert run(sliced=False) == run(sliced=True)
-        assert run(sliced=False)["grants"][:2] == [
-            (0, "user"), (5 * Q_TICKS, "intr")]
+        assert run(Cpu) == run(HopCpu) == run(SlicedCpu)
+        assert run(Cpu)[1][:2] == [(0, "user"), (5 * Q_TICKS, "intr")]
 
     def test_gate_alone_cuts_the_hold(self):
         """Nobody queues for the CPU when ``a``'s slice ends — ``b``
@@ -561,20 +735,20 @@ class TestSameTickRule:
         the CPU stands idle until ``a``'s turn comes round again."""
         slice_ticks = 64 * 1_000_000 + 7
 
-        def run(substrate, sliced):
-            world = World(substrate, sliced)
+        def run(substrate, cpu):
+            world = World(substrate, cpu)
             Slicer(world, slice_ticks)
-            world.start_compute("a", [(0, None, 20 * Q)])
-            world.start_compute("b", [(100 * Q, 500, Q)], blocks=False)
-            return world.observe()
+            world.spawn(*user_work("a", (0, None, 20 * Q)))
+            world.spawn(*user_work("b", (100 * Q, 500, Q), kind="idle"))
+            return world.observe()["log"]
 
-        want = run("fast", True)
+        want = run("fast", SlicedCpu)
         for substrate in SUBSTRATES:
-            for sliced in (True, False):
-                assert run(substrate, sliced) == want
+            for cpu in (SlicedCpu, HopCpu, Cpu):
+                assert run(substrate, cpu) == want
         done = -(-slice_ticks // Q_TICKS)     # 13 quanta in a 12.8 slice
-        assert want["finish"][0] == (
-            "a", 2 * slice_ticks + (20 - done) * Q_TICKS)
+        assert want[0] == (2 * slice_ticks + (20 - done) * Q_TICKS, "a",
+                           "done")
 
 
 # ---------------------------------------------------------------------------
@@ -841,12 +1015,12 @@ class TestEventBudget:
         assert lockstep["scheduled"] == apart["scheduled"]
 
     def test_uncontended_compute_is_one_timer(self, substrate):
-        world = World(substrate, sliced=False)
+        world = World(substrate)
         world.scheduler()
-        world.start_compute("app", [(0, None, self.CHARGE)])
+        world.spawn(*user_work("app", (0, None, self.CHARGE)))
         world.engine.run()
-        assert world.finish == [("app", self.CHARGE * CYCLE_PS)]
-        assert world.procs["app"].user_ticks == self.CHARGE * CYCLE_PS
+        assert world.log == [(self.CHARGE * CYCLE_PS, "app", "done")]
+        assert world.cpu.busy_ticks == self.CHARGE * CYCLE_PS
         # the scheduler's and the process's starts, the dispatch through
         # the gate (the lock then lets it through unyielded), one timer,
         # one wake-up, the exit (8 while the lock's grant was yielded;
@@ -914,327 +1088,20 @@ class TestEventBudget:
 
 
 # ---------------------------------------------------------------------------
-# the run rule: one hold carried on at a segment end, against the split
-# sequence it replaced
+# the run rule: one hold carried on at a segment end
 # ---------------------------------------------------------------------------
 
-class SplitCpu(Cpu):
-    """Every segment its own hold, the holder waking at each segment
-    end: ``Cpu.exec`` and ``Process.compute`` as they were before a run
-    of charges could be carried on as one hold (verbatim but for names),
-    and ``run`` as the ``yield from a; yield from b`` sequence that stood
-    where each run stands now.  A gated kernel segment is the old
-    ``Process.syscall_enter``; a zero-cycle segment is no charge at all;
-    user work takes the CPU at its segment's priority object (which
-    ``RunWorld`` uses to name the actor) rather than the bare constant."""
-
-    def _begin(self, cycles, yield_below, gate=None):
-        engine = self.engine
-        self._start = engine._now
-        if cycles > self._quantum:
-            waiters = self.lock._waiters
-            if (waiters and waiters[0][0] < yield_below) or (
-                gate is not None and not gate._open
-            ):
-                cycles = self._quantum
-            else:
-                self.yield_below = yield_below
-                self._end_at = engine._now + cycles * CYCLE_PS
-                self.lock.hold = self
-                if gate is not None:
-                    self._gate = gate
-                    gate.hold = self
-        self._timer = timer = Timeout(engine, cycles * CYCLE_PS)
-        return timer
-
-    def _end(self):
-        timer = self._timer
-        self._timer = None
-        lock = self.lock
-        if lock.hold is not None:
-            lock.hold = None
-            gate = self._gate
-            if gate is not None:
-                gate.hold = self._gate = None
-        elapsed = self.engine._now - self._start
-        if not timer._state:
-            timer.cancel()
-            elapsed -= elapsed % self._quantum_ticks
-        self._busy_ticks += elapsed
-        cycles = elapsed // CYCLE_PS
-        self._cycles_charged += cycles
-        return cycles
-
-    def _exec(self, cycles, prio):
-        lock = self.lock
-        waiters = lock._waiters
-        passes = self.engine.passes
-        granted = lock.acquire(prio)
-        if not passes(granted):
-            yield granted
-        try:
-            injector = self.contention
-            if injector is not None:
-                stolen = injector.steal()
-                if stolen:
-                    yield Timeout(self.engine, stolen * CYCLE_PS)
-                    self.contention_cycles += stolen
-            while True:
-                timer = self._begin(cycles, prio)
-                try:
-                    yield timer
-                finally:
-                    cycles -= self._end()
-                if cycles <= 0:
-                    break
-                if waiters and waiters[0][0] < prio:
-                    lock.release()
-                    granted = lock.acquire(prio)
-                    if not passes(granted):
-                        yield granted
-        finally:
-            lock.release()
-
-    def _compute(self, proc, cycles, prio=PRIO_USER):
-        engine = self.engine
-        lock = self.lock
-        gate = proc.gate
-        passes = engine.passes
-        remaining = cycles
-        while remaining > 0:
-            scheduled = gate.wait()
-            if not passes(scheduled):
-                yield scheduled
-            ustart = engine._now
-            granted = lock.acquire(prio)
-            if not passes(granted):
-                yield granted
-            start = engine._now
-            timer = self._begin(remaining, float("inf"), gate)
-            try:
-                yield timer
-            finally:
-                charged = self._end()
-                lock.release()
-                if charged:
-                    proc.user_ticks += start - ustart + charged * CYCLE_PS
-                remaining -= charged
-
-    def run(self, segments, proc=None):
-        for cycles, prio, gated in segments:
-            if not cycles:
-                continue
-            if gated and prio == PRIO_USER:
-                yield from self._compute(proc, cycles, prio)
-                continue
-            if gated:
-                scheduled = proc.gate.wait()
-                if not self.engine.passes(scheduled):
-                    yield scheduled
-            yield from self._exec(cycles, prio)
-
-
-#: segment lengths: under a quantum, whole quanta, a quantum +- 1, none
-SEGMENT_CYCLES = st.one_of(
-    st.integers(1, 700),
-    st.integers(1, 12).map(lambda k: k * Q),
-    st.sampled_from((Q - 1, Q + 1, 0)),
-)
-#: (prio, gated) of a process's segments: user work, a kernel crossing
-#: (waits for the gate once), kernel and interrupt work on its behalf
-PROCESS_KINDS = ((PRIO_USER, True), (PRIO_USER, True), (PRIO_KERNEL, True),
-                 (PRIO_KERNEL, False), (PRIO_INTERRUPT, False),
-                 (PRIO_USER, False))
-HORIZON = 200 * Q_TICKS
-
-
-class RunWorld:
-    """One CPU, a round-robin scheduler with short slices, and actors
-    that log (tick, who, what) as they go: the log is the hand-over and
-    same-tick order both forms must agree on."""
-
-    def __init__(self, substrate, split, schedule, lock=RecordingLock):
-        self.engine = eng = Engine(substrate)
-        cal = Calibration().with_changes(quantum_us=schedule["quantum_us"])
-        self.cpu = cpu = (SplitCpu if split else Cpu)(eng, cal)
-        cpu.lock = lock(eng)
-        if schedule["steals"]:
-            cpu.contention = Stealer(schedule["steals"])
-        node = SimpleNamespace(cpus=[cpu],
-                               telemetry=Telemetry(eng, enabled=False))
-        self.kernel = SimpleNamespace(engine=eng, cal=cal, node=node,
-                                      schedulers=[])
-        self.kernel.schedulers.append(RoundRobinScheduler(self.kernel))
-        self.procs, self.log = {}, []
-        # probes first: a probe armed at tick 0 runs ahead of a segment
-        # end on its tick; one that takes two timers, behind it
-        for probe in schedule["probes"]:
-            self.spawn_probe(*probe)
-        for name, kind, rounds in schedule["actors"]:
-            # every segment's priority names its actor: a run changing
-            # priority is not a hand-over
-            rounds = [(gap, slot, [(c, Prio(prio, name), gated)
-                                   for c, prio, gated in segments])
-                      for gap, slot, segments in rounds]
-            (self.start_process if kind != "exec" else self.spawn_exec)(
-                name, kind, rounds)
-
-    def ledger(self):
-        return (self.cpu.busy_ticks, self.cpu.cycles_charged,
-                tuple(p.user_ticks for p in self.procs.values()
-                      if isinstance(p, Process)))
-
-    def note(self, who, what):
-        self.log.append((self.engine.now, who, what))
-
-    def arrive(self, at_cycles, slot, hops):
-        """From tick 0, timers to tick ``at_cycles`` (+ sub-cycle
-        ``slot``): one armed now, or two, the second armed when the first
-        fires."""
-        eng = self.engine
-        at = at_cycles * CYCLE_PS + (slot or 0)
-        if hops:
-            yield Timeout(eng, at // 2)
-        yield Timeout(eng, at - eng.now)
-
-    def sleep(self, gap_cycles, slot):
-        """A sleep of ``gap_cycles`` from now, ending on sub-cycle offset
-        ``slot`` if one is given."""
-        gap = gap_cycles * CYCLE_PS
-        if slot is not None:
-            gap += (slot - (self.engine.now + gap)) % CYCLE_PS
-        return Timeout(self.engine, gap)
-
-    def spawn_exec(self, name, _kind, rounds):
-        def body():
-            for gap, slot, segments in rounds:
-                try:
-                    if gap is not None:     # (None: on at once)
-                        yield self.sleep(gap, slot)
-                    yield from self.cpu.run(segments)
-                except Interrupt:
-                    self.note(name, "interrupted")
-                self.note(name, "done")
-        self.procs[name] = self.engine.spawn(body(), name=name)
-
-    def start_process(self, name, kind, rounds):
-        def body(proc):
-            if kind == "spin":
-                cycles = rounds[0][2][0][0] or 1
-                try:
-                    yield from proc.spin(cycles)
-                except Interrupt:
-                    self.note(name, "interrupted")
-                return
-            for gap, slot, segments in rounds:
-                try:
-                    if gap or slot is not None:
-                        yield from proc.block_on(self.sleep(gap, slot))
-                    yield from self.cpu.run(segments, proc)
-                except Interrupt:
-                    self.note(name, "interrupted")
-                self.note(name, "done")
-        proc = Process(self.kernel, name, body)
-        self.procs[name] = proc
-        proc.start()
-
-    def spawn_probe(self, what, at, slot, hops, victim):
-        def body():
-            yield from self.arrive(at, slot, hops)
-            if what == "read":
-                self.note("probe", self.ledger())
-            elif what == "urgent":
-                yield from self.cpu.exec(Q // 4, Prio(PRIO_INTERRUPT, "urgent"))
-                self.note("urgent", "done")
-            elif what == "shut":
-                # a gate shut behind the scheduler's back, for a while:
-                # with nobody queued for the CPU, only the gate can stop
-                # a hold from running on into user work
-                target = self.procs.get(victim)
-                if isinstance(target, Process):
-                    target.gate.close()
-                    self.note("shut", victim)
-                    yield Timeout(self.engine, 3 * Q_TICKS + 7)
-                    target.gate.open()
-            else:   # kill, if it sits on a timer (as spawn_killer)
-                target = self.procs.get(victim)
-                if isinstance(target, Process):
-                    if target.state is not ProcessState.READY:
-                        return
-                    target = target.sim_proc
-                waiting_on = getattr(target, "_waiting_on", None)
-                if target is not None and target.alive and isinstance(
-                        waiting_on, Timeout) and not waiting_on.triggered:
-                    target.interrupt("kill")
-                    self.note("kill", victim)
-        self.engine.spawn(body(), name="probe")
-
-    def observe(self):
-        self.engine.run(until=HORIZON)
-        # copies: a spin never ends, and when the world is collected its
-        # generators are closed, releasing the lock once more
-        return {"log": list(self.log), "grants": list(self.cpu.lock.grants),
-                "ledger": self.ledger(),
-                "contention_cycles": self.cpu.contention_cycles}
-
-
-@st.composite
-def run_schedules(draw):
-    actors, ends = [], []
-    for i in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(("process", "process", "exec", "spin")))
-        rounds = []
-        for r in range(draw(st.integers(1, 3))):
-            segments = []
-            for _ in range(draw(st.integers(1, 4))):
-                prio, gated = (draw(st.sampled_from(PROCESS_KINDS))
-                               if kind != "exec" else
-                               (draw(st.sampled_from(
-                                   (PRIO_INTERRUPT, PRIO_KERNEL, PRIO_USER))),
-                                False))
-                segments.append((draw(SEGMENT_CYCLES), prio, gated))
-            at = 0 if r == 0 and draw(st.booleans()) else draw(
-                st.integers(0, 3000))
-            slot = None if draw(st.booleans()) else draw(
-                st.sampled_from((7, 11_007, 23_333)))
-            rounds.append((at, slot, segments))
-            if r == 0 and at == 0:
-                # the segment ends of a run that starts at tick 0 on its
-                # own: where a probe lands exactly on a boundary
-                ends += itertools.accumulate(c for c, _p, _g in segments)
-        actors.append((f"a{i}", kind, rounds))
-    probes = []
-    for _ in range(draw(st.integers(0, 6))):
-        on_end = ends and draw(st.booleans())
-        at = draw(st.sampled_from(ends)) if on_end else draw(
-            st.integers(1, 20_000))
-        probes.append((
-            draw(st.sampled_from(("read", "read", "urgent", "kill", "shut"))),
-            at, None if on_end or draw(st.booleans()) else 12_345,
-            draw(st.integers(0, 1)), f"a{draw(st.integers(0, len(actors) - 1))}"))
-    return {
-        "actors": actors, "probes": probes,
-        "steals": draw(st.one_of(st.just([]), st.lists(
-            st.sampled_from((0, 1, Q - 1, 3 * Q + 7)), max_size=6))),
-        "quantum_us": draw(st.sampled_from((20.000007, 64.0, 1024.0))),
-    }
-
-
-def run_both(schedule):
-    want = RunWorld("fast", True, schedule).observe()
-    for substrate, split in (("fast", False), ("legacy", True),
-                             ("legacy", False)):
-        got = RunWorld(substrate, split, schedule).observe()
-        assert got == want, (substrate, "split" if split else "run")
-    return want
+def hand(*actors, probes=(), steals=()):
+    """A schedule spelled out, on 1024 us slices."""
+    return {"actors": list(actors), "probes": list(probes),
+            "steals": list(steals), "quantum_us": 1024.0}
 
 
 class TestRunRule:
-    @given(run_schedules())
-    @settings(max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
+    @given(schedules())
+    @settings(PROPERTY, max_examples=60)
     def test_generated_runs(self, schedule):
-        run_both(schedule)
+        agree(schedule)
 
     @pytest.mark.parametrize("hops", [0, 1])
     @pytest.mark.parametrize("what", ["read", "urgent"])
@@ -1242,16 +1109,13 @@ class TestRunRule:
         """A reader or an urgent waiter on the tick one segment ends and
         the next begins, ahead of the segment's timer (``hops`` 0) or
         behind it (1): either way nobody can tell a continued hold."""
-        schedule = {
-            "actors": [("a0", "process", [(0, None, [
+        seen = agree(hand(
+            ("a0", "process", [(0, None, [
                 (3 * Q + 50, PRIO_USER, True), (60, PRIO_KERNEL, True),
-                (100, PRIO_KERNEL, False), (2 * Q, PRIO_USER, True)])])],
-            "probes": [(what, 3 * Q + 50 + 60, None, hops, "a0"),
-                       ("read", 3 * Q + 50 + 60 + 100 + Q // 2, None, 0,
-                        "a0")],
-            "steals": [], "quantum_us": 1024.0,
-        }
-        seen = run_both(schedule)
+                (100, PRIO_KERNEL, False), (2 * Q, PRIO_USER, True)])]),
+            probes=[(what, 3 * Q + 50 + 60, None, hops, "a0"),
+                    ("read", 3 * Q + 50 + 60 + 100 + Q // 2, None, 0,
+                     "a0")]))
         assert ("a0", "done") in [entry[1:] for entry in seen["log"]]
 
     @pytest.mark.parametrize("hops", [0, 1])
@@ -1259,17 +1123,14 @@ class TestRunRule:
         """The crossing is not cut by its gate, so the hold runs to the
         crossing's end with the gate shut and nobody waiting for the
         CPU: the user work after it must wait for the gate, not run on."""
-        schedule = {
-            "actors": [("a0", "process", [(0, None, [
+        seen = agree(hand(
+            ("a0", "process", [(0, None, [
                 (20, PRIO_USER, True), (3 * Q, PRIO_KERNEL, True),
-                (2 * Q, PRIO_USER, True)])])],
-            "probes": [("shut", 20 + Q, 12_345, hops, "a0"),
-                       # just after the crossing's end: a probe on that
-                       # tick would be a sibling, and nothing carries on
-                       ("read", 20 + 3 * Q, 12_345, 0, "a0")],
-            "steals": [], "quantum_us": 1024.0,
-        }
-        seen = run_both(schedule)
+                (2 * Q, PRIO_USER, True)])]),
+            probes=[("shut", 20 + Q, 12_345, hops, "a0"),
+                    # just after the crossing's end: a probe on that
+                    # tick would be a sibling, and nothing carries on
+                    ("read", 20 + 3 * Q, 12_345, 0, "a0")]))
         done = [tick for tick, who, what in seen["log"]
                 if (who, what) == ("a0", "done")]
         # shut from Q + 20 cycles (+ 12 345 ps) for 3 quanta (+ 7 ps)
@@ -1278,12 +1139,10 @@ class TestRunRule:
     def test_contention_draws_at_every_segment(self):
         """An injector draws a burst as each segment starts: a run with
         one installed is never carried on."""
-        schedule = {
-            "actors": [("a0", "exec", [(0, None, [
-                (Q, PRIO_KERNEL, False), (Q + 3, PRIO_INTERRUPT, False)])])],
-            "probes": [], "steals": [Q, 2 * Q], "quantum_us": 1024.0,
-        }
-        seen = run_both(schedule)
+        seen = agree(hand(
+            ("a0", "exec", [(0, None, [
+                (Q, PRIO_KERNEL, False), (Q + 3, PRIO_INTERRUPT, False)])]),
+            steals=[Q, 2 * Q]))
         assert seen["contention_cycles"] == 3 * Q
         assert seen["log"] == [((5 * Q + 3) * CYCLE_PS, "a0", "done")]
 
@@ -1293,16 +1152,11 @@ class TestRunRule:
         long user segment takes one quantum and gives way again.  The
         kernel work after it must wait for the rest of it, not follow
         that quantum."""
-        schedule = {
-            "actors": [
-                ("x", "exec", [(0, None, [(2 * Q, PRIO_KERNEL, False)])]),
-                ("a0", "process", [(0, None, [
-                    (3 * Q, PRIO_USER, True), (Q, PRIO_KERNEL, False)])]),
-            ],
-            "probes": [("shut", Q, 12_345, 0, "a0")],
-            "steals": [], "quantum_us": 1024.0,
-        }
-        seen = run_both(schedule)
+        seen = agree(hand(
+            ("x", "exec", [(0, None, [(2 * Q, PRIO_KERNEL, False)])]),
+            ("a0", "process", [(0, None, [
+                (3 * Q, PRIO_USER, True), (Q, PRIO_KERNEL, False)])]),
+            probes=[("shut", Q, 12_345, 0, "a0")]))
         assert [entry for entry in seen["log"] if entry[1] == "a0"] == [
             # Q, then Q with the gate shut, then Q once it opens at
             # 4Q + 12 352 ps, then the kernel work
@@ -1312,28 +1166,20 @@ class TestRunRule:
         """``x`` queues during ``a0``'s first segment without cutting it
         (it is less urgent): the lock goes to ``x`` when that segment
         ends, so ``a0``'s second one waits its turn."""
-        schedule = {
-            "actors": [
-                ("a0", "exec", [(0, None, [(2 * Q, PRIO_INTERRUPT, False),
-                                           (Q, PRIO_INTERRUPT, False)])]),
-                ("x", "exec", [(Q // 2, 7, [(Q, PRIO_KERNEL, False)])]),
-            ],
-            "probes": [], "steals": [], "quantum_us": 1024.0,
-        }
-        seen = run_both(schedule)
+        seen = agree(hand(
+            ("a0", "exec", [(0, None, [(2 * Q, PRIO_INTERRUPT, False),
+                                       (Q, PRIO_INTERRUPT, False)])]),
+            ("x", "exec", [(Q // 2, 7, [(Q, PRIO_KERNEL, False)])])))
         assert [who for _tick, who, _what in seen["log"]] == ["x", "a0"]
 
     def test_a_hold_cut_by_its_gate_is_not_carried_on(self):
         """The gate shuts a quantum into ``a0``'s user segment, which is
         cut at its next boundary with nobody waiting for the CPU: the
         kernel work after it must wait for the rest of it."""
-        schedule = {
-            "actors": [("a0", "process", [(0, None, [
-                (3 * Q, PRIO_USER, True), (Q, PRIO_KERNEL, False)])])],
-            "probes": [("shut", Q, 12_345, 0, "a0")],
-            "steals": [], "quantum_us": 1024.0,
-        }
-        seen = run_both(schedule)
+        seen = agree(hand(
+            ("a0", "process", [(0, None, [
+                (3 * Q, PRIO_USER, True), (Q, PRIO_KERNEL, False)])]),
+            probes=[("shut", Q, 12_345, 0, "a0")]))
         # 2Q before the cut, the last Q once the gate opens again at
         # 4Q + 12 352 ps, then the kernel work
         assert seen["log"][-1] == (
@@ -1342,17 +1188,12 @@ class TestRunRule:
     def test_interrupt_in_a_continued_hold(self):
         """Thrown out of the third segment: the first two are charged in
         full, the third by its whole quanta, the fourth not at all."""
-        segments = [(Q + 30, PRIO_USER, True), (45, PRIO_KERNEL, False),
-                    (10 * Q, PRIO_USER, True), (Q, PRIO_USER, True)]
-        schedule = {
-            "actors": [("a0", "process", [(0, None, segments)])],
-            "probes": [("kill", Q + 75 + 3 * Q + Q // 2, 11_007, 0, "a0")],
-            "steals": [], "quantum_us": 1024.0,
-        }
-        seen = run_both(schedule)
-        busy, cycles, (user,) = seen["ledger"]
-        assert cycles == Q + 30 + 45 + 3 * Q
-        assert user == (Q + 30 + 3 * Q) * CYCLE_PS
+        seen = agree(hand(
+            ("a0", "process", [(0, None, [
+                (Q + 30, PRIO_USER, True), (45, PRIO_KERNEL, False),
+                (10 * Q, PRIO_USER, True), (Q, PRIO_USER, True)])]),
+            probes=[("kill", Q + 75 + 3 * Q + Q // 2, 11_007, 0, "a0")]))
+        assert seen["ledger"][1] == Q + 30 + 45 + 3 * Q
 
     @pytest.mark.parametrize("substrate", SUBSTRATES)
     def test_fired_does_not_say_which_ticks_coincide(self, substrate):
@@ -1403,113 +1244,37 @@ class TestRunRule:
 
 # ---------------------------------------------------------------------------
 # the grant rule: a contended hand-over opens the next holder's hold where
-# its wake-up would have, against the wake-up hop it replaced
+# its wake-up would have
 # ---------------------------------------------------------------------------
 
-class HopLock(RecordingLock):
-    """Every hand-over as it was before a grant could open the waiter's
-    hold: the lock drops the charge a waiter leaves with its request, so
-    ``release`` succeeds the waiter's event, and the waiter wakes one
-    queue hop later to open its hold itself."""
-
-    def acquire(self, priority=10, plan=None):
-        return super().acquire(priority)
-
-
-def run_hand_overs(schedule, substrate, lock):
-    """``RunWorld``'s observables, the lock's state at the horizon and
-    the engine's counters but for those a saved hop moves; and
-    ``(fired, scheduled, requeued)``."""
-    world = RunWorld(substrate, False, schedule, lock=lock)
-    seen = world.observe()
-    stats = world.engine.stats()
-    seen["locked"] = world.cpu.lock.locked
-    seen["engine"] = {key: stats[key] for key in (
-        "now_ps", "cancelled", "inlined", "pending", "queue")}
-    return seen, (stats["fired"], stats["scheduled"], stats["requeued"])
-
-
-def hand_overs_agree(schedule):
-    """Grant-and-hold against the hop on both substrates: the same log
-    (same-tick order included), hand-overs, ledger, lock and counters.
-    Every hop saved is one entry neither scheduled nor fired, and on
-    ``fast`` a pass-through that stepped aside for one no longer queues
-    (a re-queue, counted in neither).  Returns the hops saved."""
-    want = None
-    saved = set()
-    for substrate in SUBSTRATES:
-        ref, (ref_fired, ref_scheduled, ref_requeued) = run_hand_overs(
-            schedule, substrate, HopLock)
-        got, (fired, scheduled, requeued) = run_hand_overs(
-            schedule, substrate, RecordingLock)
-        assert got == ref, substrate
-        saved.add(ref_fired - fired)
-        assert ref_fired - fired == ref_scheduled - scheduled >= 0
-        assert requeued <= ref_requeued if substrate == "fast" else (
-            requeued == ref_requeued)
-        # (the legacy loop inlines nothing, and its queue is another)
-        del ref["engine"]
-        assert ref == (want := want or ref), substrate
-    (hops,) = saved
-    return hops
-
-
-@st.composite
-def grant_schedules(draw):
-    """Actors that contend for one CPU: runs of one to three segments of
-    any priority and length (up to twelve quanta), gated or not, and
-    rounds that begin at once when the last ends (``None``: the releaser
-    queues again before anyone else runs), plus urgent arrivals, gate
-    shuts, kills and ledger reads."""
-    actors = []
-    for i in range(draw(st.integers(2, 4))):
-        kind = draw(st.sampled_from(("process", "exec", "exec")))
-        rounds = []
-        for r in range(draw(st.integers(1, 3))):
-            segments = [
-                (draw(SEGMENT_CYCLES), *(
-                    draw(st.sampled_from(PROCESS_KINDS)) if kind == "process"
-                    else (draw(st.sampled_from(
-                        (PRIO_INTERRUPT, PRIO_KERNEL, PRIO_USER))), False)))
-                for _ in range(draw(st.integers(1, 3)))]
-            gap = None if r and draw(st.booleans()) else draw(
-                st.integers(0, 1500))
-            slot = None if gap is None or draw(st.booleans()) else draw(
-                st.sampled_from((7, 11_007)))
-            rounds.append((gap, slot, segments))
-        actors.append((f"a{i}", kind, rounds))
-    probes = [(draw(st.sampled_from(("read", "urgent", "urgent", "kill",
-                                      "shut"))),
-               draw(st.integers(1, 6000)),
-               draw(st.sampled_from((None, 12_345))), draw(st.integers(0, 1)),
-               f"a{draw(st.integers(0, len(actors) - 1))}")
-              for _ in range(draw(st.integers(0, 3)))]
-    return {
-        "actors": actors, "probes": probes,
-        "steals": draw(st.one_of(st.just([]), st.just([]), st.lists(
-            st.sampled_from((0, 1, Q - 1)), max_size=4))),
-        "quantum_us": draw(st.sampled_from((20.000007, 64.0, 1024.0))),
-    }
-
-
 class TestGrantRule:
-    @given(grant_schedules())
-    @settings(max_examples=80, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
+    @given(schedules(least=2))
+    @settings(PROPERTY, max_examples=60)
     def test_generated_hand_overs(self, schedule):
-        hand_overs_agree(schedule)
+        agree(schedule)
 
     def test_a_contended_hand_over_is_one_wake_up(self):
         """``b`` queues behind ``a``; when ``a`` is done the hold ``b``
         asked for opens at once, and ``b`` wakes only at its end."""
-        schedule = {
-            "actors": [
-                ("a", "exec", [(0, None, [(3 * Q, PRIO_KERNEL, False)])]),
-                ("b", "exec", [(Q, 7, [(2 * Q + 5, PRIO_KERNEL, False)])]),
-            ],
-            "probes": [], "steals": [], "quantum_us": 1024.0,
-        }
-        assert hand_overs_agree(schedule) == 1
+        assert agree(hand(
+            ("a", "exec", [(0, None, [(3 * Q, PRIO_KERNEL, False)])]),
+            ("b", "exec", [(Q, 7, [(2 * Q + 5, PRIO_KERNEL, False)])]),
+        ))["saved"] == 1
+
+    @pytest.mark.parametrize("kind", ["exec", "process"])
+    def test_an_urgent_arrival_on_the_release_tick(self, kind):
+        """``a`` releases to ``b`` on the tick an urgent charge arrives,
+        queued behind ``a``'s timer.  ``b``'s wake-up would pop after
+        that arrival, find it queued and clip its hold to a quantum; a
+        hold opened at the release would instead be cut once it queues
+        (a timer withdrawn the hop path never armed): the grant must
+        leave the hop to it."""
+        b = (Q, 7, [(2 * Q + 5, *((PRIO_USER, True) if kind == "process"
+                                   else (PRIO_KERNEL, False)))])
+        agree(hand(
+            ("a", "exec", [(0, None, [(3 * Q, PRIO_KERNEL, False)])]),
+            ("b", kind, [b]),
+            probes=[("urgent", 3 * Q, None, 1, "a")]))
 
     @pytest.mark.parametrize("user", [True, False])
     def test_a_releaser_that_queues_again_at_once(self, user):
@@ -1519,34 +1284,40 @@ class TestGrantRule:
         to one quantum; the hold opened for it at the grant does the
         same, because it opens where that wake-up would have run: no
         hold is cut, so no timer is withdrawn that the hop path kept
-        (``hand_overs_agree`` compares the cancels too)."""
+        (``agree`` compares the cancels too)."""
         w = ("w", "process", [(Q // 2, 7, [(5 * Q, PRIO_USER, True)])]) \
             if user else ("w", "exec", [(Q // 2, 7, [(5 * Q, PRIO_KERNEL,
                                                        False)])])
-        schedule = {
-            "actors": [
-                ("r", "exec", [(0, None, [(Q, PRIO_INTERRUPT, False)]),
-                               (None, None, [(Q, PRIO_INTERRUPT, False)])]),
-                w,
-            ],
-            "probes": [], "steals": [], "quantum_us": 1024.0,
-        }
-        assert hand_overs_agree(schedule) >= 1
-        seen, _ = run_hand_overs(schedule, "fast", RecordingLock)
+        seen = agree(hand(
+            ("r", "exec", [(0, None, [(Q, PRIO_INTERRUPT, False)]),
+                           (None, None, [(Q, PRIO_INTERRUPT, False)])]),
+            w))
+        assert seen["saved"] >= 1
         assert [(tick // Q_TICKS, who) for tick, who in seen["grants"]] == [
             (0, "r"), (1, "w"), (2, "r"), (3, "w")]
+
+    def test_a_releaser_that_steps_through_its_gate(self):
+        """``r`` hands the CPU to ``w`` at the end of its user work and
+        goes on, in the same dispatch, into a kernel crossing: its gate
+        is open, but the hop the grant saved is due first, so ``r``
+        steps aside for it.  ``w``'s hold opens, and ``r``'s request cuts
+        it (a timer withdrawn); walking through the gate instead, ``r``
+        would queue first and ``w``'s hold be clipped."""
+        seen = agree(hand(
+            ("r", "process", [(0, None, [(2 * Q, PRIO_USER, True),
+                                         (Q, PRIO_KERNEL, True)])]),
+            ("w", "exec", [(Q, 7, [(3 * Q, PRIO_USER, False)])])))
+        assert seen["saved"] >= 1
+        assert [(tick // Q_TICKS, who) for tick, who in seen["grants"]] == [
+            (0, "r"), (2, "w"), (3, "r"), (4, "w")]
 
     def test_contention_keeps_the_hop(self):
         """An injector draws its burst when the waiter wakes: no grant
         opens a hold for it."""
-        schedule = {
-            "actors": [
-                ("a", "exec", [(0, None, [(3 * Q, PRIO_KERNEL, False)])]),
-                ("b", "exec", [(Q, 7, [(2 * Q, PRIO_KERNEL, False)])]),
-            ],
-            "probes": [], "steals": [0, Q], "quantum_us": 1024.0,
-        }
-        assert hand_overs_agree(schedule) == 0
+        assert agree(hand(
+            ("a", "exec", [(0, None, [(3 * Q, PRIO_KERNEL, False)])]),
+            ("b", "exec", [(Q, 7, [(2 * Q, PRIO_KERNEL, False)])]),
+            steals=[0, Q]))["saved"] == 0
 
 
 @pytest.mark.parametrize("substrate", SUBSTRATES)

@@ -80,12 +80,6 @@ class TestChannel:
         assert ch.try_get() == (True, 9)
         assert len(ch) == 0
 
-    def test_peek_does_not_consume(self, eng):
-        ch = Channel(eng)
-        ch.put("keep")
-        assert ch.peek() == "keep"
-        assert len(ch) == 1
-
 
 class TestPriorityLock:
     def test_uncontended_acquire_is_immediate(self, eng):
@@ -148,26 +142,6 @@ class TestPriorityLock:
         lock = PriorityLock(eng)
         with pytest.raises(RuntimeError):
             lock.release()
-
-    def test_waiting_priority_reports_most_urgent(self, eng):
-        lock = PriorityLock(eng)
-
-        def holder(eng, lock):
-            yield lock.acquire()
-            yield eng.sleep(100)
-            lock.release()
-
-        def waiter(eng, lock, prio, delay):
-            yield eng.sleep(delay)
-            yield lock.acquire(priority=prio)
-            lock.release()
-
-        eng.spawn(holder(eng, lock))
-        eng.spawn(waiter(eng, lock, 7, 1))
-        eng.spawn(waiter(eng, lock, 3, 2))
-        eng.run(until=50)
-        assert lock.waiting_priority() == 3
-        assert lock.contended
 
 
 class TestGate:
