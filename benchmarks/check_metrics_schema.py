@@ -3,7 +3,7 @@
 
 Usage::
 
-    python benchmarks/check_metrics_schema.py [FILES...]
+    PYTHONPATH=src python benchmarks/check_metrics_schema.py [FILES...]
 
 Without arguments, every ``*.telemetry.json`` / ``*.trace.json`` /
 ``*.postmortem.json`` under ``benchmarks/results/`` is checked.  Exits
@@ -12,12 +12,9 @@ nonzero on any violation.  The test suite imports
 :func:`validate_postmortem` directly, so exporter drift fails CI rather
 than silently producing unreadable sidecars.
 
-``KNOWN_METRICS`` is the exporter schema proper: the complete registry
-of metric names the source tree emits, each pinned to its kind.
-``benchmarks/check_metrics_lint.py`` cross-checks it against the actual
-``counter(``/``gauge(``/``histogram(`` call sites and collectors'
-``total(`` writes in ``src/`` both ways, so the registry can neither
-rot nor silently grow.
+The schema identifiers and versions are the exporters' own, and every
+exported metric must be one ``repro.telemetry.metrics.DECLARED`` names,
+under the block it declares.
 
 Stdlib only — this is structural validation, not jsonschema.
 """
@@ -29,163 +26,34 @@ import json
 import os
 import sys
 
-SCHEMA = "repro-telemetry"
-CHROME_SCHEMA = "repro-telemetry-chrome"
-FLIGHT_SCHEMA = "repro-flightrec"
-FLIGHT_BUNDLE_SCHEMA = "repro-flightrec-bundle"
-SUPPORTED_VERSIONS = (1,)
+from repro.telemetry import (
+    CHROME_SCHEMA,
+    FLIGHT_BUNDLE_SCHEMA,
+    FLIGHT_SCHEMA,
+    FLIGHT_SCHEMA_VERSION,
+    SCHEMA,
+    SCHEMA_VERSION,
+)
+from repro.telemetry.metrics import DECLARED
 
 _NUM = (int, float)
-
-#: every metric the source tree emits, pinned to its export kind.
-#: Exporting one of these under the wrong block is exporter drift and
-#: fails CI; emitting a metric absent from this registry (or listing
-#: one no call site emits) fails the metrics lint.
-KNOWN_METRICS = {
-    # event-engine dispatch ledger (sim/engine.py, collected)
-    "sim.calendar.scheduled": "counters",
-    "sim.calendar.fired": "counters",
-    "sim.calendar.cancelled": "counters",
-    "sim.calendar.inlined": "counters",
-    "sim.calendar.tombstones_popped": "counters",
-    "sim.calendar.pending": "gauges",
-    "sim.calendar.tombstones": "gauges",
-    # fault-injection plane (sim/faults.py)
-    "faults.injected": "counters",
-    "faults.ledger": "gauges",
-    # NIC device counters (hw/nic/base.py)
-    "nic.tx_frames": "counters",
-    "nic.tx_bytes": "counters",
-    "nic.rx_frames": "counters",
-    "nic.rx_bytes": "counters",
-    "nic.rx_dropped": "counters",
-    # receive-side scaling dispatch stage (hw/nic/rss.py; the NIC
-    # collects it)
-    "rss.steered": "counters",
-    "rss.migrations": "counters",
-    "rss.flows": "gauges",
-    # per-core rx rings + batched NIC→kernel handoff
-    # (hw/nic/base.py collected, kernel/kernel.py _rx_drain)
-    "core.ring_depth": "gauges",
-    "core.ring_peak_depth": "gauges",
-    "core.rx_batches": "counters",
-    "core.batch_frames": "histograms",
-    # kernel receive path (kernel/kernel.py)
-    "kernel.rx_interrupts": "counters",
-    "kernel.demux_misses": "counters",
-    "kernel.demux_us": "histograms",
-    "kernel.livelock_deferrals": "counters",
-    "copy.bytes": "counters",
-    "copy.cycles": "counters",
-    # crash/restart recovery plane (kernel/kernel.py crash()/reboot())
-    "crash.crashes": "counters",
-    "crash.recoveries": "counters",
-    "crash.lost_messages": "counters",
-    "crash.filters_reinstalled": "counters",
-    "crash.ash_reinstalls": "counters",
-    # memory-pressure and CPU-contention seams (sim/faults.py)
-    "mem.alloc_failures": "counters",
-    "cpu.contention_cycles": "counters",
-    # delivery-hierarchy invariant (kernel/kernel.py _note_delivery)
-    "degradation.order_violations": "counters",
-    # packet filter engine (kernel/dpf.py)
-    "dpf.inserts": "counters",
-    "dpf.matches": "counters",
-    "dpf.misses": "counters",
-    "dpf.table_size": "gauges",
-    "dpf.tree_depth": "gauges",
-    # scheduler (kernel/scheduler.py)
-    "sched.context_switches": "counters",
-    "sched.packet_boosts": "counters",
-    # upcalls (kernel/upcall.py)
-    "upcall.invocations": "counters",
-    "upcall.faults": "counters",
-    "upcall.cycles_total": "counters",
-    # ASH runtime (ash/system.py)
-    "ash.downloads": "counters",
-    "ash.invocations": "counters",
-    "ash.involuntary_aborts": "counters",
-    "ash.voluntary_aborts": "counters",
-    "ash.abort_fallbacks": "counters",
-    "ash.cycles_total": "counters",
-    "ash.cycles": "histograms",
-    "ash.sandbox_overhead_cycles_est": "counters",
-    "ash.sandbox_added_insns": "gauges",
-    "ash.budget_remaining_cycles": "gauges",
-    # multi-tenant isolation plane (ash/tenancy.py)
-    "tenant.admitted": "counters",
-    "tenant.admitted_bytes": "counters",
-    "tenant.throttled": "counters",
-    "tenant.dropped": "counters",
-    "tenant.cycle_throttled": "counters",
-    "tenant.cycles_used": "counters",
-    "tenant.reclaims": "counters",
-    "tenant.quota_violations": "counters",
-    "tenant.installs_refused": "counters",
-    "tenant.kills": "counters",
-    "tenant.order_violations": "counters",
-    # VCODE JIT (vcode/jit.py, vcode/vm.py)
-    "vcode.jit.compile_cycles": "counters",
-    "vcode.jit.cache_hits": "counters",
-    "vcode.jit.cache_misses": "counters",
-    "vcode.jit.deopts": "counters",
-    # DILP integrated-layer engine (pipes/compiler.py)
-    "dilp.runs": "counters",
-    "dilp.bytes": "counters",
-    "dilp.cycles": "counters",
-    "dilp.saved_cycles": "counters",
-    # protocol libraries (net/stack.py, net/udp.py, net/tcp/tcp.py)
-    "net.tx_frames": "counters",
-    "udp.tx_datagrams": "counters",
-    "udp.rx_datagrams": "counters",
-    "udp.checksum_failures": "counters",
-    "udp.malformed": "counters",
-    "tcp.tx_segments": "counters",
-    "tcp.rx_segments": "counters",
-    "tcp.checksum_failures": "counters",
-    "tcp.retransmits": "counters",
-    "tcp.fast_retransmits": "counters",
-    # congestion control + SACK (net/tcp/tcp.py)
-    "tcp.cwnd": "gauges",
-    "tcp.ssthresh": "gauges",
-    "tcp.rto_backoffs": "counters",
-    "tcp.fast_recovery.entries": "counters",
-    "tcp.fast_recovery.exits": "counters",
-    "tcp.sack.blocks_tx": "counters",
-    "tcp.sack.blocks_rx": "counters",
-    "tcp.sack.sacked_bytes": "counters",
-    "tcp.sack.ooo_queued": "counters",
-    "tcp.sack.selective_rexmits": "counters",
-    # data-touching operations (net/datapath.py)
-    "datapath.bytes": "counters",
-    "datapath.cycles": "counters",
-    # telemetry's own machinery (telemetry/spans.py)
-    "span.finished": "counters",
-    "span.duration_us": "histograms",
-    "stage.latency_us": "histograms",
-    # per-flow SLO plane (telemetry/slo.py)
-    "flow.latency_us": "histograms",
-    "flow.goodput_bytes": "counters",
-    "flow.tx_segments": "counters",
-    "flow.rx_segments": "counters",
-    "flow.retransmits": "counters",
-    "slo.violations": "counters",
-    # live-operations plane: versioned installs + canary rollouts
-    # (ash/system.py install_version, ash/liveops.py RolloutController)
-    "liveops.installs": "counters",
-    "liveops.rollouts": "counters",
-    "liveops.swaps": "counters",
-    "liveops.promotions": "counters",
-    "liveops.rollbacks": "counters",
-    "liveops.guard_trips": "counters",
-    "liveops.canary_flows": "gauges",
-}
 
 
 def _check(errors: list[str], cond: bool, msg: str) -> bool:
     if not cond:
         errors.append(msg)
     return cond
+
+
+def _check_header(errors: list[str], doc, schema: str, version: int) -> bool:
+    """The document is an object carrying ``schema`` and ``version``."""
+    if not _check(errors, isinstance(doc, dict), "document must be an object"):
+        return False
+    _check(errors, doc.get("schema") == schema,
+           f"schema must be {schema!r}, got {doc.get('schema')!r}")
+    _check(errors, doc.get("version") == version,
+           f"unsupported version {doc.get('version')!r}")
+    return True
 
 
 def _validate_labels(errors: list[str], where: str, labels) -> None:
@@ -206,12 +74,13 @@ def _validate_metrics_block(errors: list[str], where: str, metrics) -> None:
             w = f"{where}.{kind}[{i}]"
             if not _check(errors, isinstance(item, dict), f"{w}: must be an object"):
                 continue
-            _check(errors, isinstance(item.get("name"), str), f"{w}: missing string 'name'")
-            expected_kind = KNOWN_METRICS.get(item.get("name"))
-            if expected_kind is not None:
-                _check(errors, kind == expected_kind,
-                       f"{w}: {item.get('name')!r} must be exported under "
-                       f"{expected_kind!r}, found under {kind!r}")
+            name = item.get("name")
+            if _check(errors, isinstance(name, str), f"{w}: missing string 'name'"):
+                declared = DECLARED.get(name)
+                if _check(errors, declared is not None,
+                          f"{w}: {name!r} is not a declared metric"):
+                    _check(errors, kind == declared, f"{w}: {name!r} must be "
+                           f"exported under {declared!r}, found under {kind!r}")
             _validate_labels(errors, w, item.get("labels", {}))
             if kind == "histograms":
                 for key in ("count", "sum", "max"):
@@ -303,12 +172,8 @@ def _validate_flight_block(errors: list[str], where: str, flight) -> None:
 def validate_metrics(doc) -> list[str]:
     """Structural errors in a ``repro-telemetry`` document (metrics sidecar)."""
     errors: list[str] = []
-    if not _check(errors, isinstance(doc, dict), "document must be an object"):
+    if not _check_header(errors, doc, SCHEMA, SCHEMA_VERSION):
         return errors
-    _check(errors, doc.get("schema") == SCHEMA,
-           f"schema must be {SCHEMA!r}, got {doc.get('schema')!r}")
-    _check(errors, doc.get("version") in SUPPORTED_VERSIONS,
-           f"unsupported version {doc.get('version')!r}")
     # both shapes are valid: a multi-node envelope, or one node snapshot
     nodes = doc.get("nodes") if "nodes" in doc else [doc]
     if not _check(errors, isinstance(nodes, list), "'nodes' must be a list"):
@@ -332,12 +197,8 @@ def validate_metrics(doc) -> list[str]:
 def validate_chrome(doc) -> list[str]:
     """Structural errors in a ``repro-telemetry-chrome`` trace document."""
     errors: list[str] = []
-    if not _check(errors, isinstance(doc, dict), "document must be an object"):
+    if not _check_header(errors, doc, CHROME_SCHEMA, SCHEMA_VERSION):
         return errors
-    _check(errors, doc.get("schema") == CHROME_SCHEMA,
-           f"schema must be {CHROME_SCHEMA!r}, got {doc.get('schema')!r}")
-    _check(errors, doc.get("version") in SUPPORTED_VERSIONS,
-           f"unsupported version {doc.get('version')!r}")
     events = doc.get("traceEvents")
     if not _check(errors, isinstance(events, list), "'traceEvents' must be a list"):
         return errors
@@ -367,12 +228,8 @@ def validate_chrome(doc) -> list[str]:
 def validate_postmortem(doc) -> list[str]:
     """Structural errors in one ``repro-flightrec`` post-mortem."""
     errors: list[str] = []
-    if not _check(errors, isinstance(doc, dict), "post-mortem must be an object"):
+    if not _check_header(errors, doc, FLIGHT_SCHEMA, FLIGHT_SCHEMA_VERSION):
         return errors
-    _check(errors, doc.get("schema") == FLIGHT_SCHEMA,
-           f"schema must be {FLIGHT_SCHEMA!r}, got {doc.get('schema')!r}")
-    _check(errors, doc.get("version") in SUPPORTED_VERSIONS,
-           f"unsupported version {doc.get('version')!r}")
     for key in ("node", "reason"):
         _check(errors, isinstance(doc.get(key), str), f"missing string {key!r}")
     for key in ("sim_time_ps", "recorded", "aged_out"):
@@ -397,10 +254,9 @@ def validate_postmortem(doc) -> list[str]:
 def validate_postmortem_bundle(doc) -> list[str]:
     """Structural errors in a ``repro-flightrec-bundle`` sidecar."""
     errors: list[str] = []
-    if not _check(errors, isinstance(doc, dict), "document must be an object"):
+    if not _check_header(errors, doc, FLIGHT_BUNDLE_SCHEMA,
+                         FLIGHT_SCHEMA_VERSION):
         return errors
-    _check(errors, doc.get("schema") == FLIGHT_BUNDLE_SCHEMA,
-           f"schema must be {FLIGHT_BUNDLE_SCHEMA!r}, got {doc.get('schema')!r}")
     postmortems = doc.get("postmortems")
     if not _check(errors, isinstance(postmortems, list), "missing 'postmortems' list"):
         return errors
@@ -408,6 +264,12 @@ def validate_postmortem_bundle(doc) -> list[str]:
         for err in validate_postmortem(pm):
             errors.append(f"postmortems[{i}]: {err}")
     return errors
+
+
+#: a document's ``schema`` -> its validator
+VALIDATORS = {SCHEMA: validate_metrics, CHROME_SCHEMA: validate_chrome,
+              FLIGHT_SCHEMA: validate_postmortem,
+              FLIGHT_BUNDLE_SCHEMA: validate_postmortem_bundle}
 
 
 def validate_file(path: str) -> list[str]:
@@ -419,16 +281,10 @@ def validate_file(path: str) -> list[str]:
         return [f"cannot read {path}: {exc}"]
     if not isinstance(doc, dict):
         return [f"{path}: document must be an object"]
-    schema = doc.get("schema")
-    if schema == SCHEMA:
-        return validate_metrics(doc)
-    if schema == CHROME_SCHEMA:
-        return validate_chrome(doc)
-    if schema == FLIGHT_SCHEMA:
-        return validate_postmortem(doc)
-    if schema == FLIGHT_BUNDLE_SCHEMA:
-        return validate_postmortem_bundle(doc)
-    return [f"{path}: unknown schema {schema!r}"]
+    validate = VALIDATORS.get(doc.get("schema"))
+    if validate is None:
+        return [f"{path}: unknown schema {doc.get('schema')!r}"]
+    return validate(doc)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -437,11 +293,9 @@ def main(argv: list[str] | None = None) -> int:
         paths = argv
     else:
         results = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")
-        paths = sorted(
-            glob.glob(os.path.join(results, "*.telemetry.json"))
-            + glob.glob(os.path.join(results, "*.trace.json"))
-            + glob.glob(os.path.join(results, "*.postmortem.json"))
-        )
+        paths = sorted(path for kind in ("telemetry", "trace", "postmortem")
+                       for path in glob.glob(os.path.join(results,
+                                                          f"*.{kind}.json")))
         if not paths:
             print("no telemetry sidecars found; nothing to check")
             return 0

@@ -188,8 +188,8 @@ def capture_canonical_telemetry(metrics_out: str | None,
         canary_rollout(flows=2, staged_rounds=2, canary_rounds=2,
                        post_rounds=1, v2="identical")
         # a small two-tenant world (leaky aggressor vs. TCP and
-        # active-message victims) so the sidecar carries the tenant.*
-        # plane: admission, reclaim and quota counters
+        # active-message victims) so the capture covers traffic under
+        # tenancy quotas
         tenant_world(scenario="leak", rounds=3)
     metrics_path, trace_path = write_sidecars(
         sess, "canonical", metrics_out, trace_out)

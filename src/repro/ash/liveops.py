@@ -176,8 +176,6 @@ class RolloutController:
         tel = self.telemetry
         if tel.enabled:
             tel.counter("liveops.rollouts").inc()
-            tel.gauge("liveops.canary_flows").set(
-                sum(1 for t in self.targets if t.canary))
             tel.flight.record("rollout", self.kernel.engine.now,
                               rollout=self.name, phase="canary",
                               flows=len(self.canary_flows()))

@@ -177,12 +177,10 @@ class AshSystem:
             "lineage": entry.lineage,
         }
         tel = self.kernel.node.telemetry
-        if tel.enabled:
-            tel.counter("ash.downloads").inc()
-            if entry.report is not None:
-                tel.gauge("ash.sandbox_added_insns",
-                          handler=entry.program.name).set(
-                              entry.report.added_insns)
+        if tel.enabled and entry.report is not None:
+            tel.gauge("ash.sandbox_added_insns",
+                      handler=entry.program.name).set(
+                          entry.report.added_insns)
         return ash_id
 
     def install_version(
@@ -312,7 +310,6 @@ class AshSystem:
         reinstalled: set[int] = set()
         failures = 0
         memory = self.kernel.node.memory
-        tel = self.kernel.node.telemetry
         for ash_id in sorted(self._boot_records):
             boot = self._boot_records[ash_id]
             if memory.pressure_gate("ash_install"):
@@ -327,8 +324,6 @@ class AshSystem:
             entry.lineage = boot.get("lineage", ash_id)
             self._entries[ash_id] = entry
             reinstalled.add(ash_id)
-            if tel.enabled:
-                tel.counter("ash.downloads").inc()
         return reinstalled, failures
 
     # -- DILP registry ------------------------------------------------------
@@ -469,8 +464,6 @@ class AshSystem:
             entry.consumed += 1
             return True
         entry.voluntary_aborts += 1
-        if tel.enabled:
-            tel.counter("ash.voluntary_aborts", handler=handler_name).inc()
         return False
 
     def _record_run(self, tel, entry: AshEntry, handler_name: str,

@@ -15,7 +15,7 @@ choke points:
   cycle charged.  Dead tenants' frames are dropped the same way.
 * **held receive buffers** — past its ``buffers`` quota a tenant's
   *oldest* delivered-but-unreturned buffer is revoked and handed back to
-  the rx ring (``tenant.reclaims``): the shared resource itself is
+  the rx ring (its ``reclaims`` counter): the shared resource itself is
   metered, FIFO, so a leaking tenant starves only itself.
 * **ASH scheduler** — per-round handler cycle accounting
   (``handler_cycles`` per ``round_us``); an exhausted tenant has its
@@ -28,7 +28,7 @@ bucket) → defer-refill (FIFO buffer reclaim when the held-buffer quota
 is exceeded, including an emergency reclaim when the rx ring runs
 empty) → drop — and never touches another tenant's path.  A ``no
 buffer`` drop that happens while the tenant still had reclaimable
-buffers counts as a ``tenant.order_violations`` bug (must stay 0).
+buffers counts as an ``order_violations`` bug (must stay 0).
 
 The exokernel split applies to tenancy too: the :class:`TenantManager`
 and its quota/ownership records are **application-owned** control-plane
@@ -66,23 +66,6 @@ CRASHLOOP_LIMIT = 3
 #: consecutive involuntary aborts before a tenant's ASH binding is cut
 #: (messages then degrade, in order, to the normal path)
 ABORT_BREAKER_LIMIT = 3
-
-#: tenant counter key -> (the metric it is exported as, the label its
-#: sub-counts are keyed by or None): the manager's collector reads it,
-#: and the metrics lint matches the literal names against the registry
-_TENANT_METRICS = {
-    "admitted": ("tenant.admitted", None),
-    "admitted_bytes": ("tenant.admitted_bytes", None),
-    "throttled": ("tenant.throttled", None),
-    "dropped": ("tenant.dropped", "reason"),
-    "cycle_throttled": ("tenant.cycle_throttled", None),
-    "cycles_used": ("tenant.cycles_used", None),
-    "reclaims": ("tenant.reclaims", None),
-    "quota_violations": ("tenant.quota_violations", None),
-    "installs_refused": ("tenant.installs_refused", "reason"),
-    "kills": ("tenant.kills", "action"),
-    "order_violations": ("tenant.order_violations", None),
-}
 
 
 class TenantQuotaError(SimError):
@@ -166,7 +149,6 @@ class TenantManager:
         self.engine = kernel.engine
         self.cal = kernel.cal
         self.telemetry = kernel.telemetry
-        self.telemetry.add_collector(self._collect)
         self.tenants: dict[str, Tenant] = {}
         self._by_vci: dict[tuple[str, int], Tenant] = {}
         #: drops that skipped the defer-refill stage while reclaimable
@@ -505,18 +487,6 @@ class TenantManager:
             bucket[label] = bucket.get(label, 0) + n
         else:
             t.counters[key] = t.counters.get(key, 0) + n
-
-    def _collect(self, reg) -> None:
-        """``Tenant.counters`` — the kernel-side accounting a tenant may
-        never skip — is the one ledger; this exports it as ``tenant.*``."""
-        for name, t in self.tenants.items():
-            for key, value in t.counters.items():
-                metric, label = _TENANT_METRICS[key]
-                if label is None:
-                    reg.total(metric, value, tenant=name)
-                else:
-                    for which, n in value.items():
-                        reg.total(metric, n, tenant=name, **{label: which})
 
     def _flight(self, t: Tenant, action: str, **detail) -> None:
         tel = self.telemetry

@@ -11,8 +11,9 @@ executes inside a telemetry session and deterministic sidecars land
 next to the results JSON:
 
 * ``<name>.telemetry.json`` — the multi-node metrics/spans snapshot
-  (``repro-telemetry`` schema, validated by
-  ``benchmarks/check_metrics_schema.py``),
+  (``repro-telemetry`` schema; ``benchmarks/check_metrics_schema.py``
+  validates it, and refuses a metric ``telemetry.metrics.DECLARED``
+  does not name),
 * ``<name>.trace.json`` — Chrome ``trace_event`` output for
   ``chrome://tracing`` / Perfetto, with cross-node flow events,
 * ``<name>.postmortem.json`` — only when a flight recorder dumped
@@ -33,8 +34,6 @@ from .. import telemetry
 from .results import BenchTable, results_dir
 
 __all__ = ["bench_main", "write_sidecars", "write_postmortems"]
-
-FLIGHT_BUNDLE_SCHEMA = "repro-flightrec-bundle"
 
 
 def write_sidecars(
@@ -75,7 +74,7 @@ def write_postmortems(
         return None
     path = out or os.path.join(results_dir(), f"{name}.postmortem.json")
     telemetry.write_json(path, {
-        "schema": FLIGHT_BUNDLE_SCHEMA,
+        "schema": telemetry.FLIGHT_BUNDLE_SCHEMA,
         "version": telemetry.FLIGHT_SCHEMA_VERSION,
         "postmortems": postmortems,
     })

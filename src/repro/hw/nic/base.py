@@ -105,7 +105,6 @@ class Nic:
         self.rx_frames = 0
         self.tx_frames = 0
         self.rx_bytes = 0
-        self.tx_bytes = 0
         self.rx_dropped = 0
         #: True while the owning node is crashed: the device neither
         #: receives (frames drop as ``node_down``) nor transmits
@@ -186,7 +185,6 @@ class Nic:
                 self.drop_reasons.get("node_down_tx", 0) + 1
             return
         self.tx_frames += 1
-        self.tx_bytes += len(frame.data)
         tel = self.telemetry
         if tel is not None and tel.enabled:
             # trace context rides Frame.meta: sidecar only, never part
@@ -261,7 +259,6 @@ class Nic:
         reg.total("nic.rx_frames", self.rx_frames, nic=nic)
         reg.total("nic.rx_bytes", self.rx_bytes, nic=nic)
         reg.total("nic.tx_frames", self.tx_frames, nic=nic)
-        reg.total("nic.tx_bytes", self.tx_bytes, nic=nic)
         for reason, n in self.drop_reasons.items():
             if reason != "node_down_tx":    # the one transmit-side reason
                 reg.total("nic.rx_dropped", n, nic=nic, reason=reason)
@@ -275,7 +272,6 @@ class Nic:
                 .set(self.ring_peaks[core])
             reg.total("rss.steered", rss.steered[core], nic=nic, core=label)
         reg.total("rss.migrations", rss.migrations, nic=nic)
-        reg.gauge("rss.flows", nic=nic).set(len(rss.flow_table))
 
     def _dma(self, frame: Frame) -> RxDescriptor | str:
         """Place the frame in memory, or name the reason it is dropped."""

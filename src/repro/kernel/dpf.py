@@ -130,27 +130,21 @@ class DpfEngine:
         self._next_id = 1
         self.compiled_mode = True   #: False = interpreted (ablation)
         self._root = _TreeNode()
-        self._tree_depth = 0
 
     def _tree_insert(self, filt: Filter) -> None:
         # Sorting predicates canonically maximizes shared prefixes:
         # two filters testing the same header fields share one path and
         # diverge only at the first differing value.
         node = self._root
-        depth = 0
         for q in sorted(filt.predicates,
                         key=lambda p: (p.offset, p.size, p.mask, p.value)):
             key = _norm_key(q)
             value = q.value & key[2]
             node = node.edges.setdefault(key, {}).setdefault(value, _TreeNode())
-            depth += 1
         node.terminals.append(filt)
-        if depth > self._tree_depth:
-            self._tree_depth = depth
 
     def _tree_rebuild(self) -> None:
         self._root = _TreeNode()
-        self._tree_depth = 0
         for filt in self._filters.values():
             self._tree_insert(filt)
 
@@ -187,9 +181,7 @@ class DpfEngine:
         self._tree_insert(filt)
         tel = self.telemetry
         if tel is not None and tel.enabled:
-            tel.counter("dpf.inserts").inc()
             tel.gauge("dpf.table_size").set(len(self._filters))
-            tel.gauge("dpf.tree_depth").set(self._tree_depth)
         return fid
 
     def remove(self, filter_id: int) -> None:
@@ -200,7 +192,6 @@ class DpfEngine:
         tel = self.telemetry
         if tel is not None and tel.enabled:
             tel.gauge("dpf.table_size").set(len(self._filters))
-            tel.gauge("dpf.tree_depth").set(self._tree_depth)
 
     def __len__(self) -> int:
         return len(self._filters)
@@ -226,10 +217,4 @@ class DpfEngine:
             if self.compiled_mode
             else self.cal.dpf_interpreted_demux_us
         )
-        tel = self.telemetry
-        if tel is not None and tel.enabled:
-            if best is not None:
-                tel.counter("dpf.matches", filter=best.filter_id).inc()
-            else:
-                tel.counter("dpf.misses").inc()
         return (best.filter_id if best else None), cost

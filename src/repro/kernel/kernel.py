@@ -715,23 +715,15 @@ class Kernel(SyscallInterface):
     # -- introspection ------------------------------------------------------
     def _collect(self, reg) -> None:
         """This kernel's ledgers — the ones :meth:`stats` reports — as
-        ``kernel.*`` / ``sched.*`` / ``crash.*`` totals."""
+        ``kernel.*`` / ``crash.*`` totals."""
         reg.total("kernel.rx_interrupts", self.rx_interrupts)
         reg.total("kernel.demux_misses", self.demux_misses)
         reg.total("kernel.livelock_deferrals",
                   sum(ep.livelock_deferrals for ep in self.endpoints))
         reg.total("ash.abort_fallbacks", self.ash_abort_fallbacks)
-        # shared (unlabeled) across cores: per-node totals stay
-        # comparable with the single-core era; per-core detail is core.*
-        reg.total("sched.context_switches",
-                  sum(s.context_switches for s in self.schedulers))
-        reg.total("sched.packet_boosts",
-                  sum(s.packet_boosts for s in self.schedulers))
         reg.total("crash.crashes", self.crash_count)
         reg.total("crash.recoveries", self.recoveries)
         reg.total("crash.lost_messages", self.lost_messages)
-        reg.total("crash.filters_reinstalled", sum(
-            rec["filters_reinstalled"] for rec in self.crash_log))
         reg.total("crash.ash_reinstalls", sum(
             rec["ash_reinstalls"] for rec in self.crash_log))
 

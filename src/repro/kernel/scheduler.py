@@ -54,7 +54,6 @@ class RoundRobinScheduler:
         self._wakeup: Optional[Event] = None
         self._last_scheduled: Optional["Process"] = None
         self.context_switches = 0
-        self.packet_boosts = 0
         self.engine.spawn(
             self._loop(), name="scheduler" if core == 0 else f"scheduler{core}"
         )
@@ -93,7 +92,6 @@ class RoundRobinScheduler:
             return
         self._remove(proc)
         self.ready.appendleft(proc)
-        self.packet_boosts += 1
         if self.current is not None:
             self._end_slice()
         self._kick()

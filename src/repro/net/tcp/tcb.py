@@ -231,11 +231,6 @@ class Tcb:
     #: SACK blocks sent (receiver side) and received (sender side)
     sack_blocks_tx: int = 0
     sack_blocks_rx: int = 0
-    #: bytes newly marked SACKed on the sender scoreboard
-    sacked_bytes: int = 0
-    #: out-of-order segments buffered by the receiver instead of thrown
-    #: away (pre-SACK behaviour was drop + duplicate ack)
-    ooo_buffered: int = 0
 
     @property
     def snd_inflight(self) -> int:

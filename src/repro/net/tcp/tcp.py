@@ -234,13 +234,7 @@ class TcpConnection:
         reg.total("tcp.tx_segments", tcb.tx_segments, conn=conn)
         reg.total("tcp.rx_segments", tcb.rx_segments, conn=conn)
         reg.total("tcp.retransmits", tcb.retransmits, conn=conn)
-        reg.total("tcp.fast_retransmits", tcb.fast_retransmits, conn=conn)
-        reg.total("tcp.fast_recovery.entries", tcb.fast_recoveries, conn=conn)
         reg.total("tcp.checksum_failures", tcb.checksum_failures, conn=conn)
-        reg.total("tcp.sack.blocks_rx", tcb.sack_blocks_rx, conn=conn)
-        reg.total("tcp.sack.blocks_tx", tcb.sack_blocks_tx, conn=conn)
-        reg.total("tcp.sack.sacked_bytes", tcb.sacked_bytes, conn=conn)
-        reg.total("tcp.sack.ooo_queued", tcb.ooo_buffered, conn=conn)
         reg.total("tcp.sack.selective_rexmits", tcb.selective_rexmits,
                   conn=conn)
 
@@ -357,7 +351,6 @@ class TcpConnection:
         sh.cwnd = sh.ssthresh
         tcb.cwnd_acc = 0
         if self.tel.enabled:
-            self.tel.counter("tcp.fast_recovery.exits", conn=self.name).inc()
             self.tel.gauge("tcp.cwnd", conn=self.name).set(sh.cwnd)
         self._cc_event("recovery_exit", now)
 
@@ -558,7 +551,6 @@ class TcpConnection:
         self._rto_backoff = new_backoff
         sh = self.tcb.shared
         if self.tel.enabled:
-            self.tel.counter("tcp.rto_backoffs", conn=self.name).inc()
             self.tel.flight.record(
                 "rto_backoff", now, conn=self.name, backoff=new_backoff,
                 cwnd=sh.cwnd, ssthresh=sh.ssthresh, snd_una=sh.snd_una,
@@ -844,7 +836,7 @@ class TcpConnection:
             if opts and opts["sack_blocks"]:
                 blocks = opts["sack_blocks"]
                 tcb.sack_blocks_rx += len(blocks)
-                tcb.sacked_bytes += board.apply_sack(blocks)
+                board.apply_sack(blocks)
 
         if seq_lt(sh.snd_una, ack) and seq_lte(ack, tcb.snd_nxt):
             sh.snd_una = ack
@@ -909,7 +901,6 @@ class TcpConnection:
                     # buffer it for later delivery (the pre-SACK library
                     # threw it away) and advertise the range back
                     if self._ooo.add(seq, bytes(payload), sh.rcv_nxt):
-                        tcb.ooo_buffered += 1
                         # the buffering copy out of the network buffer
                         yield from proc.compute(
                             self.stack.datapath.copy(

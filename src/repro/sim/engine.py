@@ -883,13 +883,6 @@ class Engine:
             hub.add_collector(self._collect)
 
     def _collect(self, reg) -> None:
-        queue_stats = self._queue.stats()
         reg.total("sim.calendar.scheduled", self._scheduled)
         reg.total("sim.calendar.fired", self._fired)
-        reg.total("sim.calendar.cancelled", self._cancelled)
         reg.total("sim.calendar.inlined", self._inlined)
-        reg.total("sim.calendar.tombstones_popped",
-                  queue_stats.get("tombstones_popped", 0))
-        reg.gauge("sim.calendar.pending").set(len(self._queue))
-        reg.gauge("sim.calendar.tombstones").set(
-            queue_stats.get("tombstones", 0))

@@ -724,7 +724,5 @@ class FaultPlane:
     def _collect(self, reg) -> None:
         for (kind, site), n in self._ledger.items():
             reg.total("faults.injected", n, kind=kind, site=site)
-        for kind, n in self.ledger().items():
-            reg.gauge("faults.ledger", kind=kind).set(n)
         for injector in self.injectors:
             injector.collect(reg)

@@ -35,7 +35,12 @@ from .export import (
     to_chrome_trace,
     write_json,
 )
-from .flightrec import FLIGHT_SCHEMA, FLIGHT_SCHEMA_VERSION, FlightRecorder
+from .flightrec import (
+    FLIGHT_BUNDLE_SCHEMA,
+    FLIGHT_SCHEMA,
+    FLIGHT_SCHEMA_VERSION,
+    FlightRecorder,
+)
 from .hub import Telemetry
 from .metrics import (
     CYCLE_BUCKETS,
@@ -64,6 +69,7 @@ __all__ = [
     "CHROME_SCHEMA",
     "FLIGHT_SCHEMA",
     "FLIGHT_SCHEMA_VERSION",
+    "FLIGHT_BUNDLE_SCHEMA",
     "FlightRecorder",
     "SloRule",
     "SloTracker",

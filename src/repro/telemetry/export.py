@@ -3,9 +3,10 @@
 Three consumers, one schema:
 
 * **JSON snapshot** (``SCHEMA``/``SCHEMA_VERSION``) — the metrics
-  sidecar benchmarks write next to their results JSON.  Validated by
-  ``benchmarks/check_metrics_schema.py`` so exporters cannot drift
-  silently.
+  sidecar benchmarks write next to their results JSON.
+  ``benchmarks/check_metrics_schema.py`` validates it against
+  :data:`~repro.telemetry.metrics.DECLARED`, so neither an exporter's
+  shape nor an undeclared metric can drift in silently.
 * **Chrome trace_event** — load the file in ``chrome://tracing`` (or
   Perfetto) and see every packet's lifecycle as nested slices per node.
 * **text table** — a quick human-readable dump for terminals and tests.

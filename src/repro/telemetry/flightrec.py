@@ -23,6 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .hub import Telemetry
 
 __all__ = [
+    "FLIGHT_BUNDLE_SCHEMA",
     "FLIGHT_SCHEMA",
     "FLIGHT_SCHEMA_VERSION",
     "FlightRecorder",
@@ -30,6 +31,8 @@ __all__ = [
 
 FLIGHT_SCHEMA = "repro-flightrec"
 FLIGHT_SCHEMA_VERSION = 1
+#: a run's post-mortems bundled into one sidecar (same version)
+FLIGHT_BUNDLE_SCHEMA = "repro-flightrec-bundle"
 
 #: events retained in the ring (older ones age out, counted)
 DEFAULT_CAPACITY = 256

@@ -30,6 +30,7 @@ __all__ = [
     "MetricsRegistry",
     "US_BUCKETS",
     "CYCLE_BUCKETS",
+    "DECLARED",
     "LOG2_US_BUCKETS",
     "hist_quantile",
 ]
@@ -48,6 +49,76 @@ CYCLE_BUCKETS: tuple[float, ...] = (
 #: fixed geometric ladder makes p50/p99/p999 derivable from any
 #: snapshot with bounded relative error, independent of the workload
 LOG2_US_BUCKETS: tuple[float, ...] = tuple(float(1 << i) for i in range(21))
+
+#: every metric the source tree emits -> the export block it lands in.
+#: ``benchmarks/check_metrics_schema.py`` validates exports against it;
+#: ``tests/test_metrics_lint.py`` checks each emit names one under its
+#: kind, and each is emitted under ``src/`` and read outside it.
+DECLARED: dict[str, str] = {
+    # event-engine dispatch ledger (sim/engine.py, collected)
+    "sim.calendar.scheduled": "counters", "sim.calendar.fired": "counters",
+    "sim.calendar.inlined": "counters",
+    # fault-injection plane (sim/faults.py)
+    "faults.injected": "counters",
+    # NIC device counters (hw/nic/base.py)
+    "nic.tx_frames": "counters", "nic.rx_frames": "counters",
+    "nic.rx_bytes": "counters", "nic.rx_dropped": "counters",
+    # receive-side scaling stage (hw/nic/rss.py, the NIC collects it)
+    "rss.steered": "counters", "rss.migrations": "counters",
+    # per-core rx rings + batched NIC→kernel handoff
+    # (hw/nic/base.py collected, kernel/kernel.py _rx_drain)
+    "core.ring_depth": "gauges", "core.ring_peak_depth": "gauges",
+    "core.rx_batches": "counters", "core.batch_frames": "histograms",
+    # kernel receive path (kernel/kernel.py)
+    "kernel.rx_interrupts": "counters", "kernel.demux_misses": "counters",
+    "kernel.demux_us": "histograms", "kernel.livelock_deferrals": "counters",
+    "copy.bytes": "counters", "copy.cycles": "counters",
+    # crash/restart recovery plane (kernel/kernel.py crash()/reboot())
+    "crash.crashes": "counters", "crash.recoveries": "counters",
+    "crash.lost_messages": "counters", "crash.ash_reinstalls": "counters",
+    # memory-pressure and CPU-contention seams (sim/faults.py)
+    "mem.alloc_failures": "counters", "cpu.contention_cycles": "counters",
+    # delivery-hierarchy invariant (kernel/kernel.py _note_delivery)
+    "degradation.order_violations": "counters",
+    # packet filter engine (kernel/dpf.py)
+    "dpf.table_size": "gauges",
+    # upcalls (kernel/upcall.py)
+    "upcall.invocations": "counters", "upcall.faults": "counters",
+    "upcall.cycles_total": "counters",
+    # ASH runtime (ash/system.py)
+    "ash.invocations": "counters", "ash.involuntary_aborts": "counters",
+    "ash.abort_fallbacks": "counters", "ash.cycles_total": "counters",
+    "ash.cycles": "histograms", "ash.sandbox_overhead_cycles_est": "counters",
+    "ash.sandbox_added_insns": "gauges",
+    "ash.budget_remaining_cycles": "gauges",
+    # VCODE JIT (vcode/jit.py)
+    "vcode.jit.compile_cycles": "counters", "vcode.jit.cache_hits": "counters",
+    "vcode.jit.cache_misses": "counters",
+    # DILP integrated-layer engine (pipes/compiler.py)
+    "dilp.runs": "counters", "dilp.bytes": "counters",
+    "dilp.cycles": "counters", "dilp.saved_cycles": "counters",
+    # protocol libraries (net/stack.py, net/udp.py, net/tcp/tcp.py)
+    "net.tx_frames": "counters", "udp.tx_datagrams": "counters",
+    "udp.rx_datagrams": "counters", "udp.checksum_failures": "counters",
+    "udp.malformed": "counters", "tcp.tx_segments": "counters",
+    "tcp.rx_segments": "counters", "tcp.checksum_failures": "counters",
+    "tcp.retransmits": "counters",
+    # congestion control + SACK (net/tcp/tcp.py)
+    "tcp.cwnd": "gauges", "tcp.ssthresh": "gauges",
+    "tcp.sack.selective_rexmits": "counters",
+    # data-touching operations (net/datapath.py)
+    "datapath.bytes": "counters", "datapath.cycles": "counters",
+    # telemetry's own machinery (telemetry/spans.py)
+    "span.duration_us": "histograms", "stage.latency_us": "histograms",
+    # per-flow SLO plane (telemetry/slo.py)
+    "flow.latency_us": "histograms", "flow.goodput_bytes": "counters",
+    "flow.tx_segments": "counters", "flow.rx_segments": "counters",
+    "flow.retransmits": "counters", "slo.violations": "counters",
+    # live-ops installs + canary rollouts (ash/system.py, ash/liveops.py)
+    "liveops.installs": "counters", "liveops.rollouts": "counters",
+    "liveops.swaps": "counters", "liveops.promotions": "counters",
+    "liveops.rollbacks": "counters", "liveops.guard_trips": "counters",
+}
 
 
 def hist_quantile(data: dict, q: float) -> float:

@@ -138,7 +138,6 @@ class SpanTracker:
         if not tel.enabled:
             return
         reg = tel.registry
-        reg.counter("span.finished", outcome=outcome).inc()
         reg.histogram("span.duration_us").observe(span.duration() / 1e6)
         prev = span.start
         hists = self._stage_hists

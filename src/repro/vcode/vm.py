@@ -213,9 +213,6 @@ class Vm:
                 # an indirect jump to an unknown target); resume in the
                 # reference interpreter from the exact machine state so
                 # faults and accounting stay bit-identical.
-                tel = self.telemetry
-                if tel is not None and tel.enabled:
-                    tel.counter("vcode.jit.deopts").inc()
                 return self._interp(
                     program, regs, env, cycle_budget, allowed, max_insns,
                     pc=out[1], cycles=out[2], executed=out[3],

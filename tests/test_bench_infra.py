@@ -187,12 +187,12 @@ def test_experiments_complexity_table_is_fresh():
 
 @pytest.mark.parametrize("world_name", sorted(TELEMETRY_WORLDS))
 def test_telemetry_export_of_pinned_world(world_name):
-    """What a run exports, collected totals included, is in
-    KNOWN_METRICS (the export itself is pinned in ``tests/goldens.json``)."""
+    """What a run exports, collected totals included, validates: every
+    metric is declared under its block (the export itself is pinned in
+    ``tests/goldens.json``)."""
     doc, _lookups = telemetry_export(world_name)
-    lint = _load_script("check_metrics_lint")
-    for node in doc["nodes"]:
-        assert lint.lint_snapshot(node["metrics"], where=node["source"]) == []
+    checker = _load_script("check_metrics_schema")
+    assert checker.validate_metrics(doc) == []
 
 
 @pytest.mark.parametrize("name", [

@@ -1,151 +1,190 @@
-"""Tier-1 gate: metric emitters and the export schema cannot drift.
+"""Tier-1 census: every metric is declared once, emitted, and read.
 
-``benchmarks/check_metrics_lint.py`` statically cross-checks every
-``counter("...")`` / ``gauge("...")`` / ``histogram("...")`` call site
-and every collector's ``total("...")`` write under ``src/`` against
-``check_metrics_schema.KNOWN_METRICS`` — both directions — and refuses
-a ledger ``+=`` mirrored into a pushed counter.  This file runs that
-lint as part of the ordinary suite and pins its detection behaviour on
-synthetic trees.
+``repro.telemetry.metrics.DECLARED`` maps each metric to its export
+block.  A source scan in the style of ``tests/test_one_definition.py``:
+
+1. every ``counter/gauge/histogram(`` call and collector ``total(``
+   write under ``src/`` names a string literal declared under that kind;
+2. every declared name is emitted somewhere under ``src/``;
+3. every declared name is read by ``tests/`` (not ``goldens.json`` or
+   this file), ``benchmarks/`` (not the schema checker), ``examples/``,
+   README.md, DESIGN.md or EXPERIMENTS.md;
+4. one ledger per fact: no attribute ``+=`` followed within three
+   statements by a counter ``.inc()`` (bare or under an ``if`` guard).
+   Keep the attribute and export it from a collector; the survivors are
+   :data:`MIRRORS_KEPT`, each with the reason it cannot be collected.
 """
 
+import ast
+import glob
 import importlib.util
 import os
+import re
+
+from repro.telemetry.metrics import DECLARED
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: emitting method -> the export block its metric lands in
+EMITTERS = {"counter": "counters", "gauge": "gauges",
+            "histogram": "histograms", "total": "counters"}
+
+#: where a declared metric counts as read (rule 3)
+READERS = ("tests/**/*.py", "benchmarks/**/*.py", "examples/**/*.py",
+           "README.md", "DESIGN.md", "EXPERIMENTS.md")
+NOT_READERS = {"benchmarks/check_metrics_schema.py",
+               "tests/test_metrics_lint.py"}
+
+#: (file under src/, function) -> why the attribute it ``+=``-increments
+#: beside a pushed counter cannot be collected instead
+MIRRORS_KEPT = {
+    ("repro/vcode/jit.py", "get_compiled"):
+        "JitStats is process-wide, vcode.jit.* is per node",
+    ("repro/kernel/upcall.py", "dispatch"):
+        "UpcallHandler is an application object keyed by nothing: several "
+        "may share the name upcall.*{handler} is labelled with",
+    ("repro/kernel/kernel.py", "_note_delivery"):
+        "the ledger is one int, degradation.order_violations is labelled "
+        "by outcome and skipped level (and must stay 0)",
+    ("repro/ash/liveops.py", "_swap"):
+        "one RolloutController per rollout, liveops.swaps is per node",
+}
 
 
 def _load(name):
-    path = os.path.join(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        "benchmarks", f"{name}.py",
-    )
+    """Import ``benchmarks/<name>.py`` as a module."""
+    path = os.path.join(ROOT, "benchmarks", f"{name}.py")
     spec = importlib.util.spec_from_file_location(name, path)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
 
 
+def emits(tree):
+    """``(line, block, name or None)`` of every emitting call, in line
+    order; the name is None unless it is a string literal.  The emitters
+    themselves forward their ``name`` parameter and are not emit sites."""
+    skip = {id(call) for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name in EMITTERS
+            for call in ast.walk(fn)}
+    for call in sorted((node for node in ast.walk(tree)
+                        if isinstance(node, ast.Call) and id(node) not in skip
+                        and getattr(node.func, "attr", None) in EMITTERS),
+                       key=lambda call: call.lineno):
+        arg = call.args[0] if call.args else None
+        literal = isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+        yield (call.lineno, EMITTERS[call.func.attr],
+               arg.value if literal else None)
+
+
+def _is_inc(stmt):
+    call = getattr(stmt, "value", None)
+    return (isinstance(stmt, ast.Expr) and isinstance(call, ast.Call)
+            and getattr(call.func, "attr", None) == "inc")
+
+
+def _is_ledger_add(stmt):
+    """``x.attr += n`` or ``x.attr[key] += n``."""
+    target = getattr(stmt, "target", None)
+    if isinstance(target, ast.Subscript):
+        target = target.value
+    return (isinstance(stmt, ast.AugAssign) and isinstance(stmt.op, ast.Add)
+            and isinstance(target, ast.Attribute))
+
+
+def mirrors(tree):
+    """``(function, line)`` of every ledger ``+=`` that one of the next
+    three statements in its block mirrors into a counter ``.inc()``."""
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            for block in ("body", "orelse", "finalbody"):
+                stmts = getattr(node, block, None)
+                for i, stmt in enumerate(stmts if isinstance(stmts, list)
+                                         else ()):
+                    after = [inner for nxt in stmts[i + 1:i + 4]
+                             for inner in (nxt.body if isinstance(nxt, ast.If)
+                                           else [nxt])]
+                    if _is_ledger_add(stmt) and any(map(_is_inc, after)):
+                        yield func.name, stmt.lineno
+
+
+def _text(root, pattern):
+    for path in sorted(glob.glob(os.path.join(root, pattern), recursive=True)):
+        with open(path) as fh:
+            yield os.path.relpath(path, root).replace(os.sep, "/"), fh.read()
+
+
+def metric_census(root=ROOT, declared=DECLARED, mirrors_kept=MIRRORS_KEPT):
+    """Every breach of the four rules, as one message each."""
+    errors, emitted, mirrored = [], set(), set()
+    for rel, text in _text(root, "src/**/*.py"):
+        tree, rel = ast.parse(text, rel), rel[len("src/"):]
+        for line, block, name in emits(tree):
+            where = f"src/{rel}:{line}"
+            if name is None:
+                errors.append(f"{where}: metric name is not a string literal")
+            elif name not in declared:
+                errors.append(f"{where}: {name!r} is not declared")
+            elif declared[name] != block:
+                errors.append(f"{where}: {name!r} emitted as {block}, "
+                              f"declared as {declared[name]}")
+            emitted.add(name)
+        for func, line in mirrors(tree):
+            mirrored.add((rel, func))
+            if (rel, func) not in mirrors_kept:
+                errors.append(f"src/{rel}:{line}: {func}() counts one fact "
+                              f"twice: a ledger += mirrored into .inc()")
+    read = "\n".join(text for pattern in READERS
+                     for rel, text in _text(root, pattern)
+                     if rel not in NOT_READERS)
+    for name in sorted(declared):
+        if name not in emitted:
+            errors.append(f"{name!r} is declared but never emitted")
+        if not re.search(rf"(?<![\w.]){re.escape(name)}(?!\w)", read):
+            errors.append(f"{name!r} is declared but nothing reads it")
+    for rel, func in sorted(set(mirrors_kept) - mirrored):
+        errors.append(f"MIRRORS_KEPT entry {rel}:{func}() no longer "
+                      f"mirrors anything")
+    return errors
+
+
 def test_source_tree_is_clean():
-    """Every emitted metric is registered under the right kind, and
-    every registered metric still has an emitter."""
-    lint = _load("check_metrics_lint")
-    assert lint.lint() == []
-    assert lint.main([]) == 0
+    assert metric_census() == []
 
 
 def test_registry_covers_only_real_kinds():
-    schema = _load("check_metrics_schema")
-    assert set(schema.KNOWN_METRICS.values()) <= {
-        "counters", "gauges", "histograms"
-    }
+    assert set(DECLARED.values()) <= set(EMITTERS.values())
 
 
-def test_unregistered_call_site_is_flagged(tmp_path):
-    lint = _load("check_metrics_lint")
-    (tmp_path / "mod.py").write_text(
-        'tel.counter("rogue.metric", op="x").inc()\n'
-    )
-    errors = lint.lint(root=str(tmp_path), registry={})
-    assert len(errors) == 1
-    assert "rogue.metric" in errors[0]
-    assert "KNOWN_METRICS" in errors[0]
-
-
-def test_kind_mismatch_is_flagged(tmp_path):
-    lint = _load("check_metrics_lint")
-    (tmp_path / "mod.py").write_text('tel.gauge("x.depth").set(3)\n')
-    errors = lint.lint(root=str(tmp_path),
-                       registry={"x.depth": "counters"})
-    assert len(errors) == 1
-    assert "emitted as gauges, registered as counters" in errors[0]
-
-
-def test_stale_registry_entry_is_flagged(tmp_path):
-    lint = _load("check_metrics_lint")
-    (tmp_path / "mod.py").write_text("pass\n")
-    errors = lint.lint(root=str(tmp_path),
-                       registry={"ghost.metric": "counters"})
-    assert len(errors) == 1
-    assert "no emitter" in errors[0]
-
-
-def test_indirect_emission_via_literal_satisfies_registry(tmp_path):
-    """Names emitted through a variable (e.g. the tenancy collector's
-    key -> ``tenant.*`` table) count as live as long as the literal
-    appears somewhere in the tree."""
-    lint = _load("check_metrics_lint")
-    (tmp_path / "mod.py").write_text(
-        'totals = {"sim.x.fired": 3}\n'
-        "for name, n in totals.items():\n"
-        "    hub.counter(name).inc(n)\n"
-    )
-    errors = lint.lint(root=str(tmp_path),
-                       registry={"sim.x.fired": "counters"})
-    assert errors == []
-
-
-def test_multiline_call_site_is_seen(tmp_path):
-    lint = _load("check_metrics_lint")
-    (tmp_path / "mod.py").write_text(
-        "tel.counter(\n"
-        '    "wrapped.metric",\n'
-        "    outcome=o).inc()\n"
-    )
-    errors = lint.lint(root=str(tmp_path), registry={})
-    assert len(errors) == 1 and "wrapped.metric" in errors[0]
-
-
-def test_unregistered_collected_total_is_flagged(tmp_path):
-    """A collector is an emitter like any call site: unknown name and
-    wrong kind fail, statically and in what a registry exports."""
-    lint = _load("check_metrics_lint")
-    (tmp_path / "mod.py").write_text(
-        "def _collect(self, reg):\n"
-        '    reg.total("rogue.total", self.n, nic=self.name)\n'
-        '    reg.total("x.depth", self.depth)\n'
-    )
-    errors = lint.lint(root=str(tmp_path), registry={"x.depth": "gauges"})
-    assert len(errors) == 2
-    assert "rogue.total" in errors[0] and "KNOWN_METRICS" in errors[0]
-    assert "emitted as counters, registered as gauges" in errors[1]
-
-    from repro.telemetry import MetricsRegistry
-
-    reg = MetricsRegistry()
-    reg.add_collector(lambda r: r.total("rogue.total", 3))
-    reg.add_collector(lambda r: r.total("x.depth", 2))
-    errors = lint.lint_snapshot(reg.snapshot(), registry={"x.depth": "gauges"})
-    assert len(errors) == 2
-    assert "rogue.total" in errors[0] and "x.depth" in errors[1]
-
-
-def test_mirrored_ledger_is_flagged(tmp_path):
-    """``self.n += 1`` then ``counter(...).inc()``: one fact written
-    twice per message, whether or not a guard sits between them."""
-    lint = _load("check_metrics_lint")
-    (tmp_path / "mod.py").write_text(
-        "def rx(self):\n"
+def test_planted_offenders_are_reported(tmp_path):
+    """One offender per rule, each reported once, and nothing else."""
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "mod.py").write_text(
+        "def rx(self, tel, name):\n"
         "    self.rx_frames += 1\n"
-        "    tel = self.telemetry\n"
-        "    if tel is not None and tel.enabled:\n"
+        "    if tel.enabled:\n"
         '        tel.counter("x.rx_frames").inc()\n'
-        "def steer(self, core):\n"
-        "    self.steered[core] += 1\n"
-        "    self._m_steered.inc()\n"
-        "def fine(self):\n"
-        "    self.rx_frames += 1\n"
-        "    self.ring.append(1)\n"
+        '    tel.counter("x.rogue").inc()\n'
+        '    tel.gauge("x.depth").set(3)\n'
+        "    tel.counter(name).inc()\n"
+        "def collect(self, reg):\n"
+        '    reg.total(\n'
+        '        "x.unread", self.n)\n'
     )
-    registry = {"x.rx_frames": "counters"}
-    errors = lint.lint(root=str(tmp_path), registry=registry,
-                       mirrors_kept={})
-    assert len(errors) == 2
-    assert "mod.py:2: rx() counts one fact twice" in errors[0]
-    assert "mod.py:7: steer()" in errors[1]
-    # a survivor is named with its reason; a stale name is itself an error
-    kept = {("mod.py", "rx"): "why", ("mod.py", "steer"): "why"}
-    assert lint.lint(root=str(tmp_path), registry=registry,
-                     mirrors_kept=kept) == []
-    kept["mod.py", "gone"] = "why"
-    errors = lint.lint(root=str(tmp_path), registry=registry,
-                       mirrors_kept=kept)
-    assert len(errors) == 1 and "no longer mirrors" in errors[0]
+    (tmp_path / "README.md").write_text("`x.rx_frames`, `x.depth`, `x.ghost`")
+    declared = {"x.rx_frames": "counters", "x.depth": "counters",
+                "x.ghost": "counters", "x.unread": "counters"}
+    errors = metric_census(str(tmp_path), declared,
+                           {("mod.py", "gone"): "why"})
+    assert errors == [
+        "src/mod.py:5: 'x.rogue' is not declared",
+        "src/mod.py:6: 'x.depth' emitted as gauges, declared as counters",
+        "src/mod.py:7: metric name is not a string literal",
+        "src/mod.py:2: rx() counts one fact twice: a ledger += mirrored "
+        "into .inc()",
+        "'x.ghost' is declared but never emitted",
+        "'x.unread' is declared but nothing reads it",
+        "MIRRORS_KEPT entry mod.py:gone() no longer mirrors anything",
+    ]

@@ -2,8 +2,7 @@
 
 ``benchmarks/check_metrics_schema.py`` is the CI gate for sidecar
 files; these tests run the same validator in-process so exporter drift
-fails the suite even when no sidecar has been regenerated, and pin the
-crash/recovery-plane metrics into the export contract.
+fails the suite even when no sidecar has been regenerated.
 """
 
 from repro import telemetry
@@ -11,15 +10,21 @@ from repro import telemetry
 from tests.test_metrics_lint import _load
 
 
-def test_recovery_plane_metrics_are_pinned_counters():
+def test_undeclared_metric_fails_validation():
+    """A sample whose name ``DECLARED`` lacks is an error, as is a
+    declared one exported under the wrong block."""
     checker = _load("check_metrics_schema")
-    for name in (
-        "crash.crashes", "crash.recoveries", "crash.lost_messages",
-        "crash.filters_reinstalled", "crash.ash_reinstalls",
-        "mem.alloc_failures", "cpu.contention_cycles",
-        "degradation.order_violations",
-    ):
-        assert checker.KNOWN_METRICS.get(name) == "counters", name
+    metrics = {"counters": [{"name": "rogue.metric", "value": 1}],
+               "gauges": [{"name": "crash.crashes", "value": 1}],
+               "histograms": []}
+    doc = {"schema": telemetry.SCHEMA, "version": telemetry.SCHEMA_VERSION,
+           "source": "n0", "sim_time_ps": 0, "metrics": metrics,
+           "spans": {"created": 0, "finished": 0, "open": 0, "dropped": 0}}
+    assert checker.validate_metrics(doc) == [
+        "nodes[0].counters[0]: 'rogue.metric' is not a declared metric",
+        "nodes[0].gauges[0]: 'crash.crashes' must be exported under "
+        "'counters', found under 'gauges'",
+    ]
 
 
 def test_fault_run_export_validates_and_carries_recovery_counters():
