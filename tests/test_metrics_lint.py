@@ -158,33 +158,67 @@ def test_registry_covers_only_real_kinds():
     assert set(DECLARED.values()) <= set(EMITTERS.values())
 
 
-def test_planted_offenders_are_reported(tmp_path):
-    """One offender per rule, each reported once, and nothing else."""
+def _plant(tmp_path, source, declared, read=None):
+    """The census over ``src/mod.py`` holding *source*, beside a README
+    naming *read* (by default every declared name)."""
     (tmp_path / "src").mkdir()
-    (tmp_path / "src" / "mod.py").write_text(
-        "def rx(self, tel, name):\n"
-        "    self.rx_frames += 1\n"
-        "    if tel.enabled:\n"
-        '        tel.counter("x.rx_frames").inc()\n'
-        '    tel.counter("x.rogue").inc()\n'
-        '    tel.gauge("x.depth").set(3)\n'
-        "    tel.counter(name).inc()\n"
-        "def collect(self, reg):\n"
-        '    reg.total(\n'
-        '        "x.unread", self.n)\n'
-    )
-    (tmp_path / "README.md").write_text("`x.rx_frames`, `x.depth`, `x.ghost`")
-    declared = {"x.rx_frames": "counters", "x.depth": "counters",
-                "x.ghost": "counters", "x.unread": "counters"}
-    errors = metric_census(str(tmp_path), declared,
-                           {("mod.py", "gone"): "why"})
-    assert errors == [
-        "src/mod.py:5: 'x.rogue' is not declared",
-        "src/mod.py:6: 'x.depth' emitted as gauges, declared as counters",
-        "src/mod.py:7: metric name is not a string literal",
-        "src/mod.py:2: rx() counts one fact twice: a ledger += mirrored "
-        "into .inc()",
+    (tmp_path / "src" / "mod.py").write_text(source)
+    (tmp_path / "README.md").write_text(" ".join(read or declared))
+    return metric_census(str(tmp_path), declared, {})
+
+
+def test_unregistered_call_site_is_flagged(tmp_path):
+    assert _plant(tmp_path, 'tel.counter("rogue.metric", op="x").inc()\n'
+                  "tel.counter(name).inc()\n", {}) == [
+        "src/mod.py:1: 'rogue.metric' is not declared",
+        "src/mod.py:2: metric name is not a string literal"]
+
+
+def test_kind_mismatch_is_flagged(tmp_path):
+    assert _plant(tmp_path, 'tel.gauge("x.depth").set(3)\n',
+                  {"x.depth": "counters"}) == [
+        "src/mod.py:1: 'x.depth' emitted as gauges, declared as counters"]
+
+
+def test_stale_registry_entry_is_flagged(tmp_path):
+    assert _plant(tmp_path, 'tel.counter("x.unread").inc()\n',
+                  {"x.ghost": "counters", "x.unread": "counters"},
+                  read=["x.ghost"]) == [
         "'x.ghost' is declared but never emitted",
-        "'x.unread' is declared but nothing reads it",
-        "MIRRORS_KEPT entry mod.py:gone() no longer mirrors anything",
-    ]
+        "'x.unread' is declared but nothing reads it"]
+
+
+def test_multiline_call_site_is_seen(tmp_path):
+    assert _plant(tmp_path, 'tel.counter(\n    "wrapped.metric",\n'
+                  "    outcome=o).inc()\n", {}) == [
+        "src/mod.py:1: 'wrapped.metric' is not declared"]
+
+
+def test_unregistered_collected_total_is_flagged(tmp_path):
+    """A collector's ``total(`` is an emit site like any call."""
+    assert _plant(tmp_path, "def _collect(self, reg):\n"
+                  '    reg.total("rogue.total", self.n, nic=self.name)\n'
+                  '    reg.total("x.depth", self.depth)\n',
+                  {"x.depth": "gauges"}) == [
+        "src/mod.py:2: 'rogue.total' is not declared",
+        "src/mod.py:3: 'x.depth' emitted as counters, declared as gauges"]
+
+
+def test_mirrored_ledger_is_flagged(tmp_path):
+    """One fact written twice, guarded or not; a kept survivor passes,
+    and a stale MIRRORS_KEPT entry is itself an error."""
+    errors = _plant(tmp_path, "def rx(self):\n    self.rx_frames += 1\n"
+                    "    if tel.enabled:\n"
+                    '        tel.counter("x.rx_frames").inc()\n'
+                    "def steer(self, core):\n    self.steered[core] += 1\n"
+                    "    self._m_steered.inc()\n"
+                    "def fine(self):\n    self.rx_frames += 1\n"
+                    "    self.ring.append(1)\n", {"x.rx_frames": "counters"})
+    twice = "counts one fact twice: a ledger += mirrored into .inc()"
+    assert errors == [f"src/mod.py:2: rx() {twice}",
+                      f"src/mod.py:6: steer() {twice}"]
+    kept = {("mod.py", "rx"): "", ("mod.py", "steer"): "",
+            ("mod.py", "gone"): ""}
+    assert metric_census(str(tmp_path), {"x.rx_frames": "counters"},
+                         kept) == [
+        "MIRRORS_KEPT entry mod.py:gone() no longer mirrors anything"]
