@@ -6,15 +6,15 @@ Two kinds of numbers come out of one run:
 * **Deterministic model metrics** — the simulated makespan of each
   configuration (``sim_elapsed_us``) and the event throughput *per
   simulated second* (``events_per_sim_s``).  These are pure functions
-  of the model and are bit-stable across hosts; ``sim_elapsed_us`` is
-  gated by ``check_bench_trend.py``.  The multicore payoff is measured
-  here: the largest configuration is swept across 1/2/4 cores and the
+  of the model and are bit-stable across hosts; the slow tier requires
+  each to regenerate exactly.  The multicore payoff is measured here:
+  the largest configuration is swept across 1/2/4 cores and the
   per-core curve must stay near-linear (see ``summary.core_sweep``).
 * **Wall-clock metrics** — elapsed host seconds and events/sec for the
   legacy (heapq + bytes + scalar cache) and fast (calendar queue +
   vectorized cache + zero-copy packet path) substrates, plus the
   speedup.  These track the overhead of the reproduction itself and
-  are excluded from the trend gate.
+  are excluded from that comparison.
 
 The fast substrate must never change the model: every workload-visible
 observable (round-trip times, completion time, cache hits/misses,

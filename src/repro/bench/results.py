@@ -6,8 +6,8 @@ reference values alongside for the EXPERIMENTS.md comparison.  Tables
 render as aligned text (printed by the benches) and serialize to JSON
 under ``benchmarks/results/``.
 
-The plane benches (crash, faults, fairness, tenancy, scale, live-ops)
-write a nested ``BENCH_<name>.json`` at the repo root instead; what
+The plane benches (planes, fairness, scale) write a nested
+``BENCH_<name>.json`` at the repo root instead; what
 they share — running a cell on both substrates, the command line, the
 dump and the summary gates — is :func:`on_both_substrates`,
 :func:`plane_doc` and :func:`plane_main`.

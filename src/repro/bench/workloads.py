@@ -1253,7 +1253,7 @@ def tenant_noisy_neighbor(
     protected: bool = True,
     total_kb: int = 96,
 ) -> dict:
-    """The goodput-isolation experiment behind ``BENCH_tenancy.json``.
+    """The isolation experiment behind ``BENCH_planes.json``'s tenant rows.
 
     A victim TCP bulk transfer (tenant ``alice``) shares the server
     with an aggressor (``mallory``) whose circuit is blasted for 40 ms

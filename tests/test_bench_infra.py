@@ -213,55 +213,102 @@ def test_committed_paper_table_is_fresh(name):
     assert table.rows == BenchTable.load(table.name).rows
 
 
-#: per plane bench: its script, and the cheapest committed cell
-#: recomputed on ``fast`` by the script's own cell function, at the
-#: committed size -> (fresh, committed).  Fairness takes the 16-flow
-#: config, the one that went stale.
+def _first_row(kind):
+    """The first committed ``BENCH_planes.json`` row of one workload kind,
+    recomputed on ``fast`` from the kwargs the row records."""
+    def cell(planes, doc):
+        row = next(r for r in doc["rows"] if r["workload"] == kind)
+        return (planes.CELLS[kind](substrate="fast", **row["kwargs"]),
+                row["observables"])
+    return "planes", cell
+
+
+#: per committed cell: its ``BENCH_<name>.json``, and the cell recomputed
+#: by ``bench_<name>.py``'s own cell function -> (fresh, committed).
+#: Fairness takes the 16-flow config, the one that went stale.
 PLANE_CELLS = {
-    "crash": ("bench_crash", lambda m, doc: (
-        m.crash_transfer("fast", doc["transfer_bytes"]), doc["baseline"])),
-    "faults": ("bench_faults", lambda m, doc: (
-        m.lossy_transfer("fast", "drop", 0.0, doc["transfer_bytes"]),
-        doc["curves"]["drop"][0])),
-    "fairness": ("bench_fairness", lambda m, doc: (
+    **{kind: _first_row(kind)
+       for kind in ("transfer", "canary", "tenant", "abort")},
+    "fairness": ("fairness", lambda m, doc: (
         m.run_fairness("fast", 16, 48_000), doc["configs"][0])),
-    "tenancy": ("bench_tenancy", lambda m, doc: (
-        m.tenant_noisy_neighbor(substrate="fast", intensity_fps=0,
-                                protected=True,
-                                total_kb=doc["configs"][0]["total_kb"]),
-        doc["configs"][0]["protected"])),
-    "liveops": ("sweep_driver", lambda m, doc: (
-        m.run_tcp_bulk("fast", nbytes=doc["transfer_bytes"]),
-        doc["grid"][0]["observables"])),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PLANE_CELLS))
 def test_committed_plane_bench_cell_is_fresh(name):
-    """Every leaf the cell function returns equals the committed
-    ``BENCH_<name>.json`` (which adds labels of its own beside them).
-    Regenerate with ``python benchmarks/<script>.py``."""
-    script, cell = PLANE_CELLS[name]
-    fresh, committed = cell(_load_script(script), _committed(name))
+    """Every leaf the cell function returns equals the committed row or
+    config (which adds labels of its own beside them).  Regenerate with
+    ``python benchmarks/bench_planes.py`` / ``bench_fairness.py``."""
+    doc, cell = PLANE_CELLS[name]
+    fresh, committed = cell(_load_script(f"bench_{doc}"), _committed(doc))
     fresh = json.loads(json.dumps(fresh))       # tuples -> lists, as stored
     assert fresh == {key: committed[key] for key in fresh}
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("name,script", [
-    ("crash", "bench_crash"), ("faults", "bench_faults"),
-    ("fairness", "bench_fairness"), ("tenancy", "bench_tenancy"),
-    ("scale", "bench_scale"), ("liveops", "sweep_driver"),
-])
-def test_plane_bench_regenerates_its_committed_artefact(name, script,
-                                                        tmp_path):
-    """Through the real command line: a ``--quick`` round trip passes
-    its gates, and the full run reproduces every leaf of the committed
-    file that is not a host measurement."""
+def test_plane_grid_quick_run_passes_every_gate(tmp_path):
+    """``bench_planes.py --quick`` through its command line, and the
+    committed full grid: every gate holds, every workload kind and at
+    least one crash are in the grid, and each row met each of its
+    expectations."""
     from repro.bench.results import plane_main
 
-    mod = _load_script(script)
-    trend = _load_script("check_bench_trend")
+    planes = _load_script("bench_planes")
+    out = tmp_path / "planes.json"
+    assert plane_main("planes", planes.bench, planes.GATES,
+                      argv=["--quick", "--out", str(out)]) == 0
+    with open(out) as fh:
+        quick = json.load(fh)
+    assert quick["quick"] is True
+    gates = ["all_identical"] + [gate for gate, _message
+                                 in planes.EXPECTATIONS.values()]
+    for doc in (quick, _committed("planes")):
+        assert all(doc["summary"][gate] for gate in gates)
+        assert {r["workload"] for r in doc["rows"]} == set(planes.CELLS)
+        assert any(r["observables"].get("crashes") for r in doc["rows"])
+        assert all(all(r["met"].values()) for r in doc["rows"])
+
+
+def test_readme_quotes_the_committed_plane_figures():
+    """README's SACK speedup and isolation ratios are the committed
+    ``BENCH_planes.json`` figures, rounded."""
+    doc = _committed("planes")
+    speedup, = (r["sack_speedup"] for r in doc["rows"] if r["labels"]
+                == {"scenario": "drop", "rate": 0.2, "sack": True})
+    summary = doc["summary"]
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        readme = " ".join(fh.read().split())
+    for quoted in (f"~{speedup:.1f}× at 20 % drop",
+                   f"≈ {summary['min_protected_isolation_ratio']:.2f}×",
+                   f"≈ {summary['min_unprotected_isolation_ratio']:.2f}×"):
+        assert quoted in readme
+
+
+#: host readings of ``BENCH_scale.json`` (and every file's ``python``
+#: header): they measure the machine, not the model
+HOST_READINGS = ("wall_s", "speedup", "python")
+
+
+def _model_leaves(doc, path=""):
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return {path: doc}
+    return {leaf: value for key, sub in items
+            if key not in HOST_READINGS and not str(key).endswith("_per_sec")
+            for leaf, value in _model_leaves(sub, f"{path}/{key}").items()}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ["planes", "fairness", "scale"])
+def test_plane_bench_regenerates_its_committed_artefact(name, tmp_path):
+    """Through the real command line: a ``--quick`` round trip passes
+    its gates, and the full run reproduces every leaf of the committed
+    file that is not a host reading, exactly."""
+    from repro.bench.results import plane_main
+
+    mod = _load_script(f"bench_{name}")
     out = tmp_path / "fresh.json"
 
     def run(*flags):
@@ -274,13 +321,7 @@ def test_plane_bench_regenerates_its_committed_artefact(name, script,
     assert code == 0 and doc["quick"] is True
     code, doc = run()
     assert code == 0
-
-    def model_leaves(doc):
-        return {path: value for path, value in trend.walk_leaves(doc)
-                if trend.classify(path) != "wallclock"
-                and path.rsplit(".", 1)[-1] not in ("speedup", "python")}
-
-    assert model_leaves(doc) == model_leaves(_committed(name))
+    assert _model_leaves(doc) == _model_leaves(_committed(name))
 
 
 def test_census_report_of_pingpong_small():

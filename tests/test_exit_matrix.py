@@ -26,6 +26,7 @@ import sys
 
 import pytest
 
+from repro import telemetry
 from repro.ash.examples import (
     PARAM_COUNTER,
     PARAM_REPLY_VCI,
@@ -904,6 +905,16 @@ def test_exit_matrix_events_fired():
     """So is every scenario's count of engine events fired."""
     moved = _matrix_moved(fired=True)
     assert not moved, moved
+
+
+def test_upcall_fault_ledger_is_exported():
+    """``upcall_faulted`` pins the handler's ledger; with telemetry on,
+    the server exports the same count as ``upcall.faults``."""
+    with telemetry.session() as sess:
+        out = upcall_faulted(dict(CONFIGS["1core"]))
+    server, = (t for t in sess.telemetries if t.source == "server")
+    assert out["upcall_faults"] == 1
+    assert server.registry.value("upcall.faults", handler="upcall") == 1
 
 
 @pytest.mark.parametrize("exit_name", sorted(BUDGET_WORLDS))

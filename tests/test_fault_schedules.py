@@ -2,10 +2,10 @@
 one trigger.
 
 **Schedules.**  Every schedule the repo declares — the tenant-abuse
-table, ``bench_crash.cells``, ``sweep_driver.grid_cells``, README's two
-examples — is a list of ``{"site", "target", **knobs}`` with targets by
-name, so it survives ``json.dumps`` / ``loads`` and the reloaded list
-installs the same injectors.  The two rows that carry a handler builder
+table, ``bench_planes.grid``, README's two examples — is a list of
+``{"site", "target", **knobs}`` with targets by name, so it survives
+``json.dumps`` / ``loads`` and the reloaded list installs the same
+injectors.  The two rows that carry a handler builder
 (``NOT_PLAIN_DATA``) are the named exception.
 
 **The trigger.**  ``_Injector._trigger`` replaced five hand-written
@@ -65,17 +65,14 @@ def _readme_schedules():
 def declared_schedules() -> dict:
     out = {f"workloads.TENANT_ABUSE[{name}]": rows
            for name, rows in TENANT_ABUSE.items()}
-    crash = _load_script("bench_crash")
-    for quick in (True, False):
-        for i, (section, labels, seams) in enumerate(crash.cells(quick)):
-            out[f"bench_crash.cells({quick})[{i}]"] = seams["faults"]
-    sweep = _load_script("sweep_driver")
-    for smoke in (True, False):
-        for cell in sweep.grid_cells(smoke, 16_000):
-            if "faults" in cell["kwargs"]:
-                out[f"sweep_driver.grid_cells({smoke})"
-                    f"[{cell['workload']}/{cell['scenario']}]"] = \
-                    cell["kwargs"]["faults"]
+    # the full grid: the quick one is a subset of its rows
+    for row in _load_script("bench_planes").grid(quick=False):
+        for key in ("faults", "scenario"):      # canary_rollout's name
+            if row["kwargs"].get(key):
+                labels = ",".join(f"{k}={v}"
+                                  for k, v in row["labels"].items())
+                out[f"bench_planes.grid[{row['workload']}/{labels}]"] = \
+                    row["kwargs"][key]
     out.update(_readme_schedules())
     return out
 

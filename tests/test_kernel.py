@@ -258,6 +258,9 @@ class TestEthernetDelivery:
         tb.run()
         assert tb.server_kernel.demux_misses == 1
         assert tb.server_nic.free_slot_count == tb.server_nic.ring_slots
+        # the ledger is what telemetry exports, collected when read
+        tb.server.telemetry.enable()
+        assert tb.server.telemetry.registry.value("kernel.demux_misses") == 1
 
 
 class TestBoostScheduler:

@@ -18,7 +18,7 @@ different state layout) and rots on its own.  So outside
 * one method builds a fault injector         -> ``FaultPlane.install``
   (``faults.py`` has no ``if site ==`` ladder; the three forwards that
   ``benchmarks/perf/`` pins are called from nowhere else)
-* no ``benchmarks/bench_*.py`` / ``sweep_driver.py`` imports ``argparse``,
+* no ``benchmarks/bench_*.py`` imports ``argparse``,
   calls ``json.dump`` or runs the ``legacy`` substrate itself: that is
   ``plane_main`` / ``bench_main`` / ``on_both_substrates``.
 * no module under ``src/repro/`` outside ``repro/bench/`` imports
@@ -175,9 +175,8 @@ def census(root=ROOT):
 def plane_bench_violations(root=ROOT):
     """What a bench script does that the shared runner owns."""
     errors = []
-    for path in sorted(glob.glob(os.path.join(root, "benchmarks", "bench_*.py"))
-                       + glob.glob(os.path.join(root, "benchmarks",
-                                                "sweep_driver.py"))):
+    for path in sorted(glob.glob(os.path.join(root, "benchmarks",
+                                              "bench_*.py"))):
         rel = os.path.relpath(path, root)
         with open(path) as fh:
             tree = ast.parse(fh.read(), rel)

@@ -11,7 +11,7 @@ telemetry — **bit-identical** to the unperturbed run, on both
 simulation substrates and at 1/2/4 SMP cores.  Alongside it: unit
 coverage of the quota knobs, the token bucket, the checked degradation
 order (throttle -> defer-refill -> drop), the crash-loop breakers, and
-the goodput-isolation gate behind ``BENCH_tenancy.json``.
+the goodput-isolation gate behind ``BENCH_planes.json``'s tenant rows.
 """
 
 import pytest
@@ -350,7 +350,7 @@ def test_victim_observables_substrate_identical(scenario):
 
 
 def test_noisy_neighbor_goodput_gate():
-    """The BENCH_tenancy bar, in miniature: under a heavy flood the
+    """The bench_planes isolation bar, in miniature: under a heavy flood the
     protected victim keeps >=0.9 of its solo goodput; the unprotected
     ablation is measurably worse off than the protected run."""
     solo = tenant_noisy_neighbor(intensity_fps=0, total_kb=48)
