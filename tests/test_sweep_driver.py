@@ -1,74 +1,59 @@
-"""Tier-1 gate: the unified chaos-sweep driver's smoke corner.
+"""Tier-1 gate: the plane bench's grid, quick and committed.
 
-``benchmarks/sweep_driver.py --smoke`` runs a small corner of the full
-workload × fault-scenario × substrate grid (tcp_bulk, canary and the
-two-tenant noisy-neighbor cell; clean and crashed; fast and legacy)
-and must produce a schema-clean document whose every summary gate
-holds: bit-identity across substrates, zero order violations, correct
-rollout verdicts, every crash recovered within its pinned
-recovery-latency bound, zero canary losses, and the protected victim
-inside its pinned isolation bound.
+``benchmarks/bench_planes.py --quick`` runs a corner of the grid (every
+workload kind, clean and crashed, both substrates) and must hold every
+summary gate: bit-identity across substrates, zero order violations,
+every crash recovered within its pinned bound, zero loss under forced
+aborts, correct rollout verdicts, zero canary losses and the protected
+victim above its isolation floor.  The committed full grid in
+``BENCH_planes.json`` must hold the same gates row by row.
 """
 
 import json
-import os
 
-from tests.test_metrics_lint import _load
+from tests.test_bench_infra import _committed, _load_script
+
+
+def _assert_every_gate(planes, doc):
+    gates = ["all_identical"] + [gate for gate, _message
+                                 in planes.EXPECTATIONS.values()]
+    assert all(doc["summary"][gate] for gate in gates)
+    assert {r["workload"] for r in doc["rows"]} == set(planes.CELLS)
+    assert any(r["observables"].get("crashes") for r in doc["rows"])
+    for r in doc["rows"]:
+        assert r["identical"], r["labels"]
+        assert all(r["met"].values()), (r["workload"], r["labels"])
 
 
 def test_smoke_grid_green(tmp_path):
-    driver = _load("sweep_driver")
-    out = tmp_path / "liveops_sweep_smoke.json"
-    assert driver.main(["--smoke", "--out", str(out)]) == 0
+    from repro.bench.results import plane_main
+
+    planes = _load_script("bench_planes")
+    out = tmp_path / "planes.json"
+    assert plane_main("planes", planes.bench, planes.GATES,
+                      argv=["--quick", "--out", str(out)]) == 0
     with open(out) as fh:
         doc = json.load(fh)
-    assert driver.validate_doc(doc) == []
-    assert doc["schema"] == driver.SCHEMA
     assert doc["quick"] is True
-    summary = doc["summary"]
-    assert summary["all_identical"]
-    assert summary["zero_order_violations"]
-    assert summary["all_rollouts_correct"]
-    assert summary["all_crashes_recovered"]
-    assert summary["all_recoveries_within_bounds"]
-    assert summary["zero_canary_losses"]
-    assert summary["all_isolation_within_bounds"]
-    # the smoke corner still exercises every workload, both substrates,
-    # and at least one crash scenario per crashable workload
-    workloads = {cell["workload"] for cell in doc["grid"]}
-    scenarios = {cell["scenario"] for cell in doc["grid"]}
-    assert workloads == {"tcp_bulk", "canary", "tenant"}
-    assert any("crash" in s for s in scenarios)
-    crash_cells = [c for c in doc["grid"] if c.get("recovered")]
-    assert crash_cells
-    for cell in crash_cells:
-        assert cell["recovery_within_bound"], cell["scenario"]
-    tenant_cells = [c for c in doc["grid"] if c["workload"] == "tenant"]
-    assert tenant_cells
-    for cell in tenant_cells:
-        assert cell["isolation_within_bound"], cell["scenario"]
-        assert cell["observables"]["victim_intact"]
+    _assert_every_gate(planes, doc)
 
 
 def test_committed_full_grid_baseline_schema_clean():
-    """The checked-in BENCH_liveops.json (full grid) stays loadable,
-    schema-clean, and covers every pinned recovery bound."""
-    driver = _load("sweep_driver")
-    path = os.path.join(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        "BENCH_liveops.json",
-    )
-    with open(path) as fh:
-        doc = json.load(fh)
-    assert driver.validate_doc(doc) == []
+    """The checked-in full grid holds every gate, and covers every pinned
+    recovery bound and every protected tenant row's isolation floor."""
+    planes = _load_script("bench_planes")
+    doc = _committed("planes")
     assert doc["quick"] is False
-    lat = doc["summary"]["recovery_latencies"]
-    for scenario, bound in driver.RECOVERY_BOUND_US.items():
-        key = scenario.replace("/", "_") + "_recovery_us"
-        assert key in lat
-        assert lat[key] <= bound, (scenario, lat[key], bound)
-    iso = doc["summary"]["isolation_ratios"]
-    for scenario, bound in driver.ISOLATION_BOUND_RATIO.items():
-        key = scenario.replace("/", "_") + "_isolation_ratio"
-        assert key in iso
-        assert iso[key] >= bound, (scenario, iso[key], bound)
+    _assert_every_gate(planes, doc)
+    for scenario, bound in planes.RECOVERY_BOUND_US.items():
+        workload, name = scenario.split("/")
+        row, = (r for r in doc["rows"] if r["workload"] == workload
+                and r["labels"].get("scenario") == name)
+        assert row["observables"]["recovery_us"] <= bound, scenario
+    protected = [r for r in doc["rows"] if r["workload"] == "tenant"
+                 and r["labels"]["arm"] == "protected"
+                 and r["labels"]["intensity_fps"]]
+    assert protected
+    for r in protected:
+        assert r["victim_intact"], r["labels"]
+        assert r["isolation_ratio"] >= planes.ISOLATION_FLOOR, r["labels"]
