@@ -8,22 +8,22 @@ the VCODE loops use:
 
 * ``copy`` — the tuned (unrolled) memcpy: 11 instructions per 16 bytes,
 * ``checksum`` — the straightforward per-word RFC 1071 pass protocol
-  code uses: 6 cycles per word (the paper's *separate* strategy),
-* ``copy_checksum_integrated`` — the DILP engine (one traversal),
+  code uses: 6 cycles per word (the paper's *separate* strategy).
 
 Each returns the cycles consumed; the caller charges them to a process
 or interrupt context.  Checksum values are returned in the little-endian
 accumulation domain (see :mod:`repro.net.checksum`).
+
+The *integrated* strategy is not here: a DILP engine is compiled where
+it runs (an ASH's ``ash_dilp``, the TCP fast path, the Ethernet
+copy-out), so building a stack compiles nothing.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..hw.cache import DirectMappedCache
 from ..hw.calibration import Calibration
 from ..hw.node import Node
-from ..pipes import PIPE_WRITE, compile_pl, mk_cksum_pipe, pipel
 from .checksum import le_word_sum
 
 __all__ = ["DataPath"]
@@ -46,11 +46,6 @@ class DataPath:
         self.cache: DirectMappedCache = node.dcache
         self.cal: Calibration = node.cal
         self.tel = node.telemetry
-        pl = pipel(name="datapath")
-        self._cksum_pipe_id = mk_cksum_pipe(pl)
-        self._pl = pl
-        self._integrated = compile_pl(pl, PIPE_WRITE, cal=node.cal)
-        self._integrated.telemetry = node.telemetry
         # per-op instrument cache: _record sits on every copy/checksum
         # call, so the registry lookup is paid once per op, not per call
         self._instruments: dict[str, tuple] = {}
@@ -118,15 +113,3 @@ class DataPath:
         cycles += self.cache.touch_range(addr, nbytes, is_store=False)
         self._record("checksum", nbytes, cycles)
         return total, cycles
-
-    # -- integrated (DILP) --------------------------------------------------
-    def copy_checksum_integrated(
-        self, src: int, dst: int, nbytes: int, init: int = 0
-    ) -> tuple[int, int]:
-        """One traversal: copy + checksum via the DILP engine.
-
-        Returns (le-domain acc32, cycles).  Requires nbytes % 4 == 0.
-        """
-        self._pl.export(self._cksum_pipe_id, "cksum", init)
-        cycles = self._integrated.run_fast(self.mem, src, dst, nbytes, self.cache)
-        return self._pl.import_(self._cksum_pipe_id, "cksum"), cycles

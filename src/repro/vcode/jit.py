@@ -139,7 +139,8 @@ class JitStats:
 #: module-wide stats; reset via ``stats.reset()`` (benchmarks do)
 stats = JitStats()
 
-#: (fingerprint, calibration, has_cache) -> CompiledProgram
+#: (fingerprint, calibration, has_cache, baked region list or None)
+#: -> CompiledProgram
 _CODE_CACHE: dict[tuple, "CompiledProgram"] = {}
 
 #: bumped by :func:`clear_code_cache` so per-Program lookup memos (which
@@ -169,7 +170,10 @@ class CompiledProgram:
 # ---------------------------------------------------------------------------
 
 def program_fingerprint(program: Program) -> str:
-    """Content hash of everything the translation depends on."""
+    """Content hash of everything the translation depends on: branches
+    by resolved ``target``, labels by the positions :func:`_leaders`
+    reads, and a label name only as a ``call``'s trusted entry (the
+    builder numbers anonymous labels process-wide)."""
     cached = program.__dict__.get("_jit_fingerprint")
     if cached is not None:
         return cached
@@ -178,10 +182,12 @@ def program_fingerprint(program: Program) -> str:
     h.update(b"|%d" % int(program.sandboxed))
     if program.jump_map is not None:
         h.update(repr(sorted(program.jump_map.items())).encode())
+    h.update(repr(sorted(set(program.labels.values()))).encode())
     for insn in program.insns:
+        entry = insn.label if insn.op == "call" else None
         h.update(
             f"|{insn.op},{insn.rd},{insn.rs},{insn.rt},"
-            f"{insn.imm},{insn.label},{insn.target}".encode()
+            f"{insn.imm},{entry},{insn.target}".encode()
         )
     fp = h.hexdigest()
     program.__dict__["_jit_fingerprint"] = fp
@@ -272,7 +278,7 @@ def get_compiled(
     if tel_on:
         telemetry.counter("vcode.jit.cache_misses").inc()
     try:
-        compiled = _translate(program, cal, has_cache, ak)
+        compiled = _translate(program, key)
     except Exception:
         program.jit_safe = False  # don't retry a failing translation
         return None
@@ -371,8 +377,10 @@ class _Emitter:
         return "\n".join(self.lines) + "\n"
 
 
-def _translate(program: Program, cal: Calibration, has_cache: bool,
-               allowed_key: Optional[tuple] = None) -> CompiledProgram:
+def _translate(program: Program, key: tuple) -> CompiledProgram:
+    """Translate ``program`` for its code-cache ``key``, under a code
+    name unique to the key so a profile keeps translations apart."""
+    _, cal, has_cache, allowed_key = key
     insns = program.insns
     nprog = len(insns)
     name = program.name
@@ -843,7 +851,9 @@ def _translate(program: Program, cal: Calibration, has_cache: bool,
         "_JM": program.jump_map,
         "_LEADERS": leader_map,
     }
-    exec(compile(source, f"<vcode-jit:{name}>", "exec"), namespace)  # noqa: S102
+    tag = hashlib.sha256(repr(key).encode()).hexdigest()[:12]
+    exec(compile(source, f"<vcode-jit:{name}:{tag}>", "exec"),  # noqa: S102
+         namespace)
     return CompiledProgram(
         fn=namespace["_jit_entry"],
         n_insns=nprog,

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import sys
 
 import pytest
 
@@ -12,7 +13,9 @@ from repro.bench.micro import copy_throughput, ilp_throughput
 from repro.hw.calibration import Calibration
 from repro.net.checksum import le_word_sum
 from repro.net.datapath import DataPath
+from repro.net.stack import NetStack
 
+from tests.test_byte_ranges import integrated_copy_checksum
 from tests.test_exit_matrix import TELEMETRY_WORLDS, telemetry_export
 from tests.test_metrics_lint import _load as _load_script
 
@@ -129,12 +132,35 @@ class TestDataPath:
     def test_integrated_cheaper_than_separate(self):
         c_copy = self.dp.copy(self.src.base, self.dst.base, 4096)
         _, c_ck = self.dp.checksum(self.dst.base, 4096)
+        integrated = integrated_copy_checksum(self.tb.server)
         self.tb.server.dcache.flush_all()
-        acc, c_int = self.dp.copy_checksum_integrated(
-            self.src.base, self.dst.base, 4096
-        )
+        acc, c_int = integrated(self.src.base, self.dst.base, 4096)
         assert acc == le_word_sum(self.data)
         assert c_int < c_copy + c_ck
+
+    def test_building_stacks_compiles_nothing(self, monkeypatch):
+        """A DILP engine is compiled where it runs, not per stack: a
+        testbed and four stacks on it compile no pipe list."""
+        from repro.pipes import compiler
+
+        calls = []
+        original = compiler.compile_pl
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__dict__", {}).get("compile_pl") is original:
+                monkeypatch.setattr(mod, "compile_pl", spy)
+        tb = make_an2_pair()
+        for k in range(4):
+            NetStack(tb.client_kernel, tb.client_nic, f"10.0.0.{k + 1}",
+                     an2_peers={"10.0.0.9": (1, 2)})
+        eth = make_eth_pair()
+        NetStack(eth.server_kernel, eth.server_nic, "10.0.0.2",
+                 mac=b"\x02\x00\x00\x00\x00\x02")
+        assert calls == []
 
     def test_copy_in_writes_and_charges(self):
         cycles = self.dp.copy_in(self.dst.base, b"staged payload!!")

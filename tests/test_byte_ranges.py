@@ -30,6 +30,7 @@ from repro.net import checksum as checksum_mod
 from repro.net.checksum import (inet_checksum, inet_checksum_numpy,
                                 le_fold_final, le_word_sum)
 from repro.net.datapath import DataPath
+from repro.pipes import PIPE_WRITE, compile_pl, mk_cksum_pipe, pipel
 from repro.sandbox.rewriter import Sandboxer
 from repro.vcode import jit
 from repro.vcode.vm import Vm
@@ -286,6 +287,22 @@ def datapath():
     return DataPath(tb.server), mem, src, dst, data
 
 
+def integrated_copy_checksum(node):
+    """The DILP copy + checksum engine over ``node``'s memory and data
+    cache (the paper's *integrated* strategy): ``run(src, dst, nbytes,
+    init=0)`` returns ``(le-domain acc32, cycles)``."""
+    pl = pipel()
+    cksum = mk_cksum_pipe(pl)
+    engine = compile_pl(pl, PIPE_WRITE, cal=node.cal)
+    engine.telemetry = node.telemetry
+
+    def run(src: int, dst: int, nbytes: int, init: int = 0):
+        pl.export(cksum, "cksum", init)
+        cycles = engine.run_fast(node.memory, src, dst, nbytes, node.dcache)
+        return pl.import_(cksum, "cksum"), cycles
+    return run
+
+
 def scalar_twin(dp: DataPath) -> DirectMappedCache:
     """A scalar-walk cache to charge the same ranges to."""
     return DirectMappedCache(dp.cal, substrate="legacy")
@@ -328,8 +345,9 @@ class TestDataPathTails:
 
     def test_integrated_equals_separate(self, datapath):
         dp, mem, src, dst, data = datapath
+        integrated = integrated_copy_checksum(dp.node)
         for n in (4, 40, 1024, 8192):
-            acc, _ = dp.copy_checksum_integrated(src, dst, n, init=0x1234)
+            acc, _ = integrated(src, dst, n, init=0x1234)
             assert acc == ref_le_words(data[:n], 0x1234)
             assert mem.read(dst, n) == data[:n]
             assert mem.read(src, n) == data[:n]
@@ -368,11 +386,11 @@ class TestCallBudget:
     @pytest.mark.parametrize("nbytes", sorted(BUDGET))
     def test_calls_per_range(self, datapath, nbytes):
         dp, mem, src, dst, data = datapath
+        integrated = integrated_copy_checksum(dp.node)
         got = (
             python_calls(lambda: dp.checksum(src, nbytes)),
             python_calls(lambda: dp.copy(src, dst, nbytes)),
-            python_calls(
-                lambda: dp.copy_checksum_integrated(src, dst, nbytes)),
+            python_calls(lambda: integrated(src, dst, nbytes)),
         )
         assert all(g <= b for g, b in zip(got, self.BUDGET[nbytes])), got
 

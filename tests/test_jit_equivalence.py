@@ -440,6 +440,62 @@ def test_jit_actually_compiles_and_caches():
     assert jit.stats.misses == 1 and jit.code_cache_size() == 1
     _observe(prog, args=(0x100, 0x800, 256), engine="jit")
     assert jit.stats.hits == 1 and jit.code_cache_size() == 1
+    # a fresh build numbers its labels anew: same content, same code
+    again = build_checksum()
+    assert again.labels != prog.labels
+    _observe(again, args=(0x100, 0x800, 256), engine="jit")
+    assert jit.stats.misses == 1 and jit.code_cache_size() == 1
+
+
+def _translations(*programs) -> int:
+    jit.clear_code_cache()
+    for prog in programs:
+        assert jit.get_compiled(prog, DEFAULT, True) is not None
+    return jit.code_cache_size()
+
+
+def test_trusted_entry_is_part_of_the_content():
+    def calling(entry):
+        return _prog("caller", [Insn("call", label=entry), Insn("ret")])
+
+    assert _translations(calling("ash_send"), calling("ash_send")) == 1
+    assert _translations(calling("ash_send"), calling("net_send")) == 2
+
+
+def test_branch_target_is_part_of_the_content():
+    def branching(marks, to):
+        """``beq`` to label ``to``; ``marks`` names the labels at pcs 2, 3."""
+        return _prog("branch", [
+            Insn("beq", rs=4, rt=0, label=to),
+            Insn("addiu", rd=2, rs=2, imm=1),
+            ("label", marks[0]),
+            Insn("addiu", rd=2, rs=2, imm=2),
+            ("label", marks[1]),
+            Insn("ret"),
+        ])
+
+    # label names are not content; the resolved target is
+    assert _translations(branching("ab", "b"), branching("xy", "y")) == 1
+    assert _translations(branching("ab", "b"), branching("ab", "a")) == 2
+
+
+def test_each_translation_has_its_own_code_name():
+    """``pingpong_small`` translates ``tcp_fastpath.sandboxed`` twice,
+    once per flow's baked region list; a profile keys rows by code
+    name, so the two must not share one."""
+    from repro.bench.census import _perf_worlds
+
+    worlds = _perf_worlds()
+    jit.clear_code_cache()
+    world = worlds.BUILDERS["pingpong_small"](
+        worlds.generate_inputs("pingpong_small", 1, smoke=True))
+    world.run()
+    world.close()
+    names = [c.fn.__code__.co_filename for c in jit._CODE_CACHE.values()]
+    fastpath = [n for n in names
+                if n.startswith("<vcode-jit:tcp_fastpath.sandboxed:")]
+    assert len(fastpath) == 2
+    assert len(set(names)) == len(names)
 
 
 def test_jit_telemetry_counters():
