@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""The operational planes under stress: crash, faults, live ops and tenancy.
+"""The operational planes under stress: crash, faults, live ops, tenancy,
+many-flow fairness and the N-pair x M-flow x C-core scale sweep.
 
 One grid of worlds, each run once on both simulation substrates under
 the same seeded schedule; every row must be bit-identical across them
@@ -34,17 +35,28 @@ simulated observables, ``labels`` name it in the document and
   that the gate is not trivial.
 * **abort** — forced mid-handler ASH aborts on remote increment: every
   aborted delivery falls back to the upcall path and no message is lost.
+* **fairness** — 16 or 24 staggered TCP flows share one AN2 link, so
+  the congestion controller arbitrates the bandwidth: Jain's index over
+  per-flow goodputs must reach ``JAIN_FLOOR``; the aggregate goodput is
+  reported, not gated.
+* **scale** — a ``ScaleWorld`` (N pairs x M flows x C cores): simulated
+  makespan and events per simulated second, no calendar tombstones
+  left.  The 100-node / 3000-flow world runs at 1, 2 and 4 cores and
+  must stay within ``LINEAR_FLOOR`` of linear scaling, with at most
+  ``MAX_OVERFLOW_SPILLS`` overflow spills.
 
 The figures that compare worlds (``goodput_vs_baseline``,
 ``sack_speedup``, ``isolation_ratio``, the summary's curves) are
 computed from the rows, never by running a world again.  Results land
 in ``BENCH_planes.json`` at the repo root; ``--quick`` shrinks the
-crash, impairment and tenancy sweeps.
+crash, impairment and tenancy sweeps and runs one small fairness and
+one small scale world.  No figure reads the host clock.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import sys
 
@@ -56,9 +68,13 @@ from repro.bench.results import (on_both_substrates, plane_doc,  # noqa: E402
 from repro.bench.testbed import make_an2_pair                    # noqa: E402
 from repro.bench.workloads import (am_flow, canary_rollout,      # noqa: E402
                                    chaos_transfer, recovery_us,
+                                   seeded_payload, tcp_bulk,
                                    tenant_noisy_neighbor)
 from repro.kernel.upcall import UpcallHandler                    # noqa: E402
+from repro.net.socket_api import make_stacks, tcp_pair           # noqa: E402
+from repro.net.udp import UdpSocket                              # noqa: E402
 from repro.sim.engine import Engine                              # noqa: E402
+from repro.sim.units import CYCLE_PS                             # noqa: E402
 
 IMPAIRMENTS = ("drop", "corrupt", "duplicate", "reorder")
 
@@ -77,6 +93,40 @@ RECOVERY_BOUND_US = {
 #: a protected victim keeps at least this share of its solo goodput,
 #: whatever the aggressor's offered load
 ISOLATION_FLOOR = 0.9
+
+#: AIMD must converge: Jain's index over a fairness row's flows
+JAIN_FLOOR = 0.9
+
+#: fairness: connect-time stagger between consecutive flows (25 us)
+STAGGER_PS = 25_000_000
+
+#: the multicore payoff must be real: events per simulated second at
+#: the core sweep's most cores, as a share of linear from its fewest
+LINEAR_FLOOR = 0.8
+
+#: overflow spills allowed on the largest scale world: the calendar
+#: queue's bucket width is sized from the timer horizon, so TCP
+#: retransmit timers land in the wheel (default widths spilled hundreds)
+MAX_OVERFLOW_SPILLS = 50
+
+FLOW_KINDS = ("udp", "tcp", "ash")
+
+#: scale: per-flow start offset step in cycles.  173 is coprime to the
+#: 200-cycle charge quantum, so no two flows' quantum grids ever
+#: phase-lock.  The offset is *pair-local* — flow j of pair i starts at
+#: ``(j + 1 + i % 7) * 173`` cycles — so the ramp-in stays a few
+#: hundred microseconds no matter how many pairs share the engine (a
+#: global ramp over thousands of flows would swamp the makespan and
+#: bury the multicore scaling signal under serial start-up time).
+STAGGER_CYCLES = 173
+
+#: and pair i starts ``i`` picoseconds behind that: every pair has its
+#: own offset.  Pairs i and i + 7 would otherwise run in lockstep and
+#: meet on every tick, so that each same-tick tie the engine resolves
+#: by order (a pass-through, an inline wake-up, a charge that runs on
+#: into the next) would be decided by which pairs coincide, not by
+#: what one pair does
+PAIR_SKEW_PS = 1
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +220,236 @@ def tenant(substrate: str, **arm) -> dict:
     return tenant_noisy_neighbor(substrate=substrate, **arm)
 
 
+def fairness(substrate: str, nflows: int, nbytes: int, seed: int) -> dict:
+    """``nflows`` staggered bulk transfers over one shared link: each
+    flow's goodput over its own transfer window, Jain's index over
+    them, and the aggregate over the union of the windows."""
+    tb = make_an2_pair(engine=Engine(substrate=substrate))
+    flows = [
+        tcp_bulk(tb, seeded_payload(seed + j, nbytes), flow=j,
+                 start_ps=j * STAGGER_PS, linger_us=0, rto_us=20_000.0)
+        for j in range(nflows)
+    ]
+    tb.run()
+
+    for j, xfer in enumerate(flows):
+        xfer.check(f"flow {j} ({substrate})")
+    per_flow = [{
+        "flow": j,
+        "digest": hashlib.sha256(xfer.got).hexdigest()[:16],
+        "elapsed_us": (xfer.t1 - xfer.t0) / 1_000_000,
+        "goodput_mbps": nbytes * 8 / ((xfer.t1 - xfer.t0) / 1e12) / 1e6,
+        "retransmits": (xfer.client.tcb.retransmits
+                        + xfer.client.tcb.fast_retransmits),
+        "cc_digest": xfer.client.congestion_digest()[:16],
+    } for j, xfer in enumerate(flows)]
+    goodputs = [f["goodput_mbps"] for f in per_flow]
+    total, squares = sum(goodputs), sum(x * x for x in goodputs)
+    span_ps = max(x.t1 for x in flows) - min(x.t0 for x in flows)
+    return {
+        "flows": nflows,
+        "bytes_per_flow": nbytes,
+        "sack": True,    # layout field: fairness is measured with SACK on
+        "jain_index": round((total * total) / (nflows * squares), 4),
+        "goodput_mbps": nflows * nbytes * 8 / (span_ps / 1e12) / 1e6,
+        "min_flow_mbps": round(min(goodputs), 3),
+        "max_flow_mbps": round(max(goodputs), 3),
+        "per_flow": per_flow,
+    }
+
+
+class ScaleWorld:
+    """N AN2 pairs x M flows on one engine of the given substrate."""
+
+    def __init__(self, substrate: str, pairs: int, flows: int,
+                 rounds: int, size: int, cores: int = 1,
+                 batch: int | None = None,
+                 mem_size: int = 16 * 1024 * 1024):
+        self.engine = Engine(substrate=substrate)
+        self.rounds = rounds
+        self.size = size
+        self.cores = cores
+        self.done: list[bool] = []
+        self.rt_ps: list[list[int]] = []  #: per-flow round-trip times
+        #: simulated completion time of the last flow (ps).  Workload-
+        #: visible, so substrate-invariant and part of the digest (the
+        #: engine's own clock is not: legacy tombstone pops may advance
+        #: it past the last real event).
+        self.finish_ps = 0
+        self.testbeds = []
+        for i in range(pairs):
+            tb = make_an2_pair(engine=self.engine, name_prefix=f"p{i}.",
+                               mem_size=mem_size, ncores=cores,
+                               rx_batch=batch)
+            self.testbeds.append(tb)
+            for j in range(flows):
+                kind = FLOW_KINDS[(i * flows + j) % len(FLOW_KINDS)]
+                getattr(self, f"_add_{kind}")(tb, i, j)
+
+    # -- flow builders -----------------------------------------------------
+    def _track(self) -> tuple[int, list[int]]:
+        idx = len(self.done)
+        self.done.append(False)
+        rts: list[int] = []
+        self.rt_ps.append(rts)
+        return idx, rts
+
+    def _finish(self, idx: int) -> None:
+        self.done[idx] = True
+        self.finish_ps = max(self.finish_ps, self.engine.now)
+
+    def _stagger_ps(self, i: int, j: int) -> int:
+        return (j + 1 + i % 7) * STAGGER_CYCLES * CYCLE_PS + i * PAIR_SKEW_PS
+
+    def _vcis(self, j: int) -> tuple[int, int]:
+        """(client->server, server->client) circuit pair for flow j, as
+        ``make_stacks(tb, flow=j)`` assigns them."""
+        return 2 * j + 1, 2 * j + 2
+
+    def _add_udp(self, tb, i: int, j: int) -> None:
+        idx, rts = self._track()
+        cstack, sstack = make_stacks(tb, flow=j)
+        c2s, s2c = self._vcis(j)
+        csock = UdpSocket(cstack, 7001 + j, rx_vci=s2c, name=f"f{j}udpc")
+        ssock = UdpSocket(sstack, 7001 + j, rx_vci=c2s, name=f"f{j}udps")
+        rounds, size = self.rounds, self.size
+        server_ip = sstack.ip
+        stagger = self._stagger_ps(i, j)
+
+        def server(proc):
+            for _ in range(rounds):
+                dg = yield from ssock.recvfrom(proc)
+                yield from ssock.sendto(proc, dg.payload, dg.src_ip,
+                                        dg.src_port)
+
+        def client(proc):
+            yield proc.engine.sleep(stagger)
+            for _ in range(rounds):
+                t0 = proc.engine.now
+                yield from csock.sendto(proc, bytes(size), server_ip,
+                                        7001 + j)
+                yield from csock.recvfrom(proc)
+                rts.append(proc.engine.now - t0)
+            self._finish(idx)
+
+        tb.server_kernel.spawn_process(f"f{j}udp-server", server)
+        tb.client_kernel.spawn_process(f"f{j}udp-client", client)
+
+    def _add_tcp(self, tb, i: int, j: int) -> None:
+        idx, rts = self._track()
+        conn_c, conn_s = tcp_pair(*make_stacks(tb, flow=j), 80 + j, 5000 + j)
+        rounds, size = self.rounds, self.size
+        stagger = self._stagger_ps(i, j)
+
+        def server(proc):
+            yield from conn_s.accept(proc)
+            for _ in range(rounds):
+                data = yield from conn_s.read(proc, size)
+                yield from conn_s.write(proc, data)
+
+        def client(proc):
+            yield proc.engine.sleep(stagger)
+            yield from conn_c.connect(proc)
+            for _ in range(rounds):
+                t0 = proc.engine.now
+                yield from conn_c.write(proc, bytes(size))
+                yield from conn_c.read(proc, size)
+                rts.append(proc.engine.now - t0)
+            self._finish(idx)
+
+        tb.server_kernel.spawn_process(f"f{j}tcp-server", server)
+        tb.client_kernel.spawn_process(f"f{j}tcp-client", client)
+
+    def _add_ash(self, tb, i: int, j: int) -> None:
+        idx, rts = self._track()
+        ck = tb.client_kernel
+        c2s, s2c = self._vcis(j)
+        flow = am_flow(tb, c2s, s2c)
+        rounds = self.rounds
+        stagger = self._stagger_ps(i, j)
+
+        def client(proc):
+            yield proc.engine.sleep(stagger)
+            for _ in range(rounds):
+                _reply, ticks = yield from flow.request(proc)
+                rts.append(ticks)
+            self._finish(idx)
+
+        flow.cli_ep.owner = ck.spawn_process(f"f{j}ash-client", client)
+
+    # -- run + observables ---------------------------------------------------
+    def run(self) -> None:
+        """Drive the world to completion."""
+        self.engine.run()
+        if not all(self.done):
+            raise RuntimeError(
+                f"scale world stalled: {self.done.count(False)} flows "
+                f"unfinished (substrate={self.engine.substrate}, "
+                f"cores={self.cores})"
+            )
+
+    def digest(self) -> str:
+        """Hash of every substrate-invariant observable.
+
+        Round-trip times and the completion stamp are simulated
+        durations recorded inside the workloads; cache/interrupt/frame
+        counters and per-core RSS steering counts are model state.  The
+        engine's own clock/stats are deliberately excluded — tombstone
+        pops may advance the legacy clock past the last real event.
+        """
+        obs = {
+            "rt_ps": self.rt_ps,
+            "finish_ps": self.finish_ps,
+            "nodes": [
+                {
+                    "name": node.name,
+                    "dcache_hits": node.dcache.hits,
+                    "dcache_misses": node.dcache.misses,
+                    "rx_interrupts": node.kernel.rx_interrupts,
+                    "nic_rx": {n.name: n.rx_frames for n in node.nics.values()},
+                    "nic_tx": {n.name: n.tx_frames for n in node.nics.values()},
+                    "rss": {n.name: n.rss.stats()["steered"]
+                            for n in node.nics.values() if n.rss is not None},
+                }
+                for tb in self.testbeds
+                for node in (tb.client, tb.server)
+            ],
+        }
+        blob = json.dumps(obs, sort_keys=True).encode()
+        return hashlib.sha256(blob).hexdigest()
+
+    def packets(self) -> int:
+        return sum(
+            nic.rx_frames
+            for tb in self.testbeds
+            for node in (tb.client, tb.server)
+            for nic in node.nics.values()
+        )
+
+
+def scale(substrate: str, pairs: int, flows: int, rounds: int, size: int,
+          cores: int, batch: int | None, mem_mb: int) -> dict:
+    """One ``ScaleWorld``: makespan, events per simulated second, the
+    engine's ledger and queue counters, the observables' digest."""
+    world = ScaleWorld(substrate, pairs, flows, rounds, size, cores=cores,
+                       batch=batch, mem_size=mem_mb * 1024 * 1024)
+    world.run()
+    stats = world.engine.stats()
+    eps = stats["fired"] / (world.finish_ps / 1e12)
+    return {
+        "digest": world.digest(),
+        "sim_elapsed_us": round(world.finish_ps / 1e6, 3),
+        "events_per_sim_s": round(eps, 1),
+        "events_per_sim_s_per_core": round(eps / cores, 1),
+        "events": stats["fired"],
+        "packets": world.packets(),
+        "cancelled": stats["cancelled"],
+        "queue": stats["queue"],
+    }
+
+
 CELLS = {"transfer": transfer, "canary": canary, "tenant": tenant,
-         "abort": abort}
+         "abort": abort, "fairness": fairness, "scale": scale}
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +461,20 @@ def grid(quick: bool) -> list[dict]:
     if quick:
         outages, crash_times = (200.0, 20_000.0), (500.0,)
         modes, rates, intensities = (None, "ash"), (0.1,), (0, 30_000)
+        contended = ((8, 24_000),)
+        worlds = ((1, 3, 4, 512, 2, None),)
     else:
         outages = (200.0, 1_000.0, 5_000.0, 20_000.0, 60_000.0)
         crash_times = (500.0, 1_500.0, 4_000.0, 10_000.0)
         modes, rates = (None, "upcall", "ash"), (0.05, 0.1, 0.2)
         intensities = (0, 2_000, 10_000, 30_000, 60_000)
+        contended = ((16, 48_000), (24, 32_000))
+        # (pairs, flows per pair, rounds, payload B, cores, rx batch): a
+        # single-core ladder, a batched SMP world, and 100 nodes / 3000
+        # flows swept across 1/2/4 cores, last
+        worlds = ((2, 3, 8, 2048, 1, None), (8, 3, 10, 16384, 1, None),
+                  (10, 3, 10, 16384, 1, None), (10, 12, 3, 1024, 2, 8),
+                  *((50, 60, 2, 256, cores, None) for cores in (1, 2, 4)))
     rows = []
 
     def row(workload, labels, expectations=None, **kwargs):
@@ -268,6 +555,15 @@ def grid(quick: bool) -> list[dict]:
 
     row("abort", {"scenario": "every_second_delivery"}, {"zero_loss": True},
         messages=32, seed=42)
+
+    for nflows, nbytes in contended:
+        row("fairness", {"flows": nflows, "bytes_per_flow": nbytes},
+            {"jain_floor": JAIN_FLOOR}, nflows=nflows, nbytes=nbytes, seed=42)
+    for pairs, flows, rounds, size, cores, batch in worlds:
+        row("scale", {"nodes": 2 * pairs, "flows": pairs * flows,
+                      "cores": cores}, {"tombstones": 0},
+            pairs=pairs, flows=flows, rounds=rounds, size=size, cores=cores,
+            batch=batch, mem_mb=16)
     return rows
 
 
@@ -276,8 +572,9 @@ def grid(quick: bool) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 #: expectation -> (its summary gate, the message when that gate fails).
-#: ``recovery_bound_us`` and ``isolation_floor`` are bounds; every other
-#: expectation is the value its observable must equal.
+#: ``recovery_bound_us``, ``isolation_floor`` and ``jain_floor`` are
+#: bounds; every other expectation is the value its observable (for
+#: ``tombstones``, the fast engine's queue counter) must equal.
 EXPECTATIONS = {
     "order_violations": ("zero_order_violations",
                          "a delivery skipped a hierarchy level out of order"),
@@ -292,12 +589,24 @@ EXPECTATIONS = {
                         "isolation broken: protected victim ratio "
                         "{min_protected_isolation_ratio} < "
                         f"{ISOLATION_FLOOR}"),
+    "jain_floor": ("all_fairness_within_bounds",
+                   f"fairness collapsed: Jain index {{min_jain_index}} < "
+                   f"{JAIN_FLOOR}"),
+    "tombstones": ("zero_calendar_tombstones",    # none outlive the run
+                   "tombstones left in the calendar queue"),
 }
 
 GATES = [(lambda s: s["all_identical"],
           "substrates disagree under an identical schedule")] + [
     (lambda s, gate=gate: s[gate], message)
     for gate, message in EXPECTATIONS.values()
+] + [
+    (lambda s: s["sweep_linear_fraction"] >= LINEAR_FLOOR,
+     f"multicore scaling collapsed: {{sweep_linear_fraction}}x of linear "
+     f"< {LINEAR_FLOOR}"),
+    (lambda s: s["largest_overflow_spills"] <= MAX_OVERFLOW_SPILLS,
+     f"{{largest_overflow_spills}} overflow spills on the largest scale "
+     f"world > {MAX_OVERFLOW_SPILLS}"),
 ]
 
 
@@ -310,6 +619,10 @@ def met(row: dict) -> dict:
                         and obs["recovery_us"] <= want)
         elif key == "isolation_floor":
             out[key] = row["victim_intact"] and row["isolation_ratio"] >= want
+        elif key == "jain_floor":
+            out[key] = obs["jain_index"] >= want
+        elif key == "tombstones":
+            out[key] = obs["queue"][key] == want
         else:
             out[key] = obs[key] == want
     return out
@@ -347,6 +660,18 @@ def derive(rows: list[dict]) -> dict:
         return min(r["isolation_ratio"] for r in tenants
                    if r["labels"]["arm"] == arm)
 
+    # the core sweep: the largest scale world (the last row) at each
+    # core count it runs at, as a share of linear from the fewest
+    scale = [r for r in rows if r["workload"] == "scale"]
+    largest = scale[-1]
+    sweep = {r["kwargs"]["cores"]: r["observables"]["events_per_sim_s"]
+             for r in scale
+             if dict(r["kwargs"], cores=0) == dict(largest["kwargs"], cores=0)}
+    fewest = min(sweep)
+    curve = {str(cores): {"events_per_sim_s": eps, "linear_fraction": round(
+                 eps / (sweep[fewest] * cores / fewest), 3)}
+             for cores, eps in sweep.items()}
+
     return {
         "goodput_retained_at_max_rate": {
             kind: round(goodput(find("transfer", scenario=kind,
@@ -356,21 +681,43 @@ def derive(rows: list[dict]) -> dict:
         "solo_goodput_mbps": round(goodput(solo), 4),
         "min_protected_isolation_ratio": min_ratio("protected"),
         "min_unprotected_isolation_ratio": min_ratio("unprotected"),
+        "min_jain_index": min(r["observables"]["jain_index"] for r in rows
+                              if r["workload"] == "fairness"),
+        "core_sweep": curve,
+        "sweep_linear_fraction": curve[str(max(sweep))]["linear_fraction"],
+        "largest_overflow_spills":
+            largest["observables"]["queue"]["overflow_spills"],
     }
 
 
+def run_row(spec: dict) -> dict:
+    """One row of the grid on both substrates: the spec, whether they
+    agree (``identical``) and the fast run's ``observables``.  A scale
+    cell's ``queue`` counts the substrate's own event queue (a calendar
+    or a heap), not the model: the row records fast's, uncompared."""
+    queues = {}
+
+    def cell(substrate: str, **kwargs) -> dict:
+        observables = CELLS[spec["workload"]](substrate=substrate, **kwargs)
+        if "queue" in observables:
+            queues[substrate] = {"queue": observables.pop("queue")}
+        return observables
+
+    observables, identical = on_both_substrates(cell, **spec["kwargs"])
+    return dict(spec, identical=identical,
+                observables={**observables, **queues.get("fast", {})})
+
+
 def bench(quick: bool) -> dict:
-    rows = []
-    for spec in grid(quick):
-        observables, identical = on_both_substrates(
-            CELLS[spec["workload"]], **spec["kwargs"])
-        rows.append(dict(spec, identical=identical, observables=observables))
+    rows = [run_row(spec) for spec in grid(quick)]
     summary = derive(rows)
     for r in rows:
         r["met"] = met(r)
         obs = r["observables"]
         figures = [f"{key}={obs[key]:.6g}"
-                   for key in ("goodput_mbps", "recovery_us") if obs.get(key)]
+                   for key in ("goodput_mbps", "recovery_us", "jain_index",
+                               "sim_elapsed_us", "events_per_sim_s")
+                   if obs.get(key)]
         figures += [f"{key}={r[key]}" for key in
                     ("goodput_vs_baseline", "sack_speedup", "isolation_ratio")
                     if key in r]

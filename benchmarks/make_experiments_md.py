@@ -14,7 +14,6 @@ deterministic, and ``tests/goldens.json`` pins a SHA-256 of each.
 from __future__ import annotations
 
 import argparse
-import glob
 import json
 import os
 import sys
@@ -24,22 +23,12 @@ RESULTS = os.path.join(HERE, "results")
 OUT = os.path.join(os.path.dirname(HERE), "EXPERIMENTS.md")
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 
-ORDER = [
-    "table1_raw_latency",
-    "fig3_raw_throughput",
-    "table2_udp_tcp",
-    "table3_copies",
-    "table4_ilp",
-    "table5_remote_increment",
-    "table6_tcp_ash",
-    "fig4_scheduling",
-    "sec5d_sandbox_overhead",
-    "ablation_dilp",
-    "ablation_budget",
-    "ablation_sandbox",
-    "ablation_livelock",
-    "ext_tcp_params",
-]
+from repro.bench.__main__ import EXPERIMENTS  # noqa: E402
+
+#: the tables in paper order: each is its script's name without
+#: ``bench_`` and ``.py``
+ORDER = [script[len("bench_"):-len(".py")]
+         for script, _runner in EXPERIMENTS.values()]
 
 HEADER = """# EXPERIMENTS — paper vs. measured
 
@@ -205,7 +194,6 @@ def main() -> None:
     if args.trace:
         capture_canonical_telemetry(None)
     sections = [HEADER, complexity_section()]
-    seen = set()
     for name in ORDER:
         path = os.path.join(RESULTS, f"{name}.json")
         if not os.path.exists(path):
@@ -214,15 +202,6 @@ def main() -> None:
             continue
         with open(path) as fh:
             sections.append(table_md(json.load(fh)))
-        seen.add(name)
-    for path in sorted(glob.glob(os.path.join(RESULTS, "*.json"))):
-        base = os.path.basename(path)
-        if base.endswith((".telemetry.json", ".trace.json")):
-            continue  # telemetry sidecars, not BenchTables
-        name = os.path.splitext(base)[0]
-        if name not in seen and name not in ORDER:
-            with open(path) as fh:
-                sections.append(table_md(json.load(fh)))
     with open(OUT, "w") as fh:
         fh.write("\n".join(sections))
     print(f"wrote {OUT}")

@@ -6,11 +6,12 @@ reference values alongside for the EXPERIMENTS.md comparison.  Tables
 render as aligned text (printed by the benches) and serialize to JSON
 under ``benchmarks/results/``.
 
-The plane benches (planes, fairness, scale) write a nested
-``BENCH_<name>.json`` at the repo root instead; what
-they share — running a cell on both substrates, the command line, the
-dump and the summary gates — is :func:`on_both_substrates`,
-:func:`plane_doc` and :func:`plane_main`.
+The plane bench, ``benchmarks/bench_planes.py``, writes a nested
+``BENCH_planes.json`` at the repo root instead: one grid whose rows —
+transfer, canary, tenant, abort, fairness and scale worlds — each run
+on both substrates.  Running a cell on both, the document header, the
+command line, the dump and the summary gates are
+:func:`on_both_substrates`, :func:`plane_doc` and :func:`plane_main`.
 """
 
 from __future__ import annotations

@@ -240,46 +240,40 @@ def test_committed_paper_table_is_fresh(name):
 
 
 def _first_row(kind, **labels):
-    """The first committed ``BENCH_planes.json`` row of one workload kind
-    (and labels), recomputed on ``fast`` from the kwargs the row records."""
-    def cell(planes, doc):
-        row = next(r for r in doc["rows"] if r["workload"] == kind
-                   and labels.items() <= r["labels"].items())
-        return (planes.CELLS[kind](substrate="fast", **row["kwargs"]),
-                row["observables"])
-    return "planes", cell
+    """The first committed ``BENCH_planes.json`` row of a kind (and labels)."""
+    return next(r for r in _committed("planes")["rows"]
+                if r["workload"] == kind
+                and labels.items() <= r["labels"].items())
 
 
-#: per committed cell: its ``BENCH_<name>.json``, and the cell recomputed
-#: by ``bench_<name>.py``'s own cell function -> (fresh, committed).
-#: ``BENCH_planes.json`` is checked at one row of each workload kind, named
-#: for the plane it stresses, and at its first impaired transfer; fairness
-#: takes the 16-flow config, the one that went stale.
+#: a row of each workload kind but scale (seconds each: the slow tier's),
+#: named for the plane it stresses, and the first impaired transfer;
+#: fairness is the 16-flow row, the one that went stale
 PLANE_CELLS = {
-    "crash": _first_row("transfer"),
-    "faults": _first_row("transfer", scenario="drop"),
-    "liveops": _first_row("canary"),
-    "tenancy": _first_row("tenant"),
-    "abort": _first_row("abort"),
-    "fairness": ("fairness", lambda m, doc: (
-        m.run_fairness("fast", 16, 48_000), doc["configs"][0])),
+    "crash": lambda: _first_row("transfer"),
+    "faults": lambda: _first_row("transfer", scenario="drop"),
+    "liveops": lambda: _first_row("canary"),
+    "tenancy": lambda: _first_row("tenant"),
+    "abort": lambda: _first_row("abort"),
+    "fairness": lambda: _first_row("fairness"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PLANE_CELLS))
 def test_committed_plane_bench_cell_is_fresh(name):
-    """Every leaf the cell function returns equals the committed row or
-    config (which adds labels of its own beside them).  Regenerate with
-    ``python benchmarks/bench_planes.py`` / ``bench_fairness.py``."""
-    doc, cell = PLANE_CELLS[name]
-    fresh, committed = cell(_load_script(f"bench_{doc}"), _committed(doc))
+    """The row's cell function, rerun on ``fast`` from the kwargs the
+    row records, returns the committed observables.  Regenerate with
+    ``python benchmarks/bench_planes.py``."""
+    row = PLANE_CELLS[name]()
+    fresh = _load_script("bench_planes").CELLS[row["workload"]](
+        substrate="fast", **row["kwargs"])
     fresh = json.loads(json.dumps(fresh))       # tuples -> lists, as stored
-    assert fresh == {key: committed[key] for key in fresh}
+    assert fresh == row["observables"]
 
 
 def test_readme_quotes_the_committed_plane_figures():
-    """README's SACK speedup and isolation ratios are the committed
-    ``BENCH_planes.json`` figures, rounded."""
+    """README's SACK speedup, isolation ratios, worst Jain index and
+    core-sweep scaling are the committed ``BENCH_planes.json`` figures."""
     doc = _committed("planes")
     speedup, = (r["sack_speedup"] for r in doc["rows"] if r["labels"]
                 == {"scenario": "drop", "rate": 0.2, "sack": True})
@@ -288,49 +282,63 @@ def test_readme_quotes_the_committed_plane_figures():
         readme = " ".join(fh.read().split())
     for quoted in (f"~{speedup:.1f}× at 20 % drop",
                    f"≈ {summary['min_protected_isolation_ratio']:.2f}×",
-                   f"≈ {summary['min_unprotected_isolation_ratio']:.2f}×"):
+                   f"≈ {summary['min_unprotected_isolation_ratio']:.2f}×",
+                   f"worst row {summary['min_jain_index']}",
+                   f"{summary['sweep_linear_fraction']}× of linear"):
         assert quoted in readme
 
 
-#: host readings of ``BENCH_scale.json`` (and every file's ``python``
-#: header): they measure the machine, not the model
-HOST_READINGS = ("wall_s", "speedup", "python")
+def test_each_moved_gate_fails_the_run(tmp_path):
+    """Jain's index, the core sweep, the overflow spills and the
+    calendar tombstones are ``GATES`` entries: the committed summary
+    passes them, and breaking any one makes ``plane_main`` exit 1."""
+    from repro.bench.results import plane_main
+
+    planes = _load_script("bench_planes")
+    for broken in ({}, {"all_fairness_within_bounds": False},
+                   {"sweep_linear_fraction": planes.LINEAR_FLOOR - 0.001},
+                   {"largest_overflow_spills": planes.MAX_OVERFLOW_SPILLS + 1},
+                   {"zero_calendar_tombstones": False}):
+        summary = dict(_committed("planes")["summary"], **broken)
+        code = plane_main("planes", lambda quick: {"summary": summary},
+                          planes.GATES, argv=["--out", str(tmp_path / "p")])
+        assert code == (1 if broken else 0), broken
 
 
 def _model_leaves(doc, path=""):
+    """Every leaf but the ``python`` header, which names the host's
+    interpreter, not the model."""
     if isinstance(doc, dict):
         items = doc.items()
     elif isinstance(doc, list):
         items = enumerate(doc)
     else:
         return {path: doc}
-    return {leaf: value for key, sub in items
-            if key not in HOST_READINGS and not str(key).endswith("_per_sec")
+    return {leaf: value for key, sub in items if key != "python"
             for leaf, value in _model_leaves(sub, f"{path}/{key}").items()}
+
+
+def _part(doc, name):
+    """What one regeneration id checks: the fairness or scale rows, or
+    (``planes``) the header, the summary and every other row."""
+    if name in ("fairness", "scale"):
+        return [r for r in doc["rows"] if r["workload"] == name]
+    return dict(doc, rows=[r for r in doc["rows"]
+                           if r["workload"] not in ("fairness", "scale")])
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", ["planes", "fairness", "scale"])
-def test_plane_bench_regenerates_its_committed_artefact(name, tmp_path):
-    """Through the real command line: a ``--quick`` round trip passes
-    its gates, and the full run reproduces every leaf of the committed
-    file that is not a host reading, exactly."""
-    from repro.bench.results import plane_main
-
-    mod = _load_script(f"bench_{name}")
-    out = tmp_path / "fresh.json"
-
-    def run(*flags):
-        code = plane_main(name, mod.bench, mod.GATES,
-                          argv=[*flags, "--out", str(out)])
-        with open(out) as fh:
-            return code, json.load(fh)
-
-    code, doc = run("--quick")
-    assert code == 0 and doc["quick"] is True
-    code, doc = run()
+def test_plane_bench_regenerates_its_committed_artefact(name,
+                                                        regenerated_planes):
+    """Through the real command line, the full run passes its gates and
+    reproduces every leaf of the committed ``BENCH_planes.json`` (but
+    the ``python`` header), exactly: one id per part of the grid, all
+    reading one regeneration."""
+    code, doc = regenerated_planes
     assert code == 0
-    assert _model_leaves(doc) == _model_leaves(_committed(name))
+    assert (_model_leaves(_part(doc, name))
+            == _model_leaves(_part(_committed("planes"), name)))
 
 
 def test_census_report_of_pingpong_small():

@@ -8,20 +8,14 @@ The second half pins *substrate invariance*: the fast event engine
 produce bit-identical simulated observables to the legacy heap engine.
 """
 
-import os
-import sys
-
 import pytest
 
 from repro.bench import workloads as W
 from repro.bench.workloads import TcpConfig
 
-sys.path.insert(0, os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "benchmarks",
-))
+from tests.test_metrics_lint import _load as _load_script
 
-from bench_scale import ScaleWorld, bench  # noqa: E402
+planes = _load_script("bench_planes")
 
 
 def test_raw_latency_bitwise_repeatable():
@@ -76,7 +70,7 @@ def test_calibration_change_actually_changes_results():
 # -- substrate invariance ---------------------------------------------------
 
 def _world_observables(substrate):
-    world = ScaleWorld(substrate, pairs=1, flows=3, rounds=4, size=2048)
+    world = planes.ScaleWorld(substrate, pairs=1, flows=3, rounds=4, size=2048)
     world.run()
     return world
 
@@ -107,14 +101,16 @@ def test_substrates_agree_on_dispatch_ledger():
 
 
 def test_scale_bench_smoke():
-    """The quick benchmark config runs end to end and agrees."""
-    out = bench(quick=True)
-    assert out["summary"]["all_cycles_identical"]
-    assert out["configs"][0]["fast"]["packets"] > 0
+    """The quick grid's scale row runs end to end and agrees."""
+    spec, = (r for r in planes.grid(quick=True) if r["workload"] == "scale")
+    row = planes.run_row(spec)
+    assert row["identical"]
+    assert row["observables"]["packets"] > 0
 
 
 @pytest.mark.slow
-def test_scale_bench_full_sweep():
-    """The committed sweep: every config cycle-identical."""
-    out = bench(quick=False)
-    assert out["summary"]["all_cycles_identical"]
+def test_scale_bench_full_sweep(regenerated_planes):
+    """The committed sweep: every scale row cycle-identical."""
+    _code, doc = regenerated_planes
+    scale = [r for r in doc["rows"] if r["workload"] == "scale"]
+    assert scale and all(r["identical"] for r in scale)

@@ -8,9 +8,6 @@ steers identically on both simulation substrates, so the fast/legacy
 digest comparison keeps holding under per-core interleaving.
 """
 
-import os
-import sys
-
 import pytest
 
 from repro.bench.testbed import make_an2_pair
@@ -25,12 +22,9 @@ from repro.sim.engine import DEFAULT_TIMER_HORIZON_US, Engine
 from repro.sim.queues import CalendarQueue
 from repro.sim.units import CYCLE_PS
 
-sys.path.insert(0, os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "benchmarks",
-))
+from tests.test_metrics_lint import _load as _load_script
 
-from bench_scale import ScaleWorld  # noqa: E402
+ScaleWorld = _load_script("bench_planes").ScaleWorld
 
 
 # -- the deterministic hash and flow identity -------------------------------
