@@ -1,13 +1,15 @@
-"""Where the engine's events go: process suspensions by yield site.
+"""Where the engine's events go: process suspensions by yield site;
+and, with ``--bytecodes``, where the host's bytecodes go, by layer.
 
     PYTHONPATH=src python -m repro.bench.census                 # pingpong_small
     PYTHONPATH=src python -m repro.bench.census planes_chaos --seed 2
     PYTHONPATH=src python -m repro.bench.census paper_tables
+    PYTHONPATH=src python -m repro.bench.census --bytecodes bulk_stream
 
 Every engine event is a timer firing, a callback, or a process being
 resumed — and a process is resumed because it suspended.  The census
-watches :meth:`Engine._send_step`, :meth:`Cpu.continue_hold` and
-:meth:`Cpu.grant` from outside (no hook in any): each time a process
+watches :meth:`Engine._send_step`, :meth:`Run.continue_hold` and
+:meth:`Run.grant` from outside (no hook in any): each time a process
 comes to rest it walks
 the ``yield from`` chain to the innermost generator — for a CPU charge,
 the one that handed it to :meth:`Cpu.run` — and books the wait there,
@@ -49,20 +51,39 @@ path, untimed), and ``paper_tables`` runs its table drivers as the
 benchmark does (``benchmarks/perf/child.py``): frames and events are
 summed over the worlds the drivers build.  ``tests/goldens.json`` pins
 the same census for one warm delivery on an idle node (``site_budget``).
+
+**Bytecodes.**  ``--bytecodes`` runs the world under ``sys.settrace``
+with opcode events on (:class:`BytecodeCensus`) and books every bytecode
+the interpreter executes to a layer: the layer of the file its code
+object was compiled from (``benchmarks/perf/layers.py``'s ``layer_of``,
+the rule the benchmark folds its profile by), ``vcode.jit`` for code the
+JIT translated (``<vcode-jit:...>``), and for code outside ``repro/``
+(the standard library, DPF's generated matchers) the layer of the
+nearest ``repro`` frame that called it.  Every bytecode is booked once,
+so the layers sum to the total by construction.  It prints bytecodes per
+received frame by layer, then the busiest functions.  Unlike host time
+the count is exact: two runs give the same figures, under any hash seed
+(the JIT's code cache is emptied before the world is built, as a fresh
+process has it, and the collector is held off while the world runs).  Only ``world.run()``
+is counted (``paper_tables``: the whole of each driver), at ~0.3 µs of
+host time per bytecode.  ``tests/goldens.json`` pins bytecodes per warm
+delivery and per uncontended CPU charge (``bytecode_budget``).
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import os
 import sys
 from collections import Counter
 
-from ..hw.cpu import Cpu
+from ..hw.cpu import Cpu, Run
 from ..sim.engine import Engine, Event
+from ..vcode import jit
 
-__all__ = ["YieldCensus", "yield_site", "main"]
+__all__ = ["YieldCensus", "BytecodeCensus", "yield_site", "main"]
 
 _SRC = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
@@ -111,7 +132,7 @@ _REMAINDER = {
 
 class YieldCensus:
     """Context manager: while open, every engine's ``_send_step`` books
-    where the process it advanced came to rest, every CPU's
+    where the process it advanced came to rest, and every CPU run's
     ``continue_hold`` the holds it carried on and its ``grant`` the
     acquires it opened a hold for."""
 
@@ -122,8 +143,8 @@ class YieldCensus:
 
     def __enter__(self) -> "YieldCensus":
         send_step = self._send_step = Engine._send_step
-        continue_hold = self._continue_hold = Cpu.continue_hold
-        grant = self._grant = Cpu.grant
+        continue_hold = self._continue_hold = Run.continue_hold
+        grant = self._grant = Run.grant
         waits = self.waits
 
         def booking_send_step(engine, proc, value):
@@ -133,17 +154,17 @@ class YieldCensus:
                 how = "pending" if target._state == Event._PENDING else "hop"
                 waits[(*yield_site(proc.gen), _target_kind(target), how)] += 1
 
-        def booking_continue_hold(cpu):
-            if not continue_hold(cpu):
+        def booking_continue_hold(run):
+            if not continue_hold(run):
                 return False
             # the one waiting on the hold's timer: a process's resume
-            proc = cpu._timer._callbacks[0].__self__
+            proc = run.cpu._timer._callbacks[0]
             waits[(*yield_site(proc.gen), "Timeout", "continued")] += 1
             return True
 
-        def booking_grant(cpu, ev, run):
+        def booking_grant(run, ev):
             proc = ev.sole_waiter()
-            if not grant(cpu, ev, run):
+            if not grant(run, ev):
                 return False
             site = yield_site(proc.gen)
             rested = (*site, "Event:acquire", "pending")
@@ -155,14 +176,14 @@ class YieldCensus:
             return True
 
         Engine._send_step = booking_send_step
-        Cpu.continue_hold = booking_continue_hold
-        Cpu.grant = booking_grant
+        Run.continue_hold = booking_continue_hold
+        Run.grant = booking_grant
         return self
 
     def __exit__(self, *exc) -> None:
         Engine._send_step = self._send_step
-        Cpu.continue_hold = self._continue_hold
-        Cpu.grant = self._grant
+        Run.continue_hold = self._continue_hold
+        Run.grant = self._grant
 
     def by_function(self) -> dict[tuple[str, str, str], int]:
         """Waits keyed ``(function, target kind, how)``: stable under
@@ -212,19 +233,145 @@ class YieldCensus:
         return "\n".join(lines)
 
 
-def _perf_worlds():
+#: the layer of code the JIT translated (its file is ``<vcode-jit:...>``)
+JIT_LAYER = "vcode.jit"
+
+
+class BytecodeCensus:
+    """Context manager: while open, every bytecode the interpreter runs
+    is counted against the code object running it and that code's layer
+    (see the module docstring).  Frames already running when it opens
+    are not traced: open it around a call."""
+
+    def __init__(self) -> None:
+        #: (layer, code object) -> bytecodes
+        self.counts: Counter = Counter()
+
+    def __enter__(self) -> "BytecodeCensus":
+        layers = _perf_module("layers")
+        layer_of, other = layers.layer_of, layers.OTHER
+        own: dict = {}      #: code -> its own layer (None: outside repro/)
+        #: code (``(layer, code)`` outside repro/) -> its opcode counter
+        tracers: dict = {}
+        cells = self._cells = {}    #: (layer, code) -> [bytecodes]
+        leave = BytecodeCensus.__exit__.__code__
+
+        def own_layer(code):
+            name = own[code] = (
+                JIT_LAYER if code.co_filename.startswith("<vcode-jit:")
+                else layer_of(code.co_filename))
+            return name
+
+        def counter(key):
+            cell = cells[key] = [0]
+
+            def count(frame, event, arg):
+                if event == "opcode":
+                    cell[0] += 1
+                return count
+            return count
+
+        def resolve(frame, code):
+            if code is leave:
+                return None
+            name = own[code] if code in own else own_layer(code)
+            if name is not None:
+                tracers[code] = count = counter((name, code))
+                return count
+            # outside repro/: the nearest repro caller's
+            up = frame.f_back
+            while name is None and up is not None:
+                name = own[up.f_code] if up.f_code in own \
+                    else own_layer(up.f_code)
+                up = up.f_back
+            key = (name or other, code)
+            count = tracers.get(key)
+            if count is None:
+                tracers[key] = count = counter(key)
+            return count
+
+        def trace(frame, event, arg):
+            code = frame.f_code
+            count = tracers.get(code) or resolve(frame, code)
+            if count is not None:
+                frame.f_trace_lines = False
+                frame.f_trace_opcodes = True
+            return count
+
+        gc.collect()
+        self._collecting = gc.isenabled()
+        gc.disable()
+        sys.settrace(trace)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        sys.settrace(None)
+        if self._collecting:
+            gc.enable()
+        for key, cell in self._cells.items():
+            self.counts[key] += cell[0]
+
+    @property
+    def total(self) -> int:
+        return sum(self.counts.values())
+
+    def by_layer(self) -> dict[str, int]:
+        """Bytecodes by layer, busiest first."""
+        out: Counter = Counter()
+        for (layer, _code), n in self.counts.items():
+            out[layer] += n
+        return dict(out.most_common())
+
+    def by_function(self) -> dict[tuple[str, str], int]:
+        """Bytecodes by ``(layer, qualified name)``, busiest first."""
+        out: Counter = Counter()
+        for (layer, code), n in self.counts.items():
+            out[layer, code.co_qualname] += n
+        return dict(out.most_common())
+
+    def format(self, frames: int, top: int = 20) -> str:
+        """Per received frame: the layers, then the ``top`` busiest
+        functions with where they are defined."""
+        total = self.total
+        lines = [f"{'/frame':>9s} {'share':>6s}  layer"]
+        for layer, n in self.by_layer().items():
+            lines.append(f"{n / frames:9.1f} {100 * n / total:5.1f}%  {layer}")
+        lines.append(f"{total / frames:9.1f} {100.0:5.1f}%  total")
+        lines += ["", f"the {top} busiest functions, bytecodes per "
+                      f"received frame:"]
+        where: dict = {}
+        for (layer, code) in self.counts:
+            path = os.path.relpath(code.co_filename,
+                                   os.path.join(_SRC, "repro"))
+            if path.startswith(".."):
+                path = os.path.basename(code.co_filename)
+            where[layer, code.co_qualname] = f"{path}:{code.co_firstlineno}"
+        for (layer, function), n in list(self.by_function().items())[:top]:
+            lines.append(f"{n / frames:9.1f}  {layer:16s} {function}  "
+                         f"({where[layer, function]})")
+        return "\n".join(lines)
+
+
+def _perf_module(name: str):
     if PERF_DIR not in sys.path:
         sys.path.insert(0, PERF_DIR)
-    return importlib.import_module("worlds")
+    return importlib.import_module(name)
 
 
-def run_perf_world(name: str, seed: int):
-    """Build and run one of the benchmark's worlds under the census;
-    returns ``(census, frames received, engine stats)``."""
+def _perf_worlds():
+    return _perf_module("worlds")
+
+
+def run_perf_world(name: str, seed: int, census=None):
+    """Build one of the benchmark's worlds and run it under ``census`` (a
+    new :class:`YieldCensus` by default); returns ``(census, frames
+    received, engine stats)``.  The JIT's code cache is emptied first,
+    as a fresh process has it: translations are counted bytecodes, and
+    a cache left warm by an earlier run would hide them."""
     worlds = _perf_worlds()
-    inputs = worlds.generate_inputs(name, seed)
-    with YieldCensus() as census:
-        world = worlds.BUILDERS[name](inputs)
+    jit.clear_code_cache()
+    world = worlds.BUILDERS[name](worlds.generate_inputs(name, seed))
+    with census or YieldCensus() as census:
         world.run()
     attempted, failed, notes = world.verify()
     world.close()
@@ -234,10 +381,11 @@ def run_perf_world(name: str, seed: int):
     return census, world.packets(), world.engine.stats()
 
 
-def run_paper_tables():
-    """Run the table drivers ``paper_tables`` times under the census
-    (the seed does not enter them); returns ``(census, frames received,
-    engine stats)`` summed over every world they build.  Engines and
+def run_paper_tables(census=None):
+    """Run the table drivers ``paper_tables`` times under ``census`` (a
+    new :class:`YieldCensus` by default; the seed does not enter them);
+    returns ``(census, frames received, engine stats)`` summed over every
+    world they build.  Engines and
     kernels are seen through ``Engine.run`` and ``Kernel.__init__`` and
     held weakly, as ``benchmarks/perf/child.py`` does: the drivers build
     and discard some sixty worlds."""
@@ -247,6 +395,7 @@ def run_paper_tables():
 
     runners, _cells = _perf_worlds().load_paper_drivers(
         os.path.dirname(PERF_DIR))
+    jit.clear_code_cache()      # (as ``run_perf_world`` does)
     kernels = weakref.WeakSet()
     engines = weakref.WeakKeyDictionary()   #: engine -> key into ``last``
     last: dict[int, tuple[dict, int]] = {}  #: key -> (stats, frames)
@@ -268,7 +417,7 @@ def run_paper_tables():
 
     Kernel.__init__, Engine.run = recording_boot, recording_run
     try:
-        with YieldCensus() as census:
+        with census or YieldCensus() as census:
             for runner in runners:
                 runner()
     finally:
@@ -307,16 +456,35 @@ def report(name: str, seed: int) -> str:
     ])
 
 
+def bytecode_report(name: str, seed: int) -> str:
+    census = BytecodeCensus()
+    _census, frames, stats = (run_paper_tables(census)
+                              if name == "paper_tables"
+                              else run_perf_world(name, seed, census))
+    total = census.total
+    return "\n".join([
+        f"{name} (seed {seed}): {frames} frames received, {total} "
+        f"bytecodes = {total / frames:.1f} per frame ({stats['fired']} "
+        f"events fired = {stats['fired'] / frames:.2f} per frame)",
+        "",
+        census.format(frames),
+    ])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.census",
-        description="Count process suspensions by yield site in one of "
+        description="Count process suspensions by yield site (or, with "
+                    "--bytecodes, executed bytecodes by layer) in one of "
                     "the benchmark's worlds.")
     parser.add_argument("world", nargs="?", default="pingpong_small",
                         choices=WORLDS)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--bytecodes", action="store_true",
+                        help="count executed bytecodes by layer instead")
     args = parser.parse_args(argv)
-    print(report(args.world, args.seed))
+    print((bytecode_report if args.bytecodes else report)(args.world,
+                                                          args.seed))
     return 0
 
 

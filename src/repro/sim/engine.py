@@ -13,6 +13,14 @@ intentionally small, dependency-free and strictly deterministic:
 * there is no wall-clock anywhere; re-running a workload reproduces the
   exact same event trace.
 
+Every CPU charge passes through here twice (its timer, its holder's
+wake-up), so the ``fast`` run loop is written for the interpreter's
+sake: it pops the calendar queue's due heap itself, a waiting process is
+its own callback (no bound method to build or unwrap), a timer fires
+with the value it was made with, and ``scheduled`` / ``fired`` are not
+counted per event but follow from the sequence numbers, the queue and
+the hops elided and re-queued (:meth:`Engine.stats`).
+
 Example
 -------
 >>> eng = Engine()
@@ -27,7 +35,10 @@ Example
 
 from __future__ import annotations
 
+import math
 import os
+from functools import partial
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..errors import SimError
@@ -109,7 +120,7 @@ class Event:
         self.name = name
         self._value: Any = None
         self._exc: Optional[BaseException] = None
-        self._state = Event._PENDING
+        self._state = 0     # Event._PENDING
         self._callbacks: list[Callable[["Event"], None]] = []
 
     @property
@@ -119,18 +130,18 @@ class Event:
     @property
     def ok(self) -> bool:
         """True once the event succeeded (as opposed to failed)."""
-        return self.triggered and self._exc is None
+        return self._state == Event._TRIGGERED and self._exc is None
 
     @property
     def value(self) -> Any:
-        if not self.triggered:
+        if not self._state:
             raise SimError(f"event {self.name!r} has not triggered yet")
         if self._exc is not None:
             raise self._exc
         return self._value
 
     def succeed(self, value: Any = None) -> "Event":
-        if self.triggered:
+        if self._state:
             raise SimError(f"event {self.name!r} already triggered")
         self._value = value
         self._state = Event._TRIGGERED
@@ -138,7 +149,7 @@ class Event:
         return self
 
     def fail(self, exc: BaseException) -> "Event":
-        if self.triggered:
+        if self._state:
             raise SimError(f"event {self.name!r} already triggered")
         self._exc = exc
         self._state = Event._TRIGGERED
@@ -147,7 +158,7 @@ class Event:
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
         """Run ``fn(event)`` when the event triggers (immediately if done)."""
-        if self.triggered:
+        if self._state:
             # Already dispatched: deliver through the scheduler so late
             # listeners still run, without recursing into the caller.
             self.engine._schedule(self.engine.now, fn, self)
@@ -165,10 +176,29 @@ class Event:
         callback the event has (no ``any_of``, no listener beside it),
         else None."""
         cbs = self._callbacks
-        if len(cbs) == 1 and getattr(cbs[0], "__func__", None) is \
-                SimProcess._on_event:
-            return cbs[0].__self__
+        if len(cbs) == 1 and cbs[0].__class__ is SimProcess:
+            return cbs[0]
         return None
+
+    def skip_hop(self, step: Callable[[Any], "Event"], arg: Any) -> bool:
+        """Trigger this event, which a process's resume alone waits on
+        (:meth:`sole_waiter`), without the hop that would resume the
+        process only for it to call ``step(arg)`` and wait on the event
+        that returns: the engine makes that call itself, where the hop
+        would have run, and the process waits on its result.  Call it
+        only when :meth:`Engine.alone`: the hop would then be the next
+        entry to pop, so it runs once the dispatch under way returns to
+        the run loop, and until then every same-tick test sees it as due
+        (see :attr:`Engine._skipped`).  A lock's grant that opens its
+        grantee's CPU hold does this (:meth:`repro.hw.cpu.Run.grant`).
+        True when it did; False, with nothing done, when anything else
+        waits on the event."""
+        cbs = self._callbacks
+        if len(cbs) != 1 or cbs[0].__class__ is not SimProcess:
+            return False
+        self._state = Event._TRIGGERED
+        self.engine._skipped.append((cbs.pop(), step, arg))
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "triggered" if self.triggered else "pending"
@@ -178,10 +208,11 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed delay.
 
-    A CPU hold's timer names the CPU as its :attr:`hold` while a next
-    charge segment is lined up behind the open one: when it comes due,
-    the run loops ask :meth:`repro.hw.cpu.Cpu.continue_hold` first,
-    which may re-arm it for that segment instead of letting it fire.
+    A CPU hold's timer names the run it charges as its :attr:`hold`
+    while a next charge segment is lined up behind the open one: when it
+    comes due, the run loops ask :meth:`repro.hw.cpu.Run.continue_hold`
+    first, which may arm it again for that segment instead of letting it
+    fire.
     """
 
     __slots__ = ("delay", "_entry", "hold")
@@ -193,7 +224,7 @@ class Timeout(Event):
         # protocol timer in a run is one of these.
         self.engine = engine
         self.name = "timeout"
-        self._value = None
+        self._value = value     # (read only once it has fired)
         self._exc = None
         self._state = Event._PENDING
         self._callbacks = []
@@ -203,18 +234,31 @@ class Timeout(Event):
         # ``delay >= 0``).  The queue entry's callable slot holds the
         # Timeout itself (``__call__`` aliases ``_fire``): no
         # bound-method allocation per schedule, and the run loops can
-        # type-dispatch on it.
+        # type-dispatch on it.  It fires with the value it holds, so
+        # the entry carries no arguments.
         engine._seq = seq = engine._seq + 1
-        engine._scheduled += 1
-        self._entry = entry = [engine._now + delay, seq, self, (value,), None]
+        self._entry = entry = [engine._now + delay, seq, self, (), None]
         engine._queue.push(entry)
 
-    def _fire(self, value: Any) -> None:
-        if not self.triggered:  # may have been cancelled
+    @classmethod
+    def unarmed(cls, engine: "Engine") -> "Timeout":
+        """A timeout that is not scheduled and will not fire until armed
+        again (the CPU's hold timer, see
+        :meth:`repro.hw.cpu.Cpu.begin_hold`): as one that has fired."""
+        self = cls.__new__(cls)
+        Event.__init__(self, engine, "timeout")
+        self._state = Event._TRIGGERED
+        self.hold = None
+        self.delay = 0
+        self._entry = [engine._now, 0, None, (), None]
+        return self
+
+    def _fire(self) -> None:
+        if not self._state:  # may have been cancelled
             hold = self.hold
             if hold is not None and hold.continue_hold():
                 return
-            self.succeed(value)
+            self.succeed(self._value)
 
     __call__ = _fire
 
@@ -225,7 +269,7 @@ class Timeout(Event):
         outright when the calendar wheel still holds it, otherwise left
         as a tombstone the run loop pops and skips.
         """
-        if not self.triggered:
+        if not self._state:
             self._state = Event._TRIGGERED
             self._callbacks.clear()
             self.engine._cancel(self._entry)
@@ -313,25 +357,23 @@ class SimProcess(Event):
     Wraps a generator that yields :class:`Event` objects.  The process is
     itself an event: it triggers when the generator returns, with the
     generator's return value.  Other processes may therefore ``yield`` a
-    process to join it.
+    process to join it.  It is also the callback it registers on the
+    event it waits on: calling it with that event resumes it
+    (:meth:`_on_event`).
     """
 
-    __slots__ = ("gen", "_waiting_on", "_interrupts", "_on_event_cb")
+    __slots__ = ("gen", "_waiting_on", "_interrupts")
 
     def __init__(self, engine: "Engine", gen: SimGenerator, name: str = ""):
         super().__init__(engine, name=name or getattr(gen, "__name__", "proc"))
         self.gen = gen
         self._waiting_on: Optional[Event] = None
         self._interrupts: list[Interrupt] = []
-        # the bound method is allocated once: it is registered as an
-        # event callback on every wait, which would otherwise cost a
-        # fresh bound-method object each time
-        self._on_event_cb = self._on_event
         engine._schedule(engine.now, self._resume, None, None)
 
     @property
     def alive(self) -> bool:
-        return not self.triggered
+        return not self._state
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current tick."""
@@ -340,25 +382,9 @@ class SimProcess(Event):
         self._interrupts.append(Interrupt(cause))
         # Detach from whatever we were waiting on and resume immediately.
         if self._waiting_on is not None:
-            self._waiting_on.remove_callback(self._on_event_cb)
+            self._waiting_on.remove_callback(self)
             self._waiting_on = None
         self.engine._schedule(self.engine.now, self._deliver_interrupt)
-
-    def skip_hop(self, ev: Event, step: Callable[[Any], Event],
-                 arg: Any) -> None:
-        """Trigger ``ev``, which this process alone waits on
-        (:meth:`Event.sole_waiter`), without the hop that would resume
-        the process only for it to call ``step(arg)`` and wait on the
-        event that returns: the engine makes that call itself, where the
-        hop would have run, and the process waits on its result.  Call
-        it only when :meth:`Engine.alone`: the hop would then be the next
-        entry to pop, so it runs once the dispatch under way returns to
-        the run loop, and until then every same-tick test sees it as due
-        (see :attr:`Engine._skipped`).  A lock's grant that opens its
-        grantee's CPU hold does this (:meth:`repro.hw.cpu.Cpu.grant`)."""
-        ev._callbacks = []
-        ev._state = Event._TRIGGERED
-        self.engine._skipped.append((self, step, arg))
 
     def _deliver_interrupt(self) -> None:
         if not self.alive or not self._interrupts:
@@ -372,7 +398,7 @@ class SimProcess(Event):
             if waiting_on.triggered:
                 self.engine._schedule(self.engine.now, self._deliver_interrupt)
                 return
-            waiting_on.remove_callback(self._on_event_cb)
+            waiting_on.remove_callback(self)
             self._waiting_on = None
         exc = self._interrupts.pop(0)
         self._step(lambda: self.gen.throw(exc))
@@ -389,6 +415,8 @@ class SimProcess(Event):
             self._step(lambda: self.gen.throw(exc))
         else:
             self._resume(ev._value, None)
+
+    __call__ = _on_event
 
     def _resume(self, value: Any, _unused: Any = None) -> None:
         if not self.alive:
@@ -419,7 +447,7 @@ class SimProcess(Event):
             self.engine._crashed(self, exc)
             return
         self._waiting_on = target
-        target.add_callback(self._on_event_cb)
+        target.add_callback(self)
 
 
 class Engine:
@@ -447,9 +475,8 @@ class Engine:
         #: the engine so ids are unique across every node sharing the
         #: clock, and reset with it: identical runs mint identical ids.
         self.trace_seq = 0
-        # scheduling statistics (see stats())
-        self._scheduled = 0
-        self._fired = 0
+        # scheduling statistics (see stats(): ``scheduled`` and
+        # ``fired`` follow from these, ``_seq`` and the queue's)
         self._cancelled = 0
         self._inlined = 0  # queue hops elided by the fast loop
         self._requeued = 0  # same-tick hops of processes that wait for nothing
@@ -462,7 +489,8 @@ class Engine:
         # yield the same object instead of allocating one.
         self._done = Event(self, "done")
         self._done._state = Event._TRIGGERED
-        #: hops :meth:`SimProcess.skip_hop` saved, ``(process, step,
+        self.event: Callable[..., Event] = partial(Event, self)
+        #: hops :meth:`Event.skip_hop` saved, ``(process, step,
         #: arg)``: each stands for an entry due now, at the head of the
         #: due heap (``passes`` and ``alone`` say False while one waits),
         #: and is taken where it would pop: before the run loop pops
@@ -482,8 +510,8 @@ class Engine:
         return self.trace_seq
 
     # -- event construction --------------------------------------------
-    def event(self, name: str = "") -> Event:
-        return Event(self, name)
+    # ``event(name="")`` is ``Event`` bound to this engine, set in
+    # ``__init__``: a partial, with no frame of its own.
 
     def timeout(self, delay: int, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
@@ -504,7 +532,7 @@ class Engine:
         """True when a process may walk through ``event`` without
         yielding it: it is the shared pre-triggered event (an open gate,
         an uncontended lock) *and* no other entry is due at this tick
-        (a hop :meth:`SimProcess.skip_hop` saved counts as one).
+        (a hop :meth:`Event.skip_hop` saved counts as one).
 
         That is the tie test :meth:`_send_step` applies before it elides
         the hop of such a wait, asked by the waiter itself: the hop
@@ -527,24 +555,24 @@ class Engine:
         return (event is self._done and not self._skipped
                 and self._queue.peek_at() != self._now)
 
-    def alone(self, advance: bool = True) -> bool:
+    def alone(self) -> bool:
         """True when no live entry is due at this tick, nor a hop
-        :meth:`SimProcess.skip_hop` saved: what is popping now may run on
+        :meth:`Event.skip_hop` saved: what is popping now may run on
         into the next thing it does without anyone being able to tell
-        (the continuation of a CPU hold and a grant that opens one ask
-        this).
+        (the continuation of a CPU hold asks this).
 
         Tombstones due now are popped here, as the run loop would pop
         them next, so the answer is the same on both substrates: a
         cancel removes a wheel-resident entry on ``fast`` but leaves a
         tombstone on ``legacy``.  With nothing due, the calendar queue
         advances its wheel here, as the tie test of the wake-up this
-        stands for would; ``advance=False`` asks without moving it, for
-        a caller that stands for a hop, which would not have looked.
+        stands for would.  A grant that opens a hold asks the same
+        without moving the wheel (``peek_live_at(now, False)``,
+        :meth:`repro.hw.cpu.Run.grant`): it stands for a hop, which
+        would not have looked.
         """
         now = self._now
-        return not self._skipped and self._queue.peek_live_at(
-            now, advance) != now
+        return not self._skipped and self._queue.peek_live_at(now) != now
 
     def _book_requeue(self) -> None:
         """Move the hop that just popped from ``scheduled`` / ``fired``
@@ -560,8 +588,6 @@ class Engine:
         counting the hops it elides (``inlined``); this keeps it so by
         not counting a hop that has to be made.  Queue entries popped
         are ``fired - inlined + requeued``."""
-        self._scheduled -= 1
-        self._fired -= 1
         self._requeued += 1
 
     # -- internal scheduling -------------------------------------------
@@ -572,7 +598,6 @@ class Engine:
         if at < self._now:
             raise SimError(f"cannot schedule into the past ({at} < {self._now})")
         self._seq += 1
-        self._scheduled += 1
         entry = [at, self._seq, fn, args, None]
         self._queue.push(entry)
         return entry
@@ -590,14 +615,13 @@ class Engine:
             self._schedule(self._now, fn, event)
 
     def _take_skipped(self) -> None:
-        """Take the hops :meth:`SimProcess.skip_hop` saved, in order:
-        make each one's call and have its process wait on the result."""
-        skipped = self._skipped
-        while skipped:
-            proc, step, arg = skipped.pop(0)
-            target = step(arg)
-            proc._waiting_on = target
-            target._callbacks.append(proc._on_event_cb)
+        """Take the hop :meth:`Event.skip_hop` saved (there is at
+        most one: ``alone`` says False while one waits): make its call
+        and have its process wait on the result."""
+        proc, step, arg = self._skipped.pop()
+        target = step(arg)
+        proc._waiting_on = target
+        target._callbacks.append(proc)
 
     def _crashed(self, proc: SimProcess, exc: BaseException) -> None:
         self._crashes.append((proc, exc))
@@ -641,7 +665,6 @@ class Engine:
             fn, args = entry[2], entry[3]
             if fn is not None:  # tombstones pop silently
                 entry[2] = None  # mark fired: cancel is now a no-op
-                self._fired += 1
                 fn(*args)
         # an empty queue leaves the clock at the last event (the
         # simulation is over; no reason to fast-forward to `until`)
@@ -650,121 +673,118 @@ class Engine:
         """Fused dispatch loop.
 
         Dispatch here is an exact transcription of what the generic
-        path does — ``Timeout._fire`` → ``succeed`` → ``_ready``, and
-        ``SimProcess._on_event``/``_resume`` → ``_step`` — with the
-        intermediate bound-method hops inlined.  Anything that is not
-        one of those two shapes falls through to a plain ``fn(*args)``
-        call, so ordering and side effects are identical to
-        :meth:`_run_legacy` on the same schedule.
+        path does — ``CalendarQueue.pop_due``, then ``Timeout._fire`` →
+        ``succeed`` → ``_ready``, and ``SimProcess._on_event``/``_resume``
+        → ``_step`` — with the intermediate calls inlined.  Anything
+        that is not one of those two shapes falls through to a plain
+        ``fn(*args)`` call, so ordering and side effects are identical
+        to :meth:`_run_legacy` on the same schedule.
         """
         queue = self._queue
-        pop_due = queue.pop_due
+        advance = queue._advance
         push = queue.push
         peek_at = queue.peek_at
-        proc_on_event = SimProcess._on_event
         proc_resume = SimProcess._resume
         send_step = self._send_step
         done = self._done
         skipped = self._skipped
+        horizon = math.inf if until is None else until
         # Dispatch ledger deltas are accumulated locally and flushed on
-        # exit: reentrant increments (``_schedule`` from callbacks,
-        # ``_send_step``) still hit the attributes directly, and deltas
-        # compose.  ``_seq`` must NOT be localized — ``_schedule`` reads
-        # and bumps it reentrantly mid-loop.
-        fired_d = sched_d = inl_d = req_d = 0
+        # exit: reentrant increments (``_book_requeue``, ``_send_step``)
+        # still hit the attributes directly, and deltas compose.
+        # ``_seq`` must NOT be localized — ``_schedule`` reads and bumps
+        # it reentrantly mid-loop.
+        inl_d = req_d = 0
         try:
             while True:
                 if skipped:
-                    self._take_skipped()
-                entry = pop_due(until)
-                if entry is None:
-                    if until is not None and len(queue):
-                        # events remain beyond the horizon: park the clock
-                        self._now = until
+                    # ``_take_skipped``, inlined
+                    proc, step, arg = skipped.pop()
+                    target = step(arg)
+                    proc._waiting_on = target
+                    target._callbacks.append(proc)
+                due = queue._due  # re-read each pass: _advance rebinds it
+                if not due:
+                    if not advance():
+                        break   # nothing pending anywhere
+                    due = queue._due
+                entry = heappop(due)
+                at, _seq, fn, args, _slot = entry
+                if at > horizon:
+                    # events remain beyond the horizon: put it back (the
+                    # pop order is the keys', not the heap's layout) and
+                    # park the clock
+                    heappush(due, entry)
+                    self._now = until
                     break
-                self._now = entry[0]
-                fn = entry[2]
+                self._now = at
                 if fn is None:  # tombstones pop silently
+                    queue.tombstones -= 1
+                    queue.tombstones_popped += 1
                     continue
                 entry[2] = None  # mark fired: cancel is now a no-op
-                fired_d += 1
                 if fn.__class__ is Timeout:
-                    # Timeout._fire → succeed → _ready, inlined.
-                    if fn._state == 0:  # may have been cancelled
-                        hold = fn.hold
-                        if hold is not None and hold.continue_hold():
-                            continue  # re-armed: one event, no wake-up
-                        fn._value = entry[3][0]
-                        fn._state = 1
-                        cbs = fn._callbacks
-                        if cbs:
-                            fn._callbacks = []
-                            now = self._now
-                            # Tie test against the due heap directly
-                            # (re-read each pass: _advance rebinds it).
-                            # When it is empty, fall back to peek_at —
-                            # its eager bucket advance keeps the wheel
-                            # position ahead of the clock, so the next
-                            # near-future push lands straight in the due
-                            # heap instead of paying bucket residency.
-                            due = queue._due
-                            if ((due[0][0] != now) if due
-                                    else (peek_at() != now)) \
-                                    and len(cbs) == 1:
-                                # No other entry at this tick: running the
-                                # callback right now is provably
-                                # order-identical to scheduling it —
-                                # anything it schedules at this tick still
-                                # lands after it, just as it would behind
-                                # its hop entry.  (One callback only: with
-                                # none left to run in this dispatch, a
-                                # process stepped here may take a hop a
-                                # grant saved, see ``_send_step``.)
-                                # Keep the ledger comparable with the hop
-                                # path: it counts as one scheduled-and-
-                                # fired dispatch.
-                                sched_d += 1
-                                fired_d += 1
-                                inl_d += 1
-                                cb = cbs[0]
-                                if getattr(cb, "__func__", None) is \
-                                        proc_on_event:
-                                    proc = cb.__self__
-                                    if proc._state == 0:
-                                        proc._waiting_on = None
-                                        send_step(proc, fn._value)
-                                else:
-                                    cb(fn)
+                    # Timeout._fire → succeed → _ready, inlined.  (One
+                    # that has fired already — by ``succeed`` — has no
+                    # callbacks left; a cancelled one never pops live.)
+                    hold = fn.hold
+                    if hold is not None and hold.continue_hold():
+                        continue  # re-armed: one event, no wake-up
+                    fn._state = 1
+                    cbs = fn._callbacks
+                    if not cbs:
+                        continue
+                    # Tie test against the due heap directly (re-read:
+                    # _advance rebinds it).  When it is empty, fall back
+                    # to peek_at — its eager bucket advance keeps the
+                    # wheel position ahead of the clock, so the next
+                    # near-future push lands straight in the due heap
+                    # instead of paying bucket residency.
+                    due = queue._due
+                    if (due[0][0] != at) if due else (peek_at() != at):
+                        cb = cbs.pop()
+                        if not cbs:
+                            # No other entry at this tick, and one
+                            # callback: running it right now is provably
+                            # order-identical to scheduling it —
+                            # anything it schedules at this tick still
+                            # lands after it, just as it would behind
+                            # its hop entry.  (With no other callback
+                            # left to run in this dispatch, a process
+                            # stepped here may take a hop a grant saved,
+                            # see ``_send_step``.)  The timer keeps its
+                            # callback list, emptied.
+                            inl_d += 1
+                            if cb.__class__ is SimProcess:
+                                if not cb._state:
+                                    cb._waiting_on = None
+                                    send_step(cb, fn._value)
                             else:
-                                for cb in cbs:
-                                    self._seq += 1
-                                    sched_d += 1
-                                    push([now, self._seq, cb, (fn,), None])
+                                cb(fn)
+                            continue
+                        cbs.append(cb)
+                    fn._callbacks = []
+                    for cb in cbs:
+                        self._seq += 1
+                        push([at, self._seq, cb, (fn,), None])
+                elif fn.__class__ is SimProcess:
+                    # SimProcess._on_event → _resume → _step, inlined.
+                    ev = args[0]
+                    if ev is done:  # _book_requeue, on the deltas
+                        req_d += 1
+                    if not fn._state:  # alive
+                        fn._waiting_on = None
+                        if ev._exc is not None:
+                            fn(ev)  # failure path: take the generic route
+                        else:
+                            send_step(fn, ev._value)
+                elif getattr(fn, "__func__", None) is proc_resume:
+                    proc = fn.__self__
+                    if not proc._state:
+                        send_step(proc, args[0])
                 else:
-                    func = getattr(fn, "__func__", None)
-                    if func is proc_on_event:
-                        # SimProcess._on_event → _resume → _step, inlined.
-                        proc = fn.__self__
-                        ev = entry[3][0]
-                        if ev is done:  # _book_requeue, on the deltas
-                            sched_d -= 1
-                            fired_d -= 1
-                            req_d += 1
-                        if proc._state == 0:  # alive
-                            proc._waiting_on = None
-                            if ev._exc is not None:
-                                fn(ev)  # failure path: take the generic route
-                            else:
-                                send_step(proc, ev._value)
-                    elif func is proc_resume:
-                        proc = fn.__self__
-                        if proc._state == 0:
-                            send_step(proc, entry[3][0])
-                    else:
-                        fn(*entry[3])
+                    fn(*args)
         finally:
-            self._fired += fired_d
-            self._scheduled += sched_d
             self._inlined += inl_d
             self._requeued += req_d
 
@@ -779,72 +799,62 @@ class Engine:
         no other entry is pending at this tick that hop is the sole
         entry and pops next with nothing in between, so resuming inline
         is order-identical — the loop below does exactly that, paying
-        one queue round-trip less per such wait.  A hop a grant saved
-        (:meth:`SimProcess.skip_hop`) is due ahead of it: that one is
+        one queue round-trip less per such wait (booked as one
+        scheduled-and-fired dispatch).  A hop a grant saved
+        (:meth:`Event.skip_hop`) is due ahead of it: that one is
         taken first, where the process would have stepped aside for it.
         """
-        gen_send = proc.gen.send
-        queue = self._queue
-        peek_at = queue.peek_at
-        on_event_cb = proc._on_event_cb
-        now = self._now  # constant for the whole call: no time passes here
-        elided = 0
-        try:
-            while True:
-                try:
-                    target = gen_send(value)
-                except StopIteration as stop:
-                    proc.succeed(stop.value)
+        while True:
+            try:
+                target = proc.gen.send(value)
+            except StopIteration as stop:
+                proc.succeed(stop.value)
+                return
+            except Interrupt:
+                proc.succeed(None)
+                return
+            except BaseException as exc:
+                proc.fail(exc)
+                self._crashed(proc, exc)
+                return
+            if not isinstance(target, Event):
+                exc = SimError(
+                    f"process {proc.name!r} yielded {target!r}; processes "
+                    "must yield Event objects (use engine.sleep for delays)"
+                )
+                proc.fail(exc)
+                self._crashed(proc, exc)
+                return
+            proc._waiting_on = target
+            if not target._state:
+                target._callbacks.append(proc)
+                return
+            # triggered already (no time passes here: ``now`` is the
+            # tick being dispatched)
+            now = self._now
+            due = self._queue._due
+            if self._skipped:
+                # a hop a grant saved is due first, and it would sit
+                # at the head of the due heap: look no further (no
+                # eager advance), as behind it
+                if target._exc is not None or (due and due[0][0] == now):
+                    self._schedule(now, proc, target)
                     return
-                except Interrupt:
-                    proc.succeed(None)
-                    return
-                except BaseException as exc:
-                    proc.fail(exc)
-                    self._crashed(proc, exc)
-                    return
-                if not isinstance(target, Event):
-                    exc = SimError(
-                        f"process {proc.name!r} yielded {target!r}; processes "
-                        "must yield Event objects (use engine.sleep for delays)"
-                    )
-                    proc.fail(exc)
-                    self._crashed(proc, exc)
-                    return
-                proc._waiting_on = target
-                if target._state == Event._PENDING:
-                    target._callbacks.append(on_event_cb)
-                    return
-                due = queue._due  # re-read each pass: _advance rebinds it
-                if self._skipped:
-                    # a hop a grant saved is due first, and it would sit
-                    # at the head of the due heap: look no further (no
-                    # eager advance), as behind it
-                    if target._exc is not None or (due and due[0][0] == now):
-                        self._schedule(now, on_event_cb, target)
-                        return
-                    # nothing else is due, and nothing else of this
-                    # dispatch is left to run (the run loop steps one
-                    # process at a time): take it here, where this
-                    # process would step aside for it, and go on
-                    self._take_skipped()
-                elif target._exc is not None or (
-                    (due[0][0] == now) if due else (peek_at() == now)
-                ):
-                    # failure delivery or same-tick siblings: generic hop
-                    self._schedule(now, on_event_cb, target)
-                    return
-                if target is not self._done:  # its hop would not count either
-                    elided += 1
-                proc._waiting_on = None
-                value = target._value
-        finally:
-            if elided:
-                # keep the scheduled/fired ledger comparable: each
-                # elided hop counts as one scheduled-and-fired dispatch
-                self._scheduled += elided
-                self._fired += elided
-                self._inlined += elided
+                # nothing else is due, and nothing else of this
+                # dispatch is left to run (the run loop steps one
+                # process at a time): take it here, where this
+                # process would step aside for it, and go on
+                self._take_skipped()
+            elif target._exc is not None or (
+                (due[0][0] == now) if due else (self._queue.peek_at() == now)
+            ):
+                # failure delivery or same-tick siblings: generic hop
+                self._schedule(now, proc, target)
+                return
+            if target is not self._done:  # its hop would not count either
+                self._inlined += 1
+            proc._waiting_on = None
+            value = target._value
 
     @property
     def crashes(self) -> list[tuple[SimProcess, BaseException]]:
@@ -855,17 +865,34 @@ class Engine:
         return len(self._queue) == 0
 
     # -- introspection ----------------------------------------------------
+    def _dispatches(self) -> tuple[int, int]:
+        """``(scheduled, fired)``, from what the hot paths count anyway.
+        Every queue entry takes a sequence number, and is then popped
+        live, withdrawn (``cancelled``) or still pending live (``len`` of
+        the queue less its tombstones).  Scheduled are the entries, and
+        fired those popped live, plus the hops elided (``inlined``: one
+        scheduled-and-fired dispatch each) less the hops re-queued (a
+        queue entry that counts as neither, see :meth:`_book_requeue`).
+        Exact between dispatches; inside ``run`` the fast loop's
+        ``inlined`` and ``requeued`` lag until it returns."""
+        queue = self._queue
+        hops = self._inlined - self._requeued
+        live = len(queue) - queue.tombstones
+        return (self._seq + hops,
+                self._seq - self._cancelled - live + hops)
+
     def stats(self) -> dict:
         """Scheduling accounting: events scheduled/fired/cancelled (of
         the fired, ``inlined`` never touched the queue; ``requeued``
         same-tick hops did and are not among them), plus
         the queue's own structure-specific counters (tombstones pending
         and popped, wheel occupancy, overflow spills...)."""
+        scheduled, fired = self._dispatches()
         return {
             "substrate": self.substrate,
             "now_ps": self._now,
-            "scheduled": self._scheduled,
-            "fired": self._fired,
+            "scheduled": scheduled,
+            "fired": fired,
             "cancelled": self._cancelled,
             "inlined": self._inlined,
             "requeued": self._requeued,
@@ -883,6 +910,7 @@ class Engine:
             hub.add_collector(self._collect)
 
     def _collect(self, reg) -> None:
-        reg.total("sim.calendar.scheduled", self._scheduled)
-        reg.total("sim.calendar.fired", self._fired)
+        scheduled, fired = self._dispatches()
+        reg.total("sim.calendar.scheduled", scheduled)
+        reg.total("sim.calendar.fired", fired)
         reg.total("sim.calendar.inlined", self._inlined)

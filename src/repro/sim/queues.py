@@ -25,7 +25,9 @@ any simulated result.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
+from heapq import heappop, heappush
 from typing import Any, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle: engine imports us
@@ -55,35 +57,38 @@ __all__ = [
 
 
 class HeapEventQueue:
-    """The legacy substrate: one binary heap of entries."""
+    """The legacy substrate: one binary heap of entries, all of them
+    due (``_due`` and ``_dlim``, as a :class:`CalendarQueue` has them:
+    an entry below ``_dlim`` goes straight onto the ``_due`` heap)."""
 
     kind = "heap"
+    _dlim = math.inf
 
     def __init__(self) -> None:
-        self._heap: list[list] = []
+        self._due: list[list] = []
         self.tombstones = 0          #: pending cancelled entries
         self.tombstones_popped = 0
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._due)
 
     def push(self, entry: list) -> None:
-        heapq.heappush(self._heap, entry)
+        heappush(self._due, entry)
 
     def peek_at(self) -> Optional[int]:
-        return self._heap[0][0] if self._heap else None
+        return self._due[0][0] if self._due else None
 
     def peek_live_at(self, now: int, advance: bool = True) -> Optional[int]:
         """:meth:`peek_at`, once the tombstones due at ``now`` are popped
         off the head (the run loop would pop them next, silently).  A
         heap has no wheel: ``advance`` is the calendar queue's."""
-        heap = self._heap
-        while heap and heap[0][0] == now and heap[0][2] is None:
+        due = self._due
+        while due and due[0][0] == now and due[0][2] is None:
             self.pop()
-        return heap[0][0] if heap else None
+        return due[0][0] if due else None
 
     def pop(self) -> list:
-        entry = heapq.heappop(self._heap)
+        entry = heappop(self._due)
         if entry[2] is None:
             self.tombstones -= 1
             self.tombstones_popped += 1
@@ -92,10 +97,10 @@ class HeapEventQueue:
     def pop_due(self, until: Optional[int] = None) -> Optional[list]:
         """Combined peek+pop: the next entry, or ``None`` when the queue
         is empty or the head fires beyond ``until``."""
-        heap = self._heap
-        if not heap or (until is not None and heap[0][0] > until):
+        due = self._due
+        if not due or (until is not None and due[0][0] > until):
             return None
-        entry = heapq.heappop(heap)
+        entry = heappop(due)
         if entry[2] is None:
             self.tombstones -= 1
             self.tombstones_popped += 1
@@ -110,7 +115,7 @@ class HeapEventQueue:
     def stats(self) -> dict:
         return {
             "kind": self.kind,
-            "pending": len(self._heap),
+            "pending": len(self._due),
             "tombstones": self.tombstones,
             "tombstones_popped": self.tombstones_popped,
         }
@@ -176,6 +181,7 @@ class CalendarQueue:
         self._overflow: list[list] = []
         self._dlim = width        # due covers [0, _dlim)
         self._wend = width * (nbuckets + 1)   # wheel covers [_dlim, _wend)
+        self._span = width * nbuckets         # the wheel's length
         self._wheel_count = 0
         # -- statistics --
         self.cancelled_removed = 0   #: cancels satisfied by bucket removal
@@ -190,7 +196,7 @@ class CalendarQueue:
     def push(self, entry: list) -> None:
         at = entry[0]
         if at < self._dlim:
-            heapq.heappush(self._due, entry)
+            heappush(self._due, entry)
         elif at < self._wend:
             bucket = self._wheel[(at // self._width) % self._nbuckets]
             bucket[entry[1]] = entry
@@ -205,7 +211,9 @@ class CalendarQueue:
         the wheel is empty); False when nothing is pending anywhere."""
         width = self._width
         while True:
-            while self._dlim < self._wend and self._wheel_count:
+            # (a non-empty wheel has an entry at or after ``_dlim`` and
+            # before ``_wend``: the walk meets it before it runs out)
+            while self._wheel_count and self._dlim < self._wend:
                 bucket = self._wheel[(self._dlim // width) % self._nbuckets]
                 self._dlim += width
                 if bucket:
@@ -217,23 +225,31 @@ class CalendarQueue:
                     self._due = entries
                     heapq.heapify(entries)
                     return True
-            # wheel exhausted: re-base the window at the overflow minimum
+            # wheel exhausted: re-base the window at the overflow minimum,
+            # or with nothing pending anywhere just past its end
+            # (``_dlim <= _wend`` always, both multiples of ``width``)
             if not self._overflow:
-                self._dlim = max(self._dlim, self._wend)
-                self._wend = self._dlim + width * self._nbuckets
+                self._dlim = dlim = self._wend
+                self._wend = dlim + self._span
                 return False
             self.wheel_refills += 1
             base = (self._overflow[0][0] // width) * width
             self._dlim = max(base, self._wend)
-            self._wend = self._dlim + width * self._nbuckets
+            self._wend = self._dlim + self._span
             overflow = self._overflow
             while overflow and overflow[0][0] < self._wend:
                 self.push(heapq.heappop(overflow))
 
     def peek_at(self) -> Optional[int]:
-        if not self._due and not self._advance():
-            return None
-        return self._due[0][0]
+        if self._due:
+            return self._due[0][0]
+        if self._wheel_count or self._overflow:
+            return self._due[0][0] if self._advance() else None
+        # nothing pending anywhere: ``_advance``'s re-base, without
+        # its call (an idle engine asks this at every charge)
+        self._dlim = dlim = self._wend
+        self._wend = dlim + self._span
+        return None
 
     def peek_live_at(self, now: int, advance: bool = True) -> Optional[int]:
         """:meth:`peek_at`, once the tombstones due at ``now`` are popped
@@ -242,12 +258,15 @@ class CalendarQueue:
         wheel: the answer for ``now`` is the same (every entry due at the
         tick being dispatched is in the due heap), and nothing moves."""
         while True:
-            if advance:
-                at = self.peek_at()
+            due = self._due
+            if due:
+                head = due[0]
+            elif advance and self._advance():
+                head = self._due[0]
             else:
-                at = self._due[0][0] if self._due else None
-            if at != now or self._due[0][2] is not None:
-                return at
+                return None
+            if head[0] != now or head[2] is not None:
+                return head[0]
             self.pop()
 
     def pop(self) -> list:

@@ -115,6 +115,68 @@ def frame_budget():
             for exit_name in matrix.PROFILED_EXITS}
 
 
+#: the charge ``bytecode_budget`` prices: five quanta, so the hold is
+#: registered with the lock (a charge of one quantum or less is not)
+CHARGE_CYCLES = 1000
+
+
+def charge_bytecodes(kind):
+    """Bytecodes one more uncontended charge of ``CHARGE_CYCLES`` costs
+    on an idle engine: ``exec``, a bare ``Cpu.exec``; ``compute``, a
+    scheduled process's ``Process.compute``.  The third charge of a loop
+    less the second: the timer, its dispatch, the wake-up and the loop's
+    own turn, nothing of the set-up."""
+    from types import SimpleNamespace
+
+    from repro.bench.census import BytecodeCensus
+    from repro.hw.calibration import Calibration
+    from repro.hw.cpu import Cpu
+    from repro.kernel.process import Process
+    from repro.kernel.scheduler import RoundRobinScheduler
+    from repro.sim.engine import Engine
+    from repro.telemetry.hub import Telemetry
+
+    def charges(n):
+        engine = Engine("fast")     # (the legacy substrate runs other code)
+        cal = Calibration()
+        cpu = Cpu(engine, cal)
+        if kind == "exec":
+            def body():
+                for _ in range(n):
+                    yield from cpu.exec(CHARGE_CYCLES)
+            engine.spawn(body())
+        else:
+            node = SimpleNamespace(cpus=[cpu],
+                                   telemetry=Telemetry(engine, enabled=False))
+            kernel = SimpleNamespace(engine=engine, cal=cal, node=node,
+                                     schedulers=[])
+            kernel.schedulers.append(RoundRobinScheduler(kernel))
+
+            def work(proc):
+                for _ in range(n):
+                    yield from proc.compute(CHARGE_CYCLES)
+            Process(kernel, "app", work).start()
+        with BytecodeCensus() as census:
+            engine.run()
+        return census.total
+
+    return charges(3) - charges(2)
+
+
+def bytecode_budget():
+    """Bytecodes per warm delivery on 1 core, and per uncontended CPU
+    charge on an idle engine (``repro.bench.census --bytecodes``), on
+    the fast substrate: the host's cost of the path in executed
+    bytecodes, exact and deterministic -- for CPython 3.11, whose
+    compiler and opcodes these counts are of (another minor version
+    counts other bytecodes)."""
+    return {**{exit_name: sum(matrix.bytecodes_per_message(exit_name)
+                              .values())
+               for exit_name in matrix.PROFILED_EXITS},
+            **{f"charge/{kind}": charge_bytecodes(kind)
+               for kind in ("exec", "compute")}}
+
+
 def telemetry(world_name):
     """The whole export of a telemetry-on world, hashed without its event
     counts; those counts, summed over nodes; the frames it received."""
@@ -177,6 +239,7 @@ PRODUCERS = {
     "event_budget": (event_budget, False),
     "site_budget": (site_budget, False),
     "frame_budget": (frame_budget, True),
+    "bytecode_budget": (bytecode_budget, True),
     **{f"{kind.__name__}/{world}": (functools.partial(kind, world), ceiling)
        for kind, ceiling in ((telemetry, False), (lookups, True))
        for world in matrix.TELEMETRY_WORLDS},

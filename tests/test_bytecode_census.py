@@ -1,0 +1,103 @@
+"""``python -m repro.bench.census --bytecodes``: the host's cost of a run
+in executed bytecodes, by layer -- exact, so it can be pinned.
+
+On the benchmark's ``pingpong_small`` world at its smoke size: two runs
+count alike, the layers sum to the total by construction, and a loop
+planted in one layer moves that layer's count and no other's.
+``tests/goldens.json`` pins the same count per warm delivery and per
+uncontended CPU charge (``bytecode_budget``).
+"""
+
+import functools
+import json
+import re
+from pathlib import Path
+from unittest import mock
+
+from repro.bench import census
+from repro.bench.census import BytecodeCensus, run_perf_world
+from repro.kernel import dpf
+
+WORLD = "pingpong_small"
+
+
+def smoke_size():
+    """The world at its smoke size, as ``benchmarks/perf`` sizes it."""
+    sizes = census._perf_worlds().SIZES[WORLD]
+    return mock.patch.dict(sizes, full=sizes["smoke"])
+
+
+def count():
+    """The census of one smoke-size run, and the frames it received."""
+    with smoke_size():
+        counted, frames, _stats = run_perf_world(WORLD, 1, BytecodeCensus())
+    return counted, frames
+
+
+@functools.lru_cache(maxsize=None)
+def first_run():
+    return count()
+
+
+def test_two_runs_count_alike(capsys):
+    """The second run goes through the command line: every layer, and
+    the total, agree."""
+    with smoke_size():
+        assert census.main(["--bytecodes", WORLD]) == 0
+    out = capsys.readouterr().out
+    counted, frames = first_run()
+    head = re.match(r".*: (\d+) frames received, (\d+) bytecodes", out)
+    assert head and (int(head[1]), int(head[2])) == (frames, counted.total)
+    printed = {line.split()[2]: float(line.split()[0])
+               for line in out.splitlines()
+               if re.match(r"\s+\d+\.\d +\d+\.\d%  \S+$", line)}
+    assert printed.pop("total") == round(counted.total / frames, 1)
+    assert printed == {layer: round(n / frames, 1)
+                       for layer, n in counted.by_layer().items()}
+
+
+def test_layers_sum_to_the_total():
+    counted, frames = first_run()
+    layers = counted.by_layer()
+    assert frames > 0 and counted.total > 0
+    assert sum(layers.values()) == counted.total
+    assert sum(counted.by_function().values()) == counted.total
+    # the simulator's own machinery and the JIT's translations are
+    # layers of their own
+    assert {"sim.engine", "sim.queues", "hw.cpu", "vcode.jit"} <= set(layers)
+
+
+def test_a_planted_loop_moves_its_layer_only(monkeypatch):
+    """A loop compiled as if it were ``kernel/dpf.py`` runs around every
+    classification: ``kernel.dpf`` gains exactly its bytecodes, per
+    call, and every other layer counts what it did."""
+    source = ("def classify(self, packet):\n"
+              "    calls.append(packet)\n"
+              "    for _ in range(50):\n"
+              "        pass\n"
+              "    return original(self, packet)\n")
+    calls = []
+    namespace = {"original": dpf.DpfEngine.classify, "calls": calls}
+    exec(compile(source, dpf.__file__, "exec"), namespace)
+    before, _frames = first_run()
+    monkeypatch.setattr(dpf.DpfEngine, "classify", namespace["classify"])
+    planted, _frames = count()
+    moved = {layer for layer in before.by_layer().keys()
+             | planted.by_layer().keys()
+             if before.by_layer().get(layer) != planted.by_layer().get(layer)}
+    assert moved == {"kernel.dpf"}
+    # as many per call as the planted code takes: the same every call
+    extra = planted.by_layer()["kernel.dpf"] - before.by_layer()["kernel.dpf"]
+    assert calls and extra % len(calls) == 0 and extra // len(calls) > 100
+
+
+def test_design_quotes_the_pinned_charge_budgets():
+    """DESIGN.md's host-cost paragraph quotes what one uncontended
+    charge costs; the ledger's ceilings are those figures."""
+    root = Path(__file__).resolve().parent.parent
+    ledger = json.loads((root / "tests" / "goldens.json").read_text())
+    text = " ".join((root / "DESIGN.md").read_text().split())
+    quoted = re.search(r"at (\d+) per `exec` and (\d+) per `compute`", text)
+    assert quoted and tuple(map(int, quoted.groups())) == (
+        ledger["bytecode_budget/charge/exec"],
+        ledger["bytecode_budget/charge/compute"])

@@ -766,12 +766,12 @@ def _deliver_one(w, frame, profile=None):
     return engine.stats()["fired"] - before
 
 
-def _warm_world(exit_name, config):
+def _warm_world(exit_name, config, **engine):
     """A world that has delivered two messages (JIT and pools warm), the
     engine events each took, and the third frame, for the caller to
-    deliver under its instrument."""
+    deliver under its instrument (on ``engine=``, if one is given)."""
     make_world, make_frame = BUDGET_WORLDS[exit_name]
-    w = make_world(dict(CONFIGS[config]))
+    w = make_world(dict(CONFIGS[config], **engine))
     w.tb.engine.run(until=us(10.0))
     counts = [_deliver_one(w, make_frame(i)) for i in range(2)]
     return w, counts, make_frame(2)
@@ -807,6 +807,24 @@ def frames_per_message(exit_name):
 
     _deliver_one(w, frame, profile)
     return by_file
+
+
+@functools.lru_cache(maxsize=None)
+def bytecodes_per_message(exit_name):
+    """Bytecodes the interpreter executes while one warm message is
+    delivered on 1 core, by layer (``repro.bench.census --bytecodes``),
+    on the benchmark's substrate whatever ``REPRO_SIM_SUBSTRATE`` says:
+    the legacy one runs other code."""
+    from repro.bench.census import BytecodeCensus
+    from repro.sim.engine import Engine
+
+    w, _counts, frame = _warm_world(exit_name, "1core",
+                                    engine=Engine("fast"))
+    engine = w.tb.engine
+    with BytecodeCensus() as census:
+        w.tb.server_nic._on_wire_frame(frame)
+        engine.run(until=engine.now + us(1000.0))
+    return census.by_layer()
 
 
 @functools.lru_cache(maxsize=None)

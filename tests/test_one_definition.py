@@ -251,6 +251,10 @@ def harness_imports(root=ROOT):
 READ_ELSEWHERE = {
     "ndarray.flags.writeable": "numpy itself: clearing it freezes the "
                                "cache model's shared line ramp",
+    "frame.f_trace_lines": "the interpreter's tracer: the bytecode census "
+                           "turns line events off on each traced frame",
+    "frame.f_trace_opcodes": "the interpreter's tracer: the bytecode "
+                             "census turns opcode events on",
 }
 
 
