@@ -22,13 +22,14 @@ from typing import Optional, TYPE_CHECKING
 
 from ..errors import MemoryFault, VcodeError
 from ..hw.link import Frame
+from ..pipes.compiler import TransferMode
 from ..vcode.vm import TrustedCallContext
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..hw.nic.base import Nic, RxDescriptor
-    from ..kernel.kernel import Kernel
+    from ..kernel.kernel import Endpoint, Kernel
 
-__all__ = ["AshNotification", "build_handler_env"]
+__all__ = ["AshNotification", "HandlerEnv", "build_handler_env"]
 
 
 class AshNotification:
@@ -45,11 +46,40 @@ class AshNotification:
         return f"<AshNotification from {self.source}>"
 
 
-def _check_regions(
-    allowed: Optional[list[tuple[int, int]]], addr: int, size: int, what: str
-) -> None:
-    """The aggregated initiation-time check for a trusted call."""
+class HandlerEnv(dict):
+    """The trusted-call table of one endpoint's handler, ``name -> call``:
+    built once per endpoint and mode, then pointed at each message by
+    :meth:`arm` (the calls read the message, its regions and where its
+    sends go from here, not from closures made per message)."""
+
+    __slots__ = ("desc", "pending", "allowed", "msg")
+
+    def arm(
+        self,
+        desc: "RxDescriptor",
+        allowed: Optional[list[tuple[int, int]]],
+        msg: Optional[tuple[int, int]],
+    ) -> list[tuple["Nic", Frame]]:
+        """Point the calls at the message ``desc``: ``allowed`` and the
+        message window ``msg`` bound their accesses (both None: a
+        trusted handler, unchecked).  Returns the fresh list its sends
+        collect in; the kernel transmits them at the cycle offsets
+        recorded in the handler's call log."""
+        self.desc = desc
+        self.allowed = allowed
+        self.msg = msg
+        self.pending = pending = []
+        return pending
+
+
+def _check_regions(env: HandlerEnv, addr: int, size: int, what: str) -> None:
+    """The aggregated initiation-time check for a trusted call: the
+    message window, then the handler's regions."""
+    allowed = env.allowed
     if allowed is None:
+        return
+    base, rsize = env.msg
+    if base <= addr and addr + size <= base + rsize:
         return
     for base, rsize in allowed:
         if base <= addr and addr + size <= base + rsize:
@@ -60,24 +90,18 @@ def _check_regions(
     )
 
 
-def build_handler_env(
-    kernel: "Kernel",
-    desc: "RxDescriptor",
-    pending: list[tuple["Nic", Frame]],
-    allowed: Optional[list[tuple[int, int]]],
-    mode: str = "ash",
-    ep=None,
-):
-    """Construct the trusted-call table for one handler invocation.
+def build_handler_env(kernel: "Kernel", mode: str,
+                      ep: "Endpoint") -> HandlerEnv:
+    """Construct the trusted-call table of ``ep``'s handler.
 
-    ``pending`` collects (nic, frame) sends; the kernel transmits them
-    at the cycle offsets recorded in the handler's call log.
-    ``allowed`` of None means the handler is trusted (unsafe ASH or
-    user-level upcall) and skips the aggregated checks.
+    ``mode`` is ``"ash"`` or ``"upcall"`` (the send costs differ; see
+    the module docstring).  :meth:`HandlerEnv.arm` must point it at a
+    message before each run.
     """
     cal = kernel.cal
     mem = kernel.node.memory
     ash_system = kernel.ash_system
+    env = HandlerEnv()
 
     if mode == "ash":
         send_cycles = cal.us_to_cycles(cal.an2_kernel_send_us)
@@ -87,28 +111,26 @@ def build_handler_env(
         )
 
     def ash_send(ctx: TrustedCallContext) -> tuple[int, int]:
-        buf, length, vci = ctx.arg(0), ctx.arg(1), ctx.arg(2)
-        _check_regions(allowed, buf, length, "send source")
+        buf, length, vci = ctx.args(3)
+        _check_regions(env, buf, length, "send source")
         payload = mem.read(buf, length)
-        pending.append((desc.nic, Frame(payload, vci=vci)))
+        env.pending.append((env.desc.nic, Frame(payload, vci=vci)))
         return 0, send_cycles
 
     def ash_dilp(ctx: TrustedCallContext) -> tuple[int, int]:
-        ilp_id, src, dst, length = (
-            ctx.arg(0), ctx.arg(1), ctx.arg(2), ctx.arg(3)
-        )
+        ilp_id, src, dst, length = ctx.args(4)
         pipeline = ash_system.get_ilp(ilp_id)
         cycles = cal.trusted_call_check_cycles
-        _check_regions(allowed, src, length, "dilp source")
-        if pipeline.mode.value == "write":
-            _check_regions(allowed, dst, length, "dilp destination")
+        _check_regions(env, src, length, "dilp source")
+        if pipeline.mode is TransferMode.WRITE:
+            _check_regions(env, dst, length, "dilp destination")
         cycles += pipeline.run(mem, src, dst, length, kernel.node.dcache)
         return 0, cycles
 
     def ash_ilp_get(ctx: TrustedCallContext) -> tuple[int, int]:
         """Read a pipe's first persistent state variable (e.g. the
         checksum accumulator) after a transfer."""
-        ilp_id, pipe_id = ctx.arg(0), ctx.arg(1)
+        ilp_id, pipe_id = ctx.args(2)
         pipeline = ash_system.get_ilp(ilp_id)
         pipe = pipeline.pl.pipe(pipe_id)
         if not pipe.state_vars:
@@ -119,7 +141,7 @@ def build_handler_env(
     def ash_ilp_set(ctx: TrustedCallContext) -> tuple[int, int]:
         """Export a value into a pipe's first persistent state variable
         (e.g. zero the checksum accumulator before a transfer)."""
-        ilp_id, pipe_id, value = ctx.arg(0), ctx.arg(1), ctx.arg(2)
+        ilp_id, pipe_id, value = ctx.args(3)
         pipeline = ash_system.get_ilp(ilp_id)
         pipe = pipeline.pl.pipe(pipe_id)
         if not pipe.state_vars:
@@ -130,17 +152,17 @@ def build_handler_env(
     def ash_notify(ctx: TrustedCallContext) -> tuple[int, int]:
         """Wake the owning process: the data is already in place, it
         only needs to know."""
-        if ep is not None:
-            ep.ring.put(AshNotification(mode))
-            if ep.owner is not None:
-                kernel.schedulers[ep.owner.core].on_packet(ep.owner)
+        ep.ring.put(AshNotification(mode))
+        if ep.owner is not None:
+            kernel.schedulers[ep.owner.core].on_packet(ep.owner)
         return 0, cal.us_to_cycles(cal.ash_notify_us)
 
-    return {
-        "ash_send": ash_send,
-        "net_send": ash_send,       # alias used by upcall handlers
-        "ash_dilp": ash_dilp,
-        "ash_ilp_get": ash_ilp_get,
-        "ash_ilp_set": ash_ilp_set,
-        "ash_notify": ash_notify,
-    }
+    env.update(
+        ash_send=ash_send,
+        net_send=ash_send,          # alias used by upcall handlers
+        ash_dilp=ash_dilp,
+        ash_ilp_get=ash_ilp_get,
+        ash_ilp_set=ash_ilp_set,
+        ash_notify=ash_notify,
+    )
+    return env

@@ -390,13 +390,11 @@ class AshSystem:
         # the static regions and, apart from them, the one region that
         # moves per message: the JIT specializes on the former only
         allowed = entry.allowed
-        msg_region = None
-        if allowed is not None:
-            msg_region = (desc.addr, desc.dma_span)
-            allowed = allowed + [msg_region]
-
-        pending: list = []
-        env = build_handler_env(kernel, desc, pending, allowed, mode="ash", ep=ep)
+        msg_region = None if allowed is None else (desc.addr, desc.dma_span)
+        env = ep.ash_env
+        if env is None:
+            env = ep.ash_env = build_handler_env(kernel, "ash", ep)
+        pending = env.arm(desc, allowed, msg_region)
         budget = budget_cycles(cal)
         injector = self.fault_injector
         if injector is not None:
@@ -424,7 +422,7 @@ class AshSystem:
                 regs=entry.regs,
                 env=env,
                 cycle_budget=budget,
-                allowed=entry.allowed,
+                allowed=allowed,
                 msg_region=msg_region,
             )
         except VmFault as exc:

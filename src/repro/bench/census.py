@@ -61,7 +61,10 @@ JIT translated (``<vcode-jit:...>``), and for code outside ``repro/``
 (the standard library, DPF's generated matchers) the layer of the
 nearest ``repro`` frame that called it.  Every bytecode is booked once,
 so the layers sum to the total by construction.  It prints bytecodes per
-received frame by layer, then the busiest functions.  Unlike host time
+received frame by layer, then the busiest functions -- each JIT
+translation a row of its own, under its code name
+``<vcode-jit:program:key>`` and with the bytes of source it compiled
+from (every translation's qualified name is ``_jit_entry``).  Unlike host time
 the count is exact: two runs give the same figures, under any hash seed
 (the JIT's code cache is emptied before the world is built, as a fresh
 process has it, and the collector is held off while the world runs).  Only ``world.run()``
@@ -237,6 +240,16 @@ class YieldCensus:
 JIT_LAYER = "vcode.jit"
 
 
+def _is_jit(code) -> bool:
+    return code.co_filename.startswith("<vcode-jit:")
+
+
+def _row(code) -> str:
+    """A function's row: its qualified name, or for a JIT translation
+    its code name, unique to the translation."""
+    return code.co_filename if _is_jit(code) else code.co_qualname
+
+
 class BytecodeCensus:
     """Context manager: while open, every bytecode the interpreter runs
     is counted against the code object running it and that code's layer
@@ -246,6 +259,8 @@ class BytecodeCensus:
     def __init__(self) -> None:
         #: (layer, code object) -> bytecodes
         self.counts: Counter = Counter()
+        #: code of a JIT translation -> bytes of source it compiled from
+        self.sources: dict = {}
 
     def __enter__(self) -> "BytecodeCensus":
         layers = _perf_module("layers")
@@ -257,9 +272,11 @@ class BytecodeCensus:
         leave = BytecodeCensus.__exit__.__code__
 
         def own_layer(code):
-            name = own[code] = (
-                JIT_LAYER if code.co_filename.startswith("<vcode-jit:")
-                else layer_of(code.co_filename))
+            if _is_jit(code):
+                self.sources[code] = jit.source_bytes(code)
+                name = own[code] = JIT_LAYER
+            else:
+                name = own[code] = layer_of(code.co_filename)
             return name
 
         def counter(key):
@@ -323,10 +340,11 @@ class BytecodeCensus:
         return dict(out.most_common())
 
     def by_function(self) -> dict[tuple[str, str], int]:
-        """Bytecodes by ``(layer, qualified name)``, busiest first."""
+        """Bytecodes by ``(layer, qualified name)`` -- a JIT translation
+        by its code name -- busiest first."""
         out: Counter = Counter()
         for (layer, code), n in self.counts.items():
-            out[layer, code.co_qualname] += n
+            out[layer, _row(code)] += n
         return dict(out.most_common())
 
     def format(self, frames: int, top: int = 20) -> str:
@@ -341,11 +359,15 @@ class BytecodeCensus:
                       f"received frame:"]
         where: dict = {}
         for (layer, code) in self.counts:
+            if _is_jit(code):
+                where[layer, _row(code)] = \
+                    f"{self.sources[code]} B of source"
+                continue
             path = os.path.relpath(code.co_filename,
                                    os.path.join(_SRC, "repro"))
             if path.startswith(".."):
                 path = os.path.basename(code.co_filename)
-            where[layer, code.co_qualname] = f"{path}:{code.co_firstlineno}"
+            where[layer, _row(code)] = f"{path}:{code.co_firstlineno}"
         for (layer, function), n in list(self.by_function().items())[:top]:
             lines.append(f"{n / frames:9.1f}  {layer:16s} {function}  "
                          f"({where[layer, function]})")

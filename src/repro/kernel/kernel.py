@@ -24,7 +24,7 @@ leaves data in the application-provided buffer (zero copies).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Optional, TYPE_CHECKING
+from typing import Callable, ClassVar, Generator, Optional, TYPE_CHECKING
 
 from ..hw.calibration import Calibration, PRIO_INTERRUPT, PRIO_KERNEL
 from ..hw.link import Frame
@@ -42,6 +42,7 @@ from .syscalls import SyscallInterface
 from .upcall import UpcallHandler, UpcallManager
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..ash.interface import HandlerEnv
     from ..hw.nic.an2 import An2Nic
     from ..hw.nic.ethernet import EthernetNic
 
@@ -63,6 +64,11 @@ class Endpoint:
     ring: Optional[Channel] = None     #: notification ring (kernel/user shared)
     ash_id: Optional[int] = None
     upcall: Optional[UpcallHandler] = None
+    #: the trusted-call tables its ASH and its upcall run with, set at
+    #: the first invocation of each (``repro.ash.interface``); class
+    #: attributes until then, so building an endpoint does not pay them
+    ash_env: ClassVar[Optional["HandlerEnv"]] = None
+    upcall_env: ClassVar[Optional["HandlerEnv"]] = None
     kernel_handler: Optional[KernelHandler] = None
     buf_size: int = 4096
     #: Ethernet only: kernel-side buffers messages are copied into

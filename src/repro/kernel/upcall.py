@@ -75,12 +75,12 @@ class UpcallManager:
         if tel.enabled:
             tel.counter("upcall.invocations", handler=handler.name).inc()
 
-        from ..ash.interface import build_handler_env  # lazy: avoid cycle
+        env = ep.upcall_env
+        if env is None:
+            from ..ash.interface import build_handler_env  # lazy: no cycle
 
-        pending = []
-        env = build_handler_env(
-            kernel, desc, pending, allowed=None, mode="upcall", ep=ep
-        )
+            env = ep.upcall_env = build_handler_env(kernel, "upcall", ep)
+        pending = env.arm(desc, None, None)
         try:
             result = kernel.vm.run(
                 handler.program,

@@ -254,7 +254,9 @@ class IntegratedPipeline:
         # one traversal through every pipe
         pl_state = self.pl.state
         for pipe, keys in self._stages:
-            state = {var: pl_state[key] for var, key in keys}
+            state = {}
+            for var, key in keys:   # (a loop: a comprehension is a call)
+                state[var] = pl_state[key]
             stream = apply_pipe_at_gauge(stream, pipe, state)
             for var, key in keys:
                 pl_state[key] = state[var] & 0xFFFFFFFF

@@ -67,9 +67,20 @@ ENGINES = ("jit", "interp")
 ENV_ENGINE = "REPRO_VCODE_ENGINE"
 
 
-@dataclass
+@dataclass(slots=True)
 class TrustedCallContext:
-    """What a trusted kernel call sees: the VM registers and memory."""
+    """What a trusted kernel call sees: the VM registers and memory.
+
+    The register contract, which both engines rely on: a trusted call
+    *reads* the register file (``regs``, :meth:`arg`) and returns the
+    value that goes to V0; it writes no register.  The interpreter hands
+    it its own register file; the JIT writes back the registers assigned
+    since entry or the last call before it and reloads nothing after it
+    but V0.  (No trusted call in this package, its tests or its
+    benchmarks writes one.)  A call reads its context while it runs and
+    keeps none of it: the JIT hands one context to all the calls of a
+    run, updating ``cycles`` before each.
+    """
 
     vm: "Vm"
     regs: list[int]
@@ -79,12 +90,17 @@ class TrustedCallContext:
         """i-th argument register (A0..A3)."""
         return self.regs[REG_A0 + i]
 
+    def args(self, n: int) -> list[int]:
+        """The first ``n`` argument registers (A0..A3), in order."""
+        return self.regs[REG_A0:REG_A0 + n]
 
-#: A trusted call: ctx -> (return value for V0, extra cycles to charge).
+
+#: A trusted call: ctx -> (return value for V0, extra cycles to charge,
+#: never negative).
 TrustedCall = Callable[[TrustedCallContext], tuple[int, int]]
 
 
-@dataclass
+@dataclass(slots=True)
 class VmResult:
     value: int                       #: V0 at exit
     regs: list[int]
@@ -177,11 +193,10 @@ class Vm:
             raise VcodeError("at most 4 register arguments")
         if regs is None:
             regs = [0] * NUM_REGS
-        for i, arg in enumerate(args):
-            regs[REG_A0 + i] = arg & MASK32
+        if args:
+            regs[REG_A0:REG_A0 + len(args)] = [arg & MASK32 for arg in args]
         env = env or {}
         static = allowed or []
-        allowed = static if msg_region is None else static + [msg_region]
         # Normalize the hardwired zero register before dispatch: the
         # interpreter resets it after every instruction, the JIT folds it
         # to the literal 0, and both assume it starts out as 0.
@@ -197,7 +212,7 @@ class Vm:
             if compiled is not None:
                 call_log: list[tuple[str, int, int]] = []
                 out = compiled.fn(
-                    self, regs, env, cycle_budget, allowed, max_insns,
+                    self, regs, env, cycle_budget, static, max_insns,
                     call_log, msg_region or (0, 0),
                 )
                 if out[0] == 0:
@@ -214,11 +229,12 @@ class Vm:
                 # reference interpreter from the exact machine state so
                 # faults and accounting stay bit-identical.
                 return self._interp(
-                    program, regs, env, cycle_budget, allowed, max_insns,
-                    pc=out[1], cycles=out[2], executed=out[3],
+                    program, regs, env, cycle_budget, static, max_insns,
+                    msg_region, pc=out[1], cycles=out[2], executed=out[3],
                     call_log=call_log,
                 )
-        return self._interp(program, regs, env, cycle_budget, allowed, max_insns)
+        return self._interp(program, regs, env, cycle_budget, static,
+                            max_insns, msg_region)
 
     def _interp(
         self,
@@ -226,8 +242,9 @@ class Vm:
         regs: list[int],
         env: dict[str, TrustedCall],
         cycle_budget: Optional[int],
-        allowed: list[tuple[int, int]],
+        static: list[tuple[int, int]],
         max_insns: int,
+        msg_region: Optional[tuple[int, int]],
         pc: int = 0,
         cycles: int = 0,
         executed: int = 0,
@@ -248,6 +265,7 @@ class Vm:
 
         if call_log is None:
             call_log = []
+        allowed = static if msg_region is None else static + [msg_region]
         # The forbidden-op gate is invariant per program: scan once
         # (cached on the Program) and skip the per-instruction set
         # membership test entirely for clean code.

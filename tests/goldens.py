@@ -163,18 +163,89 @@ def charge_bytecodes(kind):
     return charges(3) - charges(2)
 
 
+def fastpath_bytecodes():
+    """Bytecodes one warm invocation of the TCP fast-path handler costs,
+    ``Vm.run`` whole (its translation and the trusted calls it makes):
+    the dearest invocation of a short ASH ping-pong, each translation's
+    first left out."""
+    import os
+    from unittest import mock
+
+    from repro.bench.census import BytecodeCensus
+    from repro.bench.workloads import TcpConfig, tcp_pingpong
+    from repro.sim.engine import SUBSTRATE_ENV
+    from repro.vcode import jit
+    from repro.vcode.vm import ENV_ENGINE, Vm
+
+    run = Vm.run
+    translated, counts = set(), []
+
+    def counted(vm, program, *args, **kwargs):
+        if program.name != "tcp_fastpath.sandboxed":
+            return run(vm, program, *args, **kwargs)
+        warm = id(program) in translated
+        translated.add(id(program))
+        with BytecodeCensus() as census:
+            result = run(vm, program, *args, **kwargs)
+        if warm:
+            counts.append(census.total)
+        return result
+
+    jit.clear_code_cache()
+    with mock.patch.dict(os.environ, {SUBSTRATE_ENV: "fast",
+                                      ENV_ENGINE: "jit"}), \
+            mock.patch.object(Vm, "run", counted):
+        tcp_pingpong(TcpConfig(handler="ash"), iters=4, warmup=0)
+    return max(counts)
+
+
 def bytecode_budget():
-    """Bytecodes per warm delivery on 1 core, and per uncontended CPU
-    charge on an idle engine (``repro.bench.census --bytecodes``), on
-    the fast substrate: the host's cost of the path in executed
-    bytecodes, exact and deterministic -- for CPython 3.11, whose
-    compiler and opcodes these counts are of (another minor version
-    counts other bytecodes)."""
+    """Bytecodes per warm delivery on 1 core, per uncontended CPU
+    charge on an idle engine (``repro.bench.census --bytecodes``) and
+    per warm invocation of the TCP fast-path handler, on the fast
+    substrate: the host's cost of the path in executed bytecodes, exact
+    and deterministic -- for CPython 3.11, whose compiler and opcodes
+    these counts are of (another minor version counts other
+    bytecodes)."""
     return {**{exit_name: sum(matrix.bytecodes_per_message(exit_name)
                               .values())
                for exit_name in matrix.PROFILED_EXITS},
             **{f"charge/{kind}": charge_bytecodes(kind)
-               for kind in ("exec", "compute")}}
+               for kind in ("exec", "compute")},
+            "tcp_fastpath": fastpath_bytecodes()}
+
+
+#: the example handlers whose translation size ``jit_source_bytes`` caps
+SOURCE_CAPPED = ("echo", "remote_increment", "remote_write_generic",
+                 "remote_write_specific", "tcp_fastpath")
+
+
+def jit_source_bytes():
+    """Bytes of source the JIT translates each example handler into,
+    sandboxed, over three baked regions and a data cache: a translation
+    that bloats fails tier 1 (the ``compile`` of it is host time spent
+    on every cold start)."""
+    from repro.ash import examples
+    from repro.hw.calibration import DEFAULT
+    from repro.net.tcp import build_tcp_fastpath
+    from repro.sandbox.rewriter import Sandboxer
+    from repro.vcode import jit
+
+    builds = {"echo": examples.build_echo,
+              "remote_increment": examples.build_remote_increment,
+              "remote_write_generic":
+                  lambda: examples.build_remote_write_generic(1),
+              "remote_write_specific":
+                  lambda: examples.build_remote_write_specific(1),
+              "tcp_fastpath": lambda: build_tcp_fastpath(1, 2, 0)}
+    regions = [(0x2000, 64), (0x3000, 64), (0x3100, 64)]
+    jit.clear_code_cache()
+    leaves = {}
+    for name in SOURCE_CAPPED:
+        program, _report = Sandboxer().sandbox(builds[name]())
+        compiled = jit.get_compiled(program, DEFAULT, True, None, regions)
+        leaves[program.name] = len(compiled.source)
+    return leaves
 
 
 def telemetry(world_name):
@@ -240,6 +311,7 @@ PRODUCERS = {
     "site_budget": (site_budget, False),
     "frame_budget": (frame_budget, True),
     "bytecode_budget": (bytecode_budget, True),
+    "jit_source_bytes": (jit_source_bytes, True),
     **{f"{kind.__name__}/{world}": (functools.partial(kind, world), ceiling)
        for kind, ceiling in ((telemetry, False), (lookups, True))
        for world in matrix.TELEMETRY_WORLDS},

@@ -101,3 +101,20 @@ def test_design_quotes_the_pinned_charge_budgets():
     assert quoted and tuple(map(int, quoted.groups())) == (
         ledger["bytecode_budget/charge/exec"],
         ledger["bytecode_budget/charge/compute"])
+
+
+def test_each_translation_is_a_row_of_its_own():
+    """Every translation's function is ``_jit_entry``: ``paper_tables``
+    runs at least four programs through the JIT, and each is a row of
+    its own under its code name, printed with its bytes of source."""
+    counted, frames, _stats = census.run_paper_tables(BytecodeCensus())
+    rows = [(layer, function) for layer, function in counted.by_function()
+            if function.startswith("<vcode-jit:")]
+    assert len(rows) >= 4
+    assert {layer for layer, _function in rows} == {census.JIT_LAYER}
+    assert "_jit_entry" not in {function for _layer, function
+                                in counted.by_function()}
+    printed = counted.format(frames, top=len(counted.by_function()))
+    for _layer, row in rows:
+        assert re.search(re.escape(row) + r"  \([1-9]\d* B of source\)$",
+                         printed, re.M), row

@@ -11,6 +11,7 @@ the pc), and the cycles/insns annotations attached to the exception.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -78,15 +79,21 @@ def _stub_env():
         "ash_ilp_set": _call(0, 40),
         "ash_notify": _call(0, 30),
         "t0": _call(55, 17),
+        # reads the whole register file: a register the JIT failed to
+        # write back before the call shows in the value
+        "regsum": lambda ctx: (
+            sum((i + 1) * r for i, r in enumerate(ctx.regs)) & 0xFFFFFFFF,
+            ctx.cycles % 7),
     }
 
 
 def _observe(program, *, args=(), regs=None, budget=None, allowed=None,
-             max_insns=200_000, use_cache=True, engine="interp"):
+             max_insns=200_000, use_cache=True, engine="interp",
+             msg_region=None, cal=DEFAULT):
     """Run one engine on fresh state; return every observable output."""
     mem = _setup_memory()
-    cache = DirectMappedCache(DEFAULT) if use_cache else None
-    vm = Vm(mem, cache=cache, cal=DEFAULT)
+    cache = DirectMappedCache(cal) if use_cache else None
+    vm = Vm(mem, cache=cache, cal=cal)
     my_regs = list(regs) if regs is not None else None
     out = {}
     try:
@@ -99,6 +106,7 @@ def _observe(program, *, args=(), regs=None, budget=None, allowed=None,
             allowed=allowed,
             max_insns=max_insns,
             engine=engine,
+            msg_region=msg_region,
         )
         out["ok"] = True
         out["value"] = res.value
@@ -250,6 +258,21 @@ def test_insn_cap_exceeded():
     ])
     out = assert_equivalent(prog, max_insns=100)
     assert out["fault_type"] == "BudgetExceeded"
+    assert "instruction cap" in out["fault_msg"]
+
+
+def test_insn_cap_exceeded_with_free_instructions():
+    # where an instruction costs no cycle, the cycle count no longer
+    # bounds the instruction count: the cap needs its own guard
+    from dataclasses import replace as with_costs
+
+    prog = _prog("spin3", [
+        ("label", "top"),
+        Insn("addiu", rd=8, rs=8, imm=1),
+        Insn("j", label="top"),
+    ])
+    out = assert_equivalent(prog, max_insns=100,
+                            cal=with_costs(DEFAULT, insn_cycles=0))
     assert "instruction cap" in out["fault_msg"]
 
 
@@ -424,6 +447,91 @@ def test_randomized_programs_equivalent():
             regs=regs,
             budget=rng.choice([None, 50, 1000, 100_000]),
             max_insns=3000,
+            use_cache=bool(idx % 2),
+        )
+
+
+#: base registers of the sandboxed slice: the message pointer (A0) and
+#: three the program points at the static regions, never written
+_BASES = {4: None, 20: CTX, 21: COUNTER, 22: SCRATCH}
+_DATA = (2, 8, 9, 10, 11, 12, 16, 17)
+#: static region lists: the usual, and with one reaching past the end
+_STATIC = ([(CTX, 64), (COUNTER, 64), (SCRATCH, 64)],
+           [(CTX, 64), (COUNTER, 64), (SCRATCH, 64), (MEM_SIZE - 16, 64)])
+#: message windows: in memory, none, past the end, below its start
+_WINDOWS = ((MSG, 64), (MSG, 64), None, (MEM_SIZE - 24, 64), (4, 40))
+
+
+def _random_sandboxed(rng: random.Random, idx: int) -> Program:
+    """A random handler over the static regions and the message, for
+    the sandboxer to guard: accesses in the regions and at their edges,
+    trusted calls between register writes, branches both ways, labels
+    an indirect jump may reach, zero divisors."""
+    insns = [Insn("li", rd=reg, imm=base)
+             for reg, base in _BASES.items() if base is not None]
+    n = rng.randint(6, 30)
+    for _ in range(n):
+        roll = rng.random()
+        d = [rng.choice(_DATA) for _ in range(3)]
+        if roll < 0.22:
+            insns.append(Insn(rng.choice(_RAND_ALU), rd=d[0], rs=d[1],
+                              rt=d[2]))
+        elif roll < 0.32:
+            insns.append(Insn(rng.choice(_RAND_IMM), rd=d[0], rs=d[1],
+                              imm=rng.randint(-64, 4096)))
+        elif roll < 0.57:
+            op = rng.choice(["ld8", "ld16", "ld32", "st8", "st16", "st32"])
+            kw = {"rd": d[0]} if op.startswith("ld") else {"rt": d[0]}
+            size = int(op[2:]) // 8
+            # a quarter just inside or just outside a region's edge
+            imm = (rng.choice((-1, 0, 64 - size, 65 - size))
+                   if rng.random() < 0.25 else rng.randint(0, 60))
+            insns.append(Insn(op, rs=rng.choice((4, 4, 20, 21, 22)),
+                              imm=imm, **kw))
+        elif roll < 0.75:
+            insns.append(Insn("call", label=rng.choice(["regsum", "t0"])))
+        elif roll < 0.85:
+            insns.append(Insn(rng.choice(["beq", "bne", "bltu", "bgeu"]),
+                              rs=d[0], rt=d[1],
+                              target=rng.randint(0, len(insns) + 4)))
+        elif roll < 0.88:
+            insns.append(Insn("divu", rd=d[0], rs=d[1], rt=d[2]))
+        elif roll < 0.90:
+            insns.append(Insn("li", rd=d[0], imm=rng.randint(0, 8)))
+            insns.append(Insn("jr", rs=d[0]))
+        elif roll < 0.95:
+            insns.append(Insn("j", target=rng.randint(0, len(insns) + 4)))
+        else:
+            insns.append(Insn("ret"))
+    insns.append(Insn("ret"))
+    end = len(insns)
+    insns = [i if i.target is None else replace(i, target=min(i.target, end))
+             for i in insns]
+    labels = {f"L{pc}": pc for pc in rng.sample(range(end), 3)}
+    prog = Program(name=f"sbx{idx}", insns=insns, labels=labels)
+    return Sandboxer().sandbox(prog)[0]
+
+
+def test_randomized_sandboxed_programs_equivalent():
+    """Sandboxed random handlers under baked regions and a message
+    window (inside memory, absent, or reaching outside it), with budgets
+    that deopt mid-run: every guard-fused access, dirty-register write
+    back, trusted call, deopt and fault matches the interpreter."""
+    rng = random.Random(0x5EED)
+    for idx in range(240):
+        prog = _random_sandboxed(rng, idx)
+        window = rng.choice(_WINDOWS)
+        msg = window[0] if window is not None else MSG
+        regs = [rng.randint(0, 0xFFFFFFFF) for _ in range(32)]
+        jit.clear_code_cache()
+        assert_equivalent(
+            prog,
+            args=(msg, 4, CTX),
+            regs=regs,
+            allowed=rng.choice(_STATIC),
+            msg_region=window,
+            budget=rng.choice([None, 40, 300, 5000]),
+            max_insns=2000,
             use_cache=bool(idx % 2),
         )
 
