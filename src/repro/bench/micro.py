@@ -172,14 +172,13 @@ def sandbox_overhead() -> tuple[list[SandboxOverheadPoint], dict[str, int]]:
     pl = pipel()
     pipeline = compile_pl(pl, PIPE_WRITE, cal=cal)
 
-    def env_factory(allowed):
-        def ash_dilp(ctx):
-            src, dst, length = ctx.arg(1), ctx.arg(2), ctx.arg(3)
-            cycles = cal.trusted_call_check_cycles
-            cycles += pipeline.run_fast(mem, src, dst, length, cache)
-            return 0, cycles
+    def ash_dilp(ctx):
+        src, dst, length = ctx.arg(1), ctx.arg(2), ctx.arg(3)
+        cycles = cal.trusted_call_check_cycles
+        cycles += pipeline.run_fast(mem, src, dst, length, cache)
+        return 0, cycles
 
-        return {"ash_dilp": ash_dilp}
+    env = {"ash_dilp": ash_dilp}
 
     specific = build_remote_write_specific(ilp_id=1)
     sandboxed, _report = Sandboxer().sandbox(specific)
@@ -193,19 +192,18 @@ def sandbox_overhead() -> tuple[list[SandboxOverheadPoint], dict[str, int]]:
             + bytes(size)
         )
         mem.write(msg_region.base, msg)
-        allowed = [
-            (data_region.base, data_region.size),
-            (msg_region.base, len(msg)),
-        ]
         cache.flush_all()
         unsafe_res = vm.run(
-            specific, args=(msg_region.base, len(msg), 0),
-            env=env_factory(None),
+            specific, args=(msg_region.base, len(msg), 0), env=env,
         )
         cache.flush_all()
+        # the application's data is the static region; the message, which
+        # moves per run, arrives as the message window (as in
+        # AshSystem.invoke)
         boxed_res = vm.run(
-            sandboxed, args=(msg_region.base, len(msg), 0),
-            env=env_factory(allowed), allowed=allowed,
+            sandboxed, args=(msg_region.base, len(msg), 0), env=env,
+            allowed=[(data_region.base, data_region.size)],
+            msg_region=(msg_region.base, len(msg)),
         )
         points.append(SandboxOverheadPoint(
             size=size,

@@ -201,22 +201,13 @@ def raw_stream_throughput(size: int = 4096, count: int = 60) -> float:
 # UDP (Table II)
 # ---------------------------------------------------------------------------
 
-def _udp_pair(tb: Testbed, checksum: bool, in_place: bool, eth: bool):
-    from ..net.stack import NetStack
-
-    if eth:
-        cstack = NetStack(tb.client_kernel, tb.client_nic, CLIENT_IP,
-                          mac=b"\x02\x00\x00\x00\x00\x01")
-        sstack = NetStack(tb.server_kernel, tb.server_nic, SERVER_IP,
-                          mac=b"\x02\x00\x00\x00\x00\x02")
-        csock = UdpSocket(cstack, 7001, checksum=checksum, in_place=in_place)
-        ssock = UdpSocket(sstack, 7000, checksum=checksum, in_place=in_place)
-    else:
-        cstack, sstack = make_stacks(tb, CLIENT_IP, SERVER_IP)
-        csock = UdpSocket(cstack, 7001, rx_vci=2, checksum=checksum,
-                          in_place=in_place)
-        ssock = UdpSocket(sstack, 7000, rx_vci=1, checksum=checksum,
-                          in_place=in_place)
+def _udp_pair(tb: Testbed, checksum: bool, in_place: bool):
+    cstack, sstack = make_stacks(tb, CLIENT_IP, SERVER_IP)
+    an2 = cstack.is_an2
+    csock = UdpSocket(cstack, 7001, rx_vci=2 if an2 else None,
+                      checksum=checksum, in_place=in_place)
+    ssock = UdpSocket(sstack, 7000, rx_vci=1 if an2 else None,
+                      checksum=checksum, in_place=in_place)
     return csock, ssock
 
 
@@ -230,7 +221,7 @@ def udp_pingpong(
 ) -> float:
     """Table II UDP latency: 4-byte ping-pong; returns µs/RT."""
     tb = make_eth_pair(cal) if eth else make_an2_pair(cal)
-    csock, ssock = _udp_pair(tb, checksum, in_place, eth)
+    csock, ssock = _udp_pair(tb, checksum, in_place)
     rts: list[float] = []
     total = iters + warmup
     server_ip = ip_aton(SERVER_IP)
@@ -262,7 +253,7 @@ def udp_train_throughput(
     MB/s."""
     tb = make_eth_pair() if eth else make_an2_pair()
     train, rounds = 6, 12
-    csock, ssock = _udp_pair(tb, checksum, in_place, eth)
+    csock, ssock = _udp_pair(tb, checksum, in_place)
     mss = 1500 - 28 if eth else 3072
     server_ip = ip_aton(SERVER_IP)
     client_ip = ip_aton(CLIENT_IP)
@@ -337,14 +328,10 @@ def _tcp_session(config: TcpConfig, client_body, server_body):
     if config.eth:
         if config.handler is not None:
             raise ValueError("the TCP fast path targets the AN2 framing")
-        from ..net.stack import NetStack
         from ..net.tcp import TcpConnection
 
         tb = make_eth_pair(client_kernel_opts=opts, server_kernel_opts=opts)
-        cstack = NetStack(tb.client_kernel, tb.client_nic, CLIENT_IP,
-                          mac=b"\x02\x00\x00\x00\x00\x01")
-        sstack = NetStack(tb.server_kernel, tb.server_nic, SERVER_IP,
-                          mac=b"\x02\x00\x00\x00\x00\x02")
+        cstack, sstack = make_stacks(tb, CLIENT_IP, SERVER_IP)
         client = TcpConnection(cstack, 5000, sstack.ip, 80, iss=1000,
                                name="ceth", **kwargs)
         server = TcpConnection(sstack, 80, cstack.ip, 5000, iss=7000,

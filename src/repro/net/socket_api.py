@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Generator, Optional, TYPE_CHECKING
 
+from ..hw.nic.an2 import An2Nic
 from .headers import ip_aton
 from .stack import NetStack
 from .tcp import TcpConnection
@@ -61,8 +62,16 @@ class TcpSocket:
 def make_stacks(tb: "Testbed", client_ip: str = "10.0.0.1",
                 server_ip: str = "10.0.0.2",
                 flow: int = 0) -> tuple[NetStack, NetStack]:
-    """AN2 stacks for flow ``flow`` of a testbed: circuits ``2*flow+1``
-    (c->s) and ``2*flow+2`` (s->c), so many flows can share one pair."""
+    """The (client, server) stacks of a testbed, on the medium of its
+    NICs.  On AN2, flow ``flow`` gets circuits ``2*flow+1`` (c->s) and
+    ``2*flow+2`` (s->c), so many flows can share one pair; on Ethernet
+    the two ends get MACs ``02:00:00:00:00:01`` and ``:02`` and find
+    each other by ARP."""
+    if not isinstance(tb.client_nic, An2Nic):
+        return (NetStack(tb.client_kernel, tb.client_nic, client_ip,
+                         mac=b"\x02\x00\x00\x00\x00\x01"),
+                NetStack(tb.server_kernel, tb.server_nic, server_ip,
+                         mac=b"\x02\x00\x00\x00\x00\x02"))
     c2s, s2c = 2 * flow + 1, 2 * flow + 2
     cstack = NetStack(tb.client_kernel, tb.client_nic, client_ip,
                       an2_peers={server_ip: (c2s, s2c)})

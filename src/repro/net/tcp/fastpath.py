@@ -42,7 +42,7 @@ from ...vcode.isa import Program
 from ...vcode.registers import P_VAR
 from ..checksum import le_word_sum
 from ..headers import IPPROTO_TCP, Ipv4Header, TCP_ACK, TcpHeader, pseudo_header
-from . import tcb as T
+from .tcb import SHARED_TCB_OFFSET as TCB, SHARED_TCB_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover
     from .tcp import TcpConnection
@@ -103,10 +103,10 @@ def build_tcp_fastpath(
     tc = b.getreg()
 
     # ---- part 1: can the fast path run? --------------------------------
-    b.v_ld32(ta, ctx, T.LIB_BUSY)
+    b.v_ld32(ta, ctx, TCB["lib_busy"])
     b.v_bne(ta, b.ZERO, PASS)              # library owns the TCB
     b.v_ld32(ta, msg, _PORTS_OFF)
-    b.v_ld32(tb, ctx, T.PORTS_RAW)
+    b.v_ld32(tb, ctx, TCB["ports_raw"])
     b.v_bne(ta, tb, PASS)                  # not this connection
     # the handler's fixed header arithmetic assumes a 20-byte TCP
     # header; a SACK-bearing segment (doff > 5) would be misparsed as
@@ -117,7 +117,7 @@ def build_tcp_fastpath(
     # while the library holds out-of-order data, committing an in-order
     # segment here would advance RCV_NXT past ranges the handler cannot
     # see (and the sender, having seen them SACKed, will never resend)
-    b.v_ld32(ta, ctx, T.OOO_PENDING)
+    b.v_ld32(ta, ctx, TCB["ooo_pending"])
     b.v_bne(ta, b.ZERO, PASS)              # reassembly queue non-empty
     b.v_ld8(ta, msg, _FLAGS_OFF)
     b.v_li(tb, TCP_ACK)
@@ -127,13 +127,13 @@ def build_tcp_fastpath(
     b.mark(FLAGS_OK)
     b.v_ld32(ta, msg, _SEQ_OFF)
     b.v_bswap32(ta, ta)
-    b.v_ld32(tb, ctx, T.RCV_NXT)
+    b.v_ld32(tb, ctx, TCB["rcv_nxt"])
     b.v_bne(ta, tb, PASS)                  # header prediction miss
 
     # the ack field settles our outstanding sends (in-order delivery)
     b.v_ld32(ta, msg, _ACK_OFF)
     b.v_bswap32(ta, ta)
-    b.v_st32(ta, ctx, T.SND_UNA)
+    b.v_st32(ta, ctx, TCB["snd_una"])
 
     b.v_li(ta, _HDRS_LEN)
     b.v_subu(dlen, mlen, ta)               # payload length
@@ -142,20 +142,20 @@ def build_tcp_fastpath(
     b.v_andi(ta, dlen, 3)
     b.v_bne(ta, b.ZERO, PASS)              # DILP wants word multiples
     # space: write_count - read_count + dlen <= buf_size
-    b.v_ld32(ta, ctx, T.WRITE_COUNT)
-    b.v_ld32(tb, ctx, T.READ_COUNT)
+    b.v_ld32(ta, ctx, TCB["write_count"])
+    b.v_ld32(tb, ctx, TCB["read_count"])
     b.v_subu(ta, ta, tb)
     b.v_addu(ta, ta, dlen)
-    b.v_ld32(tb, ctx, T.BUF_SIZE)
+    b.v_ld32(tb, ctx, TCB["buf_size"])
     b.v_bltu(tb, ta, PASS)                 # would overflow: library's job
     # wrap: pos + dlen must stay inside the ring
-    b.v_ld32(ta, ctx, T.WRITE_COUNT)
-    b.v_ld32(tb, ctx, T.BUF_MASK)
+    b.v_ld32(ta, ctx, TCB["write_count"])
+    b.v_ld32(tb, ctx, TCB["buf_mask"])
     b.v_and(ta, ta, tb)                    # pos
     b.v_addu(tb, ta, dlen)
-    b.v_ld32(tc, ctx, T.BUF_SIZE)
+    b.v_ld32(tc, ctx, TCB["buf_size"])
     b.v_bltu(tc, tb, PASS)                 # wraps: library's job
-    b.v_ld32(tb, ctx, T.BUF_BASE)
+    b.v_ld32(tb, ctx, TCB["buf_base"])
     b.v_addu(dst, tb, ta)                  # destination in the ring
 
     # ---- part 2: integrated copy + checksum ------------------------------
@@ -177,7 +177,7 @@ def build_tcp_fastpath(
         b.v_li(b.A1, cksum_pipe)
         b.v_call("ash_ilp_get")
         b.v_move(ta, b.V0)
-        b.v_ld32(tb, ctx, T.PSEUDO_IN_CONST)
+        b.v_ld32(tb, ctx, TCB["pseudo_in_const"])
         b.v_cksum32(ta, tb)                # + pseudo-header constant
         b.v_addiu(tb, dlen, TcpHeader.SIZE)
         b.v_bswap16(tb, tb)
@@ -188,19 +188,19 @@ def build_tcp_fastpath(
         b.v_bne(ta, tb, PASS)              # checksum failed: not ours to fix
 
     # ---- part 3: commit -------------------------------------------------
-    b.v_ld32(ta, ctx, T.RCV_NXT)
+    b.v_ld32(ta, ctx, TCB["rcv_nxt"])
     b.v_addu(ta, ta, dlen)
-    b.v_st32(ta, ctx, T.RCV_NXT)
-    b.v_ld32(tb, ctx, T.WRITE_COUNT)
+    b.v_st32(ta, ctx, TCB["rcv_nxt"])
+    b.v_ld32(tb, ctx, TCB["write_count"])
     b.v_addu(tb, tb, dlen)
-    b.v_st32(tb, ctx, T.WRITE_COUNT)
-    b.v_ld32(tb, ctx, T.FASTPATH_COUNT)
+    b.v_st32(tb, ctx, TCB["write_count"])
+    b.v_ld32(tb, ctx, TCB["fastpath_count"])
     b.v_addiu(tb, tb, 1)
-    b.v_st32(tb, ctx, T.FASTPATH_COUNT)
+    b.v_st32(tb, ctx, TCB["fastpath_count"])
 
     # build the ACK in the preformatted template
-    b.v_ld32(tc, ctx, T.ACK_TMPL_ADDR)
-    b.v_ld32(tb, ctx, T.ACK_SEQ)
+    b.v_ld32(tc, ctx, TCB["ack_tmpl_addr"])
+    b.v_ld32(tb, ctx, TCB["ack_seq"])
     b.v_bswap32(tb, tb)
     b.v_st32(tb, tc, _SEQ_OFF)             # seq = our snd_nxt
     b.v_bswap32(ta, ta)                    # ta held the new rcv_nxt
@@ -221,14 +221,14 @@ def build_tcp_fastpath(
         b.v_li(b.A1, cksum_pipe)
         b.v_call("ash_ilp_get")
         b.v_move(ta, b.V0)
-        b.v_ld32(tb, ctx, T.PSEUDO_ACK_CONST)
+        b.v_ld32(tb, ctx, TCB["pseudo_ack_const"])
         b.v_cksum32(ta, tb)
         _emit_fold2(b, ta, tb)
         b.v_nor(ta, ta, b.ZERO)            # one's complement
         b.v_andi(ta, ta, 0xFFFF)
         b.v_st16(ta, tc, _CKSUM_OFF)
     # send the ack straight from the kernel
-    b.v_ld32(tb, ctx, T.REPLY_VCI)
+    b.v_ld32(tb, ctx, TCB["reply_vci"])
     b.v_move(b.A0, tc)
     b.v_li(b.A1, _HDRS_LEN)
     b.v_move(b.A2, tb)
@@ -301,7 +301,7 @@ def setup_fastpath(conn: "TcpConnection", kind: str = "ash",
                                  checksum=conn.checksum)
     allowed = [
         (conn._ring_region.base, conn._ring_region.size),
-        (sh.base, T.SHARED_TCB_SIZE),
+        (sh.base, SHARED_TCB_SIZE),
         (conn._tmpl_region.base, conn._tmpl_region.size),
     ]
     if kind == "ash":

@@ -1,16 +1,21 @@
 """The transmission control block, backed by real (simulated) memory.
 
-The TCB's hot fields live in a 64-byte *shared block* in the node's
+The TCB's hot fields live in a *shared block* in the node's
 physical memory rather than in Python attributes, because the paper's
 TCP fast-path handler runs *in the kernel* against the application's
 data structures: the ASH reads the expected sequence number, the buffer
 geometry and the checksum constants from this block, and commits its
 updates (RCV_NXT, WRITE_COUNT, SND_UNA) straight into it.  The library
 reads and writes the same bytes, so library and handler stay coherent —
-mediated by the ``LIB_BUSY`` flag exactly as Section V-B describes
+mediated by the ``lib_busy`` flag exactly as Section V-B describes
 ("the user-level TCP library is not currently using that Transmission
 Control Block, to avoid concurrency problems between the library and
 the handler").
+
+The block's layout is declared once, ``SHARED_TCB_FIELDS``: one
+little-endian u32 per name, in offset order.  The offsets the fast-path
+builder bakes into the handler (``SHARED_TCB_OFFSET``), the block's
+size and :class:`SharedTcb`'s attributes all derive from it.
 
 Slow-path-only state (connection state machine, ISS, MSS, the peer's
 advertised window, the SACK scoreboard and recovery episode flags)
@@ -25,12 +30,13 @@ even when a kernel-resident handler is the one consuming the ACKs.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import struct
+from dataclasses import dataclass
 
-from ...hw.memory import PhysicalMemory, Region
+from ...hw.memory import PhysicalMemory
 
 __all__ = ["TcpState", "SharedTcb", "Tcb", "seq_lt", "seq_lte",
-           "SHARED_TCB_SIZE", "SHARED_TCB_FIELDS"]
+           "SHARED_TCB_SIZE", "SHARED_TCB_FIELDS", "SHARED_TCB_OFFSET"]
 
 MASK32 = 0xFFFFFFFF
 
@@ -55,55 +61,61 @@ class TcpState(enum.Enum):
     LAST_ACK = "last-ack"
 
 
-# shared-block field offsets (u32, little-endian: the handler is MIPS LE)
-LIB_BUSY = 0
-RCV_NXT = 4
-SND_UNA = 8
-BUF_BASE = 12
-BUF_MASK = 16
-BUF_SIZE = 20
-WRITE_COUNT = 24
-READ_COUNT = 28
-PSEUDO_IN_CONST = 32
-PSEUDO_ACK_CONST = 36
-ACK_TMPL_ADDR = 40
-REPLY_VCI = 44
-ACK_SEQ = 48
-PORTS_RAW = 52
-FASTPATH_COUNT = 56
-# Congestion state lives in the shared block, not in Python: cwnd and
-# ssthresh are *application-durable* exactly like RCV_NXT — a kernel
-# crash must not reset a flow's congestion memory (the path capacity it
-# learned is a property of the network, not of the kernel instance),
-# and a kernel-resident handler consuming pure ACKs needs the sender's
-# library to see a coherent window when it wakes.
-CWND = 60
-SSTHRESH = 64
-# Nonzero while the library holds out-of-order segments in its
-# reassembly queue.  The fast-path handler must abort to the library
-# whenever this is set: committing an in-order segment in the kernel
-# would advance RCV_NXT *past* buffered data the handler knows nothing
-# about, deadlocking SACK recovery (the sender never resends what the
-# receiver already holds).
-OOO_PENDING = 68
-SHARED_TCB_SIZE = 72
-
-
-#: every named u32 field of the shared block, in offset order
+#: the shared block, declared once: its fields in offset order, each one
+#: little-endian u32 (the handler is MIPS LE) at byte 4 * index
 SHARED_TCB_FIELDS = (
     "lib_busy", "rcv_nxt", "snd_una", "buf_base", "buf_mask", "buf_size",
     "write_count", "read_count", "pseudo_in_const", "pseudo_ack_const",
     "ack_tmpl_addr", "reply_vci", "ack_seq", "ports_raw", "fastpath_count",
-    "cwnd", "ssthresh", "ooo_pending",
+    # Congestion state lives here, not in Python: cwnd and ssthresh are
+    # *application-durable* exactly like rcv_nxt -- a kernel crash must
+    # not reset a flow's congestion memory (the path capacity it learned
+    # is a property of the network, not of the kernel instance), and a
+    # kernel-resident handler consuming pure ACKs needs the sender's
+    # library to see a coherent window when it wakes.
+    "cwnd", "ssthresh",
+    # Nonzero while the library holds out-of-order segments in its
+    # reassembly queue.  The fast-path handler must abort to the library
+    # whenever this is set: committing an in-order segment in the kernel
+    # would advance rcv_nxt *past* buffered data the handler knows
+    # nothing about, deadlocking SACK recovery (the sender never resends
+    # what the receiver already holds).
+    "ooo_pending",
 )
+#: field name -> byte offset in the block (what the handler addresses)
+SHARED_TCB_OFFSET = {name: 4 * i for i, name in enumerate(SHARED_TCB_FIELDS)}
+SHARED_TCB_SIZE = 4 * len(SHARED_TCB_FIELDS)
+
+_U32 = struct.Struct("<I")
+
+
+def _field(off: int) -> property:
+    """The u32 at byte ``off`` of the block: one ``struct`` read or
+    write on the block's window, with no bounds test of its own."""
+    unpack, pack = _U32.unpack_from, _U32.pack_into
+
+    def get(s: "SharedTcb") -> int:
+        return unpack(s.view, off)[0]
+
+    def put(s: "SharedTcb", value: int) -> None:
+        pack(s.view, off, value & MASK32)
+
+    return property(get, put)
 
 
 class SharedTcb:
-    """Accessor for the memory-resident shared block."""
+    """Accessor for the memory-resident shared block: one attribute per
+    name of ``SHARED_TCB_FIELDS``.
+
+    The block's address never changes, so its bounds are checked once,
+    here: a block reaching outside ``mem`` raises
+    :class:`~repro.errors.MemoryFault` at construction, and each field
+    access is one Python frame over the checked window."""
 
     def __init__(self, mem: PhysicalMemory, base: int):
-        self.mem = mem
         self.base = base
+        #: the block's bytes in ``mem``, bounds-checked (a live view)
+        self.view = mem.read_view(base, SHARED_TCB_SIZE)
 
     # -- snapshot / restore ------------------------------------------------
     # The shared block is *application-durable* state: it lives in plain
@@ -112,7 +124,7 @@ class SharedTcb:
     # on a dead flow, or migration into a fresh memory.
     def snapshot(self) -> bytes:
         """The full block, verbatim (``SHARED_TCB_SIZE`` bytes)."""
-        return self.mem.read(self.base, SHARED_TCB_SIZE)
+        return bytes(self.view)
 
     def restore(self, blob: bytes) -> None:
         """Overwrite the block with a previous :meth:`snapshot`."""
@@ -121,55 +133,11 @@ class SharedTcb:
                 f"shared-TCB snapshot must be {SHARED_TCB_SIZE} bytes, "
                 f"got {len(blob)}"
             )
-        self.mem.write(self.base, blob)
+        self.view[:] = blob
 
     def fields(self) -> dict[str, int]:
         """Field-level decode of the block (deterministic key order)."""
         return {name: getattr(self, name) for name in SHARED_TCB_FIELDS}
-
-    def _get(self, off: int) -> int:
-        return self.mem.load_u32(self.base + off)
-
-    def _set(self, off: int, value: int) -> None:
-        self.mem.store_u32(self.base + off, value & MASK32)
-
-    # field properties ----------------------------------------------------
-    lib_busy = property(lambda s: s._get(LIB_BUSY),
-                        lambda s, v: s._set(LIB_BUSY, v))
-    rcv_nxt = property(lambda s: s._get(RCV_NXT),
-                       lambda s, v: s._set(RCV_NXT, v))
-    snd_una = property(lambda s: s._get(SND_UNA),
-                       lambda s, v: s._set(SND_UNA, v))
-    buf_base = property(lambda s: s._get(BUF_BASE),
-                        lambda s, v: s._set(BUF_BASE, v))
-    buf_mask = property(lambda s: s._get(BUF_MASK),
-                        lambda s, v: s._set(BUF_MASK, v))
-    buf_size = property(lambda s: s._get(BUF_SIZE),
-                        lambda s, v: s._set(BUF_SIZE, v))
-    write_count = property(lambda s: s._get(WRITE_COUNT),
-                           lambda s, v: s._set(WRITE_COUNT, v))
-    read_count = property(lambda s: s._get(READ_COUNT),
-                          lambda s, v: s._set(READ_COUNT, v))
-    pseudo_in_const = property(lambda s: s._get(PSEUDO_IN_CONST),
-                               lambda s, v: s._set(PSEUDO_IN_CONST, v))
-    pseudo_ack_const = property(lambda s: s._get(PSEUDO_ACK_CONST),
-                                lambda s, v: s._set(PSEUDO_ACK_CONST, v))
-    ack_tmpl_addr = property(lambda s: s._get(ACK_TMPL_ADDR),
-                             lambda s, v: s._set(ACK_TMPL_ADDR, v))
-    reply_vci = property(lambda s: s._get(REPLY_VCI),
-                         lambda s, v: s._set(REPLY_VCI, v))
-    ack_seq = property(lambda s: s._get(ACK_SEQ),
-                       lambda s, v: s._set(ACK_SEQ, v))
-    ports_raw = property(lambda s: s._get(PORTS_RAW),
-                         lambda s, v: s._set(PORTS_RAW, v))
-    fastpath_count = property(lambda s: s._get(FASTPATH_COUNT),
-                              lambda s, v: s._set(FASTPATH_COUNT, v))
-    cwnd = property(lambda s: s._get(CWND),
-                    lambda s, v: s._set(CWND, v))
-    ssthresh = property(lambda s: s._get(SSTHRESH),
-                        lambda s, v: s._set(SSTHRESH, v))
-    ooo_pending = property(lambda s: s._get(OOO_PENDING),
-                           lambda s, v: s._set(OOO_PENDING, v))
 
     @property
     def available(self) -> int:
@@ -179,6 +147,10 @@ class SharedTcb:
     @property
     def free_space(self) -> int:
         return self.buf_size - self.available
+
+
+for _name, _off in SHARED_TCB_OFFSET.items():
+    setattr(SharedTcb, _name, _field(_off))
 
 
 @dataclass

@@ -908,7 +908,7 @@ class TcpConnection:
                             )
                         )
                     # while this is nonzero the kernel fast path must
-                    # abort to the library (see tcb.OOO_PENDING)
+                    # abort to the library (see ooo_pending in tcb.py)
                     sh.ooo_pending = self._ooo.buffered
                 yield from self._send_ack(proc)
                 return

@@ -65,13 +65,13 @@ leaves through the same publishing exit as a deopt, and its message is
 built by one helper from the translation's table of templates.
 
 The translation also aggregates the sandbox's region checks at
-initiation time, exactly as the paper's trusted calls do (III-B2): when
-a run supplies a small ``allowed`` region list, the list is baked into
-the translation as constant interval tests (constants of its namespace,
-so translations over other regions share its source and its
-``compile``) and becomes part of the code-cache key, so
-``chkld``/``chkst`` cost a couple of compares
-instead of a Python loop over tuples.  The one region that moves per
+initiation time, exactly as the paper's trusted calls do (III-B2): a
+program with ``chkld``/``chkst`` is always translated with the run's
+``allowed`` region list baked in as constant interval tests (constants
+of its namespace, so translations over other regions share its source
+and its ``compile``), and the list is part of the code-cache key: each
+list a program runs over gets its own translation, and a check costs a
+couple of compares per region.  The one region that moves per
 invocation — the message buffer — arrives separately (``msg``) and is
 tested against two locals, its limits computed once per run, so it never
 enters the key.  A check directly followed by the access it guards
@@ -82,13 +82,13 @@ entry establishes (a run where they do not is resumed in the
 interpreter from pc 0).
 
 The code cache is keyed by ``(content hash, calibration, has-cache,
-allowed-regions)``.  Translation is charged to the
-``vcode.jit.compile_cycles`` counter as a deterministic proxy,
-``COMPILE_CYCLES_PER_INSN`` per translated instruction: it counts
-instructions, not source, so it does not change when a translation's
-source grows or shrinks (the census prints each translation's bytes of
-source, and ``tests/goldens.json`` caps them), and canonical telemetry
-sidecars stay byte-stable.
+baked regions)``, the last None for a program without checks.
+Translation is charged to the ``vcode.jit.compile_cycles`` counter as
+a deterministic proxy, ``COMPILE_CYCLES_PER_INSN`` per translated
+instruction: it counts instructions, not source, so it does not change
+when a translation's source grows or shrinks (the census prints each
+translation's bytes of source, and ``tests/goldens.json`` caps them),
+and canonical telemetry sidecars stay byte-stable.
 """
 
 from __future__ import annotations
@@ -143,10 +143,6 @@ _INF_BUDGET = 0x7FFFFFFFFFFFFFFF
 #: instructions become.
 COMPILE_CYCLES_PER_INSN = 10
 
-#: region lists longer than this are not baked into the code (one
-#: compiled specialization per distinct list would stop paying off)
-MAX_BAKED_REGIONS = 8
-
 _ACCESS_SIZE = {"ld8": 1, "ld16": 2, "ld32": 4, "st8": 1, "st16": 2, "st32": 4}
 
 
@@ -169,8 +165,8 @@ class JitStats:
 #: module-wide stats; reset via ``stats.reset()`` (benchmarks do)
 stats = JitStats()
 
-#: (fingerprint, calibration, has_cache, baked region list or None)
-#: -> CompiledProgram
+#: (fingerprint, calibration, has_cache, baked region tuple, or None
+#: for a program without region checks) -> CompiledProgram
 _CODE_CACHE: dict[tuple, "CompiledProgram"] = {}
 
 #: generated source -> its compiled entry function's code: translations
@@ -186,9 +182,9 @@ _cache_epoch = 0
 class CompiledProgram:
     """One translated program: the entry function plus metadata.
 
-    ``fn(vm, regs, env, cycle_budget, allowed, max_insns, call_log, msg)``
-    -- ``allowed`` the static region list, ``msg`` the message window
-    (``(0, 0)`` for none) -- returns ``(0, value, cycles, executed)`` on
+    ``fn(vm, regs, env, cycle_budget, max_insns, call_log, msg)`` -- the
+    static regions baked in, ``msg`` the message window (``(0, 0)`` for
+    none) -- returns ``(0, value, cycles, executed)`` on
     completion or ``(1, pc, cycles, executed)`` to request interpreter
     resumption (deoptimization) from ``pc`` with the given accounting
     state.
@@ -252,40 +248,19 @@ def source_bytes(code) -> int:
     return 0
 
 
-_UNSEEN = object()
-
-
-def _allowed_key(program: Program, allowed) -> Optional[tuple]:
-    """The allowed-region component of the code-cache key.
-
-    Region checks are baked into the translation (the paper's
-    aggregated initiation-time checks), so programs containing
-    ``chkld``/``chkst`` specialize per region list.  None means "keep
-    the generic runtime loop" (no chk ops, or an oversized list).
-
-    Specialization is *monomorphic*: the first region list a program
-    runs with is baked; if a later run supplies a different list, the
-    program permanently falls back to the generic loop — otherwise a
-    caller that moves a region per run would force a fresh translation
-    each time.  (The ASH receive path's per-packet message buffer is
-    not in this list: see ``msg`` in :class:`CompiledProgram`.)"""
+def _regions_key(program: Program, allowed) -> Optional[tuple]:
+    """The region component of the code-cache key: the list a program
+    with ``chkld``/``chkst`` bakes into its translation (the paper's
+    aggregated initiation-time checks), so each list it runs over gets
+    a translation of its own; None for a program without checks, whose
+    code does not depend on the list.  The region that moves per run,
+    the message buffer, is not in it: see ``msg`` in
+    :class:`CompiledProgram`."""
     uses_chk = program.__dict__.get("_jit_uses_chk")
     if uses_chk is None:
         uses_chk = any(i.op in ("chkld", "chkst") for i in program.insns)
         program.__dict__["_jit_uses_chk"] = uses_chk
-    if not uses_chk or allowed is None or len(allowed) > MAX_BAKED_REGIONS:
-        return None
-    seen = program.__dict__.get("_jit_seen_allowed", _UNSEEN)
-    if seen is None:  # already went polymorphic
-        return None
-    ak = tuple(allowed)
-    if seen is _UNSEEN:
-        program.__dict__["_jit_seen_allowed"] = ak
-        return ak
-    if seen != ak:
-        program.__dict__["_jit_seen_allowed"] = None  # polymorphic
-        return None
-    return seen
+    return tuple(allowed or ()) if uses_chk else None
 
 
 def get_compiled(
@@ -295,7 +270,9 @@ def get_compiled(
     telemetry=None,
     allowed=None,
 ) -> Optional[CompiledProgram]:
-    """Look up or translate ``program``; None if translation failed."""
+    """Look up or translate ``program`` for the static region list
+    ``allowed`` (baked into the translation of a program with region
+    checks, ignored by one without); None if translation failed."""
     # Fast path: the program's last lookup asked the same question
     # (calibration identity, cache presence, region list content, cache
     # epoch) -- one handler run message after message -- and is answered
@@ -309,7 +286,7 @@ def get_compiled(
             telemetry.counter("vcode.jit.cache_hits").inc()
         return last[4]
     key = (program_fingerprint(program), cal, has_cache,
-           _allowed_key(program, allowed))
+           _regions_key(program, allowed))
     compiled = _CODE_CACHE.get(key)
     tel_on = telemetry is not None and telemetry.enabled
     if compiled is not None:
@@ -502,7 +479,7 @@ class _Emitter:
 def _translate(program: Program, key: tuple) -> CompiledProgram:
     """Translate ``program`` for its code-cache ``key``, under a code
     name unique to the key so a profile keeps translations apart."""
-    _, cal, has_cache, allowed_key = key
+    _, cal, has_cache, regions = key
     insns = program.insns
     nprog = len(insns)
     name = program.name
@@ -559,9 +536,9 @@ def _translate(program: Program, key: tuple) -> CompiledProgram:
     # and, when every baked region lies in memory, implies its bounds
     # test; the entry guard below deopts the runs whose message window
     # does not.
-    baked = [(base, size) for base, size in allowed_key or () if size > 0]
+    baked = [(base, size) for base, size in regions or () if size > 0]
     fused: set[int] = set()
-    if allowed_key is not None and all(b >= _MEM_BASE for b, _ in baked):
+    if all(b >= _MEM_BASE for b, _ in baked):
         leader_set = set(leaders)
         for pc in range(1, nprog):
             insn, guard = insns[pc], insns[pc - 1]
@@ -883,29 +860,20 @@ def _translate(program: Program, key: tuple) -> CompiledProgram:
             k = fault(MemoryFault, at + "checked access to {0:#x}"
                       f"+{size} outside allowed regions")
             emit_addr(ind, rs, imm)
-            if allowed_key is not None:
-                # the aggregated initiation-time check: the region list
-                # is part of the code-cache key, so each interval test
-                # is a chained compare against two constants, and the
-                # message window's against two locals
-                tests = [
-                    f"{bound(f'_b{i}', base)} <= _a <= "
-                    f"{bound(f'_e{i}_{size}', base + rsize - size)}"
-                    for i, (base, rsize) in enumerate(allowed_key)
-                    if rsize >= size
-                ]
-                tests.append(f"_mb <= _a <= _mh{size}")
-                w(ind, f"if not ({' or '.join(tests)}):")
-                pend_now(ind + 1)
-                emit_raise(ind + 1, k, "_a")
-            else:
-                w(ind, "for _rb, _rz in allowed:")
-                w(ind + 1, f"if _rb <= _a and _a + {size} <= _rb + _rz:")
-                w(ind + 2, "break")
-                w(ind, "else:")
-                w(ind + 1, f"if not _mb <= _a <= _mh{size}:")
-                pend_now(ind + 2)
-                emit_raise(ind + 2, k, "_a")
+            # the aggregated initiation-time check: the region list is
+            # part of the code-cache key, so each interval test is a
+            # chained compare against two constants, and the message
+            # window's against two locals
+            tests = [
+                f"{bound(f'_b{i}', base)} <= _a <= "
+                f"{bound(f'_e{i}_{size}', base + rsize - size)}"
+                for i, (base, rsize) in enumerate(regions)
+                if rsize >= size
+            ]
+            tests.append(f"_mb <= _a <= _mh{size}")
+            w(ind, f"if not ({' or '.join(tests)}):")
+            pend_now(ind + 1)
+            emit_raise(ind + 1, k, "_a")
         elif op == "chkjmp":
             w(ind, f"_t = {R(rs)}")
             if program.jump_map is not None:
@@ -976,8 +944,8 @@ def _translate(program: Program, key: tuple) -> CompiledProgram:
     # -- prologue ------------------------------------------------------------
     e = _Emitter()
     w = e.w
-    w(0, "def _jit_entry(vm, regs, env, cycle_budget, allowed, max_insns,"
-         " call_log, msg):")
+    w(0, "def _jit_entry(vm, regs, env, cycle_budget, max_insns, call_log,"
+         " msg):")
     if chk_sizes:
         # the message window's limits, once per run
         w(1, "_mb, _mz = msg")

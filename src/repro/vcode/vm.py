@@ -175,12 +175,13 @@ class Vm:
 
         ``args`` load into A0..A3.  ``regs`` (if given) is the incoming
         register file — this is how persistent registers survive across
-        invocations; it is mutated in place.  ``allowed`` is the region
-        list the sandbox checks consult, and ``msg_region`` one more
-        region checked the same way: the one that moves from run to run
-        (the message buffer), which the JIT therefore keeps out of the
-        list it specializes on.  ``cycle_budget`` is the abort threshold
-        (None = unlimited, for trusted code).
+        invocations; it is mutated in place.  ``allowed`` is the static
+        region list the sandbox checks consult -- the JIT bakes it into
+        the program's translation, one translation per list -- and
+        ``msg_region`` one more region checked the same way: the one
+        that moves from run to run (the message buffer), which therefore
+        stays out of the translation.  ``cycle_budget`` is the abort
+        threshold (None = unlimited, for trusted code).
 
         ``engine`` picks the execution engine: ``"jit"`` (default)
         translates the program to native Python via
@@ -212,8 +213,8 @@ class Vm:
             if compiled is not None:
                 call_log: list[tuple[str, int, int]] = []
                 out = compiled.fn(
-                    self, regs, env, cycle_budget, static, max_insns,
-                    call_log, msg_region or (0, 0),
+                    self, regs, env, cycle_budget, max_insns, call_log,
+                    msg_region or (0, 0),
                 )
                 if out[0] == 0:
                     return VmResult(

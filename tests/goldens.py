@@ -199,20 +199,63 @@ def fastpath_bytecodes():
     return max(counts)
 
 
+def library_bytecodes():
+    """Bytecodes one warm receive of a data segment costs on the TCP
+    library path, ``TcpConnection._process_desc`` whole (parse, checksum,
+    ring copy, ack and replenish, every shared-TCB access among them;
+    not what the engine runs while it waits): the dearest data segment
+    of a short ping-pong without a handler, each connection's first
+    left out."""
+    import os
+    from unittest import mock
+
+    from repro.bench.census import BytecodeCensus
+    from repro.bench.workloads import TcpConfig, tcp_pingpong
+    from repro.net.tcp import TcpConnection
+    from repro.sim.engine import SUBSTRATE_ENV
+
+    process = TcpConnection._process_desc
+    warm, counts = set(), []
+
+    def counted(conn, proc, desc):
+        rcv_nxt = conn.tcb.shared.rcv_nxt
+        steps, sent, total = process(conn, proc, desc), None, 0
+        while True:     # count each stretch the receive runs, alone
+            with BytecodeCensus() as census:
+                try:
+                    waited = steps.send(sent)
+                except StopIteration:
+                    waited = steps
+            total += census.total
+            if waited is steps:
+                break
+            sent = yield waited
+        if conn.tcb.shared.rcv_nxt != rcv_nxt:     # data was placed
+            if conn in warm:
+                counts.append(total)
+            warm.add(conn)
+
+    with mock.patch.dict(os.environ, {SUBSTRATE_ENV: "fast"}), \
+            mock.patch.object(TcpConnection, "_process_desc", counted):
+        tcp_pingpong(TcpConfig(handler=None), iters=4, warmup=0)
+    return max(counts)
+
+
 def bytecode_budget():
     """Bytecodes per warm delivery on 1 core, per uncontended CPU
-    charge on an idle engine (``repro.bench.census --bytecodes``) and
-    per warm invocation of the TCP fast-path handler, on the fast
-    substrate: the host's cost of the path in executed bytecodes, exact
-    and deterministic -- for CPython 3.11, whose compiler and opcodes
-    these counts are of (another minor version counts other
-    bytecodes)."""
+    charge on an idle engine (``repro.bench.census --bytecodes``), per
+    warm invocation of the TCP fast-path handler and per warm receive
+    of a data segment on the TCP library path, on the fast substrate:
+    the host's cost of the path in executed bytecodes, exact and
+    deterministic -- for CPython 3.11, whose compiler and opcodes these
+    counts are of (another minor version counts other bytecodes)."""
     return {**{exit_name: sum(matrix.bytecodes_per_message(exit_name)
                               .values())
                for exit_name in matrix.PROFILED_EXITS},
             **{f"charge/{kind}": charge_bytecodes(kind)
                for kind in ("exec", "compute")},
-            "tcp_fastpath": fastpath_bytecodes()}
+            "tcp_fastpath": fastpath_bytecodes(),
+            "tcp_library": library_bytecodes()}
 
 
 #: the example handlers whose translation size ``jit_source_bytes`` caps

@@ -287,6 +287,10 @@ def test_memory_fault_wild_load():
 
 
 def test_memory_fault_checked_access():
+    """A checked access outside the regions faults as the interpreter
+    does.  Each region list a program runs over is baked into a
+    translation of its own (no per-run loop over regions), and each
+    faults, or not, exactly where the interpreter does."""
     prog = _prog("chk", [
         Insn("li", rd=8, imm=0x100),
         Insn("chkld", rs=8, rt=4),
@@ -295,6 +299,21 @@ def test_memory_fault_checked_access():
     out = assert_equivalent(prog, allowed=[(0x2000, 64)])
     assert out["fault_type"] == "MemoryFault"
     assert "outside allowed regions" in out["fault_msg"]
+
+    sandboxed = Sandboxer().sandbox(build_remote_increment())[0]
+    jit.clear_code_cache()
+    for allowed, ok in ((ALLOWED, True), (ALLOWED[1:], False)):
+        out = assert_equivalent(sandboxed, args=(MSG, 4, CTX),
+                                allowed=allowed)
+        assert out["ok"] is ok
+        if not ok:
+            assert f"checked access to {MSG:#x}+4" in out["fault_msg"]
+    assert jit.code_cache_size() == 2
+    for compiled in jit._CODE_CACHE.values():
+        loops = [line.strip() for line in compiled.source.splitlines()
+                 if line.lstrip().startswith(("for ", "while "))]
+        # the dispatch loop and the register publication, nothing else
+        assert set(loops) <= {"while True:", "for _r, _n in _REGS:"}
 
 
 def test_arithmetic_fault_divide_by_zero():

@@ -6,7 +6,7 @@ from repro.bench.testbed import make_an2_pair, make_eth_pair
 from repro.net.arp import ArpCache
 from repro.net.headers import IPPROTO_UDP, Ipv4Header, ip_aton
 from repro.net.ip import Reassembler, build_packets
-from repro.net.stack import NetStack
+from repro.net.socket_api import make_stacks
 from repro.net.udp import UdpSocket
 from repro.sim.units import to_us
 
@@ -79,24 +79,12 @@ class TestArpCache:
 
 
 def make_udp_pair(checksum=True, in_place=False, eth=False):
-    if eth:
-        tb = make_eth_pair()
-        cstack = NetStack(tb.client_kernel, tb.client_nic, "10.0.0.1",
-                          mac=b"\x02\x00\x00\x00\x00\x01")
-        sstack = NetStack(tb.server_kernel, tb.server_nic, "10.0.0.2",
-                          mac=b"\x02\x00\x00\x00\x00\x02")
-        csock = UdpSocket(cstack, 7001, checksum=checksum, in_place=in_place)
-        ssock = UdpSocket(sstack, 7000, checksum=checksum, in_place=in_place)
-    else:
-        tb = make_an2_pair()
-        cstack = NetStack(tb.client_kernel, tb.client_nic, "10.0.0.1",
-                          an2_peers={"10.0.0.2": (1, 2)})
-        sstack = NetStack(tb.server_kernel, tb.server_nic, "10.0.0.2",
-                          an2_peers={"10.0.0.1": (2, 1)})
-        csock = UdpSocket(cstack, 7001, rx_vci=2, checksum=checksum,
-                          in_place=in_place)
-        ssock = UdpSocket(sstack, 7000, rx_vci=1, checksum=checksum,
-                          in_place=in_place)
+    tb = make_eth_pair() if eth else make_an2_pair()
+    cstack, sstack = make_stacks(tb)
+    csock = UdpSocket(cstack, 7001, rx_vci=None if eth else 2,
+                      checksum=checksum, in_place=in_place)
+    ssock = UdpSocket(sstack, 7000, rx_vci=None if eth else 1,
+                      checksum=checksum, in_place=in_place)
     return tb, cstack, sstack, csock, ssock
 
 

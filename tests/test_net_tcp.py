@@ -318,13 +318,32 @@ class TestSharedTcbSnapshot:
         # and a second hop through snapshot() is the identity
         again = SharedTcb(tb.server.memory, fresh_region.base)
         assert again.fields() == decoded
+        # the layout: field i is the little-endian u32 at base + 4 * i,
+        # read and written
+        mem, base = tb.server.memory, fresh_region.base
+        assert SHARED_TCB_SIZE == 4 * len(SHARED_TCB_FIELDS)
+        for i, name in enumerate(SHARED_TCB_FIELDS):
+            assert getattr(again, name) == mem.load_u32(base + 4 * i)
+            setattr(again, name, 0x1_0000_0000 + 0x01020304 * (i + 1))
+            assert mem.load_u32(base + 4 * i) == (0x01020304 * (i + 1)
+                                                  & 0xFFFFFFFF)
+        assert restored.snapshot() == mem.read(base, SHARED_TCB_SIZE)
 
     def test_restore_rejects_wrong_length(self):
-        from repro.net.tcp.tcb import SharedTcb
+        """A block that does not fit is refused: a snapshot of the wrong
+        length on restore, and a block reaching outside memory as soon
+        as its accessor is built (no field access checks bounds)."""
+        from repro.errors import MemoryFault
+        from repro.net.tcp.tcb import SHARED_TCB_SIZE, SharedTcb
 
         tb, client, server = build_pair()
         with pytest.raises(ValueError):
             SharedTcb(tb.server.memory, server.tcb.shared.base).restore(b"x")
+        mem = tb.server.memory
+        for base in (mem.size - SHARED_TCB_SIZE + 4, 0):
+            with pytest.raises(MemoryFault):
+                SharedTcb(mem, base)
+        SharedTcb(mem, mem.size - SHARED_TCB_SIZE)     # the last fit
 
 
 class TestPeerDeath:
@@ -499,6 +518,12 @@ class TestFastPath:
         ("ash", True), ("ash", False), ("upcall", True),
     ])
     def test_bulk_integrity_through_handler(self, kind, sandbox):
+        """The handler places the stream intact, committing into the
+        block through the offsets of the layout table: each of its TCB
+        accesses is a u32 at a table field's offset."""
+        from repro.net.tcp.tcb import SHARED_TCB_OFFSET
+        from repro.vcode.isa import REG_A2
+
         tb, client, server = build_pair()
         data = bytes((i * 13 + 5) % 256 for i in range(40_000))
         got = []
@@ -518,6 +543,22 @@ class TestFastPath:
         run_session(tb, client, server, c, s)
         assert got and got[0] == data
         assert server.fastpath_hits > 0
+        program = (tb.server_kernel.ash_system.entry(
+            server.fastpath_ash_id).program if kind == "ash"
+            else server.endpoint.upcall.program)
+        # the loads and stores through the TCB pointer (A2, saved in a
+        # register at entry)
+        ctx = next(i.rd for i in program.insns
+                   if i.op == "addu" and i.rs == REG_A2 and not i.rt)
+        accesses = {(i.op, i.imm) for i in program.insns
+                    if i.rs == ctx and i.op[:2] in ("ld", "st")}
+        assert {op for op, _ in accesses} == {"ld32", "st32"}
+        used = ("lib_busy", "ports_raw", "ooo_pending", "rcv_nxt",
+                "snd_una", "write_count", "read_count", "buf_size",
+                "buf_mask", "buf_base", "pseudo_in_const", "fastpath_count",
+                "ack_tmpl_addr", "ack_seq", "pseudo_ack_const", "reply_vci")
+        assert {off for _, off in accesses} == {
+            SHARED_TCB_OFFSET[name] for name in used}
 
     def test_fastpath_abort_rate_low(self):
         """Section V-B: non-header-prediction aborts < 0.2%."""
