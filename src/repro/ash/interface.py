@@ -42,9 +42,6 @@ class AshNotification:
     def __init__(self, source: str = "ash"):
         self.source = source
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<AshNotification from {self.source}>"
-
 
 class HandlerEnv(dict):
     """The trusted-call table of one endpoint's handler, ``name -> call``:

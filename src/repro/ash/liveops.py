@@ -276,20 +276,3 @@ class RolloutController:
             return 0
         return (len(tel.slo.violations)
                 + tel.slo.violations_dropped)
-
-    # -- introspection --------------------------------------------------
-    def snapshot(self) -> dict:
-        """Deterministic summary for observables / bench documents."""
-        return {
-            "name": self.name,
-            "state": self.state,
-            "flows": len(self.targets),
-            "canary_flows": self.canary_flows(),
-            "swaps": self.swaps,
-            "guard_trips": [[reason, detail]
-                            for reason, detail in self.guard_trips],
-            "golden_rounds": {key: len(obs)
-                              for key, obs in sorted(self.golden.items())},
-            "canary_rounds": {key: len(obs)
-                              for key, obs in sorted(self.observed.items())},
-        }

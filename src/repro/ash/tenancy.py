@@ -259,7 +259,7 @@ class TenantManager:
             return
         t.held.append((ep, desc))
         while len(t.held) > t.quota.buffers:
-            self._reclaim_oldest(t)
+            self._revoke(t, *t.held.popleft())
 
     def note_replenish(self, ep: "Endpoint", desc: "RxDescriptor") -> bool:
         """The application returned a buffer.  True = the manager
@@ -283,30 +283,44 @@ class TenantManager:
             pass  # e.g. a pre-crash descriptor: held list was cleared
         return False
 
-    def _reclaim_oldest(self, t: Tenant) -> None:
-        ep, desc = t.held.popleft()
+    def _revoke(self, t: Tenant, ep: "Endpoint", desc: "RxDescriptor") -> None:
         desc.tenant_revoked = True
         ep.nic.recycle(desc)
         self._count(t, "reclaims")
 
+    @staticmethod
+    def _oldest_held_of(t: Tenant, nic: "Nic", vci: int) -> Optional[int]:
+        """Index in ``t.held`` of the oldest buffer of ring (nic, vci)."""
+        for i, (ep, _desc) in enumerate(t.held):
+            if ep.vci == vci and ep.nic is nic:
+                return i
+        return None
+
     def on_ring_empty(self, nic: "Nic", vci: int) -> bool:
         """The rx ring ran dry mid-DMA: emergency defer-refill.  If the
-        tenant holds reclaimable buffers, revoke the oldest *now* so the
-        frame is served instead of dropped (defer before drop)."""
+        tenant holds a buffer of *this* ring, revoke the oldest one now
+        so the frame is served instead of dropped (defer before drop);
+        a buffer of another ring would refill the wrong one."""
         t = self._tenant_for(nic, vci)
-        if t is None or not t.held:
+        if t is None:
             return False
-        self._reclaim_oldest(t)
+        i = self._oldest_held_of(t, nic, vci)
+        if i is None:
+            return False
+        entry = t.held[i]
+        del t.held[i]
+        self._revoke(t, *entry)
         return True
 
     def note_no_buffer(self, nic: "Nic", vci: int) -> None:
         """Stage 3 (drop) fired.  Legal only once stage 2 has nothing
-        left to reclaim — anything else is a degradation-order bug."""
+        of this ring left to reclaim — anything else is a
+        degradation-order bug."""
         t = self._tenant_for(nic, vci)
         if t is None:
             return
         self._count(t, "dropped", reason="no_buffer")
-        if t.held:
+        if self._oldest_held_of(t, nic, vci) is not None:
             self.order_violations += 1
             self._count(t, "order_violations")
 
@@ -467,7 +481,7 @@ class TenantManager:
         for ep in t.endpoints:
             ep.clear_handlers()
         while t.held:
-            self._reclaim_oldest(t)
+            self._revoke(t, *t.held.popleft())
         self._count(t, "kills", action="crash")
         self._flight(t, "crash")
 

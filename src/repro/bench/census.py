@@ -271,45 +271,31 @@ class BytecodeCensus:
         cells = self._cells = {}    #: (layer, code) -> [bytecodes]
         leave = BytecodeCensus.__exit__.__code__
 
-        def own_layer(code):
-            if _is_jit(code):
-                self.sources[code] = jit.source_bytes(code)
-                name = own[code] = JIT_LAYER
-            else:
-                name = own[code] = layer_of(code.co_filename)
-            return name
-
-        def counter(key):
-            cell = cells[key] = [0]
-
-            def count(frame, event, arg):
-                if event == "opcode":
-                    cell[0] += 1
-                return count
-            return count
-
-        def resolve(frame, code):
-            if code is leave:
-                return None
-            name = own[code] if code in own else own_layer(code)
-            if name is not None:
-                tracers[code] = count = counter((name, code))
-                return count
-            # outside repro/: the nearest repro caller's
-            up = frame.f_back
-            while name is None and up is not None:
-                name = own[up.f_code] if up.f_code in own \
-                    else own_layer(up.f_code)
-                up = up.f_back
-            key = (name or other, code)
-            count = tracers.get(key)
-            if count is None:
-                tracers[key] = count = counter(key)
-            return count
-
         def trace(frame, event, arg):
             code = frame.f_code
-            count = tracers.get(code) or resolve(frame, code)
+            count = tracers.get(code)
+            if count is None and code is not leave:
+                # the code's own layer; outside repro/, the nearest
+                # repro caller's
+                up, name = frame, None
+                while name is None and up is not None:
+                    c = up.f_code
+                    if c not in own:
+                        own[c] = (JIT_LAYER if _is_jit(c)
+                                  else layer_of(c.co_filename))
+                    name = own[c]
+                    up = up.f_back
+                key = (name or other, code)
+                own_key = code if own[code] is not None else key
+                count = tracers.get(own_key)
+                if count is None:
+                    cell = cells[key] = [0]
+
+                    def count(frame, event, arg):
+                        if event == "opcode":
+                            cell[0] += 1
+                        return count
+                    tracers[own_key] = count
             if count is not None:
                 frame.f_trace_lines = False
                 frame.f_trace_opcodes = True
@@ -327,6 +313,8 @@ class BytecodeCensus:
             gc.enable()
         for key, cell in self._cells.items():
             self.counts[key] += cell[0]
+            if _is_jit(key[1]):
+                self.sources[key[1]] = jit.source_bytes(key[1])
 
     @property
     def total(self) -> int:

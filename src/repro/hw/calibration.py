@@ -204,9 +204,6 @@ class Calibration:
             raise CalibrationError("ash_budget_ticks must be >= 1")
 
     # -- helpers ---------------------------------------------------------
-    def cycles_to_us(self, cyc: float) -> float:
-        return cyc / self.cpu_mhz
-
     def us_to_cycles(self, usec: float) -> int:
         return round(usec * self.cpu_mhz)
 

@@ -72,6 +72,3 @@ class Node:
         self.nics[nic.name] = nic
         nic.bind(self)
         return nic
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<Node {self.name} cores={self.ncores} nics={list(self.nics)}>"

@@ -193,9 +193,6 @@ class DpfEngine:
         if tel is not None and tel.enabled:
             tel.gauge("dpf.table_size").set(len(self._filters))
 
-    def __len__(self) -> int:
-        return len(self._filters)
-
     def classify(self, packet: bytes) -> tuple[Optional[int], float]:
         """Find the matching filter.
 

@@ -384,11 +384,3 @@ class TcpHeader:
         pseudo = pseudo_header(src_ip, dst_ip, IPPROTO_TCP, len(segment))
         total = ones_complement_add16(inet_checksum(pseudo), inet_checksum(segment))
         return total == 0xFFFF
-
-    def flag_names(self) -> str:
-        names = []
-        for bit, name in ((TCP_SYN, "SYN"), (TCP_ACK, "ACK"), (TCP_FIN, "FIN"),
-                          (TCP_RST, "RST"), (TCP_PSH, "PSH")):
-            if self.flags & bit:
-                names.append(name)
-        return "|".join(names) or "none"

@@ -55,9 +55,6 @@ class TcpSocket:
                 break
         return bytes(line)
 
-    def close(self, proc: "Process") -> Generator:
-        yield from self.conn.close(proc)
-
 
 def make_stacks(tb: "Testbed", client_ip: str = "10.0.0.1",
                 server_ip: str = "10.0.0.2",

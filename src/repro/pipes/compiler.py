@@ -43,7 +43,7 @@ from ..vcode.isa import Insn, Program, insn_cost
 from ..vcode.registers import P_VAR
 from ..vcode.vm import Vm, VmResult
 from .kernels import apply_pipe_at_gauge, gather_striped
-from .pipe import P_GAUGE32, Pipe, gauge_bytes
+from .pipe import P_GAUGE32, Pipe
 from .pipelist import PipeList
 
 __all__ = ["TransferMode", "Interface", "IntegratedPipeline", "compile_pl",

@@ -44,7 +44,6 @@ __all__ = [
     "P_NO_MOD",
     "Pipe",
     "gauge_dtype",
-    "gauge_bytes",
 ]
 
 # gauges, named after the paper's P_GAUGE32 constant
@@ -62,10 +61,6 @@ EmitFn = Callable[[VBuilder, int, int, dict[str, int]], None]
 #: np_apply(words, state) -> transformed words (``words`` itself if
 #: unchanged; it is a read-only view of the source); mutates state in place
 NpApplyFn = Callable[[np.ndarray, dict[str, int]], np.ndarray]
-
-
-def gauge_bytes(gauge: int) -> int:
-    return gauge // 8
 
 
 _GAUGE_DTYPES = {8: np.dtype("u1"), 16: np.dtype("<u2"), 32: np.dtype("<u4")}
@@ -108,11 +103,3 @@ class Pipe:
     @property
     def has_fast_path(self) -> bool:
         return self.np_apply is not None
-
-    def __repr__(self) -> str:  # pragma: no cover
-        flags = []
-        if self.commutative:
-            flags.append("commutative")
-        if self.no_mod:
-            flags.append("no_mod")
-        return f"<Pipe {self.name} gauge={self.gauge} {' '.join(flags)}>"

@@ -93,8 +93,9 @@ def active_substrate(override: Optional[str] = None) -> str:
 class Interrupt(Exception):
     """Thrown into a process by :meth:`SimProcess.interrupt`.
 
-    The ASH runtime uses this to model the paper's two-clock-tick timer
-    abort: the kernel interrupts the handler process mid-execution.
+    No model component throws it: the paper's two-clock-tick timer abort
+    is the VM's cycle budget (:class:`~repro.errors.BudgetExceeded`).
+    Tests use it to kill a process mid-wait.
     """
 
     def __init__(self, cause: Any = None):

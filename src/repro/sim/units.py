@@ -21,9 +21,6 @@ CYCLE_PS: int = 25_000
 #: Picoseconds per microsecond.
 US_PS: int = 1_000_000
 
-#: Picoseconds per nanosecond.
-NS_PS: int = 1_000
-
 
 def cycles(n: float) -> int:
     """Convert a cycle count to integer simulation ticks (picoseconds)."""
@@ -35,26 +32,12 @@ def us(x: float) -> int:
     return round(x * US_PS)
 
 
-def ns(x: float) -> int:
-    """Convert nanoseconds to integer simulation ticks."""
-    return round(x * NS_PS)
-
-
 def to_us(ticks: int) -> float:
     """Convert simulation ticks to microseconds (float, for reporting)."""
     return ticks / US_PS
-
-
-def to_cycles(ticks: int) -> float:
-    """Convert simulation ticks to CPU cycles (float, for reporting)."""
-    return ticks / CYCLE_PS
 
 
 def seconds(x: float) -> int:
     """Convert seconds to integer simulation ticks."""
     return round(x * 1_000_000 * US_PS)
 
-
-def to_seconds(ticks: int) -> float:
-    """Convert simulation ticks to seconds (float, for reporting)."""
-    return ticks / (1_000_000 * US_PS)

@@ -1,6 +1,5 @@
 """VCODE: the dynamic code generation substrate handlers are written in."""
 
-from .asm_text import parse_asm
 from .builder import Label, VBuilder
 from .isa import Insn, Program, assemble, insn_cost
 from .registers import P_TMP, P_VAR, RegisterAllocator
@@ -14,7 +13,6 @@ from .extensions import (
 )
 
 __all__ = [
-    "parse_asm",
     "Label",
     "VBuilder",
     "Insn",

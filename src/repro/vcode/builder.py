@@ -51,9 +51,6 @@ class Label:
             name = f"L{Label._counter}"
         self.name = name
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<Label {self.name}>"
-
 
 LabelLike = Union[Label, str]
 

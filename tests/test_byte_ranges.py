@@ -366,11 +366,12 @@ def python_calls(fn) -> int:
         if event == "call":
             count += 1
 
+    outer = sys.getprofile()
     sys.setprofile(tracer)
     try:
         fn()
     finally:
-        sys.setprofile(None)
+        sys.setprofile(outer)
     return count - 1          # the lambda / function passed in
 
 

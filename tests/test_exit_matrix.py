@@ -756,12 +756,14 @@ def _deliver_one(w, frame, profile=None):
     # a collection inside the window would count its finalizers' frames,
     # and the frame budget is a ceiling with no slack
     gc.disable()
-    sys.setprofile(profile)
+    outer = sys.getprofile()
+    if profile is not None:
+        sys.setprofile(profile)
     try:
         w.tb.server_nic._on_wire_frame(frame)
         engine.run(until=engine.now + us(1000.0))
     finally:
-        sys.setprofile(None)
+        sys.setprofile(outer)
         gc.enable()
     return engine.stats()["fired"] - before
 

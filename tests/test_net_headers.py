@@ -176,7 +176,6 @@ class TestTcp:
                         flags=TCP_SYN | TCP_ACK, window=8192)
         back = TcpHeader.unpack(hdr.pack())
         assert back == hdr
-        assert "SYN" in back.flag_names() and "ACK" in back.flag_names()
 
     def test_checksum_verifies(self):
         src, dst = ip_aton("10.0.0.1"), ip_aton("10.0.0.2")

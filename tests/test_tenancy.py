@@ -183,6 +183,63 @@ def test_held_quota_reclaims_fifo_and_keeps_ring_stocked():
     assert held_addrs == [initial[7], initial[0], initial[1]]
 
 
+def test_dry_ring_reclaims_from_its_own_ring():
+    # two rings, one tenant under its held quota: a dry ring is refilled
+    # from the tenant's oldest held buffer *of that ring*, so a frame is
+    # dropped only when that ring has nothing left to reclaim
+    tb, manager = _world()
+    sk = tb.server_kernel
+    manager.create("m", buffers=16)
+    for vci in (30, 31):
+        sk.create_endpoint_an2(tb.server_nic, vci, tenant="m", nbufs=4)
+    initial = [a for a, _s in tb.server_nic.binding(31).buffers]
+
+    def blast():
+        for vci in [30] * 4 + [31] * 5:
+            tb.server_nic._on_wire_frame(Frame(b"\x01" * 4, vci=vci))
+            yield tb.engine.timeout(us(30.0))
+
+    tb.engine.spawn(blast())
+    tb.run()
+    t = manager.get("m")
+    c = manager.stats()["tenants"]["m"]["counters"]
+    assert c["admitted"] == 9
+    assert "dropped" not in c
+    assert c["reclaims"] == 1
+    assert manager.order_violations == 0
+    # VC 31's oldest buffer went back to VC 31's ring, FIFO
+    assert [(ep.vci, d.addr) for ep, d in t.held][-4:] == [
+        (31, initial[1]), (31, initial[2]), (31, initial[3]),
+        (31, initial[0])]
+    assert len(tb.server_nic.binding(30).buffers) == 0
+
+
+def test_burst_past_one_ring_leaves_another_rings_buffers_alone():
+    # a back-to-back burst overruns VC 30's ring while its buffers are
+    # still in flight to the tenant: the drop is legal (nothing of that
+    # ring to reclaim) and the two buffers held on VC 31 stay put
+    tb, manager = _world()
+    sk = tb.server_kernel
+    manager.create("m", buffers=16)
+    for vci in (30, 31):
+        sk.create_endpoint_an2(tb.server_nic, vci, tenant="m", nbufs=4)
+
+    def blast():
+        for _ in range(2):
+            tb.server_nic._on_wire_frame(Frame(b"\x01" * 4, vci=31))
+            yield tb.engine.timeout(us(30.0))
+        for _ in range(5):
+            tb.server_nic._on_wire_frame(Frame(b"\x01" * 4, vci=30))
+
+    tb.engine.spawn(blast())
+    tb.run()
+    c = manager.stats()["tenants"]["m"]["counters"]
+    assert c["dropped"] == {"no_buffer": 1}
+    assert "reclaims" not in c
+    assert manager.order_violations == 0
+    assert len(tb.server_nic.binding(31).buffers) == 2
+
+
 def test_late_replenish_of_revoked_buffer_is_swallowed():
     tb, manager = _world()
     sk = tb.server_kernel
