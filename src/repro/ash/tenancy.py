@@ -300,16 +300,21 @@ class TenantManager:
         """The rx ring ran dry mid-DMA: emergency defer-refill.  If the
         tenant holds a buffer of *this* ring, revoke the oldest one now
         so the frame is served instead of dropped (defer before drop);
-        a buffer of another ring would refill the wrong one."""
+        a buffer of another ring would refill the wrong one.  The buffer
+        goes straight back on the ring: it exists already, so nothing is
+        allocated and memory pressure, which parks a refill
+        (``An2Nic.replenish``), has nothing to refuse."""
         t = self._tenant_for(nic, vci)
         if t is None:
             return False
         i = self._oldest_held_of(t, nic, vci)
         if i is None:
             return False
-        entry = t.held[i]
+        _ep, desc = t.held[i]
         del t.held[i]
-        self._revoke(t, *entry)
+        desc.tenant_revoked = True
+        nic.binding(vci).replenish(desc.addr, nic.cal.an2_max_packet)
+        self._count(t, "reclaims")
         return True
 
     def note_no_buffer(self, nic: "Nic", vci: int) -> None:

@@ -712,7 +712,7 @@ def remote_increment(
     dummies = nprocs - 1 if mode == "user" else nprocs
     for i in range(max(0, dummies)):
         def dummy(proc):
-            yield from proc.spin(proc.cal.us_to_cycles(200.0))
+            yield from proc.spin()
 
         sk.spawn_process(f"dummy{i}", dummy)
 

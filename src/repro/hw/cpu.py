@@ -32,6 +32,10 @@ segment.  Every hold of a CPU runs on the same timer, armed afresh by
 :meth:`Cpu.begin_hold` (one hold is open at a time): a charge builds no
 event of its own.
 
+A segment of :data:`ENDLESS` cycles (``Process.spin``) is a hold with no
+end of its own: it ends only when :meth:`Cpu.cut` ends it or the holder
+is thrown out, and its timer is queued only once it is cut.
+
 ``exec`` and ``run`` are generators: call them as ``yield from
 cpu.exec(cycles)`` from inside a simulation process.  They ask the lock
 every time but yield the grant only when they have to wait for it — or
@@ -59,18 +63,23 @@ from .calibration import Calibration, PRIO_USER
 if TYPE_CHECKING:  # pragma: no cover
     from ..kernel.process import Process
 
-__all__ = ["Cpu", "YIELD_TO_ANY", "Segment"]
+__all__ = ["Cpu", "ENDLESS", "YIELD_TO_ANY", "Segment"]
 
 #: ``yield_below`` bound of a hold that gives way to every waiter,
 #: whatever its priority (gated user computation)
 YIELD_TO_ANY = float("inf")
+
+#: the cycles of a user segment that never ends (``Process.spin``): its
+#: hold is queued nowhere until :meth:`Cpu.cut` gives it an end
+ENDLESS = float("inf")
 
 #: one charge of a run: ``(cycles, prio, gated)``.  A gated segment runs
 #: only while its process is scheduled: at user priority it is
 #: ``Process.compute`` (it waits for the gate before every pass and gives
 #: way to every waiter and to the gate shutting); at any other it is a
 #: kernel crossing, which waits for the gate once, on entry, and then
-#: runs as ``exec`` does
+#: runs as ``exec`` does.  Only a gated user segment may be
+#: :data:`ENDLESS`
 Segment = tuple[int, int, bool]
 
 
@@ -250,17 +259,24 @@ class Cpu:
         # ``Timeout.__init__``'s arming, on the timer there is: it has
         # fired, been withdrawn, or is firing now (carried on, its
         # holder still waiting on it); and the queue's ``push``, for an
-        # entry that goes straight onto its due heap
+        # entry that goes straight onto its due heap.  An endless hold
+        # not clipped to a quantum (so registered above) pends on an
+        # entry queued nowhere, with no sequence number, until
+        # :meth:`cut` queues it
         timer._state = 0    # pending
         timer.delay = ticks
-        engine._seq = seq = engine._seq + 1
         at = now + ticks
-        timer._entry = entry = [at, seq, timer, (), None]
         queue = engine._queue
         if at < queue._dlim:
+            engine._seq = seq = engine._seq + 1
+            timer._entry = entry = [at, seq, timer, (), None]
             heappush(queue._due, entry)
-        else:
+        elif at != ENDLESS:
+            engine._seq = seq = engine._seq + 1
+            timer._entry = entry = [at, seq, timer, (), None]
             queue.push(entry)
+        else:
+            timer._entry = [at, 0, timer, (), None]
         return timer
 
     def cut(self) -> None:
@@ -273,18 +289,27 @@ class Cpu:
         start = self._start
         at = start + (-((start - self.engine._now) // quantum) or 1) * quantum
         # (once the timer has fired, now == _end_at: nothing left to cut)
-        if at < self._end_at:
+        end_at = self._end_at
+        if at < end_at:
             self._end_at = at
             timer = self._timer
             timer.hold = None   # it ends short of its segment: the holder wakes
-            timer.reschedule(at)
+            if end_at != ENDLESS:
+                timer.reschedule(at)
+            else:
+                # an endless hold ends here: its timer is queued, as
+                # ``reschedule`` queues a moved one (with nothing to
+                # withdraw)
+                timer.delay = at - start
+                timer._entry = self.engine._schedule(at, timer)
 
     def end_hold(self) -> int:
         """Close the hold: settle the ledger from elapsed time and return
         the ticks charged (to the segment it was opened for, or the one
         it was carried on into: ``run.seg``).  A holder thrown out before
         its timer came due (an ``Interrupt``) is charged the whole quanta
-        it completed, and the timer is withdrawn.
+        it completed, and the timer is withdrawn (an endless hold that
+        was never cut has none queued).
         """
         timer = self._timer
         self._timer = None
@@ -295,6 +320,9 @@ class Cpu:
                 gate.hold = self._gate = None
         elapsed = self.engine._now - self._start
         if not timer._state and timer._entry[2] is not None:  # still queued
+            entry = timer._entry
+            if entry[0] == ENDLESS:
+                entry[2] = None     # (queued nowhere: nothing to withdraw)
             timer.cancel()
             elapsed -= elapsed % self._quantum_ticks
         self._busy_ticks += elapsed
@@ -317,8 +345,9 @@ class Cpu:
         says.  The run's state is one :class:`Run`, which a charge that
         has to queue for the CPU leaves with the request, for the grant
         to open its hold (:meth:`Run.grant`); thrown out of that wait, it
-        withdraws the request or gives back what it was granted.
-        ``segments`` may be endless (``Process.spin``).
+        withdraws the request or gives back what it was granted.  A
+        segment of :data:`ENDLESS` cycles (``Process.spin``) is charged
+        until the holder is thrown out: each cut ends one hold of it.
         """
         rest = filter(_CHARGES, segments)
         for seg in rest:

@@ -5,7 +5,7 @@ while the scheduler has it scheduled.  The body advances time through
 the process API:
 
 * ``yield from proc.compute_us(x)`` — user-mode computation,
-* ``yield from proc.spin(cycles)`` — user-mode computation that never ends,
+* ``yield from proc.spin()`` — user-mode computation that never ends,
 * ``yield from proc.syscall_exit()`` — the crossing back out of the
   kernel (the way in is a gated kernel segment of the run that enters
   it: ``SyscallInterface.sys_net_send``),
@@ -23,10 +23,10 @@ scheduled waits for the scheduler unless an ASH or upcall handles it.
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import Any, Callable, Generator, Optional, TYPE_CHECKING
 
 from ..hw.calibration import PRIO_KERNEL, PRIO_USER
+from ..hw.cpu import ENDLESS
 from ..sim.engine import Event
 from ..sim.queues import Channel, Gate
 
@@ -101,12 +101,13 @@ class Process:
                    *then: float) -> Generator[Event, Any, None]:
         return self.compute(*map(self.cal.us_to_cycles, (usec, *then)))
 
-    def spin(self, cycles: int) -> Generator[Event, Any, None]:
-        """Compute forever, in charges of ``cycles`` (a process that never
-        blocks): an endless run, one hold for as long as nobody else
-        wants the CPU or the slice lasts."""
-        return self.cpu.run(itertools.repeat((int(cycles), PRIO_USER, True)),
-                            self)
+    def spin(self) -> Generator[Event, Any, None]:
+        """Compute for ever (a process that never blocks): one user-mode
+        charge of :data:`~repro.hw.cpu.ENDLESS` cycles.  Each of its
+        holds lasts until someone queues for the CPU or the slice ends
+        (:meth:`Cpu.cut <repro.hw.cpu.Cpu.cut>`), as ``compute``'s do;
+        none ends of itself, so a spin alone on its CPU fires no event."""
+        return self.cpu.run(((ENDLESS, PRIO_USER, True),), self)
 
     # -- kernel interaction ---------------------------------------------------
     def syscall_exit(self) -> Generator[Event, Any, None]:

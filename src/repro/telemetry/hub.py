@@ -39,6 +39,10 @@ class Telemetry:
         if enabled is None:
             enabled = _default_enabled()
         self.registry = MetricsRegistry(enabled=enabled)
+        #: whether the hub records: a plain attribute (every hot-path
+        #: telemetry check reads it), kept equal to ``registry.enabled``
+        #: by :meth:`enable` and :meth:`disable`
+        self.enabled = enabled
         self.spans = SpanTracker(self)
         # SLO tracker and flight recorder are created on first touch so
         # nodes that never see a flow or a failure stay lean
@@ -47,15 +51,11 @@ class Telemetry:
         _register(self)
 
     # -- switching -----------------------------------------------------
-    @property
-    def enabled(self) -> bool:
-        return self.registry.enabled
-
     def enable(self) -> None:
-        self.registry.enabled = True
+        self.enabled = self.registry.enabled = True
 
     def disable(self) -> None:
-        self.registry.enabled = False
+        self.enabled = self.registry.enabled = False
 
     # -- lazy subsystems -----------------------------------------------
     @property

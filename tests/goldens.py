@@ -258,6 +258,31 @@ def bytecode_budget():
             "tcp_library": library_bytecodes()}
 
 
+def fig4_budget():
+    """Engine events one Fig. 4 world fires: the suspended server beside
+    three compute-bound dummies under oblivious round robin.  A spin is
+    one hold until cut, so charging it in segments again (an event at
+    every segment end) fails here."""
+    from repro.bench.workloads import remote_increment
+    from repro.sim.engine import Engine
+
+    engines, run = [], Engine.run
+
+    def recording_run(self, *args, **kwargs):
+        if self not in engines:
+            engines.append(self)
+        return run(self, *args, **kwargs)
+
+    Engine.run = recording_run
+    try:
+        remote_increment(mode="user", suspended=True, nprocs=4,
+                         scheduler="oblivious", iters=8, warmup=2)
+    finally:
+        Engine.run = run
+    (engine,) = engines
+    return {"oblivious/4procs": engine.stats()["fired"]}
+
+
 #: the example handlers whose translation size ``jit_source_bytes`` caps
 SOURCE_CAPPED = ("echo", "remote_increment", "remote_write_generic",
                  "remote_write_specific", "tcp_fastpath")
@@ -355,6 +380,7 @@ PRODUCERS = {
     "frame_budget": (frame_budget, True),
     "bytecode_budget": (bytecode_budget, True),
     "jit_source_bytes": (jit_source_bytes, True),
+    "fig4_budget": (fig4_budget, True),
     **{f"{kind.__name__}/{world}": (functools.partial(kind, world), ceiling)
        for kind, ceiling in ((telemetry, False), (lookups, True))
        for world in matrix.TELEMETRY_WORLDS},

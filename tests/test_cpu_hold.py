@@ -56,11 +56,11 @@ from repro.bench.census import YieldCensus
 from repro.hw.calibration import (
     Calibration, PRIO_INTERRUPT, PRIO_KERNEL, PRIO_USER,
 )
-from repro.hw.cpu import Cpu, YIELD_TO_ANY
+from repro.hw.cpu import Cpu, ENDLESS, YIELD_TO_ANY
 from repro.kernel.process import Process, ProcessState
 from repro.kernel.scheduler import RoundRobinScheduler
 from repro.sim import Engine, Interrupt
-from repro.sim.engine import Timeout
+from repro.sim.engine import Event, Timeout
 from repro.sim.queues import Gate, PriorityLock
 from repro.sim.units import CYCLE_PS
 from repro.telemetry.hub import Telemetry
@@ -93,7 +93,8 @@ class HopCpu(Cpu):
     stands now.  Every lock and gate wait is yielded and every request
     queued with no plan, so every grant wakes its waiter.  A gated
     kernel segment is the old ``Process.syscall_enter``; a zero-cycle
-    segment is no charge at all."""
+    segment is no charge at all.  A spin is one hold until cut, its
+    timer queued only then (by ``Cpu.cut``)."""
 
     def _begin(self, cycles, yield_below, gate=None):
         engine = self.engine
@@ -111,7 +112,12 @@ class HopCpu(Cpu):
                 if gate is not None:
                     self._gate = gate
                     gate.hold = self
-        self._timer = timer = Timeout(engine, cycles * CYCLE_PS)
+        if cycles == ENDLESS:
+            timer = Timeout.unarmed(engine)
+            timer._state = Event._PENDING
+        else:
+            timer = Timeout(engine, cycles * CYCLE_PS)
+        self._timer = timer
         return timer
 
     def _end(self):
@@ -184,7 +190,8 @@ class HopCpu(Cpu):
 class SlicedCpu(HopCpu):
     """``HopCpu`` waking at every quantum boundary as well: every hold
     is one quantum, so the holder looks for waiters (and its gate) at
-    each boundary, as the loops the coalesced hold replaced did."""
+    each boundary, as the loops the coalesced hold replaced did (a spin
+    too: one-quantum holds for ever)."""
 
     def _begin(self, cycles, yield_below, gate=None):
         return super()._begin(min(cycles, self._quantum), yield_below, gate)
@@ -280,7 +287,7 @@ class World:
         """``exec``: a bare charge; ``process``: a scheduled process that
         sleeps off the run queue between rounds; ``idle``: one that
         sleeps on it, idling through its own slices; ``spin``: one that
-        computes for ever in charges of its first segment's cycles."""
+        computes for ever (it has no rounds)."""
         # every segment's priority names its actor: a run changing
         # priority is not a hand-over
         rounds = [(gap, slot, [(c, Prio(prio, name), gated)
@@ -290,7 +297,7 @@ class World:
         def body(proc=None):
             if kind == "spin":
                 try:
-                    yield from proc.spin(rounds[0][2][0][0])
+                    yield from proc.spin()
                 except Interrupt:
                     self.note(name, "interrupted")
                 return
@@ -465,18 +472,13 @@ def schedules(draw, ties=True, least=1):
         kind = draw(st.sampled_from(
             ("exec", "exec", "process", "process", "idle", "spin")))
         rounds = []
-        for r in range(1 if kind == "spin" else draw(st.integers(1, 3))):
-            if kind == "spin":
-                # (not a charge per cycle: that world is all wake-ups)
-                segments = [(draw(st.sampled_from(
-                    (Q // 2, Q - 1, Q, Q + 1, 3 * Q + 7))), PRIO_USER, True)]
-            else:
-                segments = [
-                    (draw(CYCLES), *(
-                        (draw(st.sampled_from(PRIOS)), False)
-                        if kind == "exec"
-                        else draw(st.sampled_from(PROCESS_KINDS))))
-                    for _ in range(draw(st.integers(1, 4)))]
+        for r in range(0 if kind == "spin" else draw(st.integers(1, 3))):
+            segments = [
+                (draw(CYCLES), *(
+                    (draw(st.sampled_from(PRIOS)), False)
+                    if kind == "exec"
+                    else draw(st.sampled_from(PROCESS_KINDS))))
+                for _ in range(draw(st.integers(1, 4)))]
             start = draw(st.sampled_from(
                 ("zero", "boundary", "gap") if r == 0 else
                 ("gap", "gap", "at once")))
@@ -1221,9 +1223,10 @@ class TestRunRule:
         assert lockstep["scheduled"] == apart["scheduled"]
 
     def test_a_spin_is_one_timer_per_charge(self):
-        """Alone on its CPU a spin carries every segment end on: one
-        event per charge, and no wake-up at all (the scheduler's only
-        process keeps its slice)."""
+        """Alone on its CPU a spin is one hold that nothing cuts: it
+        fires no event of its own (the scheduler's only process keeps
+        its slice, whose timer lies beyond the horizon), and the ledger
+        still reads every whole quantum it has run."""
         eng = Engine()
         cal = Calibration()
         cpu = Cpu(eng, cal)
@@ -1231,15 +1234,27 @@ class TestRunRule:
             engine=eng, cal=cal, schedulers=[], node=SimpleNamespace(
                 cpus=[cpu], telemetry=Telemetry(eng, enabled=False)))
         kernel.schedulers.append(RoundRobinScheduler(kernel))
-        Process(kernel, "spin", lambda proc: proc.spin(Q)).start()
-        with YieldCensus() as census:
-            eng.run(until=100 * Q_TICKS)
+        Process(kernel, "spin", lambda proc: proc.spin()).start()
+        eng.run(until=100 * Q_TICKS)
         assert cpu.cycles_charged == 100 * Q
-        # the hundredth timer fires on the horizon and carries on too
-        assert census.by_function()[
-            ("Process._wrapper", "Timeout", "continued")] == 100
-        # the scheduler's and the process's starts, one timer per charge
-        assert eng.stats()["fired"] == 2 + 100
+        # the scheduler's and the process's starts, nothing else
+        assert eng.stats()["fired"] == 2
+
+    @pytest.mark.parametrize("urgent", [False, True])
+    def test_a_spin_thrown_out_of_its_hold(self, urgent):
+        """Killed seven and a half quanta in, a spin is charged the whole
+        quanta it ran: out of a hold nothing has cut (its timer queued
+        nowhere), or out of the one it took back after an urgent charge
+        (a quarter quantum) cut the first at quantum 4."""
+        probes = [("kill", 7 * Q + Q // 2, 11_007, 0, "s")]
+        if urgent:
+            probes.append(("urgent", 3 * Q + Q // 4, 12_345, 0, "s"))
+        schedule = hand(("s", "spin", []), probes=probes)
+        for reference in (SlicedCpu, HopCpu):
+            seen = agree(schedule, reference)
+        assert ("s", "interrupted") in [(who, what)
+                                        for _t, who, what in seen["log"]]
+        assert seen["ledger"][1] == 7 * Q + urgent * (Q // 4)
 
 
 # ---------------------------------------------------------------------------
@@ -1378,14 +1393,14 @@ class TestInterruptedWaiter:
 
 
 class TestFig4Tie:
-    """Fig. 4's ``2 procs / oblivious RR`` cell, DESIGN.md §6's tie case:
-    the server runs the suspended application beside one compute-bound
-    dummy, whose 200 us charge ends on the very tick a 1024 us slice
-    does.  The dummy wakes there, takes the CPU again through the
-    still-open gate and queues behind the context switch; that is the
-    cell as committed.  A spin keeps each charge's end (it carries a
-    hold on into the next charge only where nobody could tell: here the
-    slice timer is due on the same tick), so the cell holds."""
+    """Fig. 4's ``2 procs / oblivious RR`` cell, DESIGN.md §6: the server
+    runs the suspended application beside one compute-bound dummy.  The
+    dummy's spin has no charge end of its own, so the slice end cuts its
+    hold and the context switch follows at that boundary, as in every
+    other cell of the column.  Charged in 200 us segments instead, one
+    segment end lands on the very tick a 1024 us slice does: the dummy
+    wakes there, takes the CPU again through the still-open gate and
+    queues behind the context switch, which moves the cell."""
 
     @staticmethod
     def cell():
@@ -1396,11 +1411,14 @@ class TestFig4Tie:
                                 warmup=2).rt_us
 
     def test_the_spinning_dummy_keeps_the_cell(self):
-        assert self.cell() == 1114.625
-
-    def test_one_endless_charge_would_move_it(self, monkeypatch):
-        """Without charge ends there is no tie: the slice end cuts the
-        dummy's hold, and the round trips come out 0.625 us shorter."""
-        monkeypatch.setattr(Process, "spin",
-                            lambda proc, cycles: proc.compute(10**12))
         assert self.cell() == 1114.0
+
+    def test_segmented_charges_would_move_it(self, monkeypatch):
+        """A spin charged in endless 200 us segments ties with the slice
+        end, and the round trips come out 0.625 us longer."""
+        def segmented(proc):
+            return proc.cpu.run(itertools.repeat(
+                (proc.cal.us_to_cycles(200.0), PRIO_USER, True)), proc)
+
+        monkeypatch.setattr(Process, "spin", segmented)
+        assert self.cell() == 1114.625

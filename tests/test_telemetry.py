@@ -469,6 +469,30 @@ class TestEnableFlipMidRun:
             "flow.goodput_bytes", flow=stats.label) == 11
         assert [e["t"] for e in tel.flight.events] == [1, 3]
 
+    def test_hub_toggle_keeps_metrics_and_spans_in_step(self):
+        """``Telemetry.enabled`` is a plain attribute: ``enable`` and
+        ``disable`` move it with the registry's flag, so the metrics
+        (gated by the registry) and the spans (gated by the hub) record
+        over the same stretches."""
+        tel = Telemetry(Engine(), source="n", enabled=False)
+        counter = tel.registry.counter("rx")
+
+        def one_of_each(t):
+            counter.inc()
+            span = tel.spans.begin("rx", t)
+            tel.spans.finish(span, t + 1000)
+
+        for t, (state, flip) in enumerate((
+                (False, tel.enable), (True, tel.disable),
+                (False, tel.enable), (True, None))):
+            assert tel.enabled is tel.registry.enabled is state
+            one_of_each(t * 10_000)
+            if flip is not None:
+                flip()
+        assert counter.value == 2
+        assert tel.registry.histogram("span.duration_us").count == 2
+        assert [e["kind"] for e in tel.flight.events] == ["span", "span"]
+
 
 class TestMergeSkew:
     def test_merge_rejects_schema_version_skew(self):

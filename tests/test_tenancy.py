@@ -214,6 +214,35 @@ def test_dry_ring_reclaims_from_its_own_ring():
     assert len(tb.server_nic.binding(30).buffers) == 0
 
 
+def test_dry_ring_reclaim_allocates_nothing_under_memory_pressure():
+    # every rx-ring refill is refused, yet the emergency reclaim serves
+    # the fifth frame: the revoked buffer goes straight back on its ring
+    # (it exists already), not through the refill that pressure parks
+    tb, manager = _world()
+    sk = tb.server_kernel
+    manager.create("m", buffers=16)
+    sk.create_endpoint_an2(tb.server_nic, 30, tenant="m", nbufs=4)
+    initial = [a for a, _s in tb.server_nic.binding(30).buffers]
+    tb.attach_fault_plane(seed=1).install(
+        "mem", "server", rate=1.0, sites=("rx_refill",))
+
+    def blast():
+        for _ in range(5):
+            tb.server_nic._on_wire_frame(Frame(b"\x01" * 4, vci=30))
+            yield tb.engine.timeout(us(30.0))
+
+    tb.engine.spawn(blast())
+    tb.run()
+    t = manager.get("m")
+    c = manager.stats()["tenants"]["m"]["counters"]
+    assert c["admitted"] == 5
+    assert "dropped" not in c
+    assert c["reclaims"] == 1
+    assert manager.order_violations == 0
+    assert [d.addr for _ep, d in t.held] == initial[1:] + initial[:1]
+    assert not tb.server_nic.binding(30).deferred
+
+
 def test_burst_past_one_ring_leaves_another_rings_buffers_alone():
     # a back-to-back burst overruns VC 30's ring while its buffers are
     # still in flight to the tenant: the drop is legal (nothing of that
