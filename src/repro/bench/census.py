@@ -31,7 +31,10 @@ as ``file:line function``, with what was waited on and how:
 ``continued``
     the process's CPU hold came to the end of one charge segment and was
     carried on into the next, on the same timer: one event (the timer
-    firing), no wake-up.  Booked where the process rests, on the timer.
+    firing), no wake-up.  Where code stands between the two (a send's
+    doorbell, a library's header build: ``Cpu.run_code``) the carry ran
+    it at the boundary, where the woken holder would have.  Booked where
+    the process rests, on the timer.
 ``granted``
     a ``pending`` acquire whose grant opened the process's hold where
     its wake-up would have run: the process sleeps on through to the end

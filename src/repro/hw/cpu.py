@@ -19,7 +19,14 @@ holder yields to shows up, and the hold is cut back to its next boundary
 one could tell: the engine hands the due timer to
 :meth:`Run.continue_hold`, which arms it again for the next segment on
 the same tick, and the holder wakes only where today's path would have
-found something to do there.  Nor does a waiter wake only to open its
+found something to do there.  That holds through code between two
+charges too (:meth:`Cpu.run_code`: a send's doorbell, a handler's
+transmits, a library's header build): :meth:`Code.carry` runs it at the
+boundary, once the segment is settled and the CPU released, where the
+woken holder would have run it, and carries the hold on if the
+holder's next pass would have gone straight through; if not, the
+holder wakes ahead of whatever the code queued there, in the state it
+would have reached itself.  Nor does a waiter wake only to open its
 hold when the CPU is handed to it: it queues with its run, and the
 holder's release has the engine open that run's hold where the waiter's
 wake-up would have run (:meth:`Run.grant`), so the waiter sleeps on to
@@ -53,6 +60,7 @@ from __future__ import annotations
 
 import operator
 from heapq import heappush
+from itertools import repeat
 from typing import Generator, Iterable, Optional, TYPE_CHECKING
 
 from ..sim.engine import Engine, Event, Timeout
@@ -115,10 +123,10 @@ class Run:
         That is the case only when all of these hold — otherwise
         :meth:`PriorityLock.release` succeeds ``ev`` and the waiter opens
         its hold one queue hop later, as ever: nothing else is due at
-        this tick (:meth:`Engine.alone`, asked without advancing the
-        calendar wheel: the hop would not have looked), so that hop
-        would pop next; no contention injector is installed (it draws a
-        burst before a segment's first hold); and the waiter's own
+        this tick (as :meth:`continue_hold` asks it, but without
+        advancing the calendar wheel: the hop would not have looked), so
+        that hop would pop next; no contention injector is installed (it
+        draws a burst before a segment's first hold); and the waiter's own
         resume is all that waits on ``ev`` (:meth:`Event.sole_waiter`).
         The hold opens at the very point the hop would have opened it,
         so it sees the lock and the gate as they are then: a releaser
@@ -128,8 +136,8 @@ class Run:
         cpu = self.cpu
         if cpu.contention is not None:
             return False
-        # ``not engine.alone()``, asked without moving the calendar wheel
-        # (the hop this stands for would not have looked), spelled out
+        # the tie test of ``continue_hold``, asked without moving the
+        # calendar wheel (the hop this stands for would not have looked)
         engine = cpu.engine
         now = engine._now
         if engine._skipped or engine._queue.peek_live_at(now, False) == now:
@@ -146,14 +154,23 @@ class Run:
         holder wakes and takes the next segment from the top, as it
         would: the timer ran to the end of its segment (it was neither
         cut nor clipped to a quantum, or it would not name this run);
-        nothing else is due at this tick (:meth:`Engine.alone`); nobody
-        waits for the lock; the next segment's gate is open, if it waits
-        on one; and no contention injector is installed (it draws a
-        burst at each segment's start).  The holder would then settle
-        the segment, release the lock, pass through the gate and the
-        lock again and open the next hold, all on this tick with nothing
-        in between: this does the same, bar the wake-up.  True when it
-        did.
+        nothing else live is due at this tick, nor a hop a grant saved
+        (the tombstones due now are popped first, as the run loop would
+        pop them next, so that both substrates answer alike: a cancel
+        removes a wheel-resident entry on ``fast`` but leaves a
+        tombstone on ``legacy``; with nothing in the due heap the
+        calendar queue advances its wheel, as the tie test of the
+        wake-up this stands for would); nobody waits for the lock; the
+        next segment's gate is open, if it waits on one; and no
+        contention injector is installed (it draws a burst at each
+        segment's start).  The holder would then settle the segment,
+        release the lock, pass through the gate and the lock again and
+        open the next hold, all on this tick with nothing in between:
+        this does the same, bar the wake-up.  True when it did.
+
+        Where code comes next (a code run's mark, :class:`Code`) this is
+        :meth:`Code.carry`'s to decide; the rest of a tuple of segments
+        a code run yielded is carried on here, as a plain run's is.
 
         Where the tie alone stands in the way, the holder's wake-up is a
         queue hop behind a same-tick sibling and is booked as one
@@ -162,11 +179,31 @@ class Run:
         """
         cpu = self.cpu
         nxt = self.nxt
+        if nxt[0] < 0:
+            # a code run's mark (or a negative charge, which the holder
+            # raises)
+            code = nxt[1]
+            if code.__class__ is not Code:
+                return False
+            for nxt in code.batch:
+                # the next of a yielded tuple: no code between, so it is
+                # carried on as a plain run's next segment is
+                self.nxt = nxt
+                if nxt[0] < 0:
+                    return False
+                break
+            else:
+                return code.carry(self)
         if (cpu.lock._waiters or cpu.contention is not None
-                or nxt[0] < 0 or (nxt[2] and not self.proc.gate._open)):
+                or (nxt[2] and not self.proc.gate._open)):
             return False
+        # the tie test: the head of the due heap answers it, unless it
+        # is due now (and perhaps a tombstone)
         engine = cpu.engine
-        if not engine.alone():
+        now = engine._now
+        due = engine._queue._due
+        if engine._skipped or not (due and due[0][0] != now) and (
+                engine._queue.peek_live_at(now) == now):
             engine._book_requeue()
             return False
         cpu.end_hold()
@@ -175,6 +212,138 @@ class Run:
         self.nxt = next(self.rest, None)
         cpu.begin_hold(self)
         return True
+
+
+class Code:
+    """The segments of a run with code between them (:meth:`Cpu.run_code`):
+    ``gen`` yields each segment that code follows — or a tuple of
+    segments that follow each other with none between — and returns
+    the last segment (or None); resuming it runs the code up to the next.
+
+    The run's lookahead is a *mark* for every segment still to come,
+    ``(-1, code, False)``: the one negative charge no real segment may
+    have, so the run's own tests of it (``cycles < 0`` where a segment
+    starts, ``nxt[0] < 0`` in :meth:`Run.continue_hold`) are where a
+    code run turns off, and a run of plain segments pays nothing for it.
+    A mark is traded for the segment it stands for (:meth:`fetch`) only
+    at the boundary, where the holder would have run the code: by the
+    holder, or by :meth:`carry`.
+    """
+
+    __slots__ = ("gen", "batch")
+
+    def __init__(self, gen: Generator):
+        self.gen = gen
+        self.batch = _NO_SEGMENTS   # what is left of a yielded tuple
+
+    def fetch(self, run: Run) -> Optional[Segment]:
+        """The next segment that charges anything — the next of a
+        yielded tuple, or else what the code up to it yields — or None
+        when the run ends first (``run.nxt`` is None once ``gen`` has
+        returned: the segment is the last)."""
+        for seg in self.batch:
+            return seg
+        try:
+            while True:
+                seg = next(self.gen)
+                if seg[0].__class__ is tuple:
+                    self.batch = batch = filter(_CHARGES, seg)
+                    for seg in batch:
+                        break
+                    else:
+                        continue
+                    break
+                if seg[0]:
+                    break
+        except StopIteration as stop:
+            run.nxt = None
+            seg = stop.value
+            if not (seg and seg[0]):
+                return None
+        if seg[0] < 0:
+            raise ValueError(f"negative cycle charge: {seg[0]}")
+        return seg
+
+    def carry(self, run: Run) -> bool:
+        """:meth:`Run.continue_hold` at a mark: the timer of ``run``'s
+        hold is due at the end of a segment that code follows.  When
+        the holder would wake alone at this tick (no lock waiter, no
+        contention injector, no tie: ``continue_hold``'s tests), do here
+        what it would do at once: settle the segment, release the CPU
+        and run the code.  Then, if the holder's next pass would go
+        straight through — a segment follows, nothing else is due at
+        this tick (not even a tombstone: its tie test is
+        :meth:`Engine.passes`'), still no injector, the gate open if the
+        segment waits on one — take the CPU again and open that
+        segment's hold on the same timer, the holder asleep.  True when
+        it did.
+
+        Otherwise the holder wakes as it would have woken to run the
+        code, before anything the code queued at this tick, and finds
+        what that code left: the run over, the next segment to take
+        from the top (its gate, the tie test, its lock), or the code's
+        exception to raise where it takes it.  False then, as it is
+        when the carry is not tried at all.
+        """
+        cpu = run.cpu
+        lock = cpu.lock
+        if lock._waiters or cpu.contention is not None:
+            return False
+        engine = cpu.engine
+        now = engine._now
+        queue = engine._queue
+        due = queue._due
+        if engine._skipped or not (due and due[0][0] != now) and (
+                queue.peek_live_at(now) == now):    # (as continue_hold)
+            engine._book_requeue()
+            return False
+        cpu.end_hold()
+        lock._locked = False    # ``release``, with nobody waiting
+        try:
+            seg = self.fetch(run)
+        except BaseException as exc:
+            self.gen = _reraise(exc)
+            run.nxt = (-1, self, False)
+        else:
+            if seg is not None:
+                # ``not engine.passes(engine._done)``, spelled out
+                due = queue._due
+                if not (engine._skipped
+                        or ((due[0][0] == now) if due
+                            else (queue.peek_at() == now))
+                        or cpu.contention is not None
+                        or (seg[2] and not run.proc.gate._open)):
+                    lock._locked = True     # ``acquire``, of a free lock
+                    run.seg = seg
+                    run.ticks = seg[0] * CYCLE_PS
+                    cpu.begin_hold(run)
+                    return True
+                run.nxt = seg
+        # The holder's wake-up: at a segment end with nothing left to
+        # settle, the CPU its own (a hold of no ticks, already fired),
+        # queued under the timer's own sequence number so that it pops
+        # next, ahead of what the code queued.  The timer is left with
+        # no one to wake.
+        timer = cpu._timer = cpu._hold_timer
+        now = cpu._start = engine._now
+        run.ticks = 0
+        lock._locked = True
+        for proc in timer._callbacks:
+            engine._seq += 1
+            engine._queue.push([now, timer._entry[1], proc, (timer,), None])
+        timer._callbacks = []
+        return False
+
+
+#: what a :class:`Code` holds of a yielded tuple used up (or none yet)
+_NO_SEGMENTS = iter(())
+
+
+def _reraise(exc: BaseException) -> Generator:
+    """What a code run resumes once its code has raised in a carry: the
+    holder meets the exception where it takes the next segment."""
+    raise exc
+    yield  # pragma: no cover - marks this as a generator
 
 
 class Cpu:
@@ -264,7 +433,6 @@ class Cpu:
         # entry queued nowhere, with no sequence number, until
         # :meth:`cut` queues it
         timer._state = 0    # pending
-        timer.delay = ticks
         at = now + ticks
         queue = engine._queue
         if at < queue._dlim:
@@ -300,7 +468,6 @@ class Cpu:
                 # an endless hold ends here: its timer is queued, as
                 # ``reschedule`` queues a moved one (with nothing to
                 # withdraw)
-                timer.delay = at - start
                 timer._entry = self.engine._schedule(at, timer)
 
     def end_hold(self) -> int:
@@ -342,9 +509,10 @@ class Cpu:
         tell, one hold runs on into the next segment without a wake-up
         (:meth:`Run.continue_hold`): the segments must follow each other with
         no code in between, which is what handing them over together
-        says.  The run's state is one :class:`Run`, which a charge that
-        has to queue for the CPU leaves with the request, for the grant
-        to open its hold (:meth:`Run.grant`); thrown out of that wait, it
+        says (code between them is :meth:`run_code`'s).  The run's state
+        is one :class:`Run`, which a charge that has to queue for the CPU
+        leaves with the request, for the grant to open its hold
+        (:meth:`Run.grant`); thrown out of that wait, it
         withdraws the request or gives back what it was granted.  A
         segment of :data:`ENDLESS` cycles (``Process.spin``) is charged
         until the holder is thrown out: each cut ends one hold of it.
@@ -364,7 +532,14 @@ class Cpu:
         while True:                 # a segment: ``seg``
             cycles, prio, gated = seg
             if cycles < 0:
-                raise ValueError(f"negative cycle charge: {cycles}")
+                # a code run's mark: its code, up to the segment it
+                # stands for (see :class:`Code`)
+                if prio.__class__ is not Code:
+                    raise ValueError(f"negative cycle charge: {cycles}")
+                seg = prio.fetch(run)
+                if seg is None:
+                    return
+                cycles, prio, gated = seg
             run.seg = seg
             run.ticks = cycles * CYCLE_PS
             fresh = True            # nothing of it charged yet
@@ -439,6 +614,16 @@ class Cpu:
             if seg is None:
                 return
             run.nxt = next(rest, None)
+
+    def run_code(self, segments: Generator[Segment, None, Optional[Segment]],
+                 proc: Optional["Process"] = None
+                 ) -> Generator[Event, None, None]:
+        """:meth:`run` with code between the segments (:class:`Code`),
+        a plain function handing back :meth:`run`'s generator.  The code
+        runs at the boundary tick, where the woken holder would run it
+        (:meth:`Code.carry`); it may schedule, shut a gate, spawn or
+        raise, but it does not take this CPU itself."""
+        return self.run(repeat((-1, Code(segments), False)), proc)
 
     def exec(
         self,

@@ -371,19 +371,20 @@ class Kernel(SyscallInterface):
         self._finish_span(desc, "crash_lost")
 
     # -- transmit ----------------------------------------------------------
-    def kernel_send(self, nic: Nic, frame: Frame, cpu=None, before=(),
-                    proc=None) -> Generator:
+    def kernel_send(self, nic: Nic, frame: Frame, cpu=None) -> Generator:
         """The in-kernel transmit path (descriptor writes + doorbell).
 
-        ``cpu`` is the core doing the work; defaults to core 0.  The
-        writes end the run of charges ``before`` (segments of ``proc``,
-        the caller: ``sys_net_send``'s user path and kernel crossing).
+        ``cpu`` is the core doing the work; defaults to core 0.
         """
         if cpu is None:
             cpu = self.node.cpu
-        writes = (self.cal.us_to_cycles(nic.kernel_send_us), PRIO_KERNEL,
-                  False)
-        yield from cpu.run((*before, writes), proc)
+        yield from cpu.exec(self.cal.us_to_cycles(nic.kernel_send_us),
+                            PRIO_KERNEL)
+        self.doorbell(nic, frame)
+
+    def doorbell(self, nic: Nic, frame: Frame) -> None:
+        """Hand ``frame`` to ``nic`` once its descriptors are written (no
+        charge of its own: the writes are)."""
         nic.transmit(frame)
         span = self.telemetry.spans.active
         if span is not None:
@@ -705,18 +706,30 @@ class Kernel(SyscallInterface):
         replies leave the node at the right simulated time); ``then``
         more cycles at ``prio`` (the exit path, possibly none) follow its
         last stretch in the same run."""
-        sends = [entry for entry in result.call_log
+        sends = [entry[1] for entry in result.call_log
                  if entry[0] in ("ash_send", "net_send")]
+        if sends:
+            yield from cpu.run_code(self._handler_segments(
+                zip(sends, pending), result.cycles, prio, then))
+        else:
+            yield from cpu.run(((result.cycles, prio, False),
+                                (then, prio, False)))
+
+    def _handler_segments(self, sends, cycles: int, prio: int,
+                          then: int) -> Generator:
+        """:meth:`charge_with_sends`' run when the handler sent: the
+        stretch up to each send's cycle offset, then its transmit; the
+        last stretch; ``then``."""
         charged = 0
         span = self.telemetry.spans.active
-        for (name, at_cycles, _v), (nic, frame) in zip(sends, pending):
-            yield from cpu.exec(at_cycles - charged, prio)
+        for at_cycles, (nic, frame) in sends:
+            yield (int(at_cycles - charged), prio, False)
             charged = at_cycles
             nic.transmit(frame)
             if span is not None:
                 span.stage("nic_tx", self.engine.now)
-        yield from cpu.run(((result.cycles - charged, prio, False),
-                            (then, prio, False)))
+        yield (cycles - charged, prio, False)
+        return (then, prio, False)
 
     # -- introspection ------------------------------------------------------
     def _collect(self, reg) -> None:

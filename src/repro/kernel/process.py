@@ -6,9 +6,6 @@ the process API:
 
 * ``yield from proc.compute_us(x)`` — user-mode computation,
 * ``yield from proc.spin()`` — user-mode computation that never ends,
-* ``yield from proc.syscall_exit()`` — the crossing back out of the
-  kernel (the way in is a gated kernel segment of the run that enters
-  it: ``SyscallInterface.sys_net_send``),
 * ``yield from proc.block_on(event)`` — leave the run queue until the
   event fires, then wait to be scheduled again,
 * ``yield from proc.poll(channel)`` — spin (scheduled) until an item
@@ -25,7 +22,7 @@ from __future__ import annotations
 import enum
 from typing import Any, Callable, Generator, Optional, TYPE_CHECKING
 
-from ..hw.calibration import PRIO_KERNEL, PRIO_USER
+from ..hw.calibration import PRIO_USER
 from ..hw.cpu import ENDLESS
 from ..sim.engine import Event
 from ..sim.queues import Channel, Gate
@@ -108,10 +105,6 @@ class Process:
         (:meth:`Cpu.cut <repro.hw.cpu.Cpu.cut>`), as ``compute``'s do;
         none ends of itself, so a spin alone on its CPU fires no event."""
         return self.cpu.run(((ENDLESS, PRIO_USER, True),), self)
-
-    # -- kernel interaction ---------------------------------------------------
-    def syscall_exit(self) -> Generator[Event, Any, None]:
-        return self.cpu.exec_us(self.cal.syscall_us, PRIO_KERNEL)
 
     # -- waiting ----------------------------------------------------------
     def block_on(self, event: Event) -> Generator[Event, Any, Any]:

@@ -35,16 +35,28 @@ class SyscallInterface:
     def sys_net_send(self, proc: "Process", nic: "Nic", frame: Frame,
                      user_path: bool = True) -> Generator:
         """Full user-level send: buffer allocation, descriptor writes,
-        the send system call, and the kernel transmit path.  Up to the
-        doorbell that is one run of charges: the user path, the crossing
-        (which waits to be scheduled) and the kernel's descriptor writes."""
+        the send system call, and the kernel transmit path.  One run of
+        charges (:meth:`send_segments`)."""
+        return proc.cpu.run_code(self.send_segments(nic, frame, user_path),
+                                 proc)
+
+    def send_segments(self, nic: "Nic", frame: Frame,
+                      user_path: bool = True) -> Generator:
+        """:meth:`sys_net_send`'s charges, for a run of ``Cpu.run_code``:
+        the user path, the crossing (which waits to be scheduled), the
+        kernel's descriptor writes, the doorbell (code, no charge) and
+        the crossing back out, which it returns.  A library that builds
+        the frame in the same run ends it with ``return (yield from
+        kernel.send_segments(...))``."""
         cal = self.cal
-        before = [(cal.us_to_cycles(cal.syscall_us), PRIO_KERNEL, True)]
+        enter = ((cal.us_to_cycles(cal.syscall_us), PRIO_KERNEL, True),
+                 (cal.us_to_cycles(nic.kernel_send_us), PRIO_KERNEL, False))
         if user_path:
-            before.insert(0, (cal.us_to_cycles(cal.user_send_path_us),
-                              PRIO_USER, True))
-        yield from self.kernel_send(nic, frame, proc.cpu, before, proc)
-        yield from proc.syscall_exit()
+            enter = ((cal.us_to_cycles(cal.user_send_path_us), PRIO_USER,
+                      True), *enter)
+        yield enter
+        self.doorbell(nic, frame)
+        return (cal.us_to_cycles(cal.syscall_us), PRIO_KERNEL, False)
 
     def sys_recv_poll(self, proc: "Process", ep: "Endpoint") -> Generator:
         """Poll the (user-mapped) notification ring until a message is

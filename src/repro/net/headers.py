@@ -12,7 +12,7 @@ convert dotted-quad strings.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ProtocolError
 from .checksum import inet_checksum, inet_checksum_final, ones_complement_add16
@@ -110,6 +110,22 @@ def parse_tcp_options(options: bytes) -> dict:
     return out
 
 
+class _Header:
+    """A header's fields, in ``__slots__`` order: equal when the class
+    and every field are.  (Plain slotted classes, not frozen
+    dataclasses: a frozen one sets each field through
+    ``object.__setattr__``, and every frame on the wire builds and
+    parses these.  Nothing hashes a header.)"""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in self.__slots__)
+
+
 def ip_aton(dotted: str) -> int:
     parts = dotted.split(".")
     if len(parts) != 4:
@@ -130,15 +146,17 @@ def ip_ntoa(addr: int) -> str:
     return ".".join(str((addr >> shift) & 0xFF) for shift in (24, 16, 8, 0))
 
 
-@dataclass(frozen=True)
-class EthernetHeader:
+class EthernetHeader(_Header):
     """14-byte Ethernet II header."""
 
-    dst: bytes
-    src: bytes
-    ethertype: int
+    __slots__ = ("dst", "src", "ethertype")
 
     SIZE = 14
+
+    def __init__(self, dst: bytes, src: bytes, ethertype: int):
+        self.dst = dst
+        self.src = src
+        self.ethertype = ethertype
 
     def pack(self) -> bytes:
         if len(self.dst) != 6 or len(self.src) != 6:
@@ -149,11 +167,8 @@ class EthernetHeader:
     def unpack(cls, data: bytes) -> "EthernetHeader":
         if len(data) < cls.SIZE:
             raise ProtocolError("truncated Ethernet header")
-        return cls(
-            dst=bytes(data[0:6]),
-            src=bytes(data[6:12]),
-            ethertype=struct.unpack("!H", data[12:14])[0],
-        )
+        return cls(bytes(data[0:6]), bytes(data[6:12]),
+                   struct.unpack("!H", data[12:14])[0])
 
 
 @dataclass(frozen=True)
@@ -195,21 +210,27 @@ class ArpPacket:
         return cls(opcode, smac, sip, tmac, tip)
 
 
-@dataclass(frozen=True)
-class Ipv4Header:
-    """20-byte IPv4 header (no options)."""
+class Ipv4Header(_Header):
+    """20-byte IPv4 header (no options).  ``flags``: bit 1 = DF, bit 0
+    (of the 3-bit field) = MF; ``frag_offset`` in 8-byte units."""
 
-    src: int
-    dst: int
-    proto: int
-    total_length: int
-    ident: int = 0
-    ttl: int = 64
-    flags: int = 0           #: bit 1 = DF, bit 0(of 3-bit field) = MF
-    frag_offset: int = 0     #: in 8-byte units
+    __slots__ = ("src", "dst", "proto", "total_length", "ident", "ttl",
+                 "flags", "frag_offset")
 
     SIZE = 20
     MF = 0x1
+
+    def __init__(self, src: int, dst: int, proto: int, total_length: int,
+                 ident: int = 0, ttl: int = 64, flags: int = 0,
+                 frag_offset: int = 0):
+        self.src = src
+        self.dst = dst
+        self.proto = proto
+        self.total_length = total_length
+        self.ident = ident
+        self.ttl = ttl
+        self.flags = flags
+        self.frag_offset = frag_offset
 
     def pack(self) -> bytes:
         header = struct.pack(
@@ -240,11 +261,8 @@ class Ipv4Header:
             raise ProtocolError("IPv4 options unsupported")
         if verify and inet_checksum(data[:cls.SIZE]) != 0xFFFF:
             raise ProtocolError("IPv4 header checksum failed")
-        return cls(
-            src=src, dst=dst, proto=proto, total_length=total_length,
-            ident=ident, ttl=ttl,
-            flags=fl_frag >> 13, frag_offset=fl_frag & 0x1FFF,
-        )
+        return Ipv4Header(src, dst, proto, total_length, ident, ttl=ttl,
+                          flags=fl_frag >> 13, frag_offset=fl_frag & 0x1FFF)
 
     @property
     def more_fragments(self) -> bool:
@@ -256,16 +274,19 @@ def pseudo_header(src: int, dst: int, proto: int, length: int) -> bytes:
     return struct.pack("!IIBBH", src, dst, 0, proto, length)
 
 
-@dataclass(frozen=True)
-class UdpHeader:
+class UdpHeader(_Header):
     """8-byte UDP header (RFC 768)."""
 
-    src_port: int
-    dst_port: int
-    length: int
-    checksum: int = 0
+    __slots__ = ("src_port", "dst_port", "length", "checksum")
 
     SIZE = 8
+
+    def __init__(self, src_port: int, dst_port: int, length: int,
+                 checksum: int = 0):
+        self.src_port = src_port
+        self.dst_port = dst_port
+        self.length = length
+        self.checksum = checksum
 
     def pack(self) -> bytes:
         return struct.pack("!HHHH", self.src_port, self.dst_port,
@@ -276,7 +297,7 @@ class UdpHeader:
         if len(data) < cls.SIZE:
             raise ProtocolError("truncated UDP header")
         src, dst, length, cksum = struct.unpack("!HHHH", data[:cls.SIZE])
-        return cls(src, dst, length, cksum)
+        return UdpHeader(src, dst, length, checksum=cksum)
 
     @classmethod
     def build(cls, src_ip: int, dst_ip: int, src_port: int, dst_port: int,
@@ -311,25 +332,30 @@ class UdpHeader:
         return total == 0xFFFF
 
 
-@dataclass(frozen=True)
-class TcpHeader:
+class TcpHeader(_Header):
     """TCP header (RFC 793): 20 fixed bytes plus an optional option run.
 
     ``options`` must be pre-padded to a 32-bit multiple (the builders in
     this module emit NOP padding); the data offset is derived from it.
     """
 
-    src_port: int
-    dst_port: int
-    seq: int
-    ack: int
-    flags: int
-    window: int
-    checksum: int = 0
-    urgent: int = 0
-    options: bytes = b""
+    __slots__ = ("src_port", "dst_port", "seq", "ack", "flags", "window",
+                 "checksum", "urgent", "options")
 
     SIZE = 20          #: the fixed header; see :attr:`header_len`
+
+    def __init__(self, src_port: int, dst_port: int, seq: int, ack: int,
+                 flags: int, window: int, checksum: int = 0, urgent: int = 0,
+                 options: bytes = b""):
+        self.src_port = src_port
+        self.dst_port = dst_port
+        self.seq = seq
+        self.ack = ack
+        self.flags = flags
+        self.window = window
+        self.checksum = checksum
+        self.urgent = urgent
+        self.options = options
 
     @property
     def header_len(self) -> int:
@@ -367,7 +393,8 @@ class TcpHeader:
         if len(data) < cls.SIZE + opt_len:
             raise ProtocolError("truncated TCP options")
         options = bytes(data[cls.SIZE:cls.SIZE + opt_len])
-        return cls(src, dst, seq, ack, flags, window, cksum, urg, options)
+        return TcpHeader(src, dst, seq, ack, flags, window, checksum=cksum,
+                         urgent=urg, options=options)
 
     def with_checksum(self, src_ip: int, dst_ip: int, payload: bytes) -> bytes:
         """Header bytes (including options) with the checksum filled in."""

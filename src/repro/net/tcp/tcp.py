@@ -56,6 +56,7 @@ from typing import Generator, Optional, TYPE_CHECKING
 
 from ...ash.interface import AshNotification
 from ...errors import ProtocolError, SocketError
+from ...hw.calibration import PRIO_USER
 from ...hw.nic.base import RxDescriptor
 from ...kernel.dpf import Predicate
 from ...kernel.upcall import UpcallHandler
@@ -968,36 +969,47 @@ class TcpConnection:
     # ------------------------------------------------------------------
     # transmit helpers
     # ------------------------------------------------------------------
-    def _frame_and_send(self, proc: "Process", packet: bytes) -> Generator:
+    def _frame_and_send(self, packet: bytes) -> Generator:
+        """The end of every send's run (``Cpu.run_code``): frame
+        ``packet`` and hand it to ``sys_net_send``'s charges, whose last
+        segment it returns."""
         frame = self.stack.frame_for(self.tcb.remote_ip, packet, self._dst_mac)
         self.tcb.tx_segments += 1
         if self.tel.enabled:
             self._flow.tx_segment(len(packet))
-        yield from self.kernel.sys_net_send(proc, self.stack.nic, frame)
+        return (yield from self.kernel.send_segments(self.stack.nic, frame))
 
     def _send_data(self, proc: "Process", payload: bytes, push: bool,
                    seq: Optional[int] = None, rexmit: bool = False) -> Generator:
         tcb = self.tcb
-        sh = tcb.shared
-        cal = self.cal
-        mem = self.kernel.node.memory
-        yield from proc.compute_us(cal.tcp_send_build_us + cal.ip_process_us)
-        if seq is None:
+        if seq is None:     # (only this connection's process moves it)
             seq = tcb.snd_nxt
+        yield from proc.cpu.run_code(self._data_segments(payload, push, seq),
+                                     proc)
+        if not rexmit:
+            self._board.record(seq, payload, proc.engine.now)
+            tcb.snd_nxt = (seq + len(payload)) & MASK32
+            tcb.shared.ack_seq = tcb.snd_nxt
+
+    def _data_segments(self, payload: bytes, push: bool,
+                       seq: int) -> Generator:
+        """``_send_data``'s run: build, stage, checksum, send."""
+        tcb = self.tcb
+        cal = self.cal
+        yield (cal.us_to_cycles(cal.tcp_send_build_us + cal.ip_process_us),
+               PRIO_USER, True)
         # stage the payload where checksumming/retransmission can see it;
         # this is the write-interface copy from application structures
         # into the socket buffer (paid in every Table II configuration)
         stage = self._staging.base + (seq % (self._staging.size - tcb.mss))
-        yield from proc.compute(
-            self.stack.datapath.copy_in(stage, payload)
-        )
+        yield (self.stack.datapath.copy_in(stage, payload), PRIO_USER, True)
         if self.checksum:
             _, cycles = self.stack.datapath.checksum(stage, len(payload))
-            yield from proc.compute(
-                cycles, cal.us_to_cycles(cal.cksum_fixed_us))
+            yield ((cycles, PRIO_USER, True),
+                   (cal.us_to_cycles(cal.cksum_fixed_us), PRIO_USER, True))
         header = TcpHeader(
             src_port=tcb.local_port, dst_port=tcb.remote_port,
-            seq=seq, ack=sh.rcv_nxt,
+            seq=seq, ack=tcb.shared.rcv_nxt,
             flags=TCP_ACK | (TCP_PSH if push else 0),
             window=tcb.rcv_wnd,
         )
@@ -1006,18 +1018,19 @@ class TcpConnection:
             with_checksum=self.checksum,
             ident=self.stack.next_ident(), mtu=self.stack.mtu + 40,
         )
-        yield from self._frame_and_send(proc, packet)
-        if not rexmit:
-            self._board.record(seq, payload, proc.engine.now)
-            tcb.snd_nxt = (seq + len(payload)) & MASK32
-            sh.ack_seq = tcb.snd_nxt
+        return (yield from self._frame_and_send(packet))
 
     def _send_flags(self, proc: "Process", flags: int, seq: int,
                     ack: int, options: bytes = b"") -> Generator:
+        return proc.cpu.run_code(
+            self._flags_segments(flags, seq, ack, options), proc)
+
+    def _flags_segments(self, flags: int, seq: int, ack: int,
+                        options: bytes) -> Generator:
         tcb = self.tcb
-        yield from proc.compute_us(
-            self.cal.tcp_send_build_us + self.cal.ip_process_us
-        )
+        yield (self.cal.us_to_cycles(self.cal.tcp_send_build_us
+                                     + self.cal.ip_process_us),
+               PRIO_USER, True)
         header = TcpHeader(
             src_port=tcb.local_port, dst_port=tcb.remote_port,
             seq=seq, ack=ack, flags=flags, window=tcb.rcv_wnd,
@@ -1028,11 +1041,16 @@ class TcpConnection:
             with_checksum=self.checksum, ident=self.stack.next_ident(),
             mtu=self.stack.mtu + 40,
         )
-        yield from self._frame_and_send(proc, packet)
+        return (yield from self._frame_and_send(packet))
 
     def _send_ack(self, proc: "Process") -> Generator:
+        yield from proc.cpu.run_code(self._ack_segments(), proc)
+        self.tcb.acks_sent += 1
+
+    def _ack_segments(self) -> Generator:
         tcb = self.tcb
-        yield from proc.compute_us(self.cal.tcp_ack_build_us)
+        yield (self.cal.us_to_cycles(self.cal.tcp_ack_build_us), PRIO_USER,
+               True)
         options = b""
         if tcb.sack_ok and self._ooo:
             blocks = self._ooo.blocks()[:MAX_SACK_BLOCKS]
@@ -1049,8 +1067,7 @@ class TcpConnection:
             with_checksum=self.checksum, ident=self.stack.next_ident(),
             mtu=self.stack.mtu + 40,
         )
-        yield from self._frame_and_send(proc, packet)
-        tcb.acks_sent += 1
+        return (yield from self._frame_and_send(packet))
 
     def _retransmit(self, proc: "Process") -> Generator:
         """Retransmission timeout: selective repeat over the scoreboard.

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Generator, Optional, TYPE_CHECKING
 
 from ..errors import ChecksumError, ProtocolError
+from ..hw.calibration import PRIO_USER
 from ..kernel.dpf import Predicate
 from .headers import (
     ETHERTYPE_IP,
@@ -117,35 +118,65 @@ class UdpSocket:
         dst_ip: int,
         dst_port: int,
     ) -> Generator:
-        """Send one datagram (fragmenting at the MTU if necessary)."""
+        """Send one datagram (fragmenting at the MTU if necessary): one
+        run of charges (``Cpu.run_code``), split only where Ethernet
+        resolves the next hop's address, which can wait (an ARP
+        exchange)."""
+        run_code = proc.cpu.run_code
+        if self.stack.is_an2:
+            yield from run_code(
+                self._send_segments(payload, dst_ip, dst_port), proc)
+        else:
+            built = []
+            yield from run_code(
+                self._send_segments(payload, dst_ip, dst_port, built), proc)
+            dst_mac = yield from self.stack.resolve_mac(proc, dst_ip)
+            yield from run_code(
+                self._packet_segments(built[0], dst_ip, dst_mac), proc)
+        self.tx_datagrams += 1
+
+    def _send_segments(self, payload: bytes, dst_ip: int, dst_port: int,
+                       built: Optional[list] = None) -> Generator:
+        """``sendto``'s charges: the library's build, the payload staged
+        where the NIC can gather it and checksummed, then the packets'
+        sends; with ``built``, the run ends at the datagram instead,
+        appended there."""
         stack = self.stack
-        kernel = self.kernel
         cal = self.cal
-        mem = kernel.node.memory
         # library work: allocate send buffers, initialize IP/UDP fields
-        yield from proc.compute_us(cal.udp_send_build_us + cal.ip_process_us)
+        yield (cal.us_to_cycles(cal.udp_send_build_us + cal.ip_process_us),
+               PRIO_USER, True)
         # the application's data, staged where the NIC can gather it
-        mem.write(self._staging.base, payload)
+        self.kernel.node.memory.write(self._staging.base, payload)
         if self.checksum:
-            _, cycles = stack.datapath.checksum(self._staging.base, len(payload))
-            yield from proc.compute(
-                cycles, cal.us_to_cycles(cal.cksum_fixed_us))
-        header = UdpHeader.build(
+            _, cycles = stack.datapath.checksum(self._staging.base,
+                                                len(payload))
+            yield ((cycles, PRIO_USER, True),
+                   (cal.us_to_cycles(cal.cksum_fixed_us), PRIO_USER, True))
+        datagram = UdpHeader.build(
             stack.ip, dst_ip, self.local_port, dst_port, payload,
             with_checksum=self.checksum,
-        )
-        datagram = header + payload
-        dst_mac = None
-        if not stack.is_an2:
-            dst_mac = yield from stack.resolve_mac(proc, dst_ip)
-        packets = build_packets(
+        ) + payload
+        if built is not None:
+            built.append(datagram)
+            return None
+        return (yield from self._packet_segments(datagram, dst_ip, None))
+
+    def _packet_segments(self, datagram: bytes, dst_ip: int,
+                         dst_mac: Optional[bytes]) -> Generator:
+        """The datagram's packets, each sent as ``sys_net_send`` sends
+        (``send_segments``); the last crossing out is returned."""
+        stack = self.stack
+        last = None
+        for packet in build_packets(
             stack.ip, dst_ip, IPPROTO_UDP, datagram,
             mtu=stack.mtu, ident=stack.next_ident(),
-        )
-        for packet in packets:
-            frame = stack.frame_for(dst_ip, packet, dst_mac)
-            yield from kernel.sys_net_send(proc, stack.nic, frame)
-        self.tx_datagrams += 1
+        ):
+            if last is not None:
+                yield last
+            last = yield from self.kernel.send_segments(
+                stack.nic, stack.frame_for(dst_ip, packet, dst_mac))
+        return last
 
     # -- receive -------------------------------------------------------------
     def recvfrom(self, proc: "Process") -> Generator:

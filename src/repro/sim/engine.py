@@ -187,8 +187,8 @@ class Event:
         process only for it to call ``step(arg)`` and wait on the event
         that returns: the engine makes that call itself, where the hop
         would have run, and the process waits on its result.  Call it
-        only when :meth:`Engine.alone`: the hop would then be the next
-        entry to pop, so it runs once the dispatch under way returns to
+        only when nothing else is due at this tick: the hop would then
+        be the next entry to pop, so it runs once the dispatch under way returns to
         the run loop, and until then every same-tick test sees it as due
         (see :attr:`Engine._skipped`).  A lock's grant that opens its
         grantee's CPU hold does this (:meth:`repro.hw.cpu.Run.grant`).
@@ -493,7 +493,8 @@ class Engine:
         self.event: Callable[..., Event] = partial(Event, self)
         #: hops :meth:`Event.skip_hop` saved, ``(process, step,
         #: arg)``: each stands for an entry due now, at the head of the
-        #: due heap (``passes`` and ``alone`` say False while one waits),
+        #: due heap (``passes`` says False, and no CPU hold is carried
+        #: on or opened at a grant, while one waits),
         #: and is taken where it would pop: before the run loop pops
         #: anything else, or where ``_send_step`` would step aside for it
         self._skipped: list = []
@@ -556,25 +557,6 @@ class Engine:
         return (event is self._done and not self._skipped
                 and self._queue.peek_at() != self._now)
 
-    def alone(self) -> bool:
-        """True when no live entry is due at this tick, nor a hop
-        :meth:`Event.skip_hop` saved: what is popping now may run on
-        into the next thing it does without anyone being able to tell
-        (the continuation of a CPU hold asks this).
-
-        Tombstones due now are popped here, as the run loop would pop
-        them next, so the answer is the same on both substrates: a
-        cancel removes a wheel-resident entry on ``fast`` but leaves a
-        tombstone on ``legacy``.  With nothing due, the calendar queue
-        advances its wheel here, as the tie test of the wake-up this
-        stands for would.  A grant that opens a hold asks the same
-        without moving the wheel (``peek_live_at(now, False)``,
-        :meth:`repro.hw.cpu.Run.grant`): it stands for a hop, which
-        would not have looked.
-        """
-        now = self._now
-        return not self._skipped and self._queue.peek_live_at(now) != now
-
     def _book_requeue(self) -> None:
         """Move the hop that just popped from ``scheduled`` / ``fired``
         to ``requeued``: it resumed a process that had yielded the
@@ -617,8 +599,8 @@ class Engine:
 
     def _take_skipped(self) -> None:
         """Take the hop :meth:`Event.skip_hop` saved (there is at
-        most one: ``alone`` says False while one waits): make its call
-        and have its process wait on the result."""
+        most one: no grant saves another while one waits): make its
+        call and have its process wait on the result."""
         proc, step, arg = self._skipped.pop()
         target = step(arg)
         proc._waiting_on = target

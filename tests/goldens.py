@@ -70,11 +70,11 @@ def canonical_capture():
 
 
 @functools.lru_cache(maxsize=None)
-def census_report():
-    """``python -m repro.bench.census`` on ``pingpong_small``, seed 1."""
+def census_report(world_name):
+    """``python -m repro.bench.census world_name``, seed 1."""
     from repro.bench.census import report
 
-    return report("pingpong_small", 1)
+    return report(world_name, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -202,41 +202,57 @@ def fastpath_bytecodes():
 def library_bytecodes():
     """Bytecodes one warm receive of a data segment costs on the TCP
     library path, ``TcpConnection._process_desc`` whole (parse, checksum,
-    ring copy, ack and replenish, every shared-TCB access among them;
-    not what the engine runs while it waits): the dearest data segment
-    of a short ping-pong without a handler, each connection's first
-    left out."""
+    ring copy, ack and replenish, every shared-TCB access among them,
+    and the code between the ack's charges where a carry runs it; not
+    what the engine runs while it waits): the dearest data segment of a
+    short ping-pong without a handler, each connection's first left
+    out."""
     import os
     from unittest import mock
 
     from repro.bench.census import BytecodeCensus
     from repro.bench.workloads import TcpConfig, tcp_pingpong
+    from repro.hw.cpu import Code
     from repro.net.tcp import TcpConnection
     from repro.sim.engine import SUBSTRATE_ENV
 
-    process = TcpConnection._process_desc
-    warm, counts = set(), []
+    process, fetch = TcpConnection._process_desc, Code.fetch
+    warm, counts, receiving = set(), [], {}
 
     def counted(conn, proc, desc):
         rcv_nxt = conn.tcb.shared.rcv_nxt
-        steps, sent, total = process(conn, proc, desc), None, 0
+        steps, sent = process(conn, proc, desc), None
+        total = receiving[proc] = [0]
         while True:     # count each stretch the receive runs, alone
             with BytecodeCensus() as census:
                 try:
                     waited = steps.send(sent)
                 except StopIteration:
                     waited = steps
-            total += census.total
+            total[0] += census.total
             if waited is steps:
                 break
             sent = yield waited
+        del receiving[proc]
         if conn.tcb.shared.rcv_nxt != rcv_nxt:     # data was placed
             if conn in warm:
-                counts.append(total)
+                counts.append(total[0])
             warm.add(conn)
 
+    def counted_fetch(code, run):
+        """The receive's code, where a carry runs it (the engine's)."""
+        total = receiving.get(run.proc)
+        if total is None or sys.gettrace() is not None:
+            return fetch(code, run)
+        with BytecodeCensus() as census:
+            try:
+                return fetch(code, run)
+            finally:
+                total[0] += census.total
+
     with mock.patch.dict(os.environ, {SUBSTRATE_ENV: "fast"}), \
-            mock.patch.object(TcpConnection, "_process_desc", counted):
+            mock.patch.object(TcpConnection, "_process_desc", counted), \
+            mock.patch.object(Code, "fetch", counted_fetch):
         tcp_pingpong(TcpConfig(handler=None), iters=4, warmup=0)
     return max(counts)
 
@@ -342,9 +358,14 @@ CENSUS_HEAD = ("frames", "events_fired", "events_per_frame",
 CENSUS_LEFT = ("timer", "continued", "granted", "blocked", "tie", "other")
 
 
-def census():
-    """The figures ROADMAP's event-budget item quotes, as printed."""
-    lines = census_report().splitlines()
+#: the worlds whose census is pinned: the smallest packets, and every
+#: plane hook populated
+CENSUS_WORLDS = ("pingpong_small", "planes_chaos")
+
+
+def census(world_name):
+    """The census's per-frame figures, as printed."""
+    lines = census_report(world_name).splitlines()
     summary = lines[0].partition(": ")[2] + " " + lines[1]
     numbers = re.findall(r"\d+(?:\.\d+)?", summary)
     leaves = dict(zip(CENSUS_HEAD, map(json.loads, numbers)))
@@ -384,7 +405,8 @@ PRODUCERS = {
     **{f"{kind.__name__}/{world}": (functools.partial(kind, world), ceiling)
        for kind, ceiling in ((telemetry, False), (lookups, True))
        for world in matrix.TELEMETRY_WORLDS},
-    "census.pingpong_small": (census, False),
+    **{f"census.{world}": (functools.partial(census, world), False)
+       for world in CENSUS_WORLDS},
     "canonical": (canonical, False),
 }
 

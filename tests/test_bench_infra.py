@@ -347,7 +347,7 @@ def test_census_report_of_pingpong_small():
     shape.  Its figures are pinned in ``tests/goldens.json``."""
     from tests.goldens import CENSUS_LEFT, census_report
 
-    lines = census_report().splitlines()
+    lines = census_report("pingpong_small").splitlines()
     assert lines[0].startswith("pingpong_small (seed 1): ")
     rows = [line.split() for line in lines[4:lines.index("", 4)]]
     assert all(len(row) == 6

@@ -8,14 +8,17 @@ entry, wherever nobody could tell (a *hop elision*):
 * **pass-through**: a lock or gate that lets its caller through is asked
   but not yielded (``Engine.passes``);
 * **carry-on**: one hold runs on into the next segment of its run
-  (``Cpu.continue_hold``);
+  (``Run.continue_hold``), through the code between two charges too
+  (``Code.carry``: the code runs at the boundary, where the woken holder
+  would run it);
 * **grant-and-hold**: a contended hand-over opens the next holder's hold
-  at the release (``Cpu.grant``, ``SimProcess.skip_hop``).
+  at the release (``Run.grant``, ``Event.skip_hop``).
 
 **The references.**  ``HopCpu`` is the CPU with every elision off: every
-segment its own hold, the holder waking at every segment end, every lock
-and gate wait yielded (on a ``HopEngine``, in ``Process.block_on`` too),
-every request queued with no plan.  ``SlicedCpu`` is ``HopCpu`` with
+segment its own hold, the holder waking at every segment end and
+running the code between two charges itself, every lock and gate wait
+yielded (on a ``HopEngine``, in ``Process.block_on`` too), every request
+queued with no plan.  ``SlicedCpu`` is ``HopCpu`` with
 every hold one quantum long: the per-quantum loops the coalesced hold
 replaced.  ``wait_always`` is the always-yield form of the engine-level
 pass-through (``TestPassThroughRule``).  One world (``World``), one
@@ -53,10 +56,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.bench.census import YieldCensus
+from repro.bench.testbed import make_an2_pair
 from repro.hw.calibration import (
     Calibration, PRIO_INTERRUPT, PRIO_KERNEL, PRIO_USER,
 )
 from repro.hw.cpu import Cpu, ENDLESS, YIELD_TO_ANY
+from repro.hw.link import Frame
 from repro.kernel.process import Process, ProcessState
 from repro.kernel.scheduler import RoundRobinScheduler
 from repro.sim import Engine, Interrupt
@@ -138,10 +143,21 @@ class HopCpu(Cpu):
         self._cycles_charged += cycles
         return cycles
 
+    def _acquire(self, prio):
+        """Wait for the CPU; interrupted in the wait, withdraw the
+        request (or give back what was granted), as ``Cpu.run`` does."""
+        granted = self.lock.acquire(prio)
+        try:
+            yield granted
+        except Interrupt:
+            if not self.lock.cancel_acquire(granted):
+                self.lock.release()
+            raise
+
     def _exec(self, cycles, prio):
         lock = self.lock
         waiters = lock._waiters
-        yield lock.acquire(prio)
+        yield from self._acquire(prio)
         try:
             injector = self.contention
             if injector is not None:
@@ -159,7 +175,7 @@ class HopCpu(Cpu):
                     break
                 if waiters and waiters[0][0] < prio:
                     lock.release()
-                    yield lock.acquire(prio)
+                    yield from self._acquire(prio)
         finally:
             lock.release()
 
@@ -167,7 +183,7 @@ class HopCpu(Cpu):
         lock = self.lock
         while cycles > 0:
             yield proc.gate.wait()
-            yield lock.acquire(prio)
+            yield from self._acquire(prio)
             timer = self._begin(cycles, YIELD_TO_ANY, proc.gate)
             try:
                 yield timer
@@ -185,6 +201,27 @@ class HopCpu(Cpu):
             if gated:
                 yield proc.gate.wait()
             yield from self._exec(cycles, prio)
+
+    def run_code(self, segments, proc=None):
+        """``yield from a; code; yield from b``: each segment a run of its
+        own, the code run as the next one is drawn."""
+        return self.run(one_by_one(segments), proc)
+
+
+def one_by_one(segments):
+    """A code run's segments (``Cpu.run_code``) one at a time, a yielded
+    tuple's too, and the last one it returns."""
+    while True:
+        try:
+            seg = next(segments)
+        except StopIteration as stop:
+            if stop.value is not None:
+                yield stop.value
+            return
+        if seg[0].__class__ is tuple:
+            yield from seg
+        else:
+            yield seg
 
 
 class SlicedCpu(HopCpu):
@@ -250,13 +287,20 @@ class Stealer:
 HORIZON = 200 * Q_TICKS
 
 
+class Boom(Exception):
+    """What code between charges raises (``World.code``)."""
+
+
 class World:
     """One CPU (production's or a reference) and actors and probes that
     log ``(tick, who, what)`` as they go: the log is the hand-over and
     same-tick order the CPUs must agree on.  An actor is ``(name, kind,
     rounds)``; each round ``(gap, slot, segments)`` sleeps ``gap``
     cycles (ending on sub-cycle offset ``slot``, if one is given; gap
-    None: on at once) and then runs its segments."""
+    None: on at once) and then runs its segments.  A round whose
+    segments hold ``("code", what, arg)`` items is a code run
+    (``Cpu.run_code``): the code runs where it stands between them
+    (``World.code``)."""
 
     def __init__(self, substrate, cpu=Cpu, quantum_us=1024.0, steals=()):
         self.engine = eng = (Engine if cpu is Cpu else HopEngine)(substrate)
@@ -290,8 +334,9 @@ class World:
         computes for ever (it has no rounds)."""
         # every segment's priority names its actor: a run changing
         # priority is not a hand-over
-        rounds = [(gap, slot, [(c, Prio(prio, name), gated)
-                               for c, prio, gated in segments])
+        rounds = [(gap, slot, [item if item[0] == "code"
+                               else (item[0], Prio(item[1], name), item[2])
+                               for item in segments])
                   for gap, slot, segments in rounds]
 
         def body(proc=None):
@@ -311,9 +356,15 @@ class World:
                             yield sleep
                         else:
                             yield from proc.block_on(sleep)
-                    yield from self.cpu.run(segments, proc)
+                    if any(item[0] == "code" for item in segments):
+                        yield from self.cpu.run_code(
+                            self.code_run(name, proc, segments), proc)
+                    else:
+                        yield from self.cpu.run(segments, proc)
                 except Interrupt:
                     self.note(name, "interrupted")
+                except Boom:
+                    self.note(name, "raised")
                 self.note(name, "done")
 
         if kind == "exec":
@@ -321,6 +372,51 @@ class World:
         else:
             self.procs[name] = proc = Process(self.kernel, name, body)
             proc.start()
+
+    def code_run(self, name, proc, items):
+        """The generator ``Cpu.run_code`` takes for ``items``: the code
+        items run where they stand, the segments between two of them
+        yielded one by one or as a tuple, the last segment returned."""
+        group = []
+        for item in items:
+            if item[0] != "code":
+                group.append(item)
+                continue
+            if group:
+                yield tuple(group) if len(group) > 1 else group[0]
+                group = []
+            self.code(name, proc, *item[1:])
+        if not group:
+            return None
+        if len(group) > 1:
+            yield tuple(group[:-1]) if len(group) > 2 else group[0]
+        return group[-1]
+
+    def code(self, name, proc, what, arg):
+        """Code between two charges of ``name``'s run: log the tick;
+        queue an entry due at it; shut ``proc``'s gate for a while;
+        spawn a charge that queues for the CPU at priority ``arg``;
+        queue, due at this tick, a kill of the actor itself; raise."""
+        eng = self.engine
+        self.note(name, what)
+        if what == "tick":
+            Timeout(eng, 0).add_callback(lambda _ev: self.note(name, "tock"))
+        elif what == "shut":
+            if proc is not None:
+                proc.gate.close()
+                Timeout(eng, 3 * Q_TICKS + 7).add_callback(
+                    lambda _ev: proc.gate.open())
+        elif what == "spawn":
+            def charge():
+                yield from self.cpu.exec(Q // 4, Prio(arg, name + "+"))
+                self.note(name + "+", "done")
+            eng.spawn(charge(), name=name + "+")
+        elif what == "kill":
+            target = self.procs[name]
+            target = getattr(target, "sim_proc", target)
+            Timeout(eng, 0).add_callback(lambda _ev: target.interrupt("kill"))
+        elif what == "raise":
+            raise Boom(name)
 
     def spawn_probe(self, what, at, slot, hops, victim):
         """At tick ``at`` cycles (+ sub-cycle ``slot``), reached through
@@ -350,10 +446,8 @@ class World:
                     target.gate.open()
             else:
                 # kill, if it sits on a timer (mid-hold, mid-steal or
-                # between rounds): not while it is queued for the CPU,
-                # where the references leave the lock's wait queue
-                # pointing at a dead waiter (``Cpu.run`` withdraws its
-                # request: ``TestInterruptedWaiter``)
+                # between rounds); a waiter queued for the CPU withdraws
+                # its request, which ``TestInterruptedWaiter`` covers
                 if isinstance(target, Process):
                     if target.state is not ProcessState.READY:
                         return
@@ -445,8 +539,12 @@ PROCESS_KINDS = ((PRIO_USER, True), (PRIO_USER, True), (PRIO_KERNEL, True),
 PRIOS = (PRIO_INTERRUPT, PRIO_KERNEL, PRIO_USER)
 
 
+#: code between charges (``World.code``), a raise the rarest
+CODE = ("log", "tick", "tick", "shut", "spawn", "spawn", "kill", "raise")
+
+
 @st.composite
-def schedules(draw, ties=True, least=1):
+def schedules(draw, ties=True, least=1, code=False):
     """``least`` to five actors that contend for one CPU, with runs of one to four segments
     of any priority and length, gated or not; rounds that begin at tick
     0, on a quantum boundary of whatever began there, after a gap, or at
@@ -455,6 +553,9 @@ def schedules(draw, ties=True, least=1):
     some on the tick a run that began at 0 ends a segment, ahead of its
     timer or behind it (and so on the tick of a contended release);
     contention bursts and short slices.
+
+    With ``code`` a run may hold code at its segment boundaries, before
+    its first and after its last (``World.code``).
 
     With ``ties`` False every arrival after tick 0 gets a sub-cycle
     offset of its own and every slice is a few ps over a whole number of
@@ -467,7 +568,9 @@ def schedules(draw, ties=True, least=1):
         return draw(st.sampled_from(shared)) if ties else next(slots)
 
     actors, ends = [], []
-    n = draw(st.integers(least, 5))
+    # (code is carried on through only at a boundary nothing else shares:
+    # with code, fewer actors)
+    n = draw(st.integers(least, 3 if code else 5))
     for i in range(n):
         kind = draw(st.sampled_from(
             ("exec", "exec", "process", "process", "idle", "spin")))
@@ -497,6 +600,12 @@ def schedules(draw, ties=True, least=1):
             else:
                 gap, slot_ = draw(st.integers(0, 3000)), slot(
                     None, 7, 11_007, 23_333)
+            if code:
+                for _ in range(draw(st.integers(1, 3))):
+                    segments.insert(
+                        draw(st.integers(0, len(segments))),
+                        ("code", draw(st.sampled_from(CODE)),
+                         draw(st.sampled_from(PRIOS))))
             rounds.append((gap, slot_, segments))
         actors.append((f"a{i}", kind, rounds))
     probes = []
@@ -1072,6 +1181,29 @@ class TestEventBudget:
         assert seen[False] == seen[True] == (7 * Q, 7 * Q_TICKS,
                                              7 * Q_TICKS / 1_000_000)
 
+    def test_uncontended_send_is_one_run(self, substrate):
+        """``sys_net_send`` on an idle node: the user path, the crossing
+        in and the descriptor writes carried on one into the next, and on
+        through the doorbell into the crossing out, whose timer and
+        wake-up end it.  Five events a send, and the frame's arrival at
+        the far NIC (no endpoint: dropped) one more; seven while the
+        doorbell woke the sender."""
+        def fired(sends):
+            tb = make_an2_pair(engine=Engine(substrate))
+            ck = tb.client_kernel
+
+            def client(proc):
+                for _ in range(sends):
+                    yield from ck.sys_net_send(
+                        proc, tb.client_nic, Frame(b"ping", vci=77))
+
+            ck.spawn_process("client", client)
+            tb.run()
+            assert tb.server_nic.rx_dropped == sends
+            return tb.engine.stats()["fired"]
+
+        assert fired(3) - fired(2) == 6
+
     def test_interrupt_mid_hold_withdraws_the_timer(self, substrate):
         eng = Engine(substrate)
         cpu = Cpu(eng, Calibration())
@@ -1255,6 +1387,73 @@ class TestRunRule:
         assert ("s", "interrupted") in [(who, what)
                                         for _t, who, what in seen["log"]]
         assert seen["ledger"][1] == 7 * Q + urgent * (Q // 4)
+
+
+# ---------------------------------------------------------------------------
+# the code rule: a hold carried on through the code between two charges
+# ---------------------------------------------------------------------------
+
+def code_hand(what, arg=PRIO_INTERRUPT, kind="process", probes=()):
+    """``a0`` runs user work, code, a kernel crossing and user work again;
+    ``x`` charges on past the whole of it, from a tick of its own."""
+    return hand(
+        ("a0", kind, [(0, None, [
+            (3 * Q + 50, PRIO_USER, kind != "exec"), ("code", what, arg),
+            (60, PRIO_KERNEL, kind != "exec"), (2 * Q, PRIO_USER,
+                                                kind != "exec")])]),
+        ("x", "exec", [(9 * Q, 11_007, [(Q, PRIO_KERNEL, False)])]),
+        probes=list(probes))
+
+
+class TestCodeRule:
+    @given(schedules(code=True))
+    @settings(PROPERTY, max_examples=200)
+    def test_generated_code_runs(self, schedule):
+        agree(schedule)
+
+    @pytest.mark.parametrize("kind", ["process", "exec"])
+    @pytest.mark.parametrize("what", ["log", "tick", "shut", "spawn",
+                                      "kill"])
+    def test_each_code_alone(self, what, kind):
+        """Each kind of code between two charges, nothing else due at
+        the boundary: carried on through when it leaves nothing due
+        there, the holder woken to it otherwise."""
+        seen = agree(code_hand(what, kind=kind))
+        assert ("a0", what) in [entry[1:] for entry in seen["log"]]
+        if what in ("log", "shut"):
+            assert seen["saved"] >= 1
+
+    @pytest.mark.parametrize("kind", ["process", "exec"])
+    def test_code_that_raises(self, kind):
+        """The holder raises it where it takes the next segment: the
+        segment before is charged in full, nothing after it."""
+        seen = agree(code_hand("raise", kind=kind))
+        assert ("a0", "raised") in [entry[1:] for entry in seen["log"]]
+        assert seen["ledger"][1] == 3 * Q + 50 + Q
+
+    @pytest.mark.parametrize("hops", [0, 1])
+    @pytest.mark.parametrize("what", ["read", "urgent"])
+    def test_arrival_on_the_boundary(self, what, hops):
+        """A reader or an urgent waiter on the tick the code runs, ahead
+        of the segment's timer or behind it."""
+        agree(code_hand("tick", probes=[(what, 3 * Q + 50, None, hops,
+                                         "a0")]))
+
+    def test_a_holder_killed_behind_its_code(self):
+        """The code queues a kill of its own holder at the boundary tick:
+        the holder wakes to take its next segment from the top, steps
+        aside for the kill (a tie) and is thrown out of that, with the
+        segment before charged and nothing after it."""
+        seen = agree(code_hand("kill"))
+        assert ("a0", "interrupted") in [entry[1:] for entry in seen["log"]]
+        assert seen["ledger"][1] == 3 * Q + 50 + Q
+
+    def test_code_after_the_last_segment(self):
+        """A run that ends in code: it runs at the last boundary and the
+        holder goes on from it."""
+        agree(hand(("a0", "process", [(0, None, [
+            (3 * Q, PRIO_USER, True), ("code", "spawn", PRIO_KERNEL),
+            ("code", "tick", 0)])])))
 
 
 # ---------------------------------------------------------------------------
