@@ -40,8 +40,15 @@ segment.  Every hold of a CPU runs on the same timer, armed afresh by
 event of its own.
 
 A segment of :data:`ENDLESS` cycles (``Process.spin``) is a hold with no
-end of its own: it ends only when :meth:`Cpu.cut` ends it or the holder
-is thrown out, and its timer is queued only once it is cut.
+end of its own: it ends only when :meth:`Cpu.cut` ends it, and its timer
+is queued only once it is cut.
+
+Nothing throws into a charge.  A failed event reaches only the processes
+that join it (``yield proc``, ``any_of``), and none of the waits a charge
+makes — its gate, its grant, its hold timer, a contention burst — can
+fail; the model's aborts are flags and the VM's cycle budget.  So a
+holder leaves each wait only when it triggers, and settles its hold and
+releases the CPU on the one path there is.
 
 ``exec`` and ``run`` are generators: call them as ``yield from
 cpu.exec(cycles)`` from inside a simulation process.  They ask the lock
@@ -471,14 +478,12 @@ class Cpu:
                 timer._entry = self.engine._schedule(at, timer)
 
     def end_hold(self) -> int:
-        """Close the hold: settle the ledger from elapsed time and return
-        the ticks charged (to the segment it was opened for, or the one
-        it was carried on into: ``run.seg``).  A holder thrown out before
-        its timer came due (an ``Interrupt``) is charged the whole quanta
-        it completed, and the timer is withdrawn (an endless hold that
-        was never cut has none queued).
+        """Close the hold at its timer's tick: settle the ledger from
+        elapsed time and return the ticks charged (to the segment it was
+        opened for, or the one it was carried on into: ``run.seg``).
+        Nothing throws into a charge, so a hold ends only where its
+        timer came due, with no timer left to withdraw.
         """
-        timer = self._timer
         self._timer = None
         if self.lock.hold is not None:
             self.lock.hold = None
@@ -486,12 +491,6 @@ class Cpu:
             if gate is not None:
                 gate.hold = self._gate = None
         elapsed = self.engine._now - self._start
-        if not timer._state and timer._entry[2] is not None:  # still queued
-            entry = timer._entry
-            if entry[0] == ENDLESS:
-                entry[2] = None     # (queued nowhere: nothing to withdraw)
-            timer.cancel()
-            elapsed -= elapsed % self._quantum_ticks
         self._busy_ticks += elapsed
         self._cycles_charged += elapsed // CYCLE_PS
         return elapsed
@@ -512,10 +511,10 @@ class Cpu:
         says (code between them is :meth:`run_code`'s).  The run's state
         is one :class:`Run`, which a charge that has to queue for the CPU
         leaves with the request, for the grant to open its hold
-        (:meth:`Run.grant`); thrown out of that wait, it
-        withdraws the request or gives back what it was granted.  A
-        segment of :data:`ENDLESS` cycles (``Process.spin``) is charged
-        until the holder is thrown out: each cut ends one hold of it.
+        (:meth:`Run.grant`).  None of its waits can fail (see the
+        module docstring), so it settles each hold and releases the CPU
+        on the one path there is.  A segment of :data:`ENDLESS` cycles
+        (``Process.spin``) never ends: each cut ends one hold of it.
         """
         rest = filter(_CHARGES, segments)
         for seg in rest:
@@ -559,54 +558,37 @@ class Cpu:
                 timer = None
                 if (granted is not engine._done or engine._skipped
                         or engine._queue.peek_at() == engine._now):
-                    try:
-                        yield granted
-                    except BaseException:
-                        # thrown out of the wait: withdraw the request,
-                        # or give back the CPU it was granted (ending the
-                        # hold opened at the grant, if it was)
-                        if not lock.cancel_acquire(granted):
-                            if self._timer is not None:
-                                self.end_hold()
-                            lock.release()
-                        raise
+                    yield granted
                     # woken by the grant, or at the end of the hold
                     # opened for it (:meth:`Run.grant`): then that timer
                     # is still open
                     timer = self._timer
-                try:
-                    if fresh and self.contention is not None and not (
-                            gated and prio == PRIO_USER):
-                        stolen = self.contention.steal()
-                        if stolen:
-                            # foreign work holds the CPU first: wall-clock
-                            # stretches, but none of it counts toward the
-                            # charge
-                            yield Timeout(engine, stolen * CYCLE_PS)
-                            self.contention_cycles += stolen
-                    while True:
-                        if timer is None:
-                            timer = self.begin_hold(run)
-                            try:
-                                yield timer
-                            finally:
-                                ticks = run.ticks - self.end_hold()
-                        else:
-                            ticks = run.ticks - self.end_hold()
-                        if not ticks:
-                            break
-                        # cut: user work always gives way (and waits for
-                        # its gate again), other work only to a more
-                        # urgent waiter
-                        run.ticks = ticks
-                        seg = run.seg   # (moved on if it was carried on)
-                        cycles, prio, gated = seg
-                        if (gated and prio == PRIO_USER) or (
-                                lock._waiters and lock._waiters[0][0] < prio):
-                            break
-                        timer = None
-                finally:
-                    lock.release()
+                if fresh and self.contention is not None and not (
+                        gated and prio == PRIO_USER):
+                    stolen = self.contention.steal()
+                    if stolen:
+                        # foreign work holds the CPU first: wall-clock
+                        # stretches, but none of it counts toward the
+                        # charge
+                        yield Timeout(engine, stolen * CYCLE_PS)
+                        self.contention_cycles += stolen
+                while True:
+                    if timer is None:
+                        yield self.begin_hold(run)
+                    ticks = run.ticks - self.end_hold()
+                    if not ticks:
+                        break
+                    # cut: user work always gives way (and waits for its
+                    # gate again), other work only to a more urgent
+                    # waiter
+                    run.ticks = ticks
+                    seg = run.seg   # (moved on if it was carried on)
+                    cycles, prio, gated = seg
+                    if (gated and prio == PRIO_USER) or (
+                            lock._waiters and lock._waiters[0][0] < prio):
+                        break
+                    timer = None
+                lock.release()
                 if not ticks:
                     break
                 fresh = False

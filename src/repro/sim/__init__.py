@@ -1,11 +1,9 @@
 """Deterministic discrete-event simulation substrate."""
 
 from .engine import (
-    AllOf,
     AnyOf,
     Engine,
     Event,
-    Interrupt,
     SimProcess,
     Timeout,
     SUBSTRATE_ENV,
@@ -15,11 +13,9 @@ from .queues import CalendarQueue, Channel, Gate, HeapEventQueue, PriorityLock
 from . import units
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Engine",
     "Event",
-    "Interrupt",
     "SimProcess",
     "Timeout",
     "SUBSTRATE_ENV",

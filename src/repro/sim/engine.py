@@ -49,9 +49,7 @@ __all__ = [
     "Event",
     "Timeout",
     "SimProcess",
-    "Interrupt",
     "AnyOf",
-    "AllOf",
     "SUBSTRATE_ENV",
     "active_substrate",
     "DEFAULT_TIMER_HORIZON_US",
@@ -88,19 +86,6 @@ def active_substrate(override: Optional[str] = None) -> str:
             f"unknown {SUBSTRATE_ENV}={value!r} (expected one of {_SUBSTRATES})"
         )
     return value
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`SimProcess.interrupt`.
-
-    No model component throws it: the paper's two-clock-tick timer abort
-    is the VM's cycle budget (:class:`~repro.errors.BudgetExceeded`).
-    Tests use it to kill a process mid-wait.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -166,12 +151,6 @@ class Event:
         else:
             self._callbacks.append(fn)
 
-    def remove_callback(self, fn: Callable[["Event"], None]) -> None:
-        try:
-            self._callbacks.remove(fn)
-        except ValueError:
-            pass
-
     def sole_waiter(self) -> Optional["SimProcess"]:
         """The process waiting on this event when its resume is the one
         callback the event has (no ``any_of``, no listener beside it),
@@ -216,7 +195,7 @@ class Timeout(Event):
     fire.
     """
 
-    __slots__ = ("delay", "_entry", "hold")
+    __slots__ = ("_entry", "hold")
 
     def __init__(self, engine: "Engine", delay: int, value: Any = None):
         if delay < 0:
@@ -230,7 +209,7 @@ class Timeout(Event):
         self._state = Event._PENDING
         self._callbacks = []
         self.hold = None
-        self.delay = delay = int(delay)
+        delay = int(delay)
         # ``_schedule`` flattened (its into-the-past guard cannot fire:
         # ``delay >= 0``).  The queue entry's callable slot holds the
         # Timeout itself (``__call__`` aliases ``_fire``): no
@@ -250,7 +229,6 @@ class Timeout(Event):
         Event.__init__(self, engine, "timeout")
         self._state = Event._TRIGGERED
         self.hold = None
-        self.delay = 0
         self._entry = [engine._now, 0, None, (), None]
         return self
 
@@ -288,15 +266,20 @@ class Timeout(Event):
         if self._state != Event._PENDING or old[2] is None:
             raise SimError("cannot reschedule a timeout that already fired")
         self._entry = self.engine._schedule(at, self, *old[3])
-        self.delay += at - old[0]
         self.engine._cancel(old)
 
 
-class _ConditionBase(Event):
+class AnyOf(Event):
+    """Triggers as soon as any child event triggers.
+
+    The value is a dict mapping the already-triggered events to their
+    values; failures propagate.
+    """
+
     __slots__ = ("events",)
 
-    def __init__(self, engine: "Engine", events: Iterable[Event], name: str):
-        super().__init__(engine, name=name)
+    def __init__(self, engine: "Engine", events: Iterable[Event]):
+        super().__init__(engine, name="any_of")
         self.events = list(events)
         if not self.events:
             self.succeed({})
@@ -304,49 +287,13 @@ class _ConditionBase(Event):
         for ev in self.events:
             ev.add_callback(self._check)
 
-    def _results(self) -> dict[Event, Any]:
-        return {ev: ev._value for ev in self.events if ev.ok}
-
-    def _check(self, ev: Event) -> None:
-        raise NotImplementedError
-
-
-class AnyOf(_ConditionBase):
-    """Triggers as soon as any child event triggers.
-
-    The value is a dict mapping the already-triggered events to their
-    values; failures propagate.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, engine: "Engine", events: Iterable[Event]):
-        super().__init__(engine, events, name="any_of")
-
     def _check(self, ev: Event) -> None:
         if self.triggered:
             return
         if ev._exc is not None:
             self.fail(ev._exc)
         else:
-            self.succeed(self._results())
-
-
-class AllOf(_ConditionBase):
-    """Triggers once every child event has triggered."""
-
-    __slots__ = ()
-
-    def __init__(self, engine: "Engine", events: Iterable[Event]):
-        super().__init__(engine, events, name="all_of")
-
-    def _check(self, ev: Event) -> None:
-        if self.triggered:
-            return
-        if ev._exc is not None:
-            self.fail(ev._exc)
-        elif all(e.triggered for e in self.events):
-            self.succeed(self._results())
+            self.succeed({ev: ev._value for ev in self.events if ev.ok})
 
 
 SimGenerator = Generator[Event, Any, Any]
@@ -363,54 +310,23 @@ class SimProcess(Event):
     (:meth:`_on_event`).
     """
 
-    __slots__ = ("gen", "_waiting_on", "_interrupts")
+    __slots__ = ("gen", "_waiting_on")
 
     def __init__(self, engine: "Engine", gen: SimGenerator, name: str = ""):
         super().__init__(engine, name=name or getattr(gen, "__name__", "proc"))
         self.gen = gen
+        #: the event it waits on (what ``repro.bench.census`` books)
         self._waiting_on: Optional[Event] = None
-        self._interrupts: list[Interrupt] = []
         engine._schedule(engine.now, self._resume, None, None)
 
-    @property
-    def alive(self) -> bool:
-        return not self._state
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current tick."""
-        if not self.alive:
-            return
-        self._interrupts.append(Interrupt(cause))
-        # Detach from whatever we were waiting on and resume immediately.
-        if self._waiting_on is not None:
-            self._waiting_on.remove_callback(self)
-            self._waiting_on = None
-        self.engine._schedule(self.engine.now, self._deliver_interrupt)
-
-    def _deliver_interrupt(self) -> None:
-        if not self.alive or not self._interrupts:
-            return
-        # Interrupted in a same-tick hop, the process has run on since and
-        # waits on something new.  Pending, that is detached like the
-        # first; already triggered, its hop is queued and would resume
-        # the process after the throw, so the interrupt lands behind it.
-        waiting_on = self._waiting_on
-        if waiting_on is not None:
-            if waiting_on.triggered:
-                self.engine._schedule(self.engine.now, self._deliver_interrupt)
-                return
-            waiting_on.remove_callback(self)
-            self._waiting_on = None
-        exc = self._interrupts.pop(0)
-        self._step(lambda: self.gen.throw(exc))
-
     def _on_event(self, ev: Event) -> None:
+        """Resume with what ``ev`` triggered with: its value, or the
+        exception of a failed event thrown in.  That is the one way
+        anything is thrown into a process, so a process is resumed only
+        by the one event it waits on, and never once it has ended."""
         engine = self.engine
         if ev is engine._done:
             engine._book_requeue()
-        if not self.alive:
-            return
-        self._waiting_on = None
         if ev._exc is not None:
             exc = ev._exc
             self._step(lambda: self.gen.throw(exc))
@@ -420,8 +336,6 @@ class SimProcess(Event):
     __call__ = _on_event
 
     def _resume(self, value: Any, _unused: Any = None) -> None:
-        if not self.alive:
-            return
         self._step(lambda: self.gen.send(value))
 
     def _step(self, advance: Callable[[], Any]) -> None:
@@ -429,11 +343,6 @@ class SimProcess(Event):
             target = advance()
         except StopIteration as stop:
             self.succeed(stop.value)
-            return
-        except Interrupt:
-            # An unhandled interrupt terminates the process quietly: the
-            # interruptor is responsible for any cleanup semantics.
-            self.succeed(None)
             return
         except BaseException as exc:
             self.fail(exc)
@@ -523,9 +432,6 @@ class Engine:
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
 
     def spawn(self, gen: SimGenerator, name: str = "") -> SimProcess:
         return SimProcess(self, gen, name)
@@ -739,9 +645,7 @@ class Engine:
                             # callback list, emptied.
                             inl_d += 1
                             if cb.__class__ is SimProcess:
-                                if not cb._state:
-                                    cb._waiting_on = None
-                                    send_step(cb, fn._value)
+                                send_step(cb, fn._value)
                             else:
                                 cb(fn)
                             continue
@@ -755,16 +659,12 @@ class Engine:
                     ev = args[0]
                     if ev is done:  # _book_requeue, on the deltas
                         req_d += 1
-                    if not fn._state:  # alive
-                        fn._waiting_on = None
-                        if ev._exc is not None:
-                            fn(ev)  # failure path: take the generic route
-                        else:
-                            send_step(fn, ev._value)
+                    if ev._exc is not None:
+                        fn(ev)  # failure path: take the generic route
+                    else:
+                        send_step(fn, ev._value)
                 elif getattr(fn, "__func__", None) is proc_resume:
-                    proc = fn.__self__
-                    if not proc._state:
-                        send_step(proc, args[0])
+                    send_step(fn.__self__, args[0])
                 else:
                     fn(*args)
         finally:
@@ -792,9 +692,6 @@ class Engine:
                 target = proc.gen.send(value)
             except StopIteration as stop:
                 proc.succeed(stop.value)
-                return
-            except Interrupt:
-                proc.succeed(None)
                 return
             except BaseException as exc:
                 proc.fail(exc)
@@ -836,7 +733,6 @@ class Engine:
                 return
             if target is not self._done:  # its hop would not count either
                 self._inlined += 1
-            proc._waiting_on = None
             value = target._value
 
     @property

@@ -427,18 +427,6 @@ class PriorityLock:
             hold.cut()
         return ev
 
-    def cancel_acquire(self, ev: Event) -> bool:
-        """Withdraw a pending ``acquire`` (its waiter was thrown out of
-        the wait).  False when ``ev`` is not queued: the lock was granted
-        to it already, and its waiter must release it."""
-        waiters = self._waiters
-        for entry in waiters:
-            if entry[2] is ev:
-                waiters.remove(entry)
-                heapq.heapify(waiters)
-                return True
-        return False
-
     def release(self) -> None:
         if not self._locked:
             raise RuntimeError(f"{self.name}: release of unheld lock")

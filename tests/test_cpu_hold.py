@@ -62,9 +62,9 @@ from repro.hw.calibration import (
 )
 from repro.hw.cpu import Cpu, ENDLESS, YIELD_TO_ANY
 from repro.hw.link import Frame
-from repro.kernel.process import Process, ProcessState
+from repro.kernel.process import Process
 from repro.kernel.scheduler import RoundRobinScheduler
-from repro.sim import Engine, Interrupt
+from repro.sim import Engine
 from repro.sim.engine import Event, Timeout
 from repro.sim.queues import Gate, PriorityLock
 from repro.sim.units import CYCLE_PS
@@ -126,7 +126,6 @@ class HopCpu(Cpu):
         return timer
 
     def _end(self):
-        timer = self._timer
         self._timer = None
         lock = self.lock
         if lock.hold is not None:
@@ -135,61 +134,39 @@ class HopCpu(Cpu):
             if gate is not None:
                 gate.hold = self._gate = None
         elapsed = self.engine._now - self._start
-        if not timer._state:
-            timer.cancel()
-            elapsed -= elapsed % self._quantum_ticks
         self._busy_ticks += elapsed
         cycles = elapsed // CYCLE_PS
         self._cycles_charged += cycles
         return cycles
 
-    def _acquire(self, prio):
-        """Wait for the CPU; interrupted in the wait, withdraw the
-        request (or give back what was granted), as ``Cpu.run`` does."""
-        granted = self.lock.acquire(prio)
-        try:
-            yield granted
-        except Interrupt:
-            if not self.lock.cancel_acquire(granted):
-                self.lock.release()
-            raise
-
     def _exec(self, cycles, prio):
         lock = self.lock
         waiters = lock._waiters
-        yield from self._acquire(prio)
-        try:
-            injector = self.contention
-            if injector is not None:
-                stolen = injector.steal()
-                if stolen:
-                    yield Timeout(self.engine, stolen * CYCLE_PS)
-                    self.contention_cycles += stolen
-            while True:
-                timer = self._begin(cycles, prio)
-                try:
-                    yield timer
-                finally:
-                    cycles -= self._end()
-                if cycles <= 0:
-                    break
-                if waiters and waiters[0][0] < prio:
-                    lock.release()
-                    yield from self._acquire(prio)
-        finally:
-            lock.release()
+        yield lock.acquire(prio)
+        injector = self.contention
+        if injector is not None:
+            stolen = injector.steal()
+            if stolen:
+                yield Timeout(self.engine, stolen * CYCLE_PS)
+                self.contention_cycles += stolen
+        while True:
+            yield self._begin(cycles, prio)
+            cycles -= self._end()
+            if cycles <= 0:
+                break
+            if waiters and waiters[0][0] < prio:
+                lock.release()
+                yield lock.acquire(prio)
+        lock.release()
 
     def _compute(self, proc, cycles, prio):
         lock = self.lock
         while cycles > 0:
             yield proc.gate.wait()
-            yield from self._acquire(prio)
-            timer = self._begin(cycles, YIELD_TO_ANY, proc.gate)
-            try:
-                yield timer
-            finally:
-                cycles -= self._end()
-                lock.release()
+            yield lock.acquire(prio)
+            yield self._begin(cycles, YIELD_TO_ANY, proc.gate)
+            cycles -= self._end()
+            lock.release()
 
     def run(self, segments, proc=None):
         for cycles, prio, gated in segments:
@@ -341,10 +318,7 @@ class World:
 
         def body(proc=None):
             if kind == "spin":
-                try:
-                    yield from proc.spin()
-                except Interrupt:
-                    self.note(name, "interrupted")
+                yield from proc.spin()
                 return
             for gap, slot, segments in rounds:
                 try:
@@ -361,8 +335,6 @@ class World:
                             self.code_run(name, proc, segments), proc)
                     else:
                         yield from self.cpu.run(segments, proc)
-                except Interrupt:
-                    self.note(name, "interrupted")
                 except Boom:
                     self.note(name, "raised")
                 self.note(name, "done")
@@ -396,7 +368,7 @@ class World:
         """Code between two charges of ``name``'s run: log the tick;
         queue an entry due at it; shut ``proc``'s gate for a while;
         spawn a charge that queues for the CPU at priority ``arg``;
-        queue, due at this tick, a kill of the actor itself; raise."""
+        raise."""
         eng = self.engine
         self.note(name, what)
         if what == "tick":
@@ -411,54 +383,35 @@ class World:
                 yield from self.cpu.exec(Q // 4, Prio(arg, name + "+"))
                 self.note(name + "+", "done")
             eng.spawn(charge(), name=name + "+")
-        elif what == "kill":
-            target = self.procs[name]
-            target = getattr(target, "sim_proc", target)
-            Timeout(eng, 0).add_callback(lambda _ev: target.interrupt("kill"))
         elif what == "raise":
             raise Boom(name)
 
     def spawn_probe(self, what, at, slot, hops, victim):
         """At tick ``at`` cycles (+ sub-cycle ``slot``), reached through
         one timer armed at tick 0 or two (``hops``), the second armed
-        when the first fires: read the ledger, queue an urgent charge,
-        shut ``victim``'s gate for a while, or kill ``victim``."""
+        when the first fires: read the ledger, queue an urgent charge, or
+        shut ``victim``'s gate for a while."""
         def body():
             eng = self.engine
             tick = at * CYCLE_PS + (slot or 0)
             if hops:
                 yield Timeout(eng, tick // 2)
             yield Timeout(eng, tick - eng.now)
-            target = self.procs.get(victim)
             if what == "read":
                 self.note("probe", self.ledger())
             elif what == "urgent":
                 yield from self.cpu.exec(Q // 4, Prio(PRIO_INTERRUPT, "urgent"))
                 self.note("urgent", "done")
-            elif what == "shut":
-                # behind the scheduler's back, for a while: with nobody
-                # queued for the CPU only the gate can stop a hold from
-                # running on into user work
+            else:
+                # shut, behind the scheduler's back, for a while: with
+                # nobody queued for the CPU only the gate can stop a hold
+                # from running on into user work
+                target = self.procs.get(victim)
                 if isinstance(target, Process):
                     target.gate.close()
                     self.note("shut", victim)
                     yield Timeout(eng, 3 * Q_TICKS + 7)
                     target.gate.open()
-            else:
-                # kill, if it sits on a timer (mid-hold, mid-steal or
-                # between rounds); a waiter queued for the CPU withdraws
-                # its request, which ``TestInterruptedWaiter`` covers
-                if isinstance(target, Process):
-                    if target.state is not ProcessState.READY:
-                        return
-                    target = target.sim_proc
-                waiting_on = getattr(target, "_waiting_on", None)
-                # (a timer that fired at this tick is no longer sat on:
-                # the hop that resumes the victim is queued)
-                if target is not None and target.alive and isinstance(
-                        waiting_on, Timeout) and not waiting_on.triggered:
-                    target.interrupt("kill")
-                    self.note("kill", victim)
         self.engine.spawn(body(), name="probe")
 
     def ledger(self):
@@ -468,9 +421,7 @@ class World:
         eng = self.engine
         eng.run(until=until)
         stats = eng.stats()
-        # copies: a spin never ends, and when the world is collected its
-        # generators are closed, releasing the lock once more
-        return {"log": list(self.log), "grants": list(self.cpu.lock.grants),
+        return {"log": self.log, "grants": self.cpu.lock.grants,
                 "ledger": self.ledger(), "locked": self.cpu.lock.locked,
                 "contention_cycles": self.cpu.contention_cycles,
                 "engine": (stats["now_ps"], stats["cancelled"],
@@ -540,7 +491,7 @@ PRIOS = (PRIO_INTERRUPT, PRIO_KERNEL, PRIO_USER)
 
 
 #: code between charges (``World.code``), a raise the rarest
-CODE = ("log", "tick", "tick", "shut", "spawn", "spawn", "kill", "raise")
+CODE = ("log", "tick", "tick", "shut", "spawn", "spawn", "raise")
 
 
 @st.composite
@@ -549,7 +500,7 @@ def schedules(draw, ties=True, least=1, code=False):
     of any priority and length, gated or not; rounds that begin at tick
     0, on a quantum boundary of whatever began there, after a gap, or at
     once when the last ends (the releaser queues again before anyone
-    else runs); urgent arrivals, gate shuts, kills and ledger reads,
+    else runs); urgent arrivals, gate shuts and ledger reads,
     some on the tick a run that began at 0 ends a segment, ahead of its
     timer or behind it (and so on the tick of a contended release);
     contention bursts and short slices.
@@ -611,7 +562,7 @@ def schedules(draw, ties=True, least=1, code=False):
     probes = []
     for _ in range(draw(st.integers(0, 6))):
         what = draw(st.sampled_from(
-            ("read", "read", "urgent", "urgent", "kill", "shut")))
+            ("read", "read", "urgent", "urgent", "shut")))
         if ties and ends and draw(st.booleans()):
             at, slot_ = draw(st.sampled_from(ends)), None
         else:
@@ -670,25 +621,6 @@ class TestDifferential:
             seen = agree(schedule, reference)
         assert seen["grants"][:3] == [
             (0, "app"), (4 * Q_TICKS, "lib"), (6 * Q_TICKS, "app")]
-
-    def test_interrupt_thrown_mid_hold_charges_whole_quanta(self):
-        schedule = {
-            "actors": [
-                ("lib", "exec", [(0, 500, [(10 * Q, PRIO_USER, False)])]),
-                ("app", "process", [(0, None, [(3 * Q, PRIO_USER, True)]),
-                                    (10, 1500, [(10 * Q, PRIO_USER, True)])]),
-            ],
-            "probes": [("kill", 20 * Q, 2500, 0, "app")],
-            "steals": [], "quantum_us": 1024.0,
-        }
-        for reference in (SlicedCpu, HopCpu):
-            seen = agree(schedule, reference)
-        assert [who for _t, who, what in seen["log"]
-                if what == "interrupted"] == ["app"]
-        # all of ``lib``, ``app``'s first round, and the six whole quanta
-        # of its second that were over when the interrupt came
-        assert seen["ledger"][1] == (10 + 3 + 6) * Q
-
 
 # ---------------------------------------------------------------------------
 # the same-tick rule
@@ -929,16 +861,6 @@ def run_actors(scripts, substrate, wait, grid):
                 elif op == "toggle":
                     gate = gates[arg % len(gates)]
                     gate.close() if gate.is_open else gate.open()
-                elif op == "interrupt":
-                    victim = procs[arg % len(procs)]
-                    # on a timer or in the hop of a pass-through; not in
-                    # the lock's queue, which a dead waiter would jam
-                    waiting_on = victim._waiting_on
-                    if isinstance(waiting_on, Timeout) or (
-                            waiting_on is eng._done):
-                        victim.interrupt(me)
-            except Interrupt:
-                log.append((eng.now, me, i, "interrupted"))
             finally:
                 if held:
                     lock.release()
@@ -952,7 +874,7 @@ def run_actors(scripts, substrate, wait, grid):
         "log": log, "locked": lock.locked,
         "asked": (lock.asked, [gate.asked for gate in gates]),
         "open": [gate.is_open for gate in gates],
-        "alive": [proc.alive for proc in procs],
+        "alive": [not proc.triggered for proc in procs],
     }, eng.stats()["fired"]
 
 
@@ -965,7 +887,6 @@ STEPS = st.one_of(
     st.tuples(st.just("gate"), st.just(0), st.just(0)),
     st.tuples(st.just("tombstone"), st.integers(0, 4), st.just(0)),
     st.tuples(st.just("toggle"), st.integers(0, 5), st.just(0)),
-    st.tuples(st.just("interrupt"), st.integers(0, 5), st.just(0)),
 )
 ACTORS = st.lists(
     st.fixed_dictionaries({"open": st.booleans(),
@@ -996,19 +917,6 @@ class TestPassThroughRule:
             # a process that waits for nothing is not a dispatch, asked
             # or yielded, alone at its tick or re-queued behind a sibling
             assert ref_fired == fired == want_fired, substrate
-
-    def test_self_interrupt_after_an_interrupted_hold(self):
-        """Found by the generated schedules: actor 1 interrupts actor 0
-        in its grant's hop, actor 0 opens its hold and only then takes
-        the interrupt.  The hold's timer stayed ``_waiting_on``, so with
-        the gate passed through (no yield to clear it) actor 0 saw
-        itself on a timer and interrupted itself: delivering an interrupt
-        must detach whatever the process waits on by then."""
-        self.check([
-            {"open": False, "steps": [("acquire", 0, 1), ("gate", 0, 0),
-                                      ("interrupt", 0, 0), ("sleep", 0, 0)]},
-            {"open": False, "steps": [("toggle", 0, 0), ("interrupt", 0, 0)]},
-        ], 7)
 
     @pytest.mark.parametrize("substrate", SUBSTRATES)
     def test_alone_at_a_tick_it_passes(self, substrate):
@@ -1204,23 +1112,6 @@ class TestEventBudget:
 
         assert fired(3) - fired(2) == 6
 
-    def test_interrupt_mid_hold_withdraws_the_timer(self, substrate):
-        eng = Engine(substrate)
-        cpu = Cpu(eng, Calibration())
-        victim = eng.spawn(cpu.exec(self.CHARGE))
-
-        def killer():
-            yield Timeout(eng, 3 * Q_TICKS + 5)
-            victim.interrupt()
-
-        eng.spawn(killer())
-        eng.run()
-        assert cpu.cycles_charged == 3 * Q
-        assert cpu.busy_ticks == 3 * Q_TICKS
-        assert not cpu.lock.locked and cpu.lock.hold is None
-        assert eng.stats()["cancelled"] == 1
-
-
 # ---------------------------------------------------------------------------
 # the run rule: one hold carried on at a segment end
 # ---------------------------------------------------------------------------
@@ -1319,16 +1210,6 @@ class TestRunRule:
         assert seen["log"][-1] == (
             6 * Q * CYCLE_PS + 12_345 + 7, "a0", "done")
 
-    def test_interrupt_in_a_continued_hold(self):
-        """Thrown out of the third segment: the first two are charged in
-        full, the third by its whole quanta, the fourth not at all."""
-        seen = agree(hand(
-            ("a0", "process", [(0, None, [
-                (Q + 30, PRIO_USER, True), (45, PRIO_KERNEL, False),
-                (10 * Q, PRIO_USER, True), (Q, PRIO_USER, True)])]),
-            probes=[("kill", Q + 75 + 3 * Q + Q // 2, 11_007, 0, "a0")]))
-        assert seen["ledger"][1] == Q + 30 + 45 + 3 * Q
-
     @pytest.mark.parametrize("substrate", SUBSTRATES)
     def test_fired_does_not_say_which_ticks_coincide(self, substrate):
         """Two nodes running the same runs: in lockstep every segment end
@@ -1372,23 +1253,6 @@ class TestRunRule:
         # the scheduler's and the process's starts, nothing else
         assert eng.stats()["fired"] == 2
 
-    @pytest.mark.parametrize("urgent", [False, True])
-    def test_a_spin_thrown_out_of_its_hold(self, urgent):
-        """Killed seven and a half quanta in, a spin is charged the whole
-        quanta it ran: out of a hold nothing has cut (its timer queued
-        nowhere), or out of the one it took back after an urgent charge
-        (a quarter quantum) cut the first at quantum 4."""
-        probes = [("kill", 7 * Q + Q // 2, 11_007, 0, "s")]
-        if urgent:
-            probes.append(("urgent", 3 * Q + Q // 4, 12_345, 0, "s"))
-        schedule = hand(("s", "spin", []), probes=probes)
-        for reference in (SlicedCpu, HopCpu):
-            seen = agree(schedule, reference)
-        assert ("s", "interrupted") in [(who, what)
-                                        for _t, who, what in seen["log"]]
-        assert seen["ledger"][1] == 7 * Q + urgent * (Q // 4)
-
-
 # ---------------------------------------------------------------------------
 # the code rule: a hold carried on through the code between two charges
 # ---------------------------------------------------------------------------
@@ -1412,8 +1276,7 @@ class TestCodeRule:
         agree(schedule)
 
     @pytest.mark.parametrize("kind", ["process", "exec"])
-    @pytest.mark.parametrize("what", ["log", "tick", "shut", "spawn",
-                                      "kill"])
+    @pytest.mark.parametrize("what", ["log", "tick", "shut", "spawn"])
     def test_each_code_alone(self, what, kind):
         """Each kind of code between two charges, nothing else due at
         the boundary: carried on through when it leaves nothing due
@@ -1438,15 +1301,6 @@ class TestCodeRule:
         of the segment's timer or behind it."""
         agree(code_hand("tick", probes=[(what, 3 * Q + 50, None, hops,
                                          "a0")]))
-
-    def test_a_holder_killed_behind_its_code(self):
-        """The code queues a kill of its own holder at the boundary tick:
-        the holder wakes to take its next segment from the top, steps
-        aside for the kill (a tie) and is thrown out of that, with the
-        segment before charged and nothing after it."""
-        seen = agree(code_hand("kill"))
-        assert ("a0", "interrupted") in [entry[1:] for entry in seen["log"]]
-        assert seen["ledger"][1] == 3 * Q + 50 + Q
 
     def test_code_after_the_last_segment(self):
         """A run that ends in code: it runs at the last boundary and the
@@ -1534,61 +1388,37 @@ class TestGrantRule:
             steals=[0, Q]))["saved"] == 0
 
 
+# ---------------------------------------------------------------------------
+# nothing throws into a charge
+# ---------------------------------------------------------------------------
+
 @pytest.mark.parametrize("substrate", SUBSTRATES)
-class TestInterruptedWaiter:
-    """A waiter thrown out of its wait for the CPU gives up its place in
-    the queue, or the CPU it was granted."""
+def test_closing_a_charge_does_nothing(substrate):
+    """No wait of a charge can fail, so ``Cpu.run`` has no arm for a
+    holder thrown out of one.  Closing the generators of a holder in the
+    middle of its hold and of a waiter queued behind it, as collecting
+    a finished world does, withdraws no timer, settles no ledger and
+    hands the CPU to nobody."""
+    eng = Engine(substrate)
+    cpu = Cpu(eng, Calibration())
+    holder = eng.spawn(cpu.exec(20 * Q, PRIO_KERNEL))
 
-    @staticmethod
-    def world(substrate, kill_at):
-        eng = Engine(substrate)
-        cpu = Cpu(eng, Calibration())
-        log = []
+    def waiter():
+        yield Timeout(eng, Q_TICKS)
+        yield from cpu.exec(Q, PRIO_USER)
 
-        def charge(name, start, cycles):
-            yield Timeout(eng, start)
-            try:
-                yield from cpu.exec(cycles, PRIO_KERNEL)
-            except Interrupt:
-                log.append((name, "interrupted", eng.now))
-            else:
-                log.append((name, "done", eng.now))
+    queued = eng.spawn(waiter())
+    eng.run(until=5 * Q_TICKS + Q_TICKS // 3)
 
-        eng.spawn(charge("a", 0, 10 * Q))
-        b = eng.spawn(charge("b", Q_TICKS, 4 * Q))
-        eng.spawn(charge("c", 3 * Q_TICKS, Q))
+    def state():
+        return (eng.stats(), cpu.lock.locked, list(cpu.lock._waiters),
+                cpu.cycles_charged)
 
-        def killer():
-            yield Timeout(eng, kill_at)
-            b.interrupt("kill")
-
-        eng.spawn(killer())
-        eng.run()
-        return cpu, log
-
-    def test_a_queued_waiter_withdraws_its_request(self, substrate):
-        """``b`` queues behind ``a`` and is interrupted there; ``c``
-        queues after it.  The grant goes to ``c``, not to ``b``'s dead
-        request (which left the lock held by nobody, and ``c`` waiting
-        for ever)."""
-        cpu, log = self.world(substrate, 2 * Q_TICKS)
-        assert log == [("b", "interrupted", 2 * Q_TICKS),
-                       ("a", "done", 10 * Q_TICKS),
-                       ("c", "done", 11 * Q_TICKS)]
-        assert not cpu.lock.locked and not cpu.lock._waiters
-        assert cpu.cycles_charged == 11 * Q
-
-    def test_a_hold_opened_at_the_grant_is_ended(self, substrate):
-        """``b`` is interrupted two and a half quanta into the hold the
-        grant opened for it: it is charged the two whole quanta, and
-        hands the CPU on to ``c``."""
-        kill_at = 10 * Q_TICKS + 5 * Q_TICKS // 2
-        cpu, log = self.world(substrate, kill_at)
-        assert log == [("a", "done", 10 * Q_TICKS),
-                       ("b", "interrupted", kill_at),
-                       ("c", "done", kill_at + Q_TICKS)]
-        assert not cpu.lock.locked
-        assert cpu.cycles_charged == 10 * Q + 2 * Q + Q
+    before = state()
+    assert before[1] and len(before[2]) == 1
+    holder.gen.close()
+    queued.gen.close()
+    assert state() == before
 
 
 class TestFig4Tie:

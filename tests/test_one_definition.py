@@ -35,6 +35,11 @@ function, class and constant defined there is referenced
 policy-dataclass field, bench command-line flag — is set by some call
 (``unset_options``); and the environment is read for two variables
 only (``environment_reads``).
+
+Last, nothing throws into a simulation process but the engine's
+delivery of a failed event (``throw_sites``): the CPU settles a hold and
+releases the lock on one straight path, with no arm for a holder thrown
+out of a wait, and a new ``.throw(`` would break that.
 """
 
 import ast
@@ -1000,3 +1005,47 @@ def test_a_second_copy_is_flagged(tmp_path):
     errors = plane_bench_violations(str(tmp_path))
     assert len(errors) == 3
     assert all("bench_new.py" in e for e in errors)
+
+
+class _Throws(ast.NodeVisitor):
+    """``Class.method`` (or ``function``) around every ``.throw(`` call."""
+
+    def __init__(self):
+        self.stack, self.found = [], []
+
+    def _scope(self, node):
+        self.stack.append(node.name)
+        self.generic_visit(node)
+        self.stack.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _scope
+
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "throw":
+            self.found.append(".".join(self.stack) or "<module>")
+        self.generic_visit(node)
+
+
+def throw_sites(root=ROOT):
+    """``file::scope`` of every ``.throw(`` call under ``src/repro/``."""
+    sites = []
+    for rel, tree in _parsed(root, (os.path.join("src", "repro"),)):
+        throws = _Throws()
+        throws.visit(tree)
+        sites += [f"{rel}::{scope}" for scope in throws.found]
+    return sites
+
+
+def test_only_a_failed_event_is_thrown_into_a_process():
+    assert throw_sites() == ["src/repro/sim/engine.py::SimProcess._on_event"]
+
+
+def test_a_second_throw_is_flagged(tmp_path):
+    lib = tmp_path / "src" / "repro" / "hw"
+    lib.mkdir(parents=True)
+    (lib / "cpu.py").write_text(
+        "class Cpu:\n"
+        "    def kill(self, proc, exc):\n"
+        "        proc.gen.throw(exc)\n"
+    )
+    assert throw_sites(str(tmp_path)) == ["src/repro/hw/cpu.py::Cpu.kill"]
