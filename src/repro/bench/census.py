@@ -46,8 +46,8 @@ A wait that never comes to rest is not listed: a pass-through the
 caller did not yield (:meth:`Engine.passes`) costs nothing at all, a
 triggered target with nothing else due is resumed inside ``_send_step``
 and counted with the inline timer wake-ups in ``stats()["inlined"]``.
-Resumes by ``throw`` (interrupts, failed events) bypass ``_send_step``
-and are not counted either.
+The census sees the fast loop's steps only: the legacy loop's
+(``SimProcess._on_event``) bypass ``_send_step``.
 
 The worlds are the benchmark's (``benchmarks/perf/worlds.py``, loaded by
 path, untimed), and ``paper_tables`` runs its table drivers as the
@@ -154,11 +154,11 @@ class YieldCensus:
         waits = self.waits
 
         def booking_send_step(engine, proc, value):
-            send_step(engine, proc, value)
-            target = proc._waiting_on
-            if proc._state == Event._PENDING and target is not None:
+            target = send_step(engine, proc, value)
+            if target is not None:
                 how = "pending" if target._state == Event._PENDING else "hop"
                 waits[(*yield_site(proc.gen), _target_kind(target), how)] += 1
+            return target
 
         def booking_continue_hold(run):
             if not continue_hold(run):
@@ -169,14 +169,14 @@ class YieldCensus:
             return True
 
         def booking_grant(run, ev):
-            proc = ev.sole_waiter()
+            waiters = ev._callbacks[:]  # a grant takes the sole one
             if not grant(run, ev):
                 return False
-            site = yield_site(proc.gen)
+            site = yield_site(waiters[0].gen)
             rested = (*site, "Event:acquire", "pending")
             if waits[rested] > 1:
                 waits[rested] -= 1
-            else:   # (unbooked when it came to rest by a throw)
+            else:   # (no row is kept at zero)
                 waits.pop(rested, None)
             waits[(*site, "Event:acquire", "granted")] += 1
             return True

@@ -43,12 +43,12 @@ A segment of :data:`ENDLESS` cycles (``Process.spin``) is a hold with no
 end of its own: it ends only when :meth:`Cpu.cut` ends it, and its timer
 is queued only once it is cut.
 
-Nothing throws into a charge.  A failed event reaches only the processes
-that join it (``yield proc``, ``any_of``), and none of the waits a charge
-makes — its gate, its grant, its hold timer, a contention burst — can
-fail; the model's aborts are flags and the VM's cycle budget.  So a
-holder leaves each wait only when it triggers, and settles its hold and
-releases the CPU on the one path there is.
+Nothing throws into a charge.  The engine has no failed events and
+throws nothing into a process (a process that raises is recorded as a
+crash and never resumed again), and the model's aborts are flags and
+the VM's cycle budget.  So a holder leaves each wait — its gate, its
+grant, its hold timer, a contention burst — only when it triggers, and
+settles its hold and releases the CPU on the one path there is.
 
 ``exec`` and ``run`` are generators: call them as ``yield from
 cpu.exec(cycles)`` from inside a simulation process.  They ask the lock
@@ -134,7 +134,7 @@ class Run:
         advancing the calendar wheel: the hop would not have looked), so
         that hop would pop next; no contention injector is installed (it
         draws a burst before a segment's first hold); and the waiter's own
-        resume is all that waits on ``ev`` (:meth:`Event.sole_waiter`).
+        resume is all that waits on ``ev`` (:meth:`Event.skip_hop` asks).
         The hold opens at the very point the hop would have opened it,
         so it sees the lock and the gate as they are then: a releaser
         that queues again at once clips it to a quantum, as before, and

@@ -650,16 +650,16 @@ class TcpConnection:
         if not ok:
             get_ev = ring.get()
             timeout = engine.timeout(us(timeout_us))
-            result = yield from proc.block_on(
-                engine.any_of([get_ev, timeout])
-            )
-            if get_ev not in result:
+            yield from proc.block_on(engine.any_of([get_ev, timeout]))
+            # ask the get: an item put later in the tick the timer fired
+            # satisfies it, but is not in the any_of's value
+            if not get_ev.triggered:
                 ring.cancel_get(get_ev)
                 return False
             # data won the race: the timer is cancelled outright instead
             # of left to fire as a dead event (tombstone churn at scale)
             timeout.cancel()
-            item = result[get_ev]
+            item = get_ev.value
         # a polling receiver, modelled event-driven (see Process.poll),
         # discovers the item one poll-check after arrival, while
         # scheduled; the receive path follows in the same run.  For an

@@ -11,15 +11,19 @@ intentionally small, dependency-free and strictly deterministic:
 * events scheduled for the same tick fire in scheduling order (a
   monotonically increasing sequence number breaks ties),
 * there is no wall-clock anywhere; re-running a workload reproduces the
-  exact same event trace.
+  exact same event trace,
+* no event fails and nothing is thrown into a process: a process whose
+  generator raises is recorded once as a crash (:attr:`Engine.crashes`)
+  and never triggers, which :meth:`Engine.run` reports.
 
 Every CPU charge passes through here twice (its timer, its holder's
 wake-up), so the ``fast`` run loop is written for the interpreter's
-sake: it pops the calendar queue's due heap itself, a waiting process is
-its own callback (no bound method to build or unwrap), a timer fires
-with the value it was made with, and ``scheduled`` / ``fired`` are not
-counted per event but follow from the sequence numbers, the queue and
-the hops elided and re-queued (:meth:`Engine.stats`).
+sake: it pops the calendar queue's due heap itself, a process is its
+own callback from its first step on (no bound method to build or
+unwrap), a timer fires with the value it was made with, and
+``scheduled`` / ``fired`` are not counted per event but follow from the
+sequence numbers, the queue and the hops elided and re-queued
+(:meth:`Engine.stats`).
 
 Example
 -------
@@ -91,12 +95,13 @@ def active_substrate(override: Optional[str] = None) -> str:
 class Event:
     """A one-shot occurrence processes can wait on.
 
-    An event starts *pending*; calling :meth:`succeed` or :meth:`fail`
-    triggers it exactly once, resuming every waiting process during the
-    same simulation tick.
+    An event starts *pending*; calling :meth:`succeed` triggers it
+    exactly once, resuming every waiting process during the same
+    simulation tick.  No event fails: nothing is ever thrown into a
+    waiter.
     """
 
-    __slots__ = ("engine", "name", "_value", "_exc", "_state", "_callbacks")
+    __slots__ = ("engine", "name", "_value", "_state", "_callbacks")
 
     _PENDING = 0
     _TRIGGERED = 1
@@ -105,7 +110,6 @@ class Event:
         self.engine = engine
         self.name = name
         self._value: Any = None
-        self._exc: Optional[BaseException] = None
         self._state = 0     # Event._PENDING
         self._callbacks: list[Callable[["Event"], None]] = []
 
@@ -114,30 +118,15 @@ class Event:
         return self._state == Event._TRIGGERED
 
     @property
-    def ok(self) -> bool:
-        """True once the event succeeded (as opposed to failed)."""
-        return self._state == Event._TRIGGERED and self._exc is None
-
-    @property
     def value(self) -> Any:
         if not self._state:
             raise SimError(f"event {self.name!r} has not triggered yet")
-        if self._exc is not None:
-            raise self._exc
         return self._value
 
     def succeed(self, value: Any = None) -> "Event":
         if self._state:
             raise SimError(f"event {self.name!r} already triggered")
         self._value = value
-        self._state = Event._TRIGGERED
-        self.engine._ready(self)
-        return self
-
-    def fail(self, exc: BaseException) -> "Event":
-        if self._state:
-            raise SimError(f"event {self.name!r} already triggered")
-        self._exc = exc
         self._state = Event._TRIGGERED
         self.engine._ready(self)
         return self
@@ -151,25 +140,16 @@ class Event:
         else:
             self._callbacks.append(fn)
 
-    def sole_waiter(self) -> Optional["SimProcess"]:
-        """The process waiting on this event when its resume is the one
-        callback the event has (no ``any_of``, no listener beside it),
-        else None."""
-        cbs = self._callbacks
-        if len(cbs) == 1 and cbs[0].__class__ is SimProcess:
-            return cbs[0]
-        return None
-
     def skip_hop(self, step: Callable[[Any], "Event"], arg: Any) -> bool:
         """Trigger this event, which a process's resume alone waits on
-        (:meth:`sole_waiter`), without the hop that would resume the
-        process only for it to call ``step(arg)`` and wait on the event
-        that returns: the engine makes that call itself, where the hop
-        would have run, and the process waits on its result.  Call it
-        only when nothing else is due at this tick: the hop would then
-        be the next entry to pop, so it runs once the dispatch under way returns to
-        the run loop, and until then every same-tick test sees it as due
-        (see :attr:`Engine._skipped`).  A lock's grant that opens its
+        (no ``any_of``, no listener beside it), without the hop that
+        would resume the process only for it to call ``step(arg)`` and
+        wait on the event that returns: the engine makes that call
+        itself, where the hop would have run, and the process waits on
+        its result.  Call it only when nothing else is due at this tick:
+        the hop would then be the next entry to pop, so it runs once the
+        dispatch under way returns to the run loop, and until then every
+        same-tick test sees it as due (see :attr:`Engine._skipped`).  A lock's grant that opens its
         grantee's CPU hold does this (:meth:`repro.hw.cpu.Run.grant`).
         True when it did; False, with nothing done, when anything else
         waits on the event."""
@@ -205,7 +185,6 @@ class Timeout(Event):
         self.engine = engine
         self.name = "timeout"
         self._value = value     # (read only once it has fired)
-        self._exc = None
         self._state = Event._PENDING
         self._callbacks = []
         self.hold = None
@@ -272,8 +251,9 @@ class Timeout(Event):
 class AnyOf(Event):
     """Triggers as soon as any child event triggers.
 
-    The value is a dict mapping the already-triggered events to their
-    values; failures propagate.
+    The value is a dict mapping the events triggered when it fired to
+    their values: a snapshot, which a child that triggers later in the
+    same tick is not in (ask the child itself whether it triggered).
     """
 
     __slots__ = ("events",)
@@ -288,15 +268,19 @@ class AnyOf(Event):
             ev.add_callback(self._check)
 
     def _check(self, ev: Event) -> None:
-        if self.triggered:
-            return
-        if ev._exc is not None:
-            self.fail(ev._exc)
-        else:
-            self.succeed({ev: ev._value for ev in self.events if ev.ok})
+        if not self._state:
+            self.succeed({ev: ev._value for ev in self.events if ev._state})
 
 
 SimGenerator = Generator[Event, Any, Any]
+
+
+def _not_an_event(proc: "SimProcess", target: Any) -> SimError:
+    """The crash of a process that yielded ``target``, not an Event."""
+    return SimError(
+        f"process {proc.name!r} yielded {target!r}; processes must "
+        "yield Event objects (use engine.sleep for delays)"
+    )
 
 
 class SimProcess(Event):
@@ -307,57 +291,43 @@ class SimProcess(Event):
     generator's return value.  Other processes may therefore ``yield`` a
     process to join it.  It is also the callback it registers on the
     event it waits on: calling it with that event resumes it
-    (:meth:`_on_event`).
+    (:meth:`_on_event`), and it starts as the callback of a pre-triggered
+    start event.
+
+    A process whose generator raises, or yields something that is not
+    an Event, has crashed: the engine records it once in
+    :attr:`Engine.crashes`, and it never triggers (a joiner waits on).
     """
 
-    __slots__ = ("gen", "_waiting_on")
+    __slots__ = ("gen",)
 
     def __init__(self, engine: "Engine", gen: SimGenerator, name: str = ""):
         super().__init__(engine, name=name or getattr(gen, "__name__", "proc"))
         self.gen = gen
-        #: the event it waits on (what ``repro.bench.census`` books)
-        self._waiting_on: Optional[Event] = None
-        engine._schedule(engine.now, self._resume, None, None)
+        engine._schedule(engine.now, self, engine._start)
 
     def _on_event(self, ev: Event) -> None:
-        """Resume with what ``ev`` triggered with: its value, or the
-        exception of a failed event thrown in.  That is the one way
-        anything is thrown into a process, so a process is resumed only
-        by the one event it waits on, and never once it has ended."""
+        """Resume with the value ``ev`` triggered with, and wait on what
+        the generator yields next.  This is the legacy loop's step; the
+        fast loop's is :meth:`Engine._send_step`, which takes the same
+        step and may elide the hop of a target triggered already."""
         engine = self.engine
         if ev is engine._done:
             engine._book_requeue()
-        if ev._exc is not None:
-            exc = ev._exc
-            self._step(lambda: self.gen.throw(exc))
-        else:
-            self._resume(ev._value, None)
-
-    __call__ = _on_event
-
-    def _resume(self, value: Any, _unused: Any = None) -> None:
-        self._step(lambda: self.gen.send(value))
-
-    def _step(self, advance: Callable[[], Any]) -> None:
         try:
-            target = advance()
+            target = self.gen.send(ev._value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            self.fail(exc)
-            self.engine._crashed(self, exc)
+            engine._crashes.append((self, exc))
             return
         if not isinstance(target, Event):
-            exc = SimError(
-                f"process {self.name!r} yielded {target!r}; processes must "
-                "yield Event objects (use engine.sleep for delays)"
-            )
-            self.fail(exc)
-            self.engine._crashed(self, exc)
+            engine._crashes.append((self, _not_an_event(self, target)))
             return
-        self._waiting_on = target
         target.add_callback(self)
+
+    __call__ = _on_event
 
 
 class Engine:
@@ -399,6 +369,11 @@ class Engine:
         # yield the same object instead of allocating one.
         self._done = Event(self, "done")
         self._done._state = Event._TRIGGERED
+        # What a new process is started against (its first step sends
+        # it None): pre-triggered as ``_done`` is, but its hop is a
+        # dispatch the model asked for, not a requeue.
+        self._start = Event(self, "start")
+        self._start._state = Event._TRIGGERED
         self.event: Callable[..., Event] = partial(Event, self)
         #: hops :meth:`Event.skip_hop` saved, ``(process, step,
         #: arg)``: each stands for an entry due now, at the head of the
@@ -508,12 +483,7 @@ class Engine:
         most one: no grant saves another while one waits): make its
         call and have its process wait on the result."""
         proc, step, arg = self._skipped.pop()
-        target = step(arg)
-        proc._waiting_on = target
-        target._callbacks.append(proc)
-
-    def _crashed(self, proc: SimProcess, exc: BaseException) -> None:
-        self._crashes.append((proc, exc))
+        step(arg)._callbacks.append(proc)
 
     # -- run loop --------------------------------------------------------
     def run(self, until: Optional[int] = None, raise_crashes: bool = True) -> None:
@@ -524,10 +494,14 @@ class Engine:
         resuming) — same events, same order, far fewer interpreter
         operations per event.  ``legacy`` keeps the original loop.
 
-        If any process died with an unhandled exception the first such
+        If any process crashed (see :class:`SimProcess`) the first such
         exception is re-raised at the end of the run (pass
         ``raise_crashes=False`` to inspect ``engine.crashes`` instead).
+        The clock never runs backwards: an ``until`` before ``now`` is
+        an error.
         """
+        if until is not None and until < self._now:
+            raise SimError(f"cannot run until the past ({until} < {self._now})")
         if self.substrate == "fast":
             self._run_fast(until)
         else:
@@ -562,18 +536,17 @@ class Engine:
         """Fused dispatch loop.
 
         Dispatch here is an exact transcription of what the generic
-        path does — ``CalendarQueue.pop_due``, then ``Timeout._fire`` →
-        ``succeed`` → ``_ready``, and ``SimProcess._on_event``/``_resume``
-        → ``_step`` — with the intermediate calls inlined.  Anything
-        that is not one of those two shapes falls through to a plain
-        ``fn(*args)`` call, so ordering and side effects are identical
-        to :meth:`_run_legacy` on the same schedule.
+        path does — ``CalendarQueue.pop``, then ``Timeout._fire`` →
+        ``succeed`` → ``_ready``, and ``SimProcess._on_event`` (as
+        :meth:`_send_step`) — with the intermediate calls inlined.
+        Anything that is not one of those two shapes falls through to a
+        plain ``fn(*args)`` call, so ordering and side effects are
+        identical to :meth:`_run_legacy` on the same schedule.
         """
         queue = self._queue
         advance = queue._advance
         push = queue.push
         peek_at = queue.peek_at
-        proc_resume = SimProcess._resume
         send_step = self._send_step
         done = self._done
         skipped = self._skipped
@@ -589,9 +562,7 @@ class Engine:
                 if skipped:
                     # ``_take_skipped``, inlined
                     proc, step, arg = skipped.pop()
-                    target = step(arg)
-                    proc._waiting_on = target
-                    target._callbacks.append(proc)
+                    step(arg)._callbacks.append(proc)
                 due = queue._due  # re-read each pass: _advance rebinds it
                 if not due:
                     if not advance():
@@ -655,25 +626,21 @@ class Engine:
                         self._seq += 1
                         push([at, self._seq, cb, (fn,), None])
                 elif fn.__class__ is SimProcess:
-                    # SimProcess._on_event → _resume → _step, inlined.
+                    # SimProcess._on_event, inlined
                     ev = args[0]
                     if ev is done:  # _book_requeue, on the deltas
                         req_d += 1
-                    if ev._exc is not None:
-                        fn(ev)  # failure path: take the generic route
-                    else:
-                        send_step(fn, ev._value)
-                elif getattr(fn, "__func__", None) is proc_resume:
-                    send_step(fn.__self__, args[0])
+                    send_step(fn, ev._value)
                 else:
                     fn(*args)
         finally:
             self._inlined += inl_d
             self._requeued += req_d
 
-    def _send_step(self, proc: "SimProcess", value: Any) -> None:
+    def _send_step(self, proc: "SimProcess", value: Any) -> Optional[Event]:
         """Advance a process generator with ``value`` (the fast loop's
-        inlined ``SimProcess._step`` + ``add_callback``).
+        inlined :meth:`SimProcess._on_event`); return the event it now
+        waits on, or None once it has ended or crashed.
 
         When the yielded target has *already* triggered (an item already
         queued on a channel; a lock or gate whose caller did not ask
@@ -692,23 +659,16 @@ class Engine:
                 target = proc.gen.send(value)
             except StopIteration as stop:
                 proc.succeed(stop.value)
-                return
+                return None
             except BaseException as exc:
-                proc.fail(exc)
-                self._crashed(proc, exc)
-                return
+                self._crashes.append((proc, exc))
+                return None
             if not isinstance(target, Event):
-                exc = SimError(
-                    f"process {proc.name!r} yielded {target!r}; processes "
-                    "must yield Event objects (use engine.sleep for delays)"
-                )
-                proc.fail(exc)
-                self._crashed(proc, exc)
-                return
-            proc._waiting_on = target
+                self._crashes.append((proc, _not_an_event(proc, target)))
+                return None
             if not target._state:
                 target._callbacks.append(proc)
-                return
+                return target
             # triggered already (no time passes here: ``now`` is the
             # tick being dispatched)
             now = self._now
@@ -717,20 +677,18 @@ class Engine:
                 # a hop a grant saved is due first, and it would sit
                 # at the head of the due heap: look no further (no
                 # eager advance), as behind it
-                if target._exc is not None or (due and due[0][0] == now):
+                if due and due[0][0] == now:
                     self._schedule(now, proc, target)
-                    return
+                    return target
                 # nothing else is due, and nothing else of this
                 # dispatch is left to run (the run loop steps one
                 # process at a time): take it here, where this
                 # process would step aside for it, and go on
                 self._take_skipped()
-            elif target._exc is not None or (
-                (due[0][0] == now) if due else (self._queue.peek_at() == now)
-            ):
-                # failure delivery or same-tick siblings: generic hop
+            elif (due[0][0] == now) if due else (self._queue.peek_at() == now):
+                # same-tick siblings: generic hop
                 self._schedule(now, proc, target)
-                return
+                return target
             if target is not self._done:  # its hop would not count either
                 self._inlined += 1
             value = target._value

@@ -30,6 +30,8 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Optional, TYPE_CHECKING
 
+from ..errors import SimError
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle: engine imports us
     from .engine import Engine, Event
 
@@ -89,18 +91,6 @@ class HeapEventQueue:
 
     def pop(self) -> list:
         entry = heappop(self._due)
-        if entry[2] is None:
-            self.tombstones -= 1
-            self.tombstones_popped += 1
-        return entry
-
-    def pop_due(self, until: Optional[int] = None) -> Optional[list]:
-        """Combined peek+pop: the next entry, or ``None`` when the queue
-        is empty or the head fires beyond ``until``."""
-        due = self._due
-        if not due or (until is not None and due[0][0] > until):
-            return None
-        entry = heappop(due)
         if entry[2] is None:
             self.tombstones -= 1
             self.tombstones_popped += 1
@@ -278,23 +268,6 @@ class CalendarQueue:
             self.tombstones_popped += 1
         return entry
 
-    def pop_due(self, until: Optional[int] = None) -> Optional[list]:
-        """Combined peek+pop: the next entry, or ``None`` when nothing
-        is pending or the global minimum fires beyond ``until``.  This
-        is the engine fast loop's single per-event queue call."""
-        due = self._due
-        if not due:
-            if not self._advance():
-                return None
-            due = self._due
-        if until is not None and due[0][0] > until:
-            return None
-        entry = heapq.heappop(due)
-        if entry[2] is None:
-            self.tombstones -= 1
-            self.tombstones_popped += 1
-        return entry
-
     def cancel(self, entry: list) -> None:
         if entry[2] is None:
             return
@@ -360,11 +333,13 @@ class Channel:
         return ev
 
     def cancel_get(self, ev: Event) -> None:
-        """Withdraw a pending ``get`` (e.g. when a timeout won instead)."""
-        try:
-            self._waiters.remove(ev)
-        except ValueError:
-            pass
+        """Withdraw a pending ``get`` (e.g. when a timeout won instead).
+        A get an item already satisfied cannot be withdrawn: the item
+        is the caller's, and dropping it would lose it."""
+        if ev.triggered:
+            raise SimError(f"cannot cancel {ev!r}: an item already "
+                           "satisfied it")
+        self._waiters.remove(ev)
 
     def try_get(self) -> tuple[bool, Any]:
         """Non-blocking poll: ``(True, item)`` or ``(False, None)``."""

@@ -3,10 +3,13 @@ and the ASH/upcall fast path."""
 
 import pytest
 
+from repro.ash.interface import AshNotification
 from repro.bench.testbed import make_an2_pair
+from repro.errors import SimError
 from repro.net.socket_api import make_stacks, tcp_pair
 from repro.net.tcp import TcpState
-from repro.sim.units import to_us
+from repro.sim import Channel
+from repro.sim.units import to_us, us
 
 
 def build_pair(**conn_kwargs):
@@ -511,6 +514,52 @@ class TestClose:
         assert got[0] == b"bye!"
         assert got[1] == b""
         assert server.peer_fin
+
+
+class TestPump:
+    def test_an_item_put_at_the_timeout_tick_is_taken(self):
+        """The pump's timer fires, and an item lands on the ring later in
+        the same tick, before the pump resumes: the any_of's value names
+        only the timer, but the get has the item, which the pump takes
+        (the get cannot be withdrawn: the item would be lost)."""
+        tb, client, server = build_pair()
+        ring = server.endpoint.ring
+        got = []
+
+        def s(proc):
+            yield from server.accept(proc)
+            eng = proc.engine
+            at = eng.now + us(50)
+
+            def putter():
+                # started after the pump armed its timer: this one fires
+                # behind it, at the same tick
+                yield eng.timeout(at - eng.now)
+                ring.put(AshNotification())
+
+            eng.spawn(putter())
+            got.append((yield from server._pump(proc, timeout_us=50)))
+            got.append(eng.now >= at)
+
+        def c(proc):
+            yield from client.connect(proc)
+
+        run_session(tb, client, server, c, s)
+        assert got == [True, True]
+        assert len(ring) == 0 and not ring._waiters
+
+    def test_a_satisfied_get_cannot_be_cancelled(self):
+        tb = make_an2_pair()
+        ring = Channel(tb.engine, "ring")
+        ring.put("item")
+        ev = ring.get()
+        with pytest.raises(SimError, match="'ring.get' triggered>: an "
+                                           "item already satisfied it"):
+            ring.cancel_get(ev)
+        pending = ring.get()
+        ring.cancel_get(pending)
+        ring.put("next")
+        assert not pending.triggered and len(ring) == 1
 
 
 class TestFastPath:

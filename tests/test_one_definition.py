@@ -36,10 +36,10 @@ policy-dataclass field, bench command-line flag — is set by some call
 (``unset_options``); and the environment is read for two variables
 only (``environment_reads``).
 
-Last, nothing throws into a simulation process but the engine's
-delivery of a failed event (``throw_sites``): the CPU settles a hold and
-releases the lock on one straight path, with no arm for a holder thrown
-out of a wait, and a new ``.throw(`` would break that.
+Last, nothing throws into a simulation process (``throw_sites``): no
+event fails, the CPU settles a hold and releases the lock on one
+straight path, with no arm for a holder thrown out of a wait, and a
+``.throw(`` would break that.
 """
 
 import ast
@@ -1037,7 +1037,8 @@ def throw_sites(root=ROOT):
 
 
 def test_only_a_failed_event_is_thrown_into_a_process():
-    assert throw_sites() == ["src/repro/sim/engine.py::SimProcess._on_event"]
+    # no event fails: nothing at all is thrown into a process
+    assert throw_sites() == []
 
 
 def test_a_second_throw_is_flagged(tmp_path):

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro.sim import Engine
 from repro.sim.queues import CalendarQueue, HeapEventQueue
 
 
@@ -20,12 +21,14 @@ def _entry(at, seq, payload=None):
     return [at, seq, payload or (lambda: None), (), None]
 
 
+def _pop(queue):
+    """The next entry, or None with nothing pending."""
+    return None if queue.peek_at() is None else queue.pop()
+
+
 def _drain(queue):
     order = []
-    while len(queue):
-        entry = queue.pop_due()
-        if entry is None:
-            break
+    while (entry := _pop(queue)) is not None:
         order.append((entry[0], entry[1]))
     return order
 
@@ -69,7 +72,7 @@ def test_interleaved_push_pop_matches_heap(seed):
             cal.push(_entry(at, seq))
             heap.push(_entry(at, seq))
         if rng.random() < 0.7:
-            a, b = cal.pop_due(), heap.pop_due()
+            a, b = _pop(cal), _pop(heap)
             assert (a is None) == (b is None)
             if a is not None:
                 assert (a[0], a[1]) == (b[0], b[1])
@@ -109,10 +112,7 @@ def test_cancellation_matches_heap(seed):
 
     def drain_live(queue):
         order = []
-        while len(queue):
-            entry = queue.pop_due()
-            if entry is None:
-                break
+        while (entry := _pop(queue)) is not None:
             if entry[2] is not None:
                 order.append((entry[0], entry[1]))
         return order
@@ -126,16 +126,20 @@ def test_cancellation_matches_heap(seed):
 
 
 def test_pop_due_horizon():
-    cal, heap = CalendarQueue(), HeapEventQueue()
-    for q in (cal, heap):
-        q.push(_entry(100, 1))
-        q.push(_entry(200, 2))
-    for q in (cal, heap):
-        assert q.pop_due(until=50) is None
-        assert q.pop_due(until=150)[1] == 1
-        assert q.pop_due(until=150) is None
-        assert q.pop_due(until=None)[1] == 2
-        assert q.pop_due() is None
+    """Both run loops stop at ``until`` with the entry beyond it kept
+    in the queue (the fast loop pops the due heap itself, and puts that
+    one back) and the clock parked at the horizon."""
+    for substrate in ("fast", "legacy"):
+        eng = Engine(substrate)
+        fired = []
+        for at in (100, 200):
+            eng.timeout(at).add_callback(lambda ev: fired.append(eng.now))
+        eng.run(until=50)
+        assert (eng.now, fired, eng.stats()["pending"]) == (50, [], 2)
+        eng.run(until=150)
+        assert (eng.now, fired, eng.stats()["pending"]) == (150, [100], 1)
+        eng.run()
+        assert (eng.now, fired, eng.stats()["pending"]) == (200, [100, 200], 0)
 
 
 def test_overflow_spill_and_refill():

@@ -108,26 +108,6 @@ def test_event_succeed_delivers_value():
     assert p.value == "payload"
 
 
-def test_event_fail_raises_in_waiter():
-    eng = Engine()
-    ev = eng.event()
-
-    def waiter(ev):
-        try:
-            yield ev
-        except ValueError as exc:
-            return str(exc)
-
-    def firer(eng, ev):
-        yield eng.sleep(1)
-        ev.fail(ValueError("boom"))
-
-    p = eng.spawn(waiter(ev))
-    eng.spawn(firer(eng, ev))
-    eng.run()
-    assert p.value == "boom"
-
-
 def test_double_trigger_is_an_error():
     eng = Engine()
     ev = eng.event()
@@ -160,6 +140,29 @@ def test_crashes_collected_when_not_raised():
     assert len(eng.crashes) == 1
 
 
+@pytest.mark.parametrize("substrate", ["fast", "legacy"])
+def test_a_crash_is_recorded_once(substrate):
+    """A crashed process never triggers: its joiner waits on, and the
+    crash is the engine's to report, once."""
+    eng = Engine(substrate)
+
+    def bad(eng):
+        yield eng.sleep(1)
+        raise RuntimeError("dead")
+
+    def joiner(eng, proc):
+        yield proc
+        return "joined"
+
+    crashed = eng.spawn(bad(eng))
+    waiter = eng.spawn(joiner(eng, crashed))
+    eng.run(raise_crashes=False)
+    assert [(proc, str(exc)) for proc, exc in eng.crashes] == [
+        (crashed, "dead")]
+    assert not crashed.triggered and not waiter.triggered
+    assert eng.idle
+
+
 def test_yielding_non_event_is_a_crash():
     eng = Engine()
 
@@ -183,6 +186,20 @@ def test_run_until_stops_clock():
     assert not eng.idle
     eng.run()
     assert eng.now == 1000
+
+
+@pytest.mark.parametrize("substrate", ["fast", "legacy"])
+def test_run_until_the_past_is_an_error(substrate):
+    eng = Engine(substrate)
+    fired = []
+    for at in (100, 150, 200):
+        eng.timeout(at).add_callback(lambda ev: fired.append(eng.now))
+    eng.run(until=150)
+    with pytest.raises(SimError, match="past"):
+        eng.run(until=50)
+    assert eng.now == 150 and fired == [100, 150]
+    eng.run()
+    assert fired == [100, 150, 200]
 
 
 def test_any_of_triggers_on_first():
