@@ -32,9 +32,12 @@ as ``file:line function``, with what was waited on and how:
     the process's CPU hold came to the end of one charge segment and was
     carried on into the next, on the same timer: one event (the timer
     firing), no wake-up.  Where code stands between the two (a send's
-    doorbell, a library's header build: ``Cpu.run_code``) the carry ran
-    it at the boundary, where the woken holder would have.  Booked where
-    the process rests, on the timer.
+    doorbell, a library's header build, a library receive's parse and
+    ACK: ``Cpu.run_code``) the carry ran it at the boundary, where the
+    woken holder would have; a run that ends in such code wakes its
+    holder once, off the timer's own dispatch.  Booked where the process
+    rests, on the timer: a library receive's charges at ``_pump`` (TCP,
+    one ``pending`` per receive at its end) or ``recvfrom`` (UDP).
 ``granted``
     a ``pending`` acquire whose grant opened the process's hold where
     its wake-up would have run: the process sleeps on through to the end

@@ -327,18 +327,23 @@ class Code:
                     return True
                 run.nxt = seg
         # The holder's wake-up: at a segment end with nothing left to
-        # settle, the CPU its own (a hold of no ticks, already fired),
-        # queued under the timer's own sequence number so that it pops
-        # next, ahead of what the code queued.  The timer is left with
-        # no one to wake.
+        # settle, the CPU its own (a hold of no ticks, already fired).
+        # With nothing queued at this tick the timer's own dispatch wakes
+        # it next (the tie test again, of what the code queued); else it
+        # is queued under the timer's own sequence number so that it
+        # pops next, ahead of what the code queued, and the timer is
+        # left with no one to wake.
         timer = cpu._timer = cpu._hold_timer
-        now = cpu._start = engine._now
+        cpu._start = now
         run.ticks = 0
         lock._locked = True
-        for proc in timer._callbacks:
-            engine._seq += 1
-            engine._queue.push([now, timer._entry[1], proc, (timer,), None])
-        timer._callbacks = []
+        due = queue._due
+        if engine._skipped or ((due[0][0] == now) if due
+                               else (queue.peek_at() == now)):
+            for proc in timer._callbacks:
+                engine._seq += 1
+                queue.push([now, timer._entry[1], proc, (timer,), None])
+            timer._callbacks = []
         return False
 
 

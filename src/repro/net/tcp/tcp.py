@@ -142,6 +142,26 @@ class TcpConnection:
         self.checksum = checksum
         self.in_place = in_place
         self.interrupt_driven = interrupt_driven
+        cal = self.cal
+        recv = (cal.us_to_cycles(cal.user_recv_path_us), PRIO_USER, True)
+        #: the fixed charges of a received segment's run
+        #: (``_received``): the poll check (none when interrupt
+        #: driven) and the user receive path, header prediction's hit
+        #: and miss, the checksum's fixed part
+        self._recv_charges = recv if interrupt_driven else (
+            (cal.us_to_cycles(cal.poll_check_us), PRIO_USER, True), recv)
+        self._hdrpred_charge = (cal.us_to_cycles(cal.tcp_recv_hdrpred_us),
+                                PRIO_USER, True)
+        self._slow_charge = (cal.us_to_cycles(cal.tcp_recv_slow_us),
+                             PRIO_USER, True)
+        self._cksum_fixed_charge = (cal.us_to_cycles(cal.cksum_fixed_us),
+                                    PRIO_USER, True)
+        #: a send's build charge: a data or flags segment's, an ACK's
+        self._build_charge = (cal.us_to_cycles(cal.tcp_send_build_us
+                                               + cal.ip_process_us),
+                              PRIO_USER, True)
+        self._ack_build_charge = (cal.us_to_cycles(cal.tcp_ack_build_us),
+                                  PRIO_USER, True)
         self.rto_us = rto_us
         self.min_rto_us = min(min_rto_us, rto_us)
         self.max_rexmit_rounds = max_rexmit_rounds
@@ -320,11 +340,13 @@ class TcpConnection:
                 self._exit_recovery(now)
             self._grow_cwnd(newly, now)
 
-    def _enter_recovery(self, proc: "Process") -> Generator:
-        """Dup-ack threshold reached: halve, mark, resend the hole."""
+    def _enter_recovery(self) -> Generator:
+        """Dup-ack threshold reached: halve, mark, resend the hole (a
+        segment generator of the receive's run: the resend's last
+        charge is returned)."""
         tcb = self.tcb
         sh = tcb.shared
-        now = proc.engine.now
+        now = self.kernel.engine.now
         self._dup_ack_count = 0
         sh.ssthresh = max(tcb.snd_inflight // 2, 2 * tcb.mss)
         sh.cwnd = sh.ssthresh
@@ -342,8 +364,9 @@ class TcpConnection:
             )
         self._cc_event("fast_recovery", now)
         hole = self._board.first_unsacked()
-        if hole is not None:
-            yield from self._fast_resend(proc, hole)
+        if hole is None:
+            return None
+        return (yield from self._fast_resend(hole))
 
     def _exit_recovery(self, now) -> None:
         tcb = self.tcb
@@ -355,14 +378,13 @@ class TcpConnection:
             self.tel.gauge("tcp.cwnd", conn=self.name).set(sh.cwnd)
         self._cc_event("recovery_exit", now)
 
-    def _fast_resend(self, proc: "Process", seg: SentSeg) -> Generator:
-        """Resend one scoreboard hole without waiting out the timer."""
+    def _fast_resend(self, seg: SentSeg) -> Generator:
+        """Resend one scoreboard hole without waiting out the timer (a
+        segment generator: the resend's last charge is returned)."""
         seg.rexmits += 1
         self.tcb.fast_retransmits += 1
-        self._flow.retransmit(proc.engine.now)
-        yield from self._send_data(
-            proc, seg.payload, push=True, seq=seg.seq, rexmit=True
-        )
+        self._flow.retransmit(self.kernel.engine.now)
+        return (yield from self._data_segments(seg.payload, True, seg.seq))
 
     # ------------------------------------------------------------------
     # connection establishment
@@ -432,21 +454,33 @@ class TcpConnection:
     def write(self, proc: "Process", data: bytes) -> Generator:
         """Synchronous send: returns once every byte is acknowledged
         ("the write call is synchronous — write waits for an
-        acknowledgment before returning")."""
+        acknowledgment before returning").
+
+        Each fill of the window is one run of charges, its sends and
+        all (``fill``).  A received segment's run goes on into the round
+        that follows it (``acked``): the reconciliation, the refill and,
+        once every byte is acknowledged, the closing charge."""
         tcb = self.tcb
         sh = tcb.shared
         if tcb.state is not TcpState.ESTABLISHED:
             raise SocketError(f"{self.name}: write on {tcb.state.value}")
+        engine = proc.engine
         target = (tcb.snd_nxt + len(data)) & MASK32
         offset = 0
         stale_rounds = 0
         last_una = sh.snd_una
-        write_start = proc.engine.now
-        while seq_lt(sh.snd_una, target):
+        write_start = engine.now
+        unrecorded = None   # the send a fill ended its run with
+        joined = done = False
+
+        def fill() -> Generator:
+            """Fill the window: congestion-paced, with SACKed bytes
+            credited so recovery does not stall new data.  The data's
+            last send ends the run, its bookkeeping left to
+            ``record_last``."""
+            nonlocal offset, unrecorded
             sh.lib_busy = 1
-            self._sync_una(proc.engine.now)
-            # fill the window: congestion-paced, with SACKed bytes
-            # credited so recovery does not stall new data
+            self._sync_una(engine.now)
             while offset < len(data):
                 chunk = min(
                     tcb.mss, len(data) - offset,
@@ -455,20 +489,26 @@ class TcpConnection:
                 if chunk <= 0:
                     break
                 payload = data[offset:offset + chunk]
-                push = offset + chunk >= len(data)
-                yield from self._send_data(proc, payload, push)
+                seq = tcb.snd_nxt
                 offset += chunk
+                last = yield from self._data_segments(
+                    payload, offset >= len(data), seq)
+                if offset >= len(data):
+                    unrecorded = (seq, payload)
+                    return last
+                yield last
+                self._record(seq, payload, engine.now)
             sh.lib_busy = 0
-            if not seq_lt(sh.snd_una, target):
-                break
-            got = yield from self._pump(
-                proc, timeout_us=self._rto() * self._rto_backoff
-            )
-            if got:
-                self._sync_una(proc.engine.now)
-            else:
-                yield from self._retransmit(proc)
-                self._escalate_backoff(proc.engine.now)
+            return None
+
+        def record_last() -> None:
+            nonlocal unrecorded
+            self._record(*unrecorded, engine.now)
+            unrecorded = None
+            sh.lib_busy = 0
+
+        def round_over() -> None:
+            nonlocal stale_rounds, last_una
             if sh.snd_una == last_una:
                 stale_rounds += 1
                 if stale_rounds > self.max_rexmit_rounds:
@@ -476,57 +516,75 @@ class TcpConnection:
             else:
                 stale_rounds = 0
                 last_una = sh.snd_una
-        if self.tel.enabled:
-            # sender-side flow latency: first byte handed to the stack
-            # until the last byte of this write was acknowledged
-            now = proc.engine.now
-            self._flow.observe_latency_us((now - write_start) / 1e6, now)
-            self._flow.goodput(len(data))
-        yield from proc.compute_us(self.cal.tcp_sync_write_us)
+
+        def closing() -> int:
+            """The closing charge's cycles, once every byte is
+            acknowledged."""
+            if self.tel.enabled:
+                # sender-side flow latency: first byte handed to the
+                # stack until the last byte of this write was acknowledged
+                now = engine.now
+                self._flow.observe_latency_us((now - write_start) / 1e6, now)
+                self._flow.goodput(len(data))
+            return self.cal.us_to_cycles(self.cal.tcp_sync_write_us)
+
+        def acked() -> Generator:
+            """``_pump``'s ``then``: the round after a received segment,
+            in the receive's run."""
+            nonlocal joined, done
+            joined = True
+            self._sync_una(engine.now)
+            round_over()
+            if seq_lt(sh.snd_una, target):
+                last = yield from fill()
+                if unrecorded is not None:
+                    yield last
+                    record_last()
+                if seq_lt(sh.snd_una, target):
+                    return None
+            done = True
+            return (closing(), PRIO_USER, True)
+
+        while seq_lt(sh.snd_una, target):
+            yield from proc.cpu.run_code(fill(), proc)
+            if unrecorded is not None:
+                record_last()
+            if not seq_lt(sh.snd_una, target):
+                break
+            while True:
+                joined = False
+                got = yield from self._pump(
+                    proc, timeout_us=self._rto() * self._rto_backoff,
+                    then=acked(),
+                )
+                if done:
+                    return
+                if not joined:
+                    break
+            if got:     # an ASH notification
+                self._sync_una(engine.now)
+            else:
+                yield from self._retransmit(proc)
+                self._escalate_backoff(engine.now)
+            round_over()
+        yield from proc.compute(closing())
 
     def read(self, proc: "Process", n: int) -> Generator:
-        """Read exactly ``n`` bytes (fewer only at EOF)."""
-        tcb = self.tcb
-        sh = tcb.shared
-        mem = self.kernel.node.memory
+        """Read exactly ``n`` bytes (fewer only at EOF).  A copy-out that
+        follows a received segment is the end of the receive's run."""
+        sh = self.tcb.shared
         out = bytearray()
         stale_rounds = 0
         while len(out) < n:
             avail = sh.available
             if avail:
-                sh.lib_busy = 1
-                take = min(avail, n - len(out))
-                pos = sh.read_count & sh.buf_mask
-                first = min(take, sh.buf_size - pos)
-                out += mem.read(sh.buf_base + pos, first)
-                if take > first:
-                    out += mem.read(sh.buf_base, take - first)
-                sh.read_count = (sh.read_count + take) & MASK32
-                sh.lib_busy = 0
-                if self.tel.enabled:
-                    # receiver-side goodput: bytes delivered to the app
-                    self._flow.goodput(take)
-                cycles = 0
-                if not self.in_place and self.handler_mode is None:
-                    # the read-interface copy into application data
-                    # structures (skipped "in place", and when a handler
-                    # already placed the data in the right place)
-                    dst = self._app_out.base
-                    cycles = self.stack.datapath.copy(
-                        sh.buf_base + pos, dst, min(first, self._app_out.size)
-                    )
-                    if take > first:
-                        cycles += self.stack.datapath.copy(
-                            sh.buf_base, dst,
-                            min(take - first, self._app_out.size),
-                        )
-                yield from proc.compute(
-                    cycles, self.cal.us_to_cycles(self.cal.tcp_read_wakeup_us))
+                yield from proc.compute(*self._read_out(avail, n, out))
                 continue
             if self.peer_fin:
                 break
             got = yield from self._pump(
-                proc, timeout_us=self._rto() * self._rto_backoff
+                proc, timeout_us=self._rto() * self._rto_backoff,
+                then=self._read_segments(n, out),
             )
             if not got:
                 yield from self._retransmit(proc)
@@ -541,6 +599,51 @@ class TcpConnection:
             else:
                 stale_rounds = 0
         return bytes(out)
+
+    def _read_out(self, avail: int, n: int,
+                  out: bytearray) -> tuple[int, int]:
+        """Move what the ring holds (``avail`` bytes), up to ``n`` bytes
+        in ``out``, onto ``out``; return the cycles of the
+        read-interface copy and of the read's wake-up path, the charges
+        that follow."""
+        sh = self.tcb.shared
+        mem = self.kernel.node.memory
+        sh.lib_busy = 1
+        take = min(avail, n - len(out))
+        pos = sh.read_count & sh.buf_mask
+        first = min(take, sh.buf_size - pos)
+        out += mem.read(sh.buf_base + pos, first)
+        if take > first:
+            out += mem.read(sh.buf_base, take - first)
+        sh.read_count = (sh.read_count + take) & MASK32
+        sh.lib_busy = 0
+        if self.tel.enabled:
+            # receiver-side goodput: bytes delivered to the app
+            self._flow.goodput(take)
+        cycles = 0
+        if not self.in_place and self.handler_mode is None:
+            # the read-interface copy into application data structures
+            # (skipped "in place", and when a handler already placed the
+            # data in the right place)
+            dst = self._app_out.base
+            cycles = self.stack.datapath.copy(
+                sh.buf_base + pos, dst, min(first, self._app_out.size)
+            )
+            if take > first:
+                cycles += self.stack.datapath.copy(
+                    sh.buf_base, dst, min(take - first, self._app_out.size),
+                )
+        return cycles, self.cal.us_to_cycles(self.cal.tcp_read_wakeup_us)
+
+    def _read_segments(self, n: int, out: bytearray) -> Generator:
+        """``read``'s copy-out as the end of a receive's run (see
+        ``_pump``): none when the receive left the ring empty."""
+        avail = self.tcb.shared.available
+        if not avail:
+            return None
+        cycles, wakeup = self._read_out(avail, n, out)
+        yield (cycles, PRIO_USER, True)
+        return (wakeup, PRIO_USER, True)
 
     def _escalate_backoff(self, now) -> None:
         """Double the RTO multiplier after a no-progress round; the
@@ -637,8 +740,16 @@ class TcpConnection:
     # ------------------------------------------------------------------
     # the receive pump
     # ------------------------------------------------------------------
-    def _pump(self, proc: "Process", timeout_us: Optional[float] = None) -> Generator:
+    def _pump(self, proc: "Process", timeout_us: Optional[float] = None,
+              then: Optional[Generator] = None) -> Generator:
         """Wait for one network event and process it.
+
+        A received segment is one run of charges (``Cpu.run_code``) from
+        the poll check to its ACK (:meth:`_received`); ``then``, a
+        segment generator of the caller's, carries that run on with the
+        caller's own code once the receive is over (it is left unstarted
+        when nothing arrives, or only an ASH notification: the caller
+        goes on in its own runs).
 
         Returns True if an event was handled, False on timeout.
         """
@@ -665,79 +776,92 @@ class TcpConnection:
         # scheduled; the receive path follows in the same run.  For an
         # ASH notification that path is short: data/acks were handled
         # in the kernel, we were only woken
-        notified = isinstance(item, AshNotification)
-        run = [] if self.interrupt_driven else [self.cal.poll_check_us]
-        run.append(2.0 if notified else self.cal.user_recv_path_us)
-        yield from proc.compute_us(*run)
-        if notified:
+        if isinstance(item, AshNotification):
+            if self.interrupt_driven:
+                yield from proc.compute_us(2.0)
+            else:
+                yield from proc.compute_us(self.cal.poll_check_us, 2.0)
             # the handler may have advanced SND_UNA: reconcile
             self._sync_una(proc.engine.now)
             return True
-        yield from self._process_desc(proc, item)
+        yield from proc.cpu.run_code(self._received(proc, item, then), proc)
         return True
 
-    def _process_desc(self, proc: "Process", desc: RxDescriptor) -> Generator:
-        tcb = self.tcb
-        sh = tcb.shared
-        cal = self.cal
-        mem = self.kernel.node.memory
+    def _received(self, proc: "Process", desc: RxDescriptor,
+                  then: Optional[Generator]) -> Generator:
+        """``_pump``'s run for a received segment: the poll check and the
+        user receive path, the segment's own work under LIB_BUSY
+        (:meth:`_recv_segments`), the buffer replenished, then
+        ``then``."""
+        yield self._recv_charges
+        sh = self.tcb.shared
         sh.lib_busy = 1
         tracker = self.tel.spans
         prev_active = tracker.active
+        last = yield from self._recv_segments(desc)
+        if last is not None:
+            yield last
+        tracker.active = prev_active
+        sh.lib_busy = 0
+        yield from self.kernel.sys_replenish(proc, self.endpoint, desc)
+        if then is None:
+            return None
+        return (yield from then)
+
+    def _recv_segments(self, desc: RxDescriptor) -> Generator:
+        """A received segment's own work, in ``_pump``'s run: header
+        prediction, the checksum, then the segment's state machine
+        through its ACK (or fast resend), whose last charge it
+        returns."""
+        tcb = self.tcb
+        sh = tcb.shared
+        # fast substrate: raw is a zero-copy view of the receive
+        # buffer; everything parsed from it is consumed (written into
+        # the ring) before ``_pump``'s replenish recycles it
+        ip_addr, ip_len, raw = self.stack.read_ip_packet(desc)
+        span = desc.span
+        if span is not None:
+            span.stage("tcp_segment", self.kernel.engine.now)
+            # while this segment is being processed it is the node's
+            # active delivery: ACKs and replies sent from here carry its
+            # causal lineage in their trace context
+            self.tel.spans.active = span
+        tcb.rx_segments += 1
+        if self.tel.enabled:
+            self._flow.rx_segment(ip_len)
         try:
-            # fast substrate: raw is a zero-copy view of the receive
-            # buffer; everything parsed from it is consumed (written
-            # into the ring) before the replenish below recycles it
-            ip_addr, ip_len, raw = self.stack.read_ip_packet(desc)
-            span = desc.span
-            if span is not None:
-                span.stage("tcp_segment", proc.engine.now)
-                # while this segment is being processed it is the node's
-                # active delivery: ACKs and replies sent from here carry
-                # its causal lineage in their trace context
-                tracker.active = span
-            tcb.rx_segments += 1
-            if self.tel.enabled:
-                self._flow.rx_segment(ip_len)
-            try:
-                seg = parse_segment(raw, ip_addr)
-            except ProtocolError:
-                yield from proc.compute_us(cal.tcp_recv_slow_us)
-                return
-            if (seg.tcp.dst_port != tcb.local_port
-                    or seg.tcp.src_port != tcb.remote_port):
-                return  # not this connection's segment
+            seg = parse_segment(raw, ip_addr)
+        except ProtocolError:
+            return self._slow_charge
+        if (seg.tcp.dst_port != tcb.local_port
+                or seg.tcp.src_port != tcb.remote_port):
+            return None  # not this connection's segment
 
-            predicted = (
-                tcb.state is TcpState.ESTABLISHED
-                and seg.tcp.flags in (TCP_ACK, TCP_ACK | TCP_PSH)
-                and seg.tcp.seq == sh.rcv_nxt
-                and not seg.tcp.options
+        predicted = (
+            tcb.state is TcpState.ESTABLISHED
+            and seg.tcp.flags in (TCP_ACK, TCP_ACK | TCP_PSH)
+            and seg.tcp.seq == sh.rcv_nxt
+            and not seg.tcp.options
+        )
+        if predicted:
+            tcb.hdrpred_hits += 1
+            yield self._hdrpred_charge
+        else:
+            tcb.slow_segments += 1
+            yield self._slow_charge
+
+        if self.checksum and seg.tcp.checksum:
+            _, cycles = self.stack.datapath.checksum(
+                ip_addr + Ipv4Header.SIZE, ip_len - Ipv4Header.SIZE
             )
-            if predicted:
-                tcb.hdrpred_hits += 1
-                yield from proc.compute_us(cal.tcp_recv_hdrpred_us)
-            else:
-                tcb.slow_segments += 1
-                yield from proc.compute_us(cal.tcp_recv_slow_us)
+            yield ((cycles, PRIO_USER, True), self._cksum_fixed_charge)
+            tcp_and_payload = raw[Ipv4Header.SIZE:seg.ip.total_length]
+            if not TcpHeader.verify(seg.ip.src, seg.ip.dst, tcp_and_payload):
+                # corrupt: drop-and-count; the sender's timer recovers
+                tcb.checksum_failures += 1
+                return None
 
-            if self.checksum and seg.tcp.checksum:
-                _, cycles = self.stack.datapath.checksum(
-                    ip_addr + Ipv4Header.SIZE, ip_len - Ipv4Header.SIZE
-                )
-                yield from proc.compute(
-                    cycles, cal.us_to_cycles(cal.cksum_fixed_us))
-                tcp_and_payload = raw[Ipv4Header.SIZE:seg.ip.total_length]
-                if not TcpHeader.verify(seg.ip.src, seg.ip.dst, tcp_and_payload):
-                    # corrupt: drop-and-count; the sender's timer recovers
-                    tcb.checksum_failures += 1
-                    return
-
-            yield from self._segment_arrived(proc, seg)
-        finally:
-            tracker.active = prev_active
-            sh.lib_busy = 0
-            yield from self.kernel.sys_replenish(proc, self.endpoint, desc)
+        return (yield from self._segment_arrived(seg))
 
     def _parse_options(self, seg: ParsedSegment) -> Optional[dict]:
         if not seg.tcp.options:
@@ -747,7 +871,12 @@ class TcpConnection:
         except ProtocolError:
             return None   # malformed option run: treat as option-less
 
-    def _segment_arrived(self, proc: "Process", seg: ParsedSegment) -> Generator:
+    # The receive's own work: segment generators of ``_pump``'s run.  A
+    # send is ``yield from`` its ``_*_segments``, which return the
+    # send's last charge: a generator hands it on as its own return
+    # where no code follows, and yields it where some does.
+
+    def _segment_arrived(self, seg: ParsedSegment) -> Generator:
         tcb = self.tcb
         sh = tcb.shared
         flags = seg.tcp.flags
@@ -755,7 +884,7 @@ class TcpConnection:
 
         if flags & TCP_RST:
             tcb.state = TcpState.CLOSED
-            return
+            return None
 
         # -- handshake states -------------------------------------------
         if state is TcpState.LISTEN and flags & TCP_SYN:
@@ -765,16 +894,16 @@ class TcpConnection:
             tcb.snd_nxt = tcb.iss
             sh.snd_una = tcb.iss
             tcb.state = TcpState.SYN_RCVD
-            yield from self._send_flags(
-                proc, TCP_SYN | TCP_ACK, seq=tcb.iss, ack=sh.rcv_nxt,
-                options=sack_permitted_option() if tcb.sack_ok else b"",
-            )
+            yield (yield from self._flags_segments(
+                TCP_SYN | TCP_ACK, tcb.iss, sh.rcv_nxt,
+                sack_permitted_option() if tcb.sack_ok else b"",
+            ))
             tcb.snd_nxt = (tcb.iss + 1) & MASK32
             sh.ack_seq = tcb.snd_nxt
-            return
+            return None
         if state is TcpState.SYN_SENT and flags & TCP_SYN and flags & TCP_ACK:
             if seg.tcp.ack != (tcb.iss + 1) & MASK32:
-                return
+                return None
             opts = self._parse_options(seg)
             tcb.sack_ok = self.sack and bool(opts and opts["sack_permitted"])
             sh.rcv_nxt = (seg.tcp.seq + 1) & MASK32
@@ -783,8 +912,7 @@ class TcpConnection:
             sh.ack_seq = tcb.snd_nxt
             tcb.snd_wnd = seg.tcp.window
             tcb.state = TcpState.ESTABLISHED
-            yield from self._send_ack(proc)
-            return
+            return (yield from self._ack_segments())
         if state is TcpState.SYN_RCVD and flags & TCP_ACK and not flags & TCP_SYN:
             if seg.tcp.ack == (tcb.iss + 1) & MASK32:
                 sh.snd_una = seg.tcp.ack
@@ -793,34 +921,43 @@ class TcpConnection:
             # fall through: the segment may carry data too
 
         # -- established-path ACK bookkeeping -----------------------------
+        last = None
         if flags & TCP_ACK:
-            yield from self._process_ack(proc, seg)
+            last = yield from self._process_ack(seg)
 
         # -- data ----------------------------------------------------------
         if seg.payload_len:
-            yield from self._accept_data(proc, seg)
+            if last is not None:
+                yield last
+            last = yield from self._accept_data(seg)
 
         # -- FIN ----------------------------------------------------------
-        if flags & TCP_FIN and seg.tcp.seq == sh.rcv_nxt or (
-            flags & TCP_FIN and seg.payload_len
+        if not flags & TCP_FIN:
+            return last
+        if last is not None:
+            yield last
+        if seg.tcp.seq == sh.rcv_nxt or (
+            seg.payload_len
             and (seg.tcp.seq + seg.payload_len) & MASK32 == sh.rcv_nxt
         ):
             sh.rcv_nxt = (sh.rcv_nxt + 1) & MASK32
             self.peer_fin = True
             if tcb.state is TcpState.ESTABLISHED:
                 tcb.state = TcpState.CLOSE_WAIT
-            yield from self._send_ack(proc)
+            last = yield from self._ack_segments()
             # answer with our own FIN immediately (simplified close)
-            if tcb.state is TcpState.CLOSE_WAIT:
-                fin_seq = tcb.snd_nxt
-                yield from self._send_flags(
-                    proc, TCP_FIN | TCP_ACK, seq=fin_seq, ack=sh.rcv_nxt
-                )
-                tcb.snd_nxt = (tcb.snd_nxt + 1) & MASK32
-                sh.ack_seq = tcb.snd_nxt
-                tcb.state = TcpState.LAST_ACK
+            if tcb.state is not TcpState.CLOSE_WAIT:
+                return last
+            yield last
+            fin_seq = tcb.snd_nxt
+            yield (yield from self._flags_segments(
+                TCP_FIN | TCP_ACK, fin_seq, sh.rcv_nxt, b""))
+            tcb.snd_nxt = (tcb.snd_nxt + 1) & MASK32
+            sh.ack_seq = tcb.snd_nxt
+            tcb.state = TcpState.LAST_ACK
+        return None
 
-    def _process_ack(self, proc: "Process", seg: ParsedSegment) -> Generator:
+    def _process_ack(self, seg: ParsedSegment) -> Generator:
         """Sender-side ACK machinery: scoreboard retirement, SACK block
         application, cwnd evolution, dup-ack fast retransmit, NewReno
         partial-ack hole repair."""
@@ -828,7 +965,8 @@ class TcpConnection:
         sh = tcb.shared
         board = self._board
         ack = seg.tcp.ack
-        now = proc.engine.now
+        now = self.kernel.engine.now
+        last = None
 
         # SACK blocks first: they refine the scoreboard regardless of
         # whether the cumulative ack moves
@@ -853,7 +991,7 @@ class TcpConnection:
                     # resend it now instead of waiting for more dup acks
                     hole = board.first_unsacked()
                     if hole is not None:
-                        yield from self._fast_resend(proc, hole)
+                        last = yield from self._fast_resend(hole)
                 else:
                     self._exit_recovery(now)
                     self._grow_cwnd(newly, now)
@@ -870,19 +1008,23 @@ class TcpConnection:
             self._dup_ack_count += 1
             if not tcb.in_recovery:
                 if self._dup_ack_count >= self._dup_thresh():
-                    yield from self._enter_recovery(proc)
+                    last = yield from self._enter_recovery()
             else:
                 # during recovery every dup ack may carry fresh SACK
                 # info: repair the next proven hole exactly once
                 for hole in board.holes_below_sacked():
                     if hole.rexmits == 0:
-                        yield from self._fast_resend(proc, hole)
+                        last = yield from self._fast_resend(hole)
                         break
+        # (the peer's window is this library's alone: set ahead of a
+        # resend's last charge, nobody can tell)
         tcb.snd_wnd = seg.tcp.window
+        return last
 
-    def _accept_data(self, proc: "Process", seg: ParsedSegment) -> Generator:
+    def _accept_data(self, seg: ParsedSegment) -> Generator:
         """Place payload: in-order into the receive ring, out-of-order
-        into the reassembly queue (SACK) or dropped (legacy)."""
+        into the reassembly queue (SACK) or dropped (legacy); then
+        acknowledge."""
         tcb = self.tcb
         sh = tcb.shared
         seq = seg.tcp.seq
@@ -903,20 +1045,16 @@ class TcpConnection:
                     # threw it away) and advertise the range back
                     if self._ooo.add(seq, bytes(payload), sh.rcv_nxt):
                         # the buffering copy out of the network buffer
-                        yield from proc.compute(
-                            self.stack.datapath.copy(
-                                src_addr, sh.buf_base, len(payload)
-                            )
-                        )
+                        yield (self.stack.datapath.copy(
+                            src_addr, sh.buf_base, len(payload)),
+                            PRIO_USER, True)
                     # while this is nonzero the kernel fast path must
                     # abort to the library (see ooo_pending in tcb.py)
                     sh.ooo_pending = self._ooo.buffered
-                yield from self._send_ack(proc)
-                return
+                return (yield from self._ack_segments())
         if sh.free_space < len(payload):
             # no room: drop; the sender's timer will retry
-            yield from self._send_ack(proc)
-            return
+            return (yield from self._ack_segments())
 
         # The buffering copy out of the network buffer is unavoidable in
         # the library path ("the data that is piggybacked on the
@@ -924,7 +1062,7 @@ class TcpConnection:
         # which leads to an additional copy in our current
         # implementation").  The ASH fast path fuses it with the
         # checksum; here it is a separate traversal.
-        yield from self._ring_write(proc, payload, src_addr)
+        yield from self._ring_write(payload, src_addr)
         sh.rcv_nxt = (seq + len(payload)) & MASK32
 
         # drain any reassembled data that just became contiguous
@@ -935,13 +1073,12 @@ class TcpConnection:
             if sh.free_space < len(ready):
                 self._ooo.add(sh.rcv_nxt, ready, sh.rcv_nxt)  # retry later
                 break
-            yield from self._ring_write(proc, ready)
+            yield from self._ring_write(ready)
             sh.rcv_nxt = (sh.rcv_nxt + len(ready)) & MASK32
         sh.ooo_pending = self._ooo.buffered
-        yield from self._send_ack(proc)
+        return (yield from self._ack_segments())
 
-    def _ring_write(self, proc: "Process", data,
-                    src_addr: Optional[int] = None) -> Generator:
+    def _ring_write(self, data, src_addr: Optional[int] = None) -> Generator:
         """Append ``data`` to the receive ring at WRITE_COUNT (wrapping
         at the end of the buffer), charging the copy from ``src_addr``
         — or, for host bytes out of the reassembly queue, which have no
@@ -963,7 +1100,7 @@ class TcpConnection:
         mem.write(sh.buf_base + pos, data[:first])
         if rest:
             mem.write(sh.buf_base, data[first:])
-        yield from proc.compute(cycles)
+        yield (cycles, PRIO_USER, True)
         sh.write_count = (sh.write_count + len(data)) & MASK32
 
     # ------------------------------------------------------------------
@@ -979,25 +1116,19 @@ class TcpConnection:
             self._flow.tx_segment(len(packet))
         return (yield from self.kernel.send_segments(self.stack.nic, frame))
 
-    def _send_data(self, proc: "Process", payload: bytes, push: bool,
-                   seq: Optional[int] = None, rexmit: bool = False) -> Generator:
-        tcb = self.tcb
-        if seq is None:     # (only this connection's process moves it)
-            seq = tcb.snd_nxt
-        yield from proc.cpu.run_code(self._data_segments(payload, push, seq),
-                                     proc)
-        if not rexmit:
-            self._board.record(seq, payload, proc.engine.now)
-            tcb.snd_nxt = (seq + len(payload)) & MASK32
-            tcb.shared.ack_seq = tcb.snd_nxt
+    def _record(self, seq: int, payload: bytes, now) -> None:
+        """A new data segment's bookkeeping once its send is over: onto
+        the scoreboard, and SND_NXT past it."""
+        self._board.record(seq, payload, now)
+        self.tcb.snd_nxt = (seq + len(payload)) & MASK32
+        self.tcb.shared.ack_seq = self.tcb.snd_nxt
 
     def _data_segments(self, payload: bytes, push: bool,
                        seq: int) -> Generator:
-        """``_send_data``'s run: build, stage, checksum, send."""
+        """A data segment's send, for a run of ``Cpu.run_code``: build,
+        stage, checksum, send; returns the last charge."""
         tcb = self.tcb
-        cal = self.cal
-        yield (cal.us_to_cycles(cal.tcp_send_build_us + cal.ip_process_us),
-               PRIO_USER, True)
+        yield self._build_charge
         # stage the payload where checksumming/retransmission can see it;
         # this is the write-interface copy from application structures
         # into the socket buffer (paid in every Table II configuration)
@@ -1005,8 +1136,7 @@ class TcpConnection:
         yield (self.stack.datapath.copy_in(stage, payload), PRIO_USER, True)
         if self.checksum:
             _, cycles = self.stack.datapath.checksum(stage, len(payload))
-            yield ((cycles, PRIO_USER, True),
-                   (cal.us_to_cycles(cal.cksum_fixed_us), PRIO_USER, True))
+            yield ((cycles, PRIO_USER, True), self._cksum_fixed_charge)
         header = TcpHeader(
             src_port=tcb.local_port, dst_port=tcb.remote_port,
             seq=seq, ack=tcb.shared.rcv_nxt,
@@ -1028,9 +1158,7 @@ class TcpConnection:
     def _flags_segments(self, flags: int, seq: int, ack: int,
                         options: bytes) -> Generator:
         tcb = self.tcb
-        yield (self.cal.us_to_cycles(self.cal.tcp_send_build_us
-                                     + self.cal.ip_process_us),
-               PRIO_USER, True)
+        yield self._build_charge
         header = TcpHeader(
             src_port=tcb.local_port, dst_port=tcb.remote_port,
             seq=seq, ack=ack, flags=flags, window=tcb.rcv_wnd,
@@ -1043,14 +1171,9 @@ class TcpConnection:
         )
         return (yield from self._frame_and_send(packet))
 
-    def _send_ack(self, proc: "Process") -> Generator:
-        yield from proc.cpu.run_code(self._ack_segments(), proc)
-        self.tcb.acks_sent += 1
-
     def _ack_segments(self) -> Generator:
         tcb = self.tcb
-        yield (self.cal.us_to_cycles(self.cal.tcp_ack_build_us), PRIO_USER,
-               True)
+        yield self._ack_build_charge
         options = b""
         if tcb.sack_ok and self._ooo:
             blocks = self._ooo.blocks()[:MAX_SACK_BLOCKS]
@@ -1067,6 +1190,7 @@ class TcpConnection:
             with_checksum=self.checksum, ident=self.stack.next_ident(),
             mtu=self.stack.mtu + 40,
         )
+        tcb.acks_sent += 1
         return (yield from self._frame_and_send(packet))
 
     def _retransmit(self, proc: "Process") -> Generator:
@@ -1101,9 +1225,8 @@ class TcpConnection:
                 skipped += 1
                 continue
             seg.rexmits += 1
-            yield from self._send_data(
-                proc, seg.payload, push=True, seq=seg.seq, rexmit=True
-            )
+            yield from proc.cpu.run_code(
+                self._data_segments(seg.payload, True, seg.seq), proc)
         tcb.selective_rexmits += skipped
 
     # ------------------------------------------------------------------

@@ -91,6 +91,21 @@ class UdpSocket:
                 ],
                 name=name,
             )
+        cal = self.cal
+        #: the fixed charges of a received datagram's run
+        #: (``_recv_segments``): the poll check and the user receive
+        #: path, the parse, the checksum's fixed part
+        self._recv_charges = (
+            (cal.us_to_cycles(cal.poll_check_us), PRIO_USER, True),
+            (cal.us_to_cycles(cal.user_recv_path_us), PRIO_USER, True))
+        self._parse_charge = (cal.us_to_cycles(cal.udp_recv_parse_us),
+                              PRIO_USER, True)
+        self._cksum_fixed_charge = (cal.us_to_cycles(cal.cksum_fixed_us),
+                                    PRIO_USER, True)
+        #: a send's build charge
+        self._build_charge = (cal.us_to_cycles(cal.udp_send_build_us
+                                               + cal.ip_process_us),
+                              PRIO_USER, True)
         mem = self.kernel.node.memory
         self._staging = mem.alloc(f"{name}.staging", 65536)
         self._app_buf = mem.alloc(f"{name}.appbuf", 65536)
@@ -142,17 +157,14 @@ class UdpSocket:
         sends; with ``built``, the run ends at the datagram instead,
         appended there."""
         stack = self.stack
-        cal = self.cal
         # library work: allocate send buffers, initialize IP/UDP fields
-        yield (cal.us_to_cycles(cal.udp_send_build_us + cal.ip_process_us),
-               PRIO_USER, True)
+        yield self._build_charge
         # the application's data, staged where the NIC can gather it
         self.kernel.node.memory.write(self._staging.base, payload)
         if self.checksum:
             _, cycles = stack.datapath.checksum(self._staging.base,
                                                 len(payload))
-            yield ((cycles, PRIO_USER, True),
-                   (cal.us_to_cycles(cal.cksum_fixed_us), PRIO_USER, True))
+            yield ((cycles, PRIO_USER, True), self._cksum_fixed_charge)
         datagram = UdpHeader.build(
             stack.ip, dst_ip, self.local_port, dst_port, payload,
             with_checksum=self.checksum,
@@ -182,78 +194,36 @@ class UdpSocket:
     def recvfrom(self, proc: "Process") -> Generator:
         """Poll for one datagram; returns a :class:`UdpDatagram`.
 
+        Each received frame is one run of charges (``Cpu.run_code``,
+        :meth:`_recv_segments`) from the poll check to the copy-out.
         Datagrams failing checksum verification are dropped (counted),
         and the wait continues.
         """
-        stack = self.stack
         kernel = self.kernel
-        cal = self.cal
-        mem = kernel.node.memory
+        ring = self.endpoint.ring
+        got: list = []
         while True:
-            desc = yield from kernel.sys_recv_poll(proc, self.endpoint)
-            # fast substrate: a zero-copy view of the receive buffer;
-            # every slice below stays a view until materialized
-            ip_addr, ip_len, raw = stack.read_ip_packet(desc)
-            try:
-                result = stack.reassembler.push(raw)
-                if result is None:
-                    yield from kernel.sys_replenish(proc, self.endpoint, desc)
-                    continue  # fragment: wait for the rest
-                ip_header, datagram = result
-                yield from proc.compute_us(cal.udp_recv_parse_us)
-                udp = UdpHeader.unpack(datagram)
-            except ProtocolError:
-                # truncated DMA or mangled length fields: drop-and-count,
-                # keep waiting
-                self.malformed += 1
+            # the wait of ``Process.poll``: the item is discovered one
+            # poll check after it arrives, which opens the run
+            ok, desc = ring.try_get()
+            if not ok:
+                desc = yield from proc.block_on(ring.get())
+            yield from proc.cpu.run_code(self._recv_segments(desc, got), proc)
+            if not got:
+                # dropped (a fragment waiting for the rest, malformed, a
+                # failed checksum): keep waiting
                 yield from kernel.sys_replenish(proc, self.endpoint, desc)
                 continue
-            payload_len = udp.length - UdpHeader.SIZE
-            payload_off = UdpHeader.SIZE
-            # a reassembled datagram no longer lives contiguously in the
-            # receive buffer: it must take the copy path
-            fragmented = (
-                ip_header.total_length - Ipv4Header.SIZE != len(datagram)
-            )
-
-            if self.checksum and udp.checksum != 0:
-                if fragmented:
-                    # verification over the reassembled bytes: model the
-                    # pass as touching payload-length bytes uncached
-                    cycles = 6 * (len(datagram) + 3) // 4
-                else:
-                    # separate verification pass over the datagram
-                    _, cycles = stack.datapath.checksum(
-                        ip_addr + Ipv4Header.SIZE, udp.length
-                    )
-                yield from proc.compute(
-                    cycles, cal.us_to_cycles(cal.cksum_fixed_us))
-                if not UdpHeader.verify(ip_header.src, ip_header.dst, datagram):
-                    self.checksum_failures += 1
-                    yield from kernel.sys_replenish(proc, self.endpoint, desc)
-                    continue
-
-            if fragmented:
-                addr = self._app_buf.base
-                mem.write(addr, datagram[payload_off:payload_off + payload_len])
-                yield from proc.compute(2 * payload_len)  # assembly copy
-                payload = datagram[payload_off:payload_off + payload_len]
-            elif self.in_place:
-                # zero copy: the application uses the receive buffer
-                addr = ip_addr + Ipv4Header.SIZE + payload_off
-                payload = datagram[payload_off:payload_off + payload_len]
-            else:
-                src = ip_addr + Ipv4Header.SIZE + payload_off
-                addr = self._app_buf.base
-                cycles = stack.datapath.copy(src, addr, payload_len)
-                yield from proc.compute(cycles)
+            payload, addr, ip_header, udp, copy_cycles = got.pop()
+            if copy_cycles is not None:
                 span = desc.span
                 if span is not None:
                     span.stage("copy", kernel.engine.now)
                 if self.tel.enabled:
-                    self.tel.counter("copy.bytes", kind="udp_rx").inc(payload_len)
-                    self.tel.counter("copy.cycles", kind="udp_rx").inc(cycles)
-                payload = datagram[payload_off:payload_off + payload_len]
+                    self.tel.counter("copy.bytes", kind="udp_rx").inc(
+                        udp.length - UdpHeader.SIZE)
+                    self.tel.counter("copy.cycles", kind="udp_rx").inc(
+                        copy_cycles)
             # materialize before the buffer is recycled under the view
             # (bytes() of bytes is a no-op on the legacy path)
             payload = bytes(payload)
@@ -266,3 +236,67 @@ class UdpSocket:
                 dst_port=udp.dst_port,
                 addr=addr,
             )
+
+    def _recv_segments(self, desc, got: list) -> Generator:
+        """``recvfrom``'s run for one frame: the poll check and the user
+        receive path, the parse, the checksum pass and the copy into the
+        application buffer, whose charge it returns.  The datagram goes
+        on ``got`` as ``(payload, addr, ip_header, udp, copy_cycles)``
+        (``copy_cycles`` None but on the copy path); a dropped frame
+        leaves ``got`` empty."""
+        stack = self.stack
+        yield self._recv_charges
+        # fast substrate: a zero-copy view of the receive buffer; every
+        # slice below stays a view until materialized
+        ip_addr, ip_len, raw = stack.read_ip_packet(desc)
+        try:
+            result = stack.reassembler.push(raw)
+            if result is None:
+                return None  # fragment: wait for the rest
+            ip_header, datagram = result
+            yield self._parse_charge
+            udp = UdpHeader.unpack(datagram)
+        except ProtocolError:
+            # truncated DMA or mangled length fields: drop-and-count,
+            # keep waiting
+            self.malformed += 1
+            return None
+        payload_len = udp.length - UdpHeader.SIZE
+        payload_off = UdpHeader.SIZE
+        # a reassembled datagram no longer lives contiguously in the
+        # receive buffer: it must take the copy path
+        fragmented = (
+            ip_header.total_length - Ipv4Header.SIZE != len(datagram)
+        )
+
+        if self.checksum and udp.checksum != 0:
+            if fragmented:
+                # verification over the reassembled bytes: model the
+                # pass as touching payload-length bytes uncached
+                cycles = 6 * (len(datagram) + 3) // 4
+            else:
+                # separate verification pass over the datagram
+                _, cycles = stack.datapath.checksum(
+                    ip_addr + Ipv4Header.SIZE, udp.length
+                )
+            yield ((cycles, PRIO_USER, True), self._cksum_fixed_charge)
+            if not UdpHeader.verify(ip_header.src, ip_header.dst, datagram):
+                self.checksum_failures += 1
+                return None
+
+        payload = datagram[payload_off:payload_off + payload_len]
+        if fragmented:
+            addr = self._app_buf.base
+            self.kernel.node.memory.write(addr, payload)
+            got.append((payload, addr, ip_header, udp, None))
+            return (2 * payload_len, PRIO_USER, True)   # assembly copy
+        if self.in_place:
+            # zero copy: the application uses the receive buffer
+            addr = ip_addr + Ipv4Header.SIZE + payload_off
+            got.append((payload, addr, ip_header, udp, None))
+            return None
+        addr = self._app_buf.base
+        cycles = stack.datapath.copy(ip_addr + Ipv4Header.SIZE + payload_off,
+                                     addr, payload_len)
+        got.append((payload, addr, ip_header, udp, cycles))
+        return (cycles, PRIO_USER, True)

@@ -201,29 +201,37 @@ def fastpath_bytecodes():
 
 def library_bytecodes():
     """Bytecodes one warm receive of a data segment costs on the TCP
-    library path, ``TcpConnection._process_desc`` whole (parse, checksum,
-    ring copy, ack and replenish, every shared-TCB access among them,
-    and the code between the ack's charges where a carry runs it; not
-    what the engine runs while it waits): the dearest data segment of a
-    short ping-pong without a handler, each connection's first left
-    out."""
+    library path: its run whole (``Cpu.run_code`` of
+    ``TcpConnection._received``, joined with ``read``'s copy-out:
+    poll check, parse, checksum, ring copy, ack, replenish and copy-out,
+    every shared-TCB access among them), the holder's stretches and the
+    code a carry runs at a segment end alike, not what the engine runs
+    while it waits: the dearest data segment of a short ping-pong
+    without a handler, each connection's first left out."""
     import os
     from unittest import mock
 
     from repro.bench.census import BytecodeCensus
     from repro.bench.workloads import TcpConfig, tcp_pingpong
-    from repro.hw.cpu import Code
+    from repro.hw.cpu import Code, Cpu
     from repro.net.tcp import TcpConnection
     from repro.sim.engine import SUBSTRATE_ENV
 
-    process, fetch = TcpConnection._process_desc, Code.fetch
+    run_code, fetch = Cpu.run_code, Code.fetch
+    received = TcpConnection._received.__code__
     warm, counts, receiving = set(), [], {}
 
-    def counted(conn, proc, desc):
+    def counted_run_code(cpu, segments, proc=None):
+        steps = run_code(cpu, segments, proc)
+        if segments.gi_code is not received:
+            return steps
+        return counted(segments.gi_frame.f_locals["self"], proc, steps)
+
+    def counted(conn, proc, steps):
         rcv_nxt = conn.tcb.shared.rcv_nxt
-        steps, sent = process(conn, proc, desc), None
         total = receiving[proc] = [0]
-        while True:     # count each stretch the receive runs, alone
+        sent = None
+        while True:     # count each stretch the run's holder runs, alone
             with BytecodeCensus() as census:
                 try:
                     waited = steps.send(sent)
@@ -245,13 +253,12 @@ def library_bytecodes():
         if total is None or sys.gettrace() is not None:
             return fetch(code, run)
         with BytecodeCensus() as census:
-            try:
-                return fetch(code, run)
-            finally:
-                total[0] += census.total
+            seg = fetch(code, run)
+        total[0] += census.total    # (counted once the census is shut)
+        return seg
 
     with mock.patch.dict(os.environ, {SUBSTRATE_ENV: "fast"}), \
-            mock.patch.object(TcpConnection, "_process_desc", counted), \
+            mock.patch.object(Cpu, "run_code", counted_run_code), \
             mock.patch.object(Code, "fetch", counted_fetch):
         tcp_pingpong(TcpConfig(handler=None), iters=4, warmup=0)
     return max(counts)

@@ -5,7 +5,9 @@ On the benchmark's ``pingpong_small`` world at its smoke size: two runs
 count alike, the layers sum to the total by construction, and a loop
 planted in one layer moves that layer's count and no other's.
 ``tests/goldens.json`` pins the same count per warm delivery and per
-uncontended CPU charge (``bytecode_budget``).
+uncontended CPU charge (``bytecode_budget``); the slow tier holds each
+of the benchmark's five worlds at full size to a ceiling per received
+frame (``FRAME_CEILINGS``).
 """
 
 import functools
@@ -14,11 +16,25 @@ import re
 from pathlib import Path
 from unittest import mock
 
+import pytest
+
 from repro.bench import census
 from repro.bench.census import BytecodeCensus, run_perf_world
 from repro.kernel import dpf
 
 WORLD = "pingpong_small"
+
+#: bytecodes per received frame of each benchmark world at full size,
+#: seed 1, as ``python -m repro.bench.census --bytecodes <world>`` prints
+#: them (CPython 3.11): ceilings, lowered by hand when a change brings
+#: one down
+FRAME_CEILINGS = {
+    "pingpong_small": 12447.5,
+    "bulk_stream": 12656.2,
+    "scale_smp": 11853.7,
+    "planes_chaos": 13711.3,
+    "paper_tables": 15968.6,
+}
 
 
 def smoke_size():
@@ -118,3 +134,16 @@ def test_each_translation_is_a_row_of_its_own():
     for _layer, row in rows:
         assert re.search(re.escape(row) + r"  \([1-9]\d* B of source\)$",
                          printed, re.M), row
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("world", sorted(FRAME_CEILINGS))
+def test_bytecodes_per_frame_do_not_rise(world):
+    """The host's cost of each benchmark world, in bytecodes per
+    received frame, stays at or under its ceiling (~20 s a world)."""
+    counted = BytecodeCensus()
+    if world == "paper_tables":
+        _census, frames, _stats = census.run_paper_tables(counted)
+    else:
+        _census, frames, _stats = run_perf_world(world, 1, counted)
+    assert round(counted.total / frames, 1) <= FRAME_CEILINGS[world]

@@ -64,6 +64,8 @@ from repro.hw.cpu import Cpu, ENDLESS, YIELD_TO_ANY
 from repro.hw.link import Frame
 from repro.kernel.process import Process
 from repro.kernel.scheduler import RoundRobinScheduler
+from repro.net.socket_api import make_stacks, tcp_pair
+from repro.net.udp import UdpSocket
 from repro.sim import Engine
 from repro.sim.engine import Event, Timeout
 from repro.sim.queues import Gate, PriorityLock
@@ -1111,6 +1113,65 @@ class TestEventBudget:
             return tb.engine.stats()["fired"]
 
         assert fired(3) - fired(2) == 6
+
+    def test_uncontended_receive_is_one_run(self, substrate):
+        """A library receive on an idle pair is one run from the poll
+        check on, every charge carried on into the next and one wake-up
+        at its end.  TCP with no handler, per 4-byte write: the server's
+        receive (poll check, receive path, header prediction, the
+        checksum's two charges, the ring copy, the ACK's build, its four
+        send charges, then ``read``'s copy-out and wake-up path: 13
+        charges) and the client's receive of the ACK (six, the last the
+        write's closing charge), 50 events with the sends and the
+        interrupts; UDP, per datagram: poll check, receive path, parse,
+        the checksum's two charges and the copy-out, 24 events with the
+        send (each woken holder between two of them costs one more)."""
+        def session(n, tcp):
+            tb = make_an2_pair(engine=Engine(substrate))
+            cstack, sstack = make_stacks(tb)
+            if tcp:
+                client, server = tcp_pair(cstack, sstack)
+
+                def s(proc):
+                    yield from server.accept(proc)
+                    for _ in range(n):
+                        assert (yield from server.read(proc, 4)) == b"ping"
+
+                def c(proc):
+                    yield from client.connect(proc)
+                    for _ in range(n):
+                        yield from client.write(proc, b"ping")
+            else:
+                cs = UdpSocket(cstack, 5000, rx_vci=cstack.rx_vci(sstack.ip))
+                ss = UdpSocket(sstack, 80, rx_vci=sstack.rx_vci(cstack.ip))
+
+                def s(proc):
+                    for _ in range(n):
+                        got = yield from ss.recvfrom(proc)
+                        assert got.payload == b"ping"
+
+                def c(proc):
+                    for _ in range(n):
+                        yield from cs.sendto(proc, b"ping", sstack.ip, 80)
+
+            tb.server_kernel.spawn_process("server", s)
+            tb.client_kernel.spawn_process("client", c)
+            with YieldCensus() as census:
+                tb.run()
+            return tb.engine.stats()["fired"], census.by_function()
+
+        for tcp, events, site, charges in (
+                (True, 50, "TcpConnection._pump", 13 + 6),
+                (False, 24, "UdpSocket.recvfrom", 6)):
+            (before, was), (after, now) = session(3, tcp), session(4, tcp)
+            assert after - before == events
+            if substrate == "fast":     # the census watches the fused loop
+                moved = {key[1:]: now[key] - was.get(key, 0)
+                         for key in now
+                         if key[0] == site and now[key] != was.get(key)}
+                runs = 2 if tcp else 1
+                assert moved == {("Timeout", "continued"): charges - runs,
+                                 ("Timeout", "pending"): runs}
 
 # ---------------------------------------------------------------------------
 # the run rule: one hold carried on at a segment end
