@@ -26,7 +26,7 @@ Invocation (Section III):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Generator, Optional, TYPE_CHECKING
 
 from ..errors import AllocationError, SandboxViolation, VcodeError, VmFault
@@ -36,10 +36,9 @@ from ..sandbox.budget import (
     BudgetAccount,
     BudgetPolicy,
     budget_cycles,
-    straightline_cycle_bound,
+    static_cycle_bound,
 )
 from ..sandbox.rewriter import SandboxPolicy, Sandboxer, SandboxReport
-from ..sandbox.verifier import has_loops
 from ..vcode.isa import NUM_REGS, Program
 from .handler import ASH_CONSUMED
 from .interface import build_handler_env
@@ -48,7 +47,27 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..hw.nic.base import RxDescriptor
     from ..kernel.kernel import Endpoint, Kernel
 
-__all__ = ["AshEntry", "AshSystem"]
+__all__ = ["AshEntry", "AshSystem", "BootRecord"]
+
+
+@dataclass(frozen=True)
+class BootRecord:
+    """The durable half of one download: its arguments, i.e. what the
+    *application* holds (the pre-sandbox source and its policy).  A
+    kernel reboot re-verifies and re-installs from here; the installed
+    (sandboxed) code and persistent registers are kernel-volatile."""
+
+    program: Program
+    allowed: Optional[tuple[tuple[int, int], ...]]   #: None = unsafe ASH
+    user_word: int
+    policy: Optional[SandboxPolicy]
+    sandbox: bool
+    #: generation number within the upgrade lineage (1 = the original
+    #: install; install_version() grows it)
+    version: int = 1
+    #: root ash_id of the upgrade lineage (the first-ever version's id;
+    #: None until a first download is given its id)
+    lineage: Optional[int] = None
 
 
 @dataclass
@@ -61,13 +80,11 @@ class AshEntry:
     user_word: int
     report: Optional[SandboxReport]
     sandboxed: bool
-    budget: BudgetPolicy = BudgetPolicy.TIMER
-    #: generation number within this handler's upgrade lineage (1 = the
-    #: original install; install_version() grows it)
-    version: int = 1
-    #: root ash_id of the upgrade lineage (the first-ever version's id);
-    #: two entries with the same lineage are versions of one handler
-    lineage: Optional[int] = None
+    budget: BudgetPolicy
+    #: the entry's BootRecord.version / .lineage: two entries with the
+    #: same lineage are versions of one handler
+    version: int
+    lineage: int
     #: static cycle bound proved at download time (STATIC_ESTIMATE only)
     static_bound: Optional[int] = None
     regs: list[int] = field(default_factory=lambda: [0] * NUM_REGS)
@@ -116,19 +133,16 @@ class AshSystem:
         self._ilps: dict[int, IntegratedPipeline] = {}
         self._next_ash = 1
         self._next_ilp = 1
-        #: durable half of each download: the pre-sandbox source and its
-        #: policy, i.e. what the *application* holds.  A kernel reboot
-        #: re-verifies and re-downloads from here — the installed
-        #: (sandboxed) code and persistent registers are kernel-volatile
-        self._boot_records: dict[int, dict] = {}
+        self._boot_records: dict[int, BootRecord] = {}
         self._saved_ilps: dict[int, IntegratedPipeline] = {}
         #: handler installs refused/re-installs failed under injected
         #: memory pressure
         self.install_failures = 0
-        #: fault-injection seam: a FaultPlane installs an
-        #: AshAbortInjector here (see repro.sim.faults); when it fires,
-        #: the invocation runs under a forced (tiny) cycle budget
-        self.fault_injector = None
+        #: fault-injection seam: the AshAbortInjectors a FaultPlane
+        #: installed on this kernel (see repro.sim.faults), asked in
+        #: install order; when one fires, the invocation runs under a
+        #: forced (tiny) cycle budget
+        self.forced_aborts: list = []
 
     # -- download -----------------------------------------------------------
     def download(
@@ -138,8 +152,6 @@ class AshSystem:
         user_word: int = 0,
         policy: Optional[SandboxPolicy] = None,
         sandbox: bool = True,
-        version: int = 1,
-        lineage: Optional[int] = None,
     ) -> int:
         """Import a handler; returns its identifier.
 
@@ -154,34 +166,10 @@ class AshSystem:
         :class:`~repro.errors.AllocationError` and the caller must
         degrade (e.g. fall back to an upcall handler).
         """
-        if self.kernel.node.memory.pressure_gate("ash_install"):
-            self.install_failures += 1
-            raise AllocationError("ash_install", program.name)
-        source = program  # pre-sandbox: the durable, re-verifiable form
-        ash_id = self._next_ash
-        self._next_ash += 1
-        entry = self._build_entry(
-            ash_id, program, allowed_regions, user_word, policy, sandbox
-        )
-        entry.version = version
-        entry.lineage = lineage if lineage is not None else ash_id
-        self._entries[ash_id] = entry
-        self._boot_records[ash_id] = {
-            "program": source,
-            "allowed": (list(allowed_regions)
-                        if allowed_regions is not None else None),
-            "user_word": user_word,
-            "policy": policy,
-            "sandbox": sandbox,
-            "version": entry.version,
-            "lineage": entry.lineage,
-        }
-        tel = self.kernel.node.telemetry
-        if tel.enabled and entry.report is not None:
-            tel.gauge("ash.sandbox_added_insns",
-                      handler=entry.program.name).set(
-                          entry.report.added_insns)
-        return ash_id
+        return self._install(BootRecord(
+            program,
+            tuple(allowed_regions) if allowed_regions is not None else None,
+            user_word, policy, sandbox))
 
     def install_version(
         self,
@@ -204,19 +192,18 @@ class AshSystem:
         Region/word/policy defaults are inherited from the old version's
         boot record.
         """
-        old = self.entry(old_id)
-        boot = self._boot_records[old_id]
-        new_id = self.download(
-            program,
-            (list(allowed_regions) if allowed_regions is not None
-             else boot["allowed"]),
-            user_word=(user_word if user_word is not None
-                       else boot["user_word"]),
-            policy=policy if policy is not None else boot["policy"],
-            sandbox=sandbox if sandbox is not None else boot["sandbox"],
+        self.entry(old_id)  # validate
+        old = self._boot_records[old_id]
+        new_id = self._install(replace(
+            old,
+            program=program,
+            allowed=(tuple(allowed_regions) if allowed_regions is not None
+                     else old.allowed),
+            user_word=user_word if user_word is not None else old.user_word,
+            policy=policy if policy is not None else old.policy,
+            sandbox=sandbox if sandbox is not None else old.sandbox,
             version=old.version + 1,
-            lineage=old.lineage if old.lineage is not None else old_id,
-        )
+        ))
         tel = self.kernel.node.telemetry
         if tel.enabled:
             tel.counter("liveops.installs",
@@ -229,51 +216,61 @@ class AshSystem:
                if e.lineage == lineage]
         return sorted(ids, key=lambda i: (self._entries[i].version, i))
 
-    def _build_entry(
-        self,
-        ash_id: int,
-        program: Program,
-        allowed_regions: Optional[list[tuple[int, int]]],
-        user_word: int,
-        policy: Optional[SandboxPolicy],
-        sandbox: bool,
-    ) -> AshEntry:
-        """The verify + sandbox pipeline shared by first download and
-        post-crash re-install (identical checks both times: a reboot
-        must not weaken the safety argument)."""
+    def _install(self, record: BootRecord,
+                 ash_id: Optional[int] = None) -> int:
+        """The one install, shared by download, upgrade and post-crash
+        re-install (identical checks every time: neither an upgrade nor
+        a reboot may weaken the safety argument): the ``ash_install``
+        memory-pressure gate, verify + sandbox, then the entry and its
+        boot record.  ``ash_id`` None is a new download: it takes the
+        next id and, unless it upgrades a lineage, roots its own."""
+        program = record.program
+        if self.kernel.node.memory.pressure_gate("ash_install"):
+            self.install_failures += 1
+            raise AllocationError("ash_install", program.name)
+        new = ash_id is None
+        if new:
+            ash_id = self._next_ash
+            self._next_ash += 1
+            if record.lineage is None:
+                record = replace(record, lineage=ash_id)
+        policy = record.policy
         budget = policy.budget if policy is not None else BudgetPolicy.TIMER
         static_bound = None
         if budget is BudgetPolicy.STATIC_ESTIMATE:
             # "For ASHs which contain no loops ... we can simply
             # overestimate the effects of straight-line code": prove the
             # bound now, skip the per-invocation timer entirely.
-            if has_loops(program):
-                raise SandboxViolation(
-                    f"{program.name}: static budget estimation requires "
-                    f"loop-free code"
-                )
-            static_bound = straightline_cycle_bound(program, self.cal)
+            static_bound = static_cycle_bound(program, self.cal)
             if static_bound > budget_cycles(self.cal):
                 raise SandboxViolation(
                     f"{program.name}: static bound {static_bound} exceeds "
                     f"the {budget_cycles(self.cal)}-cycle budget"
                 )
         report = None
-        if sandbox:
+        if record.sandbox:
             sandboxer = Sandboxer(policy) if policy is not None else self.sandboxer
             program, report = sandboxer.sandbox(program)
-        return AshEntry(
+        self._entries[ash_id] = AshEntry(
             ash_id=ash_id,
             program=program,
-            allowed=(list(allowed_regions)
-                     if allowed_regions is not None else None),
-            user_word=user_word,
+            allowed=(list(record.allowed)
+                     if record.allowed is not None else None),
+            user_word=record.user_word,
             report=report,
-            sandboxed=sandbox,
+            sandboxed=record.sandbox,
             budget=budget,
+            version=record.version,
+            lineage=record.lineage,
             static_bound=static_bound,
             account=BudgetAccount(budget=budget_cycles(self.cal)),
         )
+        self._boot_records[ash_id] = record
+        tel = self.kernel.node.telemetry
+        if new and tel.enabled and report is not None:
+            tel.gauge("ash.sandbox_added_insns",
+                      handler=program.name).set(report.added_insns)
+        return ash_id
 
     def entry(self, ash_id: int) -> AshEntry:
         if ash_id not in self._entries:
@@ -309,20 +306,12 @@ class AshSystem:
         self._saved_ilps = {}
         reinstalled: set[int] = set()
         failures = 0
-        memory = self.kernel.node.memory
-        for ash_id in sorted(self._boot_records):
-            boot = self._boot_records[ash_id]
-            if memory.pressure_gate("ash_install"):
-                self.install_failures += 1
+        for ash_id, record in sorted(self._boot_records.items()):
+            try:
+                self._install(record, ash_id)
+            except AllocationError:
                 failures += 1
                 continue
-            entry = self._build_entry(
-                ash_id, boot["program"], boot["allowed"],
-                boot["user_word"], boot["policy"], boot["sandbox"],
-            )
-            entry.version = boot.get("version", 1)
-            entry.lineage = boot.get("lineage", ash_id)
-            self._entries[ash_id] = entry
             reinstalled.add(ash_id)
         return reinstalled, failures
 
@@ -396,14 +385,8 @@ class AshSystem:
             env = ep.ash_env = build_handler_env(kernel, "ash", ep)
         pending = env.arm(desc, allowed, msg_region)
         budget = budget_cycles(cal)
-        injector = self.fault_injector
-        if injector is not None:
-            forced = injector.consider()
-            if forced is not None:
-                budget = forced
-        tenants = kernel.tenants
-        if tenants is not None:
-            forced = tenants.consider_abort(ep)
+        for injector in self.forced_aborts:
+            forced = injector.consider(ep)
             if forced is not None:
                 budget = forced
         # the abort timer is wall-clock: a contention burst landing
@@ -429,6 +412,7 @@ class AshSystem:
             entry.involuntary_aborts += 1
             burnt = getattr(exc, "cycles", 0)
             entry.account.charge(burnt)
+            tenants = kernel.tenants
             if tenants is not None:
                 tenants.note_abort(ep, burnt)
             yield from cpu.run(((burnt, PRIO_INTERRUPT, False),
@@ -452,6 +436,7 @@ class AshSystem:
         yield from kernel.charge_with_sends(cpu, result, pending,
                                             PRIO_INTERRUPT, clear)
         remaining = entry.account.charge(result.cycles)
+        tenants = kernel.tenants
         if tenants is not None:
             tenants.note_success(ep, result.cycles)
         if span is not None:

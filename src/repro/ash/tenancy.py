@@ -46,8 +46,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from ..errors import AllocationError, SandboxViolation, SimError
-from ..sandbox.budget import BudgetPolicy, straightline_cycle_bound
-from ..sandbox.verifier import has_loops
+from ..sandbox.budget import BudgetPolicy, static_cycle_bound
 from ..sim.units import us
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -132,7 +131,6 @@ class Tenant:
     # (see repro.sim.faults); None = the tenant behaves
     leak_injector: object = None
     hog_injector: object = None
-    abort_injector: object = None
 
 
 class TenantManager:
@@ -350,14 +348,6 @@ class TenantManager:
             return False
         return True
 
-    def consider_abort(self, ep: "Endpoint") -> Optional[int]:
-        """Tenant-scoped forced-abort seam (see
-        :class:`repro.sim.faults.TenantAbortLoop`)."""
-        t = self._tenant_for_ep(ep)
-        if t is None or t.abort_injector is None:
-            return None
-        return t.abort_injector.consider()
-
     def _charge(self, t: Tenant, cycles: int) -> None:
         injector = t.hog_injector
         if injector is not None:
@@ -392,15 +382,39 @@ class TenantManager:
     # -- handler installs ----------------------------------------------------
     def download(self, tenant, program: "Program",
                  allowed_regions, **kwargs) -> int:
-        """Download a handler on the tenant's behalf, under its quota.
+        """Download a handler on the tenant's behalf, under its quota
+        (:meth:`_install`)."""
+        return self._install(
+            self.get(tenant), program, kwargs.get("policy"),
+            lambda: self.kernel.ash_system.download(
+                program, allowed_regions, **kwargs))
 
-        A loop-free (``STATIC_ESTIMATE``) handler whose proven bound
-        exceeds ``handler_cycles`` is refused *here*, before the ASH
-        system is touched — the refusal costs nothing and leaves no
-        kernel state behind.  :data:`CRASHLOOP_LIMIT` consecutive
-        failing installs quarantine the tenant.
-        """
+    def install_version(self, tenant, old_id: int,
+                        program: "Program", **kwargs) -> int:
+        """Versioned upgrade of a handler the tenant owns, under the
+        same admission as a first download."""
         t = self.get(tenant)
+        if old_id not in t.ash_ids:
+            self._count(t, "quota_violations")
+            raise TenantQuotaError(
+                f"tenant {t.name!r} does not own ASH {old_id}")
+        return self._install(
+            t, program, kwargs.get("policy"),
+            lambda: self.kernel.ash_system.install_version(
+                old_id, program, **kwargs))
+
+    def _install(self, t: Tenant, program: "Program", policy,
+                 install) -> int:
+        """The admission gate of every install on a tenant's behalf,
+        then ``install()`` (the ASH system's own).  Refusals, in order:
+        a dead tenant, a quarantined one, and — for a loop-free
+        (``STATIC_ESTIMATE``) handler — loop code or a proven bound
+        over ``handler_cycles``, refused *here*, before the ASH system
+        is touched (the refusal costs nothing and leaves no kernel state
+        behind); then whatever the ASH system refuses (verification,
+        memory pressure).  :data:`CRASHLOOP_LIMIT` consecutive failing
+        installs quarantine the tenant.
+        """
         if t.dead:
             raise TenantQuotaError(f"tenant {t.name!r} is dead")
         if t.quarantined:
@@ -409,58 +423,25 @@ class TenantManager:
                 f"tenant {t.name!r} is quarantined after "
                 f"{CRASHLOOP_LIMIT} failing installs"
             )
-        policy = kwargs.get("policy")
-        if policy is not None and policy.budget is BudgetPolicy.STATIC_ESTIMATE:
-            if has_loops(program):
-                self._note_install_failure(t, "verify")
-                raise SandboxViolation(
-                    f"{program.name}: static budget estimation requires "
-                    f"loop-free code"
-                )
-            bound = straightline_cycle_bound(program, self.cal)
-            if bound > t.quota.handler_cycles:
-                self._count(t, "quota_violations")
-                self._note_install_failure(t, "cycle_quota")
-                raise TenantQuotaError(
-                    f"tenant {t.name!r}: handler {program.name!r} static "
-                    f"bound {bound} exceeds the "
-                    f"{t.quota.handler_cycles}-cycle quota"
-                )
         try:
-            ash_id = self.kernel.ash_system.download(
-                program, allowed_regions, **kwargs)
+            if policy is not None and \
+                    policy.budget is BudgetPolicy.STATIC_ESTIMATE:
+                bound = static_cycle_bound(program, self.cal)
+                if bound > t.quota.handler_cycles:
+                    self._count(t, "quota_violations")
+                    self._note_install_failure(t, "cycle_quota")
+                    raise TenantQuotaError(
+                        f"tenant {t.name!r}: handler {program.name!r} "
+                        f"static bound {bound} exceeds the "
+                        f"{t.quota.handler_cycles}-cycle quota"
+                    )
+            ash_id = install()
         except (SandboxViolation, AllocationError):
             self._note_install_failure(t, "verify")
             raise
         t.install_fail_streak = 0
         t.ash_ids.add(ash_id)
         return ash_id
-
-    def install_version(self, tenant, old_id: int,
-                        program: "Program", **kwargs) -> int:
-        """Versioned upgrade of a handler the tenant owns."""
-        t = self.get(tenant)
-        if old_id not in t.ash_ids:
-            self._count(t, "quota_violations")
-            raise TenantQuotaError(
-                f"tenant {t.name!r} does not own ASH {old_id}")
-        if t.dead:
-            raise TenantQuotaError(f"tenant {t.name!r} is dead")
-        if t.quarantined:
-            self._count(t, "installs_refused", reason="quarantined")
-            raise TenantQuotaError(
-                f"tenant {t.name!r} is quarantined after "
-                f"{CRASHLOOP_LIMIT} failing installs"
-            )
-        try:
-            new_id = self.kernel.ash_system.install_version(
-                old_id, program, **kwargs)
-        except (SandboxViolation, AllocationError):
-            self._note_install_failure(t, "verify")
-            raise
-        t.install_fail_streak = 0
-        t.ash_ids.add(new_id)
-        return new_id
 
     def _note_install_failure(self, t: Tenant, reason: str) -> None:
         self._count(t, "installs_refused", reason=reason)

@@ -762,8 +762,8 @@ class TcpConnection:
             get_ev = ring.get()
             timeout = engine.timeout(us(timeout_us))
             yield from proc.block_on(engine.any_of([get_ev, timeout]))
-            # ask the get: an item put later in the tick the timer fired
-            # satisfies it, but is not in the any_of's value
+            # ask the get, not which child woke us: an item put later in
+            # the tick the timer fired satisfies it too
             if not get_ev.triggered:
                 ring.cancel_get(get_ev)
                 return False

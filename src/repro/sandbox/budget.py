@@ -17,13 +17,16 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from ..errors import SandboxViolation
 from ..hw.calibration import Calibration
 from ..vcode.isa import Program, insn_cost
+from .verifier import has_loops
 
 __all__ = [
     "BudgetPolicy",
     "BudgetAccount",
     "straightline_cycle_bound",
+    "static_cycle_bound",
     "budget_cycles",
     "forced_abort_budget",
     "FORCED_ABORT_CYCLES",
@@ -54,6 +57,19 @@ def straightline_cycle_bound(program: Program, cal: Calibration) -> int:
         if insn.op in ("ld8", "ld16", "ld32"):
             bound += cal.miss_penalty_cycles
     return bound
+
+
+def static_cycle_bound(program: Program, cal: Calibration) -> int:
+    """The download-time proof of a ``STATIC_ESTIMATE`` handler: refuse
+    code with a loop (:class:`~repro.errors.SandboxViolation`), else
+    return its :func:`straightline_cycle_bound`, which each caller holds
+    to its own limit."""
+    if has_loops(program):
+        raise SandboxViolation(
+            f"{program.name}: static budget estimation requires "
+            f"loop-free code"
+        )
+    return straightline_cycle_bound(program, cal)
 
 
 def budget_cycles(cal: Calibration) -> int:

@@ -251,25 +251,24 @@ class Timeout(Event):
 class AnyOf(Event):
     """Triggers as soon as any child event triggers.
 
-    The value is a dict mapping the events triggered when it fired to
-    their values: a snapshot, which a child that triggers later in the
-    same tick is not in (ask the child itself whether it triggered).
+    It carries no value: ask each child whether it triggered (one may
+    trigger later in the same tick, after this one).
     """
 
-    __slots__ = ("events",)
+    __slots__ = ()
 
     def __init__(self, engine: "Engine", events: Iterable[Event]):
         super().__init__(engine, name="any_of")
-        self.events = list(events)
-        if not self.events:
-            self.succeed({})
+        events = list(events)
+        if not events:
+            self.succeed()
             return
-        for ev in self.events:
+        for ev in events:
             ev.add_callback(self._check)
 
     def _check(self, ev: Event) -> None:
         if not self._state:
-            self.succeed({ev: ev._value for ev in self.events if ev._state})
+            self.succeed()
 
 
 SimGenerator = Generator[Event, Any, Any]

@@ -13,7 +13,8 @@ injector class per **site** (:data:`SITES`):
   truncated DMA on a :class:`~repro.hw.nic.base.Nic`;
 * ``ash`` (:class:`AshAbortInjector`) — forced involuntary ASH aborts
   mid-handler, via a deliberately tiny cycle budget
-  (:func:`repro.sandbox.budget.forced_abort_budget`);
+  (:func:`repro.sandbox.budget.forced_abort_budget`), on every
+  invocation on one kernel;
 * ``crash`` (:class:`NodeCrash`) — a scripted kernel crash mid-flow
   that tears down every piece of kernel-volatile state (DPF filters,
   installed ASHs, upcall bindings, rx rings) while application memory —
@@ -28,8 +29,11 @@ injector class per **site** (:data:`SITES`):
   stretch wall-clock time without advancing the victim's work,
   interacting with the sandbox abort budget and the receive-livelock
   admission throttle;
-* ``tenant_flood`` / ``_leak`` / ``_hog`` / ``_abort`` / ``_script`` —
-  one nontrusting tenant's abuses (:class:`TenantFlood` …), which a
+* ``tenant_flood`` / ``_leak`` / ``_hog`` / ``_script`` — one
+  nontrusting tenant's abuses (:class:`TenantFlood`,
+  :class:`TenantLeak`, :class:`TenantCycleHog`, :class:`TenantScript`),
+  and ``tenant_abort``, the ``ash`` site's class scoped to that
+  tenant's invocations (a crash-looping handler), all of which a
   :class:`~repro.ash.tenancy.TenantManager` must contain.
 
 Every decision is drawn from a per-seam :class:`random.Random` stream
@@ -261,29 +265,56 @@ class NicStress(_Injector):
 class AshAbortInjector(_Injector):
     """Forces involuntary aborts mid-handler.
 
-    Installed on a kernel's :class:`~repro.ash.system.AshSystem`; when
-    it fires, the invocation runs under
+    Installed on a kernel's :class:`~repro.ash.system.AshSystem`
+    (``forced_aborts``, asked in install order once per invocation);
+    when it fires, the invocation runs under
     :func:`repro.sandbox.budget.forced_abort_budget` — a budget so small
     the handler trips ``BudgetExceeded`` partway through, exactly the
     paper's two-clock-tick timer abort, just early.  The kernel must
     then degrade to the next delivery path (upcall / normal) with zero
     message loss.
+
+    Two scopes.  The ``ash`` site (``target`` the kernel; ``every`` /
+    ``rate``) counts every invocation on the node.  The
+    ``tenant_abort`` site (``target`` the kernel's
+    :class:`~repro.ash.tenancy.TenantManager`, ``tenant`` its name) is a
+    crash-looping handler: its gates count only that tenant's
+    invocations, and it aborts each one; after
+    :data:`repro.ash.tenancy.ABORT_BREAKER_LIMIT` consecutive aborts the
+    manager cuts the tenant's ASH binding (the crash-loop breaker), and
+    its traffic continues on the normal path.
     """
 
-    def __init__(self, plane: "FaultPlane", kernel: "Kernel",
-                 every: Optional[int] = None, rate: float = 0.0, **gates):
-        super().__init__(plane, f"ash:{kernel.node.name}", **gates)
+    def __init__(self, plane: "FaultPlane", target,
+                 every: Optional[int] = None, rate: float = 0.0,
+                 tenant: Optional[str] = None, **gates):
         from ..sandbox.budget import forced_abort_budget
 
+        if tenant is None:
+            kernel, self.kind = target, "ash_abort"
+            site = f"ash:{kernel.node.name}"
+        else:
+            kernel, self.kind, every = target.kernel, "tenant_abort", 1
+            site = f"tenantabort:{kernel.node.name}:{tenant}"
+        super().__init__(plane, site, **gates)
+        #: the scoped tenant and its manager (None = the whole node)
+        self.tenant = None if tenant is None else target.get(tenant)
+        self.manager = target if tenant is not None else None
         self.every = every
         self.rate = rate
         self.budget = forced_abort_budget(kernel.cal)
-        kernel.ash_system.fault_injector = self
+        kernel.ash_system.forced_aborts.append(self)
 
-    def consider(self) -> Optional[int]:
-        """Called once per ASH invocation; returns the forced (tiny)
-        cycle budget when this invocation must abort, else None."""
-        if self._trigger("ash_abort", every=self.every, rate=self.rate):
+    def consider(self, ep) -> Optional[int]:
+        """Called once per ASH invocation (on endpoint ``ep``); returns
+        the forced (tiny) cycle budget when this invocation must abort,
+        else None.  A tenant scope passes over, uncounted, an
+        invocation on an endpoint its tenant does not own."""
+        tenant = self.tenant
+        if tenant is not None \
+                and self.manager._tenant_for_ep(ep) is not tenant:
+            return None
+        if self._trigger(self.kind, every=self.every, rate=self.rate):
             return self.budget
         return None
 
@@ -526,33 +557,6 @@ class TenantCycleHog(_Injector):
         return cycles
 
 
-class TenantAbortLoop(_Injector):
-    """A crash-looping handler: tenant-scoped forced involuntary aborts.
-
-    Installed as the tenant's ``abort_injector`` — the per-tenant
-    sibling of :class:`AshAbortInjector`.  Each firing invocation runs
-    under a forced (tiny) cycle budget and aborts mid-handler; after
-    :data:`repro.ash.tenancy.ABORT_BREAKER_LIMIT` consecutive aborts
-    the manager cuts the tenant's ASH binding (the crash-loop breaker),
-    and its traffic continues on the normal path.
-    """
-
-    def __init__(self, plane: "FaultPlane", manager, tenant: str, **gates):
-        node = manager.kernel.node.name
-        super().__init__(plane, f"tenantabort:{node}:{tenant}", **gates)
-        from ..sandbox.budget import forced_abort_budget
-
-        self.budget = forced_abort_budget(manager.cal)
-        manager.get(tenant).abort_injector = self
-
-    def consider(self) -> Optional[int]:
-        """Called once per invocation on the tenant's endpoints; returns
-        the forced budget when this invocation must abort, else None."""
-        if self._trigger("tenant_abort", every=1):
-            return self.budget
-        return None
-
-
 class TenantScript(_Injector):
     """One scripted tenant-lifecycle abuse at a fixed instant.
 
@@ -630,7 +634,7 @@ SITES = {
     "tenant_flood": TenantFlood,
     "tenant_leak": TenantLeak,
     "tenant_hog": TenantCycleHog,
-    "tenant_abort": TenantAbortLoop,
+    "tenant_abort": AshAbortInjector,
     "tenant_script": TenantScript,
 }
 

@@ -278,11 +278,47 @@ def test_scenario_script_installs_all_sites():
     assert len(installed) == 5 and plane.injectors == installed
     assert tb.link.impairment is installed[0]
     assert tb.server_nic.stress is installed[1]
-    assert tb.server_kernel.ash_system.fault_injector is installed[2]
+    assert tb.server_kernel.ash_system.forced_aborts == [installed[2]]
     assert tb.server.memory.pressure is installed[3]
     assert tb.server.cpu.contention is installed[4]
     with pytest.raises(SimError, match="unknown fault site 'nope'"):
         plane.apply_scenario([{"site": "nope", "target": "link"}])
+
+
+def test_node_and_tenant_aborts_share_one_seam_in_install_order():
+    """A node-wide ``ash`` injector and a tenant-scoped ``tenant_abort``
+    on one kernel: both are asked per invocation, in install order; the
+    scoped one counts only its tenant's invocations."""
+    from repro.ash.tenancy import TenantManager
+    from repro.bench.workloads import _build_sink
+
+    tb = make_an2_pair()
+    sk = tb.server_kernel
+    manager = TenantManager(sk)
+    manager.create("m")
+    other = sk.create_endpoint_an2(tb.server_nic, 20)
+    mine = sk.create_endpoint_an2(tb.server_nic, 30, tenant="m")
+    sk.ash_system.bind(other, sk.ash_system.download(_build_sink(50), []))
+    sk.ash_system.bind(mine, manager.download("m", _build_sink(50), []))
+    plane = tb.attach_fault_plane(seed=4)
+    node = plane.install("ash", "server_kernel", every=2)
+    scoped = plane.install("tenant_abort", "server_kernel.tenants",
+                           tenant="m")
+    assert sk.ash_system.forced_aborts == [node, scoped]
+    fired = []
+    record = plane.record
+    plane.record = lambda kind, site: (fired.append(kind),
+                                       record(kind, site))
+    for vci in (20, 30) * 3:
+        tb.server_nic._on_wire_frame(Frame(b"x" * 4, vci=vci))
+        tb.run()
+    # invocations 2, 4, 6 are the tenant's: the node injector fires on
+    # each (every=2), then the scoped one, which saw only those three
+    assert fired == ["ash_abort", "tenant_abort"] * 3
+    assert (node.seen, node.fired) == (6, 3)
+    assert (scoped.seen, scoped.fired) == (3, 3)
+    assert plane.ledger() == {"ash_abort": 3, "tenant_abort": 3}
+    assert sk.ash_system.entry(other.ash_id).involuntary_aborts == 0
 
 
 def _tenant_pair():

@@ -53,6 +53,26 @@ class TestInstallVersion:
         assert sk.ash_system.entry(v2).lineage == v1
         assert sk.ash_system.versions(v1) == [v1, v2]
 
+    def test_reboot_reinstalls_each_version_of_a_lineage(self):
+        """Two upgrades, then a crash: every re-installed entry keeps its
+        version and lineage, and endpoints bound to v1 and v3 come back
+        bound to the same ids."""
+        tb = make_an2_pair()
+        sk, ep, v1 = _download_v1(tb)
+        v2 = sk.ash_system.install_version(v1, build_remote_increment())
+        v3 = sk.ash_system.install_version(v2, build_remote_increment())
+        ep3 = sk.create_endpoint_an2(tb.server_nic, CLIENT_TO_SERVER_VCI + 1)
+        sk.ash_system.bind(ep, v1)
+        sk.ash_system.bind(ep3, v3)
+        sk.crash()
+        sk.reboot()
+        assert sk.crash_log[-1]["ash_reinstalls"] == 3
+        assert [(sk.ash_system.entry(i).version,
+                 sk.ash_system.entry(i).lineage) for i in (v1, v2, v3)] \
+            == [(1, v1), (2, v1), (3, v1)]
+        assert (ep.ash_id, ep3.ash_id) == (v1, v3)
+        assert sk.ash_system.versions(v1) == [v1, v2, v3]
+
     def test_controller_rejects_non_successor(self):
         tb = make_an2_pair()
         sk, ep, v1 = _download_v1(tb)

@@ -519,8 +519,8 @@ class TestClose:
 class TestPump:
     def test_an_item_put_at_the_timeout_tick_is_taken(self):
         """The pump's timer fires, and an item lands on the ring later in
-        the same tick, before the pump resumes: the any_of's value names
-        only the timer, but the get has the item, which the pump takes
+        the same tick, before the pump resumes: the any_of woke on the
+        timer, but the get has the item, which the pump takes
         (the get cannot be withdrawn: the item would be lost)."""
         tb, client, server = build_pair()
         ring = server.endpoint.ring

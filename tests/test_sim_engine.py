@@ -208,14 +208,12 @@ def test_any_of_triggers_on_first():
     def proc(eng):
         fast = eng.sleep(10, value="fast")
         slow = eng.sleep(100, value="slow")
-        result = yield eng.any_of([fast, slow])
-        return (list(result.values()), eng.now)
+        yield eng.any_of([fast, slow])
+        return (fast.triggered, slow.triggered, eng.now)
 
     p = eng.spawn(proc(eng))
     eng.run()
-    values, when = p.value
-    assert values == ["fast"]
-    assert when == 10
+    assert p.value == (True, False, 10)
 
 
 def test_timeout_cancel_prevents_firing():

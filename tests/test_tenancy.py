@@ -360,6 +360,22 @@ def test_install_version_requires_ownership():
         manager.install_version("bob", ash_id, _build_sink())
 
 
+def test_install_version_passes_the_download_admission():
+    """An upgrade is held to the tenant's cycle quota like a download:
+    refused before the ASH system is touched, counted the same way."""
+    tb, manager = _world()
+    manager.create("m", handler_cycles=1500)
+    ash_id = manager.download("m", _build_sink(), allowed_regions=[])
+    next_before = tb.server_kernel.ash_system._next_ash
+    with pytest.raises(TenantQuotaError):
+        manager.install_version("m", ash_id, _build_sink(4000, "hog"),
+                                policy=STATIC)
+    assert tb.server_kernel.ash_system._next_ash == next_before
+    c = manager.stats()["tenants"]["m"]["counters"]
+    assert c["quota_violations"] == 1
+    assert c["installs_refused"]["cycle_quota"] == 1
+
+
 # ---------------------------------------------------------------------------
 # runtime abuse: cycle quota, abort breaker, tenant crash
 # ---------------------------------------------------------------------------
