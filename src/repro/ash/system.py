@@ -280,6 +280,10 @@ class AshSystem:
     def has(self, ash_id: int) -> bool:
         return ash_id in self._entries
 
+    def boot_record(self, ash_id: int) -> Optional[BootRecord]:
+        """The record ``ash_id`` re-installs from (None once removed)."""
+        return self._boot_records.get(ash_id)
+
     def remove(self, ash_id: int) -> None:
         self._entries.pop(ash_id, None)
         self._boot_records.pop(ash_id, None)

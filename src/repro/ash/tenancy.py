@@ -382,8 +382,7 @@ class TenantManager:
     # -- handler installs ----------------------------------------------------
     def download(self, tenant, program: "Program",
                  allowed_regions, **kwargs) -> int:
-        """Download a handler on the tenant's behalf, under its quota
-        (:meth:`_install`)."""
+        """Download a handler under the tenant's quota (:meth:`_install`)."""
         return self._install(
             self.get(tenant), program, kwargs.get("policy"),
             lambda: self.kernel.ash_system.download(
@@ -392,29 +391,30 @@ class TenantManager:
     def install_version(self, tenant, old_id: int,
                         program: "Program", **kwargs) -> int:
         """Versioned upgrade of a handler the tenant owns, under the
-        same admission as a first download."""
+        same admission as a first download, against the policy it will
+        run under (the old version's unless ``policy`` is given)."""
         t = self.get(tenant)
         if old_id not in t.ash_ids:
             self._count(t, "quota_violations")
             raise TenantQuotaError(
                 f"tenant {t.name!r} does not own ASH {old_id}")
+        policy = kwargs.get("policy")
+        old = self.kernel.ash_system.boot_record(old_id)
+        if policy is None and old is not None:
+            policy = old.policy
         return self._install(
-            t, program, kwargs.get("policy"),
+            t, program, policy,
             lambda: self.kernel.ash_system.install_version(
                 old_id, program, **kwargs))
 
     def _install(self, t: Tenant, program: "Program", policy,
                  install) -> int:
-        """The admission gate of every install on a tenant's behalf,
-        then ``install()`` (the ASH system's own).  Refusals, in order:
-        a dead tenant, a quarantined one, and — for a loop-free
-        (``STATIC_ESTIMATE``) handler — loop code or a proven bound
-        over ``handler_cycles``, refused *here*, before the ASH system
-        is touched (the refusal costs nothing and leaves no kernel state
-        behind); then whatever the ASH system refuses (verification,
-        memory pressure).  :data:`CRASHLOOP_LIMIT` consecutive failing
-        installs quarantine the tenant.
-        """
+        """The admission gate of every tenant install, then ``install()``
+        (the ASH system's).  Refused in order: a dead tenant, a
+        quarantined one, a ``STATIC_ESTIMATE`` handler with loops or a
+        bound over ``handler_cycles`` (here, leaving no kernel state),
+        then what the ASH system refuses.  :data:`CRASHLOOP_LIMIT`
+        consecutive failing installs quarantine the tenant."""
         if t.dead:
             raise TenantQuotaError(f"tenant {t.name!r} is dead")
         if t.quarantined:

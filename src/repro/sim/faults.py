@@ -13,8 +13,7 @@ injector class per **site** (:data:`SITES`):
   truncated DMA on a :class:`~repro.hw.nic.base.Nic`;
 * ``ash`` (:class:`AshAbortInjector`) — forced involuntary ASH aborts
   mid-handler, via a deliberately tiny cycle budget
-  (:func:`repro.sandbox.budget.forced_abort_budget`), on every
-  invocation on one kernel;
+  (:func:`repro.sandbox.budget.forced_abort_budget`);
 * ``crash`` (:class:`NodeCrash`) — a scripted kernel crash mid-flow
   that tears down every piece of kernel-volatile state (DPF filters,
   installed ASHs, upcall bindings, rx rings) while application memory —
@@ -29,11 +28,9 @@ injector class per **site** (:data:`SITES`):
   stretch wall-clock time without advancing the victim's work,
   interacting with the sandbox abort budget and the receive-livelock
   admission throttle;
-* ``tenant_flood`` / ``_leak`` / ``_hog`` / ``_script`` — one
-  nontrusting tenant's abuses (:class:`TenantFlood`,
-  :class:`TenantLeak`, :class:`TenantCycleHog`, :class:`TenantScript`),
-  and ``tenant_abort``, the ``ash`` site's class scoped to that
-  tenant's invocations (a crash-looping handler), all of which a
+* ``tenant_flood`` / ``_leak`` / ``_hog`` / ``_abort`` / ``_script`` —
+  one nontrusting tenant's abuses (:class:`TenantFlood` …; ``_abort``
+  is the ``ash`` injector scoped to the tenant), which a
   :class:`~repro.ash.tenancy.TenantManager` must contain.
 
 Every decision is drawn from a per-seam :class:`random.Random` stream
@@ -273,50 +270,53 @@ class AshAbortInjector(_Injector):
     paper's two-clock-tick timer abort, just early.  The kernel must
     then degrade to the next delivery path (upcall / normal) with zero
     message loss.
-
-    Two scopes.  The ``ash`` site (``target`` the kernel; ``every`` /
-    ``rate``) counts every invocation on the node.  The
-    ``tenant_abort`` site (``target`` the kernel's
-    :class:`~repro.ash.tenancy.TenantManager`, ``tenant`` its name) is a
-    crash-looping handler: its gates count only that tenant's
-    invocations, and it aborts each one; after
-    :data:`repro.ash.tenancy.ABORT_BREAKER_LIMIT` consecutive aborts the
-    manager cuts the tenant's ASH binding (the crash-loop breaker), and
-    its traffic continues on the normal path.
     """
 
-    def __init__(self, plane: "FaultPlane", target,
-                 every: Optional[int] = None, rate: float = 0.0,
-                 tenant: Optional[str] = None, **gates):
+    kind = "ash_abort"      #: the ledger kind of a firing
+
+    def __init__(self, plane: "FaultPlane", kernel: "Kernel",
+                 every: Optional[int] = None, rate: float = 0.0, **gates):
+        super().__init__(plane, self._seam(kernel), **gates)
         from ..sandbox.budget import forced_abort_budget
 
-        if tenant is None:
-            kernel, self.kind = target, "ash_abort"
-            site = f"ash:{kernel.node.name}"
-        else:
-            kernel, self.kind, every = target.kernel, "tenant_abort", 1
-            site = f"tenantabort:{kernel.node.name}:{tenant}"
-        super().__init__(plane, site, **gates)
-        #: the scoped tenant and its manager (None = the whole node)
-        self.tenant = None if tenant is None else target.get(tenant)
-        self.manager = target if tenant is not None else None
         self.every = every
         self.rate = rate
         self.budget = forced_abort_budget(kernel.cal)
         kernel.ash_system.forced_aborts.append(self)
 
+    def _seam(self, kernel: "Kernel") -> str:
+        return f"ash:{kernel.node.name}"
+
     def consider(self, ep) -> Optional[int]:
         """Called once per ASH invocation (on endpoint ``ep``); returns
         the forced (tiny) cycle budget when this invocation must abort,
-        else None.  A tenant scope passes over, uncounted, an
-        invocation on an endpoint its tenant does not own."""
-        tenant = self.tenant
-        if tenant is not None \
-                and self.manager._tenant_for_ep(ep) is not tenant:
-            return None
+        else None."""
         if self._trigger(self.kind, every=self.every, rate=self.rate):
             return self.budget
         return None
+
+
+class TenantAbortScope(AshAbortInjector):
+    """A crash-looping handler: the ``ash`` injector, its gates counting
+    one tenant's invocations, each of which it aborts.  After
+    :data:`repro.ash.tenancy.ABORT_BREAKER_LIMIT` consecutive aborts the
+    manager cuts the tenant's ASH binding (the crash-loop breaker)."""
+
+    kind = "tenant_abort"
+
+    def __init__(self, plane: "FaultPlane", manager, tenant: str, **gates):
+        self.manager = manager
+        self.tenant = manager.get(tenant)
+        super().__init__(plane, manager.kernel, every=1, **gates)
+
+    def _seam(self, kernel: "Kernel") -> str:
+        return f"tenantabort:{kernel.node.name}:{self.tenant.name}"
+
+    def consider(self, ep) -> Optional[int]:
+        """Another tenant's invocation passes, uncounted."""
+        if self.manager._tenant_for_ep(ep) is not self.tenant:
+            return None
+        return super().consider(ep)
 
 
 class NodeCrash(_Injector):
@@ -634,7 +634,7 @@ SITES = {
     "tenant_flood": TenantFlood,
     "tenant_leak": TenantLeak,
     "tenant_hog": TenantCycleHog,
-    "tenant_abort": AshAbortInjector,
+    "tenant_abort": TenantAbortScope,
     "tenant_script": TenantScript,
 }
 

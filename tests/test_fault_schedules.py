@@ -231,7 +231,7 @@ class Ref:
         self.plane.record("tenant_leak", self.site)
         return True
 
-    def tenant_consider(self):              # AshAbortInjector (tenant scope)
+    def tenant_consider(self):              # TenantAbortScope.consider
         if not self._gate():
             return None
         if self.max_aborts is not None and self.fired >= self.max_aborts:

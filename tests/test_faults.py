@@ -319,6 +319,14 @@ def test_node_and_tenant_aborts_share_one_seam_in_install_order():
     assert (scoped.seen, scoped.fired) == (3, 3)
     assert plane.ledger() == {"ash_abort": 3, "tenant_abort": 3}
     assert sk.ash_system.entry(other.ash_id).involuntary_aborts == 0
+    # each site takes its own settings only
+    with pytest.raises(TypeError):
+        plane.install("ash", "client_kernel", tenant="m")
+    with pytest.raises(TypeError):
+        plane.install("tenant_abort", "server_kernel.tenants", every=3,
+                      tenant="m")
+    with pytest.raises(TypeError):
+        plane.install("tenant_abort", "server_kernel.tenants")
 
 
 def _tenant_pair():

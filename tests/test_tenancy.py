@@ -362,18 +362,27 @@ def test_install_version_requires_ownership():
 
 def test_install_version_passes_the_download_admission():
     """An upgrade is held to the tenant's cycle quota like a download:
-    refused before the ASH system is touched, counted the same way."""
+    refused before the ASH system is touched, counted the same way,
+    whether it names its static policy or inherits it."""
     tb, manager = _world()
     manager.create("m", handler_cycles=1500)
     ash_id = manager.download("m", _build_sink(), allowed_regions=[])
+    static_id = manager.download("m", _build_sink(), allowed_regions=[],
+                                 policy=STATIC)
     next_before = tb.server_kernel.ash_system._next_ash
     with pytest.raises(TenantQuotaError):
         manager.install_version("m", ash_id, _build_sink(4000, "hog"),
                                 policy=STATIC)
+    with pytest.raises(TenantQuotaError):
+        manager.install_version("m", static_id, _build_sink(4000, "hog"))
     assert tb.server_kernel.ash_system._next_ash == next_before
     c = manager.stats()["tenants"]["m"]["counters"]
-    assert c["quota_violations"] == 1
-    assert c["installs_refused"]["cycle_quota"] == 1
+    assert c["quota_violations"] == 2
+    assert c["installs_refused"]["cycle_quota"] == 2
+    # a small upgrade of the static handler is admitted, under its policy
+    v2 = manager.install_version("m", static_id, _build_sink(name="v2"))
+    assert tb.server_kernel.ash_system.entry(v2).budget \
+        is BudgetPolicy.STATIC_ESTIMATE
 
 
 # ---------------------------------------------------------------------------
